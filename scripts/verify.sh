@@ -52,6 +52,10 @@ python -m repro bench insights --quiet
 echo "== executor telemetry (10 slowest cells this run) =="
 python -m repro bench timings --top 10
 
+echo "== perfbench: the benchmark's own checks, then its correctness pass =="
+python3 perfbench/selftest.py --smoke
+python3 perfbench/run.py --check
+
 echo "== crash-consistency acceptance scenario =="
 python -m repro simulate --problem AMR16 --procs 4 --cycles 1 \
     --inject write:torn:run --retries 2

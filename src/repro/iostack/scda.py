@@ -24,12 +24,15 @@ entries the raw format records, the scda session gathers each rank's
 ``(offset, nbytes, crc32)`` write pieces at close and rank 0 merges them
 into ONE entry per section, combining the piece CRCs arithmetically
 (:func:`crc32_combine`) -- so the manifest bytes, like the file bytes,
-are identical for every P.
+are identical for every P.  The merge costs one modular product per
+piece: the shift operator ``x^(8n) mod p`` is cached per piece length
+``n``, and a section's pieces share their row length.
 """
 
 from __future__ import annotations
 
 import zlib
+from functools import lru_cache
 
 import numpy as np
 
@@ -58,57 +61,55 @@ class ScdaHeaderError(ValueError):
 # -- CRC32 combination --------------------------------------------------------
 
 
-def _gf2_matrix_times(mat: list[int], vec: int) -> int:
-    total = 0
-    i = 0
-    while vec:
-        if vec & 1:
-            total ^= mat[i]
-        vec >>= 1
-        i += 1
-    return total
+#: The CRC-32 polynomial, bit-reflected as zlib stores it: bit 31 is x^0.
+_POLY = 0xEDB88320
 
 
-def _gf2_matrix_square(square: list[int], mat: list[int]) -> None:
-    for i in range(32):
-        square[i] = _gf2_matrix_times(mat, mat[i])
+def _multmodp(a: int, b: int) -> int:
+    """``a(x) * b(x) mod p(x)`` over GF(2), both operands reflected."""
+    product = 0
+    bit = 0x80000000
+    while a:
+        if a & bit:
+            product ^= b
+            a ^= bit
+        bit >>= 1
+        b = (b >> 1) ^ _POLY if b & 1 else b >> 1
+    return product
+
+
+@lru_cache(maxsize=4096)
+def _shift_operator(nbytes: int) -> int:
+    """``x^(8*nbytes) mod p``: advances a CRC through ``nbytes`` zero bytes.
+
+    Square-and-multiply, at most ``2 * nbytes.bit_length()`` products --
+    paid once per distinct length: every piece of a section shares its
+    row length, so a merge hits the cache after the first fold.
+    """
+    operator = 0x80000000  # x^0
+    square = 0x00800000  # x^8, one byte
+    while nbytes:
+        if nbytes & 1:
+            operator = _multmodp(square, operator)
+        nbytes >>= 1
+        if nbytes:
+            square = _multmodp(square, square)
+    return operator
 
 
 def crc32_combine(crc1: int, crc2: int, len2: int) -> int:
     """``crc32(A+B)`` from ``crc32(A)``, ``crc32(B)`` and ``len(B)``.
 
-    The standard zlib algorithm: advance ``crc1`` through ``len2`` zero
-    bytes by repeated GF(2) matrix squaring of the CRC shift operator,
-    then xor with ``crc2``.  Lets rank 0 checksum a section nobody holds
-    in one piece without re-reading a single byte.
+    The polynomial form zlib adopted in 1.2.12: ``crc32(A+B) =
+    x^(8*len(B)) * crc32(A) + crc32(B) mod p`` -- one cached operator
+    lookup and one 32-step product per call.  Lets rank 0 checksum a
+    section nobody holds in one piece without re-reading a single byte.
     """
-    if len2 <= 0:
+    if len2 < 0:
+        raise ValueError(f"crc32_combine: len2 must be >= 0, got {len2}")
+    if len2 == 0:
         return crc1
-    even = [0] * 32
-    odd = [0] * 32
-    # The CRC-32 polynomial (reflected), then powers of two.
-    odd[0] = 0xEDB88320
-    row = 1
-    for i in range(1, 32):
-        odd[i] = row
-        row <<= 1
-    # odd = shift-by-one operator; even = shift-by-two; then square up.
-    _gf2_matrix_square(even, odd)
-    _gf2_matrix_square(odd, even)
-    while True:
-        _gf2_matrix_square(even, odd)
-        if len2 & 1:
-            crc1 = _gf2_matrix_times(even, crc1)
-        len2 >>= 1
-        if len2 == 0:
-            break
-        _gf2_matrix_square(odd, even)
-        if len2 & 1:
-            crc1 = _gf2_matrix_times(odd, crc1)
-        len2 >>= 1
-        if len2 == 0:
-            break
-    return crc1 ^ crc2
+    return _multmodp(_shift_operator(len2), crc1) ^ crc2
 
 
 # -- layout -------------------------------------------------------------------
@@ -376,8 +377,10 @@ class _ScdaSession(_RawSession):
             pos = ext.offset
             for offset, nbytes, piece_crc in pieces:
                 if offset != pos:
+                    fault = "a coverage gap" if offset > pos else "an overlap"
                     raise ScdaHeaderError(
-                        f"scda section {name!r} has a coverage gap at {pos}"
+                        f"scda section {name!r} has {fault}: expected a piece at"
+                        f" offset {pos}, found {nbytes} bytes at offset {offset}"
                     )
                 crc = crc32_combine(crc, piece_crc, nbytes)
                 pos += nbytes

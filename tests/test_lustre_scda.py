@@ -25,7 +25,7 @@ from repro.enzo.layout import CheckpointLayout
 from repro.enzo.meta import HierarchyMeta
 from repro.insights import AutoTuner
 from repro.insights.autotune import stripe_headroom_of
-from repro.iostack import registry
+from repro.iostack import registry, scda
 from repro.iostack.scda import (
     FILE_HEADER_NBYTES,
     SECTION_HEADER_NBYTES,
@@ -223,6 +223,58 @@ class TestScdaLayoutFormat:
             ScdaLayout(inner, block_size=64)
 
 
+def _gf2_matrix_times(mat, vec):
+    total = 0
+    i = 0
+    while vec:
+        if vec & 1:
+            total ^= mat[i]
+        vec >>= 1
+        i += 1
+    return total
+
+
+def _gf2_matrix_square(square, mat):
+    for i in range(32):
+        square[i] = _gf2_matrix_times(mat, mat[i])
+
+
+def crc32_combine_reference(crc1, crc2, len2):
+    """The pre-1.2.12 zlib algorithm ``scda`` shipped first: the shift
+    operator rebuilt per call by GF(2) matrix squaring.  Shares no code
+    with the polynomial form, so it is the oracle for lengths no buffer
+    could back."""
+    if len2 <= 0:
+        return crc1
+    even = [0] * 32
+    odd = [0] * 32
+    odd[0] = 0xEDB88320
+    row = 1
+    for i in range(1, 32):
+        odd[i] = row
+        row <<= 1
+    _gf2_matrix_square(even, odd)
+    _gf2_matrix_square(odd, even)
+    while True:
+        _gf2_matrix_square(even, odd)
+        if len2 & 1:
+            crc1 = _gf2_matrix_times(even, crc1)
+        len2 >>= 1
+        if len2 == 0:
+            break
+        _gf2_matrix_square(odd, even)
+        if len2 & 1:
+            crc1 = _gf2_matrix_times(odd, crc1)
+        len2 >>= 1
+        if len2 == 0:
+            break
+    return crc1 ^ crc2
+
+
+crc_values = st.integers(min_value=0, max_value=2**32 - 1)
+piece_lengths = st.integers(min_value=0, max_value=2**40)
+
+
 class TestCrc32Combine:
     @settings(max_examples=80, deadline=None)
     @given(a=st.binary(max_size=512), b=st.binary(max_size=512))
@@ -239,6 +291,98 @@ class TestCrc32Combine:
             crc = crc32_combine(crc, zlib.crc32(p), len(p))
             whole += p
         assert crc == zlib.crc32(whole)
+
+    @settings(max_examples=200, deadline=None)
+    @given(crc1=crc_values, crc2=crc_values, len2=piece_lengths)
+    def test_matches_the_matrix_reference(self, crc1, crc2, len2):
+        assert crc32_combine(crc1, crc2, len2) == crc32_combine_reference(
+            crc1, crc2, len2
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(a=crc_values, b=crc_values, c=crc_values,
+           len_b=piece_lengths, len_c=piece_lengths)
+    def test_is_associative(self, a, b, c, len_b, len_c):
+        b = b if len_b else 0  # the CRC of no bytes
+        left = crc32_combine(crc32_combine(a, b, len_b), c, len_c)
+        right = crc32_combine(a, crc32_combine(b, c, len_c), len_b + len_c)
+        assert left == right
+
+    def test_zero_length_pieces_are_neutral(self):
+        parts = [b"", b"abc", b"", b"", b"defgh", b""]
+        crc = 0
+        for p in parts:
+            crc = crc32_combine(crc, zlib.crc32(p), len(p))
+        assert crc == zlib.crc32(b"abcdefgh")
+        assert crc32_combine(0xDEADBEEF, 0, 0) == 0xDEADBEEF
+
+    def test_long_equal_length_chain(self):
+        """The merge's own shape: one section, 5 000 same-length rows."""
+        row = 24
+        whole = bytes(i * 7 % 251 for i in range(5000 * row))
+        crc = 0
+        for i in range(0, len(whole), row):
+            crc = crc32_combine(crc, zlib.crc32(whole[i:i + row]), row)
+        assert crc == zlib.crc32(whole)
+
+    def test_negative_length_is_rejected(self):
+        with pytest.raises(ValueError, match="-3"):
+            crc32_combine(1, 2, -3)
+
+    @pytest.mark.parametrize("length", [1, 7, 4096, 2**40 - 1, 2**40])
+    def test_cost_in_modular_products(self, monkeypatch, length):
+        """Counted, not timed: a cold length pays for its operator once,
+        every later fold of that length is exactly one product."""
+        products = []
+        multmodp = scda._multmodp
+
+        def counting(a, b):
+            products.append(a)
+            return multmodp(a, b)
+
+        monkeypatch.setattr(scda, "_multmodp", counting)
+        scda._shift_operator.cache_clear()
+        crc32_combine(0x12345678, 0x9ABCDEF0, length)
+        assert 1 <= len(products) <= 2 * length.bit_length() + 1
+        products.clear()
+        crc32_combine(0x0F1E2D3C, 0x4B5A6978, length)
+        assert len(products) == 1
+
+    def test_operator_cache_is_bounded(self):
+        assert scda._shift_operator.cache_info().maxsize is not None
+
+
+# -- a piece list that does not tile its section fails loudly at close -------
+
+
+class TestScdaMergeFaults:
+    @pytest.mark.parametrize(
+        "shift, fault", [(+8, "a coverage gap"), (-8, "an overlap")]
+    )
+    def test_gap_and_overlap_are_told_apart(
+        self, hierarchy, monkeypatch, shift, fault
+    ):
+        """Rank 0's first recorded piece claims an offset ``shift`` bytes
+        off: the error names section, both offsets and the piece length."""
+        record = scda._ScdaSession._record
+        moved = []
+
+        def shifted(session, section, segments, arr):
+            record(session, section, segments, arr)
+            if session.ctx.comm.rank == 0 and not moved:
+                offset, nbytes, crc = session._pieces[section][-1]
+                session._pieces[section][-1] = (offset + shift, nbytes, crc)
+                moved.append((section, offset, nbytes))
+
+        monkeypatch.setattr(scda._ScdaSession, "_record", shifted)
+        with pytest.raises(RankFailedError) as ei:
+            dump("mpi-io-scda", 2, hierarchy)
+        assert isinstance(ei.value.__cause__, ScdaHeaderError)
+        section, offset, nbytes = moved[0]
+        assert str(ei.value.__cause__) == (
+            f"scda section {section!r} has {fault}: expected a piece at offset "
+            f"{offset}, found {nbytes} bytes at offset {offset + shift}"
+        )
 
 
 # -- torn scda headers / padding are detected, never silently parsed ---------
