@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Repo verify flow: tier-1 tests, resilience + insights smoke tests, lint
-# gate, the paper-figure regression gate, and the tuned-vs-untuned
-# bandwidth artifact.
+# Repo verify flow: tier-1 tests (which include the resilience and insights
+# suites), lint gate, the paper-figure regression gate, and the
+# tuned-vs-untuned bandwidth artifact.
 #
 # Usage:  bash scripts/verify.sh
 set -euo pipefail
@@ -10,13 +10,6 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 echo "== tier-1 test suite =="
 python -m pytest -x -q --durations=10
-
-echo "== resilience smoke tests =="
-python -m pytest -q tests/test_resilience*.py tests/test_crash_consistency.py \
-    tests/test_cli_errors.py
-
-echo "== insights smoke tests =="
-python -m pytest -q tests/test_insights*.py
 
 echo "== lint gate (full repro package) =="
 if command -v ruff >/dev/null 2>&1; then

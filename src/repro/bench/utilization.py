@@ -10,8 +10,6 @@ fifteen disks idle.
 from __future__ import annotations
 
 from ..core.report import format_table
-from ..pfs.localfs import LocalDiskFS
-from ..pfs.striped import StripedServerFS
 from ..topology.machine import Machine
 
 __all__ = ["device_utilization", "format_utilization_report"]
@@ -34,19 +32,8 @@ def device_utilization(machine: Machine, span: float) -> list[list]:
                      busiest_out, span))
     rows.append(_row(f"net.ingress[{net.ingress.index(busiest_in)}]",
                      busiest_in, span))
-    fs = machine.fs
-    if isinstance(fs, StripedServerFS):
-        for srv in fs.servers:
-            rows.append(_row(f"{fs.name}.disk[{srv.index}]", srv.disk, span))
-        if fs.write_token_time:
-            rows.append(_row(f"{fs.name}.token-mgr", fs.token_manager, span))
-        for node, q in sorted(fs._node_queues.items()):
-            rows.append(_row(f"{fs.name}.ioq[{node}]", q, span))
-        for node, ch in sorted(fs._client_channels.items()):
-            rows.append(_row(f"{fs.name}.chan[{node}]", ch, span))
-    elif isinstance(fs, LocalDiskFS):
-        for i, disk in enumerate(fs.disks):
-            rows.append(_row(f"{fs.name}.disk[{i}]", disk, span))
+    if machine.fs is not None:
+        rows.extend(_row(dev.name, dev, span) for dev in machine.fs.devices())
     return rows
 
 

@@ -82,9 +82,7 @@ class File:
         if comm.rank == 0:
             proc.schedule_point()
             if mode == "w":
-                if (hints.striping_unit or hints.striping_factor) and hasattr(
-                    fs, "set_file_striping"
-                ):
+                if hints.striping_unit or hints.striping_factor:
                     fs.set_file_striping(
                         path,
                         stripe_size=hints.striping_unit or None,

@@ -3,10 +3,11 @@
 * :class:`BlockStore` / :class:`StoredFile` -- real byte storage;
 * :class:`FileSystem` -- the API the I/O libraries program against
   (zero-cost timing, used in unit tests);
-* :class:`StripedServerFS` -- striped client/server model with the
-  contention mechanisms of GPFS and PVFS (and, degenerately, XFS);
+* :class:`StripedServerFS` -- the one striped client/server request path,
+  with the contention mechanisms of GPFS and PVFS (and, degenerately, XFS);
+* :class:`LustreFS` -- that same path plus what Lustre adds: a per-OST
+  request queue, a single MDS, per-file layouts with a start-OST rotor;
 * :class:`LocalDiskFS` -- node-private disks (the paper's 4th experiment);
-* :class:`LustreFS` -- Lustre-like OST/MDS model with per-file layouts;
 * :class:`StripeLayout` -- striping arithmetic.
 """
 

@@ -307,12 +307,18 @@ class FileSystem:
         self, path: str, *, node: int = 0, ready_time: float = 0.0, create: bool = False
     ) -> float:
         """Open ``path`` (must exist unless ``create``); returns completion time."""
-        self.store.open(path, create=create)
+        if create and not self.store.exists(path):
+            # A create by another name: the model must see it as one (the
+            # Lustre MDS tracks the file and assigns its layout there).
+            return self.create(path, node=node, ready_time=ready_time)
+        self._check_fault("meta", path)
+        self.store.open(path)
         self.counters.opens += 1
         self.counters.metadata_ops += 1
         return self._service_meta("open", path, node, ready_time)
 
     def delete(self, path: str, *, node: int = 0, ready_time: float = 0.0) -> float:
+        self._check_fault("meta", path)
         self.store.delete(path)
         self.counters.metadata_ops += 1
         return self._service_meta("delete", path, node, ready_time)
@@ -446,12 +452,23 @@ class FileSystem:
     ) -> None:
         """Observability hook for recovery events; wrapped by tracing."""
 
+    def set_file_striping(
+        self, path: str, stripe_size: int | None = None, stripe_count: int | None = None
+    ) -> None:
+        """Per-file layout request (MPI-IO striping hints); ignored by default."""
+
+    def devices(self):
+        """Timelines of the devices the model queues requests on, in report order."""
+        return []
+
     def reset_timing(self) -> None:
         """Zero device timelines (keep data and cache contents).
 
         Call between independently-timed phases so one phase's queue state
         does not leak into the next measurement.
         """
+        for device in self.devices():
+            device.reset()
 
     def describe(self) -> str:
         """One-line description for benchmark reports."""

@@ -104,9 +104,11 @@ class LocalDiskFS(FileSystem):
             _, t = self.disks[home].serve(t, dur)
         return t
 
+    def devices(self):
+        return self.disks
+
     def reset_timing(self) -> None:
-        for d in self.disks:
-            d.reset()
+        super().reset_timing()
         self._heads = [None] * self.nnodes
 
     def files_needing_integration(self) -> dict[int, list[str]]:

@@ -1,7 +1,9 @@
-"""Lustre-like striped object-storage file system model.
+"""Lustre-like object-storage file system: what Lustre adds to the striped path.
 
-Lustre differs from the GPFS/PVFS models in :mod:`repro.pfs.striped` in
-three ways that matter for checkpoint I/O, and this module models each:
+Requests take :class:`~repro.pfs.striped.StripedServerFS`'s one request
+path unchanged (client channel -> NIC -> server queue -> request CPU ->
+disk, and its list-I/O batch form).  This module holds only the three
+things that are Lustre's own and matter for checkpoint I/O:
 
 * **per-file layout** -- every file carries its own ``(stripe_count,
   stripe_size, start OST)`` layout chosen at create time (``lfs
@@ -10,11 +12,9 @@ three ways that matter for checkpoint I/O, and this module models each:
   and narrow files coexist on one volume.  Widening the stripe count of
   the checkpoint file is the classic Lustre tuning knob, exposed to
   MPI-IO through the ``striping_factor``/``striping_unit`` hints.
-* **per-OST request queues** -- each object storage target serialises
-  request processing through a queue with a fixed per-request service
-  cost (analogous to the SMP I/O queues of the IBM SP model, but on the
-  server side): many clients hammering one OST with small requests
-  serialise there even when disks are idle.
+* **per-OST request queues** -- the shared path's server-queue stage with
+  a service time above zero: many clients hammering one OST with small
+  requests serialise there even when disks are idle.
 * **a single MDS** -- opens, creates and deletes all pass through one
   metadata server whose service time grows with the number of files it
   tracks.  File-per-grid output patterns therefore degrade *faster* on
@@ -24,14 +24,13 @@ three ways that matter for checkpoint I/O, and this module models each:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from ..sim.resources import Timeline
 from ..topology.network import Network
-from .base import FileSystem, LRUCache
 from .blockstore import BlockStore
-from .striped import IOServer, coalesce_runs
+from .striped import StripedServerFS
 from .striping import Chunk, StripeLayout
 
 __all__ = ["LustreFS", "LustreStripeLayout"]
@@ -96,8 +95,8 @@ class LustreStripeLayout:
         return {self._ost(s) for s in self._inner.servers_touched(offset, nbytes)}
 
 
-class LustreFS(FileSystem):
-    """Object-storage file system with per-file layouts, OST queues, one MDS."""
+class LustreFS(StripedServerFS):
+    """The striped request path plus per-file layouts, OST queues, one MDS."""
 
     def __init__(
         self,
@@ -120,7 +119,21 @@ class LustreFS(FileSystem):
         store: BlockStore | None = None,
         node_of_client=None,
     ):
-        super().__init__(name=name, store=store)
+        super().__init__(
+            name,
+            nservers=nosts,
+            stripe_size=stripe_size,
+            disk_bandwidth=disk_bandwidth,
+            seek_time=seek_time,
+            request_cpu_time=request_cpu_time,
+            server_net_bandwidth=server_net_bandwidth,
+            net_latency=net_latency,
+            cache_bytes_per_server=cache_bytes_per_ost,
+            client_network=client_network,
+            client_channel_bandwidth=client_channel_bandwidth,
+            store=store,
+            node_of_client=node_of_client,
+        )
         self.nosts = nosts
         self.default_stripe_count = min(stripe_count, nosts)
         # Volume-default layout; ``lfs setstripe`` overrides live in
@@ -131,35 +144,13 @@ class LustreFS(FileSystem):
             stripe_count=self.default_stripe_count,
             ost_count=nosts,
         )
-        self._file_layouts: dict[str, LustreStripeLayout] = {}
-        self.net_latency = net_latency
-        self.ost_queue_time = ost_queue_time
+        # One request queue per OST: the server-side serialisation point.
+        for ost in self.servers:
+            ost.queue.name = f"{name}.ostq[{ost.index}]"
+            ost.queue_time = ost_queue_time
+        # The single metadata server and the namespace it tracks.
         self.mds_open_time = mds_open_time
         self.mds_per_file_time = mds_per_file_time
-        self.client_network = client_network
-        self.client_channel_bandwidth = client_channel_bandwidth
-        self._client_channels: dict[int, Timeline] = {}
-        self._flush_egress: dict[int, Timeline] = {}
-        self.node_of_client = node_of_client or (lambda c: c)
-        self.servers = [
-            IOServer(
-                index=i,
-                disk_bandwidth=disk_bandwidth,
-                seek_time=seek_time,
-                request_cpu_time=request_cpu_time,
-                net_bandwidth=server_net_bandwidth,
-                net_latency=net_latency,
-                cache=LRUCache(
-                    capacity_bytes=cache_bytes_per_ost,
-                    block_size=stripe_size,
-                    amplify=False,
-                ),
-            )
-            for i in range(nosts)
-        ]
-        # One request queue per OST: the server-side serialisation point.
-        self._ost_queues = [Timeline(name=f"{name}.ostq[{i}]") for i in range(nosts)]
-        # The single metadata server and the namespace it tracks.
         self.mds = Timeline(name=f"{name}.mds")
         self._mds_files: set[str] = set()
         # Round-robin rotor assigning each new file's starting OST, so
@@ -183,51 +174,13 @@ class LustreFS(FileSystem):
         if stripe_size is None and stripe_count is None:
             return
         count = self.default_stripe_count if stripe_count is None else stripe_count
-        self._file_layouts[path] = LustreStripeLayout(
+        self._file_layouts[path] = replace(
+            self.layout,
             stripe_size=self.layout.stripe_size if stripe_size is None else stripe_size,
             stripe_count=max(1, min(count, self.nosts)),
-            ost_count=self.nosts,
         )
 
-    def layout_for(self, path: str) -> LustreStripeLayout:
-        return self._file_layouts.get(path, self.layout)
-
-    def _assign_default_layout(self, path: str) -> None:
-        if path in self._file_layouts:
-            return
-        self._file_layouts[path] = LustreStripeLayout(
-            stripe_size=self.layout.stripe_size,
-            stripe_count=self.default_stripe_count,
-            ost_count=self.nosts,
-            start_ost=self._next_ost,
-        )
-        self._next_ost = (self._next_ost + self.default_stripe_count) % self.nosts
-
-    # -- client-side plumbing (mirrors StripedServerFS) --------------------
-
-    def _channel(self, node: int, ready: float, nbytes: int) -> float:
-        if self.client_channel_bandwidth == float("inf"):
-            return ready
-        ch = self._client_channels.get(node)
-        if ch is None:
-            ch = Timeline(name=f"{self.name}.chan[{node}]")
-            self._client_channels[node] = ch
-        _, done = ch.serve(ready, nbytes / self.client_channel_bandwidth)
-        return done
-
-    def _client_links(self, node: int):
-        if self.client_network is None:
-            return None, None, 0.0
-        net = self.client_network
-        egress = net.egress[node]
-        if self.background_flush_active:
-            egress = self._flush_egress.get(node)
-            if egress is None:
-                egress = Timeline(name=f"{self.name}.flush[{node}]")
-                self._flush_egress[node] = egress
-        return egress, net.ingress[node], 1.0 / net.bandwidth
-
-    # -- timing model ------------------------------------------------------
+    # -- metadata ----------------------------------------------------------
 
     def _service_meta(self, op: str, path: str, node: int, ready_time: float) -> float:
         """Every namespace operation crosses the one MDS.
@@ -240,127 +193,16 @@ class LustreFS(FileSystem):
         _, t = self.mds.serve(ready_time + self.net_latency, cost)
         if op == "create":
             self._mds_files.add(path)
-            self._assign_default_layout(path)
+            if path not in self._file_layouts:  # no ``lfs setstripe``: rotor start
+                self._file_layouts[path] = replace(self.layout, start_ost=self._next_ost)
+                self._next_ost = (self._next_ost + self.layout.stripe_count) % self.nosts
         elif op == "delete":
             self._mds_files.discard(path)
             self._file_layouts.pop(path, None)
         return t + self.net_latency
 
-    def _ost_enqueue(self, ost: int, ready: float) -> float:
-        if self.ost_queue_time == 0.0:
-            return ready
-        _, t = self._ost_queues[ost].serve(ready, self.ost_queue_time)
-        return t
-
-    def _service_write(
-        self, path: str, offset: int, nbytes: int, node: int, ready_time: float
-    ) -> float:
-        if nbytes == 0:
-            return ready_time
-        smp_node = self.node_of_client(node)
-        t = self._channel(smp_node, ready_time, nbytes)
-        runs = self.layout_for(path).server_runs(offset, nbytes)
-        egress, _, inv_bw = self._client_links(smp_node)
-        completion = t
-        servers = self.servers
-        for server, local_offset, size in runs:
-            if egress is not None:
-                _, sent = egress.serve(t, size * inv_bw)
-            else:
-                sent = t
-            arrive = self._ost_enqueue(server, sent + self.net_latency)
-            done = servers[server].serve_write(path, local_offset, size, arrive)
-            completion = max(completion, done + self.net_latency)  # ack
-        return completion
-
-    def _service_read(
-        self, path: str, offset: int, nbytes: int, node: int, ready_time: float
-    ) -> float:
-        if nbytes == 0:
-            return ready_time
-        smp_node = self.node_of_client(node)
-        t = self._channel(smp_node, ready_time, nbytes)
-        runs = self.layout_for(path).server_runs(offset, nbytes)
-        _, ingress, inv_bw = self._client_links(smp_node)
-        completion = t
-        servers = self.servers
-        for server, local_offset, size in runs:
-            arrive = self._ost_enqueue(server, t + self.net_latency)
-            on_wire = servers[server].serve_read(path, local_offset, size, arrive)
-            if ingress is not None:
-                _, arrived = ingress.serve(on_wire + self.net_latency, size * inv_bw)
-            else:
-                arrived = on_wire + self.net_latency
-            completion = max(completion, arrived)
-        return completion
-
-    def _service_list(self, path, segments, node, ready_time, op):
-        """List I/O: one wire request; each OST elevator-serves its batch."""
-        nbytes = sum(n for _, n in segments)
-        if nbytes == 0:
-            return ready_time
-        smp_node = self.node_of_client(node)
-        t = self._channel(smp_node, ready_time, nbytes)
-        layout = self.layout_for(path)
-        chunks = [c for off, n in segments for c in layout.decompose(off, n)]
-        runs = coalesce_runs(sorted(chunks, key=lambda c: c.file_offset))
-        egress, ingress, inv_bw = self._client_links(smp_node)
-        per_server: dict[int, list] = {}
-        for run in runs:
-            per_server.setdefault(run.server, []).append(run)
-        completion = t
-        for sid, batch in per_server.items():
-            srv = self.servers[sid]
-            batch.sort(key=lambda r: r.local_offset)
-            total = sum(r.size for r in batch)
-            if op == "write":
-                if egress is not None:
-                    _, sent = egress.serve(t, total * inv_bw)
-                else:
-                    sent = t
-                arrive = self._ost_enqueue(sid, sent + self.net_latency)
-                _, tt = srv.net_in.serve(arrive, total / srv.net_bandwidth)
-                _, tt = srv.cpu.serve(tt, srv.request_cpu_time)
-                _, tt = srv.disk.serve(tt, srv.seek_time + total / srv.disk_bandwidth)
-                srv._head = (path, batch[-1].local_offset + batch[-1].size)
-                for run in batch:
-                    srv.cache.populate(path, run.local_offset, run.size)
-                completion = max(completion, tt + self.net_latency)
-            else:
-                arrive = self._ost_enqueue(sid, t + self.net_latency)
-                _, tt = srv.cpu.serve(arrive, srv.request_cpu_time)
-                missing = sum(
-                    srv.cache.lookup(path, r.local_offset, r.size) for r in batch
-                )
-                if missing > 0:
-                    _, tt = srv.disk.serve(
-                        tt, srv.seek_time + missing / srv.disk_bandwidth
-                    )
-                    srv._head = (path, batch[-1].local_offset + batch[-1].size)
-                _, on_wire = srv.net_out.serve(tt, total / srv.net_bandwidth)
-                if ingress is not None:
-                    _, arrived = ingress.serve(
-                        on_wire + self.net_latency, total * inv_bw
-                    )
-                else:
-                    arrived = on_wire + self.net_latency
-                completion = max(completion, arrived)
-        return completion
-
-    def reset_timing(self) -> None:
-        for srv in self.servers:
-            srv.disk.reset()
-            srv.cpu.reset()
-            srv.net_in.reset()
-            srv.net_out.reset()
-            srv._head = None
-        for q in self._ost_queues:
-            q.reset()
-        for ch in self._client_channels.values():
-            ch.reset()
-        for ch in self._flush_egress.values():
-            ch.reset()
-        self.mds.reset()
+    def devices(self):
+        return super().devices() + [self.mds]
 
     def describe(self) -> str:
         lay = self.layout

@@ -1,6 +1,10 @@
-"""Striped client/server parallel file system model (GPFS- and PVFS-like).
+"""Striped client/server parallel file system model (GPFS-, PVFS- and Lustre-like).
 
-The model captures the effects the paper measures:
+Every server-based preset takes this one request path -- client prelude
+(SMP queue, channel, tokens) -> per-file layout -> per-server runs ->
+[server queue] -> NIC-in -> request CPU -> disk -> ack, or its list-I/O
+batch form -- and a stage whose service time is 0 is skipped.  The model
+captures the effects the paper measures:
 
 * **striping decomposition** -- a request is split into stripe-unit chunks,
   consecutive chunks on the same server are coalesced into runs, and each
@@ -37,19 +41,22 @@ __all__ = ["IOServer", "StripedServerFS"]
 
 @dataclass
 class IOServer:
-    """One I/O server: NIC in/out, request CPU, disk with head position."""
+    """One I/O server: request queue, NIC in/out, request CPU, disk with head."""
 
     index: int
     disk_bandwidth: float
     seek_time: float
     request_cpu_time: float
     net_bandwidth: float
-    net_latency: float
     cache: LRUCache
     disk: Timeline = field(default_factory=Timeline)
     cpu: Timeline = field(default_factory=Timeline)
     net_in: Timeline = field(default_factory=Timeline)
     net_out: Timeline = field(default_factory=Timeline)
+    # Per-request queue in front of the other stages (Lustre's per-OST
+    # request queue); with a service time of 0.0 the stage is skipped.
+    queue: Timeline = field(default_factory=Timeline)
+    queue_time: float = 0.0
     # (path, local_offset) where the head stopped; used for seek detection.
     _head: tuple[str, int] | None = None
 
@@ -63,6 +70,8 @@ class IOServer:
 
     def serve_write(self, path: str, local_offset: int, nbytes: int, arrive: float) -> float:
         """Payload has arrived at ``arrive``; returns write completion."""
+        if self.queue_time > 0.0:
+            _, arrive = self.queue.serve(arrive, self.queue_time)
         _, t = self.net_in.serve(arrive, nbytes / self.net_bandwidth)
         _, t = self.cpu.serve(t, self.request_cpu_time)
         _, t = self.disk.serve(t, self.disk_time(path, local_offset, nbytes))
@@ -71,6 +80,8 @@ class IOServer:
 
     def serve_read(self, path: str, local_offset: int, nbytes: int, arrive: float) -> float:
         """Request arrived at ``arrive``; returns when data is on the wire."""
+        if self.queue_time > 0.0:
+            _, arrive = self.queue.serve(arrive, self.queue_time)
         _, t = self.cpu.serve(arrive, self.request_cpu_time)
         missing = self.cache.lookup(path, local_offset, nbytes)
         if missing > 0:
@@ -170,12 +181,12 @@ class StripedServerFS(FileSystem):
                 seek_time=seek_time,
                 request_cpu_time=request_cpu_time,
                 net_bandwidth=server_net_bandwidth,
-                net_latency=net_latency,
                 cache=LRUCache(
                     capacity_bytes=cache_bytes_per_server,
                     block_size=stripe_size,
                     amplify=stripe_aligned_io,
                 ),
+                disk=Timeline(name=f"{name}.disk[{i}]"),
             )
             for i in range(nservers)
         ]
@@ -218,21 +229,19 @@ class StripedServerFS(FileSystem):
     def layout_for(self, path: str) -> StripeLayout:
         return self._file_layouts.get(path, self.layout)
 
-    def _node_queue(self, node: int) -> Timeline:
-        q = self._node_queues.get(node)
-        if q is None:
-            q = Timeline(name=f"{self.name}.ioq[{node}]")
-            self._node_queues[node] = q
-        return q
-
     def _channel(self, node: int, ready: float, nbytes: int) -> float:
-        """Occupy the client's per-process I/O channel; returns done time."""
+        """Client side of a request: the node's SMP I/O queue, then the
+        per-process I/O channel; returns when the request leaves the node."""
+        if self.smp_io_queue_time > 0.0:
+            q = self._node_queues.get(node)
+            if q is None:
+                q = self._node_queues[node] = Timeline(name=f"{self.name}.ioq[{node}]")
+            _, ready = q.serve(ready, self.smp_io_queue_time)
         if self.client_channel_bandwidth == float("inf"):
             return ready
         ch = self._client_channels.get(node)
         if ch is None:
-            ch = Timeline(name=f"{self.name}.chan[{node}]")
-            self._client_channels[node] = ch
+            ch = self._client_channels[node] = Timeline(name=f"{self.name}.chan[{node}]")
         _, done = ch.serve(ready, nbytes / self.client_channel_bandwidth)
         return done
 
@@ -327,10 +336,7 @@ class StripedServerFS(FileSystem):
         if nbytes == 0:
             return ready_time
         smp_node = self.node_of_client(node)
-        t = ready_time
-        if self.smp_io_queue_time > 0.0:
-            _, t = self._node_queue(smp_node).serve(t, self.smp_io_queue_time)
-        t = self._channel(smp_node, t, nbytes)
+        t = self._channel(smp_node, ready_time, nbytes)
         layout = self.layout_for(path)
         t = self._token_penalty(
             path, self._contig_token_keys(path, offset, nbytes, layout), smp_node, t
@@ -357,10 +363,7 @@ class StripedServerFS(FileSystem):
         if nbytes == 0:
             return ready_time
         smp_node = self.node_of_client(node)
-        t = ready_time
-        if self.smp_io_queue_time > 0.0:
-            _, t = self._node_queue(smp_node).serve(t, self.smp_io_queue_time)
-        t = self._channel(smp_node, t, nbytes)
+        t = self._channel(smp_node, ready_time, nbytes)
         layout = self.layout_for(path)
         t = self._read_token_penalty(
             path, self._contig_token_keys(path, offset, nbytes, layout), smp_node, t
@@ -390,22 +393,13 @@ class StripedServerFS(FileSystem):
         if nbytes == 0:
             return ready_time
         smp_node = self.node_of_client(node)
-        t = ready_time
-        if self.smp_io_queue_time > 0.0:
-            _, t = self._node_queue(smp_node).serve(t, self.smp_io_queue_time)
-        t = self._channel(smp_node, t, nbytes)
+        t = self._channel(smp_node, ready_time, nbytes)
         layout = self.layout_for(path)
         chunks = [
             c for off, n in segments for c in layout.decompose(off, n)
         ]
-        if op == "write":
-            t = self._token_penalty(
-                path, self._token_keys(path, chunks, layout), smp_node, t
-            )
-        else:
-            t = self._read_token_penalty(
-                path, self._token_keys(path, chunks, layout), smp_node, t
-            )
+        penalty = self._token_penalty if op == "write" else self._read_token_penalty
+        t = penalty(path, self._token_keys(path, chunks, layout), smp_node, t)
         runs = coalesce_runs(sorted(chunks, key=lambda c: c.file_offset))
         egress, ingress, inv_bw = self._client_links(smp_node)
         # Group the list's runs per server: the server sees the whole batch
@@ -420,14 +414,14 @@ class StripedServerFS(FileSystem):
             srv = self.servers[sid]
             batch.sort(key=lambda r: r.local_offset)
             total = sum(r.size for r in batch)
+            sent = t
+            if op == "write" and egress is not None:
+                _, sent = egress.serve(t, total * inv_bw)
+            arrive = sent + self.net_latency
+            if srv.queue_time > 0.0:
+                _, arrive = srv.queue.serve(arrive, srv.queue_time)
             if op == "write":
-                if egress is not None:
-                    _, sent = egress.serve(t, total * inv_bw)
-                else:
-                    sent = t
-                _, tt = srv.net_in.serve(
-                    sent + self.net_latency, total / srv.net_bandwidth
-                )
+                _, tt = srv.net_in.serve(arrive, total / srv.net_bandwidth)
                 _, tt = srv.cpu.serve(tt, srv.request_cpu_time)
                 _, tt = srv.disk.serve(
                     tt, srv.seek_time + total / srv.disk_bandwidth
@@ -437,7 +431,7 @@ class StripedServerFS(FileSystem):
                     srv.cache.populate(path, run.local_offset, run.size)
                 completion = max(completion, tt + self.net_latency)
             else:
-                _, tt = srv.cpu.serve(t + self.net_latency, srv.request_cpu_time)
+                _, tt = srv.cpu.serve(arrive, srv.request_cpu_time)
                 missing = sum(
                     srv.cache.lookup(path, r.local_offset, r.size)
                     for r in batch
@@ -459,20 +453,26 @@ class StripedServerFS(FileSystem):
                 completion = max(completion, arrived)
         return completion
 
+    def devices(self):
+        devs = [srv.disk for srv in self.servers]
+        if self.write_token_time:
+            devs.append(self.token_manager)
+        devs += [srv.queue for srv in self.servers if srv.queue_time]
+        devs += [q for _, q in sorted(self._node_queues.items())]
+        devs += [ch for _, ch in sorted(self._client_channels.items())]
+        return devs
+
     def reset_timing(self) -> None:
+        super().reset_timing()
+        # Server-internal stages and the flush channels are not reported
+        # as devices, but carry queue state all the same.
         for srv in self.servers:
-            srv.disk.reset()
             srv.cpu.reset()
             srv.net_in.reset()
             srv.net_out.reset()
             srv._head = None
-        for q in self._node_queues.values():
-            q.reset()
-        for ch in self._client_channels.values():
-            ch.reset()
         for ch in self._flush_egress.values():
             ch.reset()
-        self.token_manager.reset()
 
     def describe(self) -> str:
         lay = self.layout

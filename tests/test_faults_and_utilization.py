@@ -132,3 +132,21 @@ class TestUtilizationReport:
         )
         rows = device_utilization(m, r.write_time)
         assert sum(1 for row in rows if "disk[" in row[0]) == 4
+
+    def test_lustre_rows(self):
+        """Lustre reports its OST disks and queues, the MDS and the client
+        channels; the funnelled HDF4 dump makes the MDS a busy device."""
+        from repro.topology.presets import lustre
+
+        m = lustre(4)
+        r = run_checkpoint_experiment(
+            m, HDF4Strategy(), build_workload("AMR16"), nprocs=4,
+            do_read=False,
+        )
+        rows = {row[0]: row for row in device_utilization(m, r.write_time)}
+        assert sum(1 for name in rows if name.startswith("lustre.disk[")) == 16
+        assert sum(1 for name in rows if name.startswith("lustre.ostq[")) == 16
+        assert "lustre.chan[0]" in rows
+        _, requests, busy, util = rows["lustre.mds"]
+        assert requests == m.fs.counters.metadata_ops > 0
+        assert float(busy) > 0.0 and util.endswith("%")
