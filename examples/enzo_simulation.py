@@ -13,10 +13,10 @@ from repro.core import format_table
 from repro.enzo import (
     EnzoConfig,
     EnzoSimulation,
-    MPIIOStrategy,
     RankState,
     hierarchies_equivalent,
 )
+from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.topology import origin2000
 
@@ -35,7 +35,7 @@ def main() -> None:
     print(hierarchy.describe())
     print()
 
-    sim = EnzoSimulation(config=config, strategy=MPIIOStrategy(),
+    sim = EnzoSimulation(config=config, strategy=registry.create("mpi-io"),
                          hierarchy=hierarchy)
 
     def program(comm):

@@ -1,27 +1,21 @@
 #!/usr/bin/env python
-"""Tuning MPI-IO hints, and letting the MDMS do it for you.
+"""Tuning MPI-IO hints by hand, and letting the auto-tuner do it for you.
 
 Sweeps the ROMIO hints that matter for the ENZO dump on the Origin2000 --
 collective-buffer size, data sieving on/off, application-specific striping
--- then closes the paper's future-work loop: feed the observed trace into
-the Meta-Data Management System and apply the hints *it* suggests.
+-- then closes the loop the paper leaves as future work: trace a run,
+diagnose it, and re-run with the hints the diagnosis recommends
+(``repro.insights.AutoTuner``, the engine behind ``repro tune``).
 
 Run:  python examples/hints_tuning.py
 """
 
-import numpy as np
-
 from repro.bench import build_workload, run_checkpoint_experiment
-from repro.core import (
-    MDMS,
-    MetadataRegistry,
-    PatternClass,
-    trace_filesystem,
-)
-from repro.enzo import MPIIOStrategy, array_dtype
+from repro.core import format_table
+from repro.insights import AutoTuner
+from repro.iostack import registry
 from repro.mpiio import Hints
 from repro.topology import origin2000
-from repro.core import format_table
 
 NPROCS = 8
 PROBLEM = "AMR32"
@@ -31,7 +25,7 @@ def timed(hints: Hints):
     machine = origin2000(nprocs=NPROCS)
     result = run_checkpoint_experiment(
         machine,
-        MPIIOStrategy(hints=hints),
+        registry.create("mpi-io", hints=hints),
         build_workload(PROBLEM),
         nprocs=NPROCS,
         do_read=False,
@@ -54,40 +48,23 @@ def sweep() -> None:
     print(format_table(["hints", "write [s]"], rows))
 
 
-def mdms_loop() -> None:
-    """Record a run in the MDMS, then run again with its suggested hints."""
-    machine = origin2000(nprocs=NPROCS)
-    hierarchy = build_workload(PROBLEM)
-    trace = trace_filesystem(machine.fs)
-    baseline = run_checkpoint_experiment(
-        machine, MPIIOStrategy(), hierarchy, nprocs=NPROCS, do_read=False
+def tuner_loop() -> None:
+    """Let the diagnose -> retune -> re-run loop pick the hints instead."""
+    tuner = AutoTuner(
+        lambda n: origin2000(nprocs=n),
+        problem=PROBLEM,
+        nprocs=NPROCS,
+        strategy="mpi-io",
+        max_rounds=2,
     )
-
-    registry = MetadataRegistry()
-    root = hierarchy.root
-    for name in root.fields.names:
-        registry.register("top", name, root.dims, np.float64,
-                          PatternClass.REGULAR_BLOCK)
-    from repro.amr.particles import PARTICLE_ARRAYS
-
-    for name in PARTICLE_ARRAYS:
-        registry.register("top", f"particle/{name}",
-                          (len(root.particles),), array_dtype(name),
-                          PatternClass.IRREGULAR)
-
-    mdms = MDMS(machine.fs)
-    mdms.register_application(
-        "enzo", registry, stripe_size=machine.fs.layout.stripe_size
-    )
-    mdms.record_run("enzo", trace)
-    suggested = mdms.suggest_hints("enzo")
+    report = tuner.tune()
     print()
-    print(f"MDMS-suggested hints after one observed run: {suggested}")
-    tuned = timed(Hints(**suggested))
-    print(f"baseline write: {baseline.write_time:.3f} s   "
-          f"MDMS-tuned write: {tuned:.3f} s")
+    print(report.explain())
+    changed = {k: v for k, v in report.best.hints.items()
+               if getattr(Hints(), k, None) != v and k != "cb_nodes"}
+    print(f"hints the tuner changed from the defaults: {changed}")
 
 
 if __name__ == "__main__":
     sweep()
-    mdms_loop()
+    tuner_loop()

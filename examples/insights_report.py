@@ -15,9 +15,9 @@ Run:  python examples/insights_report.py
 """
 
 from repro.bench import build_workload, run_traced_experiment
-from repro.enzo import HDF4Strategy, MPIIOStrategy
 from repro.insights import AutoTuner, Severity, diagnose, format_report
 from repro.insights.autotune import stripe_size_of
+from repro.iostack import registry
 from repro.mpiio import Hints
 from repro.topology import origin2000
 
@@ -46,7 +46,7 @@ def diagnose_dump(strategy, hints=None, title=""):
 def main() -> None:
     print("=== 1. diagnose the original serial dump ===")
     diagnose_dump(
-        HDF4Strategy(),
+        registry.create("hdf4"),
         title=f"hdf4 dump of {PROBLEM} on Origin2000, P={NPROCS}",
     )
 
@@ -69,7 +69,7 @@ def main() -> None:
         if getattr(Hints(), k, None) != v and k != "cb_nodes"
     })
     diagnosis = diagnose_dump(
-        MPIIOStrategy(hints=tuned),
+        registry.create("mpi-io", hints=tuned),
         hints=tuned,
         title=f"tuned {best.strategy} dump ({PROBLEM})",
     )

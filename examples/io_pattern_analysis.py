@@ -25,7 +25,8 @@ from repro.core import (
     format_trace_report,
     trace_filesystem,
 )
-from repro.enzo import MPIIOStrategy, RankState
+from repro.enzo import RankState
+from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.topology import origin2000
 
@@ -38,7 +39,7 @@ def trace_a_dump(hierarchy):
 
     def program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        MPIIOStrategy().write_checkpoint(comm, state, "dump")
+        registry.create("mpi-io").write_checkpoint(comm, state, "dump")
 
     run_spmd(machine, program, nprocs=NPROCS)
     print(format_trace_report(trace, title="MPI-IO checkpoint dump trace"))

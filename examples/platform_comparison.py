@@ -19,7 +19,7 @@ from repro.bench import (
     workload_summary,
 )
 from repro.core import format_table
-from repro.enzo import HDF4Strategy, MPIIOStrategy
+from repro.iostack import registry
 from repro.topology import chiba_city, chiba_city_local, ibm_sp2, origin2000
 
 PLATFORMS = [
@@ -38,7 +38,7 @@ def main() -> None:
 
     for title, factory, nprocs in PLATFORMS:
         rows = []
-        for strategy in (HDF4Strategy(), MPIIOStrategy()):
+        for strategy in (registry.create("hdf4"), registry.create("mpi-io")):
             result = run_checkpoint_experiment(
                 factory(), strategy, hierarchy,
                 nprocs=nprocs, read_hierarchy=initial,

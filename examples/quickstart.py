@@ -16,7 +16,7 @@ from repro.bench import (
     workload_summary,
 )
 from repro.core import format_table
-from repro.enzo import HDF4Strategy, MPIIOStrategy
+from repro.iostack import registry
 from repro.topology import origin2000
 
 
@@ -28,7 +28,7 @@ def main() -> None:
     print()
 
     rows = []
-    for strategy in (HDF4Strategy(), MPIIOStrategy()):
+    for strategy in (registry.create("hdf4"), registry.create("mpi-io")):
         result = run_checkpoint_experiment(
             origin2000(nprocs=8),
             strategy,

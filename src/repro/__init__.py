@@ -10,11 +10,11 @@ Quick start::
 
     from repro.topology import origin2000
     from repro.bench import build_workload, run_checkpoint_experiment
-    from repro.enzo import HDF4Strategy, MPIIOStrategy
+    from repro.iostack import registry
 
     hierarchy = build_workload("AMR32")
     result = run_checkpoint_experiment(
-        origin2000(nprocs=8), MPIIOStrategy(), hierarchy
+        origin2000(nprocs=8), registry.create("mpi-io"), hierarchy
     )
     print(result.write_time, result.read_time)
 """

@@ -1,30 +1,21 @@
-"""Benchmark harness: workload builders, experiment runners, the
-paper-figure regression gate (``repro.bench.regression``), and the
-parallel cell executor with its content-addressed cache
-(``repro.bench.executor`` / ``repro.bench.cellcache``)."""
+"""Benchmark harness: workload builders, experiment runners, the gate
+table (``GATES``: regress / scale / overlap / insights rows served by the
+one driver in ``repro.bench.cellrunner``), and the parallel cell executor
+with its content-addressed cache (``repro.bench.executor`` /
+``repro.bench.cellcache``)."""
 
-from .baselines import (
-    DEFAULT_RTOL,
-    MATRIX,
-    TRENDS,
-    Cell,
-    Trend,
-    load_baseline,
-    save_baseline,
-    select_cells,
-)
+from .baselines import MATRIX, TRENDS, Cell, Trend
 from .cellcache import CellCache
-from .cellrunner import GateReport, get_family
+from .cellrunner import (
+    Gate,
+    GateReport,
+    gates,
+    get_family,
+    run_gate,
+)
 from .executor import default_jobs, resolve_jobs, run_cells
 from .figures import render_bars, render_figure
-from .regression import (
-    RegressionReport,
-    compare,
-    format_report,
-    parse_perturbations,
-    run_cell,
-    run_matrix,
-)
+from .regression import parse_perturbations, run_cell
 from .runners import (
     ExperimentResult,
     run_checkpoint_experiment,
@@ -34,11 +25,7 @@ from .scale import (
     SCALE_MATRIX,
     SCALE_TRENDS,
     ScaleCell,
-    compare_scale,
-    load_scale_baseline,
     run_scale_cell,
-    run_scale_matrix,
-    save_scale_baseline,
     select_scale_cells,
 )
 from .timings import Telemetry, format_timings, load_timings, save_timings
@@ -49,6 +36,9 @@ from .workloads import (
     build_workload,
     workload_summary,
 )
+
+#: The gate table, keyed by family name (= the CLI leaf command).
+GATES: dict[str, Gate] = gates()
 
 __all__ = [
     "ExperimentResult",
@@ -61,35 +51,27 @@ __all__ = [
     "render_figure",
     "device_utilization",
     "format_utilization_report",
-    # regression gate
+    # the gate table and its one driver
+    "GATES",
+    "Gate",
+    "GateReport",
+    "run_gate",
+    # paper-figure matrix
     "Cell",
     "Trend",
     "MATRIX",
     "TRENDS",
-    "DEFAULT_RTOL",
-    "RegressionReport",
     "run_cell",
-    "run_matrix",
-    "compare",
-    "format_report",
     "parse_perturbations",
-    "select_cells",
-    "load_baseline",
-    "save_baseline",
-    # weak-scaling gate
+    # weak-scaling matrix
     "ScaleCell",
     "SCALE_MATRIX",
     "SCALE_TRENDS",
     "build_scale_workload",
     "run_scale_cell",
-    "run_scale_matrix",
-    "compare_scale",
     "select_scale_cells",
-    "load_scale_baseline",
-    "save_scale_baseline",
     # parallel executor, cache, telemetry
     "CellCache",
-    "GateReport",
     "Telemetry",
     "default_jobs",
     "format_timings",

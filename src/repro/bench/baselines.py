@@ -1,4 +1,4 @@
-"""The paper-figure regression matrix: cells, trend assertions, baselines.
+"""The paper-figure regression matrix: cells and trend assertions.
 
 This module is the declarative half of the regression gate
 (:mod:`repro.bench.regression` is the engine).  It pins down
@@ -14,19 +14,16 @@ This module is the declarative half of the regression gate
   machine-checkable comparisons between cells ("MPI-IO beats HDF4 write
   bandwidth on XFS at >= 4 procs", "HDF5 <= MPI-IO everywhere", "GPFS
   16-proc read inversion", ...).  A perf PR that inverts a paper result
-  trips these even if it updates the bandwidth baseline;
+  trips these even if it updates the bandwidth baseline.
 
-* **baseline I/O** -- loading/saving the committed ``BENCH_figures.json``
-  artifact that every run is compared against.
-
-The committed baseline is the first point of the repo's perf trajectory:
+The committed ``BENCH_figures.json`` baseline every run is compared
+against is the first point of the repo's perf trajectory:
 ``python -m repro regress --update-baseline`` refreshes it (review the
 diff!), and plain ``python -m repro regress`` is the blocking gate.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 __all__ = [
@@ -34,25 +31,8 @@ __all__ = [
     "Trend",
     "MATRIX",
     "TRENDS",
-    "BASELINE_PATH",
-    "BASELINE_SCHEMA",
-    "DEFAULT_RTOL",
     "cell_by_id",
-    "select_cells",
-    "load_baseline",
-    "save_baseline",
 ]
-
-#: Default committed baseline artifact (repo root, relative to the CWD the
-#: gate runs from -- scripts/verify.sh and CI both run from the repo root).
-BASELINE_PATH = "BENCH_figures.json"
-BASELINE_SCHEMA = 1
-
-#: Default relative tolerance band for bandwidth comparisons.  The simulator
-#: is deterministic, so the band exists to classify *intentional* changes:
-#: within the band a refactor is noise, outside it the baseline must be
-#: consciously updated (and the paper trends still have to hold).
-DEFAULT_RTOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -482,84 +462,3 @@ def cell_by_id(cell_id: str) -> Cell:
         if c.id == cell_id:
             return c
     raise KeyError(cell_id)
-
-
-def _component_matcher(part: str):
-    """Exact match, or :mod:`fnmatch` when the component has wildcards."""
-    if any(ch in part for ch in "*?["):
-        import fnmatch
-
-        return lambda value: fnmatch.fnmatchcase(value, part)
-    return lambda value: value == part
-
-
-def select_cells(specs: list[str] | None) -> list[Cell]:
-    """Resolve ``--cell`` specs (``FIG[:STRATEGY[:NPROCS]]``) to cells.
-
-    No specs selects the whole matrix.  Each component may be a glob
-    pattern (``fig6:*-async``, ``fig*:mpi-io:8``); components without
-    wildcards match exactly, and a wildcard-free NPROCS must still be an
-    integer.  A spec must match at least one cell or :class:`ValueError`
-    is raised (a typo must not silently pass the gate by checking
-    nothing).
-    """
-    if not specs:
-        return list(MATRIX)
-    picked: dict[str, Cell] = {}
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) > 3 or not parts[0]:
-            raise ValueError(f"bad --cell spec {spec!r} (want FIG[:STRATEGY[:NPROCS]])")
-        fig = _component_matcher(parts[0])
-        strat = (
-            _component_matcher(parts[1])
-            if len(parts) > 1 and parts[1]
-            else None
-        )
-        procs = None
-        if len(parts) > 2 and parts[2]:
-            if any(ch in parts[2] for ch in "*?["):
-                procs = _component_matcher(parts[2])
-            else:
-                try:
-                    nprocs = int(parts[2])
-                except ValueError:
-                    raise ValueError(
-                        f"bad --cell spec {spec!r}: NPROCS must be an integer"
-                    )
-                procs = lambda value, n=nprocs: int(value) == n
-        matched = [
-            c
-            for c in MATRIX
-            if fig(c.figure)
-            and (strat is None or strat(c.strategy))
-            and (procs is None or procs(str(c.nprocs)))
-        ]
-        if not matched:
-            known = sorted({c.figure for c in MATRIX})
-            raise ValueError(
-                f"--cell {spec!r} matches no cell (figures: {', '.join(known)})"
-            )
-        for c in matched:
-            picked[c.id] = c
-    return list(picked.values())
-
-
-def load_baseline(path: str = BASELINE_PATH) -> dict:
-    """Load and structurally validate a committed baseline file."""
-    with open(path) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict) or "cells" not in payload:
-        raise ValueError(f"{path} is not a regression baseline (no 'cells')")
-    if payload.get("schema") != BASELINE_SCHEMA:
-        raise ValueError(
-            f"{path} has baseline schema {payload.get('schema')!r}, "
-            f"expected {BASELINE_SCHEMA}"
-        )
-    return payload
-
-
-def save_baseline(payload: dict, path: str = BASELINE_PATH) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")

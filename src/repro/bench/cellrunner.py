@@ -1,22 +1,28 @@
-"""The shared cell-runner layer under every bench matrix.
+"""The shared cell-runner layer under every bench gate.
 
 A *cell* is one pure experiment: a picklable spec (which machine, which
 strategy, how many processors, ...) that deterministically maps to one
-canonical JSON record.  The regress, scale, overlap and insights matrices
-all reduce to the same shape -- iterate specs, run each into a record,
+canonical JSON record.  The regress, scale, overlap and insights gates
+all reduce to the same shape -- select cells, run each into a record,
 evaluate trend assertions over the records, diff against a committed
-baseline -- so the shared machinery lives here once instead of being
-copied per matrix (it used to be triplicated across ``regression.py``,
-``scale.py`` and ``overlap.py``):
+baseline or run a structural check -- so a gate is *data* and the
+machinery exists once:
 
 * :class:`CellFamily` -- the registration record binding a family name to
   its run/id/spec functions.  The name is the *wire format*: the process
   pool in :mod:`repro.bench.executor` ships ``(family_name, cell)`` to a
   worker, which resolves the family by name and runs the cell there.
+* :class:`Gate` -- one row per gate command: matrix, trends, ``--cell``
+  grammar, baseline artifact and pinned metrics, report nouns, renderers.
+  The rows live beside their matrices (``GATE`` in each family module) and
+  are collected by :func:`gates` (``repro.bench.GATES``); the CLI builds
+  its sub-parsers and serves every gate from that table.  Adding a sweep
+  is adding a row.
+* :func:`run_gate` / :func:`load_baseline` / :func:`save_baseline` /
+  :func:`compare` / :func:`format_report` -- the one implementation of
+  run, baseline I/O, diff (exact counters, banded metrics, optional golden
+  digest, trend violations) and the violation table.
 * :func:`evaluate_trend` -- one trend assertion against live records.
-* :func:`compare_records` / :class:`GateReport` /
-  :func:`format_gate_report` -- the baseline diff (exact counters, banded
-  metrics, optional golden digest, trend violations) and its table.
 
 Determinism contract: a cell's record is a function of its spec alone --
 simulated clocks, seeded workloads and golden digests guarantee that
@@ -28,7 +34,9 @@ asserts it (parallel == serial byte-for-byte).
 
 from __future__ import annotations
 
+import fnmatch
 import importlib
+import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -36,12 +44,17 @@ from ..core.report import format_table
 
 __all__ = [
     "CellFamily",
+    "Gate",
     "GateReport",
-    "compare_records",
+    "compare",
     "evaluate_trend",
-    "format_gate_report",
+    "format_report",
+    "gates",
     "get_family",
+    "load_baseline",
     "register_family",
+    "run_gate",
+    "save_baseline",
 ]
 
 
@@ -72,6 +85,7 @@ class CellFamily:
 #: so the executor never pickles callables across the process boundary.
 _FAMILIES: dict[str, CellFamily] = {}
 
+#: family name -> module defining its :class:`CellFamily` and ``GATE`` row.
 _FAMILY_MODULES = {
     "regress": "repro.bench.regression",
     "scale": "repro.bench.scale",
@@ -96,6 +110,185 @@ def get_family(name: str) -> CellFamily:
             )
         importlib.import_module(module)
     return _FAMILIES[name]
+
+
+# -- the gate table -----------------------------------------------------------
+
+
+def _component_matcher(part: str):
+    """Exact match, or :mod:`fnmatch` when the component has wildcards."""
+    if any(ch in part for ch in "*?["):
+        return lambda value: fnmatch.fnmatchcase(value, part)
+    return lambda value: value == part
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One bench gate as data: what to run, what to pin, how to report.
+
+    A gate with a ``baseline`` diffs its run against that committed
+    artifact (:func:`compare`); one without gates through ``check``.
+    """
+
+    #: the :class:`CellFamily` name -- also the key in ``repro.bench.GATES``.
+    family: str
+    #: CLI words after ``repro`` ("regress", "bench insights").
+    command: str
+    help: str
+    matrix: tuple
+    trends: tuple = ()
+
+    #: ``--cell`` grammar (the metavar) and the three cell attributes its
+    #: ``:``-separated components match; ``None`` = no ``--cell`` option.
+    cell_grammar: str | None = None
+    cell_keys: tuple = ()
+    cell_example: str = ""
+    #: ``--list-cells`` columns as (header, cell -> str) pairs.
+    list_columns: tuple = ()
+    #: Gate-specific argparse rows ((flag, kwargs), ...) and the planner
+    #: that reads the parsed options: ``plan(gate, args) -> (cells,
+    #: extras)``; raises :class:`ValueError` on a usage error.  Default:
+    #: ``--cell`` alone (the whole matrix for a gate without it).
+    options: tuple = ()
+    plan: Callable = lambda gate, args: (
+        gate.select(getattr(args, "cell", None)), {})
+
+    #: Committed baseline artifact to diff against, with its schema, the
+    #: default tolerance band and the metrics pinned per cell.
+    baseline: str | None = None
+    schema: int = 1
+    rtol: float = 0.05
+    exact_metrics: tuple = ()
+    banded_metrics: tuple = ()
+    digest_metric: str | None = None
+    #: Report nouns: "paper"-trend assertions whose violations cite the
+    #: "paper" (or "scaling" trends citing the "scaling law").
+    trend_noun: str = "paper"
+    trend_source: str = "paper"
+
+    #: Default ``--out`` path of a baseline-less gate whose run *is* the
+    #: committed artifact (``{"schema", "runs"}`` in matrix order).
+    out_default: str | None = None
+    #: cells -> the size phrase of the progress banner.
+    banner: Callable = lambda cells: f"{len(cells)} cell(s)"
+    #: records -> text; the chart is progress output (hidden by
+    #: ``--quiet``), the table is the gate's result (always printed).
+    chart: Callable | None = None
+    table: Callable | None = None
+    #: records -> problem lines for stderr (any line fails the gate).
+    check: Callable | None = None
+
+    def select(self, specs: list[str] | None) -> list:
+        """Resolve ``--cell`` specs to matrix cells (all when empty).
+
+        A spec is up to three ``:``-separated components matched against
+        ``cell_keys``; each may be a glob (``fig6:*-async``,
+        ``chiba*:mpi-io``), wildcard-free ones match exactly, and the last
+        is a processor count with an optional ``P`` prefix.  A spec must
+        match at least one cell or :class:`ValueError` is raised (a typo
+        must not silently pass the gate by checking nothing).
+        """
+        if not specs:
+            return list(self.matrix)
+        picked: dict = {}
+        for spec in specs:
+            parts = spec.split(":")
+            if len(parts) > len(self.cell_keys) or not parts[0]:
+                raise ValueError(
+                    f"bad --cell spec {spec!r} (want {self.cell_grammar})"
+                )
+            if len(parts) > 2 and parts[2]:
+                count = parts[2].lstrip("Pp")
+                if count.isdigit():
+                    count = str(int(count))
+                elif not set(count) & set("*?["):
+                    raise ValueError(
+                        f"bad --cell spec {spec!r}: the processor count "
+                        "must be an integer"
+                    )
+                parts[2] = count
+            tests = [
+                (key, _component_matcher(part))
+                for key, part in zip(self.cell_keys, parts)
+                if part
+            ]
+            matched = [
+                c for c in self.matrix
+                if all(test(str(getattr(c, key))) for key, test in tests)
+            ]
+            if not matched:
+                heads = sorted({getattr(c, self.cell_keys[0])
+                                for c in self.matrix})
+                raise ValueError(
+                    f"--cell {spec!r} matches no cell "
+                    f"({self.cell_keys[0]}s: {', '.join(heads)})"
+                )
+            for c in matched:
+                picked.setdefault(c, None)
+        return list(picked)
+
+
+def gates() -> dict[str, Gate]:
+    """The gate table: every family module's ``GATE`` row, by family name."""
+    return {
+        name: importlib.import_module(module).GATE
+        for name, module in _FAMILY_MODULES.items()
+    }
+
+
+def run_gate(
+    gate: Gate,
+    cells: list | None = None,
+    *,
+    extras: dict | None = None,
+    jobs: int = 1,
+    cache=None,
+    telemetry=None,
+    progress=None,
+) -> dict:
+    """Run ``cells`` (default: the gate's matrix) and assemble the payload.
+
+    Returns a baseline-shaped dict (``schema``/``rtol``/``cells``/
+    ``trends``) ready to be compared or committed; a trend is evaluated
+    when every cell it reads was run.  ``extras`` maps cell ids to
+    per-cell override dicts; ``jobs``/``cache``/``telemetry`` are threaded
+    to :func:`repro.bench.executor.run_cells` (default: in-process,
+    uncached).
+    """
+    from .executor import run_cells
+
+    cells = list(gate.matrix) if cells is None else cells
+    records = run_cells(gate.family, cells, extras=extras, jobs=jobs,
+                        cache=cache, telemetry=telemetry, progress=progress)
+    trends = [
+        evaluate_trend(t, records)
+        for t in gate.trends
+        if all(c in records for c in t.cells)
+    ]
+    return {"schema": gate.schema, "rtol": gate.rtol,
+            "cells": records, "trends": trends}
+
+
+def load_baseline(gate: Gate, path: str | None = None) -> dict:
+    """Load and structurally validate a gate's committed baseline file."""
+    path = path or gate.baseline
+    with open(path) as f:
+        payload = json.load(f)
+    if not isinstance(payload, dict) or "cells" not in payload:
+        raise ValueError(f"{path} is not a {gate.family} baseline (no 'cells')")
+    if payload.get("schema") != gate.schema:
+        raise ValueError(
+            f"{path} has baseline schema {payload.get('schema')!r}, "
+            f"expected {gate.schema}"
+        )
+    return payload
+
+
+def save_baseline(payload: dict, path: str) -> None:
+    """Write a gate payload (baseline or ``--out`` artifact) canonically."""
+    with open(path, "w") as f:
+        json.dump(payload, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 # -- trend evaluation ---------------------------------------------------------
@@ -182,27 +375,19 @@ def _band_violation(cell_id, metric, cur, base, rtol):
     }
 
 
-def compare_records(
-    current: dict,
-    baseline: dict,
-    *,
-    exact_metrics: tuple,
-    banded_metrics: tuple,
-    default_rtol: float,
-    rtol: float | None = None,
-    digest_metric: str | None = None,
-    trend_baseline: str = "paper",
-) -> GateReport:
+def compare(gate: Gate, current: dict, baseline: dict, *,
+            rtol: float | None = None) -> GateReport:
     """Compare a fresh run against a committed baseline payload.
 
     Only cells present in ``current`` are compared (so ``--cell`` subsets
     check their slice of the baseline); a selected cell missing from the
     baseline is itself a violation -- the gate must never silently skip.
     Trend assertions are taken from ``current`` (they were evaluated
-    against live numbers by the matrix runner).  ``digest_metric`` names
-    the golden-digest field when the family pins one.
+    against live numbers by :func:`run_gate`), so a perf PR can never
+    silently invert a pinned result even if it also updates the baseline.
     """
-    rtol = baseline.get("rtol", default_rtol) if rtol is None else rtol
+    rtol = baseline.get("rtol", gate.rtol) if rtol is None else rtol
+    digest = gate.digest_metric
     violations: list[dict] = []
     base_cells = baseline.get("cells", {})
     cur_cells = current.get("cells", {})
@@ -215,18 +400,18 @@ def compare_records(
                 "detail": "cell not in baseline (run --update-baseline)",
             })
             continue
-        if digest_metric and cur[digest_metric] != base[digest_metric]:
+        if digest and cur[digest] != base[digest]:
             violations.append({
-                "cell": cell_id, "kind": "digest", "metric": digest_metric,
-                "current": cur[digest_metric][:18] + "...",
-                "baseline": base[digest_metric][:18] + "...",
+                "cell": cell_id, "kind": "digest", "metric": digest,
+                "current": cur[digest][:18] + "...",
+                "baseline": base[digest][:18] + "...",
                 "detail": "golden trace diverged (determinism/behaviour change)",
             })
-        for metric in banded_metrics:
+        for metric in gate.banded_metrics:
             v = _band_violation(cell_id, metric, cur[metric], base[metric], rtol)
             if v:
                 violations.append(v)
-        for metric in exact_metrics:
+        for metric in gate.exact_metrics:
             if cur.get(metric) != base.get(metric):
                 violations.append({
                     "cell": cell_id, "kind": "count", "metric": metric,
@@ -246,7 +431,7 @@ def compare_records(
                 "kind": "trend", "metric": trend["metric"],
                 "current": f"{_fmt_side(lhs)} {trend['relation']}? "
                            f"{_fmt_side(rhs)}",
-                "baseline": trend_baseline,
+                "baseline": gate.trend_source,
                 "detail": f"{trend['id']}: {trend['description']}",
             })
     return GateReport(
@@ -254,21 +439,21 @@ def compare_records(
     )
 
 
-def format_gate_report(
-    report: GateReport,
-    *,
-    title: str,
-    pass_detail: str,
-    trend_noun: str = "paper-trend",
-) -> str:
+def format_report(gate: Gate, report: GateReport, *,
+                  title: str | None = None) -> str:
     """Readable gate outcome: a per-cell diff table naming each violation."""
+    title = title or f"repro {gate.command}"
     lines = [title, "=" * len(title)]
     lines.append(
-        f"{report.cells_checked} cells, {report.trends_checked} {trend_noun} "
-        f"assertions checked"
+        f"{report.cells_checked} cells, {report.trends_checked} "
+        f"{gate.trend_noun}-trend assertions checked"
     )
     if report.ok:
-        lines.append(f"gate: PASS ({pass_detail})")
+        pinned = "digests" if gate.digest_metric else "counters"
+        lines.append(
+            f"gate: PASS ({pinned} exact, bandwidth in band, "
+            f"all {gate.trend_noun} trends hold)"
+        )
         return "\n".join(lines)
     lines.append(f"gate: FAIL ({len(report.violations)} violation(s))\n")
     rows = [

@@ -2,14 +2,14 @@
 deterministically, replay cache hits.
 
 :func:`run_cells` is the one engine every bench matrix (regress, scale,
-overlap, insights) now runs through:
+overlap, insights) runs through:
 
 1. **cache probe** -- with a :class:`~repro.bench.cellcache.CellCache`
    attached, each cell's content address (canonical spec + source-tree
    digest + python/numpy versions) is looked up first; a hit replays the
    cached canonical record with no simulation;
-2. **fan-out** -- misses run either inline (``jobs == 1``, the legacy
-   serial path, no subprocesses involved) or across a ``spawn``-based
+2. **fan-out** -- misses run either inline (``jobs == 1``, no
+   subprocesses involved) or across a ``spawn``-based
    process pool.  Workers receive ``(family_name, cell, extra)``, resolve
    the family by name (:func:`~repro.bench.cellrunner.get_family`) and
    run the cell against a machine they build themselves -- nothing is

@@ -17,17 +17,18 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from ..core.report import format_table
 from ..topology.presets import PRESETS
-from .cellrunner import CellFamily, register_family
+from .cellrunner import CellFamily, Gate, register_family
 from .runners import run_traced_experiment
 from .workloads import build_workload
 
 __all__ = [
+    "GATE",
     "INSIGHTS_MATRIX",
     "InsightsCell",
     "check_smoke",
     "run_insights_cell",
-    "run_insights_matrix",
 ]
 
 
@@ -86,35 +87,21 @@ def run_insights_cell(cell: InsightsCell) -> dict:
     }
 
 
-def run_insights_matrix(
-    cells: list[InsightsCell] | None = None,
-    *,
-    jobs: int = 1,
-    cache=None,
-    telemetry=None,
-    progress=None,
-) -> dict[str, dict]:
-    from .executor import run_cells
-
-    cells = list(INSIGHTS_MATRIX) if cells is None else cells
-    return run_cells("insights", cells, jobs=jobs, cache=cache,
-                     telemetry=telemetry, progress=progress)
-
-
 def check_smoke(records: dict[str, dict]) -> list[str]:
     """Structural invariants over a finished smoke run; returns problems."""
     problems = []
+    fail = "insights SMOKE FAILED: "
     by_strategy = {r["strategy"]: r for r in records.values()}
     hdf4, mpiio = by_strategy.get("hdf4"), by_strategy.get("mpi-io")
     if hdf4 and mpiio and hdf4["high"] <= mpiio["high"]:
         problems.append(
-            "the serial hdf4 dump should diagnose worse than mpi-io "
+            f"{fail}the serial hdf4 dump should diagnose worse than mpi-io "
             f"(HIGH findings: hdf4 {hdf4['high']} <= mpi-io {mpiio['high']})"
         )
     for rec in records.values():
         if not rec["findings"]:
             problems.append(
-                f"{rec['strategy']}: no detector rule fired at all "
+                f"{fail}{rec['strategy']}: no detector rule fired at all "
                 "(the diagnosis engine is blind)"
             )
     return problems
@@ -131,3 +118,32 @@ register_family(CellFamily(
     spec=lambda c, extra: asdict(c),
     describe=lambda c: f"{c.id} ({c.machine}, {c.problem})",
 ))
+
+
+def _table(records: dict[str, dict]) -> str:
+    return format_table(
+        ["strategy", "problem", "P", "high", "warn", "rules fired"],
+        [
+            [
+                r["strategy"],
+                r["problem"],
+                str(r["nprocs"]),
+                str(r["high"]),
+                str(r["warn"]),
+                ", ".join(f["rule"] for f in r["findings"][:4])
+                + (", ..." if len(r["findings"]) > 4 else ""),
+            ]
+            for r in records.values()
+        ],
+    )
+
+
+GATE = Gate(
+    family="insights",
+    command="bench insights",
+    help="run the insights smoke matrix through the executor "
+         "(exit 1 if a strategy stops firing its rules)",
+    matrix=INSIGHTS_MATRIX,
+    table=_table,
+    check=check_smoke,
+)

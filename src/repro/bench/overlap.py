@@ -12,40 +12,27 @@ Each (machine, sync, async, problem, nprocs, ncycles) pair is one
 executor cell (:class:`OverlapPair`): it runs both sides back to back
 and reduces to the canonical comparison dict, so the bench fans out and
 caches through :func:`repro.bench.executor.run_cells` like every other
-matrix.
+matrix.  The gate has no baseline diff: :data:`GATE` gates through
+:func:`check_overlap`.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
+from ..core.report import format_table
 from ..topology.presets import PRESETS
-from .cellrunner import CellFamily, register_family
+from .cellrunner import CellFamily, Gate, register_family
 from .runners import OverlapResult, run_overlap_experiment
 
 __all__ = [
-    "OVERLAP_PATH",
-    "OVERLAP_SCHEMA",
-    "DEFAULT_PAIRS",
+    "GATE",
+    "OVERLAP_MATRIX",
     "OverlapComparison",
     "OverlapPair",
-    "run_overlap_bench",
     "run_overlap_pair",
-    "check_trends",
-    "save_overlap",
+    "check_overlap",
 ]
-
-OVERLAP_PATH = "BENCH_overlap.json"
-OVERLAP_SCHEMA = 1
-
-#: (machine preset, sync strategy, async strategy, problem) -- one row per
-#: machine the paper measures, the Figure-6 Origin2000 workload first.
-DEFAULT_PAIRS = (
-    ("origin2000", "mpi-io", "mpi-io-async", "AMR32"),
-    ("chiba_city", "mpi-io", "mpi-io-async", "AMR32"),
-    ("chiba_city_local", "mpi-io", "mpi-io-async", "AMR64"),
-)
 
 
 @dataclass(frozen=True)
@@ -62,6 +49,15 @@ class OverlapPair:
     @property
     def id(self) -> str:
         return f"overlap:{self.machine}:{self.async_}:P{self.nprocs}"
+
+
+#: One pair per machine the paper measures, the Figure-6 Origin2000
+#: workload first.
+OVERLAP_MATRIX = (
+    OverlapPair("origin2000", "mpi-io", "mpi-io-async", "AMR32"),
+    OverlapPair("chiba_city", "mpi-io", "mpi-io-async", "AMR32"),
+    OverlapPair("chiba_city_local", "mpi-io", "mpi-io-async", "AMR64"),
+)
 
 
 @dataclass
@@ -139,69 +135,34 @@ def run_overlap_pair(pair: OverlapPair) -> dict:
     ).to_dict()
 
 
-def run_overlap_bench(
-    pairs=DEFAULT_PAIRS,
-    *,
-    nprocs: int = 8,
-    ncycles: int = 3,
-    progress=None,
-    jobs: int = 1,
-    cache=None,
-    telemetry=None,
-) -> list[dict]:
-    """Run every (machine, sync, async, problem) pair and compare.
+def check_overlap(records: dict[str, dict]) -> list[str]:
+    """The gate over a finished bench; returns the violations.
 
-    Returns the canonical comparison dicts in ``pairs`` order (the shape
-    committed to ``BENCH_overlap.json``), regardless of how the executor
-    scheduled them.
+    Every pair's makespan speedup must be strictly above 1.0.  Beyond
+    that, the paper's claim that the overlap win is largest where storage
+    is slowest relative to compute -- the PVFS-over-fast-Ethernet cluster
+    -- is pinned here, because this bench is the one place sync and async
+    run the *same* workload (the regression matrix's async cells compare
+    against bare single-dump sync cells, a different denominator).
     """
-    from .executor import run_cells
-
-    cells = [
-        OverlapPair(machine, sync, async_, problem,
-                    nprocs=nprocs, ncycles=ncycles)
-        for machine, sync, async_, problem in pairs
+    runs = list(records.values())
+    problems = [
+        f"overlap REGRESSION: {r['machine']}/{r['problem']} speedup "
+        f"{r['speedup']:.3f} <= 1.0"
+        for r in runs if r["speedup"] <= 1.0
     ]
-    records = run_cells("overlap", cells, jobs=jobs, cache=cache,
-                        telemetry=telemetry, progress=progress)
-    return [records[cell.id] for cell in cells]
-
-
-def check_trends(runs: list[dict]) -> list[str]:
-    """Paper-trend assertions over a finished bench; returns violations.
-
-    Beyond the per-pair ``speedup > 1.0`` gate, the paper's claim that the
-    overlap win is largest where storage is slowest relative to compute --
-    the PVFS-over-fast-Ethernet cluster -- is pinned here, because this
-    bench is the one place sync and async run the *same* workload (the
-    regression matrix's async cells compare against bare single-dump
-    sync cells, a different denominator).
-    """
-    problems = []
     by_machine = {r["machine"]: r for r in runs}
     pvfs = by_machine.get("chiba_city_local")
     if pvfs is not None and len(by_machine) > 1:
         best = max(runs, key=lambda r: r["bw_speedup"])
         if best["machine"] != "chiba_city_local":
             problems.append(
-                "effective-bandwidth win should be largest on "
-                "chiba_city_local (PVFS/fast-Ethernet), but "
+                "overlap TREND VIOLATED: effective-bandwidth win should be "
+                "largest on chiba_city_local (PVFS/fast-Ethernet), but "
                 f"{best['machine']} wins ({best['bw_speedup']:.2f}x vs "
                 f"{pvfs['bw_speedup']:.2f}x)"
             )
     return problems
-
-
-def save_overlap(runs: list[dict], path: str = OVERLAP_PATH) -> dict:
-    """Write the bench artifact; returns the payload written."""
-    payload = {
-        "schema": OVERLAP_SCHEMA,
-        "runs": list(runs),
-    }
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return payload
 
 
 # -- executor family ----------------------------------------------------------
@@ -220,3 +181,69 @@ register_family(CellFamily(
         f"{p.machine}/{p.problem} P={p.nprocs}: {p.sync} vs {p.async_}"
     ),
 ))
+
+
+# -- the gate row -------------------------------------------------------------
+
+
+def _plan(gate: Gate, args) -> tuple[list, dict]:
+    """``--machine`` picks pairs; ``--procs``/``--cycles`` resize them."""
+    for flag, value in (("--procs", args.procs), ("--cycles", args.cycles)):
+        if value < 1:
+            raise ValueError(f"{flag} must be a positive integer (got {value})")
+    have = [p.machine for p in gate.matrix]
+    missing = sorted(set(args.machine or ()) - set(have))
+    if missing:
+        raise ValueError(
+            f"no overlap pair for machine(s) {', '.join(missing)} "
+            f"(have: {', '.join(have)})"
+        )
+    return [
+        replace(p, nprocs=args.procs, ncycles=args.cycles)
+        for p in gate.matrix
+        if not args.machine or p.machine in args.machine
+    ], {}
+
+
+def _table(records: dict[str, dict]) -> str:
+    return format_table(
+        ["machine", "problem", "sync", "async", "sync [s]", "async [s]",
+         "speedup", "eff-bw"],
+        [
+            [
+                c["machine"],
+                c["problem"],
+                c["sync"]["strategy"],
+                c["async"]["strategy"],
+                f"{c['sync']['makespan_s']:.3f}",
+                f"{c['async']['makespan_s']:.3f}",
+                f"{c['speedup']:.2f}x",
+                f"{c['bw_speedup']:.2f}x",
+            ]
+            for c in records.values()
+        ],
+    )
+
+
+GATE = Gate(
+    family="overlap",
+    command="overlap",
+    help="compute/checkpoint overlap bench: sync vs write-behind "
+         "(writes BENCH_overlap.json, exit 1 if overlap stops winning)",
+    matrix=OVERLAP_MATRIX,
+    options=(
+        ("--procs", dict(type=int, default=8)),
+        ("--cycles", dict(type=int, default=3)),
+        ("--machine", dict(
+            action="append", default=None, choices=sorted(PRESETS),
+            help="restrict to these machine presets (repeatable)")),
+    ),
+    plan=_plan,
+    out_default="BENCH_overlap.json",
+    banner=lambda cells: (
+        f"{len(cells)} machine(s), P={cells[0].nprocs}, "
+        f"{cells[0].ncycles} cycles"
+    ),
+    table=_table,
+    check=check_overlap,
+)

@@ -1,17 +1,17 @@
 """Paper-figure conformance & performance-regression harness.
 
-The engine behind ``python -m repro regress``: runs the Figure 5-10 cell
-matrix declared in :mod:`repro.bench.baselines` through the simulated
-clock, reduces every cell to a canonical result record (bandwidths, phase
+The cells behind ``python -m repro regress``: each cell of the Figure 5-10
+matrix declared in :mod:`repro.bench.baselines` runs through the simulated
+clock and reduces to a canonical result record (bandwidths, phase
 breakdown, file-system counters, and a SHA-256 golden digest of the
-canonicalised IOTrace event stream), and compares the run against the
+canonicalised IOTrace event stream).  The :data:`GATE` row has the shared
+gate driver (:mod:`repro.bench.cellrunner`) compare a run against the
 committed ``BENCH_figures.json`` baseline on three axes:
 
 1. **determinism** -- golden-trace digests must match the baseline exactly
    (any drift in the event stream, ordering included, is a failure);
 2. **bandwidth bands** -- write/read bandwidth per cell must stay within a
-   relative tolerance of the baseline (default
-   :data:`~repro.bench.baselines.DEFAULT_RTOL`);
+   relative tolerance of the baseline (default ``GATE.rtol``);
 3. **paper trends** -- the qualitative results of Figures 5-10
    (:data:`~repro.bench.baselines.TRENDS`) must hold in the *current* run,
    so a perf PR can never silently invert a paper result even if it also
@@ -34,30 +34,14 @@ from ..mpi.runner import run_spmd
 from ..mpiio.file import File
 from ..mpiio.hints import Hints
 from ..topology.presets import PRESETS
-from .baselines import (
-    BASELINE_SCHEMA,
-    DEFAULT_RTOL,
-    MATRIX,
-    TRENDS,
-    Cell,
-)
-from .cellrunner import (
-    CellFamily,
-    GateReport,
-    compare_records,
-    evaluate_trend,
-    format_gate_report,
-    register_family,
-)
+from .baselines import MATRIX, TRENDS, Cell
+from .cellrunner import CellFamily, Gate, register_family
 from .runners import run_overlap_experiment, run_traced_experiment
 from .workloads import build_initial_workload, build_workload
 
 __all__ = [
+    "GATE",
     "run_cell",
-    "run_matrix",
-    "compare",
-    "RegressionReport",
-    "format_report",
     "parse_perturbations",
 ]
 
@@ -402,43 +386,8 @@ def run_cell(cell: Cell, *, hints: Hints | None = None) -> dict:
     return _run_figure_cell(cell, hints)
 
 
-def run_matrix(
-    cells: list[Cell] | None = None,
-    *,
-    perturb: dict[str, dict] | None = None,
-    progress=None,
-    jobs: int = 1,
-    cache=None,
-    telemetry=None,
-) -> dict:
-    """Run ``cells`` (default: the full matrix) and assemble the payload.
-
-    Returns a baseline-shaped dict (``schema``/``cells``/``trends``) ready
-    to be compared or committed.  ``perturb`` maps cell ids to hint-field
-    overrides (e.g. ``{"fig6:mpi-io:8": {"cb_buffer_size": 2 * 2**20}}``).
-    ``jobs``/``cache``/``telemetry`` are threaded to the executor
-    (:func:`repro.bench.executor.run_cells`); the default is the serial,
-    uncached in-process path, so library callers see unchanged behaviour.
-    """
-    from .executor import run_cells
-
-    cells = list(MATRIX) if cells is None else cells
-    perturb = perturb or {}
-    extras = {cell_id: {"hints": dict(fields)}
-              for cell_id, fields in perturb.items()}
-    records = run_cells("regress", cells, extras=extras, jobs=jobs,
-                        cache=cache, telemetry=telemetry, progress=progress)
-    trends = [
-        evaluate_trend(t, records)
-        for t in TRENDS
-        if all(c in records for c in t.cells)
-    ]
-    return {"schema": BASELINE_SCHEMA, "rtol": DEFAULT_RTOL,
-            "cells": records, "trends": trends}
-
-
 def parse_perturbations(specs: list[str] | None) -> dict[str, dict]:
-    """Parse ``--perturb CELLID:KEY=VALUE`` specs into a run_matrix map."""
+    """Parse ``--perturb CELLID:KEY=VALUE`` specs into ``{cell_id: hints}``."""
     out: dict[str, dict] = {}
     for spec in specs or []:
         cell_id, sep, assign = spec.rpartition(":")
@@ -460,44 +409,6 @@ def parse_perturbations(specs: list[str] | None) -> dict[str, dict]:
     return out
 
 
-# -- comparison (shared engine in repro.bench.cellrunner) ---------------------
-
-#: Kept as the public name of this gate's report type.
-RegressionReport = GateReport
-
-
-def compare(current: dict, baseline: dict, *, rtol: float | None = None
-            ) -> GateReport:
-    """Compare a fresh run against the committed baseline.
-
-    Only cells present in ``current`` are compared (so ``--cell`` subsets
-    check their slice of the baseline); a selected cell missing from the
-    baseline is itself a violation -- the gate must never silently skip.
-    Trend assertions are taken from ``current`` (they were evaluated
-    against live numbers by :func:`run_matrix`).
-    """
-    return compare_records(
-        current,
-        baseline,
-        exact_metrics=EXACT_METRICS,
-        banded_metrics=BANDED_METRICS,
-        default_rtol=DEFAULT_RTOL,
-        rtol=rtol,
-        digest_metric="trace_digest",
-        trend_baseline="paper",
-    )
-
-
-def format_report(report: GateReport, *, title: str = "repro regress") -> str:
-    """Readable gate outcome: a per-cell diff table naming each violation."""
-    return format_gate_report(
-        report,
-        title=title,
-        pass_detail="digests exact, bandwidth in band, all paper trends hold",
-        trend_noun="paper-trend",
-    )
-
-
 # -- executor family ----------------------------------------------------------
 
 
@@ -513,3 +424,49 @@ register_family(CellFamily(
     spec=lambda c, extra: dict(asdict(c), hints=extra.get("hints")),
     describe=lambda c: f"{c.id} ({c.machine}, {c.problem})",
 ))
+
+
+# -- the gate row -------------------------------------------------------------
+
+
+def _plan(gate: Gate, args) -> tuple[list, dict]:
+    """``--cell`` selection plus the ``--perturb`` hint overrides."""
+    cells = gate.select(args.cell)
+    perturb = parse_perturbations(args.perturb)
+    return cells, {cid: {"hints": fields} for cid, fields in perturb.items()}
+
+
+GATE = Gate(
+    family="regress",
+    command="regress",
+    help="paper-figure conformance & perf-regression gate (exit 0/1/2)",
+    matrix=MATRIX,
+    trends=TRENDS,
+    cell_grammar="FIG[:STRATEGY[:NPROCS]]",
+    cell_keys=("figure", "strategy", "nprocs"),
+    cell_example="'fig6:mpi-io:8' or 'fig7'",
+    list_columns=(
+        ("cell", lambda c: c.id),
+        ("machine", lambda c: c.machine),
+        ("problem", lambda c: c.problem),
+        ("ops", lambda c: "write+read" if c.do_read else "write"),
+    ),
+    options=(
+        ("--perturb", dict(
+            action="append", default=None,
+            metavar="FIG:STRATEGY:NPROCS:KEY=VALUE",
+            help="override one MPI-IO hint for one cell (gate self-test), "
+                 "e.g. 'fig6:mpi-io:8:cb_buffer_size=2097152'")),
+    ),
+    plan=_plan,
+    # Committed at the repo root, relative to the CWD the gate runs from
+    # (scripts/verify.sh and CI both run from the repo root).
+    baseline="BENCH_figures.json",
+    # The simulator is deterministic, so the band exists to classify
+    # *intentional* changes: within it a refactor is noise, outside it the
+    # baseline must be consciously updated (and the trends still hold).
+    rtol=0.05,
+    exact_metrics=EXACT_METRICS,
+    banded_metrics=BANDED_METRICS,
+    digest_metric="trace_digest",
+)

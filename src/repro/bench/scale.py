@@ -30,7 +30,6 @@ serial, parallel and cache-replay execution.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 from ..amr.partition import BlockPartition
@@ -39,39 +38,19 @@ from ..enzo.state import RankState, make_owner_map
 from ..mpi.runner import run_spmd
 from ..topology.presets import PRESETS
 from .baselines import Trend
-from .cellrunner import (
-    CellFamily,
-    GateReport,
-    compare_records,
-    evaluate_trend,
-    format_gate_report,
-    register_family,
-)
+from .cellrunner import CellFamily, Gate, register_family
 from .workloads import build_scale_workload
 
 __all__ = [
-    "SCALE_BASELINE_PATH",
+    "GATE",
     "SCALE_MATRIX",
     "SCALE_TRENDS",
     "ScaleCell",
     "build_scale_states",
-    "compare_scale",
-    "format_scale_report",
-    "load_scale_baseline",
     "run_scale_cell",
-    "run_scale_matrix",
-    "save_scale_baseline",
     "scale_chart",
     "select_scale_cells",
 ]
-
-SCALE_SCHEMA = 1
-SCALE_BASELINE_PATH = "BENCH_scale.json"
-
-#: Default relative tolerance for banded metrics.  Runs are deterministic,
-#: so the band only absorbs float formatting and cross-version arithmetic
-#: differences, not real variance.
-SCALE_RTOL = 0.05
 
 SCALE_PROCS = (16, 64, 128, 512, 1024)
 SCALE_STRATEGIES = ("mpi-io", "hdf4")
@@ -249,117 +228,6 @@ def run_scale_cell(cell: ScaleCell) -> dict:
     }
 
 
-def run_scale_matrix(
-    cells: list[ScaleCell] | None = None,
-    *,
-    progress=None,
-    jobs: int = 1,
-    cache=None,
-    telemetry=None,
-) -> dict:
-    """Run ``cells`` (default: the full sweep) and assemble the payload.
-
-    ``jobs``/``cache``/``telemetry`` are threaded to the executor; the
-    default is the serial, uncached in-process path.
-    """
-    from .executor import run_cells
-
-    cells = list(SCALE_MATRIX) if cells is None else cells
-    records = run_cells("scale", cells, jobs=jobs, cache=cache,
-                        telemetry=telemetry, progress=progress)
-    trends = [
-        evaluate_trend(t, records)
-        for t in SCALE_TRENDS
-        if all(c in records for c in t.cells)
-    ]
-    return {"schema": SCALE_SCHEMA, "rtol": SCALE_RTOL,
-            "cells": records, "trends": trends}
-
-
-def select_scale_cells(specs: list[str] | None) -> list[ScaleCell]:
-    """Cells matching ``MACHINE[:STRATEGY[:P]]`` specs (all when empty)."""
-    if not specs:
-        return list(SCALE_MATRIX)
-    out: list[ScaleCell] = []
-    for spec in specs:
-        parts = spec.split(":")
-        if len(parts) > 3:
-            raise ValueError(f"bad --cell spec {spec!r} "
-                             "(want MACHINE[:STRATEGY[:P]])")
-        machine = parts[0]
-        strategy = parts[1] if len(parts) > 1 and parts[1] else None
-        nprocs = None
-        if len(parts) > 2 and parts[2]:
-            p = parts[2].lstrip("Pp")
-            if not p.isdigit():
-                raise ValueError(f"bad --cell spec {spec!r}: "
-                                 f"{parts[2]!r} is not a processor count")
-            nprocs = int(p)
-        matched = [
-            c for c in SCALE_MATRIX
-            if c.machine == machine
-            and (strategy is None or c.strategy == strategy)
-            and (nprocs is None or c.nprocs == nprocs)
-        ]
-        if not matched:
-            raise ValueError(f"--cell spec {spec!r} matches no scale cell")
-        out.extend(c for c in matched if c not in out)
-    return out
-
-
-# -- baseline artifact --------------------------------------------------------
-
-
-def load_scale_baseline(path: str = SCALE_BASELINE_PATH) -> dict:
-    with open(path) as f:
-        payload = json.load(f)
-    if not isinstance(payload, dict) or "cells" not in payload:
-        raise ValueError(f"{path} is not a scale baseline (no 'cells' key)")
-    return payload
-
-
-def save_scale_baseline(payload: dict, path: str = SCALE_BASELINE_PATH) -> None:
-    with open(path, "w") as f:
-        json.dump(payload, f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-# -- comparison (shared engine in repro.bench.cellrunner) ---------------------
-
-#: Kept as the public name of this gate's report type.
-ScaleReport = GateReport
-
-
-def compare_scale(current: dict, baseline: dict, *,
-                  rtol: float | None = None) -> GateReport:
-    """Compare a fresh sweep against the committed ``BENCH_scale.json``.
-
-    Same contract as the figure gate: only cells present in ``current``
-    are compared; a selected cell missing from the baseline is itself a
-    violation; trend assertions are evaluated against the live run.
-    """
-    return compare_records(
-        current,
-        baseline,
-        exact_metrics=EXACT_METRICS,
-        banded_metrics=BANDED_METRICS,
-        default_rtol=SCALE_RTOL,
-        rtol=rtol,
-        trend_baseline="scaling law",
-    )
-
-
-def format_scale_report(report: GateReport, *,
-                        title: str = "repro scale") -> str:
-    return format_gate_report(
-        report,
-        title=title,
-        pass_detail="counters exact, bandwidth in band, "
-                    "all scaling trends hold",
-        trend_noun="scaling-trend",
-    )
-
-
 # -- executor family ----------------------------------------------------------
 
 
@@ -398,3 +266,37 @@ def scale_chart(records: dict) -> str:
             unit="MB/s",
         ))
     return "\n\n".join(out)
+
+
+# -- the gate row -------------------------------------------------------------
+
+GATE = Gate(
+    family="scale",
+    command="scale",
+    help="weak-scaling sweep P=16..1024 vs BENCH_scale.json (exit 0/1/2)",
+    matrix=SCALE_MATRIX,
+    trends=SCALE_TRENDS,
+    cell_grammar="MACHINE[:STRATEGY[:P]]",
+    cell_keys=("machine", "strategy", "nprocs"),
+    cell_example="'origin2000:mpi-io:128' or 'chiba_city'",
+    list_columns=(
+        ("cell", lambda c: c.id),
+        ("machine", lambda c: c.machine),
+        ("strategy", lambda c: c.strategy),
+        ("P", lambda c: str(c.nprocs)),
+    ),
+    baseline="BENCH_scale.json",
+    # Runs are deterministic, so the band only absorbs float formatting
+    # and cross-version arithmetic differences, not real variance.
+    rtol=0.05,
+    exact_metrics=EXACT_METRICS,
+    banded_metrics=BANDED_METRICS,
+    trend_noun="scaling",
+    trend_source="scaling law",
+    chart=scale_chart,
+)
+
+
+def select_scale_cells(specs: list[str] | None) -> list[ScaleCell]:
+    """``GATE.select`` under the name the closed ``perfbench/`` imports."""
+    return GATE.select(specs)

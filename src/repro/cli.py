@@ -6,7 +6,7 @@ Commands:
 * ``figure fig6|fig7|fig8|fig9|fig10`` -- run one figure's experiments and
   draw the paper-style chart;
 * ``analyze``                    -- trace a checkpoint dump (or load a saved
-  trace) and print the Pablo-style I/O report plus the optimizer's plan;
+  trace) and print the Pablo-style I/O report;
 * ``insights``                   -- run the Drishti-style detector rules
   over a saved trace and print the severity-ranked diagnosis;
 * ``tune``                       -- closed-loop auto-tuning: diagnose,
@@ -30,9 +30,11 @@ Commands:
   matrix through the executor.
 
 The matrix gates (``regress``/``scale``/``overlap``/``bench insights``)
-share the executor options ``--jobs N`` (default
+are the rows of the gate table ``repro.bench.GATES``: their sub-parsers
+are built from the rows and one handler (``_cmd_gate``) serves them all.
+They share the executor options ``--jobs N`` (default
 ``min(os.cpu_count(), n_cells)``, overridable with ``REPRO_JOBS``;
-``--jobs 1`` forces the legacy serial path; 0 or negative is a usage
+``--jobs 1`` runs the cells in-process; 0 or negative is a usage
 error), ``--no-cache`` (skip the content-addressed result cache, also
 ``REPRO_CACHE=0``) and ``--timings PATH`` (telemetry artifact, default
 ``BENCH_timings.json``).
@@ -53,6 +55,7 @@ import argparse
 import sys
 
 from .bench import (
+    GATES,
     build_initial_workload,
     build_workload,
     run_checkpoint_experiment,
@@ -124,7 +127,7 @@ def _add_executor_args(parser) -> None:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes for the cell matrix (default: "
                              "min(cpu count, cells), or $REPRO_JOBS; "
-                             "--jobs 1 forces the legacy serial path)")
+                             "--jobs 1 runs in-process)")
     parser.add_argument("--no-cache", action="store_true",
                         help="skip the content-addressed result cache "
                              "(.repro-cache/; also REPRO_CACHE=0)")
@@ -577,302 +580,166 @@ def cmd_scenarios(args) -> int:
     return 0
 
 
-def cmd_regress(args) -> int:
-    import json
+def _cmd_gate(gate, args) -> int:
+    """Serve one row of the gate table (``repro.bench.GATES``).
 
-    from .bench import regression as reg
-    from .bench.baselines import (
-        BASELINE_PATH,
-        load_baseline,
-        save_baseline,
-        select_cells,
-    )
+    select -> ``--list-cells`` -> run -> telemetry -> chart/table ->
+    ``--out`` -> ``--update-baseline`` merge *or* baseline diff / check.
+    """
+    from .bench import cellrunner as cr
 
+    title = f"repro {gate.command}"
+    rtol = getattr(args, "rtol", None)
     try:
-        cells = select_cells(args.cell)
-        perturb = reg.parse_perturbations(args.perturb)
-        jobs, cache, telemetry = _executor_options(args, len(cells), "regress")
+        if rtol is not None and not 0 <= rtol < float("inf"):
+            raise ValueError(f"--rtol must be a non-negative fraction "
+                             f"(got {rtol})")
+        cells, extras = gate.plan(gate, args)
+        jobs, cache, telemetry = _executor_options(args, len(cells),
+                                                   gate.family)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.list_cells:
-        rows = [
-            [c.id, c.machine, c.problem,
-             "write+read" if c.do_read else "write"]
-            for c in cells
-        ]
-        print(f"repro regress: {len(cells)} cell(s)")
-        print(format_table(["cell", "machine", "problem", "ops"], rows))
+    if getattr(args, "list_cells", False):
+        print(f"{title}: {len(cells)} cell(s)")
+        print(format_table(
+            [header for header, _ in gate.list_columns],
+            [[column(c) for _, column in gate.list_columns] for c in cells],
+        ))
         return 0
     progress = None if args.quiet else lambda msg: print(f"  {msg}")
     if progress:
-        print(f"repro regress: {len(cells)} cell(s), jobs={jobs}")
+        print(f"{title}: {gate.banner(cells)}, jobs={jobs}")
     try:
-        current = reg.run_matrix(cells, perturb=perturb, progress=progress,
-                                 jobs=jobs, cache=cache, telemetry=telemetry)
+        current = cr.run_gate(gate, cells, extras=extras, progress=progress,
+                              jobs=jobs, cache=cache, telemetry=telemetry)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _finish_telemetry(args, telemetry, cache, progress)
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(current, f, indent=2, sort_keys=True)
-            f.write("\n")
-        if progress:
-            print(f"wrote current results to {args.out}")
-
-    if args.update_baseline:
-        bad_trends = [t for t in current["trends"] if not t["ok"]]
-        payload = current
-        if args.cell:
-            # Subset update: merge into the existing baseline if present.
-            try:
-                payload = load_baseline(args.baseline)
-            except FileNotFoundError:
-                payload = {"schema": current["schema"], "rtol": current["rtol"],
-                           "cells": {}, "trends": []}
-            except (ValueError, OSError) as exc:
-                print(f"error: cannot merge into {args.baseline}: {exc}",
-                      file=sys.stderr)
-                return 2
-            payload["cells"].update(current["cells"])
-            kept = {t["id"]: t for t in payload.get("trends", [])}
-            kept.update({t["id"]: t for t in current["trends"]})
-            payload["trends"] = sorted(kept.values(), key=lambda t: t["id"])
-        save_baseline(payload, args.baseline)
-        print(f"baseline updated: {args.baseline} "
-              f"({len(payload['cells'])} cells, {len(payload['trends'])} trends)")
-        if bad_trends:
-            for t in bad_trends:
-                print(f"warning: paper trend VIOLATED in new baseline: "
-                      f"{t['id']}: {t['description']}", file=sys.stderr)
-            print("refusing a green exit: fix the model or the matrix before "
-                  "committing this baseline", file=sys.stderr)
-            return 1
-        return 0
-
-    try:
-        baseline = load_baseline(args.baseline)
-    except FileNotFoundError:
-        print(f"error: no baseline at {args.baseline}; create one with "
-              f"'repro regress --update-baseline'", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: cannot load baseline {args.baseline}: {exc}",
-              file=sys.stderr)
-        return 2
-    report = reg.compare(current, baseline, rtol=args.rtol)
-    print(reg.format_report(
-        report, title=f"repro regress vs {args.baseline or BASELINE_PATH}"
-    ))
-    return 0 if report.ok else 1
-
-
-def cmd_scale(args) -> int:
-    import json
-
-    from .bench import scale as sc
-
-    try:
-        cells = sc.select_scale_cells(args.cell)
-        jobs, cache, telemetry = _executor_options(args, len(cells), "scale")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.list_cells:
-        rows = [[c.id, c.machine, c.strategy, str(c.nprocs)] for c in cells]
-        print(f"repro scale: {len(cells)} cell(s)")
-        print(format_table(["cell", "machine", "strategy", "P"], rows))
-        return 0
-    progress = None if args.quiet else lambda msg: print(f"  {msg}")
-    if progress:
-        print(f"repro scale: {len(cells)} cell(s), jobs={jobs}")
-    current = sc.run_scale_matrix(cells, progress=progress, jobs=jobs,
-                                  cache=cache, telemetry=telemetry)
-    _finish_telemetry(args, telemetry, cache, progress)
-    if not args.quiet:
-        print(sc.scale_chart(current["cells"]))
+    records = current["cells"]
+    if gate.chart and progress:
+        print(gate.chart(records))
         print()
-    if args.out:
-        with open(args.out, "w") as f:
-            json.dump(current, f, indent=2, sort_keys=True)
-            f.write("\n")
+    if gate.table:
+        print(gate.table(records))
+    out = getattr(args, "out", None)
+    if out and gate.baseline:
+        cr.save_baseline(current, out)
         if progress:
-            print(f"wrote current results to {args.out}")
+            print(f"wrote current results to {out}")
+    elif out:
+        cr.save_baseline({"schema": gate.schema,
+                          "runs": list(records.values())}, out)
+        print(f"wrote {out}")
+
+    if gate.baseline is None:
+        problems = gate.check(records)
+        for problem in problems:
+            print(problem, file=sys.stderr)
+        return 1 if problems else 0
 
     if args.update_baseline:
-        bad_trends = [t for t in current["trends"] if not t["ok"]]
         payload = current
         if args.cell:
             # Subset update: merge into the existing baseline if present.
             try:
-                payload = sc.load_scale_baseline(args.baseline)
+                payload = cr.load_baseline(gate, args.baseline)
             except FileNotFoundError:
-                payload = {"schema": current["schema"],
-                           "rtol": current["rtol"], "cells": {}, "trends": []}
+                payload = dict(current, cells={}, trends=[])
             except (ValueError, OSError) as exc:
                 print(f"error: cannot merge into {args.baseline}: {exc}",
                       file=sys.stderr)
                 return 2
-            payload["cells"].update(current["cells"])
+            payload["cells"].update(records)
             kept = {t["id"]: t for t in payload.get("trends", [])}
             kept.update({t["id"]: t for t in current["trends"]})
             payload["trends"] = sorted(kept.values(), key=lambda t: t["id"])
-        sc.save_scale_baseline(payload, args.baseline)
+        cr.save_baseline(payload, args.baseline)
         print(f"baseline updated: {args.baseline} "
               f"({len(payload['cells'])} cells, {len(payload['trends'])} trends)")
+        bad_trends = [t for t in current["trends"] if not t["ok"]]
+        for t in bad_trends:
+            print(f"warning: {gate.trend_noun} trend VIOLATED in new "
+                  f"baseline: {t['id']}: {t['description']}", file=sys.stderr)
         if bad_trends:
-            for t in bad_trends:
-                print(f"warning: scaling trend VIOLATED in new baseline: "
-                      f"{t['id']}: {t['description']}", file=sys.stderr)
             print("refusing a green exit: fix the model or the matrix before "
                   "committing this baseline", file=sys.stderr)
-            return 1
-        return 0
+        return 1 if bad_trends else 0
 
     try:
-        baseline = sc.load_scale_baseline(args.baseline)
+        baseline = cr.load_baseline(gate, args.baseline)
     except FileNotFoundError:
         print(f"error: no baseline at {args.baseline}; create one with "
-              f"'repro scale --update-baseline'", file=sys.stderr)
+              f"'{title} --update-baseline'", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: cannot load baseline {args.baseline}: {exc}",
               file=sys.stderr)
         return 2
-    report = sc.compare_scale(current, baseline, rtol=args.rtol)
-    print(sc.format_scale_report(
-        report, title=f"repro scale vs {args.baseline}"
-    ))
+    report = cr.compare(gate, current, baseline, rtol=rtol)
+    print(cr.format_report(gate, report, title=f"{title} vs {args.baseline}"))
     return 0 if report.ok else 1
 
 
-def cmd_overlap(args) -> int:
-    """Sync vs write-behind on each machine; writes BENCH_overlap.json."""
-    from .bench.overlap import (
-        DEFAULT_PAIRS, check_trends, run_overlap_bench, save_overlap,
-    )
-
-    pairs = DEFAULT_PAIRS
-    if args.machine:
-        pairs = tuple(p for p in DEFAULT_PAIRS if p[0] in args.machine)
-        missing = set(args.machine) - {p[0] for p in pairs}
-        if missing:
-            print(f"error: no overlap pair for machine(s) "
-                  f"{', '.join(sorted(missing))} (have: "
-                  f"{', '.join(p[0] for p in DEFAULT_PAIRS)})",
-                  file=sys.stderr)
-            return 2
-    try:
-        jobs, cache, telemetry = _executor_options(args, len(pairs), "overlap")
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    progress = None if args.quiet else lambda msg: print(f"  {msg}")
-    if progress:
-        print(f"repro overlap: {len(pairs)} machine(s), "
-              f"P={args.procs}, {args.cycles} cycles, jobs={jobs}")
-    comparisons = run_overlap_bench(
-        pairs, nprocs=args.procs, ncycles=args.cycles, progress=progress,
-        jobs=jobs, cache=cache, telemetry=telemetry,
-    )
-    _finish_telemetry(args, telemetry, cache, progress)
-    rows = [
-        [
-            c["machine"],
-            c["problem"],
-            c["sync"]["strategy"],
-            c["async"]["strategy"],
-            f"{c['sync']['makespan_s']:.3f}",
-            f"{c['async']['makespan_s']:.3f}",
-            f"{c['speedup']:.2f}x",
-            f"{c['bw_speedup']:.2f}x",
-        ]
-        for c in comparisons
-    ]
-    print(format_table(
-        ["machine", "problem", "sync", "async", "sync [s]", "async [s]",
-         "speedup", "eff-bw"],
-        rows,
-    ))
-    if args.out:
-        save_overlap(comparisons, args.out)
-        print(f"wrote {args.out}")
-    failed = False
-    for c in comparisons:
-        if c["speedup"] <= 1.0:
-            print(f"overlap REGRESSION: {c['machine']}/{c['problem']} speedup "
-                  f"{c['speedup']:.3f} <= 1.0", file=sys.stderr)
-            failed = True
-    for problem in check_trends(comparisons):
-        print(f"overlap TREND VIOLATED: {problem}", file=sys.stderr)
-        failed = True
-    return 1 if failed else 0
-
-
-def cmd_bench(args) -> int:
-    """Executor utilities: telemetry table and the insights smoke matrix."""
-    if args.bench_command == "timings":
-        from .bench.timings import format_timings, load_timings
-
-        try:
-            payload = load_timings(args.timings)
-        except FileNotFoundError:
-            print(f"error: no timings artifact at {args.timings}; run a "
-                  "matrix gate (repro regress/scale/overlap) first",
-                  file=sys.stderr)
-            return 2
-        except (ValueError, OSError) as exc:
-            print(f"error: cannot load timings {args.timings}: {exc}",
-                  file=sys.stderr)
-            return 2
-        if args.top is not None and args.top < 1:
-            print(f"error: --top must be a positive integer (got {args.top})",
-                  file=sys.stderr)
-            return 2
-        print(format_timings(payload, top=args.top))
-        return 0
-
-    # bench insights: the smoke matrix through the executor.
-    from .bench.insights_smoke import (
-        INSIGHTS_MATRIX,
-        check_smoke,
-        run_insights_matrix,
-    )
+def cmd_bench_timings(args) -> int:
+    """Print the per-cell executor telemetry table."""
+    from .bench.timings import format_timings, load_timings
 
     try:
-        jobs, cache, telemetry = _executor_options(
-            args, len(INSIGHTS_MATRIX), "insights"
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        payload = load_timings(args.timings)
+    except FileNotFoundError:
+        print(f"error: no timings artifact at {args.timings}; run a "
+              "matrix gate (repro regress/scale/overlap) first",
+              file=sys.stderr)
         return 2
-    progress = None if args.quiet else lambda msg: print(f"  {msg}")
-    if progress:
-        print(f"repro bench insights: {len(INSIGHTS_MATRIX)} cell(s), "
-              f"jobs={jobs}")
-    records = run_insights_matrix(jobs=jobs, cache=cache,
-                                  telemetry=telemetry, progress=progress)
-    _finish_telemetry(args, telemetry, cache, progress)
-    rows = [
-        [
-            r["strategy"],
-            r["problem"],
-            str(r["nprocs"]),
-            str(r["high"]),
-            str(r["warn"]),
-            ", ".join(f["rule"] for f in r["findings"][:4])
-            + (", ..." if len(r["findings"]) > 4 else ""),
-        ]
-        for r in records.values()
-    ]
-    print(format_table(
-        ["strategy", "problem", "P", "high", "warn", "rules fired"], rows
-    ))
-    failed = check_smoke(records)
-    for problem in failed:
-        print(f"insights SMOKE FAILED: {problem}", file=sys.stderr)
-    return 1 if failed else 0
+    except (ValueError, OSError) as exc:
+        print(f"error: cannot load timings {args.timings}: {exc}",
+              file=sys.stderr)
+        return 2
+    if args.top is not None and args.top < 1:
+        print(f"error: --top must be a positive integer (got {args.top})",
+              file=sys.stderr)
+        return 2
+    print(format_timings(payload, top=args.top))
+    return 0
+
+
+def _add_gate_parser(sub, gate) -> None:
+    """One gate sub-parser, its options derived from the table row."""
+    g = sub.add_parser(gate.command.split()[-1], help=gate.help)
+    g.set_defaults(gate=gate)
+    if gate.baseline:
+        g.add_argument("--update-baseline", action="store_true",
+                       help="rewrite the baseline from this run instead of "
+                            "comparing (review the diff before committing)")
+        g.add_argument("--baseline", default=gate.baseline, metavar="PATH",
+                       help="baseline artifact to compare against / update")
+        g.add_argument("--rtol", type=float, default=None, metavar="FRAC",
+                       help="relative tolerance band for "
+                            f"{'/'.join(gate.banded_metrics)} (default: the "
+                            "baseline's recorded rtol)")
+    if gate.cell_grammar:
+        g.add_argument("--cell", action="append", default=None,
+                       metavar=gate.cell_grammar,
+                       help="restrict to matching cells (repeatable, globs "
+                            f"allowed), e.g. {gate.cell_example}")
+        g.add_argument("--list-cells", action="store_true",
+                       help="list the cells the --cell specs select (or the "
+                            "whole matrix) without running anything")
+    for flag, kwargs in gate.options:
+        g.add_argument(flag, **kwargs)
+    if gate.baseline:
+        g.add_argument("--out", default=None, metavar="PATH",
+                       help="also write this run's results as JSON "
+                            "(CI artifact)")
+    elif gate.out_default:
+        g.add_argument("--out", default=gate.out_default, metavar="PATH",
+                       help=f"bench artifact path (default {gate.out_default})")
+    g.add_argument("--quiet", action="store_true",
+                   help="suppress per-cell progress lines"
+                        + (" and the chart" if gate.chart else ""))
+    _add_executor_args(g)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -967,76 +834,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="validate + build every registered scenario "
                          "(capped resolution); exit 1 on any failure")
 
-    r = sub.add_parser(
-        "regress",
-        help="paper-figure conformance & perf-regression gate (exit 0/1/2)",
-    )
-    r.add_argument("--update-baseline", action="store_true",
-                   help="rewrite the baseline from this run instead of "
-                        "comparing (review the diff before committing)")
-    r.add_argument("--cell", action="append", default=None,
-                   metavar="FIG[:STRATEGY[:NPROCS]]",
-                   help="restrict to matching cells (repeatable), e.g. "
-                        "'fig6:mpi-io:8' or 'fig7'")
-    r.add_argument("--baseline", default="BENCH_figures.json", metavar="PATH",
-                   help="baseline artifact to compare against / update")
-    r.add_argument("--rtol", type=float, default=None, metavar="FRAC",
-                   help="relative bandwidth tolerance band (default: the "
-                        "baseline's recorded rtol)")
-    r.add_argument("--out", default=None, metavar="PATH",
-                   help="also write this run's results as JSON (CI artifact)")
-    r.add_argument("--perturb", action="append", default=None,
-                   metavar="FIG:STRATEGY:NPROCS:KEY=VALUE",
-                   help="override one MPI-IO hint for one cell (gate "
-                        "self-test), e.g. 'fig6:mpi-io:8:cb_buffer_size=2097152'")
-    r.add_argument("--quiet", action="store_true",
-                   help="suppress per-cell progress lines")
-    r.add_argument("--list-cells", action="store_true",
-                   help="list the cells the --cell specs select (or the "
-                        "whole matrix) without running anything")
-    _add_executor_args(r)
-
-    sc = sub.add_parser(
-        "scale",
-        help="weak-scaling sweep P=16..1024 vs BENCH_scale.json (exit 0/1/2)",
-    )
-    sc.add_argument("--update-baseline", action="store_true",
-                    help="rewrite the baseline from this run instead of "
-                         "comparing (review the diff before committing)")
-    sc.add_argument("--cell", action="append", default=None,
-                    metavar="MACHINE[:STRATEGY[:P]]",
-                    help="restrict to matching cells (repeatable), e.g. "
-                         "'origin2000:mpi-io:128' or 'chiba_city'")
-    sc.add_argument("--baseline", default="BENCH_scale.json", metavar="PATH",
-                    help="baseline artifact to compare against / update")
-    sc.add_argument("--rtol", type=float, default=None, metavar="FRAC",
-                    help="relative tolerance band for write_s/write_bw "
-                         "(default: the baseline's recorded rtol)")
-    sc.add_argument("--out", default=None, metavar="PATH",
-                    help="also write this run's results as JSON (CI artifact)")
-    sc.add_argument("--quiet", action="store_true",
-                    help="suppress per-cell progress lines and the chart")
-    sc.add_argument("--list-cells", action="store_true",
-                    help="list the cells the --cell specs select (or the "
-                         "whole matrix) without running anything")
-    _add_executor_args(sc)
-
-    o = sub.add_parser(
-        "overlap",
-        help="compute/checkpoint overlap bench: sync vs write-behind "
-             "(writes BENCH_overlap.json, exit 1 if overlap stops winning)",
-    )
-    o.add_argument("--procs", type=int, default=8)
-    o.add_argument("--cycles", type=int, default=3)
-    o.add_argument("--machine", action="append", default=None,
-                   choices=sorted(PRESETS),
-                   help="restrict to these machine presets (repeatable)")
-    o.add_argument("--out", default="BENCH_overlap.json", metavar="PATH",
-                   help="bench artifact path (default BENCH_overlap.json)")
-    o.add_argument("--quiet", action="store_true",
-                   help="suppress per-machine progress lines")
-    _add_executor_args(o)
-
     b = sub.add_parser(
         "bench",
         help="executor utilities: per-cell timings, insights smoke matrix",
@@ -1051,14 +848,9 @@ def build_parser() -> argparse.ArgumentParser:
                          "(default BENCH_timings.json)")
     bt.add_argument("--top", type=int, default=None, metavar="N",
                     help="show only the N slowest cells across all families")
-    bi = bsub.add_parser(
-        "insights",
-        help="run the insights smoke matrix through the executor "
-             "(exit 1 if a strategy stops firing its rules)",
-    )
-    bi.add_argument("--quiet", action="store_true",
-                    help="suppress per-cell progress lines")
-    _add_executor_args(bi)
+    for gate in GATES.values():
+        _add_gate_parser(bsub if gate.command.startswith("bench ") else sub,
+                         gate)
 
     s = sub.add_parser("simulate", help="run the full ENZO flow")
     s.add_argument("--problem", default="AMR32")
@@ -1090,12 +882,11 @@ def main(argv=None) -> int:
         "table": cmd_table,
         "strategies": cmd_strategies,
         "scenarios": cmd_scenarios,
-        "regress": cmd_regress,
-        "scale": cmd_scale,
-        "overlap": cmd_overlap,
-        "bench": cmd_bench,
-    }[args.command]
+        "bench": cmd_bench_timings,
+    }.get(args.command)
     try:
+        if hasattr(args, "gate"):  # a row of the gate table
+            return _cmd_gate(args.gate, args)
         return handler(args)
     except BrokenPipeError:
         # the consumer (e.g. `| head`) closed the pipe: stop quietly with

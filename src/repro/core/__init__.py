@@ -9,7 +9,6 @@
 """
 
 from .access_pattern import AccessDescriptor, PatternClass, classify_accesses
-from .mdms import MDMS, AccessHistory
 from .metadata import ArrayMetadata, MetadataRegistry
 from .optimizer import ArrayPlan, IOPlan, Optimizer
 from .report import format_table, format_trace_report
@@ -17,8 +16,6 @@ from .trace import IOEvent, IOTrace, trace_filesystem
 
 __all__ = [
     "AccessDescriptor",
-    "MDMS",
-    "AccessHistory",
     "PatternClass",
     "classify_accesses",
     "ArrayMetadata",

@@ -16,9 +16,10 @@ plus the file-level advice of Section 3.2.2: put all grids in one shared
 file (better restart reads and contiguous tape migration), and align
 collective file domains to the file-system stripe when one is known.
 
-The MDMS of ref [7] (the stated future work) is this optimizer fed from a
-persistent store; :class:`IOPlan.explain` produces the human-readable
-rationale.
+:class:`IOPlan.explain` produces the human-readable rationale.  The MDMS
+of ref [7] (the paper's stated future work: this optimizer fed from
+observed runs) is not modelled here; the trace -> suggested-hints loop it
+describes is :class:`repro.insights.AutoTuner` (``repro tune``).
 """
 
 from __future__ import annotations

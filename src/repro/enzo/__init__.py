@@ -1,12 +1,14 @@
-"""The ENZO cosmology application and its three checkpoint I/O strategies."""
+"""The ENZO cosmology application and its checkpoint I/O driver.
 
+Strategies are compositions resolved by name through
+:mod:`repro.iostack.registry` (``registry.create("mpi-io", hints=...)``).
+"""
+
+from ..iostack.layouts import subgrid_path, top_grid_path
 from .io_base import IOStats, IOStrategy, hierarchy_path
-from .io_hdf4 import HDF4Strategy, subgrid_path, top_grid_path
-from .io_hdf5 import HDF5Strategy
-from .io_mpiio import MPIIOStrategy
 from .layout import TOP, ArrayExtent, CheckpointLayout
 from .meta import GridMeta, HierarchyMeta, array_dtype
-from .simulation import PROBLEM_SIZES, EnzoConfig, EnzoSimulation
+from .simulation import EnzoConfig, EnzoSimulation
 from .sizing import WorkloadModel, grid_bytes, table1
 from .sort import parallel_sort_by_id
 from .state import PartitionedState, RankState, hierarchies_equivalent, make_owner_map
@@ -16,9 +18,6 @@ __all__ = [
     "IOStrategy",
     "IOStats",
     "hierarchy_path",
-    "HDF4Strategy",
-    "MPIIOStrategy",
-    "HDF5Strategy",
     "top_grid_path",
     "subgrid_path",
     "CheckpointLayout",
@@ -29,7 +28,6 @@ __all__ = [
     "array_dtype",
     "EnzoConfig",
     "EnzoSimulation",
-    "PROBLEM_SIZES",
     "WorkloadModel",
     "grid_bytes",
     "table1",

@@ -32,16 +32,7 @@ from .io_base import IOStats, IOStrategy
 from .plotfile import write_plotfile
 from .state import RankState
 
-__all__ = ["EnzoConfig", "EnzoSimulation", "PROBLEM_SIZES"]
-
-#: The paper's problem sizes (grid dimensionality per Section 4), now just
-#: a view of the scenario registry's ``AMR*`` built-ins.  Kept for
-#: backward compatibility; new code should resolve scenarios by name.
-PROBLEM_SIZES = {
-    name: scenario_registry.get(name).root_dims
-    for name in scenario_registry.names()
-    if name.startswith("AMR")
-}
+__all__ = ["EnzoConfig", "EnzoSimulation"]
 
 
 @dataclass

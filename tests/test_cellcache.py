@@ -17,8 +17,9 @@ from repro.bench.cellcache import (
     source_tree_digest,
 )
 from repro.bench.executor import run_cells
+from repro.bench import GATES
+from repro.bench.cellrunner import get_family
 from repro.bench.regression import run_cell
-from repro.bench.baselines import select_cells
 
 CELL_ID = "fig6:hdf4:2"
 
@@ -29,7 +30,7 @@ def _cache(tmp_path, tree="sha256:feed", env="python=3;numpy=2"):
 
 
 def _one_cell():
-    (cell,) = select_cells([CELL_ID])
+    (cell,) = GATES["regress"].select([CELL_ID])
     return cell
 
 
@@ -183,6 +184,42 @@ def _regress_spec(cell) -> dict:
     from dataclasses import asdict
 
     return dict(asdict(cell), hints=None)
+
+
+#: The executor wire, one sample per family: the family name plus
+#: ``family.spec(cell, extra)`` is the cache identity, so a rename of either
+#: silently orphans every cached record.
+WIRE_SAMPLES = {
+    "regress": ("flashx-particles:mpi-io:8", {
+        "figure": "flashx-particles", "strategy": "mpi-io", "nprocs": 8,
+        "problem": "flashx-particles", "machine": "origin2000",
+        "do_read": True, "read_op": "restart", "hints": None}),
+    "scale": ("chiba_city:hdf4:P1024", {
+        "machine": "chiba_city", "strategy": "hdf4", "nprocs": 1024}),
+    "overlap": ("overlap:chiba_city_local:mpi-io-async:P8", {
+        "machine": "chiba_city_local", "sync": "mpi-io",
+        "async_": "mpi-io-async", "problem": "AMR64", "nprocs": 8,
+        "ncycles": 3}),
+    "insights": ("insights:hdf5-aligned:4", {
+        "strategy": "hdf5-aligned", "machine": "origin2000",
+        "problem": "AMR16", "nprocs": 4}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIRE_SAMPLES))
+def test_family_wire_spec_is_pinned(name):
+    cell_id, spec = WIRE_SAMPLES[name]
+    family = get_family(name)
+    cell = GATES[name].matrix[-1]
+    assert family.name == name
+    assert family.cell_id(cell) == cell_id
+    assert family.spec(cell, {}) == spec
+
+
+def test_perturb_hints_are_part_of_the_regress_spec():
+    spec = get_family("regress").spec(
+        _one_cell(), {"hints": {"cb_buffer_size": 65536}})
+    assert spec["hints"] == {"cb_buffer_size": 65536}
 
 
 # -- environment switches -----------------------------------------------------

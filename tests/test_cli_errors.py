@@ -170,6 +170,41 @@ class TestFilesystemConstraintErrors:
         assert "mpi-io" in captured.out  # compatible strategies still ran
 
 
+class TestGateUsageErrors:
+    """Usage errors the gate commands used to disagree on: all exit 2
+    with a message naming the flag, before any cell runs."""
+
+    @pytest.mark.parametrize("command", ["regress", "scale"])
+    @pytest.mark.parametrize("rtol", ["-1", "nan"])
+    def test_bad_rtol_exits_2(self, command, rtol, capsys):
+        rc = main([command, "--rtol", rtol, "--quiet"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--rtol" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command, cell", [
+        ("regress", "fig5:two-phase:8"), ("scale", "origin2000:hdf4:16")])
+    def test_wrong_schema_baseline_exits_2(self, command, cell, tmp_path,
+                                           capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": 99, "cells": {}}))
+        rc = main([command, "--cell", cell, "--baseline", str(bad),
+                   "--quiet", "--timings", ""])
+        assert rc == 2
+        assert "schema" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--procs", "--cycles"])
+    def test_overlap_rejects_nonpositive_sizes(self, flag, tmp_path, capsys):
+        rc = main(["overlap", flag, "0", "--machine", "origin2000",
+                   "--out", str(tmp_path / "o.json"), "--timings", ""])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "o.json").exists()
+
+
 @pytest.mark.parametrize("argv", [["--retries", "2"], []])
 def test_analyze_accepts_retries_flag(argv, capsys):
     rc = main(["analyze", "--problem", "AMR16", "--procs", "2",

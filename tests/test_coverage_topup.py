@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.iostack import registry
 from repro.mpi import collectives as coll
 from repro.mpi import run_spmd
 
@@ -139,11 +140,10 @@ class TestViewNonContiguousPointerIO:
 class TestMachineEdges:
     def test_single_proc_machine_runs_everything(self):
         from repro.bench import build_workload, run_checkpoint_experiment
-        from repro.enzo import HDF4Strategy
         from repro.topology import origin2000
 
         r = run_checkpoint_experiment(
-            origin2000(nprocs=1), HDF4Strategy(), build_workload("AMR16"),
+            origin2000(nprocs=1), registry.create("hdf4"), build_workload("AMR16"),
             nprocs=1,
         )
         assert r.write_time > 0 and r.read_time > 0

@@ -11,7 +11,8 @@ import pytest
 
 from repro.amr import make_initial_conditions
 from repro.core import trace_filesystem
-from repro.enzo import MPIIOStrategy, RankState, hierarchies_equivalent
+from repro.enzo import RankState, hierarchies_equivalent
+from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.pfs import InjectedIOError
 from repro.resilience import ManifestVerificationError, RetryPolicy
@@ -49,7 +50,7 @@ def read_program(strategy, base="ckpt"):
 def write_count(hierarchy):
     """Data-write count of a clean dump (sidecar + data + manifest)."""
     m = make_machine(NPROCS)
-    run_spmd(m, write_program(hierarchy, MPIIOStrategy()))
+    run_spmd(m, write_program(hierarchy, registry.create("mpi-io")))
     return m.fs.counters.writes
 
 
@@ -66,10 +67,10 @@ def test_fault_at_every_write_index_with_retry_recovers(
     for index in range(write_count):
         m = make_machine(NPROCS)
         m.fs.inject_fault("write", "ckpt", after=index)
-        strategy = MPIIOStrategy(retry=RetryPolicy(max_retries=2))
+        strategy = registry.create("mpi-io", retry=RetryPolicy(max_retries=2))
         run_spmd(m, write_program(hierarchy, strategy))
         assert m.fs.counters.recoveries > 0, f"index {index}: never fired"
-        res = run_spmd(m, read_program(MPIIOStrategy()))
+        res = run_spmd(m, read_program(registry.create("mpi-io")))
         rebuilt = RankState.collect(res.results)
         assert hierarchies_equivalent(rebuilt, hierarchy), f"index {index}"
 
@@ -84,12 +85,12 @@ def test_fault_at_every_write_index_without_retry_fails_loudly(
         m = make_machine(NPROCS)
         m.fs.inject_fault("write", "ckpt", after=index)
         with pytest.raises(RankFailedError) as ei:
-            run_spmd(m, write_program(hierarchy, MPIIOStrategy()))
+            run_spmd(m, write_program(hierarchy, registry.create("mpi-io")))
         assert isinstance(ei.value.__cause__, InjectedIOError), f"index {index}"
         # The interrupted dump must not be restartable: whatever is on
         # disk (missing sidecar, torn data, absent manifest) raises.
         with pytest.raises(RankFailedError):
-            run_spmd(m, read_program(MPIIOStrategy()))
+            run_spmd(m, read_program(registry.create("mpi-io")))
 
 
 def test_torn_write_acceptance_scenario(hierarchy):
@@ -103,7 +104,7 @@ def test_torn_write_acceptance_scenario(hierarchy):
     trace = trace_filesystem(m.fs)
     m.fs.inject_fault("write", "ckpt", mode="torn", after=4,
                       torn_fraction=0.5)
-    strategy = MPIIOStrategy(retry=RetryPolicy(max_retries=2))
+    strategy = registry.create("mpi-io", retry=RetryPolicy(max_retries=2))
     run_spmd(m, write_program(hierarchy, strategy))
 
     summary = trace.recovery_summary()
@@ -112,7 +113,7 @@ def test_torn_write_acceptance_scenario(hierarchy):
     assert summary.get("giveup", 0) == 0
     assert all(e.attempt >= 1 for e in trace.recoveries("retry"))
 
-    res = run_spmd(m, read_program(MPIIOStrategy()))
+    res = run_spmd(m, read_program(registry.create("mpi-io")))
     trace.detach()
     rebuilt = RankState.collect(res.results)
     assert hierarchies_equivalent(rebuilt, hierarchy)
@@ -127,7 +128,7 @@ def test_exhausted_retries_leave_a_rejected_checkpoint(hierarchy):
     # min_nbytes spares the small hierarchy sidecar so the restart gets
     # far enough to reach the manifest gate, which is the layer under test.
     m.fs.inject_fault("write", "ckpt", mode="persistent", min_nbytes=4096)
-    strategy = MPIIOStrategy(retry=RetryPolicy(max_retries=2))
+    strategy = registry.create("mpi-io", retry=RetryPolicy(max_retries=2))
     with pytest.raises(RankFailedError) as ei:
         run_spmd(m, write_program(hierarchy, strategy))
     assert isinstance(ei.value.__cause__, InjectedIOError)
@@ -136,7 +137,7 @@ def test_exhausted_retries_leave_a_rejected_checkpoint(hierarchy):
 
     m.fs.clear_faults()
     with pytest.raises(RankFailedError) as ei:
-        run_spmd(m, read_program(MPIIOStrategy()))
+        run_spmd(m, read_program(registry.create("mpi-io")))
     assert isinstance(ei.value.__cause__, ManifestVerificationError)
     assert "no manifest" in str(ei.value.__cause__)
 
@@ -144,12 +145,12 @@ def test_exhausted_retries_leave_a_rejected_checkpoint(hierarchy):
 def test_torn_manifest_itself_is_rejected(hierarchy):
     """Tearing the commit record must read as 'dump never committed'."""
     m = make_machine(NPROCS)
-    run_spmd(m, write_program(hierarchy, MPIIOStrategy()))
+    run_spmd(m, write_program(hierarchy, registry.create("mpi-io")))
     # Corrupt the manifest in place: truncate it to half its bytes.
     f = m.fs.store.open("ckpt.manifest")
     f.truncate(f.size // 2)
     with pytest.raises(RankFailedError) as ei:
-        run_spmd(m, read_program(MPIIOStrategy()))
+        run_spmd(m, read_program(registry.create("mpi-io")))
     assert isinstance(ei.value.__cause__, ManifestVerificationError)
 
 
@@ -164,8 +165,6 @@ def test_torn_manifest_itself_is_rejected(hierarchy):
 
 @pytest.fixture(scope="module")
 def async_write_count(hierarchy):
-    from repro.iostack import registry
-
     m = make_machine(NPROCS)
     run_spmd(m, write_program(hierarchy, registry.create("mpi-io-async")))
     return m.fs.counters.writes
@@ -177,8 +176,6 @@ def test_async_fault_at_every_write_index_with_retry_recovers(
     hierarchy, async_write_count
 ):
     """Background retries absorb a one-shot fault at any posted write."""
-    from repro.iostack import registry
-
     for index in range(async_write_count):
         m = make_machine(NPROCS)
         m.fs.inject_fault("write", "ckpt", after=index)
@@ -187,7 +184,7 @@ def test_async_fault_at_every_write_index_with_retry_recovers(
         )
         run_spmd(m, write_program(hierarchy, strategy))
         assert m.fs.counters.recoveries > 0, f"index {index}: never fired"
-        res = run_spmd(m, read_program(MPIIOStrategy()))
+        res = run_spmd(m, read_program(registry.create("mpi-io")))
         rebuilt = RankState.collect(res.results)
         assert hierarchies_equivalent(rebuilt, hierarchy), f"index {index}"
 
@@ -199,8 +196,6 @@ def test_async_fault_at_every_write_index_without_retry_fails_loudly(
 ):
     """No retry: the deferred error aborts at (or before) the flush
     barrier, the manifest is never committed, and the restart refuses."""
-    from repro.iostack import registry
-
     for index in range(async_write_count):
         m = make_machine(NPROCS)
         m.fs.inject_fault("write", "ckpt", after=index)
@@ -208,7 +203,7 @@ def test_async_fault_at_every_write_index_without_retry_fails_loudly(
             run_spmd(m, write_program(hierarchy, registry.create("mpi-io-async")))
         assert isinstance(ei.value.__cause__, InjectedIOError), f"index {index}"
         with pytest.raises(RankFailedError):
-            run_spmd(m, read_program(MPIIOStrategy()))
+            run_spmd(m, read_program(registry.create("mpi-io")))
 
 
 # -- the Lustre cell: same contract on per-file stripe layouts ---------------
@@ -231,7 +226,7 @@ def make_lustre_machine():
 @pytest.fixture(scope="module")
 def lustre_write_count(hierarchy):
     m = make_lustre_machine()
-    run_spmd(m, write_program(hierarchy, MPIIOStrategy()))
+    run_spmd(m, write_program(hierarchy, registry.create("mpi-io")))
     return m.fs.counters.writes
 
 
@@ -244,20 +239,20 @@ def test_lustre_fault_at_every_write_index(hierarchy, lustre_write_count):
     for index in range(lustre_write_count):
         m = make_lustre_machine()
         m.fs.inject_fault("write", "ckpt", after=index)
-        strategy = MPIIOStrategy(retry=RetryPolicy(max_retries=2))
+        strategy = registry.create("mpi-io", retry=RetryPolicy(max_retries=2))
         run_spmd(m, write_program(hierarchy, strategy))
         assert m.fs.counters.recoveries > 0, f"index {index}: never fired"
-        res = run_spmd(m, read_program(MPIIOStrategy()))
+        res = run_spmd(m, read_program(registry.create("mpi-io")))
         rebuilt = RankState.collect(res.results)
         assert hierarchies_equivalent(rebuilt, hierarchy), f"index {index}"
 
         m = make_lustre_machine()
         m.fs.inject_fault("write", "ckpt", after=index)
         with pytest.raises(RankFailedError) as ei:
-            run_spmd(m, write_program(hierarchy, MPIIOStrategy()))
+            run_spmd(m, write_program(hierarchy, registry.create("mpi-io")))
         assert isinstance(ei.value.__cause__, InjectedIOError), f"index {index}"
         with pytest.raises(RankFailedError):
-            run_spmd(m, read_program(MPIIOStrategy()))
+            run_spmd(m, read_program(registry.create("mpi-io")))
 
 
 # -- the scda composition: faults under the serial-equivalent format ---------
@@ -270,8 +265,6 @@ def test_lustre_fault_at_every_write_index(hierarchy, lustre_write_count):
 
 @pytest.fixture(scope="module")
 def scda_write_count(hierarchy):
-    from repro.iostack import registry
-
     m = make_machine(NPROCS)
     run_spmd(m, write_program(hierarchy, registry.create("mpi-io-scda")))
     return m.fs.counters.writes
@@ -282,8 +275,6 @@ def scda_write_count(hierarchy):
 def test_scda_fault_at_every_write_index_with_retry_recovers(
     hierarchy, scda_write_count
 ):
-    from repro.iostack import registry
-
     for index in range(scda_write_count):
         m = make_machine(NPROCS)
         m.fs.inject_fault("write", "ckpt", after=index)
@@ -302,8 +293,6 @@ def test_scda_fault_at_every_write_index_with_retry_recovers(
 def test_scda_fault_at_every_write_index_without_retry_fails_loudly(
     hierarchy, scda_write_count
 ):
-    from repro.iostack import registry
-
     for index in range(scda_write_count):
         m = make_machine(NPROCS)
         m.fs.inject_fault("write", "ckpt", after=index)

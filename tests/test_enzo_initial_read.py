@@ -1,25 +1,23 @@
 """Tests for the new-simulation (initial) read path of every strategy."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.amr import BlockPartition, Grid, make_initial_conditions
 from repro.enzo import (
-    HDF4Strategy,
-    HDF5Strategy,
-    MPIIOStrategy,
     RankState,
     hierarchies_equivalent,
 )
 from repro.enzo.state import PartitionedState
+from repro.iostack import registry
 from repro.mpi import run_spmd
 
 from .conftest import make_machine
 
 STRATEGIES = {
-    "hdf4": HDF4Strategy,
-    "mpi-io": MPIIOStrategy,
-    "hdf5": HDF5Strategy,
+    name: partial(registry.create, name) for name in ("hdf4", "mpi-io", "hdf5")
 }
 
 
@@ -110,7 +108,7 @@ def test_initial_read_more_ranks_than_cells(hierarchy):
     """Grids smaller than the communicator leave trailing ranks empty."""
     # Build a tiny hierarchy whose subgrid is very small.
     h = make_initial_conditions((8, 8, 8), seed=5, pre_refine=1)
-    states, _ = write_then_initial_read(h, MPIIOStrategy, 2, 8)
+    states, _ = write_then_initial_read(h, STRATEGIES["mpi-io"], 2, 8)
     rebuilt = PartitionedState.collect(states)
     assert hierarchies_equivalent(rebuilt, h)
 
@@ -121,12 +119,12 @@ def test_initial_read_hdf4_funnels_through_rank0(hierarchy):
 
     def wp(comm):
         st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        HDF4Strategy().write_checkpoint(comm, st, "ckpt")
+        registry.create("hdf4").write_checkpoint(comm, st, "ckpt")
 
     run_spmd(m, wp)
 
     def rp(comm):
-        _state, stats = HDF4Strategy().read_initial(comm, "ckpt")
+        _state, stats = registry.create("hdf4").read_initial(comm, "ckpt")
         return stats.bytes_moved
 
     res = run_spmd(make_machine(4, fs=m.fs), rp)
@@ -139,12 +137,12 @@ def test_initial_read_mpiio_spreads_bytes(hierarchy):
 
     def wp(comm):
         st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        MPIIOStrategy().write_checkpoint(comm, st, "ckpt")
+        registry.create("mpi-io").write_checkpoint(comm, st, "ckpt")
 
     run_spmd(m, wp)
 
     def rp(comm):
-        _state, stats = MPIIOStrategy().read_initial(comm, "ckpt")
+        _state, stats = registry.create("mpi-io").read_initial(comm, "ckpt")
         return stats.bytes_moved
 
     res = run_spmd(make_machine(4, fs=m.fs), rp)

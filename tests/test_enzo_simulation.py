@@ -5,11 +5,10 @@ import pytest
 from repro.enzo import (
     EnzoConfig,
     EnzoSimulation,
-    HDF4Strategy,
-    MPIIOStrategy,
     RankState,
     hierarchies_equivalent,
 )
+from repro.iostack import registry
 from repro.mpi import run_spmd
 
 from .conftest import make_machine
@@ -22,7 +21,7 @@ def make_sim(strategy=None, **cfg_kw):
     config = EnzoConfig(**defaults)
     return EnzoSimulation(
         config=config,
-        strategy=strategy or MPIIOStrategy(),
+        strategy=strategy or registry.create("mpi-io"),
         hierarchy=EnzoSimulation.build_initial_hierarchy(config),
     )
 
@@ -77,7 +76,7 @@ class TestSimulationRun:
         assert len(sim.read_stats) == 4  # one per rank
 
     def test_restart_with_hdf4(self):
-        sim = make_sim(strategy=HDF4Strategy())
+        sim = make_sim(strategy=registry.create("hdf4"))
         m = make_machine(3)
         res = run_spmd(m, lambda c: sim.run(c, base="h"), nprocs=3)
         last = res.results[0]["dumps"][-1]
@@ -87,7 +86,7 @@ class TestSimulationRun:
 
     def test_run_requires_hierarchy(self):
         config = EnzoConfig(problem="AMR16")
-        sim = EnzoSimulation(config=config, strategy=MPIIOStrategy())
+        sim = EnzoSimulation(config=config, strategy=registry.create("mpi-io"))
         m = make_machine(1)
         from repro.sim import RankFailedError
 

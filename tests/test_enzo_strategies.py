@@ -1,24 +1,22 @@
 """Integration tests: checkpoint write + restart round-trips per strategy."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from repro.amr import make_initial_conditions
 from repro.enzo import (
-    HDF4Strategy,
-    HDF5Strategy,
-    MPIIOStrategy,
     RankState,
     hierarchies_equivalent,
 )
+from repro.iostack import registry
 from repro.mpi import run_spmd
 
 from .conftest import make_machine
 
 STRATEGIES = {
-    "hdf4": HDF4Strategy,
-    "mpi-io": MPIIOStrategy,
-    "hdf5": HDF5Strategy,
+    name: partial(registry.create, name) for name in ("hdf4", "mpi-io", "hdf5")
 }
 
 
@@ -72,9 +70,9 @@ def test_restart_at_different_proc_count(hierarchy, name):
 
 def test_cross_strategy_checkpoints_agree(hierarchy):
     """A checkpoint written by any strategy restores the same hierarchy."""
-    _, _, via_mpiio = dump_and_restart(hierarchy, MPIIOStrategy, 4)
-    _, _, via_hdf4 = dump_and_restart(hierarchy, HDF4Strategy, 2)
-    _, _, via_hdf5 = dump_and_restart(hierarchy, HDF5Strategy, 3)
+    _, _, via_mpiio = dump_and_restart(hierarchy, STRATEGIES["mpi-io"], 4)
+    _, _, via_hdf4 = dump_and_restart(hierarchy, STRATEGIES["hdf4"], 2)
+    _, _, via_hdf5 = dump_and_restart(hierarchy, STRATEGIES["hdf5"], 3)
     assert hierarchies_equivalent(via_mpiio, via_hdf4)
     assert hierarchies_equivalent(via_mpiio, via_hdf5)
 
@@ -103,7 +101,7 @@ def test_hdf4_gathers_to_rank0(hierarchy):
 
     def program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        HDF4Strategy().write_checkpoint(comm, state, "ckpt")
+        registry.create("hdf4").write_checkpoint(comm, state, "ckpt")
         return None
 
     run_spmd(machine, program)
@@ -118,7 +116,7 @@ def test_mpiio_uses_collective_io(hierarchy):
 
     def program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        MPIIOStrategy().write_checkpoint(comm, state, "ckpt")
+        registry.create("mpi-io").write_checkpoint(comm, state, "ckpt")
         return None
 
     run_spmd(machine, program)
@@ -132,7 +130,7 @@ def test_mpiio_uses_collective_io(hierarchy):
 
 def test_checkpoint_files_differ_by_strategy(hierarchy):
     """HDF4 makes one file per grid; the others one shared file + sidecar."""
-    _, _, _ = dump_and_restart(hierarchy, HDF4Strategy, 2)
+    _, _, _ = dump_and_restart(hierarchy, STRATEGIES["hdf4"], 2)
 
     machine = make_machine(2)
 
@@ -141,12 +139,12 @@ def test_checkpoint_files_differ_by_strategy(hierarchy):
         cls().write_checkpoint(comm, state, "ckpt")
         return None
 
-    run_spmd(machine, program, args=(MPIIOStrategy,))
+    run_spmd(machine, program, args=(STRATEGIES["mpi-io"],))
     files = machine.fs.store.listdir()
     assert files == ["ckpt", "ckpt.hierarchy", "ckpt.manifest"]
 
     machine4 = make_machine(2)
-    run_spmd(machine4, program, args=(HDF4Strategy,))
+    run_spmd(machine4, program, args=(STRATEGIES["hdf4"],))
     files4 = machine4.fs.store.listdir()
     assert "ckpt.grid0000" in files4
     # sidecar + manifest + top-grid file + one file per subgrid
@@ -160,7 +158,7 @@ def test_deterministic_checkpoint_bytes(hierarchy):
 
     def program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        MPIIOStrategy().write_checkpoint(comm, state, "ckpt")
+        registry.create("mpi-io").write_checkpoint(comm, state, "ckpt")
         return comm.clock
 
     r1 = run_spmd(m1, program)
@@ -180,18 +178,18 @@ class TestValidation:
 
         def wa(comm):
             st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-            MPIIOStrategy().write_checkpoint(comm, st, "a")
+            registry.create("mpi-io").write_checkpoint(comm, st, "a")
 
         run_spmd(m_a, wa)
         m_b = make_machine(2)
 
         def wb(comm):
             st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-            HDF4Strategy().write_checkpoint(comm, st, "b")
+            registry.create("hdf4").write_checkpoint(comm, st, "b")
 
         run_spmd(m_b, wb)
         report = compare_checkpoints(
-            m_a.fs, MPIIOStrategy(), "a", m_b.fs, HDF4Strategy(), "b"
+            m_a.fs, registry.create("mpi-io"), "a", m_b.fs, registry.create("hdf4"), "b"
         )
         assert report.ok, report.summary()
         assert report.compared > 0
@@ -205,7 +203,7 @@ class TestValidation:
         for m, name in ((m_a, "a"), (m_b, "b")):
             def w(comm, base=name):
                 st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-                MPIIOStrategy().write_checkpoint(comm, st, base)
+                registry.create("mpi-io").write_checkpoint(comm, st, base)
 
             run_spmd(m, w)
         # Flip one data byte in b's shared file (well past the header).
@@ -213,7 +211,8 @@ class TestValidation:
         original = f.read(1000, 1)
         f.write(1000, bytes([original[0] ^ 0xFF]))
         report = compare_checkpoints(
-            m_a.fs, MPIIOStrategy(), "a", m_b.fs, MPIIOStrategy(), "b"
+            m_a.fs, registry.create("mpi-io"), "a",
+            m_b.fs, registry.create("mpi-io"), "b",
         )
         assert not report.ok
         assert report.mismatched
@@ -227,10 +226,10 @@ class TestValidation:
 
         def w(comm):
             st = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-            MPIIOStrategy().write_checkpoint(comm, st, "c")
+            registry.create("mpi-io").write_checkpoint(comm, st, "c")
 
         run_spmd(m, w)
-        arrays = read_checkpoint_arrays(m.fs, MPIIOStrategy(), "c")
+        arrays = read_checkpoint_arrays(m.fs, registry.create("mpi-io"), "c")
         assert (TOP, "field", "density") in arrays
         assert (TOP, "particle", "particle_id") in arrays
         n_arrays_per_grid = 8 + 10

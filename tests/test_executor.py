@@ -13,9 +13,8 @@ import shutil
 
 import pytest
 
-from repro.bench.baselines import select_cells
+from repro.bench import GATES, run_gate
 from repro.bench.executor import default_jobs, resolve_jobs, run_cells
-from repro.bench.regression import run_matrix
 from repro.bench.timings import Telemetry
 from repro.cli import main
 
@@ -24,7 +23,7 @@ SLICE = ["fig6:hdf4:2", "fig6:hdf4:4", "fig6:mpi-io:2", "fig6:mpi-io:4"]
 
 
 def _slice_cells():
-    return select_cells(SLICE)
+    return GATES["regress"].select(SLICE)
 
 
 def _canon(records) -> bytes:
@@ -37,15 +36,15 @@ def _canon(records) -> bytes:
 @pytest.mark.slow
 def test_parallel_matches_serial_byte_for_byte():
     cells = _slice_cells()
-    serial = run_matrix(cells, jobs=1)
-    parallel = run_matrix(cells, jobs=4)
+    serial = run_gate(GATES["regress"], cells, jobs=1)
+    parallel = run_gate(GATES["regress"], cells, jobs=4)
     assert _canon(serial) == _canon(parallel)
 
 
 @pytest.mark.slow
 def test_parallel_preserves_cell_order():
     cells = _slice_cells()
-    payload = run_matrix(cells, jobs=4)
+    payload = run_gate(GATES["regress"], cells, jobs=4)
     assert list(payload["cells"]) == [c.id for c in cells]
 
 

@@ -1,96 +1,13 @@
-"""Tests for the future-work extensions: MDMS, per-file striping, shared
-file pointers, and history-driven hint suggestion."""
+"""Tests for the future-work extensions: per-file striping and shared
+file pointers."""
 
-import numpy as np
 import pytest
 
-from repro.core import MDMS, IOTrace, MetadataRegistry, PatternClass
 from repro.mpi import run_spmd
 from repro.mpiio import File, Hints
-from repro.pfs import FileSystem, StripedServerFS
+from repro.pfs import StripedServerFS
 
 from .conftest import make_machine
-
-
-def make_registry():
-    reg = MetadataRegistry()
-    reg.register("top", "density", (32, 32, 32), np.float64,
-                 PatternClass.REGULAR_BLOCK)
-    reg.register("top", "particle/particle_id", (1000,), np.int64,
-                 PatternClass.IRREGULAR)
-    return reg
-
-
-def make_trace(sizes_writes=(1024, 2048, 4096), sizes_reads=(8192,)):
-    t = IOTrace()
-    clock = 0.0
-    for s in sizes_writes:
-        t.record(op="write", path="f", offset=int(clock * 1000), nbytes=s,
-                 start=clock, end=clock + 0.1, node=0)
-        clock += 0.2
-    for s in sizes_reads:
-        t.record(op="read", path="f", offset=0, nbytes=s, start=clock,
-                 end=clock + 0.1, node=1)
-        clock += 0.2
-    return t
-
-
-class TestMDMS:
-    def test_register_and_advise(self):
-        fs = FileSystem()
-        mdms = MDMS(fs)
-        plan = mdms.register_application("enzo", make_registry(),
-                                         stripe_size=65536)
-        assert plan.plan_for("density").method == "collective_subarray"
-        one = mdms.advise("enzo", "top", "particle/particle_id")
-        assert one.method == "sort_blockwise"
-        assert mdms.applications() == ["enzo"]
-
-    def test_persistence_across_instances(self):
-        fs = FileSystem()
-        mdms = MDMS(fs)
-        mdms.register_application("enzo", make_registry(), stripe_size=4096)
-        mdms.record_run("enzo", make_trace())
-        # A new MDMS over the same (simulated) file system sees everything.
-        again = MDMS(fs)
-        assert again.applications() == ["enzo"]
-        assert again.history("enzo").runs == 1
-        assert again.advise("enzo").align_to_stripe == 4096
-        md = again.registry("enzo").lookup("top", "density")
-        assert md.pattern is PatternClass.REGULAR_BLOCK
-
-    def test_history_folding(self):
-        fs = FileSystem()
-        mdms = MDMS(fs)
-        mdms.register_application("enzo", make_registry())
-        mdms.record_run("enzo", make_trace())
-        mdms.record_run("enzo", make_trace(sizes_writes=(100,) * 5))
-        h = mdms.history("enzo")
-        assert h.runs == 2
-        assert h.total_write_requests == 8
-        assert h.median_write_size == 100  # latest run's median
-
-    def test_suggest_hints_from_history(self):
-        fs = FileSystem()
-        mdms = MDMS(fs)
-        mdms.register_application("enzo", make_registry(), stripe_size=8192)
-        mdms.record_run("enzo", make_trace())
-        hints = mdms.suggest_hints("enzo")
-        assert hints["cb_buffer_size"] >= 1 << 20
-        assert hints["cb_align"] == 8192
-        assert hints["ds_write"] is True  # strided writes observed
-
-    def test_unknown_application(self):
-        mdms = MDMS(FileSystem())
-        with pytest.raises(KeyError):
-            mdms.advise("nope")
-
-    def test_db_file_really_exists(self):
-        fs = FileSystem()
-        mdms = MDMS(fs, db_path="meta/mdms.db")
-        mdms.register_application("enzo", make_registry())
-        assert fs.exists("meta/mdms.db")
-        assert fs.file_size("meta/mdms.db") > 0
 
 
 class TestPerFileStriping:

@@ -8,7 +8,8 @@ from repro.bench import (
     format_utilization_report,
     run_checkpoint_experiment,
 )
-from repro.enzo import HDF4Strategy, MPIIOStrategy, RankState
+from repro.enzo import RankState
+from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.pfs import FileSystem, InjectedIOError
 from repro.sim import RankFailedError
@@ -55,8 +56,11 @@ class TestFaultInjection:
         with pytest.raises(ValueError):
             FileSystem().inject_fault("sync")
 
-    @pytest.mark.parametrize("cls", [MPIIOStrategy, HDF4Strategy])
-    def test_fault_surfaces_through_checkpoint_write(self, cls):
+    @pytest.mark.parametrize("name", [
+        pytest.param("mpi-io", id="MPIIOStrategy"),
+        pytest.param("hdf4", id="HDF4Strategy"),
+    ])
+    def test_fault_surfaces_through_checkpoint_write(self, name):
         """A disk error mid-dump aborts the SPMD job with the real cause."""
         h = build_workload("AMR16")
         m = make_machine(4)
@@ -64,7 +68,7 @@ class TestFaultInjection:
 
         def program(comm):
             state = RankState.from_hierarchy(h, comm.rank, comm.size)
-            cls().write_checkpoint(comm, state, "ckpt")
+            registry.create(name).write_checkpoint(comm, state, "ckpt")
 
         with pytest.raises(RankFailedError) as ei:
             run_spmd(m, program)
@@ -76,13 +80,13 @@ class TestFaultInjection:
 
         def wp(comm):
             state = RankState.from_hierarchy(h, comm.rank, comm.size)
-            MPIIOStrategy().write_checkpoint(comm, state, "ckpt")
+            registry.create("mpi-io").write_checkpoint(comm, state, "ckpt")
 
         run_spmd(m, wp)
         m.fs.inject_fault("read", "ckpt", after=3)
 
         def rp(comm):
-            MPIIOStrategy().read_initial(comm, "ckpt")
+            registry.create("mpi-io").read_initial(comm, "ckpt")
 
         with pytest.raises(RankFailedError) as ei:
             run_spmd(m, rp)
@@ -93,7 +97,7 @@ class TestUtilizationReport:
     def test_rows_for_striped_machine(self):
         m = origin2000(nprocs=4)
         r = run_checkpoint_experiment(
-            m, MPIIOStrategy(), build_workload("AMR16"), nprocs=4,
+            m, registry.create("mpi-io"), build_workload("AMR16"), nprocs=4,
             do_read=False,
         )
         # Note: runner resets timelines before each phase; after the write
@@ -111,7 +115,7 @@ class TestUtilizationReport:
         """The P0 I/O channel is the busiest device under HDF4."""
         m = origin2000(nprocs=8)
         r = run_checkpoint_experiment(
-            m, HDF4Strategy(), build_workload("AMR16"), nprocs=8,
+            m, registry.create("hdf4"), build_workload("AMR16"), nprocs=8,
             do_read=False,
         )
         chan0 = m.fs._client_channels.get(0)
@@ -127,7 +131,7 @@ class TestUtilizationReport:
 
         m = chiba_city_local(4)
         r = run_checkpoint_experiment(
-            m, MPIIOStrategy(), build_workload("AMR16"), nprocs=4,
+            m, registry.create("mpi-io"), build_workload("AMR16"), nprocs=4,
             do_read=False,
         )
         rows = device_utilization(m, r.write_time)
@@ -140,7 +144,7 @@ class TestUtilizationReport:
 
         m = lustre(4)
         r = run_checkpoint_experiment(
-            m, HDF4Strategy(), build_workload("AMR16"), nprocs=4,
+            m, registry.create("hdf4"), build_workload("AMR16"), nprocs=4,
             do_read=False,
         )
         rows = {row[0]: row for row in device_utilization(m, r.write_time)}

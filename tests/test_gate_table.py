@@ -1,0 +1,87 @@
+"""Invariants of the gate table (``repro.bench.GATES``).
+
+Every gate command is one :class:`~repro.bench.cellrunner.Gate` row served
+by one driver, so the per-row checks live here once: ids, selection, the
+executor family, the committed baseline, and the CLI surface the row's
+sub-parser exposes (hard-coded: a row edit must not add or drop a flag).
+"""
+
+import argparse
+import os
+
+import pytest
+
+from repro.bench import GATES
+from repro.bench.cellrunner import get_family, load_baseline
+from repro.bench.regression import CADENCE_METRICS
+from repro.cli import build_parser
+
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+EXECUTOR = {"--jobs", "--no-cache", "--timings"}
+BASELINED = {"--update-baseline", "--baseline", "--rtol", "--out",
+             "--cell", "--list-cells", "--quiet"} | EXECUTOR
+OPTION_STRINGS = {
+    "regress": BASELINED | {"--perturb"},
+    "scale": BASELINED,
+    "overlap": {"--procs", "--cycles", "--machine", "--out", "--quiet"}
+    | EXECUTOR,
+    "insights": {"--quiet"} | EXECUTOR,
+}
+
+
+def _subparser(parser, words):
+    for word in words:
+        (action,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+        parser = action.choices[word]
+    return parser
+
+
+def test_the_table_has_exactly_the_four_gates():
+    assert list(GATES) == ["regress", "scale", "overlap", "insights"]
+    assert [g.command for g in GATES.values()] == [
+        "regress", "scale", "overlap", "bench insights"]
+
+
+@pytest.mark.parametrize("name", sorted(OPTION_STRINGS))
+class TestEveryRow:
+    def test_family_resolves_and_ids_are_unique(self, name):
+        gate = GATES[name]
+        family = get_family(gate.family)
+        assert family.name == gate.family == name
+        ids = [family.cell_id(c) for c in gate.matrix]
+        assert len(ids) == len(set(ids))
+
+    def test_select_none_is_the_matrix(self, name):
+        gate = GATES[name]
+        assert gate.select(None) == list(gate.matrix)
+        assert gate.select([]) == list(gate.matrix)
+
+    def test_trends_read_matrix_cells(self, name):
+        gate = GATES[name]
+        family = get_family(gate.family)
+        ids = {family.cell_id(c) for c in gate.matrix}
+        for t in gate.trends:
+            assert set(t.cells) <= ids, t.id
+
+    def test_committed_baseline_covers_the_row(self, name):
+        gate = GATES[name]
+        if gate.baseline is None:
+            assert gate.check is not None, "a gate must diff or check"
+            return
+        family = get_family(gate.family)
+        payload = load_baseline(gate, os.path.join(REPO_ROOT, gate.baseline))
+        assert set(payload["cells"]) == {family.cell_id(c)
+                                         for c in gate.matrix}
+        assert {t["id"] for t in payload["trends"]} == {t.id
+                                                        for t in gate.trends}
+        for record in payload["cells"].values():
+            for metric in gate.exact_metrics + gate.banded_metrics:
+                # cadence counters exist on cadence cells only
+                assert metric in record or metric in CADENCE_METRICS, metric
+
+    def test_subparser_exposes_exactly_the_parents_options(self, name):
+        sub = _subparser(build_parser(), GATES[name].command.split())
+        flags = {s for a in sub._actions for s in a.option_strings}
+        assert flags - {"-h", "--help"} == OPTION_STRINGS[name]

@@ -5,6 +5,7 @@ import pytest
 from repro.core import IOTrace
 from repro.insights import Severity, diagnose
 from repro.insights.rules import Thresholds
+from repro.iostack import registry
 
 
 def make_trace(*, writes=0, retries=0, recovered=0, giveups=0, degraded=0):
@@ -95,7 +96,7 @@ class TestEndToEnd:
     def faulted_trace(self):
         from repro.bench import build_workload
         from repro.core import trace_filesystem
-        from repro.enzo import MPIIOStrategy, RankState
+        from repro.enzo import RankState
         from repro.mpi import run_spmd
         from repro.resilience import RetryPolicy
 
@@ -105,7 +106,7 @@ class TestEndToEnd:
         m = make_machine(4)
         trace = trace_filesystem(m.fs)
         m.fs.inject_fault("write", "ckpt", after=3)
-        strategy = MPIIOStrategy(retry=RetryPolicy(max_retries=2))
+        strategy = registry.create("mpi-io", retry=RetryPolicy(max_retries=2))
 
         def program(comm):
             state = RankState.from_hierarchy(h, comm.rank, comm.size)

@@ -6,9 +6,9 @@ import pytest
 
 from repro.bench import build_workload, run_traced_experiment
 from repro.cli import main
-from repro.enzo import HDF4Strategy, MPIIOStrategy
 from repro.insights import AutoTuner, Severity, diagnose
 from repro.insights.autotune import stripe_size_of
+from repro.iostack import registry
 from repro.mpiio.hints import Hints
 from repro.topology import origin2000
 
@@ -59,7 +59,7 @@ def diagnose_run(strategy, hints, nprocs=8):
 def test_figure6_contrast_hdf4_high_vs_tuned_clean():
     """The acceptance criterion: the Figure-6 workload diagnoses HIGH under
     serial HDF4 and clean under tuned collective MPI-IO."""
-    diag = diagnose_run(HDF4Strategy(), None)
+    diag = diagnose_run(registry.create("hdf4"), None)
     assert diag.count(Severity.HIGH) >= 1
     rules = {i.rule for i in diag.findings(Severity.HIGH)}
     assert rules & {"small-requests", "file-per-grid", "single-writer"}
@@ -68,7 +68,7 @@ def test_figure6_contrast_hdf4_high_vs_tuned_clean():
     tuned = Hints().replace(
         wb_buffer_size=4 * MB, cb_align=stripe, striping_unit=stripe
     )
-    diag = diagnose_run(MPIIOStrategy(hints=tuned), tuned)
+    diag = diagnose_run(registry.create("mpi-io", hints=tuned), tuned)
     assert diag.count(Severity.HIGH) == 0
 
 
@@ -90,7 +90,7 @@ def test_cli_tune_writes_bench_artifact(tmp_path, capsys):
 def saved_trace(tmp_path):
     machine = origin2000(nprocs=4)
     _result, trace = run_traced_experiment(
-        machine, HDF4Strategy(), build_workload("AMR16"),
+        machine, registry.create("hdf4"), build_workload("AMR16"),
         nprocs=4, do_read=False,
     )
     path = tmp_path / "trace.json"

@@ -1,39 +1,22 @@
-"""Layered I/O stack: registry contract and composed-strategy equivalence.
+"""Layered I/O stack: registry contract and composed strategies.
 
-Three properties pin the refactor down:
+Two properties pin the stack down:
 
 * the registry rejects bad registrations (duplicate names, incompatible
   layer combinations) and resolves good ones everywhere strategies are
   named (CLI included);
 * a registered composition is a complete strategy -- ``hdf5-aligned``
-  checkpoints written at one width restart at another;
-* composing the built-in strategies through :func:`repro.iostack.registry.create`
-  is *indistinguishable* from the legacy strategy classes: byte-identical
-  checkpoint files and identical golden-trace digests.
+  checkpoints written at one width restart at another.
 """
 
 import pytest
 
 from repro.amr import make_initial_conditions
-from repro.core import trace_filesystem
-from repro.enzo import (
-    HDF4Strategy,
-    HDF5Strategy,
-    MPIIOStrategy,
-    RankState,
-    hierarchies_equivalent,
-)
+from repro.enzo import RankState, hierarchies_equivalent
 from repro.iostack import registry
 from repro.mpi import run_spmd
 
 from .conftest import make_machine
-
-LEGACY = {
-    "hdf4": HDF4Strategy,
-    "mpi-io": MPIIOStrategy,
-    "hdf5": HDF5Strategy,
-}
-
 
 @pytest.fixture(scope="module")
 def hierarchy():
@@ -57,14 +40,6 @@ def restart(machine, strategy, base="ckpt"):
 
     res = run_spmd(machine, program, nprocs=machine.nprocs)
     return RankState.collect(res.results)
-
-
-def stored_bytes(fs):
-    """Every stored file's full contents, keyed by path."""
-    return {
-        path: fs.store.open(path).read(0, fs.store.open(path).size)
-        for path in fs.store.listdir()
-    }
 
 
 # -- registry contract -------------------------------------------------------
@@ -173,33 +148,3 @@ class TestComposedRoundTrip:
         assert (
             aligned.fs.counters.writes < plain.fs.counters.writes
         )
-
-
-# -- legacy classes vs registry compositions ---------------------------------
-
-
-class TestLegacyComposedEquivalence:
-    @pytest.mark.parametrize("name", sorted(LEGACY))
-    def test_checkpoints_byte_and_digest_identical(self, hierarchy, name):
-        legacy_machine = make_machine(4)
-        legacy_trace = trace_filesystem(legacy_machine.fs, include_meta=True)
-        dump(legacy_machine, hierarchy, LEGACY[name]())
-
-        composed_machine = make_machine(4)
-        composed_trace = trace_filesystem(
-            composed_machine.fs, include_meta=True
-        )
-        dump(composed_machine, hierarchy, registry.create(name))
-
-        assert stored_bytes(legacy_machine.fs) == stored_bytes(
-            composed_machine.fs
-        )
-        assert legacy_trace.digest() == composed_trace.digest()
-
-    @pytest.mark.parametrize("name", sorted(LEGACY))
-    def test_legacy_read_of_composed_dump(self, hierarchy, name):
-        """Cross-compatibility: composed write, legacy class restart."""
-        m = make_machine(4)
-        dump(m, hierarchy, registry.create(name))
-        rebuilt = restart(m, LEGACY[name]())
-        assert hierarchies_equivalent(rebuilt, hierarchy)

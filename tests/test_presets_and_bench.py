@@ -12,7 +12,7 @@ from repro.bench import (
     run_checkpoint_experiment,
     workload_summary,
 )
-from repro.enzo import HDF4Strategy, MPIIOStrategy
+from repro.iostack import registry
 from repro.topology import (
     PRESETS,
     chiba_city,
@@ -88,7 +88,7 @@ class TestRunner:
     def test_result_fields_and_row(self):
         m = origin2000(nprocs=4)
         h = build_workload("AMR16")
-        r = run_checkpoint_experiment(m, MPIIOStrategy(), h, nprocs=4)
+        r = run_checkpoint_experiment(m, registry.create("mpi-io"), h, nprocs=4)
         assert isinstance(r, ExperimentResult)
         assert r.write_time > 0 and r.read_time > 0
         # Writes cover the data plus a little format/sidecar metadata.
@@ -101,7 +101,7 @@ class TestRunner:
     def test_do_read_false_skips_read(self):
         m = origin2000(nprocs=2)
         r = run_checkpoint_experiment(
-            m, MPIIOStrategy(), build_workload("AMR16"), nprocs=2,
+            m, registry.create("mpi-io"), build_workload("AMR16"), nprocs=2,
             do_read=False,
         )
         assert r.read_time == 0.0
@@ -110,7 +110,7 @@ class TestRunner:
     def test_restart_read_op(self):
         m = origin2000(nprocs=2)
         r = run_checkpoint_experiment(
-            m, MPIIOStrategy(), build_workload("AMR16"), nprocs=2,
+            m, registry.create("mpi-io"), build_workload("AMR16"), nprocs=2,
             read_op="restart",
         )
         assert r.read_time > 0
@@ -120,7 +120,7 @@ class TestRunner:
         dump = build_workload("AMR16")
         init = build_initial_workload("AMR16")
         r = run_checkpoint_experiment(
-            m, HDF4Strategy(), dump, nprocs=2, read_hierarchy=init
+            m, registry.create("hdf4"), dump, nprocs=2, read_hierarchy=init
         )
         # The initial files were written alongside the dump files.
         assert any(name.startswith("ckpt.init") for name in m.fs.store.listdir())
@@ -130,14 +130,14 @@ class TestRunner:
         m = origin2000(nprocs=2)
         with pytest.raises(ValueError):
             run_checkpoint_experiment(
-                m, MPIIOStrategy(), build_workload("AMR16"), nprocs=2,
+                m, registry.create("mpi-io"), build_workload("AMR16"), nprocs=2,
                 read_op="nope",
             )
 
     def test_write_read_phases_reported(self):
         m = origin2000(nprocs=2)
         r = run_checkpoint_experiment(
-            m, MPIIOStrategy(), build_workload("AMR16"), nprocs=2
+            m, registry.create("mpi-io"), build_workload("AMR16"), nprocs=2
         )
         assert set(r.write_phases) >= {"top_fields", "top_particles", "subgrids"}
 

@@ -9,7 +9,7 @@ Seeded-random particle sets across P in {1, 2, 4, 8}:
   result must not depend on how the particles were initially placed on
   ranks;
 * the MPI-IO read path's position-based redistribution
-  (``MPIIOStrategy._redistribute_particles``) must deliver every particle
+  (``iostack.transports.redistribute_particles``) must deliver every particle
   to exactly the rank whose sub-domain contains it, losing and duplicating
   nothing, with payload arrays still attached to the right IDs.
 """
@@ -20,9 +20,10 @@ import pytest
 from repro.amr.particles import ParticleSet
 from repro.amr.partition import BlockPartition
 from repro.bench import build_workload
-from repro.enzo import MPIIOStrategy
+from repro.enzo.io_base import IOStrategy
 from repro.enzo.meta import HierarchyMeta
 from repro.enzo.sort import parallel_sort_by_id
+from repro.iostack.transports import redistribute_particles
 from repro.mpi import run_spmd
 
 from .conftest import make_machine
@@ -116,12 +117,11 @@ def test_redistribution_routes_every_particle_home(nprocs, seed):
     root_dims = meta.root.dims
     rng = np.random.default_rng(seed)
     particles = random_particles(rng, 240)
-    strategy = MPIIOStrategy()
     partition = BlockPartition.for_grid(root_dims, nprocs)
     placement = scatter(rng, particles, nprocs)
 
     def program(comm):
-        return strategy._redistribute_particles(
+        return redistribute_particles(
             comm, placement[comm.rank], meta, partition
         )
 
@@ -130,7 +130,7 @@ def test_redistribution_routes_every_particle_home(nprocs, seed):
     merged = ParticleSet.concat(results)
     assert merged.equal_as_sets(particles)  # permutation equivalence
     assert payload_consistent(merged)
-    root = strategy.make_root_shell(meta)
+    root = IOStrategy.make_root_shell(meta)
     for rank, mine in enumerate(results):
         # Stable ID ordering within each rank's chunk.
         assert np.array_equal(mine.ids, np.sort(mine.ids))
@@ -149,12 +149,11 @@ def test_redistribution_then_sort_round_trip(nprocs):
     meta = HierarchyMeta.from_hierarchy(build_workload("AMR16"))
     rng = np.random.default_rng(9)
     particles = random_particles(rng, 160)
-    strategy = MPIIOStrategy()
     partition = BlockPartition.for_grid(meta.root.dims, nprocs)
     placement = scatter(rng, particles, nprocs)
 
     def program(comm):
-        routed = strategy._redistribute_particles(
+        routed = redistribute_particles(
             comm, placement[comm.rank], meta, partition
         )
         mine, offset, counts = parallel_sort_by_id(comm, routed)

@@ -18,19 +18,19 @@ import os
 
 import pytest
 
-from repro.bench import (
-    MATRIX,
-    TRENDS,
-    compare,
-    format_report,
-    load_baseline,
-    parse_perturbations,
-    run_matrix,
-    select_cells,
-)
-from repro.bench.baselines import BASELINE_SCHEMA, cell_by_id
+from functools import partial
+
+from repro.bench import GATES, MATRIX, TRENDS, parse_perturbations, run_gate
+from repro.bench import cellrunner
+from repro.bench.baselines import cell_by_id
 from repro.bench.regression import BANDED_METRICS, EXACT_METRICS
 from repro.cli import main
+
+GATE = GATES["regress"]
+select_cells = GATE.select
+compare = partial(cellrunner.compare, GATE)
+format_report = partial(cellrunner.format_report, GATE)
+load_baseline = partial(cellrunner.load_baseline, GATE)
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BASELINE = os.path.join(REPO_ROOT, "BENCH_figures.json")
@@ -98,6 +98,19 @@ class TestSelectCells:
         with pytest.raises(ValueError):
             select_cells([spec])
 
+    @pytest.mark.parametrize("spec, ids", [
+        ("origin2000:mpi-io:P64", ["origin2000:mpi-io:P64"]),
+        ("chiba*:hdf4:1*", ["chiba_city:hdf4:P16", "chiba_city:hdf4:P128",
+                            "chiba_city:hdf4:P1024"]),
+    ])
+    def test_scale_rows_share_the_grammar(self, spec, ids):
+        assert [c.id for c in GATES["scale"].select([spec])] == ids
+
+    @pytest.mark.parametrize("spec", ["bogus", "origin2000:mpi-io:Px", "a:b:c:d"])
+    def test_bad_scale_specs_raise(self, spec):
+        with pytest.raises(ValueError):
+            GATES["scale"].select([spec])
+
 
 class TestParsePerturbations:
     def test_good_spec(self):
@@ -135,7 +148,7 @@ def fake_payload():
     }
     other = dict(cell, strategy="hdf4", write_bw=50.0, trace_digest="sha256:bbbb")
     return {
-        "schema": BASELINE_SCHEMA,
+        "schema": GATE.schema,
         "rtol": 0.05,
         "cells": {"fig6:mpi-io:8": cell, "fig6:hdf4:8": other},
         "trends": [
@@ -324,11 +337,11 @@ class TestGateOnRealCells:
         collective buffer and one aggregator is no longer 'few large
         requests') and check the trend machinery reports it on live data."""
         cells = select_cells(["fig5"])
-        current = run_matrix(
-            cells,
-            perturb={"fig5:two-phase:8": {
+        current = run_gate(
+            GATE, cells,
+            extras={"fig5:two-phase:8": {"hints": {
                 "cb_buffer_size": 512, "ds_write": False,
-            }},
+            }}},
         )
         failed = [t["id"] for t in current["trends"] if not t["ok"]]
         assert "fig5-collective-fewer-requests" in failed
@@ -338,7 +351,7 @@ class TestGateOnRealCells:
 @pytest.mark.slow
 class TestFullMatrixConformance:
     def test_full_matrix_matches_baseline_and_paper_trends(self):
-        current = run_matrix()
+        current = run_gate(GATE)
         baseline = load_baseline(BASELINE)
         report = compare(current, baseline)
         assert report.ok, format_report(report)

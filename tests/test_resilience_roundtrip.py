@@ -10,17 +10,17 @@ wrong checksum, a degraded collective landing bytes at the wrong offset --
 shows up as an array mismatch or a corrupt report.
 """
 
+from functools import partial
+
 import pytest
 
 from repro.amr import make_initial_conditions
 from repro.enzo import (
-    HDF4Strategy,
-    HDF5Strategy,
-    MPIIOStrategy,
     RankState,
     compare_checkpoints,
     hierarchies_equivalent,
 )
+from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.resilience import RetryPolicy
 from repro.topology import chiba_city_local, origin2000
@@ -28,9 +28,7 @@ from repro.topology import chiba_city_local, origin2000
 from .conftest import make_machine
 
 STRATEGIES = {
-    "hdf4": HDF4Strategy,
-    "mpi-io": MPIIOStrategy,
-    "hdf5": HDF5Strategy,
+    name: partial(registry.create, name) for name in ("hdf4", "mpi-io", "hdf5")
 }
 
 
@@ -96,11 +94,11 @@ def test_cross_strategy_checkpoints_stay_identical_under_faults(hierarchy):
     """mpi-io written with retries vs hdf5 written clean: same arrays."""
     a = make_machine(4)
     a.fs.inject_fault("write", "ckpt", after=5)
-    dump(a, hierarchy, MPIIOStrategy(retry=RetryPolicy(max_retries=2)))
+    dump(a, hierarchy, registry.create("mpi-io", retry=RetryPolicy(max_retries=2)))
     b = make_machine(3)
-    dump(b, hierarchy, HDF5Strategy())
+    dump(b, hierarchy, registry.create("hdf5"))
     report = compare_checkpoints(
-        a.fs, MPIIOStrategy(), "ckpt", b.fs, HDF5Strategy(), "ckpt"
+        a.fs, registry.create("mpi-io"), "ckpt", b.fs, registry.create("hdf5"), "ckpt"
     )
     assert report.ok, report.summary()
 
@@ -112,10 +110,10 @@ def test_different_seeds_are_distinguishable():
     h2 = make_initial_conditions((16, 16, 16), seed=2, pre_refine=0,
                                  particles_per_cell=0.25)
     a, b = make_machine(2), make_machine(2)
-    dump(a, h1, MPIIOStrategy())
-    dump(b, h2, MPIIOStrategy())
+    dump(a, h1, registry.create("mpi-io"))
+    dump(b, h2, registry.create("mpi-io"))
     report = compare_checkpoints(
-        a.fs, MPIIOStrategy(), "ckpt", b.fs, MPIIOStrategy(), "ckpt"
+        a.fs, registry.create("mpi-io"), "ckpt", b.fs, registry.create("mpi-io"), "ckpt"
     )
     assert not report.ok
     assert report.mismatched
@@ -127,7 +125,7 @@ def test_roundtrip_with_retries_on_machine_presets(hierarchy, preset):
     """The resilience layer composes with the timed platform models."""
     m = preset(4)
     m.fs.inject_fault("write", "ckpt", after=4)
-    strategy = MPIIOStrategy(retry=RetryPolicy(max_retries=3))
+    strategy = registry.create("mpi-io", retry=RetryPolicy(max_retries=3))
     dump(m, hierarchy, strategy)
     rebuilt = restart(m, strategy)
     assert hierarchies_equivalent(rebuilt, hierarchy)
@@ -140,7 +138,7 @@ def test_retry_backoff_costs_simulated_time(hierarchy):
         if arm_fault:
             m.fs.inject_fault("write", "ckpt", after=2)
         res = dump(m, hierarchy,
-                   MPIIOStrategy(retry=RetryPolicy(max_retries=2,
+                   registry.create("mpi-io", retry=RetryPolicy(max_retries=2,
                                                    backoff_base=0.5)))
         return max(s.elapsed for s in res.results)
 

@@ -6,6 +6,7 @@ import pytest
 
 from repro.hdf4 import SDFile
 from repro.hdf5 import H5File, ObjectHeader
+from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.mpiio import ADIOFile, File, Hints
 from repro.sim import RankFailedError
@@ -54,24 +55,10 @@ class TestCorruptedFormats:
         with pytest.raises(ValueError, match="capacity"):
             header.pack()
 
-    def test_mdms_schema_version_check(self):
-        import pickle
-
-        from repro.core import MDMS
-        from repro.pfs import FileSystem
-
-        fs = FileSystem()
-        fs.create(".mdms.db")
-        fs.write(".mdms.db", 0,
-                 pickle.dumps({"version": 99, "apps": {}}))
-        with pytest.raises(ValueError, match="schema"):
-            MDMS(fs)
-
     def test_sidecar_missing_fails_cleanly(self):
-        from repro.enzo import MPIIOStrategy
 
         def program(comm):
-            MPIIOStrategy().read_checkpoint(comm, "never-written")
+            registry.create("mpi-io").read_checkpoint(comm, "never-written")
 
         m = make_machine(2)
         with pytest.raises(RankFailedError) as ei:

@@ -151,12 +151,13 @@ def test_particle_exchange_matches_legacy_alltoall():
 
 def test_scale_cell_matches_committed_baseline():
     """One fast cell of the committed BENCH_scale.json reproduces exactly."""
-    from repro.bench.scale import compare_scale, load_scale_baseline
+    from repro.bench import GATES, run_gate
+    from repro.bench.cellrunner import compare, load_baseline
 
-    cell = ScaleCell("origin2000", "hdf4", 16)
-    record = run_scale_cell(cell)
-    baseline = load_scale_baseline("BENCH_scale.json")
-    report = compare_scale({"cells": {cell.id: record}, "trends": []}, baseline)
+    gate = GATES["scale"]
+    (cell,) = gate.select(["origin2000:hdf4:16"])
+    assert cell == ScaleCell("origin2000", "hdf4", 16)
+    report = compare(gate, run_gate(gate, [cell]), load_baseline(gate))
     assert report.ok, [v["detail"] for v in report.violations]
 
 

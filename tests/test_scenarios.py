@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from repro.bench import build_initial_workload, build_workload
 from repro.core import trace_filesystem
-from repro.enzo import MPIIOStrategy, RankState, hierarchies_equivalent
+from repro.enzo import RankState, hierarchies_equivalent
+from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.scenarios import (
     Scenario,
@@ -346,7 +347,7 @@ class TestDefensiveCopies:
 
             def program(comm, h=hierarchy):
                 state = RankState.from_hierarchy(h, comm.rank, comm.size)
-                MPIIOStrategy().write_checkpoint(comm, state, "ckpt")
+                registry.create("mpi-io").write_checkpoint(comm, state, "ckpt")
 
             run_spmd(machine, program)
             trace.detach()
@@ -409,14 +410,14 @@ def test_partition_invariant_restart(name):
 
     def write_program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
-        MPIIOStrategy().write_checkpoint(comm, state, "ckpt")
+        registry.create("mpi-io").write_checkpoint(comm, state, "ckpt")
 
     run_spmd(machine, write_program)
     for nprocs in (2, 4):
         reader = make_machine(nprocs, fs=machine.fs)
 
         def read_program(comm):
-            state, _stats = MPIIOStrategy().read_checkpoint(comm, "ckpt")
+            state, _stats = registry.create("mpi-io").read_checkpoint(comm, "ckpt")
             return state
 
         res = run_spmd(reader, read_program)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.hdf5 import H5Costs, H5File
+from repro.iostack import registry
 from repro.mpi import run_spmd
 from repro.mpiio import File, Hints
 from repro.pfs import StripedServerFS
@@ -109,11 +110,7 @@ class TestWriteBehind:
 
     def test_checkpoint_with_write_behind_round_trips(self):
         from repro.amr import make_initial_conditions
-        from repro.enzo import (
-            MPIIOStrategy,
-            RankState,
-            hierarchies_equivalent,
-        )
+        from repro.enzo import RankState, hierarchies_equivalent
 
         h = make_initial_conditions((8, 8, 8), seed=1, pre_refine=1)
         m = make_machine(2)
@@ -121,12 +118,12 @@ class TestWriteBehind:
 
         def wp(comm):
             st = RankState.from_hierarchy(h, comm.rank, comm.size)
-            MPIIOStrategy(hints=hints).write_checkpoint(comm, st, "ckpt")
+            registry.create("mpi-io", hints=hints).write_checkpoint(comm, st, "ckpt")
 
         run_spmd(m, wp)
 
         def rp(comm):
-            state, _ = MPIIOStrategy().read_checkpoint(comm, "ckpt")
+            state, _ = registry.create("mpi-io").read_checkpoint(comm, "ckpt")
             return state
 
         res = run_spmd(make_machine(2, fs=m.fs), rp)
