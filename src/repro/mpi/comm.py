@@ -13,13 +13,20 @@ occupancy, then proceeds; the receiver blocks until the message's arrival
 time.  This matches what ROMIO-era MPI implementations did for the message
 sizes two-phase I/O produces, and it keeps the simulation deadlock-behaviour
 simple (a recv with no matching send ever posted deadlocks, as in MPI).
+
+A *blocking* receive from a *named* source takes no schedule point: it
+reads only this rank's mailbox and takes the first message that one sender
+posted (that sender's program order, whatever the interleaving), the clock
+becomes ``max(clock, arrival) + overhead``, and nobody can observe whether
+the message was consumed -- it commutes with all the other ranks do.  Posts,
+``ANY_SOURCE`` receives and polls keep theirs (docs/architecture.md s.1).
 """
 
 from __future__ import annotations
 
 import pickle
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -61,6 +68,10 @@ def _snapshot(obj: Any) -> Any:
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+# Barrier tokens are posted tens of thousands of times per run.
+_NONE_NBYTES = len(pickle.dumps(None, protocol=pickle.HIGHEST_PROTOCOL))
+
+
 def _wire_copy(obj: Any) -> tuple[int, Any]:
     """``(payload_nbytes(obj), _snapshot(obj))`` in one serialization pass.
 
@@ -75,6 +86,8 @@ def _wire_copy(obj: Any) -> tuple[int, Any]:
         return len(obj), bytes(obj)
     if isinstance(obj, bytes):
         return len(obj), obj
+    if obj is None:
+        return _NONE_NBYTES, None
     blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
     if isinstance(obj, (int, float, str, bool, type(None))):
         return len(blob), obj
@@ -90,6 +103,19 @@ class Message:
     payload: Any
     arrival: float
     seq: int
+
+
+class _RecvWait(NamedTuple):
+    """The receive a blocked rank is parked in (``Proc.waiting_on``)."""
+
+    comm: "Comm"
+    source: int
+    tag: int
+
+    def __str__(self) -> str:
+        source = "ANY_SOURCE" if self.source == ANY_SOURCE else self.source
+        tag = "ANY_TAG" if self.tag == ANY_TAG else self.tag
+        return f"recv(source={source}, tag={tag})"
 
 
 @dataclass
@@ -186,24 +212,24 @@ class Comm:
     def _post(self, obj: Any, dest: int, tag: int) -> None:
         proc = self.proc
         world = self.world
+        machine = world.machine
+        node_of = machine.node_of
         dest_world = self.group[dest]
         nbytes, payload = _wire_copy(obj)
         proc.schedule_point()
-        net = world.machine.network
-        src_node = world.machine.node_of(proc.rank)
-        dst_node = world.machine.node_of(dest_world)
-        arrival = net.transfer(proc.clock, src_node, dst_node, nbytes)
-        msg = Message(
-            src=self.rank,
-            tag=tag + self._ctx,
-            payload=payload,
-            arrival=arrival,
-            seq=world.next_seq(),
+        net = machine.network
+        arrival = net.transfer(
+            proc.clock, node_of(proc.rank), node_of(dest_world), nbytes
         )
+        msg = Message(self.rank, tag + self._ctx, payload, arrival, world.next_seq())
         world.mailboxes[dest_world].append(msg)
         proc.advance(self._sw_overhead())
         target = world.engine.procs[dest_world]
-        target.wake()
+        # A rank parked in a receive this message cannot satisfy would only
+        # re-scan and re-block; anything else blocked is woken as ever.
+        want = target.waiting_on
+        if want is None or want.comm._match((msg,), want.source, want.tag):
+            target.wake()
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""
@@ -214,17 +240,32 @@ class Comm:
         self, source: int = ANY_SOURCE, tag: int = ANY_TAG
     ) -> tuple[Any, tuple[int, int]]:
         """Receive and also return ``(source_rank, tag)`` of the message."""
-        proc = self.proc
-        box = self.world.mailboxes[proc.rank]
         while True:
-            proc.schedule_point()
-            match = self._match(box, source, tag)
+            match = self._take(source, tag, yield_first=source == ANY_SOURCE)
             if match is not None:
-                box.remove(match)
-                proc.advance_to(match.arrival)
-                proc.advance(self._sw_overhead())
                 return match.payload, (match.src, match.tag - self._ctx)
-            proc.block()
+            self._park(source, tag)
+
+    def _take(self, source: int, tag: int, *, yield_first: bool) -> Optional[Message]:
+        """Consume the first matching queued message, if any; ``yield_first``
+        puts the scan in the global ``(clock, rank)`` order."""
+        proc = self.proc
+        if yield_first:
+            proc.schedule_point()
+        box = self.world.mailboxes[proc.rank]
+        match = self._match(box, source, tag)
+        if match is not None:
+            box.remove(match)
+            proc.advance_to(match.arrival)
+            proc.advance(self._sw_overhead())
+        return match
+
+    def _park(self, source: int, tag: int) -> None:
+        """Block until a post that matches the receive wakes this rank."""
+        proc = self.proc
+        proc.waiting_on = _RecvWait(self, source, tag)
+        proc.block()
+        proc.waiting_on = None
 
     def _match(
         self, box: list[Message], source: int, tag: int

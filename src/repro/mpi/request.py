@@ -72,18 +72,17 @@ class _RecvRequest(Request):
 
     def _try_progress(self, *, blocking: bool) -> None:
         comm = self._comm
-        proc = comm.proc
-        box = comm.world.mailboxes[proc.rank]
-        proc.schedule_point()
-        match = comm._match(box, self._source, self._tag)
+        # A poll's hit-or-miss is observable, so it takes its place in the
+        # global order; a blocking named-source wait commutes (see comm.py).
+        match = comm._take(
+            self._source,
+            self._tag,
+            yield_first=not blocking or self._source == ANY_SOURCE,
+        )
         if match is not None:
-            box.remove(match)
-            proc.advance_to(match.arrival)
-            proc.advance(comm._sw_overhead())
             self._complete(match.payload)
-            return
-        if blocking:
-            proc.block()
+        elif blocking:
+            comm._park(self._source, self._tag)
 
 
 def isend(comm: Comm, obj: Any, dest: int, tag: int = 0) -> Request:

@@ -16,8 +16,13 @@ Two invariants make the model sound:
 * shared-state operations are globally time-ordered -- a rank only performs
   one when no other *runnable* rank has a smaller clock, and a blocked rank
   can only be woken to a time at or after its waker's clock;
-* pure local computation (``advance``) never needs a context switch, keeping
-  the engine cheap for compute-heavy ranks.
+* an operation that commutes with everything the other ranks do -- local
+  computation (``advance``), consuming a message only this rank can see --
+  needs no slot in that order and no context switch
+  (docs/architecture.md section 1 has the rule as a table).
+
+The baton is one raw ``threading.Lock`` per rank, locked while the rank is
+parked: a switch is ``to._go.release(); own._go.acquire()``.
 
 This is a conservative parallel-discrete-event design in the spirit of the
 sequential simulators used for interconnect and storage research, shrunk to
@@ -69,17 +74,21 @@ class Proc:
     rank: int
     clock: float = 0.0
     state: ProcState = ProcState.READY
-    _go: threading.Event = field(default_factory=threading.Event)
+    # The baton: locked while parked, released by whoever hands over control.
+    _go: threading.Lock = field(default_factory=threading.Lock)
     result: Any = None
     error: Optional[BaseException] = None
     # Free-form per-rank scratch space for layers above (MPI mailboxes, ...).
     ns: dict = field(default_factory=dict)
+    # What a BLOCKED rank is parked on, set by the layer calling block() (MPI:
+    # the receive to match) and printed in deadlock reports; None = bare block().
+    waiting_on: Any = None
 
     # -- time ------------------------------------------------------------
 
     def advance(self, dt: float) -> None:
         """Consume ``dt`` seconds of purely local (compute) virtual time."""
-        if dt < 0:
+        if not dt >= 0:  # also rejects nan, which would poison the heap order
             raise ValueError(f"negative time advance: {dt}")
         self.clock += dt
 
@@ -87,6 +96,8 @@ class Proc:
         """Move the clock forward to ``t`` (no-op if already past it)."""
         if t > self.clock:
             self.clock = t
+        elif t != t:
+            raise ValueError(f"cannot advance the clock to {t}")
 
     # -- scheduling ------------------------------------------------------
 
@@ -157,7 +168,7 @@ class Engine:
             raise NotRunningError("engine is already running")
         kwargs = kwargs or {}
         self._running = True
-        self._ready.clear()
+        self._ready = []
         threads = []
         # At hundreds of ranks the default (often 8 MiB) thread stacks add
         # up; the simulation call depth is shallow, so a small stack keeps
@@ -172,6 +183,9 @@ class Engine:
         try:
             for proc in self.procs:
                 proc.state = ProcState.READY
+                proc.waiting_on = None
+                # Park the baton, whichever way the previous run left it.
+                proc._go.acquire(blocking=False)
                 self._push_ready(proc)
                 t = threading.Thread(
                     target=self._thread_main,
@@ -179,21 +193,23 @@ class Engine:
                     name=f"sim-rank-{proc.rank}",
                     daemon=True,
                 )
+                t.start()  # parks on its baton at once
                 threads.append(t)
-            # Start every thread; each immediately parks on its event,
-            # except the one we hand the baton to.  The stack-size setting
-            # is consumed at start() time, so it stays in force until here.
-            for t in threads:
-                t.start()
+        except BaseException as exc:
+            # start() can fail ("can't start new thread" at large P): show the
+            # parked ranks a failure so they exit instead of wedging the engine.
+            self._fail(len(threads), exc, by=None)
+            raise
+        else:
+            self.procs[0]._go.release()
         finally:
             if old_stack is not None:
                 threading.stack_size(old_stack)
-        self.procs[0]._go.set()
-        for t in threads:
-            t.join()
-        self._running = False
-        if self._failure is not None:
+            for t in threads:
+                t.join()
+            self._running = False
             failure, self._failure = self._failure, None
+        if failure is not None:
             raise failure
         return [p.result for p in self.procs]
 
@@ -206,8 +222,7 @@ class Engine:
 
     def _thread_main(self, proc: Proc, fn, args, kwargs) -> None:
         _tls.proc = proc
-        proc._go.wait()  # wait for the baton
-        proc._go.clear()
+        proc._go.acquire()  # park until handed the baton
         if self._failure is not None:  # aborted before we ever ran
             return
         proc.state = ProcState.RUNNING
@@ -220,12 +235,7 @@ class Engine:
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             proc.state = ProcState.FAILED
             proc.error = exc
-            failure = RankFailedError(proc.rank)
-            failure.__cause__ = exc
-            with self._mutex:
-                if self._failure is None:
-                    self._failure = failure
-            self._abort_others(proc)
+            self._fail(proc.rank, exc, by=proc)
             return
         self._hand_off(proc)
 
@@ -267,17 +277,8 @@ class Engine:
         nxt = self._runnable(exclude=proc)
         if nxt is None:
             # Nobody can wake us: classic deadlock.
-            dead = DeadlockError(
-                f"rank {proc.rank} blocked at t={proc.clock:.6f} with no "
-                f"runnable rank left"
-            )
-            failure = RankFailedError(proc.rank)
-            failure.__cause__ = dead
-            with self._mutex:
-                if self._failure is None:
-                    self._failure = failure
-            proc.error = dead
-            self._abort_others(proc)
+            proc.state = ProcState.BLOCKED
+            proc.error = self._deadlock(proc, "blocked")
             raise _Abort()
         self._switch(proc, nxt, new_state=ProcState.BLOCKED)
         if self._failure is not None:
@@ -290,9 +291,8 @@ class Engine:
         if new_state is ProcState.READY:
             self._push_ready(from_proc)
         to_proc.state = ProcState.RUNNING
-        to_proc._go.set()
-        from_proc._go.wait()
-        from_proc._go.clear()
+        to_proc._go.release()
+        from_proc._go.acquire()
         from_proc.state = ProcState.RUNNING
 
     def _hand_off(self, proc: Proc) -> None:
@@ -300,27 +300,47 @@ class Engine:
         nxt = self._runnable(exclude=proc)
         if nxt is not None:
             nxt.state = ProcState.RUNNING
-            nxt._go.set()
-        # If no READY rank remains, either all are DONE (normal termination)
+            nxt._go.release()
+            return
+        # No READY rank remains: either all are DONE (normal termination)
         # or the remaining BLOCKED ranks are deadlocked.
-        elif any(p.state is ProcState.BLOCKED for p in self.procs):
-            victim = next(p for p in self.procs if p.state is ProcState.BLOCKED)
-            dead = DeadlockError(
-                f"ranks {[p.rank for p in self.procs if p.state is ProcState.BLOCKED]} "
-                f"remain blocked after rank {proc.rank} finished"
-            )
-            failure = RankFailedError(victim.rank)
-            failure.__cause__ = dead
-            with self._mutex:
-                if self._failure is None:
-                    self._failure = failure
-            self._abort_others(proc)
+        self._deadlock(proc, "finished")
 
-    def _abort_others(self, proc: Proc) -> None:
+    def _deadlock(self, by: Proc, did: str) -> Optional[DeadlockError]:
+        """Fail the run if ranks are parked with nobody left to wake them."""
+        blocked = [p for p in self.procs if p.state is ProcState.BLOCKED]
+        if not blocked:
+            return None
+        lines = [
+            f"  rank {p.rank} at t={p.clock:.6f} in "
+            f"{'block()' if p.waiting_on is None else p.waiting_on}"
+            for p in blocked
+        ]
+        dead = DeadlockError(
+            f"{len(blocked)} rank(s) blocked and none runnable when rank "
+            f"{by.rank} {did}:\n" + "\n".join(lines)
+        )
+        victim = by if by.state is ProcState.BLOCKED else blocked[0]
+        self._fail(victim.rank, dead, by=by)
+        return dead
+
+    def _fail(self, rank: int, cause: BaseException, by: Optional[Proc]) -> None:
+        """Record the run's first failure and let every parked rank exit."""
+        failure = RankFailedError(rank)
+        failure.__cause__ = cause
+        with self._mutex:
+            if self._failure is None:
+                self._failure = failure
+        self._abort_others(by)
+
+    def _abort_others(self, proc: Optional[Proc]) -> None:
         """Release every parked thread so it can observe the failure and exit."""
         for p in self.procs:
             if p is not proc and p.state in (ProcState.READY, ProcState.BLOCKED):
-                p._go.set()
+                try:
+                    p._go.release()
+                except RuntimeError:
+                    pass  # baton already handed over by an earlier abort
 
 
 class _Abort(BaseException):

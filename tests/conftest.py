@@ -1,5 +1,7 @@
 """Shared fixtures: small machines for SPMD tests."""
 
+import threading
+
 import pytest
 
 from repro.pfs import FileSystem
@@ -17,6 +19,11 @@ def make_machine(nprocs=4, ppn=1, latency=1e-6, bandwidth=1e9, fs=None):
     )
     m.attach_fs(fs if fs is not None else FileSystem())
     return m
+
+
+def sim_rank_threads():
+    """Engine rank threads still alive (none may outlive ``Engine.run``)."""
+    return [t for t in threading.enumerate() if t.name.startswith("sim-rank-")]
 
 
 @pytest.fixture

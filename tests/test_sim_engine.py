@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event SPMD engine."""
 
+import threading
+
 import pytest
 
 from repro.sim import (
@@ -10,6 +12,8 @@ from repro.sim import (
     RankFailedError,
     current_proc,
 )
+
+from .conftest import sim_rank_threads
 
 
 def test_single_rank_returns_value():
@@ -49,6 +53,24 @@ def test_advance_rejects_negative():
     with pytest.raises(RankFailedError) as ei:
         eng.run(main)
     assert isinstance(ei.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize(
+    "poison",
+    [
+        lambda proc: proc.advance(float("nan")),
+        lambda proc: proc.advance_to(float("nan")),
+        lambda proc: proc.wake(at_time=float("nan")),
+    ],
+    ids=["advance", "advance_to", "wake"],
+)
+def test_nan_never_reaches_the_clock(poison):
+    """``nan < 0`` is false: a nan must be rejected, not compared away."""
+    eng = Engine(1)
+    with pytest.raises(RankFailedError) as ei:
+        eng.run(poison)
+    assert isinstance(ei.value.__cause__, ValueError)
+    assert eng.procs[0].clock == 0.0
 
 
 def test_advance_to_is_monotone():
@@ -172,6 +194,24 @@ def test_rank_exception_propagates_with_rank_id():
         eng.run(main)
     assert ei.value.rank == 2
     assert isinstance(ei.value.__cause__, ValueError)
+
+
+def test_failed_thread_start_releases_the_started_ranks(monkeypatch):
+    """``can't start new thread`` (the P=1024 hazard) must not wedge the engine."""
+    eng = Engine(4)
+    real_start = threading.Thread.start
+
+    def start(thread):
+        if thread.name == "sim-rank-2":
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        eng.run(lambda proc: proc.rank)
+    monkeypatch.undo()
+    assert sim_rank_threads() == []
+    assert eng.run(lambda proc: proc.rank) == [0, 1, 2, 3]
 
 
 def test_engine_is_deterministic():
