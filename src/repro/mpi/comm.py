@@ -57,28 +57,32 @@ def payload_nbytes(obj: Any) -> int:
     return len(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _snapshot(obj: Any) -> Any:
-    """Copy a payload so sender-side mutation cannot alias the message."""
-    if isinstance(obj, np.ndarray):
-        return obj.copy()
-    if isinstance(obj, (bytearray, memoryview)):
-        return bytes(obj)
-    if isinstance(obj, (bytes, int, float, str, bool, type(None))):
-        return obj
-    return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-
 # Barrier tokens are posted tens of thousands of times per run.
 _NONE_NBYTES = len(pickle.dumps(None, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _wire_copy(obj: Any) -> tuple[int, Any]:
-    """``(payload_nbytes(obj), _snapshot(obj))`` in one serialization pass.
+class _ByteCounter:
+    """A ``Pickler`` sink that keeps the length of the stream and nothing else."""
 
-    The generic-object path used to pickle twice (once for the wire size,
-    once for the snapshot); hot collective loops post thousands of small
-    pickled payloads, so the single pass matters.  Values are identical to
-    calling the two helpers separately.
+    nbytes = 0
+
+    def write(self, data) -> None:
+        # ``len`` is not enough: the C pickler hands a >= 64 KiB buffer over
+        # as the ``PickleBuffer`` itself (uncopied), which has no length.
+        self.nbytes += memoryview(data).nbytes
+
+
+def _wire_copy(obj: Any) -> tuple[int, Any]:
+    """``payload_nbytes(obj)`` and a snapshot of ``obj`` that aliases none of
+    it (sender-side mutation must not reach the message), in one pass.
+
+    A generic object is pickled once, its contiguous arrays taken out of
+    band.  With no such array the stream *is* the in-band pickle: its length
+    is the wire size and ``loads`` of it the snapshot.  Otherwise the bulk
+    bytes are never serialised: the in-band length comes from a pickler
+    writing into a counting sink -- the same opcodes and frames as
+    ``dumps``, only the destination differs -- and the snapshot is rebuilt
+    over one copy of each buffer.
     """
     if isinstance(obj, np.ndarray):
         return obj.nbytes, obj.copy()
@@ -88,10 +92,23 @@ def _wire_copy(obj: Any) -> tuple[int, Any]:
         return len(obj), obj
     if obj is None:
         return _NONE_NBYTES, None
-    blob = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if isinstance(obj, (int, float, str, bool, type(None))):
-        return len(blob), obj
-    return len(blob), pickle.loads(blob)
+    buffers: list[pickle.PickleBuffer] = []
+    blob = pickle.dumps(
+        obj, protocol=pickle.HIGHEST_PROTOCOL, buffer_callback=buffers.append
+    )
+    if not buffers:
+        if isinstance(obj, (int, float, str, bool)):
+            return len(blob), obj
+        return len(blob), pickle.loads(blob)
+    sink = _ByteCounter()
+    pickle.Pickler(sink, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    # raw(): the buffer's memory as it lies (an F-ordered array exports its
+    # transpose); bytes keep a read-only array read-only, as in-band does.
+    copies = [
+        bytes(raw) if raw.readonly else bytearray(raw)
+        for raw in map(pickle.PickleBuffer.raw, buffers)
+    ]
+    return sink.nbytes, pickle.loads(blob, buffers=copies)
 
 
 @dataclass

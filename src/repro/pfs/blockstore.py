@@ -24,21 +24,40 @@ class FileExists(OSError):
     """Exclusive creation failed because the file already exists."""
 
 
-class StoredFile:
-    """A single file: a growable byte buffer plus a logical size.
+#: Page size of a :class:`StoredFile`.  Bulk writes are one ``memcpy`` per
+#: page, so it has to be large against the per-page Python overhead; it is
+#: kept under the allocator's mmap threshold (128 KiB in glibc) so that the
+#: pages of a deleted file are recycled from the heap and not faulted in
+#: afresh (funnel-hdf4 pass: 0.59 s at 64 KiB, 0.66 s at 1 MiB, 0.71 s at 4).
+_PAGE = 1 << 16
 
-    The buffer is over-allocated geometrically (capacity ``len(_buf)`` may
-    exceed ``size``) so a sequence of appending writes costs amortized O(1)
-    resizes instead of one zero-fill temporary per write.  Invariant: every
-    byte of ``_buf`` at or past ``size`` is zero, so reads and re-grows can
-    use the raw buffer without consulting the logical size.
+
+def _page_ranges(offset: int, end: int):
+    """``(page index, lo, hi)`` for each page the bytes ``[offset, end)`` touch."""
+    while offset < end:
+        index, lo = divmod(offset, _PAGE)
+        hi = min(_PAGE, lo + end - offset)
+        yield index, lo, hi
+        offset += hi - lo
+
+
+class StoredFile:
+    """A single file: zero-on-demand pages plus a logical size.
+
+    ``_pages`` maps a page index to a ``bytearray`` of *at most*
+    :data:`_PAGE` bytes; a missing page, and every byte of a page past its
+    ``bytearray``'s length, reads as zero.  Holes therefore cost nothing,
+    a whole-page write is one copy with no zero fill, and a page written
+    piecemeal grows geometrically up to the page size -- so a file of
+    logical size S holds at most S plus one page, a sub-page file at most
+    2 S.  Invariant: no page holds a non-zero byte at or past ``size``.
     """
 
-    __slots__ = ("path", "_buf", "size")
+    __slots__ = ("path", "_pages", "size")
 
     def __init__(self, path: str):
         self.path = path
-        self._buf = bytearray()
+        self._pages: dict[int, bytearray] = {}
         self.size = 0
 
     def write(self, offset: int, data: bytes | bytearray | memoryview) -> int:
@@ -47,15 +66,44 @@ class StoredFile:
             raise ValueError(f"negative offset: {offset}")
         data = memoryview(data).cast("B")
         end = offset + len(data)
-        buf = self._buf
-        cap = len(buf)
-        if end > cap:
-            # Single zero-filled resize, geometric so appends amortize.
-            buf.extend(bytes(max(end, 2 * cap) - cap))
-        buf[offset:end] = data
+        pages = self._pages
+        done = 0
+        for index, lo, hi in _page_ranges(offset, end):
+            chunk = data[done : done + hi - lo]
+            done += hi - lo
+            page = pages.get(index)
+            if page is None and lo == 0:
+                pages[index] = bytearray(chunk)
+            else:
+                if page is None or hi > len(page):
+                    # Calloc'd, exactly sized; only a part-written page is
+                    # ever copied, and at most log2(_PAGE) times.
+                    grown = bytearray(
+                        hi if page is None else min(_PAGE, max(hi, 2 * len(page)))
+                    )
+                    if page:
+                        grown[: len(page)] = page
+                    page = pages[index] = grown
+                page[lo:hi] = chunk
         if end > self.size:
             self.size = end
         return len(data)
+
+    def _spans(self, offset: int, nbytes: int):
+        """``read(offset, nbytes)`` as buffers: views of the stored bytes,
+        zeros (at most a page at a time) for everything else."""
+        if offset < 0:
+            raise ValueError(f"negative offset: {offset}")
+        if nbytes < 0:
+            raise ValueError(f"negative read size: {nbytes}")
+        pages = self._pages
+        for index, lo, hi in _page_ranges(offset, offset + nbytes):
+            page = pages.get(index)
+            stored = lo if page is None else max(lo, min(hi, len(page)))
+            if stored > lo:
+                yield memoryview(page)[lo:stored]
+            if stored < hi:
+                yield bytes(hi - stored)
 
     def read(self, offset: int, nbytes: int) -> bytes:
         """Read ``nbytes`` at ``offset``; ranges past EOF read as zeros.
@@ -64,42 +112,17 @@ class StoredFile:
         above simple (they always know the file size and never read past the
         data they wrote) while still being deterministic if they do.
         """
-        if offset < 0:
-            raise ValueError(f"negative offset: {offset}")
-        if nbytes < 0:
-            raise ValueError(f"negative read size: {nbytes}")
-        end = offset + nbytes
-        cap = len(self._buf)
-        if end <= cap:
-            # Bytes between size and capacity are zero by invariant, so the
-            # raw buffer slice is already POSIX-correct.  One copy, not two.
-            return bytes(memoryview(self._buf)[offset:end])
-        if offset >= cap:
-            return bytes(nbytes)
-        return bytes(memoryview(self._buf)[offset:cap]) + bytes(end - cap)
+        return b"".join(self._spans(offset, nbytes))
 
     def checksum(self, offset: int, nbytes: int, crc: int = 0) -> int:
         """CRC32 of ``read(offset, nbytes)`` without materializing a copy.
 
         Manifest verification scans every recorded array; feeding
-        ``zlib.crc32`` a memoryview of the live buffer avoids one full
+        ``zlib.crc32`` views of the live pages avoids one full
         checkpoint-sized allocation per verify.
         """
-        if offset < 0:
-            raise ValueError(f"negative offset: {offset}")
-        if nbytes < 0:
-            raise ValueError(f"negative read size: {nbytes}")
-        end = offset + nbytes
-        cap = len(self._buf)
-        pad = 0
-        if offset >= cap:
-            pad = nbytes
-        else:
-            crc = zlib.crc32(memoryview(self._buf)[offset:min(end, cap)], crc)
-            if end > cap:
-                pad = end - cap
-        if pad:
-            crc = zlib.crc32(bytes(pad), crc)
+        for span in self._spans(offset, nbytes):
+            crc = zlib.crc32(span, crc)
         return crc
 
     def truncate(self, size: int) -> None:
@@ -107,11 +130,14 @@ class StoredFile:
         if size < 0:
             raise ValueError(f"negative size: {size}")
         if size < self.size:
-            # Keep the capacity but re-zero the discarded tail so the
-            # beyond-size-is-zero invariant holds for future reads/grows.
-            hi = min(self.size, len(self._buf))
-            if hi > size:
-                self._buf[size:hi] = bytes(hi - size)
+            last, keep = divmod(size, _PAGE)
+            pages = self._pages
+            for index in [i for i in pages if i >= last]:
+                if index > last or not keep:
+                    del pages[index]
+                else:
+                    # A shortened page reads as zeros past its length.
+                    del pages[index][keep:]
         self.size = size
 
 

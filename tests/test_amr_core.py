@@ -47,6 +47,68 @@ class TestFieldSet:
         assert not a.equal(b)
 
 
+    def partial(self):
+        """Two of eight fields assigned; nobody has read the other six."""
+        fs = FieldSet((3, 2, 4))
+        fs["total_energy"] = np.full((3, 2, 4), 2.0)
+        fs["internal_energy"] = np.arange(24.0).reshape(3, 2, 4)
+        return fs
+
+    def test_an_untouched_field_reads_as_writable_zeros_and_stays_put(self):
+        fs = self.partial()
+        velocity = fs["velocity_x"]
+        assert velocity.dtype == np.float64 and velocity.shape == (3, 2, 4)
+        assert not velocity.any() and velocity.flags.writeable
+        velocity[1, 1, 1] = 5.0
+        assert fs["velocity_x"] is velocity  # allocated once, on first read
+        with pytest.raises(KeyError):
+            fs["nope"]
+        assert "nope" not in fs and "velocity_z" in fs
+
+    def test_nbytes_and_iteration_do_not_depend_on_what_was_assigned(self):
+        fs = self.partial()
+        assert fs.nbytes == FieldSet((3, 2, 4)).nbytes == 8 * 24 * 8
+        assert tuple(fs) == BARYON_FIELDS
+        items = list(fs.items())
+        assert [name for name, _ in items] == list(BARYON_FIELDS)
+        assert all(a.shape == (3, 2, 4) for _, a in items)
+        assert items[1][1].sum() == 48.0 and not items[0][1].any()
+        assert fs.nbytes == sum(a.nbytes for _, a in fs.items())
+
+    def test_equal_and_allclose_treat_untouched_as_zeros(self):
+        fs, explicit = self.partial(), self.partial()
+        for name in BARYON_FIELDS:
+            if name not in ("total_energy", "internal_energy"):
+                explicit[name] = np.zeros((3, 2, 4))
+        assert fs.equal(explicit) and explicit.equal(fs)
+        assert fs.allclose(explicit) and explicit.allclose(fs, rtol=0, atol=0)
+        explicit["temperature"][0, 0, 0] = 1e-12
+        assert not fs.equal(explicit) and not explicit.equal(fs)
+        assert fs.allclose(explicit, atol=1e-9)
+        assert not fs.allclose(explicit, rtol=0, atol=0)
+
+    def test_copy_of_a_partial_set_is_deep_and_still_partial(self):
+        fs = self.partial()
+        cp = fs.copy()
+        assert cp.equal(fs) and cp.names == fs.names and cp.dims == fs.dims
+        cp["total_energy"][0, 0, 0] = -1.0
+        cp["density"][0, 0, 0] = -1.0  # untouched in both: no shared zeros
+        assert fs["total_energy"][0, 0, 0] == 2.0
+        assert fs["density"][0, 0, 0] == 0.0
+
+    def test_pickle_of_a_partial_set_equals_an_eagerly_filled_one(self):
+        import pickle
+
+        fs, explicit = self.partial(), FieldSet((3, 2, 4))
+        for name in BARYON_FIELDS:
+            explicit[name] = fs[name].copy() if name.endswith("energy") \
+                else np.zeros((3, 2, 4))
+        fs = self.partial()  # the loop above read every field of the first
+        assert pickle.dumps(fs, 5) == pickle.dumps(explicit, 5)
+        back = pickle.loads(pickle.dumps(self.partial(), 5))
+        assert back.equal(explicit) and tuple(back) == BARYON_FIELDS
+
+
 class TestParticleSet:
     def make(self, n=10, seed=0):
         rng = np.random.default_rng(seed)

@@ -255,3 +255,70 @@ def test_gather_scatter_large_numpy_volume():
 
     res = run_spmd(m, program)
     assert res.results[0] == pytest.approx(10_000 * (0 + 1 + 2 + 3))
+
+
+# -- the batched rendezvous (repro.mpi.batch) --------------------------------
+
+
+def _batched(program, nprocs=3, **kw):
+    return run_spmd(make_machine(nprocs, **kw), program, batch_collectives=True)
+
+
+@pytest.mark.parametrize("send", [True, False])
+def test_a_send_to_a_rank_parked_in_a_batched_barrier_does_not_release_it(send):
+    """Rank 0 is already inside the rendezvous when rank 1's message lands:
+    the post wakes it (it is parked in no receive), there is nothing to take
+    yet, and it has to park again.  Everyone leaves at the modelled
+    completion time -- the one the same program has without the send, which
+    rank 2's late arrival sets -- and the message is still in the mailbox."""
+
+    def program(comm):
+        if comm.rank == 1:
+            comm.compute(1e-3)
+            if send:
+                comm.send("late", 0, tag=5)
+        if comm.rank == 2:
+            comm.compute(5e-3)
+        coll.barrier(comm)
+        left_at = comm.clock
+        got = comm.recv(1, tag=5) if send and comm.rank == 0 else None
+        return left_at, got
+
+    res = _batched(program, latency=1e-5)
+    left = [r[0] for r in res.results]
+    assert left[0] == left[1] == left[2] > 5e-3
+    assert res.results[0][1] == ("late" if send else None)
+    if send:
+        quiet = _batched(lambda comm: (comm.compute([0, 1e-3, 5e-3][comm.rank]),
+                                       coll.barrier(comm), comm.clock)[2],
+                         latency=1e-5)
+        assert left == quiet.results
+
+
+@pytest.mark.parametrize("size", [1, 2, 5])
+def test_batched_collectives_deliver_what_the_messages_do(size):
+    """Sizes travel with the contributions; the data delivered is unchanged."""
+
+    def program(comm):
+        mine = {"r": comm.rank, "a": np.full(3, comm.rank)}
+        out = {
+            "bcast": coll.bcast(comm, [1, np.ones(2)] if comm.rank == 0 else None,
+                                root=0),
+            "gather": coll.gather(comm, mine, root=size - 1),
+            "scatter": coll.scatter(
+                comm, [[r, np.arange(r)] for r in range(size)]
+                if comm.rank == 0 else None, root=0),
+            "allgather": coll.allgather(comm, (comm.rank, "x")),
+            "alltoall": coll.alltoall(
+                comm, [None if d == comm.rank else [comm.rank, d]
+                       for d in range(size)]),
+            "reduce": coll.reduce(comm, comm.rank + 1, op=lambda a, b: a + b, root=0),
+        }
+        return out, comm.clock
+
+    batched = run_spmd(make_machine(size), program, batch_collectives=True)
+    legacy = run_spmd(make_machine(size), program)
+    for (b, _), (l, _) in zip(batched.results, legacy.results):
+        assert repr(b) == repr(l)
+    clocks = [clock for _, clock in batched.results]
+    assert len(set(clocks)) == 1  # every batched collective synchronises

@@ -1,10 +1,15 @@
 """Unit and property tests for the block store."""
 
+import zlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pfs import BlockStore, FileExists, FileNotFound, StoredFile
+from repro.pfs.blockstore import _PAGE as STORE_PAGE
+
+from .conftest import Traced
 
 
 class TestStoredFile:
@@ -220,3 +225,129 @@ def test_property_far_jump_growth_zero_fills_the_hole(first, jump, data):
     gap = f.read(first + 1, jump - 1)
     assert gap == b"\0" * (jump - 1)
     assert f.read(first + jump, len(data)) == data
+
+
+# -- the paged store: seams, truncation, memory ------------------------------
+
+SEAM_OFFSETS = st.one_of(
+    st.integers(0, 3 * STORE_PAGE),
+    st.sampled_from([k * STORE_PAGE + d for k in (1, 2, 3) for d in (-1, 0, 1)]),
+)
+SEAM_SIZES = st.one_of(
+    st.integers(0, 300),
+    st.sampled_from([STORE_PAGE - 1, STORE_PAGE, STORE_PAGE + 1, 2 * STORE_PAGE + 7]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ops=st.lists(
+        st.one_of(
+            st.tuples(st.just("w"), SEAM_OFFSETS, SEAM_SIZES, st.integers(1, 255)),
+            st.tuples(st.just("r"), SEAM_OFFSETS, SEAM_SIZES),
+            st.tuples(st.just("t"), SEAM_OFFSETS),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_property_page_seams_match_a_flat_buffer(ops):
+    """Writes, reads and truncates at PAGE-1 / PAGE / PAGE+1 and over
+    multi-page spans agree with one flat zero-extended buffer, and
+    ``checksum`` is the CRC of ``read`` across every seam."""
+    f = StoredFile("p")
+    ref = bytearray()
+    for op in ops:
+        if op[0] == "w":
+            _, offset, n, fill = op
+            data = bytes((fill + i) % 251 + 1 for i in range(min(n, 512)))
+            data = (data * (n // len(data) + 1))[:n] if n else b""
+            f.write(offset, data)
+            end = offset + n
+            if end > len(ref):
+                ref.extend(bytes(end - len(ref)))
+            ref[offset:end] = data
+        elif op[0] == "t":
+            size = op[1]
+            f.truncate(size)
+            # Shrinking discards; regrowing (by truncate or a later write
+            # past the cut) must read zeros where the old bytes were.
+            ref = ref[:size] + bytes(max(0, size - len(ref)))
+        else:
+            _, offset, n = op
+            expected = bytes(ref[offset:offset + n]).ljust(n, b"\0")
+            assert f.read(offset, n) == expected
+            assert f.checksum(offset, n) == zlib.crc32(expected)
+            assert f.checksum(offset, n, 0xBEEF) == zlib.crc32(expected, 0xBEEF)
+        assert f.size == len(ref)
+    assert f.read(0, len(ref) + STORE_PAGE + 3) == bytes(ref) + bytes(STORE_PAGE + 3)
+    assert f.checksum(0, len(ref)) == zlib.crc32(ref)
+
+
+def test_truncate_then_regrow_reads_zeros_on_both_sides_of_a_seam():
+    f = StoredFile("a")
+    f.write(0, b"\xff" * (2 * STORE_PAGE + 10))
+    f.truncate(STORE_PAGE - 2)
+    f.write(2 * STORE_PAGE + 5, b"z")
+    assert f.read(STORE_PAGE - 4, 4) == b"\xff\xff\0\0"
+    assert f.read(STORE_PAGE - 2, STORE_PAGE + 7) == bytes(STORE_PAGE + 7)
+    assert f.read(2 * STORE_PAGE, 6) == b"\0\0\0\0\0z"
+    f.truncate(STORE_PAGE)  # a cut on the seam itself drops the whole page
+    f.truncate(STORE_PAGE + 8)
+    assert f.read(STORE_PAGE - 4, 12) == b"\xff\xff" + bytes(10)
+
+
+#: Per-page bookkeeping (``bytearray`` header, dict slot) on top of its bytes.
+PAGE_OVERHEAD = 160
+
+
+def test_a_write_a_tebibyte_out_costs_one_page():
+    """The flat store asked for a 1 TiB zero temporary here."""
+    f = StoredFile("a")
+    with Traced() as t:
+        f.write(1 << 40, b"x")
+    assert f.size == (1 << 40) + 1
+    assert t.peak <= STORE_PAGE + 4096
+    assert f.read((1 << 40) - 2, 4) == b"\0\0x\0"
+    assert f.checksum((1 << 40) - 2, 3) == zlib.crc32(b"\0\0x")
+
+
+@pytest.mark.parametrize("size", [1, 100, 5000, STORE_PAGE - 1])
+@pytest.mark.parametrize("piece", [1 << 30, 96])
+def test_a_sub_page_file_holds_at_most_twice_its_size(size, piece):
+    with Traced() as t:
+        f = StoredFile("a")
+        for offset in range(0, size, piece):
+            f.write(offset, b"\x01" * min(piece, size - offset))
+    assert f.size == size
+    assert t.held <= 2 * size + 512  # 512: the StoredFile and its one-page dict
+
+
+@pytest.mark.parametrize("piece", [14 * 1024, STORE_PAGE, 3 * STORE_PAGE + 17])
+def test_a_file_holds_at_most_its_size_plus_one_page(piece):
+    """Appends of any piece size, then a rewrite: S + one page, so the
+    file-per-grid cells at P = 1024 cannot grow; nothing transient either
+    (no regrow copy, no zero temporary)."""
+    size = 10 * STORE_PAGE + 12345
+    data = memoryview(b"\x07" * piece)  # slicing a view copies nothing
+    with Traced() as t:
+        f = StoredFile("a")
+        for offset in range(0, size, piece):
+            f.write(offset, data[:size - offset])
+        f.write(STORE_PAGE // 2, data)
+    assert f.size == size
+    npages = size // STORE_PAGE + 1
+    assert t.held <= t.peak <= size + STORE_PAGE + npages * PAGE_OVERHEAD + 1024
+
+
+def test_holes_cost_nothing_and_deleting_a_file_frees_it():
+    with Traced() as t:
+        store = BlockStore()
+        f = store.create("sparse")
+        for k in range(8):
+            f.write(k * 100 * STORE_PAGE, b"\x01" * 10)
+    assert f.size == 700 * STORE_PAGE + 10
+    assert t.held <= 8 * (20 + PAGE_OVERHEAD) + 2048
+    store.create("sparse")  # truncate-open drops every page
+    assert f.size == 0 and not f._pages
+    assert f.read(0, 100 * STORE_PAGE + 10) == bytes(100 * STORE_PAGE + 10)
