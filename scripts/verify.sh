@@ -22,6 +22,17 @@ else
     echo "ruff not installed; lint gate skipped"
 fi
 
+echo "== no instance patching of FileSystem timing hooks =="
+# Tracing subscribes to the request stream (FileSystem.subscribe); a
+# rebinding of a _service_* hook on an instance must not come back.
+if grep -rnE "\._service_[a-z]+ *=" src/repro; then
+    echo "a _service_* hook is assigned to: subscribe to the request stream instead" >&2
+    exit 1
+fi
+
+echo "== repro figure smoke (a chart over three committed regress cells) =="
+python -m repro figure fig10 --procs 4 --json BENCH_figure.current.json
+
 echo "== scenario registry lint (parse, normalize, build) =="
 python -m repro scenarios --check
 

@@ -29,14 +29,14 @@ from dataclasses import asdict
 import numpy as np
 
 from ..core.trace import trace_filesystem
+from ..iostack import registry
 from ..mpi.datatypes import FLOAT64, Subarray
-from ..mpi.runner import run_spmd
 from ..mpiio.file import File
 from ..mpiio.hints import Hints
 from ..topology.presets import PRESETS
 from .baselines import MATRIX, TRENDS, Cell
 from .cellrunner import CellFamily, Gate, register_family
-from .runners import run_overlap_experiment, run_traced_experiment
+from .runners import run_job, run_overlap_experiment, run_traced_experiment
 from .workloads import build_initial_workload, build_workload
 
 __all__ = [
@@ -72,12 +72,6 @@ EXACT_METRICS = (
 BANDED_METRICS = ("write_bw", "read_bw")
 
 
-def _make_strategy(name: str, hints: Hints | None):
-    from ..iostack import registry
-
-    return registry.create(name, hints=hints)
-
-
 def _store_digest(store, paths: tuple[str, ...]) -> str:
     """SHA-256 over the committed bytes of ``paths`` (name, size, data)."""
     import hashlib
@@ -91,7 +85,7 @@ def _store_digest(store, paths: tuple[str, ...]) -> str:
     return h.hexdigest()
 
 
-# -- the fig5 access-pattern cell --------------------------------------------
+# -- the three cell kinds: each is run_job(s) under a trace + a record ---------
 
 
 def _strided_write_program(comm, collective: bool, hints: Hints):
@@ -114,55 +108,34 @@ def _strided_write_program(comm, collective: bool, hints: Hints):
     return elapsed
 
 
-def _run_pattern_cell(cell: Cell, hints: Hints | None) -> dict:
-    machine = PRESETS[cell.machine](nprocs=cell.nprocs)
+def _run_pattern_cell(cell: Cell, machine, hints: Hints | None) -> dict:
+    """The fig5 access-pattern cell: one strided write, no strategy."""
     hints = hints if hints is not None else Hints(ds_write=False)
-    trace = trace_filesystem(machine.fs, include_meta=True)
-    try:
-        res = run_spmd(
+    with trace_filesystem(machine.fs, include_meta=True) as trace:
+        job = run_job(
             machine,
             _strided_write_program,
             nprocs=cell.nprocs,
             args=(cell.strategy == "two-phase", hints),
         )
-    finally:
-        trace.detach()
-    write_s = max(res.results)
-    counters = machine.fs.counters
     return _record(
         cell,
-        write_s=write_s,
-        read_s=0.0,
-        write_phases={},
-        read_phases={},
-        bytes_written=counters.bytes_written,
-        bytes_read=0,
-        fs_write_requests=counters.writes,
-        fs_read_requests=0,
-        fs_recoveries=counters.recoveries,
+        write_s=max(job.results),
+        bytes_written=job.counters.bytes_written,
+        fs_write_requests=job.counters.writes,
+        fs_recoveries=job.counters.recoveries,
         trace=trace,
     )
 
 
-# -- figure cells -------------------------------------------------------------
-
-
-def _run_figure_cell(cell: Cell, hints: Hints | None) -> dict:
-    from ..iostack import registry
-
-    machine = PRESETS[cell.machine](nprocs=cell.nprocs)
-    if hints is not None and not registry.get(cell.strategy).takes_hints:
-        raise ValueError(
-            f"cannot perturb {cell.id}: the {cell.strategy} strategy "
-            "takes no MPI-IO hints"
-        )
-    strategy = _make_strategy(cell.strategy, hints)
+def _run_checkpoint_cell(cell: Cell, machine, strategy) -> dict:
+    """One dump and (unless the cell is write-only) its read-back."""
     # The "initial" read path measures the new-simulation read of the
     # pre-refined initial grids; "restart" reads the dump itself back
     # (round-robin whole-subgrid reads), so no separate read hierarchy.
-    read_op = getattr(cell, "read_op", "initial")
     read_hierarchy = (
-        build_initial_workload(cell.problem) if read_op == "initial" else None
+        build_initial_workload(cell.problem)
+        if cell.read_op == "initial" else None
     )
     result, trace = run_traced_experiment(
         machine,
@@ -170,7 +143,7 @@ def _run_figure_cell(cell: Cell, hints: Hints | None) -> dict:
         build_workload(cell.problem),
         nprocs=cell.nprocs,
         read_hierarchy=read_hierarchy,
-        read_op=read_op,
+        read_op=cell.read_op,
         do_read=cell.do_read,
     )
     file_digest = ""
@@ -195,142 +168,77 @@ def _run_figure_cell(cell: Cell, hints: Hints | None) -> dict:
     )
 
 
-def _is_async_strategy(name: str) -> bool:
-    from ..iostack import registry
-
-    try:
-        comp = registry.get(name)
-    except ValueError:
-        return False
-    return bool(comp.options.get("async"))
-
-
-def _run_overlap_cell(cell: Cell, hints: Hints | None) -> dict:
-    """Async strategies are measured under compute/checkpoint overlap.
-
-    A bare checkpoint has nothing to hide the drain behind, so an async
-    cell runs the Enzo driver (3 cycles, dump every cycle, write-behind
-    on): ``write_s`` is the exposed I/O time and ``write_bw`` the
-    *effective* bandwidth the application observes.
-    """
-    from ..enzo.simulation import EnzoConfig
-    from ..iostack import registry
-
-    machine = PRESETS[cell.machine](nprocs=cell.nprocs)
-    if hints is not None and not registry.get(cell.strategy).takes_hints:
-        raise ValueError(
-            f"cannot perturb {cell.id}: the {cell.strategy} strategy "
-            "takes no MPI-IO hints"
-        )
-    strategy = _make_strategy(cell.strategy, hints)
-    config = EnzoConfig(
-        problem=cell.problem, ncycles=3, dump_every=1, overlap=True
-    )
-    trace = trace_filesystem(machine.fs, include_meta=True)
-    try:
-        result = run_overlap_experiment(
-            machine, strategy, config, nprocs=cell.nprocs
-        )
-    finally:
-        trace.detach()
-    return _record(
-        cell,
-        write_s=result.write_time,
-        read_s=0.0,
-        write_phases=result.write_phases,
-        read_phases={},
-        bytes_written=result.bytes_written,
-        bytes_read=0,
-        fs_write_requests=result.fs_write_requests,
-        fs_read_requests=0,
-        fs_recoveries=result.fs_recoveries,
-        trace=trace,
-    )
-
-
-def _is_cadence_cell(cell: Cell) -> bool:
-    """True for cells whose scenario runs the two-stream Enzo driver.
+def _cadence_scenario(cell: Cell):
+    """The cell's scenario when it has an output *schedule*, else None.
 
     A scenario with a plot-file cadence or redshift-triggered dumps cannot
     be measured by the bare checkpoint experiment -- the paper-style cell
-    writes one dump, but the scenario's point is its output *schedule*.
+    writes one dump, but the scenario's point is its output schedule.
     """
     from ..scenarios import registry as scenario_registry
 
     try:
         s = scenario_registry.get(cell.problem)
     except (KeyError, ValueError):
-        return False
-    return bool(s.plot_every or s.output_redshifts)
+        return None
+    return s if s.plot_every or s.output_redshifts else None
 
 
-def _run_cadence_cell(cell: Cell, hints: Hints | None) -> dict:
-    """Run a scenario's full output schedule through the Enzo driver.
+def _run_driver_cell(cell: Cell, machine, strategy, scenario) -> dict:
+    """A full Enzo driver run: compute cycles with dumps in between.
 
-    Checkpoints (cadence + redshift-triggered) go through the cell's
-    strategy; plot files go through the dedicated plot-file writer.  The
-    record carries per-stream dump counts and byte totals so the cadence
-    trends can compare the two streams of the same run.
+    Two kinds of cell need the driver.  An async strategy (``scenario`` is
+    None) has nothing to hide its drain behind in a bare checkpoint, so it
+    runs 3 cycles with a dump each and write-behind on: ``write_s`` is the
+    exposed I/O time and ``write_bw`` the *effective* bandwidth the
+    application observes.  A cadence ``scenario`` runs its own output
+    schedule -- checkpoints through the cell's strategy, plot files through
+    the plot-file writer -- and its record carries per-stream dump counts
+    and byte totals so the cadence trends can compare the two streams of
+    the same run.
     """
-    from ..enzo.simulation import EnzoConfig, EnzoSimulation
-    from ..iostack import registry
-    from ..scenarios import registry as scenario_registry
-    from .runners import _merge_phases, _sum_phases
+    from ..enzo.simulation import EnzoConfig
 
-    machine = PRESETS[cell.machine](nprocs=cell.nprocs)
-    if hints is not None and not registry.get(cell.strategy).takes_hints:
-        raise ValueError(
-            f"cannot perturb {cell.id}: the {cell.strategy} strategy "
-            "takes no MPI-IO hints"
+    if scenario is not None:
+        config = EnzoConfig.from_scenario(scenario)
+    else:
+        config = EnzoConfig(
+            problem=cell.problem, ncycles=3, dump_every=1, overlap=True
         )
-    strategy = _make_strategy(cell.strategy, hints)
-    config = EnzoConfig.from_scenario(scenario_registry.get(cell.problem))
-    sim = EnzoSimulation(
-        config=config,
-        strategy=strategy,
-        hierarchy=EnzoSimulation.build_initial_hierarchy(config),
-    )
-    machine.reset_timing()
-    machine.fs.counters.reset()
-    trace = trace_filesystem(machine.fs, include_meta=True)
-    try:
-        res = run_spmd(
-            machine, lambda comm: sim.run(comm, base="dump"),
-            nprocs=cell.nprocs,
+    with trace_filesystem(machine.fs, include_meta=True) as trace:
+        result = run_overlap_experiment(
+            machine, strategy, config, nprocs=cell.nprocs
         )
-    finally:
-        trace.detach()
-    summaries = res.results
-    write_s = max(s["write_time"] + s["plot_time"] for s in summaries)
-    counters = machine.fs.counters
-    return _record(
-        cell,
-        write_s=write_s,
-        read_s=0.0,
-        write_phases=_merge_phases(
-            [_sum_phases(s["write_stats"]) for s in summaries]
-        ),
-        read_phases={},
-        bytes_written=counters.bytes_written,
-        bytes_read=0,
-        fs_write_requests=counters.writes,
-        fs_read_requests=0,
-        fs_recoveries=counters.recoveries,
-        trace=trace,
-        extra={
+    summaries = result.summaries
+    extra = None
+    if scenario is not None:
+        extra = {
             "ckpt_dumps": len(summaries[0]["dumps"]),
             "plot_dumps": len(summaries[0]["plot_dumps"]),
             "redshift_dumps": len(summaries[0]["redshift_dumps"]),
             "ckpt_bytes": sum(int(s["ckpt_bytes"]) for s in summaries),
             "plot_bytes": sum(int(s["plot_bytes"]) for s in summaries),
-        },
+        }
+    return _record(
+        cell,
+        write_s=max(s["write_time"] + s["plot_time"] for s in summaries),
+        write_phases=result.write_phases,
+        bytes_written=result.bytes_written,
+        fs_write_requests=result.fs_write_requests,
+        fs_recoveries=result.fs_recoveries,
+        trace=trace,
+        extra=extra,
     )
 
 
-def _record(cell: Cell, *, trace, **kw) -> dict:
+def _record(
+    cell: Cell, *, trace, write_s, bytes_written, fs_write_requests,
+    fs_recoveries, read_s=0.0, bytes_read=0, fs_read_requests=0,
+    write_phases=(), read_phases=(), file_digest="", extra=None,
+) -> dict:
     mb = 2**20
-    write_s, read_s = float(kw["write_s"]), float(kw["read_s"])
-    bytes_written, bytes_read = int(kw["bytes_written"]), int(kw["bytes_read"])
+    write_s, read_s = float(write_s), float(read_s)
+    bytes_written, bytes_read = int(bytes_written), int(bytes_read)
     total_s = write_s + read_s
     record = {
         "figure": cell.figure,
@@ -345,28 +253,28 @@ def _record(cell: Cell, *, trace, **kw) -> dict:
         else 0.0,
         "read_bw": round(bytes_read / read_s / mb, 6) if read_s > 0 else 0.0,
         "write_phases": {
-            k: round(float(v), 9) for k, v in kw["write_phases"].items()
+            k: round(float(v), 9) for k, v in dict(write_phases).items()
         },
         "read_phases": {
-            k: round(float(v), 9) for k, v in kw["read_phases"].items()
+            k: round(float(v), 9) for k, v in dict(read_phases).items()
         },
         "bytes_written": bytes_written,
         "bytes_read": bytes_read,
-        "fs_write_requests": int(kw["fs_write_requests"]),
-        "fs_read_requests": int(kw["fs_read_requests"]),
-        "fs_recoveries": int(kw["fs_recoveries"]),
+        "fs_write_requests": int(fs_write_requests),
+        "fs_read_requests": int(fs_read_requests),
+        "fs_recoveries": int(fs_recoveries),
         "trace_events": len(trace),
         "trace_digest": trace.digest(),
-        "file_digest": str(kw.get("file_digest", "")),
+        "file_digest": file_digest,
         # Derived ratios the scenario trends compare (deterministic
         # functions of the digest-pinned trace and counters above).
         "meta_ratio": round(trace.metadata_ratio(), 6),
         "read_share": round(read_s / total_s, 6) if total_s > 0 else 0.0,
         "write_requests_per_mb": round(
-            int(kw["fs_write_requests"]) / (bytes_written / mb), 6
+            int(fs_write_requests) / (bytes_written / mb), 6
         ) if bytes_written else 0.0,
     }
-    record.update(kw.get("extra") or {})
+    record.update(extra or {})
     return record
 
 
@@ -377,13 +285,20 @@ def run_cell(cell: Cell, *, hints: Hints | None = None) -> dict:
     perturbation acceptance test (and ``--perturb``) uses to prove the gate
     actually trips.
     """
+    machine = PRESETS[cell.machine](nprocs=cell.nprocs)
     if cell.figure == "fig5":
-        return _run_pattern_cell(cell, hints)
-    if _is_async_strategy(cell.strategy):
-        return _run_overlap_cell(cell, hints)
-    if _is_cadence_cell(cell):
-        return _run_cadence_cell(cell, hints)
-    return _run_figure_cell(cell, hints)
+        return _run_pattern_cell(cell, machine, hints)
+    comp = registry.get(cell.strategy)
+    if hints is not None and not comp.takes_hints:
+        raise ValueError(
+            f"cannot perturb {cell.id}: the {cell.strategy} strategy "
+            "takes no MPI-IO hints"
+        )
+    strategy = registry.create(cell.strategy, hints=hints)
+    scenario = _cadence_scenario(cell)
+    if comp.options.get("async") or scenario is not None:
+        return _run_driver_cell(cell, machine, strategy, scenario)
+    return _run_checkpoint_cell(cell, machine, strategy)
 
 
 def parse_perturbations(specs: list[str] | None) -> dict[str, dict]:

@@ -1,26 +1,31 @@
 """Experiment runners: one strategy on one machine, write + restart read.
 
+:func:`run_job` is the one way a measured SPMD job is launched (reset the
+machine's timelines and counters, run, snapshot the counters).
 :func:`run_checkpoint_experiment` is the unit every figure benchmark is
-built from: it executes the checkpoint dump and the restart read as SPMD
-programs on a simulated machine and reports virtual-time results plus
+built from: it executes the checkpoint dump and the restart read as two
+such jobs on a simulated machine and reports virtual-time results plus
 file-system counters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 from ..amr.hierarchy import GridHierarchy
 from ..core.trace import IOTrace, trace_filesystem
 from ..enzo.io_base import IOStrategy
 from ..enzo.state import RankState
 from ..mpi.runner import run_spmd
+from ..pfs.base import FSCounters
 from ..topology.machine import Machine
 
 __all__ = [
     "ExperimentResult",
+    "JobResult",
     "OverlapResult",
     "run_checkpoint_experiment",
+    "run_job",
     "run_overlap_experiment",
     "run_traced_experiment",
 ]
@@ -58,6 +63,36 @@ class ExperimentResult:
         ]
 
 
+@dataclass
+class JobResult:
+    """One measured SPMD job."""
+
+    results: list  # per-rank return values
+    elapsed: float  # simulated makespan (max over rank clocks)
+    counters: FSCounters  # the job's own file-system counts (a snapshot)
+
+
+def run_job(
+    machine: Machine, program, *, nprocs: int, args=(), **run_spmd_kwargs
+) -> JobResult:
+    """Run ``program`` on ``machine`` as one independently measured job.
+
+    Device timelines and file-system counters are zeroed first, so neither
+    queue state nor counts leak in from whatever ran on the machine before;
+    stored files and cache contents stay.  Every bench cell, CLI command
+    and tuner round is made of these.
+    """
+    fs = machine.fs
+    if fs is None:
+        raise ValueError("machine has no file system")
+    machine.reset_timing()
+    fs.counters.reset()
+    res = run_spmd(
+        machine, program, nprocs=nprocs, args=args, **run_spmd_kwargs
+    )
+    return JobResult(res.results, res.elapsed, replace(fs.counters))
+
+
 def run_checkpoint_experiment(
     machine: Machine,
     strategy: IOStrategy,
@@ -83,42 +118,26 @@ def run_checkpoint_experiment(
     if read_op not in ("initial", "restart"):
         raise ValueError(f"unknown read_op {read_op!r}")
     nprocs = nprocs or machine.nprocs
-    fs = machine.fs
-    if fs is None:
-        raise ValueError("machine has no file system")
 
-    def write_program(comm):
+    def write_program(comm, hierarchy, base):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
         return strategy.write_checkpoint(comm, state, base)
 
-    machine.reset_timing()
-    fs.counters.reset()
-    wres = run_spmd(machine, write_program, nprocs=nprocs)
-    write_time = max(s.elapsed for s in wres.results)
-    write_phases = _merge_phases([s.phases for s in wres.results])
-    bytes_written = fs.counters.bytes_written
-    fs_write_requests = fs.counters.writes
-    fs_recoveries = fs.counters.recoveries
-
+    wjob = run_job(machine, write_program, nprocs=nprocs,
+                   args=(hierarchy, base))
     read_time = 0.0
     read_phases: dict = {}
-    bytes_read = 0
-    fs_read_requests = 0
+    rcounters = FSCounters()
     if do_read:
         # The read experiment consumes the *initial grids* when a separate
         # read hierarchy is given (the paper's new-simulation read measures
-        # different data than the dump); create its files untimed.
+        # different data than the dump).  Creating their files is not a
+        # measured job: it runs on the write job's timelines and counters.
         read_base = base
         if read_hierarchy is not None and read_hierarchy is not hierarchy:
             read_base = f"{base}.init"
-
-            def init_write_program(comm):
-                state = RankState.from_hierarchy(
-                    read_hierarchy, comm.rank, comm.size
-                )
-                return strategy.write_checkpoint(comm, state, read_base)
-
-            run_spmd(machine, init_write_program, nprocs=nprocs)
+            run_spmd(machine, write_program, nprocs=nprocs,
+                     args=(read_hierarchy, read_base))
 
         def read_program(comm):
             if read_op == "initial":
@@ -127,28 +146,24 @@ def run_checkpoint_experiment(
                 _state, stats = strategy.read_checkpoint(comm, read_base)
             return stats
 
-        machine.reset_timing()
-        fs.counters.reset()
-        rres = run_spmd(machine, read_program, nprocs=nprocs)
-        read_time = max(s.elapsed for s in rres.results)
-        read_phases = _merge_phases([s.phases for s in rres.results])
-        bytes_read = fs.counters.bytes_read
-        fs_read_requests = fs.counters.reads
-        fs_recoveries += fs.counters.recoveries
+        rjob = run_job(machine, read_program, nprocs=nprocs)
+        read_time = max(s.elapsed for s in rjob.results)
+        read_phases = _merge_phases([s.phases for s in rjob.results])
+        rcounters = rjob.counters
 
     return ExperimentResult(
         machine=machine.name,
         strategy=strategy.name,
         nprocs=nprocs,
-        write_time=write_time,
+        write_time=max(s.elapsed for s in wjob.results),
         read_time=read_time,
-        write_phases=write_phases,
+        write_phases=_merge_phases([s.phases for s in wjob.results]),
         read_phases=read_phases,
-        bytes_written=bytes_written,
-        bytes_read=bytes_read,
-        fs_write_requests=fs_write_requests,
-        fs_read_requests=fs_read_requests,
-        fs_recoveries=fs_recoveries,
+        bytes_written=wjob.counters.bytes_written,
+        bytes_read=rcounters.bytes_read,
+        fs_write_requests=wjob.counters.writes,
+        fs_read_requests=rcounters.reads,
+        fs_recoveries=wjob.counters.recoveries + rcounters.recoveries,
     )
 
 
@@ -168,13 +183,10 @@ def run_traced_experiment(
     """
     if machine.fs is None:
         raise ValueError("machine has no file system")
-    trace = trace_filesystem(machine.fs, include_meta=include_meta)
-    try:
+    with trace_filesystem(machine.fs, include_meta=include_meta) as trace:
         result = run_checkpoint_experiment(
             machine, strategy, hierarchy, **kwargs
         )
-    finally:
-        trace.detach()
     return result, trace
 
 
@@ -200,6 +212,9 @@ class OverlapResult:
     bytes_written: int
     fs_write_requests: int
     fs_recoveries: int
+    #: each rank's ``EnzoSimulation.run`` summary (dump lists, per-stream
+    #: times and bytes), for callers that reduce the run differently
+    summaries: list = field(default_factory=list, repr=False)
 
     @property
     def effective_write_bw(self) -> float:
@@ -228,37 +243,28 @@ def run_overlap_experiment(
     from ..enzo.simulation import EnzoSimulation
 
     nprocs = nprocs or machine.nprocs
-    fs = machine.fs
-    if fs is None:
-        raise ValueError("machine has no file system")
     sim = EnzoSimulation(
         config=config,
         strategy=strategy,
         hierarchy=EnzoSimulation.build_initial_hierarchy(config),
     )
-
-    machine.reset_timing()
-    fs.counters.reset()
-    res = run_spmd(
-        machine, lambda comm: sim.run(comm, base=base), nprocs=nprocs
-    )
-    summaries = res.results
-    write_time = max(s["write_time"] for s in summaries)
-    write_phases = _merge_phases(
-        [_sum_phases(s["write_stats"]) for s in summaries]
-    )
+    job = run_job(machine, lambda comm: sim.run(comm, base=base), nprocs=nprocs)
+    summaries = job.results
     return OverlapResult(
         machine=machine.name,
         strategy=strategy.name,
         nprocs=nprocs,
         overlap=bool(getattr(config, "overlap", False)),
         dumps=len(summaries[0]["dumps"]),
-        makespan=res.elapsed,
-        write_time=write_time,
-        write_phases=write_phases,
-        bytes_written=fs.counters.bytes_written,
-        fs_write_requests=fs.counters.writes,
-        fs_recoveries=fs.counters.recoveries,
+        makespan=job.elapsed,
+        write_time=max(s["write_time"] for s in summaries),
+        write_phases=_merge_phases(
+            [_sum_phases(s["write_stats"]) for s in summaries]
+        ),
+        bytes_written=job.counters.bytes_written,
+        fs_write_requests=job.counters.writes,
+        fs_recoveries=job.counters.recoveries,
+        summaries=summaries,
     )
 
 

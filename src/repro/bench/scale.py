@@ -21,7 +21,7 @@ on the pinned-digest figure cells:
 
 Scale cells pin exact request/byte counters and banded bandwidths, but no
 golden trace digests: a P=1024 event stream is large, and determinism is
-already enforced by the 37 figure cells.  Host wall-clock cost per cell
+already enforced by the 52 figure cells.  Host wall-clock cost per cell
 is recorded by the executor's telemetry (``BENCH_timings.json``), never
 in the records themselves -- it measures the host, not the model, and
 keeping it out of the records is what makes them byte-identical across
@@ -35,10 +35,10 @@ from dataclasses import asdict, dataclass
 from ..amr.partition import BlockPartition
 from ..enzo.meta import HierarchyMeta
 from ..enzo.state import RankState, make_owner_map
-from ..mpi.runner import run_spmd
 from ..topology.presets import PRESETS
 from .baselines import Trend
 from .cellrunner import CellFamily, Gate, register_family
+from .runners import run_job
 from .workloads import build_scale_workload
 
 __all__ = [
@@ -203,17 +203,15 @@ def run_scale_cell(cell: ScaleCell) -> dict:
     machine = PRESETS[cell.machine](nprocs=cell.nprocs)
     strategy = registry.create(cell.strategy)
     strategy.batch_requests = True  # scale mode: batched per-grid requests
-    machine.reset_timing()
-    machine.fs.counters.reset()
-    res = run_spmd(
+    job = run_job(
         machine,
         _write_program,
         nprocs=cell.nprocs,
         args=(states, strategy, "scale"),
         batch_collectives=True,
     )
-    write_s = max(s.elapsed for s in res.results)
-    counters = machine.fs.counters
+    write_s = max(s.elapsed for s in job.results)
+    counters = job.counters
     return {
         "machine": cell.machine,
         "strategy": cell.strategy,

@@ -3,8 +3,8 @@
 Commands:
 
 * ``table1``                     -- print the data-volume table;
-* ``figure fig6|fig7|fig8|fig9|fig10`` -- run one figure's experiments and
-  draw the paper-style chart;
+* ``figure fig6|fig7|fig8|fig9|fig10`` -- run one figure's cells of the
+  regress matrix and draw the paper-style chart;
 * ``analyze``                    -- trace a checkpoint dump (or load a saved
   trace) and print the Pablo-style I/O report;
 * ``insights``                   -- run the Drishti-style detector rules
@@ -53,18 +53,23 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 from .bench import (
     GATES,
+    MATRIX,
     build_initial_workload,
     build_workload,
+    run_cell,
     run_checkpoint_experiment,
 )
 from .bench.figures import render_figure
+from .bench.runners import run_job
 from .core import format_table
 from .enzo import table1
 from .iostack import registry
-from .topology import PRESETS, chiba_city, chiba_city_local, ibm_sp2, origin2000
+from .scenarios import ScenarioError
+from .topology import PRESETS
 
 __all__ = ["main"]
 
@@ -91,10 +96,11 @@ def _add_scenario_args(parser) -> None:
 def _resolve_problem(args):
     """``--problem``/``--scenario``/``--param-file`` to a workload problem.
 
-    Returns a scenario name (str) or a :class:`~repro.scenarios.Scenario`;
-    raises :class:`~repro.scenarios.ScenarioError` for unknown names,
-    unreadable/malformed parameter files, and bad downscale factors --
-    callers print the message and exit 2 (usage error).
+    Returns a registered scenario name (str; ``None`` when ``--problem``
+    was left to the command's default) or a
+    :class:`~repro.scenarios.Scenario`; raises
+    :class:`~repro.scenarios.ScenarioError` for unknown names,
+    unreadable/malformed parameter files, and bad downscale factors.
     """
     from .scenarios import load_param_file
     from .scenarios import registry as scenario_registry
@@ -105,11 +111,44 @@ def _resolve_problem(args):
     if getattr(args, "param_file", None):
         problem = load_param_file(args.param_file)
     k = getattr(args, "downscale", 0) or 0
+    if isinstance(problem, str):
+        scenario = scenario_registry.get(problem)  # unknown: "choose from [...]"
+        if k > 1:
+            problem = scenario
     if k > 1:
-        if isinstance(problem, str):
-            problem = scenario_registry.get(problem)
         problem = problem.downscaled(k)
     return problem
+
+
+class _UsageError(ValueError):
+    """Bad command-line input: ``main`` prints it and exits 2."""
+
+
+def _job_setup(args):
+    """Validate a job command's options before anything runs.
+
+    Returns ``(problem, preset, strategy)``: the resolved workload (see
+    :func:`_resolve_problem`), the machine preset (``--machine``, the
+    Origin2000 for commands without the option) and the ``--strategy``
+    name, checked against that machine's file system (``None`` for
+    commands that run several).  Raises :class:`_UsageError` naming the
+    offending option.
+    """
+    for flag in ("procs", "cycles"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise _UsageError(
+                f"--{flag} must be a positive integer (got {value})"
+            )
+    preset = PRESETS[getattr(args, "machine", "origin2000")]
+    strategy = getattr(args, "strategy", None)
+    try:
+        problem = _resolve_problem(args)
+        if strategy:
+            registry.check_filesystem(strategy, preset(nprocs=args.procs).fs)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
+    return problem, preset, strategy
 
 
 def _retry_policy(args):
@@ -184,42 +223,13 @@ def _arm_fault(fs, spec: str) -> bool:
     return True
 
 
-FIGURES = {
-    "fig6": {
-        "title": "Figure 6: ENZO I/O on SGI Origin2000 / XFS",
-        "machine": lambda n: origin2000(nprocs=n),
-        "procs": [2, 4, 8, 16, 32],
-        "strategies": ["hdf4", "mpi-io"],
-        "metrics": ["write", "read"],
-    },
-    "fig7": {
-        "title": "Figure 7: ENZO I/O on IBM SP / GPFS",
-        "machine": lambda n: ibm_sp2(nprocs=n),
-        "procs": [32, 64],
-        "strategies": ["hdf4", "mpi-io"],
-        "metrics": ["write", "read"],
-    },
-    "fig8": {
-        "title": "Figure 8: ENZO I/O on Chiba City / PVFS (fast Ethernet)",
-        "machine": lambda n: chiba_city(8),
-        "procs": [8],
-        "strategies": ["hdf4", "mpi-io"],
-        "metrics": ["write", "read"],
-    },
-    "fig9": {
-        "title": "Figure 9: ENZO I/O on Chiba City / node-local disks",
-        "machine": lambda n: chiba_city_local(8),
-        "procs": [2, 4, 8],
-        "strategies": ["hdf4", "mpi-io"],
-        "metrics": ["write", "read"],
-    },
-    "fig10": {
-        "title": "Figure 10: HDF5 vs MPI-IO write on SGI Origin2000",
-        "machine": lambda n: origin2000(nprocs=n),
-        "procs": [4, 8, 16],
-        "strategies": ["mpi-io", "hdf5"],
-        "metrics": ["write"],
-    },
+#: The figures ``repro figure`` charts; their cells are ``MATRIX``'s.
+FIGURE_TITLES = {
+    "fig6": "Figure 6: ENZO I/O on SGI Origin2000 / XFS",
+    "fig7": "Figure 7: ENZO I/O on IBM SP / GPFS",
+    "fig8": "Figure 8: ENZO I/O on Chiba City / PVFS (fast Ethernet)",
+    "fig9": "Figure 9: ENZO I/O on Chiba City / node-local disks",
+    "fig10": "Figure 10: HDF5 vs MPI-IO write on SGI Origin2000",
 }
 
 
@@ -239,41 +249,47 @@ def cmd_table1(args) -> int:
 
 
 def cmd_figure(args) -> int:
-    spec = FIGURES[args.name]
-    dump = build_workload(args.problem)
-    init = build_initial_workload(args.problem)
-    procs = [args.procs] if args.procs else spec["procs"]
-    series_w: dict[str, dict] = {s: {} for s in spec["strategies"]}
-    series_r: dict[str, dict] = {s: {} for s in spec["strategies"]}
+    """Chart one figure's synchronous regress cells (``MATRIX``).
+
+    Without options the cells are exactly the committed ones, so the
+    numbers are ``BENCH_figures.json``'s; ``--procs`` runs each of the
+    figure's strategies at that one count and ``--problem`` swaps the
+    workload.
+    """
+    problem, _preset, _strategy = _job_setup(args)
+    cells = [
+        c for c in MATRIX
+        if c.figure == args.name
+        and not registry.get(c.strategy).options.get("async")
+    ]
+    if args.procs is not None:
+        cells = list(dict.fromkeys(replace(c, nprocs=args.procs) for c in cells))
+    if problem is not None:
+        cells = [replace(c, problem=problem) for c in cells]
+    series_w: dict[str, dict] = {}
+    series_r: dict[str, dict] = {}
     points = []
-    for nprocs in procs:
-        for name in spec["strategies"]:
-            result = run_checkpoint_experiment(
-                spec["machine"](nprocs),
-                _make_strategy(name),
-                dump,
-                nprocs=nprocs,
-                read_hierarchy=init,
-                do_read="read" in spec["metrics"],
-            )
-            series_w[name][f"P={nprocs}"] = result.write_time
-            if "read" in spec["metrics"]:
-                series_r[name][f"P={nprocs}"] = result.read_time
-            points.append(
-                {
-                    "figure": args.name,
-                    "problem": args.problem,
-                    "nprocs": nprocs,
-                    "strategy": name,
-                    "write_s": result.write_time,
-                    "read_s": result.read_time,
-                    "mb_written": result.bytes_written / 2**20,
-                }
-            )
-    print(render_figure(f"{spec['title']} -- WRITE ({args.problem})", series_w))
-    if "read" in spec["metrics"]:
+    for cell in cells:
+        rec = run_cell(cell)
+        series_w.setdefault(cell.strategy, {})[f"P={cell.nprocs}"] = rec["write_s"]
+        if cell.do_read:
+            series_r.setdefault(cell.strategy, {})[f"P={cell.nprocs}"] = rec["read_s"]
+        points.append(
+            {
+                "figure": args.name,
+                "problem": cell.problem,
+                "nprocs": cell.nprocs,
+                "strategy": cell.strategy,
+                "write_s": rec["write_s"],
+                "read_s": rec["read_s"],
+                "mb_written": rec["bytes_written"] / 2**20,
+            }
+        )
+    title, problem = FIGURE_TITLES[args.name], cells[0].problem
+    print(render_figure(f"{title} -- WRITE ({problem})", series_w))
+    if series_r:
         print()
-        print(render_figure(f"{spec['title']} -- READ ({args.problem})", series_r))
+        print(render_figure(f"{title} -- READ ({problem})", series_r))
     if args.json:
         import json
 
@@ -307,8 +323,6 @@ def _load_trace(path: str):
 def cmd_analyze(args) -> int:
     from .core import format_trace_report, trace_filesystem
     from .enzo import RankState
-    from .mpi import run_spmd
-    from .scenarios import ScenarioError
 
     if args.trace:
         trace = _load_trace(args.trace)
@@ -317,21 +331,17 @@ def cmd_analyze(args) -> int:
         print(format_trace_report(trace, title=f"saved trace {args.trace}"))
         return 0
 
-    machine = origin2000(nprocs=args.procs or 8)
-    try:
-        problem = _resolve_problem(args)
-        hierarchy = build_workload(problem)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trace = trace_filesystem(machine.fs, include_meta=True)
-    strategy = _make_strategy(args.strategy, retry=_retry_policy(args))
+    problem, preset, name = _job_setup(args)
+    machine = preset(nprocs=args.procs)
+    hierarchy = build_workload(problem)
+    strategy = _make_strategy(name, retry=_retry_policy(args))
 
     def program(comm):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
         strategy.write_checkpoint(comm, state, "dump")
 
-    run_spmd(machine, program, nprocs=args.procs or 8)
+    with trace_filesystem(machine.fs, include_meta=True) as trace:
+        run_job(machine, program, nprocs=args.procs)
     print(
         format_trace_report(
             trace, title=f"{strategy.name} dump of {problem}"
@@ -373,20 +383,13 @@ def cmd_tune(args) -> int:
     import json
 
     from .insights import AutoTuner
-    from .scenarios import ScenarioError
 
-    preset = PRESETS[args.machine]
-    try:
-        problem = _resolve_problem(args)
-        registry.check_filesystem(args.strategy, preset(nprocs=args.procs).fs)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    problem, preset, strategy = _job_setup(args)
     tuner = AutoTuner(
         lambda n: preset(nprocs=n),
         problem=problem,
         nprocs=args.procs,
-        strategy=args.strategy,
+        strategy=strategy,
         max_rounds=args.rounds,
         retry=_retry_policy(args),
     )
@@ -406,36 +409,29 @@ def cmd_simulate(args) -> int:
         RankState,
         hierarchies_equivalent,
     )
-    from .mpi import run_spmd
-    from .scenarios import Scenario, ScenarioError
-
+    from .scenarios import Scenario
     from .sim.errors import RankFailedError
 
-    machine = origin2000(nprocs=args.procs or 8)
-    try:
-        problem = _resolve_problem(args)
+    problem, preset, name = _job_setup(args)
+    machine = preset(nprocs=args.procs)
+    if isinstance(problem, Scenario):
+        # Scenario-driven run: the parameter file's cadence (plot
+        # stream, redshift dumps, checkpoint interval) applies.
         overrides = {} if args.cycles is None else {"ncycles": args.cycles}
-        if isinstance(problem, Scenario):
-            # Scenario-driven run: the parameter file's cadence (plot
-            # stream, redshift dumps, checkpoint interval) applies.
-            config = EnzoConfig.from_scenario(problem, **overrides)
-        else:
-            config = EnzoConfig(problem=problem,
-                                ncycles=args.cycles if args.cycles else 2)
-        hierarchy = EnzoSimulation.build_initial_hierarchy(config)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        config = EnzoConfig.from_scenario(problem, **overrides)
+    else:
+        config = EnzoConfig(problem=problem, ncycles=args.cycles or 2)
+    hierarchy = EnzoSimulation.build_initial_hierarchy(config)
     if args.inject and not _arm_fault(machine.fs, args.inject):
         return 2
     sim = EnzoSimulation(
         config=config,
-        strategy=_make_strategy(args.strategy, retry=_retry_policy(args)),
+        strategy=_make_strategy(name, retry=_retry_policy(args)),
         hierarchy=hierarchy,
     )
     try:
-        results = run_spmd(machine, lambda c: sim.run(c, base="run"),
-                           nprocs=args.procs or 8)
+        results = run_job(machine, lambda c: sim.run(c, base="run"),
+                          nprocs=args.procs)
     except RankFailedError as err:
         cause = err.__cause__ or err
         print(f"error: simulation failed: {cause}", file=sys.stderr)
@@ -456,8 +452,8 @@ def cmd_simulate(args) -> int:
         return 0
     last = summary["dumps"][-1]
     try:
-        restart = run_spmd(machine, lambda c: sim.restart(c, last),
-                           nprocs=args.procs or 8)
+        restart = run_job(machine, lambda c: sim.restart(c, last),
+                          nprocs=args.procs)
     except RankFailedError as err:
         cause = err.__cause__ or err
         print(f"error: restart of {last} failed: {cause}", file=sys.stderr)
@@ -470,9 +466,9 @@ def cmd_simulate(args) -> int:
 
 def cmd_table(args) -> int:
     """Run each strategy once on one machine and print the results table."""
-    preset = PRESETS[args.machine]
-    dump = build_workload(args.problem)
-    init = build_initial_workload(args.problem)
+    problem, preset, _strategy = _job_setup(args)
+    dump = build_workload(problem)
+    init = build_initial_workload(problem)
     rows = []
     for name in registry.names():
         machine = preset(nprocs=args.procs)
@@ -525,7 +521,6 @@ def cmd_strategies(args) -> int:
 
 def cmd_scenarios(args) -> int:
     """List the scenario registry; ``--check`` lints every entry."""
-    from .scenarios import ScenarioError
     from .scenarios import registry as scenario_registry
 
     rows = []
@@ -753,8 +748,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("table1", help="print Table 1 (data volumes)")
 
     f = sub.add_parser("figure", help="run one figure's experiments")
-    f.add_argument("name", choices=sorted(FIGURES))
-    f.add_argument("--problem", default="AMR32")
+    f.add_argument("name", choices=sorted(FIGURE_TITLES))
+    f.add_argument("--problem", default=None,
+                   help="workload (default: the figure's own, see "
+                        "'repro regress --list-cells')")
     f.add_argument("--procs", type=int, default=None,
                    help="single processor count (default: the figure's set)")
     f.add_argument("--json", default=None, metavar="PATH",
@@ -888,6 +885,9 @@ def main(argv=None) -> int:
         if hasattr(args, "gate"):  # a row of the gate table
             return _cmd_gate(args.gate, args)
         return handler(args)
+    except (_UsageError, ScenarioError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # the consumer (e.g. `| head`) closed the pipe: stop quietly with
         # the conventional 128+SIGPIPE status instead of a traceback

@@ -6,8 +6,8 @@ operation, offset, size, issue/finish virtual times, rank -- and computes
 the aggregate statistics the analysis rests on: request-size distribution,
 sequential fraction, per-rank skew, and achieved bandwidth.
 
-Attach with :func:`trace_filesystem` (wraps a FileSystem's timing hooks),
-or record manually.
+Attach with :func:`trace_filesystem` (subscribes to a FileSystem's request
+stream), or record manually.
 """
 
 from __future__ import annotations
@@ -50,9 +50,27 @@ class IOTrace:
     """An append-only request log with derived statistics."""
 
     events: list = field(default_factory=list)
+    #: ends the subscription of a trace made by :func:`trace_filesystem`
+    _unsubscribe: object = field(default=None, repr=False, compare=False)
 
     def record(self, **kw) -> None:
         self.events.append(IOEvent(**kw))
+
+    def detach(self) -> None:
+        """Stop recording from the file system (no-op on a detached trace).
+
+        Also drops the trace's reference to the file system, so a kept
+        trace does not keep a machine's stored bytes alive.
+        """
+        unsubscribe, self._unsubscribe = self._unsubscribe, None
+        if unsubscribe is not None:
+            unsubscribe()
+
+    def __enter__(self) -> "IOTrace":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.detach()
 
     # -- selections ---------------------------------------------------------
 
@@ -226,83 +244,26 @@ class IOTrace:
 
 
 def trace_filesystem(fs, *, include_meta: bool = False) -> IOTrace:
-    """Instrument a FileSystem in place; returns the live trace.
+    """Subscribe a new trace to ``fs``'s request stream; returns it live.
 
-    Wraps the private timing hooks so every read/write lands in the trace
-    with its virtual start/finish times.  With ``include_meta=True``,
+    Every read/write lands in the trace with its virtual start/finish
+    times, list-I/O as one event per segment sharing the request's times,
+    recovery notices as ``op="recovery"``.  With ``include_meta=True``,
     namespace operations (open/create/delete) are recorded as ``op="meta"``
     events too -- the raw material for metadata-churn diagnosis.
 
-    List-I/O requests are recorded one event per segment, tagged with the
-    request's overall start/finish (segments share one wire request).
-
-    The returned trace carries a ``detach()`` callable that restores the
-    original hooks, so a file system can be traced for one phase only.
+    ``trace.detach()`` ends the subscription, so a file system can be
+    traced for one phase only; ``with trace_filesystem(fs) as trace:``
+    detaches on exit.
     """
     trace = IOTrace()
-    orig_read, orig_write = fs._service_read, fs._service_write
-    orig_list, orig_meta = fs._service_list, fs._service_meta
-    orig_recovery = fs._service_recovery
-    in_list = False  # list-I/O may fall back to per-segment service hooks
 
-    def traced_read(path, offset, nbytes, node, ready_time):
-        done = orig_read(path, offset, nbytes, node, ready_time)
-        if not in_list:
-            trace.record(
-                op="read", path=path, offset=offset, nbytes=nbytes,
-                start=ready_time, end=done, node=node,
+    def observe(op, path, offset, nbytes, start, end, node, kind, attempt):
+        if include_meta or op != "meta":
+            trace.events.append(
+                IOEvent(op, path, offset, nbytes, start, end, node, kind, attempt)
             )
-        return done
 
-    def traced_write(path, offset, nbytes, node, ready_time):
-        done = orig_write(path, offset, nbytes, node, ready_time)
-        if not in_list:
-            trace.record(
-                op="write", path=path, offset=offset, nbytes=nbytes,
-                start=ready_time, end=done, node=node,
-            )
-        return done
-
-    def traced_list(path, segments, node, ready_time, op):
-        nonlocal in_list
-        in_list = True
-        try:
-            done = orig_list(path, segments, node, ready_time, op)
-        finally:
-            in_list = False
-        for off, n in segments:
-            trace.record(
-                op=op, path=path, offset=off, nbytes=n,
-                start=ready_time, end=done, node=node,
-            )
-        return done
-
-    def traced_meta(op, path, node, ready_time):
-        done = orig_meta(op, path, node, ready_time)
-        trace.record(
-            op="meta", path=path, offset=0, nbytes=0,
-            start=ready_time, end=done, node=node, kind=op,
-        )
-        return done
-
-    def traced_recovery(path, kind, node, time, attempt, nbytes):
-        orig_recovery(path, kind, node, time, attempt, nbytes)
-        trace.record(
-            op="recovery", path=path, offset=0, nbytes=nbytes,
-            start=time, end=time, node=node, kind=kind, attempt=attempt,
-        )
-
-    fs._service_read = traced_read
-    fs._service_write = traced_write
-    fs._service_list = traced_list
-    fs._service_recovery = traced_recovery
-    if include_meta:
-        fs._service_meta = traced_meta
-
-    def detach():
-        fs._service_read, fs._service_write = orig_read, orig_write
-        fs._service_list, fs._service_meta = orig_list, orig_meta
-        fs._service_recovery = orig_recovery
-
-    trace.detach = detach
+    fs.subscribe(observe)
+    trace._unsubscribe = lambda: fs.unsubscribe(observe)
     return trace

@@ -40,7 +40,6 @@ __all__ = [
     "IOStrategy",
     "PendingDump",
     "StackContext",
-    "StackExecutor",
     "hierarchy_path",
 ]
 
@@ -100,20 +99,23 @@ class IOStrategy(ABC):
             raise ValueError("no file system attached to the machine")
         return fs
 
+    def _rank0_file(self, comm: Comm, path: str, *, create: bool) -> ADIOFile:
+        """Create or open a sidecar on rank 0's clock; returns its handle."""
+        fs = self._fs(comm)
+        proc = comm.proc
+        proc.schedule_point()
+        done = (fs.create if create else fs.open)(
+            path,
+            node=comm.machine.node_of(comm.group[0]),
+            ready_time=proc.clock,
+        )
+        proc.advance_to(done)
+        return ADIOFile(fs, path, comm, retry=self.retry)
+
     def write_meta_sidecar(self, comm: Comm, base: str, meta: HierarchyMeta) -> None:
         """Rank 0 writes the hierarchy sidecar; everyone synchronises."""
         if comm.rank == 0:
-            fs = self._fs(comm)
-            path = hierarchy_path(base)
-            proc = comm.proc
-            proc.schedule_point()
-            done = fs.create(
-                path,
-                node=comm.machine.node_of(comm.group[0]),
-                ready_time=proc.clock,
-            )
-            proc.advance_to(done)
-            adio = ADIOFile(fs, path, comm, retry=self.retry)
+            adio = self._rank0_file(comm, hierarchy_path(base), create=True)
             adio.write_contig(0, meta.to_bytes())
         coll.barrier(comm)
 
@@ -121,17 +123,7 @@ class IOStrategy(ABC):
         """Rank 0 reads the sidecar and broadcasts it."""
         blob = None
         if comm.rank == 0:
-            fs = self._fs(comm)
-            path = hierarchy_path(base)
-            proc = comm.proc
-            proc.schedule_point()
-            done = fs.open(
-                path,
-                node=comm.machine.node_of(comm.group[0]),
-                ready_time=proc.clock,
-            )
-            proc.advance_to(done)
-            adio = ADIOFile(fs, path, comm, retry=self.retry)
+            adio = self._rank0_file(comm, hierarchy_path(base), create=False)
             blob = adio.read_contig(0, adio.size())
         blob = coll.bcast(comm, blob, root=0)
         return HierarchyMeta.from_bytes(blob)
@@ -152,17 +144,7 @@ class IOStrategy(ABC):
             for rank_entries in gathered:
                 for entry in rank_entries:
                     manifest.add(entry)
-            fs = self._fs(comm)
-            path = manifest_path(base)
-            proc = comm.proc
-            proc.schedule_point()
-            done = fs.create(
-                path,
-                node=comm.machine.node_of(comm.group[0]),
-                ready_time=proc.clock,
-            )
-            proc.advance_to(done)
-            adio = ADIOFile(fs, path, comm, retry=self.retry)
+            adio = self._rank0_file(comm, manifest_path(base), create=True)
             adio.write_contig(0, manifest.to_bytes())
         coll.barrier(comm)
 
@@ -183,15 +165,7 @@ class IOStrategy(ABC):
                     f"checkpoint {base!r} has no manifest -- "
                     "the dump did not complete"
                 )
-            proc = comm.proc
-            proc.schedule_point()
-            done = fs.open(
-                path,
-                node=comm.machine.node_of(comm.group[0]),
-                ready_time=proc.clock,
-            )
-            proc.advance_to(done)
-            adio = ADIOFile(fs, path, comm, retry=self.retry)
+            adio = self._rank0_file(comm, path, create=False)
             manifest = CheckpointManifest.from_bytes(
                 adio.read_contig(0, adio.size())
             )
@@ -271,7 +245,7 @@ class IOStrategy(ABC):
 class StackContext:
     """Per-operation state threaded through the stack layers.
 
-    The executor owns it; transports time their phases through
+    The strategy owns it; transports time their phases through
     :meth:`timed` and both transports and format sessions append manifest
     entries to ``entries``.
     """
@@ -294,12 +268,12 @@ class StackContext:
 class PendingDump:
     """A posted checkpoint dump awaiting its drain + manifest commit.
 
-    Produced by :meth:`StackExecutor.write_async`; the caller overlaps
-    compute with the background drain and calls :meth:`complete` before
-    the data may be needed (next dump, restart, shutdown).  ``complete``
-    is where deferred I/O errors surface -- *before* the manifest is
-    written, so a failed drain leaves no commit record and a restart
-    fails loudly instead of trusting torn state.
+    Produced by :meth:`ComposedStrategy.write_checkpoint_async`; the
+    caller overlaps compute with the background drain and calls
+    :meth:`complete` before the data may be needed (next dump, restart,
+    shutdown).  ``complete`` is where deferred I/O errors surface --
+    *before* the manifest is written, so a failed drain leaves no commit
+    record and a restart fails loudly instead of trusting torn state.
     """
 
     ctx: StackContext
@@ -329,11 +303,12 @@ class PendingDump:
         return ctx.stats
 
 
-class StackExecutor:
-    """Runs a composed strategy: the one place orchestration lives.
+class ComposedStrategy(IOStrategy):
+    """An I/O strategy assembled from layout + transport + format layers.
 
-    The cross-cutting order every strategy shares, formerly copy-pasted
-    per driver:
+    The named compositions in :mod:`repro.iostack.registry` instantiate
+    this class (``registry.create`` is the only way to build a strategy).
+    The cross-cutting order every composition shares lives here, once:
 
     * **write** -- hierarchy sidecar, open, transport-driven data phases,
       close, then the CRC32 manifest *commit record* (data before
@@ -344,89 +319,6 @@ class StackExecutor:
     * **read_initial** -- sidecar then the transport's distribution read
       (no manifest gate and no phase breakdown, matching the original
       new-simulation paths).
-    """
-
-    def __init__(self, strategy: "ComposedStrategy"):
-        self.strategy = strategy
-
-    def write(self, comm: Comm, state: RankState, base: str) -> IOStats:
-        s = self.strategy
-        if getattr(s, "aio", None) is not None:
-            # Async transport: post the data phases, then immediately
-            # drain and commit (no compute to overlap with here -- the
-            # Enzo driver's double buffering calls write_async directly).
-            return self.write_async(comm, state, base).complete()
-        stats = IOStats(strategy=s.name, operation="write")
-        t0 = comm.clock
-        layout = s.layout_planner.plan(state.meta)
-        ctx = StackContext(s, comm, base, stats, [])
-        s.write_meta_sidecar(comm, base, state.meta)
-        session = s.format.open_write(ctx, state.meta, layout)
-        s.transport.write(ctx, session, layout, state)
-        session.close()
-        s.write_manifest(comm, base, ctx.entries)
-        stats.elapsed = comm.clock - t0
-        return stats
-
-    def write_async(self, comm: Comm, state: RankState, base: str) -> "PendingDump":
-        """Post the dump's data phases and return without committing.
-
-        Runs the exact sidecar/open/transport/close sequence of
-        :meth:`write`, but with the strategy's ``aio`` config the data
-        writes are posted to the background flush service, so the rank
-        returns as soon as staging and communication are done.  The CRC32
-        manifest is *not* written yet: :meth:`PendingDump.complete` drains
-        every pending request (the explicit flush barrier) and only then
-        commits, preserving the crash-consistency invariant that a
-        manifest's presence proves fully-landed data.
-        """
-        s = self.strategy
-        stats = IOStats(strategy=s.name, operation="write")
-        t0 = comm.clock
-        layout = s.layout_planner.plan(state.meta)
-        ctx = StackContext(s, comm, base, stats, [])
-        s.write_meta_sidecar(comm, base, state.meta)
-        session = s.format.open_write(ctx, state.meta, layout)
-        s.transport.write(ctx, session, layout, state)
-        session.close()
-        stats.elapsed = comm.clock - t0
-        return PendingDump(ctx=ctx)
-
-    def read(self, comm: Comm, base: str) -> tuple[RankState, IOStats]:
-        s = self.strategy
-        stats = IOStats(strategy=s.name, operation="read")
-        t0 = comm.clock
-        meta = s.read_meta_sidecar(comm, base)
-        s.verify_manifest(comm, base)
-        layout = s.layout_planner.plan(meta)
-        ctx = StackContext(s, comm, base, stats, [])
-        session = s.format.open_read(ctx, meta, layout)
-        state = s.transport.read(ctx, session, layout, meta)
-        session.close()
-        stats.elapsed = comm.clock - t0
-        return state, stats
-
-    def read_initial(self, comm: Comm, base: str):
-        s = self.strategy
-        stats = IOStats(strategy=s.name, operation="read_initial")
-        t0 = comm.clock
-        meta = s.read_meta_sidecar(comm, base)
-        layout = s.layout_planner.plan(meta)
-        ctx = StackContext(s, comm, base, stats, [])
-        session = s.format.open_read(ctx, meta, layout)
-        state = s.transport.read_initial(ctx, session, layout, meta)
-        session.close()
-        stats.elapsed = comm.clock - t0
-        return state, stats
-
-
-class ComposedStrategy(IOStrategy):
-    """An I/O strategy assembled from layout + transport + format layers.
-
-    The named compositions in :mod:`repro.iostack.registry` instantiate
-    this class; the legacy strategy classes subclass it with their
-    original constructor signatures.  All behaviour runs through the
-    :class:`StackExecutor`.
     """
 
     def __init__(
@@ -441,24 +333,66 @@ class ComposedStrategy(IOStrategy):
         #: optional repro.aio.AioConfig; non-None makes every data write
         #: nonblocking (posted to the per-rank background flush service)
         self.aio = aio
-        self._executor = StackExecutor(self)
+
+    def _write_data(self, comm: Comm, state: RankState, base: str) -> StackContext:
+        """Sidecar, open, transport data phases, close -- no commit yet."""
+        stats = IOStats(strategy=self.name, operation="write")
+        t0 = comm.clock
+        layout = self.layout_planner.plan(state.meta)
+        ctx = StackContext(self, comm, base, stats, [])
+        self.write_meta_sidecar(comm, base, state.meta)
+        session = self.format.open_write(ctx, state.meta, layout)
+        self.transport.write(ctx, session, layout, state)
+        session.close()
+        stats.elapsed = comm.clock - t0
+        return ctx
 
     def write_checkpoint(self, comm: Comm, state: RankState, base: str) -> IOStats:
-        return self._executor.write(comm, state, base)
+        t0 = comm.clock
+        ctx = self._write_data(comm, state, base)
+        if self.aio is not None:
+            # Async transport: the data phases were only posted; drain and
+            # commit at once (no compute to overlap with here -- the Enzo
+            # driver's double buffering uses write_checkpoint_async).
+            return PendingDump(ctx=ctx).complete()
+        self.write_manifest(comm, base, ctx.entries)
+        ctx.stats.elapsed = comm.clock - t0
+        return ctx.stats
 
     def write_checkpoint_async(
         self, comm: Comm, state: RankState, base: str
     ) -> PendingDump:
-        """Post a dump; :meth:`PendingDump.complete` commits it.
+        """Post the dump's data phases and return without committing.
 
-        Valid for any composition (a synchronous strategy's "pending"
-        dump simply has nothing left to drain), so drivers can double
-        -buffer unconditionally.
+        With the strategy's ``aio`` config the data writes are posted to
+        the background flush service, so the rank returns as soon as
+        staging and communication are done.  The CRC32 manifest is *not*
+        written yet: :meth:`PendingDump.complete` drains every pending
+        request (the explicit flush barrier) and only then commits,
+        preserving the crash-consistency invariant that a manifest's
+        presence proves fully-landed data.  Valid for any composition (a
+        synchronous strategy's "pending" dump simply has nothing left to
+        drain), so drivers can double-buffer unconditionally.
         """
-        return self._executor.write_async(comm, state, base)
+        return PendingDump(ctx=self._write_data(comm, state, base))
+
+    def _read(self, comm: Comm, base: str, operation: str, *, verify: bool):
+        """``operation`` names both the stats and the transport method."""
+        stats = IOStats(strategy=self.name, operation=operation)
+        t0 = comm.clock
+        meta = self.read_meta_sidecar(comm, base)
+        if verify:
+            self.verify_manifest(comm, base)
+        layout = self.layout_planner.plan(meta)
+        ctx = StackContext(self, comm, base, stats, [])
+        session = self.format.open_read(ctx, meta, layout)
+        state = getattr(self.transport, operation)(ctx, session, layout, meta)
+        session.close()
+        stats.elapsed = comm.clock - t0
+        return state, stats
 
     def read_checkpoint(self, comm: Comm, base: str) -> tuple[RankState, IOStats]:
-        return self._executor.read(comm, base)
+        return self._read(comm, base, "read", verify=True)
 
     def read_initial(self, comm: Comm, base: str):
-        return self._executor.read_initial(comm, base)
+        return self._read(comm, base, "read_initial", verify=False)

@@ -17,7 +17,7 @@ Typical use::
     print(format_report(diagnosis))
 """
 
-from .autotune import STRATEGY_UPGRADES, AutoTuner, TuningReport, TuningStep
+from .autotune import AutoTuner, TuningReport, TuningStep
 from .model import Diagnosis, Insight, Recommendation, Severity
 from .reporter import format_report, report_to_dict, report_to_json
 from .rules import Thresholds, TraceContext, all_rules, diagnose
@@ -28,7 +28,6 @@ __all__ = [
     "Insight",
     "Recommendation",
     "Severity",
-    "STRATEGY_UPGRADES",
     "Thresholds",
     "TraceContext",
     "TuningReport",

@@ -14,21 +14,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bench.runners import run_traced_experiment
+from ..bench.runners import run_overlap_experiment, run_traced_experiment
 from ..bench.workloads import build_workload
-from ..core.trace import IOTrace
+from ..core.trace import IOTrace, trace_filesystem
 from ..iostack import registry
 from ..mpiio.hints import Hints
 from .model import Diagnosis, Severity
 from .rules import Thresholds, diagnose
 
-__all__ = ["AutoTuner", "TuningReport", "TuningStep", "STRATEGY_UPGRADES"]
-
-#: the escalation the paper's measurements justify, derived from the
-#: ``upgrades_to`` declarations in the strategy registry: both the serial
-#: HDF4 baseline and the metadata-bound parallel HDF5 move to collective
-#: MPI-IO
-STRATEGY_UPGRADES = registry.upgrades()
+__all__ = ["AutoTuner", "TuningReport", "TuningStep"]
 
 
 def stripe_size_of(machine) -> int:
@@ -207,9 +201,8 @@ class AutoTuner:
         regression matrix uses for its async cells.
         """
         machine = self.machine_factory(self.nprocs)
+        stack = registry.create(strategy, hints=hints, retry=self.retry)
         if registry.get(strategy).options.get("async"):
-            from ..bench.runners import run_overlap_experiment
-            from ..core.trace import trace_filesystem
             from ..enzo.simulation import EnzoConfig
 
             # Two overlapped dumps over four cycles: enough for the
@@ -218,20 +211,14 @@ class AutoTuner:
             config = EnzoConfig(
                 problem=self.problem, ncycles=4, dump_every=2, overlap=True
             )
-            trace = trace_filesystem(machine.fs, include_meta=True)
-            try:
+            with trace_filesystem(machine.fs, include_meta=True) as trace:
                 result = run_overlap_experiment(
-                    machine,
-                    registry.create(strategy, hints=hints, retry=self.retry),
-                    config,
-                    nprocs=self.nprocs,
+                    machine, stack, config, nprocs=self.nprocs
                 )
-            finally:
-                trace.detach()
         else:
             result, trace = run_traced_experiment(
                 machine,
-                registry.create(strategy, hints=hints, retry=self.retry),
+                stack,
                 build_workload(self.problem),
                 nprocs=self.nprocs,
                 do_read=False,
@@ -278,6 +265,35 @@ class AutoTuner:
 
     # -- the loop ----------------------------------------------------------
 
+    def _measure(
+        self, report: TuningReport, round_no: int, strategy: str,
+        hints: Hints, applied: list,
+    ) -> Diagnosis:
+        """Run one round and append its :class:`TuningStep` to ``report``."""
+        _trace, diagnosis, result = self.run_once(strategy, hints)
+        bandwidth = (
+            result.bytes_written / result.write_time
+            if result.write_time
+            else 0.0
+        )
+        report.steps.append(
+            TuningStep(
+                round=round_no,
+                strategy=strategy,
+                hints=hints.to_info(),
+                write_time=result.write_time,
+                bytes_written=result.bytes_written,
+                bandwidth=bandwidth,
+                high=diagnosis.count(Severity.HIGH),
+                warn=diagnosis.count(Severity.WARN),
+                high_rules=[
+                    i.rule for i in diagnosis.findings(Severity.HIGH)
+                ],
+                applied=applied,
+            )
+        )
+        return diagnosis
+
     def tune(self) -> TuningReport:
         machine_name = self.machine_factory(self.nprocs).name
         report = TuningReport(
@@ -289,28 +305,7 @@ class AutoTuner:
         strategy, hints = self.strategy, self.hints
         applied: list[str] = []
         for round_no in range(self.max_rounds + 1):
-            _trace, diagnosis, result = self.run_once(strategy, hints)
-            bandwidth = (
-                result.bytes_written / result.write_time
-                if result.write_time
-                else 0.0
-            )
-            report.steps.append(
-                TuningStep(
-                    round=round_no,
-                    strategy=strategy,
-                    hints=hints.to_info(),
-                    write_time=result.write_time,
-                    bytes_written=result.bytes_written,
-                    bandwidth=bandwidth,
-                    high=diagnosis.count(Severity.HIGH),
-                    warn=diagnosis.count(Severity.WARN),
-                    high_rules=[
-                        i.rule for i in diagnosis.findings(Severity.HIGH)
-                    ],
-                    applied=applied,
-                )
-            )
+            diagnosis = self._measure(report, round_no, strategy, hints, applied)
             if diagnosis.count(Severity.HIGH) == 0 and round_no > 0:
                 break
             strategy, hints, applied = self.apply_recommendations(
@@ -344,25 +339,7 @@ class AutoTuner:
             except ValueError:
                 continue  # e.g. scda on a scatter-mode node-local fs
             round_no += 1
-            _trace, diagnosis, result = self.run_once(comp.name, hints)
-            bandwidth = (
-                result.bytes_written / result.write_time
-                if result.write_time
-                else 0.0
-            )
-            report.steps.append(
-                TuningStep(
-                    round=round_no,
-                    strategy=comp.name,
-                    hints=hints.to_info(),
-                    write_time=result.write_time,
-                    bytes_written=result.bytes_written,
-                    bandwidth=bandwidth,
-                    high=diagnosis.count(Severity.HIGH),
-                    warn=diagnosis.count(Severity.WARN),
-                    high_rules=[
-                        i.rule for i in diagnosis.findings(Severity.HIGH)
-                    ],
-                    applied=[f"try variant {comp.name} (of {comp.variant_of})"],
-                )
+            self._measure(
+                report, round_no, comp.name, hints,
+                [f"try variant {comp.name} (of {comp.variant_of})"],
             )

@@ -25,7 +25,11 @@ Fidelity contract:
   last arrival), a slight strengthening of gather/scatter/bcast semantics.
 
 The mode is **off by default** and never enabled on the pinned-digest
-regression cells; ``repro scale`` turns it on for P >= its threshold.
+regression cells; ``repro scale`` turns it on for all 20 of its cells.  It
+moves simulated time (per-cell table in docs/architecture.md section 1:
+``write_s`` 0.33x-1.12x, two paper trends inverted), which is why the
+per-message path carries the pinned cells -- a recorded modelling choice
+guarded by ``tests/test_batched_divergence.py``.
 """
 
 from __future__ import annotations

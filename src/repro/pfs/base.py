@@ -154,6 +154,11 @@ class FileSystem:
     verify that I/O errors surface cleanly through every library layer
     (they become :class:`~repro.sim.errors.RankFailedError` at the engine)
     and that the resilience layer recovers from them.
+
+    Request stream: every public request (read/write/list I/O, namespace
+    operations, recovery notices) is published to the observers added with
+    :meth:`subscribe`, once its timing hook has returned -- this is what
+    :func:`~repro.core.trace.trace_filesystem` records.
     """
 
     def __init__(self, name: str = "nullfs", store: BlockStore | None = None):
@@ -161,6 +166,7 @@ class FileSystem:
         self.store = store if store is not None else BlockStore()
         self.counters = FSCounters()
         self._faults: list[FaultSpec] = []
+        self._observers: list = []
         self.background_flush_active = False
 
     @contextmanager
@@ -182,6 +188,29 @@ class FileSystem:
             yield
         finally:
             self.background_flush_active = prev
+
+    # -- request stream ------------------------------------------------------
+
+    def subscribe(self, observer) -> None:
+        """Call ``observer(op, path, offset, nbytes, start, end, node, kind,
+        attempt)`` for every request from now on.
+
+        ``op`` is "read", "write", "meta" or "recovery"; ``kind`` names the
+        namespace operation or recovery event and ``attempt`` the retry
+        number (empty / 0 for data requests).  A list-I/O request publishes
+        one event per segment, all carrying the request's start and end.
+        """
+        self._observers.append(observer)
+
+    def unsubscribe(self, observer) -> None:
+        """Stop publishing to ``observer``; unknown observers are ignored."""
+        if observer in self._observers:
+            self._observers.remove(observer)
+
+    def _publish(self, op, path, offset, nbytes, start, end, node,
+                 kind="", attempt=0) -> None:
+        for observer in self._observers:
+            observer(op, path, offset, nbytes, start, end, node, kind, attempt)
 
     # -- fault injection -----------------------------------------------------
 
@@ -285,13 +314,14 @@ class FileSystem:
     ) -> None:
         """Report a resilience event (retry / recovered / degraded / ...).
 
-        Counted in :attr:`FSCounters.recoveries` and forwarded to the
-        :meth:`_service_recovery` hook, which tracing wraps so recovery
+        Counted in :attr:`FSCounters.recoveries` and published, so recovery
         shows up in the :class:`~repro.core.trace.IOTrace` alongside the
         I/O it rescued.
         """
         self.counters.recoveries += 1
-        self._service_recovery(path, kind, node, time, attempt, nbytes)
+        if self._observers:
+            self._publish("recovery", path, 0, nbytes, time, time, node,
+                          kind, attempt)
 
     # -- namespace ------------------------------------------------------
 
@@ -301,7 +331,7 @@ class FileSystem:
         self.store.create(path)
         self.counters.opens += 1
         self.counters.metadata_ops += 1
-        return self._service_meta("create", path, node, ready_time)
+        return self._meta("create", path, node, ready_time)
 
     def open(
         self, path: str, *, node: int = 0, ready_time: float = 0.0, create: bool = False
@@ -315,13 +345,19 @@ class FileSystem:
         self.store.open(path)
         self.counters.opens += 1
         self.counters.metadata_ops += 1
-        return self._service_meta("open", path, node, ready_time)
+        return self._meta("open", path, node, ready_time)
 
     def delete(self, path: str, *, node: int = 0, ready_time: float = 0.0) -> float:
         self._check_fault("meta", path)
         self.store.delete(path)
         self.counters.metadata_ops += 1
-        return self._service_meta("delete", path, node, ready_time)
+        return self._meta("delete", path, node, ready_time)
+
+    def _meta(self, op: str, path: str, node: int, ready_time: float) -> float:
+        done = self._service_meta(op, path, node, ready_time)
+        if self._observers:
+            self._publish("meta", path, 0, 0, ready_time, done, node, op)
+        return done
 
     def exists(self, path: str) -> bool:
         return self.store.exists(path)
@@ -341,6 +377,8 @@ class FileSystem:
         self.counters.reads += 1
         self.counters.bytes_read += nbytes
         done = self._service_read(path, offset, nbytes, node, ready_time)
+        if self._observers:
+            self._publish("read", path, offset, nbytes, ready_time, done, node)
         return data, done
 
     def write(
@@ -361,7 +399,10 @@ class FileSystem:
         n = f.write(offset, data)
         self.counters.writes += 1
         self.counters.bytes_written += n
-        return self._service_write(path, offset, n, node, ready_time)
+        done = self._service_write(path, offset, n, node, ready_time)
+        if self._observers:
+            self._publish("write", path, offset, n, ready_time, done, node)
+        return done
 
     # -- list I/O ---------------------------------------------------------
 
@@ -386,8 +427,7 @@ class FileSystem:
         data = b"".join(f.read(off, n) for off, n in segments)
         self.counters.reads += 1
         self.counters.bytes_read += sum(n for _, n in segments)
-        done = self._service_list(path, segments, node, ready_time, "read")
-        return data, done
+        return data, self._list(path, segments, node, ready_time, "read")
 
     def write_list(
         self,
@@ -413,7 +453,14 @@ class FileSystem:
             pos += n
         self.counters.writes += 1
         self.counters.bytes_written += total
-        return self._service_list(path, segments, node, ready_time, "write")
+        return self._list(path, segments, node, ready_time, "write")
+
+    def _list(self, path, segments, node: int, ready_time: float, op: str) -> float:
+        done = self._service_list(path, segments, node, ready_time, op)
+        if self._observers:
+            for off, n in segments:
+                self._publish(op, path, off, n, ready_time, done, node)
+        return done
 
     def _service_list(
         self,
@@ -446,11 +493,6 @@ class FileSystem:
 
     def _service_meta(self, op: str, path: str, node: int, ready_time: float) -> float:
         return ready_time
-
-    def _service_recovery(
-        self, path: str, kind: str, node: int, time: float, attempt: int, nbytes: int
-    ) -> None:
-        """Observability hook for recovery events; wrapped by tracing."""
 
     def set_file_striping(
         self, path: str, stripe_size: int | None = None, stripe_count: int | None = None

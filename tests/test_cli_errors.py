@@ -205,6 +205,59 @@ class TestGateUsageErrors:
         assert not (tmp_path / "o.json").exists()
 
 
+class TestJobCommandUsageErrors:
+    """``analyze``/``simulate``/``table``/``tune``/``figure`` validate their
+    options in one place (``cli._job_setup``): exit 2 naming the option,
+    nothing printed to stdout, nothing run.  One row per pre-PR-20 bug."""
+
+    @pytest.mark.parametrize("argv, names", [
+        # read as "8" / "the whole figure set"
+        (["analyze", "--procs", "0"], "--procs"),
+        (["simulate", "--procs", "0"], "--procs"),
+        (["figure", "fig6", "--procs", "0"], "--procs"),
+        # ValueError: network needs at least one node (traceback, exit 1)
+        (["analyze", "--procs", "-3"], "--procs"),
+        (["table", "--procs", "0"], "--procs"),
+        # silently ran 2 cycles
+        (["simulate", "--cycles", "0"], "--cycles"),
+        # ScenarioError traceback
+        (["figure", "fig6", "--problem", "NOPE"], "choose from ["),
+        (["table", "--problem", "NOPE"], "choose from ["),
+    ])
+    def test_exits_2_naming_the_option(self, argv, names, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert names in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["analyze", "simulate"])
+    def test_strategy_is_checked_against_the_file_system(
+            self, command, monkeypatch, capsys):
+        """``tune`` asked ``registry.check_filesystem`` and ``table``
+        skipped on it; ``analyze``/``simulate`` never did.  No registered
+        strategy is constrained on their Origin2000, so put a scatter-mode
+        volume under that name."""
+        from repro.topology import PRESETS
+
+        monkeypatch.setitem(PRESETS, "origin2000",
+                            PRESETS["chiba_city_local"])
+        rc = main([command, "--problem", "AMR16", "--procs", "2",
+                   "--strategy", "mpi-io-scda"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "coherent-shared-file" in captured.err
+        assert captured.out == ""
+
+    def test_same_unknown_problem_message_everywhere(self, capsys):
+        messages = set()
+        for argv in (["analyze"], ["simulate"], ["tune"], ["table"],
+                     ["figure", "fig6"]):
+            assert main([*argv, "--problem", "NOPE"]) == 2
+            messages.add(capsys.readouterr().err)
+        assert len(messages) == 1
+
+
 @pytest.mark.parametrize("argv", [["--retries", "2"], []])
 def test_analyze_accepts_retries_flag(argv, capsys):
     rc = main(["analyze", "--problem", "AMR16", "--procs", "2",
