@@ -30,6 +30,20 @@ if grep -rnE "\._service_[a-z]+ *=" src/repro; then
     exit 1
 fi
 
+echo "== no collaborator probes, no private opens =="
+# Strategy and session attributes are declared (IOStrategy, the session
+# classes), not probed; ADIOFile.open is the one timed namespace request.
+if grep -rnE "getattr\((self\.)?(ctx\.strategy|strategy|session)" \
+        src/repro/iostack src/repro/enzo; then
+    echo "a strategy/session attribute is probed with getattr: declare it" >&2
+    exit 1
+fi
+if grep -rnE "fs\.(create|open)\(" src/repro --include=*.py \
+        | grep -v "^src/repro/\(pfs\|mpiio/adio\.py\)"; then
+    echo "a file is opened outside ADIOFile.open: call it instead" >&2
+    exit 1
+fi
+
 echo "== repro figure smoke (a chart over three committed regress cells) =="
 python -m repro figure fig10 --procs 4 --json BENCH_figure.current.json
 

@@ -17,10 +17,7 @@ from abc import ABC, abstractmethod
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
 from ..aio.core import drain_all
-from ..amr.grid import Grid
 from ..mpi import collectives as coll
 from ..mpi.comm import Comm
 from ..mpiio.adio import ADIOFile
@@ -63,7 +60,8 @@ class IOStats:
 
 
 class IOStrategy(ABC):
-    """Base class for the three checkpoint I/O implementations.
+    """What every checkpoint strategy shares: the hierarchy sidecar, the
+    manifest commit record and the recovery plumbing.
 
     Resilience: strategies accept an optional
     :class:`~repro.resilience.RetryPolicy` (``self.retry``) that the ADIO
@@ -99,23 +97,12 @@ class IOStrategy(ABC):
             raise ValueError("no file system attached to the machine")
         return fs
 
-    def _rank0_file(self, comm: Comm, path: str, *, create: bool) -> ADIOFile:
-        """Create or open a sidecar on rank 0's clock; returns its handle."""
-        fs = self._fs(comm)
-        proc = comm.proc
-        proc.schedule_point()
-        done = (fs.create if create else fs.open)(
-            path,
-            node=comm.machine.node_of(comm.group[0]),
-            ready_time=proc.clock,
-        )
-        proc.advance_to(done)
-        return ADIOFile(fs, path, comm, retry=self.retry)
-
     def write_meta_sidecar(self, comm: Comm, base: str, meta: HierarchyMeta) -> None:
         """Rank 0 writes the hierarchy sidecar; everyone synchronises."""
         if comm.rank == 0:
-            adio = self._rank0_file(comm, hierarchy_path(base), create=True)
+            adio = ADIOFile.open(
+                comm, hierarchy_path(base), create=True, retry=self.retry
+            )
             adio.write_contig(0, meta.to_bytes())
         coll.barrier(comm)
 
@@ -123,7 +110,7 @@ class IOStrategy(ABC):
         """Rank 0 reads the sidecar and broadcasts it."""
         blob = None
         if comm.rank == 0:
-            adio = self._rank0_file(comm, hierarchy_path(base), create=False)
+            adio = ADIOFile.open(comm, hierarchy_path(base), retry=self.retry)
             blob = adio.read_contig(0, adio.size())
         blob = coll.bcast(comm, blob, root=0)
         return HierarchyMeta.from_bytes(blob)
@@ -144,7 +131,9 @@ class IOStrategy(ABC):
             for rank_entries in gathered:
                 for entry in rank_entries:
                     manifest.add(entry)
-            adio = self._rank0_file(comm, manifest_path(base), create=True)
+            adio = ADIOFile.open(
+                comm, manifest_path(base), create=True, retry=self.retry
+            )
             adio.write_contig(0, manifest.to_bytes())
         coll.barrier(comm)
 
@@ -165,7 +154,7 @@ class IOStrategy(ABC):
                     f"checkpoint {base!r} has no manifest -- "
                     "the dump did not complete"
                 )
-            adio = self._rank0_file(comm, path, create=False)
+            adio = ADIOFile.open(comm, path, retry=self.retry)
             manifest = CheckpointManifest.from_bytes(
                 adio.read_contig(0, adio.size())
             )
@@ -212,30 +201,6 @@ class IOStrategy(ABC):
         self._notify(comm, base, "degraded", nbytes=nbytes)
         write_independent()
         return True
-
-    @staticmethod
-    def make_subgrid_shell(meta, gid) -> Grid:
-        """An empty grid with the geometry the metadata records."""
-        g = meta[gid]
-        return Grid(
-            id=g.id,
-            level=g.level,
-            dims=g.dims,
-            left_edge=np.array(g.left_edge),
-            right_edge=np.array(g.right_edge),
-            parent_id=g.parent_id,
-        )
-
-    @staticmethod
-    def make_root_shell(meta) -> Grid:
-        g = meta.root
-        return Grid(
-            id=g.id,
-            level=g.level,
-            dims=g.dims,
-            left_edge=np.array(g.left_edge),
-            right_edge=np.array(g.right_edge),
-        )
 
 
 # -- the layered I/O stack (see repro.iostack) -------------------------------

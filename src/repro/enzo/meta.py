@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..amr.fields import BARYON_FIELDS
+from ..amr.grid import Grid
 from ..amr.hierarchy import GridHierarchy
 from ..amr.particles import PARTICLE_ARRAYS
 
@@ -56,8 +57,20 @@ class GridMeta:
             self.nparticles * array_dtype(a).itemsize for a in PARTICLE_ARRAYS
         )
 
+    @property
     def data_nbytes(self) -> int:
         return self.field_nbytes() + self.particle_nbytes()
+
+    def shell(self) -> Grid:
+        """An empty grid with the geometry this metadata records."""
+        return Grid(
+            id=self.id,
+            level=self.level,
+            dims=self.dims,
+            left_edge=np.array(self.left_edge),
+            right_edge=np.array(self.right_edge),
+            parent_id=self.parent_id,
+        )
 
 
 class HierarchyMeta:
@@ -108,7 +121,7 @@ class HierarchyMeta:
         return [g for g in sorted(self._grids) if g != self.root_id]
 
     def total_data_nbytes(self) -> int:
-        return sum(g.data_nbytes() for g in self.grids())
+        return sum(g.data_nbytes for g in self.grids())
 
     # -- serialisation ----------------------------------------------------------
 

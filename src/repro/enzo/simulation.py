@@ -184,7 +184,7 @@ class EnzoSimulation:
         redshift_dumps = []
         my_stats = []  # this rank's dump stats (self.write_stats is shared)
         plot_stats = []
-        overlap = cfg.overlap and getattr(self.strategy, "aio", None) is not None
+        overlap = cfg.overlap and self.strategy.aio is not None
         pending = None  # at most one in-flight dump (double buffering)
         z_schedule = (
             cfg.redshift_schedule() if cfg.output_redshifts else []

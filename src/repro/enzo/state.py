@@ -66,17 +66,8 @@ def make_owner_map(
     restart read.
     """
     if isinstance(hierarchy_or_meta, HierarchyMeta):
-        metas = [
-            g for g in hierarchy_or_meta.grids()
-            if g.id != hierarchy_or_meta.root_id
-        ]
-
-        class _Shim:  # adapt GridMeta to the load balancer's Grid duck-type
-            def __init__(self, m):
-                self.id = m.id
-                self.data_nbytes = m.data_nbytes()
-
-        grids = [_Shim(m) for m in metas]
+        # The load balancers need only ``.id`` and ``.data_nbytes``.
+        grids = [hierarchy_or_meta[g] for g in hierarchy_or_meta.subgrid_ids()]
     else:
         grids = hierarchy_or_meta.subgrids()
     if policy == "lpt":
@@ -131,15 +122,7 @@ class RankState:
         states = sorted(states, key=lambda s: s.rank)
         meta = states[0].meta
         part = states[0].partition
-        root_meta = meta.root
-        template = Grid(
-            id=root_meta.id,
-            level=0,
-            dims=root_meta.dims,
-            left_edge=np.array(root_meta.left_edge),
-            right_edge=np.array(root_meta.right_edge),
-        )
-        root = part.reassemble(template, [s.top_piece for s in states])
+        root = part.reassemble(meta.root.shell(), [s.top_piece for s in states])
         hierarchy = GridHierarchy(root)
         # Insert subgrids parent-before-child (id order guarantees this for
         # grids created by refine_hierarchy; sort by level then id for safety).
@@ -224,21 +207,10 @@ class PartitionedState:
         full: dict[int, Grid] = {}
         for gid in sorted(g.id for g in meta.grids()):
             part = states[0].partitions[gid]
-            g = meta[gid]
-            template = Grid(
-                id=g.id,
-                level=g.level,
-                dims=g.dims,
-                left_edge=np.array(g.left_edge),
-                right_edge=np.array(g.right_edge),
-                parent_id=g.parent_id,
-            )
             pieces = [states[r].pieces[gid] for r in range(part.nprocs)]
             if any(p is None for p in pieces):
                 raise ValueError(f"missing pieces for grid {gid}")
-            combined = part.reassemble(template, pieces)
-            combined.parent_id = g.parent_id
-            full[gid] = combined
+            full[gid] = part.reassemble(meta[gid].shell(), pieces)
         hierarchy = GridHierarchy(full[meta.root_id])
         for gid in sorted(full, key=lambda i: (full[i].level, i)):
             if gid == meta.root_id:

@@ -114,18 +114,8 @@ class SDFile:
         """SDstart: open ``path`` on the calling rank only."""
         if mode not in ("r", "w"):
             raise ValueError(f"bad mode {mode!r}")
-        fs = fs if fs is not None else comm.machine.fs
-        if fs is None:
-            raise ValueError("no file system attached to the machine")
-        proc = comm.proc
-        node = comm.machine.node_of(comm.group[comm.rank])
-        proc.schedule_point()
-        if mode == "w":
-            done = fs.create(path, node=node, ready_time=proc.clock)
-        else:
-            done = fs.open(path, node=node, ready_time=proc.clock)
-        proc.advance_to(done)
-        return cls(ADIOFile(fs, path, comm, retry=retry), comm, mode)
+        adio = ADIOFile.open(comm, path, create=mode == "w", fs=fs, retry=retry)
+        return cls(adio, comm, mode)
 
     def end(self) -> None:
         """SDend: flush the DD table and header (write mode), then close."""

@@ -12,8 +12,10 @@ The API follows the H5F/H5D surface the ENZO HDF5 port needs, with the
    CPU cost on top of the memcpy, making fine-grained selections expensive;
 4. **attributes are written by rank 0 only** -- other ranks wait.
 
-Data access itself goes through the MPI-IO layer (the mpio driver), exactly
-as parallel HDF5 sits on ROMIO.
+The mpio driver opens the file through MPI-IO (``File.open``), as parallel
+HDF5 sits on ROMIO; data access then goes through the layers under the
+``File`` API directly: the :class:`~repro.mpiio.adio.ADIOFile` handle,
+two-phase I/O for collective transfers and data sieving for independent ones.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from ..mpi import collectives as coll
 from ..mpi.comm import Comm
 from ..mpi.datatypes import merge_segments
 from ..mpiio.adio import ADIOFile
+from ..mpiio.file import File
 from ..mpiio.hints import Hints
 from ..mpiio.sieving import sieve_read, sieve_write
 from ..mpiio.two_phase import collective_read, collective_write
@@ -265,42 +268,23 @@ class H5File:
             raise ValueError(f"bad mode {mode!r}")
         if driver not in ("mpio", "sec2"):
             raise ValueError(f"unknown driver {driver!r}")
-        fs = fs if fs is not None else comm.machine.fs
-        if fs is None:
-            raise ValueError("no file system attached to the machine")
         parallel = driver == "mpio"
         costs = costs or H5Costs()
+        hints = (hints or Hints()).validate()
         comm.compute(costs.open_close)
-        proc = comm.proc
-        node = comm.machine.node_of(comm.group[comm.rank])
+        kw = dict(fs=fs, retry=retry, aio=aio if mode == "w" else None)
         if parallel:
-            if comm.rank == 0:
-                proc.schedule_point()
-                done = (
-                    fs.create(path, node=node, ready_time=proc.clock)
-                    if mode == "w"
-                    else fs.open(path, node=node, ready_time=proc.clock)
-                )
-                proc.advance_to(done)
-            coll.barrier(comm)
-            if comm.rank != 0:
-                proc.schedule_point()
-                done = fs.open(path, node=node, ready_time=proc.clock)
-                proc.advance_to(done)
+            # The mpio driver opens through MPI-IO -- collectively, the
+            # striping hints applied on create -- and keeps the ADIO handle.
+            adio = File.open(comm, path, mode, hints=hints, **kw).adio
         else:
-            proc.schedule_point()
-            done = (
-                fs.create(path, node=node, ready_time=proc.clock)
-                if mode == "w"
-                else fs.open(path, node=node, ready_time=proc.clock)
-            )
-            proc.advance_to(done)
+            adio = ADIOFile.open(comm, path, create=mode == "w", **kw)
         return cls(
             comm,
-            ADIOFile(fs, path, comm, retry=retry, aio=aio if mode == "w" else None),
+            adio,
             mode,
             parallel=parallel,
-            hints=(hints or Hints()).validate(),
+            hints=hints,
             costs=costs,
             meta_aggregation=meta_aggregation,
         )

@@ -15,14 +15,13 @@ one.  This package makes the levels explicit:
   above, resolved by the CLI, regression matrix and AutoTuner.
 
 Cross-cutting orchestration (hierarchy sidecar, CRC32 manifest commit,
-retry/degradation, phase timing, trace events) lives in the stack executor
-in :mod:`repro.enzo.io_base`, shared by every composition.
+retry/degradation, phase timing) lives in
+:class:`repro.enzo.io_base.ComposedStrategy`, shared by every composition.
 """
 
 # Import order matters: layouts has no enzo dependencies and must land in
-# sys.modules before formats/transports pull in enzo submodules, so the
-# enzo strategy modules can import path helpers from iostack.layouts while
-# either package initialises first.
+# sys.modules before formats/transports pull in enzo submodules, whose
+# package __init__ imports the path helpers from iostack.layouts.
 from . import layouts, formats, transports, registry
 from .formats import FieldWriteOp, HDF4SDFormat, HDF5Format, RawSharedFormat
 from .layouts import FilePerGridLayoutPlanner, SharedFileLayoutPlanner

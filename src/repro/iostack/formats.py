@@ -8,17 +8,32 @@ over the mpio driver.
 
 A format object is a stateless factory; ``open_write``/``open_read``
 return a *session* bound to one checkpoint file (or, for file-per-grid
-formats, one checkpoint's family of files).  Sessions expose the primitive
-operations transports compose -- each primitive reproduces its original
-driver's exact sequence of simulated operations (library CPU costs,
-barriers, file-system requests), which is what keeps the composed
-strategies digest-identical to the monolithic ones they replaced.
+formats, one checkpoint's family of files).  ``session_kind`` must match
+the layout planner's ``kind``.
 
-``session_kind`` must match the layout planner's ``kind``;
-``collective_metadata`` tells the transport whether per-array metadata
-operations (HDF5 dataset create/open/close) synchronise all ranks, in
-which case every rank must walk every grid's arrays even when it owns no
-data -- the paper's overhead #1.
+ENZO moves two kinds of array, in a fixed per-grid order (Section 2.1): a
+rank's block of a regular 3-D baryon field, and a contiguous slice (or the
+whole) of a 1-D array.  A shared-file session exposes exactly that, keyed
+by the layout's ``(grid_key, kind, name)``, with shapes and dtypes taken
+from ``layout.extent``:
+
+* ``begin_block_write(key, name, arr, block) -> FieldWriteOp`` and
+  ``read_block(key, name, block | None)`` -- *collective*: every rank
+  calls; ``block`` is this rank's ``(starts, sizes)``, ``None`` a rank
+  that holds no block of this grid but still takes part;
+* ``write_array(key, kind, name, arr | None, start=0) -> nbytes`` and
+  ``read_array(key, kind, name, lo=0, hi=None, want=True)`` --
+  *independent*: elements ``[start, start + len(arr))`` / ``[lo, hi)`` of
+  the array (``hi=None``: all of it); ``arr=None`` / ``want=False`` is a
+  rank with no data of its own, calling only because of
+  ``collective_metadata``.
+
+Each primitive performs its format's exact sequence of simulated operations
+(library CPU costs, barriers, file-system requests).
+``collective_metadata`` says whether per-array metadata operations (HDF5
+dataset create/open/close) synchronise all ranks, in which case every rank
+must walk every grid's arrays even when it owns no data -- the paper's
+overhead #1.  It selects the *set* of grids a rank walks, nothing else.
 """
 
 from __future__ import annotations
@@ -29,6 +44,7 @@ from typing import Callable
 import numpy as np
 
 from ..amr.particles import PARTICLE_ARRAYS, ParticleSet
+from ..enzo.layout import TOP
 from ..hdf4.sd import SDFile
 from ..hdf5.dataspace import Hyperslab
 from ..hdf5.file import H5Costs, H5File
@@ -48,19 +64,17 @@ __all__ = [
 
 @dataclass
 class FieldWriteOp:
-    """A prepared top-grid field write the transport decides how to issue.
+    """A prepared block write the transport decides how to issue.
 
     ``collective``/``independent`` are the two issue paths (the transport
-    picks, possibly degrading via the resilience layer); ``segments``
-    yields the (offset, nbytes) byte runs for the manifest entry;
-    ``finish`` runs the format's post-write epilogue (attribute + close
-    for HDF5, nothing for raw).
+    picks, possibly degrading via the resilience layer); ``finish`` records
+    the write for the manifest and runs the format's post-write epilogue
+    (attribute + close for HDF5, nothing more for raw).
     """
 
     collective: Callable[[], None]
     independent: Callable[[], None]
-    segments: Callable[[], list]
-    finish: Callable[[], None] = lambda: None
+    finish: Callable[[], None]
 
 
 def dset_name(grid_key, kind: str, array_name: str) -> str:
@@ -169,7 +183,7 @@ class _SDSession:
 
     def write_grid(self, path: str, grid) -> int:
         sd = SDFile.start(self.ctx.comm, path, "w", retry=self.ctx.strategy.retry)
-        if getattr(self.ctx.strategy, "batch_requests", False):
+        if self.ctx.strategy.batch_requests:
             nbytes = write_grid_sd_batched(sd, grid, self.ctx.entries)
         else:
             nbytes = write_grid_sd(sd, grid, self.ctx.entries)
@@ -180,6 +194,42 @@ class _SDSession:
         sd = SDFile.start(self.ctx.comm, path, "r", retry=self.ctx.strategy.retry)
         read_grid_sd(sd, shell)
         sd.end()
+
+
+# -- shared-file sessions ----------------------------------------------------
+
+
+def section_name(key, kind: str, name: str) -> str:
+    """Rank-free name of one array: its scda section, its manifest entry."""
+    prefix = key if key == TOP else f"grid{key}"
+    return f"{prefix}/{kind}/{name}"
+
+
+class _SharedFileSession:
+    """What the shared-file sessions have in common: the manifest record."""
+
+    def __init__(self, ctx, layout):
+        self.ctx = ctx
+        self.layout = layout
+
+    def _commit(self, key, kind, name, segments, arr) -> None:
+        """Record ``arr``, just written over ``segments``, for the manifest.
+
+        Every write primitive ends here (a block write through
+        ``FieldWriteOp.finish``).  A top-grid array is written by many
+        ranks, so its per-rank entries carry a rank suffix.
+        """
+        entry = section_name(key, kind, name)
+        if key == TOP:
+            entry += f"/r{self.ctx.comm.rank:04d}"
+        if arr.nbytes:
+            made = entry_for_segments(entry, self.ctx.base, segments, arr)
+        else:
+            # entry_for_segments drops empty runs, but an empty array still
+            # records ((offset, 0),): the pickled length of the gathered
+            # entries is the wire size of write_manifest's gather.
+            made = entry_for_bytes(entry, self.ctx.base, segments[0][0], arr)
+        self.ctx.entries.append(made)
 
 
 # -- raw shared file over MPI-IO ---------------------------------------------
@@ -202,15 +252,14 @@ class RawSharedFormat:
         return _RawSession(self, ctx, layout, "r")
 
 
-class _RawSession:
+class _RawSession(_SharedFileSession):
     collective_metadata = False
 
     def __init__(self, fmt: RawSharedFormat, ctx, layout, mode: str):
-        self.ctx = ctx
-        self.layout = layout
+        super().__init__(ctx, layout)
         self.fh = File.open(
             ctx.comm, ctx.base, mode, hints=fmt.hints, retry=ctx.strategy.retry,
-            aio=getattr(ctx.strategy, "aio", None) if mode == "w" else None,
+            aio=ctx.strategy.aio if mode == "w" else None,
         )
 
     def close(self) -> None:
@@ -219,102 +268,51 @@ class _RawSession:
     def reset_view(self) -> None:
         self.fh.set_view(0)  # back to the plain byte view
 
-    # -- write primitives --------------------------------------------------
+    def _view_block(self, key, name, block) -> None:
+        ext = self.layout.extent(key, name)
+        starts, sizes = block
+        self.fh.set_view(
+            ext.offset, FLOAT64, Subarray(ext.shape, sizes, starts, FLOAT64)
+        )
 
-    def begin_top_field(self, name, arr, starts, sizes, root_dims) -> FieldWriteOp:
-        from ..enzo.layout import TOP
-
-        ext = self.layout.extent(TOP, name)
-        ftype = Subarray(root_dims, sizes, starts, FLOAT64)
+    def begin_block_write(self, key, name, arr, block) -> FieldWriteOp:
+        self._view_block(key, name, block)
         fh = self.fh
-        fh.set_view(ext.offset, FLOAT64, ftype)
         return FieldWriteOp(
             collective=lambda: fh.write_at_all(0, arr),
             independent=lambda: fh.write_at(0, arr),
-            segments=lambda: fh.view_segments(0, arr.nbytes),
+            finish=lambda: self._commit(
+                key, "field", name, fh.view_segments(0, arr.nbytes), arr
+            ),
         )
 
-    def write_top_particle(self, name, parts, elem_offset, n_total) -> int:
-        from ..enzo.layout import TOP
+    def read_block(self, key, name, block):
+        if block is None:
+            # Inactive ranks still participate in the collective call.
+            self.fh.set_view(self.layout.extent(key, name).offset)
+            self.fh.read_at_all(0, 0)
+            return None
+        self._view_block(key, name, block)
+        return self.fh.read_at_all(0, np.empty(block[1], dtype=np.float64))
 
-        ext = self.layout.extent(TOP, name, "particle")
-        arr = np.ascontiguousarray(parts.array(name))
-        offset = ext.offset + elem_offset * ext.dtype.itemsize
+    def write_array(self, key, kind, name, arr, start=0) -> int:
+        if arr is None:
+            return 0
+        ext = self.layout.extent(key, name, kind)
+        arr = np.ascontiguousarray(arr)
+        offset = ext.offset + start * ext.dtype.itemsize
         self.fh.write_at(offset, arr)
-        self.ctx.entries.append(entry_for_bytes(
-            f"top/particle/{name}/r{self.ctx.comm.rank:04d}",
-            self.ctx.base, offset, arr,
-        ))
+        self._commit(key, kind, name, [(offset, arr.nbytes)], arr)
         return arr.nbytes
 
-    def write_grid_field(self, gid, g, name, arr) -> int:
-        ext = self.layout.extent(gid, name)
-        self.fh.write_at(ext.offset, arr)
-        self.ctx.entries.append(entry_for_bytes(
-            f"grid{gid}/field/{name}", self.ctx.base, ext.offset, arr
-        ))
-        return arr.nbytes
-
-    def write_grid_particle(self, gid, g, name, gparts) -> int:
-        ext = self.layout.extent(gid, name, "particle")
-        arr = np.ascontiguousarray(gparts.array(name))
-        self.fh.write_at(ext.offset, arr)
-        self.ctx.entries.append(entry_for_bytes(
-            f"grid{gid}/particle/{name}", self.ctx.base, ext.offset, arr
-        ))
-        return arr.nbytes
-
-    # -- read primitives ---------------------------------------------------
-
-    def read_top_field(self, name, starts, sizes, root_dims):
-        from ..enzo.layout import TOP
-
-        ext = self.layout.extent(TOP, name)
-        ftype = Subarray(root_dims, sizes, starts, FLOAT64)
-        self.fh.set_view(ext.offset, FLOAT64, ftype)
-        return self.fh.read_at_all(0, np.empty(sizes, dtype=np.float64))
-
-    def read_top_particle(self, name, lo, hi, n_total):
-        from ..enzo.layout import TOP
-        from ..enzo.meta import array_dtype
-
-        ext = self.layout.extent(TOP, name, "particle")
-        dt = array_dtype(name)
-        raw = self.fh.read_at(
-            ext.offset + lo * dt.itemsize, int((hi - lo) * dt.itemsize)
-        )
-        return np.frombuffer(raw, dtype=dt).copy()
-
-    def read_grid_field(self, gid, g, name, want: bool):
-        ext = self.layout.extent(gid, name)
-        return self.fh.read_at(ext.offset, np.empty(ext.shape, dtype=ext.dtype))
-
-    def read_grid_particle(self, gid, g, name, want: bool):
-        ext = self.layout.extent(gid, name, "particle")
-        raw = self.fh.read_at(ext.offset, ext.nbytes)
-        return np.frombuffer(raw, dtype=ext.dtype).copy()
-
-    def read_initial_field(self, key, g, name, part, active: bool, rank: int):
-        ext = self.layout.extent(key, name)
-        if active:
-            starts, sizes = part.block_of(rank)
-            ftype = Subarray(g.dims, sizes, starts, FLOAT64)
-            self.fh.set_view(ext.offset, FLOAT64, ftype)
-            return self.fh.read_at_all(0, np.empty(sizes, dtype=np.float64))
-        # Inactive ranks still participate in the collective call.
-        self.fh.set_view(ext.offset)
-        self.fh.read_at_all(0, 0)
-        return None
-
-    def read_initial_particle(self, key, g, name, lo, hi):
-        from ..enzo.meta import array_dtype
-
-        ext = self.layout.extent(key, name, "particle")
-        dt = array_dtype(name)
-        raw = self.fh.read_at(
-            ext.offset + lo * dt.itemsize, int((hi - lo) * dt.itemsize)
-        )
-        return np.frombuffer(raw, dtype=dt).copy()
+    def read_array(self, key, kind, name, lo=0, hi=None, want=True):
+        if not want:
+            return None
+        ext = self.layout.extent(key, name, kind)
+        shape = ext.shape if hi is None else (hi - lo,)
+        item = ext.dtype.itemsize
+        raw = self.fh.read_at(ext.offset + lo * item, int(np.prod(shape)) * item)
+        return np.frombuffer(raw, dtype=ext.dtype).reshape(shape).copy()
 
 
 # -- HDF5 over the mpio driver -----------------------------------------------
@@ -346,25 +344,26 @@ class HDF5Format:
     def open_write(self, ctx, meta, layout):
         f = H5File.create(
             ctx.comm, ctx.base, driver="mpio", hints=self.hints,
-            costs=self.costs, retry=ctx.strategy.retry,
-            aio=getattr(ctx.strategy, "aio", None),
+            costs=self.costs, retry=ctx.strategy.retry, aio=ctx.strategy.aio,
             meta_aggregation=self.meta_aggregation,
         )
-        return _H5Session(ctx, f)
+        return _H5Session(ctx, layout, f)
 
     def open_read(self, ctx, meta, layout):
         f = H5File.open(
             ctx.comm, ctx.base, driver="mpio", hints=self.hints,
             costs=self.costs, retry=ctx.strategy.retry,
         )
-        return _H5Session(ctx, f)
+        return _H5Session(ctx, layout, f)
 
 
-class _H5Session:
+class _H5Session(_SharedFileSession):
+    # Dataset create/open/close are collective in parallel HDF5, so every
+    # rank walks every dataset even when only the owner moves data.
     collective_metadata = True
 
-    def __init__(self, ctx, f: H5File):
-        self.ctx = ctx
+    def __init__(self, ctx, layout, f: H5File):
+        super().__init__(ctx, layout)
         self.f = f
 
     def close(self) -> None:
@@ -373,146 +372,67 @@ class _H5Session:
     def reset_view(self) -> None:
         pass  # HDF5 addresses through selections, not file views
 
-    # -- write primitives --------------------------------------------------
-
-    def begin_top_field(self, name, arr, starts, sizes, root_dims) -> FieldWriteOp:
-        d = self.f.create_dataset(
-            dset_name("top", "field", name), root_dims, np.float64
-        )
-        sel = Hyperslab(start=starts, count=sizes)
+    def begin_block_write(self, key, name, arr, block) -> FieldWriteOp:
+        ext = self.layout.extent(key, name)
+        d = self.f.create_dataset(dset_name(key, "field", name), ext.shape, ext.dtype)
+        sel = Hyperslab(start=block[0], count=block[1])
 
         def finish():
-            d.write_attr("level", 0)
+            self._commit(key, "field", name, d.file_segments(sel), arr)
+            d.write_attr("level", 0)  # only the top grid is written in blocks
             d.close()
 
         return FieldWriteOp(
             collective=lambda: d.write(arr, sel, collective=True),
             independent=lambda: d.write(arr, sel, collective=False),
-            segments=lambda: d.file_segments(sel),
             finish=finish,
         )
 
-    def write_top_particle(self, name, parts, elem_offset, n_total) -> int:
-        from ..enzo.meta import array_dtype
-
-        d = self.f.create_dataset(
-            dset_name("top", "particle", name), (max(n_total, 1),),
-            array_dtype(name),
-        )
-        moved = 0
-        if len(parts):
-            arr = np.ascontiguousarray(parts.array(name))
-            sel = Hyperslab(start=(elem_offset,), count=(len(arr),))
-            d.write(arr, sel, collective=False)
-            self.ctx.entries.append(entry_for_segments(
-                f"top/particle/{name}/r{self.ctx.comm.rank:04d}",
-                self.ctx.base, d.file_segments(sel), arr,
-            ))
-            moved = arr.nbytes
-        d.close()
-        return moved
-
-    def write_grid_field(self, gid, g, name, arr) -> int:
-        d = self.f.create_dataset(dset_name(gid, "field", name), g.dims, np.float64)
-        moved = 0
-        if arr is not None:
-            d.write(arr, collective=False)
-            self.ctx.entries.append(entry_for_segments(
-                f"grid{gid}/field/{name}", self.ctx.base, d.file_segments(), arr
-            ))
-            moved = arr.nbytes
-        d.close()
-        return moved
-
-    def write_grid_particle(self, gid, g, name, gparts) -> int:
-        from ..enzo.meta import array_dtype
-
-        d = self.f.create_dataset(
-            dset_name(gid, "particle", name), (max(g.nparticles, 1),),
-            array_dtype(name),
-        )
-        moved = 0
-        if gparts is not None and g.nparticles:
-            arr = np.ascontiguousarray(gparts.array(name))
-            sel = Hyperslab(start=(0,), count=(len(arr),))
-            d.write(arr, sel, collective=False)
-            self.ctx.entries.append(entry_for_segments(
-                f"grid{gid}/particle/{name}", self.ctx.base,
-                d.file_segments(sel), arr,
-            ))
-            moved = arr.nbytes
-        d.close()
-        return moved
-
-    # -- read primitives ---------------------------------------------------
-
-    def read_top_field(self, name, starts, sizes, root_dims):
-        d = self.f.open_dataset(dset_name("top", "field", name))
-        got = d.read(Hyperslab(start=starts, count=sizes), collective=True)
-        d.close()
-        return got
-
-    def read_top_particle(self, name, lo, hi, n_total):
-        from ..enzo.meta import array_dtype
-
-        d = self.f.open_dataset(dset_name("top", "particle", name))
-        if hi > lo:
-            got = d.read(
-                Hyperslab(start=(lo,), count=(hi - lo,)), collective=False
-            )
+    def read_block(self, key, name, block):
+        d = self.f.open_dataset(dset_name(key, "field", name))
+        if block is None:
+            # Collective read with an empty selection.
+            zeros = (0,) * len(d.shape)
+            d.read(Hyperslab(start=zeros, count=zeros), collective=True)
+            got = None
         else:
-            got = np.empty(0, dtype=array_dtype(name))
+            got = d.read(Hyperslab(start=block[0], count=block[1]), collective=True)
         d.close()
         return got
 
-    def read_grid_field(self, gid, g, name, want: bool):
-        # Dataset open/close are collective in parallel HDF5, so every rank
-        # walks every dataset even when only the owner reads data.
-        d = self.f.open_dataset(dset_name(gid, "field", name))
-        got = d.read(collective=False) if want else None
+    def write_array(self, key, kind, name, arr, start=0) -> int:
+        ext = self.layout.extent(key, name, kind)
+        # HDF5 has no zero-sized dataset: an empty particle array keeps one
+        # (never written) element.
+        shape = ext.shape if kind == "field" else (max(ext.shape[0], 1),)
+        d = self.f.create_dataset(dset_name(key, kind, name), shape, ext.dtype)
+        moved = 0
+        if arr is not None and arr.size:
+            arr = np.ascontiguousarray(arr)
+            # A whole field goes out unselected; a particle slice is an
+            # explicit hyperslab.
+            sel = None if kind == "field" else Hyperslab(
+                start=(start,), count=(len(arr),)
+            )
+            d.write(arr, sel, collective=False)
+            self._commit(key, kind, name, d.file_segments(sel), arr)
+            moved = arr.nbytes
         d.close()
-        return got
+        return moved
 
-    def read_grid_particle(self, gid, g, name, want: bool):
-        from ..enzo.meta import array_dtype
-
-        d = self.f.open_dataset(dset_name(gid, "particle", name))
+    def read_array(self, key, kind, name, lo=0, hi=None, want=True):
+        ext = self.layout.extent(key, name, kind)
+        d = self.f.open_dataset(dset_name(key, kind, name))
         got = None
-        if want:
-            if g.nparticles:
+        if want and kind == "field":
+            got = d.read(collective=False)
+        elif want:
+            hi = ext.shape[0] if hi is None else hi
+            if hi > lo:
                 got = d.read(
-                    Hyperslab(start=(0,), count=(g.nparticles,)),
-                    collective=False,
+                    Hyperslab(start=(lo,), count=(hi - lo,)), collective=False
                 )
             else:
-                got = np.empty(0, dtype=array_dtype(name))
-        d.close()
-        return got
-
-    def read_initial_field(self, key, g, name, part, active: bool, rank: int):
-        d = self.f.open_dataset(dset_name(key, "field", name))
-        if active:
-            starts, sizes = part.block_of(rank)
-            got = d.read(Hyperslab(start=starts, count=sizes), collective=True)
-        else:
-            # Collective read with an empty selection.
-            d.read(
-                Hyperslab(start=(0,) * len(g.dims), count=(0,) * len(g.dims)),
-                collective=True,
-            )
-            got = None
-        d.close()
-        return got
-
-    def read_initial_particle(self, key, g, name, lo, hi):
-        from ..enzo.meta import array_dtype
-
-        d = self.f.open_dataset(dset_name(key, "particle", name))
-        if hi > lo:
-            got = d.read(
-                Hyperslab(start=(lo,), count=(hi - lo,)), collective=False
-            )
-        else:
-            got = np.empty(0, dtype=array_dtype(name))
+                got = np.empty(0, dtype=ext.dtype)
         d.close()
         return got

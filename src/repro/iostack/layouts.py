@@ -19,9 +19,8 @@ Particle placement within an extent is the sample-sort block placement both
 shared-file strategies use: rank *r* owns the contiguous ID-sorted slice
 :func:`particle_block_range` gives.
 
-This module deliberately imports nothing from :mod:`repro.enzo` at module
-level so the enzo strategy modules can import the path helpers from here
-without creating a cycle.
+This module imports nothing from :mod:`repro.enzo` at module level:
+``repro.enzo``'s own ``__init__`` imports the path helpers from here.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Strategy registry: declarative (layout x transport x format) compositions.
 
-A checkpoint strategy is no longer a monolithic class but a named triple
-of layer choices plus options, registered here.  The three strategies the
+A checkpoint strategy is a named triple of layer choices plus options,
+registered here.  The three strategies the
 paper measures are built-in registrations; new hybrids -- like the paper's
 Section 5 "how to fix HDF5" composition shipped as ``hdf5-aligned`` -- are
 one :func:`register` call:

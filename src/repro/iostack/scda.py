@@ -36,10 +36,11 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..enzo.layout import ArrayExtent
 from ..mpi import collectives as coll
 from ..mpiio.hints import Hints
 from ..resilience.manifest import ManifestEntry, entry_for_segments
-from .formats import FieldWriteOp, _RawSession
+from .formats import _RawSession, section_name
 
 __all__ = [
     "FILE_HEADER_NBYTES",
@@ -119,12 +120,6 @@ def _align_up(value: int, align: int) -> int:
     return -(-value // align) * align
 
 
-def _section_name(key: tuple) -> str:
-    grid_key, kind, name = key
-    prefix = grid_key if grid_key == "top" else f"grid{grid_key}"
-    return f"{prefix}/{kind}/{name}"
-
-
 class ScdaLayout:
     """A :class:`CheckpointLayout` re-addressed with headers and padding.
 
@@ -137,8 +132,6 @@ class ScdaLayout:
     def __init__(self, inner, block_size: int):
         if block_size < FILE_HEADER_NBYTES:
             raise ValueError("block_size must be >= the 128-byte file header")
-        from ..enzo.layout import ArrayExtent
-
         self.inner = inner
         self.block_size = block_size
         self._extents: dict[tuple, ArrayExtent] = {}
@@ -150,7 +143,7 @@ class ScdaLayout:
             header_offset = cursor
             ext = ArrayExtent(cursor + SECTION_HEADER_NBYTES, src.dtype, src.shape)
             self._extents[key] = ext
-            self.sections.append((_section_name(key), header_offset, ext))
+            self.sections.append((section_name(*key), header_offset, ext))
             cursor = _align_up(ext.end, block_size)
         self.total_nbytes = cursor
 
@@ -272,12 +265,10 @@ class ScdaFormat:
 class _ScdaSession(_RawSession):
     """The raw session's exact I/O flow, plus headers and merged manifest.
 
-    ``owns_manifest`` tells the transport not to append its per-rank
-    manifest entries: this session gathers per-rank write pieces at close
-    and emits one serial-equivalent entry per section instead.
+    Only the manifest hook differs: instead of per-rank entries, ``_commit``
+    records per-rank write pieces that ``close`` gathers and merges into
+    one serial-equivalent entry per section.
     """
-
-    owns_manifest = True
 
     def __init__(self, fmt: ScdaFormat, ctx, layout: ScdaLayout, mode: str):
         super().__init__(fmt, ctx, layout, mode)
@@ -303,46 +294,15 @@ class _ScdaSession(_RawSession):
 
     # -- piece recording ---------------------------------------------------
 
-    def _record(self, section: str, segments, arr) -> None:
+    def _commit(self, key, kind, name, segments, arr) -> None:
         buf = memoryview(np.ascontiguousarray(arr)).cast("B")
-        pieces = self._pieces.setdefault(section, [])
+        pieces = self._pieces.setdefault(section_name(key, kind, name), [])
         pos = 0
         for offset, nbytes in segments:
             if nbytes > 0:
                 crc = zlib.crc32(buf[pos:pos + nbytes])
                 pieces.append((int(offset), int(nbytes), crc))
             pos += nbytes
-
-    # -- write primitives (raw flow, entries replaced by pieces) -----------
-
-    def begin_top_field(self, name, arr, starts, sizes, root_dims) -> FieldWriteOp:
-        op = super().begin_top_field(name, arr, starts, sizes, root_dims)
-        # The view was just set, so the segment list is already valid.
-        self._record(f"top/field/{name}", op.segments(), arr)
-        return op
-
-    def write_top_particle(self, name, parts, elem_offset, n_total) -> int:
-        from ..enzo.layout import TOP
-
-        ext = self.layout.extent(TOP, name, "particle")
-        arr = np.ascontiguousarray(parts.array(name))
-        offset = ext.offset + elem_offset * ext.dtype.itemsize
-        self.fh.write_at(offset, arr)
-        self._record(f"top/particle/{name}", [(offset, arr.nbytes)], arr)
-        return arr.nbytes
-
-    def write_grid_field(self, gid, g, name, arr) -> int:
-        ext = self.layout.extent(gid, name)
-        self.fh.write_at(ext.offset, arr)
-        self._record(f"grid{gid}/field/{name}", [(ext.offset, arr.nbytes)], arr)
-        return arr.nbytes
-
-    def write_grid_particle(self, gid, g, name, gparts) -> int:
-        ext = self.layout.extent(gid, name, "particle")
-        arr = np.ascontiguousarray(gparts.array(name))
-        self.fh.write_at(ext.offset, arr)
-        self._record(f"grid{gid}/particle/{name}", [(ext.offset, arr.nbytes)], arr)
-        return arr.nbytes
 
     # -- close: gather pieces, emit serial-equivalent entries --------------
 

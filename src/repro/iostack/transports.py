@@ -14,29 +14,29 @@ The paper's middle layer.  Three movement disciplines:
 
 A transport drives a format *session* (see :mod:`repro.iostack.formats`)
 and never touches the file directly; ``requires`` names the layout kind it
-can address.  Phase timings land in the executor's
-:class:`~repro.enzo.io_base.IOStats` through ``ctx.timed`` with the same
-phase names the monolithic strategies reported.
+can address.  Phase timings land in the strategy's
+:class:`~repro.enzo.io_base.IOStats` through ``ctx.timed``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..amr.fields import BARYON_FIELDS
 from ..amr.grid import Grid
 from ..amr.particles import PARTICLE_ARRAYS, ParticleSet
 from ..amr.partition import BlockPartition
+from ..enzo.layout import TOP
+from ..enzo.sort import parallel_sort_by_id
+from ..enzo.state import PartitionedState, RankState, make_owner_map
 from ..mpi import collectives as coll
-from ..resilience.manifest import entry_for_segments
 from .layouts import particle_block_range
 
 __all__ = [
     "CollectiveTransport",
     "FunnelTransport",
     "IndependentTransport",
-    "field_names",
     "make_piece_shell",
-    "make_top_piece_shell",
     "redistribute_grid_particles",
     "redistribute_particles",
 ]
@@ -45,22 +45,14 @@ __all__ = [
 # -- shared shell / redistribution helpers -----------------------------------
 
 
-def field_names():
-    """Canonical baryon field order (every strategy writes these)."""
-    from ..amr.fields import BARYON_FIELDS
-
-    return BARYON_FIELDS
-
-
-def make_top_piece_shell(meta, partition: BlockPartition, rank: int) -> Grid:
-    """An empty top-grid piece with rank ``rank``'s block geometry."""
-    from ..enzo.io_base import IOStrategy
-
-    root = IOStrategy.make_root_shell(meta)
-    _starts, sizes = partition.block_of(rank)
-    left, right = partition.edges_of(rank, root)
+def make_piece_shell(meta, gid, part: BlockPartition, rank: int) -> Grid:
+    """An empty piece of grid ``gid`` with rank ``rank``'s block geometry."""
+    g = meta[gid]
+    _starts, sizes = part.block_of(rank)
+    left, right = part.edges_of(rank, g.shell())
     return Grid(
-        id=root.id, level=0, dims=sizes, left_edge=left, right_edge=right
+        id=g.id, level=g.level, dims=sizes,
+        left_edge=left, right_edge=right, parent_id=g.parent_id,
     )
 
 
@@ -68,34 +60,7 @@ def redistribute_particles(
     comm, block: ParticleSet, meta, partition: BlockPartition
 ) -> ParticleSet:
     """Send each particle to the rank whose sub-domain contains it."""
-    from ..enzo.io_base import IOStrategy
-
-    root = IOStrategy.make_root_shell(meta)
-    if len(block):
-        cells = root.cell_of(block.positions)
-        owners = partition.owner_of_cells(cells)
-    else:
-        owners = np.empty(0, dtype=np.int64)
-    outgoing = [block.select(owners == r) for r in range(comm.size)]
-    incoming = coll.alltoall(comm, outgoing)
-    return ParticleSet.concat(incoming).sort_by_id()
-
-
-def make_piece_shell(meta, gid, part: BlockPartition, rank: int) -> Grid:
-    """An empty piece of grid ``gid`` with rank ``rank``'s block geometry."""
-    g = meta[gid]
-    shell = Grid(
-        id=g.id, level=g.level, dims=g.dims,
-        left_edge=np.array(g.left_edge),
-        right_edge=np.array(g.right_edge),
-        parent_id=g.parent_id,
-    )
-    _starts, sizes = part.block_of(rank)
-    left, right = part.edges_of(rank, shell)
-    return Grid(
-        id=g.id, level=g.level, dims=sizes,
-        left_edge=left, right_edge=right, parent_id=g.parent_id,
-    )
+    return redistribute_grid_particles(comm, block, meta, meta.root_id, partition)
 
 
 def redistribute_grid_particles(
@@ -103,15 +68,8 @@ def redistribute_grid_particles(
 ) -> ParticleSet:
     """Route particles to the rank whose sub-block of grid ``gid``
     contains them."""
-    g = meta[gid]
-    shell = Grid(
-        id=g.id, level=g.level, dims=g.dims,
-        left_edge=np.array(g.left_edge),
-        right_edge=np.array(g.right_edge),
-        parent_id=g.parent_id,
-    )
     if len(block):
-        cells = shell.cell_of(block.positions)
+        cells = meta[gid].shell().cell_of(block.positions)
         owners = part.owner_of_cells(cells)
     else:
         owners = np.empty(0, dtype=np.int64)
@@ -123,6 +81,18 @@ def redistribute_grid_particles(
     return ParticleSet.concat(
         [p for p in incoming if p is not None]
     ).sort_by_id()
+
+
+def _read_particles(ctx, session, key, lo=0, hi=None, want=True):
+    """Elements ``[lo, hi)`` of every particle array of grid ``key``."""
+    arrays = {
+        name: session.read_array(key, "particle", name, lo, hi, want)
+        for name in PARTICLE_ARRAYS
+    }
+    if not want:
+        return None
+    ctx.stats.bytes_moved += sum(a.nbytes for a in arrays.values())
+    return ParticleSet.from_arrays(arrays)
 
 
 # -- rank-0 funnel (the original sequential path) ----------------------------
@@ -145,15 +115,14 @@ class FunnelTransport:
         self.read_mode = read_mode
 
     def write(self, ctx, session, layout, state) -> None:
-        from ..enzo.io_base import IOStrategy
-
         comm = ctx.comm
         # Phase 1: gather the top-grid pieces to processor 0 and combine.
         with ctx.timed("top_gather"):
             pieces = coll.gather(comm, state.top_piece, root=0)
             if comm.rank == 0:
-                template = IOStrategy.make_root_shell(state.meta)
-                combined = state.partition.reassemble(template, pieces)
+                combined = state.partition.reassemble(
+                    state.meta.root.shell(), pieces
+                )
                 comm.compute(comm.machine.memcpy_time(combined.data_nbytes))
 
         # Phase 2: processor 0 writes the combined top grid, sequentially.
@@ -172,9 +141,6 @@ class FunnelTransport:
             coll.barrier(comm)
 
     def read(self, ctx, session, layout, meta):
-        from ..enzo.io_base import IOStrategy
-        from ..enzo.state import RankState, make_owner_map
-
         comm = ctx.comm
         partition = BlockPartition(meta.root.dims, comm.size)
 
@@ -182,7 +148,7 @@ class FunnelTransport:
         # and scatters the pieces.
         with ctx.timed("top_read_scatter"):
             if comm.rank == 0:
-                shell = IOStrategy.make_root_shell(meta)
+                shell = meta.root.shell()
                 session.read_grid(layout.top_grid_path(ctx.base), shell)
                 ctx.stats.bytes_moved += shell.data_nbytes
                 pieces = [partition.extract(shell, r) for r in range(comm.size)]
@@ -201,7 +167,7 @@ class FunnelTransport:
                 for gid in meta.subgrid_ids():
                     shell = None
                     if comm.rank == 0:
-                        shell = IOStrategy.make_subgrid_shell(meta, gid)
+                        shell = meta[gid].shell()
                         session.read_grid(
                             layout.subgrid_path(ctx.base, gid), shell
                         )
@@ -220,7 +186,7 @@ class FunnelTransport:
                 for gid in meta.subgrid_ids():
                     if owner[gid] != comm.rank:
                         continue
-                    shell = IOStrategy.make_subgrid_shell(meta, gid)
+                    shell = meta[gid].shell()
                     session.read_grid(layout.subgrid_path(ctx.base, gid), shell)
                     ctx.stats.bytes_moved += shell.data_nbytes
                     subgrids[gid] = shell
@@ -239,9 +205,6 @@ class FunnelTransport:
     def read_initial(self, ctx, session, layout, meta):
         """Original new-simulation read: P0 reads every grid sequentially,
         partitions it (Block, Block, Block) and distributes the pieces."""
-        from ..enzo.io_base import IOStrategy
-        from ..enzo.state import PartitionedState
-
         comm = ctx.comm
         state = PartitionedState(rank=comm.rank, nprocs=comm.size, meta=meta)
         for g in meta.grids():
@@ -250,11 +213,10 @@ class FunnelTransport:
             state.partitions[gid] = part
             pieces = None
             if comm.rank == 0:
+                shell = g.shell()
                 if gid == meta.root_id:
-                    shell = IOStrategy.make_root_shell(meta)
                     path = layout.top_grid_path(ctx.base)
                 else:
-                    shell = IOStrategy.make_subgrid_shell(meta, gid)
                     path = layout.subgrid_path(ctx.base, gid)
                 session.read_grid(path, shell)
                 ctx.stats.bytes_moved += shell.data_nbytes
@@ -278,15 +240,12 @@ class CollectiveTransport:
     collective_fields = True
 
     def write(self, ctx, session, layout, state) -> None:
-        from ..enzo.sort import parallel_sort_by_id
-
         comm = ctx.comm
         # Phase 1: top-grid baryon fields through subarray/hyperslab views.
         with ctx.timed("top_fields"):
-            starts, sizes = state.partition.block_of(comm.rank)
-            root_dims = state.meta.root.dims
+            block = state.partition.block_of(comm.rank)
             for name, arr in state.top_piece.fields.items():
-                op = session.begin_top_field(name, arr, starts, sizes, root_dims)
+                op = session.begin_block_write(TOP, name, arr, block)
                 if self.collective_fields:
                     ctx.strategy._collective_or_degraded(
                         comm, ctx.base, op.collective, op.independent,
@@ -294,13 +253,6 @@ class CollectiveTransport:
                     )
                 else:
                     op.independent()
-                # Formats that own the manifest (scda) merge per-rank
-                # pieces at close instead of recording per-rank entries.
-                if not getattr(session, "owns_manifest", False):
-                    ctx.entries.append(entry_for_segments(
-                        f"top/field/{name}/r{comm.rank:04d}", ctx.base,
-                        op.segments(), arr,
-                    ))
                 op.finish()
                 ctx.stats.bytes_moved += arr.nbytes
 
@@ -310,61 +262,43 @@ class CollectiveTransport:
             sorted_parts, elem_offset, _counts = parallel_sort_by_id(
                 comm, state.top_piece.particles
             )
-            n_total = state.meta.root.nparticles
             for name in PARTICLE_ARRAYS:
-                ctx.stats.bytes_moved += session.write_top_particle(
-                    name, sorted_parts, elem_offset, n_total
+                ctx.stats.bytes_moved += session.write_array(
+                    TOP, "particle", name, sorted_parts.array(name), elem_offset
                 )
 
-        # Phase 3: subgrids.  When the format's per-array metadata is
-        # collective (HDF5 dataset creates), every rank walks every grid;
-        # otherwise each owner writes its grids independently.
+        # Phase 3: subgrids, each written whole by its owner.  When the
+        # format's per-array metadata is collective (HDF5 dataset creates),
+        # every rank walks every grid, without data for those it does not own.
         with ctx.timed("subgrids"):
-            if session.collective_metadata:
-                meta = state.meta
-                names = list(state.top_piece.fields.names)
-                for gid in meta.subgrid_ids():
-                    g = meta[gid]
-                    mine = state.subgrids.get(gid)
-                    for name in names:
-                        arr = mine.fields[name] if mine is not None else None
-                        ctx.stats.bytes_moved += session.write_grid_field(
-                            gid, g, name, arr
-                        )
-                    gparts = (
-                        mine.particles.sort_by_id() if mine is not None else None
+            gids = (
+                state.meta.subgrid_ids() if session.collective_metadata
+                else sorted(state.subgrids)
+            )
+            for gid in gids:
+                mine = state.subgrids.get(gid)
+                for name in BARYON_FIELDS:
+                    arr = mine.fields[name] if mine is not None else None
+                    ctx.stats.bytes_moved += session.write_array(
+                        gid, "field", name, arr
                     )
-                    for name in PARTICLE_ARRAYS:
-                        ctx.stats.bytes_moved += session.write_grid_particle(
-                            gid, g, name, gparts
-                        )
-            else:
-                for gid in sorted(state.subgrids):
-                    grid = state.subgrids[gid]
-                    g = state.meta[gid]
-                    for name, arr in grid.fields.items():
-                        ctx.stats.bytes_moved += session.write_grid_field(
-                            gid, g, name, arr
-                        )
-                    gparts = grid.particles.sort_by_id()
-                    for name in PARTICLE_ARRAYS:
-                        ctx.stats.bytes_moved += session.write_grid_particle(
-                            gid, g, name, gparts
-                        )
+                parts = mine.particles.sort_by_id() if mine is not None else None
+                for name in PARTICLE_ARRAYS:
+                    arr = parts.array(name) if mine is not None else None
+                    ctx.stats.bytes_moved += session.write_array(
+                        gid, "particle", name, arr
+                    )
 
     def read(self, ctx, session, layout, meta):
-        from ..enzo.io_base import IOStrategy
-        from ..enzo.state import RankState, make_owner_map
-
         comm = ctx.comm
         partition = BlockPartition(meta.root.dims, comm.size)
 
         # Phase 1: top-grid fields, collective subarray/hyperslab reads.
         with ctx.timed("top_fields"):
-            starts, sizes = partition.block_of(comm.rank)
-            top_piece = make_top_piece_shell(meta, partition, comm.rank)
-            for name in top_piece.fields:
-                got = session.read_top_field(name, starts, sizes, meta.root.dims)
+            block = partition.block_of(comm.rank)
+            top_piece = make_piece_shell(meta, meta.root_id, partition, comm.rank)
+            for name in BARYON_FIELDS:
+                got = session.read_block(TOP, name, block)
                 top_piece.fields[name] = got
                 ctx.stats.bytes_moved += got.nbytes
 
@@ -372,61 +306,32 @@ class CollectiveTransport:
         # redistribution by position against the grid edges.
         with ctx.timed("top_particles"):
             session.reset_view()
-            n_total = meta.root.nparticles
-            lo, hi = particle_block_range(n_total, comm.rank, comm.size)
-            arrays = {}
-            for name in PARTICLE_ARRAYS:
-                got = session.read_top_particle(name, lo, hi, n_total)
-                arrays[name] = got
-                ctx.stats.bytes_moved += got.nbytes
-            block = ParticleSet.from_arrays(arrays)
+            lo, hi = particle_block_range(
+                meta.root.nparticles, comm.rank, comm.size
+            )
             top_piece.particles = redistribute_particles(
-                comm, block, meta, partition
+                comm, _read_particles(ctx, session, TOP, lo, hi), meta, partition
             )
 
-        # Phase 3: subgrids, round-robin owners read whole arrays.
+        # Phase 3: subgrids, round-robin owners read whole arrays (every
+        # rank walks every grid when the format's metadata is collective).
         with ctx.timed("subgrids"):
             owner = make_owner_map(meta, comm.size, policy="round_robin")
             subgrids: dict[int, Grid] = {}
-            if session.collective_metadata:
-                names = list(top_piece.fields.names)
-                for gid in meta.subgrid_ids():
-                    g = meta[gid]
-                    mine = owner[gid] == comm.rank
-                    shell = (
-                        IOStrategy.make_subgrid_shell(meta, gid) if mine else None
-                    )
-                    for name in names:
-                        got = session.read_grid_field(gid, g, name, mine)
-                        if mine:
-                            shell.fields[name] = got
-                            ctx.stats.bytes_moved += got.nbytes
-                    parrays = {}
-                    for name in PARTICLE_ARRAYS:
-                        got = session.read_grid_particle(gid, g, name, mine)
-                        if mine:
-                            parrays[name] = got
-                            ctx.stats.bytes_moved += got.nbytes
+            for gid in meta.subgrid_ids():
+                mine = owner[gid] == comm.rank
+                if not (mine or session.collective_metadata):
+                    continue
+                shell = meta[gid].shell() if mine else None
+                for name in BARYON_FIELDS:
+                    got = session.read_array(gid, "field", name, want=mine)
                     if mine:
-                        shell.particles = ParticleSet.from_arrays(parrays)
-                        subgrids[gid] = shell
-            else:
-                for gid in meta.subgrid_ids():
-                    if owner[gid] != comm.rank:
-                        continue
-                    g = meta[gid]
-                    grid = IOStrategy.make_subgrid_shell(meta, gid)
-                    for name in grid.fields:
-                        got = session.read_grid_field(gid, g, name, True)
-                        grid.fields[name] = got
+                        shell.fields[name] = got
                         ctx.stats.bytes_moved += got.nbytes
-                    parrays = {}
-                    for name in PARTICLE_ARRAYS:
-                        got = session.read_grid_particle(gid, g, name, True)
-                        parrays[name] = got
-                        ctx.stats.bytes_moved += got.nbytes
-                    grid.particles = ParticleSet.from_arrays(parrays)
-                    subgrids[gid] = grid
+                parts = _read_particles(ctx, session, gid, want=mine)
+                if mine:
+                    shell.particles = parts
+                    subgrids[gid] = shell
 
         return RankState(
             rank=comm.rank,
@@ -440,12 +345,8 @@ class CollectiveTransport:
 
     def read_initial(self, ctx, session, layout, meta):
         """Parallel new-simulation read: every grid read collectively."""
-        from ..enzo.layout import TOP
-        from ..enzo.state import PartitionedState
-
         comm = ctx.comm
         state = PartitionedState(rank=comm.rank, nprocs=comm.size, meta=meta)
-        names = list(field_names())
         for g in meta.grids():
             gid = g.id
             key = TOP if gid == meta.root_id else gid
@@ -454,30 +355,24 @@ class CollectiveTransport:
             active = comm.rank < part.nprocs
             piece = make_piece_shell(meta, gid, part, comm.rank) if active else None
             # Baryon fields: collective reads (all ranks call).
-            for name in names:
-                got = session.read_initial_field(key, g, name, part, active, comm.rank)
+            block = part.block_of(comm.rank) if active else None
+            for name in BARYON_FIELDS:
+                got = session.read_block(key, name, block)
                 if active:
                     piece.fields[name] = got
                     ctx.stats.bytes_moved += got.nbytes
             session.reset_view()
             # Particle arrays: block-wise reads + redistribution by position.
-            n_total = g.nparticles
-            if comm.rank < part.nprocs:
-                lo, hi = particle_block_range(n_total, comm.rank, part.nprocs)
-            else:
-                lo = hi = 0
-            arrays = {}
-            for name in PARTICLE_ARRAYS:
-                got = session.read_initial_particle(key, g, name, lo, hi)
-                arrays[name] = got
-                ctx.stats.bytes_moved += got.nbytes
-            block = ParticleSet.from_arrays(arrays)
-            mine = redistribute_grid_particles(comm, block, meta, gid, part)
-            if piece is not None:
+            lo, hi = (
+                particle_block_range(g.nparticles, comm.rank, part.nprocs)
+                if active else (0, 0)
+            )
+            mine = redistribute_grid_particles(
+                comm, _read_particles(ctx, session, key, lo, hi), meta, gid, part
+            )
+            if active:
                 piece.particles = mine
-                state.pieces[gid] = piece
-            else:
-                state.pieces[gid] = None
+            state.pieces[gid] = piece
         return state
 
 

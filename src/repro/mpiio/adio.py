@@ -30,6 +30,13 @@ def as_byte_view(data) -> memoryview:
     return memoryview(data).cast("B")
 
 
+def _attached_fs(comm: Comm, fs: FileSystem | None) -> FileSystem:
+    fs = fs if fs is not None else comm.machine.fs
+    if fs is None:
+        raise ValueError("no file system attached to the machine")
+    return fs
+
+
 class ADIOFile:
     """Per-rank handle for raw contiguous file access with timing.
 
@@ -59,6 +66,41 @@ class ADIOFile:
         # so callers can tell whether an operation posted anything).
         self._last_posted: AioRequest | None = None
         self._post_seq = 0
+
+    # -- open: the namespace request, on the calling rank's clock ----------
+
+    @classmethod
+    def open(
+        cls,
+        comm: Comm,
+        path: str,
+        *,
+        create: bool = False,
+        create_if_missing: bool = False,
+        fs: FileSystem | None = None,
+        retry: RetryPolicy | None = None,
+        aio: AioConfig | None = None,
+    ) -> "ADIOFile":
+        """Create (truncating) or open ``path`` on the calling rank alone.
+
+        ``fs`` defaults to the machine's attached file system.  The request
+        is a schedule point like any other file-system request and the
+        rank's clock ends at its completion.  ``create_if_missing`` opens
+        an existing file as it is and creates an absent one.
+        """
+        fs = _attached_fs(comm, fs)
+        adio = cls(fs, path, comm, retry=retry, aio=aio)
+        proc = comm.proc
+        proc.schedule_point()
+        if create:
+            done = fs.create(path, node=adio._node, ready_time=proc.clock)
+        else:
+            done = fs.open(
+                path, node=adio._node, ready_time=proc.clock,
+                create=create_if_missing,
+            )
+        proc.advance_to(done)
+        return adio
 
     @property
     def _node(self) -> int:
@@ -199,20 +241,9 @@ class ADIOFile:
         return self._issue(issue, nbytes)
 
     def write_contig(self, offset: int, data) -> int:
-        """Blocking contiguous write; advances the rank's clock."""
-        self._check_open()
-        buf = as_byte_view(data)
-
-        def issue(ready_time):
-            done = self.fs.write(
-                self.path, offset, buf, node=self._node, ready_time=ready_time
-            )
-            return len(buf), done
-
-        if self.aio is not None:
-            self._post_write(issue, len(buf))
-            return len(buf)
-        return self._issue(issue, len(buf))
+        """Contiguous write; blocking unless the handle has an ``aio``
+        config, in which case it is posted (see :meth:`iwrite_contig`)."""
+        return self.iwrite_contig(offset, data).nbytes
 
     def write_vector(self, ops) -> int:
         """Issue N contiguous writes with ONE schedule-point crossing.
@@ -260,21 +291,20 @@ class ADIOFile:
 
     def write_list(self, segments: list[tuple[int, int]], data) -> int:
         """One list-I/O write request covering all ``segments``."""
-        self._check_open()
-        buf = as_byte_view(data)
-
-        def issue(ready_time):
-            done = self.fs.write_list(
-                self.path, segments, buf, node=self._node, ready_time=ready_time
-            )
-            return len(buf), done
-
-        if self.aio is not None:
-            self._post_write(issue, len(buf))
-            return len(buf)
-        return self._issue(issue, len(buf))
+        return self.iwrite_list(segments, data).nbytes
 
     # -- explicit nonblocking primitives ----------------------------------
+
+    def _write(self, issue, nbytes: int) -> AioRequest:
+        """Post ``issue`` to the flush service; without an ``aio`` config,
+        run it now and return an already-completed request."""
+        if self.aio is not None:
+            return self._post_write(issue, nbytes)
+        self._issue(issue, nbytes)
+        return AioRequest(
+            path=self.path, nbytes=nbytes,
+            done_time=self.comm.proc.clock, retired=True,
+        )
 
     def iwrite_contig(self, offset: int, data) -> AioRequest:
         """Nonblocking contiguous write; returns a testable/waitable
@@ -290,13 +320,7 @@ class ADIOFile:
             )
             return len(buf), done
 
-        if self.aio is not None:
-            return self._post_write(issue, len(buf))
-        self._issue(issue, len(buf))
-        return AioRequest(
-            path=self.path, nbytes=len(buf),
-            done_time=self.comm.proc.clock, retired=True,
-        )
+        return self._write(issue, len(buf))
 
     def iwrite_list(self, segments: list[tuple[int, int]], data) -> AioRequest:
         """Nonblocking list-I/O write; see :meth:`iwrite_contig`."""
@@ -309,13 +333,7 @@ class ADIOFile:
             )
             return len(buf), done
 
-        if self.aio is not None:
-            return self._post_write(issue, len(buf))
-        self._issue(issue, len(buf))
-        return AioRequest(
-            path=self.path, nbytes=len(buf),
-            done_time=self.comm.proc.clock, retired=True,
-        )
+        return self._write(issue, len(buf))
 
     # -- metadata ------------------------------------------------------------
 

@@ -25,7 +25,7 @@ from ..mpi import collectives as coll
 from ..mpi.comm import Comm
 from ..mpi.datatypes import BYTE, Datatype
 from ..pfs.base import FileSystem
-from .adio import ADIOFile
+from .adio import ADIOFile, _attached_fs, as_byte_view
 from .fileview import FileView
 from .hints import Hints
 from .sieving import sieve_read, sieve_write
@@ -72,42 +72,27 @@ class File:
         """
         if mode not in ("r", "w", "rw", "a"):
             raise ValueError(f"bad mode {mode!r}")
-        fs = fs if fs is not None else comm.machine.fs
-        if fs is None:
-            raise ValueError("no file system attached to the machine")
         hints = (hints or Hints()).validate()
-        proc = comm.proc
+        fs = _attached_fs(comm, fs)
         # Rank 0 performs the create/open metadata operation; everyone else
         # opens after it (barrier orders the create before other opens).
         if comm.rank == 0:
-            proc.schedule_point()
-            if mode == "w":
-                if hints.striping_unit or hints.striping_factor:
-                    fs.set_file_striping(
-                        path,
-                        stripe_size=hints.striping_unit or None,
-                        stripe_count=hints.striping_factor or None,
-                    )
-                done = fs.create(path, node=comm.machine.node_of(comm.group[0]),
-                                 ready_time=proc.clock)
-            else:
-                done = fs.open(
+            if mode == "w" and (hints.striping_unit or hints.striping_factor):
+                # ``lfs setstripe``: the layout request precedes the create.
+                fs.set_file_striping(
                     path,
-                    node=comm.machine.node_of(comm.group[0]),
-                    ready_time=proc.clock,
-                    create=mode in ("rw", "a"),
+                    stripe_size=hints.striping_unit or None,
+                    stripe_count=hints.striping_factor or None,
                 )
-            proc.advance_to(done)
+            adio = ADIOFile.open(
+                comm, path, create=mode == "w",
+                create_if_missing=mode in ("rw", "a"),
+                fs=fs, retry=retry, aio=aio,
+            )
         coll.barrier(comm)
         if comm.rank != 0:
-            proc.schedule_point()
-            done = fs.open(
-                path,
-                node=comm.machine.node_of(comm.group[comm.rank]),
-                ready_time=proc.clock,
-            )
-            proc.advance_to(done)
-        return cls(comm, ADIOFile(fs, path, comm, retry=retry, aio=aio), hints)
+            adio = ADIOFile.open(comm, path, fs=fs, retry=retry, aio=aio)
+        return cls(comm, adio, hints)
 
     def close(self) -> None:
         """Collective close; flushes any write-behind buffer first.
@@ -147,9 +132,7 @@ class File:
         wb = self.hints.wb_buffer_size
         if wb <= 0:
             return False
-        data = memoryview(np.ascontiguousarray(buf)).cast("B") if isinstance(
-            buf, np.ndarray
-        ) else memoryview(buf).cast("B")
+        data = as_byte_view(buf)
         if self._wb_start is not None and (
             abs_offset != self._wb_start + len(self._wb_buf)
         ):

@@ -8,7 +8,6 @@ most it ever had.
 import numpy as np
 
 from repro.amr import Grid, GridHierarchy, ParticleSet
-from repro.enzo.io_base import IOStrategy
 from repro.enzo.meta import HierarchyMeta
 from repro.hdf4 import SDFile
 from repro.iostack.formats import read_grid_sd, write_grid_sd
@@ -71,7 +70,7 @@ def test_a_shell_is_free_and_a_read_into_it_holds_the_payload_once():
         write_grid_sd(sd, grid)
         sd.end()
         with Traced() as made:
-            shell = IOStrategy.make_root_shell(meta)
+            shell = meta.root.shell()
         with Traced() as read:
             sd = SDFile.start(comm, "g", "r")
             read_grid_sd(sd, shell)

@@ -1,4 +1,5 @@
-"""Tests for the new-simulation (initial) read path of every strategy."""
+"""Tests for the new-simulation (initial) read path of every registered
+composition (the matrix is generated from the registry)."""
 
 from functools import partial
 
@@ -14,10 +15,10 @@ from repro.enzo.state import PartitionedState
 from repro.iostack import registry
 from repro.mpi import run_spmd
 
-from .conftest import make_machine
+from .conftest import edge_case_hierarchy, make_machine, runnable_strategies
 
 STRATEGIES = {
-    name: partial(registry.create, name) for name in ("hdf4", "mpi-io", "hdf5")
+    name: partial(registry.create, name) for name in runnable_strategies()
 }
 
 
@@ -102,6 +103,21 @@ def test_initial_read_particles_live_in_their_piece(hierarchy, name):
             if piece is None or len(piece.particles) == 0:
                 continue
             assert piece.contains_points(piece.particles.positions).all()
+
+
+@pytest.mark.parametrize("read_procs", [2, 8])
+@pytest.mark.parametrize("name", list(STRATEGIES))
+def test_initial_read_matrix(name, read_procs):
+    """Written at P=4, distributed over P'' in {2, 8}: at P''=8 the
+    (1, 1, 2) grid has two blocks, so six ranks pass ``read_block(None)``
+    and read empty particle slices; grid 2 has no particles for anybody."""
+    h = edge_case_hierarchy()
+    states, _ = write_then_initial_read(h, STRATEGIES[name], 4, read_procs)
+    assert states[0].partitions[3].nprocs == min(read_procs, 2)
+    assert [s.pieces[3] is None for s in states] == [
+        r >= 2 for r in range(read_procs)
+    ]
+    assert hierarchies_equivalent(PartitionedState.collect(states), h)
 
 
 def test_initial_read_more_ranks_than_cells(hierarchy):

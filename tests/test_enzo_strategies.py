@@ -1,4 +1,5 @@
-"""Integration tests: checkpoint write + restart round-trips per strategy."""
+"""Integration tests: checkpoint write + restart round-trips for every
+registered composition (the matrix is generated from the registry)."""
 
 from functools import partial
 
@@ -8,16 +9,18 @@ import pytest
 from repro.amr import make_initial_conditions
 from repro.enzo import (
     RankState,
+    compare_checkpoints,
     hierarchies_equivalent,
 )
 from repro.iostack import registry
 from repro.mpi import run_spmd
 
-from .conftest import make_machine
+from .conftest import edge_case_hierarchy, make_machine, runnable_strategies
 
 STRATEGIES = {
-    name: partial(registry.create, name) for name in ("hdf4", "mpi-io", "hdf5")
+    name: partial(registry.create, name) for name in runnable_strategies()
 }
+SHARED_FILE = [n for n in STRATEGIES if registry.get(n).layout == "shared-file"]
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +78,57 @@ def test_cross_strategy_checkpoints_agree(hierarchy):
     _, _, via_hdf5 = dump_and_restart(hierarchy, STRATEGIES["hdf5"], 3)
     assert hierarchies_equivalent(via_mpiio, via_hdf4)
     assert hierarchies_equivalent(via_mpiio, via_hdf5)
+
+
+# -- restart at P' != P on the hierarchy with every empty case (ROADMAP D.3) --
+
+
+@pytest.fixture(scope="module")
+def edge_hierarchy():
+    return edge_case_hierarchy()
+
+
+@pytest.fixture(scope="module")
+def edge_dumps(edge_hierarchy):
+    """name -> the machine holding that composition's P=4 dump (made once)."""
+    made = {}
+
+    def dump(name):
+        if name not in made:
+            made[name] = m = make_machine(4)
+
+            def program(comm):
+                state = RankState.from_hierarchy(edge_hierarchy, comm.rank, comm.size)
+                return STRATEGIES[name]().write_checkpoint(comm, state, "ckpt")
+
+            run_spmd(m, program)
+        return made[name]
+
+    return dump
+
+
+@pytest.mark.parametrize("restart_procs", [1, 3, 6])
+@pytest.mark.parametrize("name", list(STRATEGIES))
+def test_restart_matrix(edge_hierarchy, edge_dumps, name, restart_procs):
+    """Written at P=4, read at P' in {1, 3, 6}: at P'=6 a rank owns no
+    subgrid at all, and grid 2 has no particles for anybody."""
+    machine = make_machine(restart_procs, fs=edge_dumps(name).fs)
+
+    def program(comm):
+        return STRATEGIES[name]().read_checkpoint(comm, "ckpt")[0]
+
+    states = run_spmd(machine, program).results
+    assert hierarchies_equivalent(RankState.collect(states), edge_hierarchy)
+
+
+@pytest.mark.parametrize("name", SHARED_FILE)
+def test_shared_file_dump_holds_what_the_hdf4_dump_holds(edge_dumps, name):
+    report = compare_checkpoints(
+        edge_dumps(name).fs, STRATEGIES[name](), "ckpt",
+        edge_dumps("hdf4").fs, STRATEGIES["hdf4"](), "ckpt",
+    )
+    assert report.ok, report.summary()
+    assert report.compared == 5 * (8 + 10)
 
 
 @pytest.mark.parametrize("name", list(STRATEGIES))

@@ -162,3 +162,34 @@ class TestSDFile:
             return True
 
         assert single_rank(program)
+
+
+class TestHdf4FormatEdges:
+    def test_zero_dim_dataset(self):
+        from repro.hdf4 import SDFile
+
+        def program(comm):
+            sd = SDFile.start(comm, "f", "w")
+            sd.create("empty", np.float64, (0,)).write(
+                np.empty(0, dtype=np.float64)
+            )
+            sd.end()
+            sd = SDFile.start(comm, "f", "r")
+            got = sd.select("empty").read()
+            return got.shape
+
+        res = run_spmd(make_machine(1), program)
+        assert res.results[0] == (0,)
+
+    def test_long_dataset_names(self):
+        from repro.hdf4 import SDFile
+
+        def program(comm):
+            sd = SDFile.start(comm, "f", "w")
+            name = "x" * 200
+            sd.create(name, np.int32, (3,)).write(np.arange(3, dtype=np.int32))
+            sd.end()
+            sd = SDFile.start(comm, "f", "r")
+            return sd.select(name).read().tolist()
+
+        assert run_spmd(make_machine(1), program).results[0] == [0, 1, 2]

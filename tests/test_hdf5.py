@@ -301,3 +301,26 @@ def test_unsupported_driver_and_mode():
         return True
 
     assert run_spmd(make_machine(1), program).results[0]
+
+
+class TestHyperslabStrideBlock:
+    def test_strided_block_write_read(self):
+        """Full stride/block hyperslab semantics through the data path."""
+        from repro.hdf5 import H5File, Hyperslab
+
+        def program(comm):
+            f = H5File.create(comm, "f", driver="sec2")
+            d = f.create_dataset("x", (20,), np.float64)
+            d.write(np.zeros(20), collective=False)
+            sel = Hyperslab(start=(1,), count=(3,), stride=(6,), block=(2,))
+            d.write(np.arange(6, dtype=np.float64), sel, collective=False)
+            full = d.read(collective=False)
+            f.close()
+            return full
+
+        full = run_spmd(make_machine(1), program).results[0]
+        expect = np.zeros(20)
+        expect[1:3] = [0, 1]
+        expect[7:9] = [2, 3]
+        expect[13:15] = [4, 5]
+        np.testing.assert_array_equal(full, expect)

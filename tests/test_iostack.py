@@ -15,8 +15,9 @@ from repro.amr import make_initial_conditions
 from repro.enzo import RankState, hierarchies_equivalent
 from repro.iostack import registry
 from repro.mpi import run_spmd
+from repro.resilience import CheckpointManifest
 
-from .conftest import make_machine
+from .conftest import edge_case_hierarchy, make_machine
 
 @pytest.fixture(scope="module")
 def hierarchy():
@@ -148,3 +149,53 @@ class TestComposedRoundTrip:
         assert (
             aligned.fs.counters.writes < plain.fs.counters.writes
         )
+
+
+# -- manifest entry names are simulated behaviour ----------------------------
+#
+# The pickled list of a rank's entries is the wire size of write_manifest's
+# gather, so a renamed entry moves simulated time (and every golden digest).
+
+FIELDS = (
+    "density", "total_energy", "velocity_x", "velocity_y", "velocity_z",
+    "temperature", "dark_matter_density", "internal_energy",
+)
+PARTICLES = (
+    "particle_id", "position_x", "position_y", "position_z", "velocity_x",
+    "velocity_y", "velocity_z", "mass", "attribute_0", "attribute_1",
+)
+
+
+def manifest_names(strategy_name, nprocs):
+    m = make_machine(nprocs)
+    dump(m, edge_case_hierarchy(), registry.create(strategy_name))
+    raw = m.fs.store.open("ckpt.manifest")
+    return sorted(CheckpointManifest.from_bytes(raw.read(0, raw.size)).entries)
+
+
+class TestManifestEntryNames:
+    # Grid 2 of the edge-case hierarchy has no particles: its empty arrays
+    # carry no corruptible bytes and are not in any manifest.
+    def test_per_rank_entries_of_the_raw_and_hdf5_formats(self):
+        expect = sorted(
+            [f"top/field/{f}/r{r:04d}" for f in FIELDS for r in (0, 1)]
+            + [f"top/particle/{a}/r{r:04d}" for a in PARTICLES for r in (0, 1)]
+            + [f"grid{g}/field/{f}" for g in (1, 2, 3, 4) for f in FIELDS]
+            + [f"grid{g}/particle/{a}" for g in (1, 3, 4) for a in PARTICLES]
+        )
+        assert "top/field/density/r0000" in expect
+        assert "top/particle/mass/r0001" in expect
+        assert "grid3/particle/particle_id" in expect
+        assert manifest_names("mpi-io", 2) == expect
+        assert manifest_names("hdf5", 2) == expect
+
+    def test_scda_entries_are_the_rank_free_section_names(self):
+        expect = sorted(
+            ["scda/headers", "scda/padding"]
+            + [f"top/field/{f}" for f in FIELDS]
+            + [f"top/particle/{a}" for a in PARTICLES]
+            + [f"grid{g}/field/{f}" for g in (1, 2, 3, 4) for f in FIELDS]
+            + [f"grid{g}/particle/{a}" for g in (1, 3, 4) for a in PARTICLES]
+        )
+        assert manifest_names("mpi-io-scda", 2) == expect
+        assert manifest_names("mpi-io-scda", 3) == expect

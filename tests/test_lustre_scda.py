@@ -364,17 +364,18 @@ class TestScdaMergeFaults:
     ):
         """Rank 0's first recorded piece claims an offset ``shift`` bytes
         off: the error names section, both offsets and the piece length."""
-        record = scda._ScdaSession._record
+        commit = scda._ScdaSession._commit
         moved = []
 
-        def shifted(session, section, segments, arr):
-            record(session, section, segments, arr)
+        def shifted(session, key, kind, name, segments, arr):
+            commit(session, key, kind, name, segments, arr)
             if session.ctx.comm.rank == 0 and not moved:
+                section = scda.section_name(key, kind, name)
                 offset, nbytes, crc = session._pieces[section][-1]
                 session._pieces[section][-1] = (offset + shift, nbytes, crc)
                 moved.append((section, offset, nbytes))
 
-        monkeypatch.setattr(scda._ScdaSession, "_record", shifted)
+        monkeypatch.setattr(scda._ScdaSession, "_commit", shifted)
         with pytest.raises(RankFailedError) as ei:
             dump("mpi-io-scda", 2, hierarchy)
         assert isinstance(ei.value.__cause__, ScdaHeaderError)
@@ -556,6 +557,30 @@ def test_striping_hints_reach_the_filesystem(hierarchy):
     lay = m.fs.layout_for("ckpt")
     assert lay.stripe_count == 16  # widened from the volume default of 4
     assert lay.stripe_size == 1 << 20
+
+
+def test_striping_hints_reach_hdf5_as_they_reach_mpiio(hierarchy):
+    """One collective open serves ``File.open`` and the HDF5 mpio driver,
+    so the stripe-count x alignment remedy can be expressed for ``hdf5*``
+    (the parallel-HDF5 open used to drop both hints)."""
+    from repro.hdf5 import H5File
+    from repro.mpiio import File, Hints
+    from repro.topology import PRESETS
+
+    h = Hints(striping_factor=2, striping_unit=65536)
+    m = PRESETS["lustre"](nprocs=2)
+
+    def program(comm):
+        File.open(comm, "raw", "w", hints=h).close()
+        H5File.create(comm, "h5", hints=h).close()
+
+    run_spmd(m, program)
+    run_spmd(m, write_program(hierarchy, registry.create("hdf5", hints=h)))
+    for path in ("raw", "h5", "ckpt"):
+        lay = m.fs.layout_for(path)
+        assert (lay.stripe_count, lay.stripe_size) == (2, 65536), path
+    assert m.fs.layout_for("raw") == m.fs.layout_for("h5")
+    assert m.fs.layout_for("ckpt.hierarchy").stripe_count == 4  # volume default
 
 
 def test_stripe_headroom_is_lustre_specific():

@@ -322,3 +322,41 @@ def test_batched_collectives_deliver_what_the_messages_do(size):
         assert repr(b) == repr(l)
     clocks = [clock for _, clock in batched.results]
     assert len(set(clocks)) == 1  # every batched collective synchronises
+
+
+class TestCollectiveRoots:
+    @pytest.mark.parametrize("root", [1, 3])
+    def test_reduce_nonzero_root(self, root):
+        m = make_machine(5)
+
+        def program(comm):
+            return coll.reduce(comm, comm.rank, op=coll.SUM, root=root)
+
+        res = run_spmd(m, program)
+        assert res.results[root] == 10
+        assert all(r is None for i, r in enumerate(res.results) if i != root)
+
+    def test_gatherv_scatterv_aliases(self):
+        m = make_machine(3)
+
+        def program(comm):
+            objs = None
+            if comm.rank == 1:
+                objs = [f"p{r}" * (r + 1) for r in range(comm.size)]
+            mine = coll.scatterv(comm, objs, root=1)
+            back = coll.gatherv(comm, mine, root=1)
+            return back
+
+        res = run_spmd(m, program)
+        assert res.results[1] == ["p0", "p1p1", "p2p2p2"]
+
+    def test_allreduce_min_on_arrays(self):
+        m = make_machine(4)
+
+        def program(comm):
+            arr = np.array([comm.rank, -comm.rank], dtype=np.float64)
+            return coll.allreduce(comm, arr, op=coll.MIN)
+
+        res = run_spmd(m, program)
+        for out in res.results:
+            np.testing.assert_array_equal(out, [0.0, -3.0])

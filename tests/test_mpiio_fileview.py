@@ -1,12 +1,16 @@
-"""File-view mapping tests."""
+"""File-view mapping tests, and pointer I/O (individual, shared) through a
+``File``'s view."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.mpi import run_spmd
 from repro.mpi.datatypes import BYTE, FLOAT64, INT32, Contiguous, Subarray, Vector
-from repro.mpiio import FileView
+from repro.mpiio import File, FileView
+
+from .conftest import make_machine
 
 
 class TestFileViewBasics:
@@ -122,3 +126,96 @@ def test_property_contiguous_view_is_identity_plus_disp(nbytes, offset, disp):
         assert got == []
     else:
         assert got == [(disp + offset, nbytes)]
+
+
+class TestViewNonContiguousPointerIO:
+    def test_pointer_io_through_strided_view(self):
+        from repro.mpi.datatypes import FLOAT64, Vector
+        from repro.mpiio import File
+
+        def program(comm):
+            # View selects every other double.
+            ft = Vector(2, 1, 2, FLOAT64)
+            fh = File.open(comm, "f", "w")
+            fh.set_view(0, FLOAT64, ft)
+            fh.write(np.arange(4.0))  # stream elements 0..3
+            fh.close()
+            raw = comm.machine.fs.store.open("f")
+            return np.frombuffer(raw.read(0, raw.size), dtype=np.float64)
+
+        got = run_spmd(make_machine(1), program).results[0]
+        # File layout: elements at positions 0, 2, 3, 5 (tile extent = 3).
+        assert got[0] == 0.0
+        assert got[2] == 1.0
+        assert got[3] == 2.0
+        assert got[5] == 3.0
+
+
+class TestSharedFilePointer:
+    def test_writes_are_disjoint_and_cover(self):
+        m = make_machine(4)
+
+        def program(comm):
+            fh = File.open(comm, "log", "w")
+            payload = bytes([65 + comm.rank]) * (comm.rank + 1)
+            fh.write_shared(payload)
+            fh.close()
+            return len(payload)
+
+        res = run_spmd(m, program)
+        total = sum(res.results)
+        raw = m.fs.store.open("log").read(0, total)
+        # Every rank's bytes appear exactly once, contiguously.
+        for rank in range(4):
+            marker = bytes([65 + rank]) * (rank + 1)
+            assert raw.count(bytes([65 + rank])) == rank + 1
+            assert marker in raw
+
+    def test_shared_pointer_orders_deterministically(self):
+        def run_once():
+            m = make_machine(3, latency=1e-4)
+
+            def program(comm):
+                comm.compute(0.001 * (3 - comm.rank))  # reverse arrival order
+                fh = File.open(comm, "log", "w")
+                fh.write_shared(bytes([48 + comm.rank]) * 4)
+                fh.close()
+                return None
+
+            run_spmd(m, program)
+            return m.fs.store.open("log").read(0, 12)
+
+        assert run_once() == run_once()
+
+    def test_read_shared_consumes_in_order(self):
+        m = make_machine(2)
+
+        def program(comm):
+            if comm.rank == 0:
+                fh = File.open(comm, "f", "w")
+                fh.write_at(0, bytes(range(16)))
+                fh.close()
+            else:
+                File.open(comm, "f", "rw").close()
+            fh = File.open(comm, "f", "r")
+            a = fh.read_shared(8)
+            fh.close()
+            return a
+
+        res = run_spmd(m, program)
+        got = sorted(res.results)
+        assert got == [bytes(range(8)), bytes(range(8, 16))]
+
+    def test_partial_etype_rejected(self):
+        from repro.mpi.datatypes import FLOAT64
+        from repro.sim import RankFailedError
+
+        m = make_machine(1)
+
+        def program(comm):
+            fh = File.open(comm, "f", "w")
+            fh.set_view(0, FLOAT64)
+            fh.write_shared(b"123")  # 3 bytes is not a whole float64
+
+        with pytest.raises(RankFailedError):
+            run_spmd(m, program)

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.mpi import run_spmd
+from repro.mpiio import File, Hints
 from repro.pfs import (
     BlockStore,
     FileSystem,
@@ -10,6 +12,8 @@ from repro.pfs import (
     StripedServerFS,
 )
 from repro.topology import Network
+
+from .conftest import make_machine
 
 
 def make_striped(**kw):
@@ -267,3 +271,49 @@ class TestLRUCache:
         c.invalidate("f")
         assert c.lookup("f", 0, 100) == 100
         assert c.lookup("g", 0, 100) == 0
+
+
+class TestPerFileStriping:
+    def make_fs(self, **kw):
+        defaults = dict(
+            nservers=4, stripe_size=100, disk_bandwidth=1000.0, seek_time=0.0
+        )
+        defaults.update(kw)
+        return StripedServerFS("fs", **defaults)
+
+    def test_layout_override(self):
+        fs = self.make_fs()
+        fs.set_file_striping("special", 400)
+        assert fs.layout_for("special").stripe_size == 400
+        assert fs.layout_for("other").stripe_size == 100
+
+    def test_data_unaffected_by_layout(self):
+        fs = self.make_fs()
+        fs.set_file_striping("f", 7)
+        fs.create("f")
+        payload = bytes(range(200))
+        fs.write("f", 13, payload)
+        data, _ = fs.read("f", 13, 200)
+        assert data == payload
+
+    def test_large_stripe_uses_one_server(self):
+        fs = self.make_fs()
+        fs.set_file_striping("big", 10_000)
+        fs.create("big")
+        fs.write("big", 0, b"x" * 400)
+        # All on server 0 -> serial: 0.4 s, vs 0.1 s with default striping.
+        assert fs.servers[0].disk.busy_time == pytest.approx(0.4)
+
+    def test_striping_unit_hint_applied_on_create(self):
+        fs = self.make_fs()
+        m = make_machine(2, fs=fs)
+
+        def program(comm):
+            fh = File.open(comm, "hinted", "w",
+                           hints=Hints(striping_unit=12345))
+            fh.write_at_all(0, b"hello")
+            fh.close()
+            return None
+
+        run_spmd(m, program)
+        assert fs.layout_for("hinted").stripe_size == 12345

@@ -202,3 +202,27 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
+
+
+class TestCliFigures:
+    @pytest.mark.parametrize("fig,procs", [("fig6", 4), ("fig7", 8),
+                                           ("fig8", 8), ("fig9", 4)])
+    def test_every_figure_command_runs(self, fig, procs, capsys):
+        from repro.cli import main
+
+        assert main(["figure", fig, "--problem", "AMR16",
+                     "--procs", str(procs)]) == 0
+        out = capsys.readouterr().out
+        assert "WRITE" in out and "READ" in out
+
+
+class TestMachineEdges:
+    def test_single_proc_machine_runs_everything(self):
+        from repro.bench import build_workload, run_checkpoint_experiment
+        from repro.topology import origin2000
+
+        r = run_checkpoint_experiment(
+            origin2000(nprocs=1), registry.create("hdf4"), build_workload("AMR16"),
+            nprocs=1,
+        )
+        assert r.write_time > 0 and r.read_time > 0

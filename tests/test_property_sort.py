@@ -20,7 +20,6 @@ import pytest
 from repro.amr.particles import ParticleSet
 from repro.amr.partition import BlockPartition
 from repro.bench import build_workload
-from repro.enzo.io_base import IOStrategy
 from repro.enzo.meta import HierarchyMeta
 from repro.enzo.sort import parallel_sort_by_id
 from repro.iostack.transports import redistribute_particles
@@ -130,7 +129,7 @@ def test_redistribution_routes_every_particle_home(nprocs, seed):
     merged = ParticleSet.concat(results)
     assert merged.equal_as_sets(particles)  # permutation equivalence
     assert payload_consistent(merged)
-    root = IOStrategy.make_root_shell(meta)
+    root = meta.root.shell()
     for rank, mine in enumerate(results):
         # Stable ID ordering within each rank's chunk.
         assert np.array_equal(mine.ids, np.sort(mine.ids))
