@@ -1,0 +1,29 @@
+#!/usr/bin/env bash
+# Source-tree grep guards, shared by scripts/verify.sh and the CI quick job:
+# each one keeps a pattern a past PR removed from coming back.
+#
+# Usage:  bash scripts/guards.sh
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+echo "== no instance patching of FileSystem timing hooks =="
+# Tracing subscribes to the request stream (FileSystem.subscribe); a
+# rebinding of a _service_* hook on an instance must not come back.
+if grep -rnE "\._service_[a-z]+ *=" src/repro; then
+    echo "a _service_* hook is assigned to: subscribe to the request stream instead" >&2
+    exit 1
+fi
+
+echo "== no collaborator probes, no private opens =="
+# Strategy and session attributes are declared (IOStrategy, the session
+# classes), not probed; ADIOFile.open is the one timed namespace request.
+if grep -rnE "getattr\((self\.)?(ctx\.strategy|strategy|session)" \
+        src/repro/iostack src/repro/enzo; then
+    echo "a strategy/session attribute is probed with getattr: declare it" >&2
+    exit 1
+fi
+if grep -rnE "fs\.(create|open)\(" src/repro --include=*.py \
+        | grep -v "^src/repro/\(pfs\|mpiio/adio\.py\)"; then
+    echo "a file is opened outside ADIOFile.open: call it instead" >&2
+    exit 1
+fi

@@ -8,16 +8,16 @@ evaluate trend assertions over the records, diff against a committed
 baseline or run a structural check -- so a gate is *data* and the
 machinery exists once:
 
-* :class:`CellFamily` -- the registration record binding a family name to
-  its run/id/spec functions.  The name is the *wire format*: the process
-  pool in :mod:`repro.bench.executor` ships ``(family_name, cell)`` to a
-  worker, which resolves the family by name and runs the cell there.
-* :class:`Gate` -- one row per gate command: matrix, trends, ``--cell``
-  grammar, baseline artifact and pinned metrics, report nouns, renderers.
-  The rows live beside their matrices (``GATE`` in each family module) and
-  are collected by :func:`gates` (``repro.bench.GATES``); the CLI builds
-  its sub-parsers and serves every gate from that table.  Adding a sweep
-  is adding a row.
+* :class:`Gate` -- one row per bench family and gate command: how a cell
+  runs and what identifies it (``run``/``spec``/``describe``), matrix,
+  trends, ``--cell`` grammar, baseline artifact and pinned metrics, report
+  nouns, renderers.  The rows live beside their matrices (``GATE`` in each
+  family module) and are collected by :func:`gates` (``repro.bench.GATES``);
+  the CLI builds its sub-parsers and serves every gate from that table.
+  The family name is the *wire format*: the process pool in
+  :mod:`repro.bench.executor` ships ``(family_name, cell)`` to a worker,
+  which resolves the row by name (:func:`get_family`) and runs the cell
+  there.  Adding a sweep is adding a row.
 * :func:`run_gate` / :func:`load_baseline` / :func:`save_baseline` /
   :func:`compare` / :func:`format_report` -- the one implementation of
   run, baseline I/O, diff (exact counters, banded metrics, optional golden
@@ -37,13 +37,12 @@ from __future__ import annotations
 import fnmatch
 import importlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 from ..core.report import format_table
 
 __all__ = [
-    "CellFamily",
     "Gate",
     "GateReport",
     "compare",
@@ -52,64 +51,9 @@ __all__ = [
     "gates",
     "get_family",
     "load_baseline",
-    "register_family",
     "run_gate",
     "save_baseline",
 ]
-
-
-@dataclass(frozen=True)
-class CellFamily:
-    """One bench matrix's cell protocol, registered under a stable name.
-
-    ``run(cell, extra)`` must be a *pure* function of its arguments: it
-    builds its own machine and file system from presets and returns the
-    canonical record dict.  ``extra`` carries per-cell overrides (e.g. the
-    regress family's ``--perturb`` hints) and is part of the cache key via
-    ``spec``.
-    """
-
-    name: str
-    #: (cell, extra) -> canonical record dict; must be picklable-safe in
-    #: the sense that it is resolved by family *name* inside workers.
-    run: Callable
-    #: cell -> stable string id (the record key in payloads and reports).
-    cell_id: Callable
-    #: (cell, extra) -> JSON-serializable canonical spec (cache identity).
-    spec: Callable
-    #: cell -> one-line human description for progress output.
-    describe: Callable
-
-
-#: Families register themselves at import; workers resolve lazily by name
-#: so the executor never pickles callables across the process boundary.
-_FAMILIES: dict[str, CellFamily] = {}
-
-#: family name -> module defining its :class:`CellFamily` and ``GATE`` row.
-_FAMILY_MODULES = {
-    "regress": "repro.bench.regression",
-    "scale": "repro.bench.scale",
-    "overlap": "repro.bench.overlap",
-    "insights": "repro.bench.insights_smoke",
-}
-
-
-def register_family(family: CellFamily) -> CellFamily:
-    _FAMILIES[family.name] = family
-    return family
-
-
-def get_family(name: str) -> CellFamily:
-    """Resolve a family by name, importing its module on first use."""
-    if name not in _FAMILIES:
-        module = _FAMILY_MODULES.get(name)
-        if module is None:
-            raise ValueError(
-                f"unknown cell family {name!r} "
-                f"(have: {', '.join(sorted(_FAMILY_MODULES))})"
-            )
-        importlib.import_module(module)
-    return _FAMILIES[name]
 
 
 # -- the gate table -----------------------------------------------------------
@@ -130,12 +74,24 @@ class Gate:
     artifact (:func:`compare`); one without gates through ``check``.
     """
 
-    #: the :class:`CellFamily` name -- also the key in ``repro.bench.GATES``.
+    #: the family name -- the key in ``repro.bench.GATES`` and what a
+    #: worker resolves the row by.
     family: str
     #: CLI words after ``repro`` ("regress", "bench insights").
     command: str
     help: str
+    #: Cells are frozen dataclasses with a stable string ``id`` (the record
+    #: key in payloads and reports).
     matrix: tuple
+    #: (cell, extra) -> canonical record dict.  Must be a *pure* function of
+    #: its arguments: it builds its own machine and file system from presets.
+    #: ``extra`` carries per-cell overrides (the regress family's
+    #: ``--perturb`` hints) and is part of the cache key via ``spec``.
+    run: Callable
+    #: (cell, extra) -> JSON-serializable canonical spec (cache identity).
+    spec: Callable = lambda cell, extra: asdict(cell)
+    #: cell -> one-line human description for progress output.
+    describe: Callable = lambda cell: cell.id
     trends: tuple = ()
 
     #: ``--cell`` grammar (the metavar) and the three cell attributes its
@@ -228,12 +184,31 @@ class Gate:
         return list(picked)
 
 
+#: family name -> module defining its ``GATE`` row.  The name is the *wire
+#: format*: workers resolve the row lazily by name, so the executor never
+#: pickles callables across the process boundary.
+_FAMILY_MODULES = {
+    "regress": "repro.bench.regression",
+    "scale": "repro.bench.scale",
+    "overlap": "repro.bench.overlap",
+    "insights": "repro.bench.insights_smoke",
+}
+
+
+def get_family(name: str) -> Gate:
+    """Resolve a family's :class:`Gate` row by name, importing its module."""
+    module = _FAMILY_MODULES.get(name)
+    if module is None:
+        raise ValueError(
+            f"unknown cell family {name!r} "
+            f"(have: {', '.join(sorted(_FAMILY_MODULES))})"
+        )
+    return importlib.import_module(module).GATE
+
+
 def gates() -> dict[str, Gate]:
     """The gate table: every family module's ``GATE`` row, by family name."""
-    return {
-        name: importlib.import_module(module).GATE
-        for name, module in _FAMILY_MODULES.items()
-    }
+    return {name: get_family(name) for name in _FAMILY_MODULES}
 
 
 def run_gate(

@@ -11,9 +11,10 @@ overlap, insights) runs through:
 2. **fan-out** -- misses run either inline (``jobs == 1``, no
    subprocesses involved) or across a ``spawn``-based
    process pool.  Workers receive ``(family_name, cell, extra)``, resolve
-   the family by name (:func:`~repro.bench.cellrunner.get_family`) and
-   run the cell against a machine they build themselves -- nothing is
-   shared, so cells cannot interact;
+   the family's ``Gate`` row by name
+   (:func:`~repro.bench.cellrunner.get_family`) and run the cell against a
+   machine they build themselves -- nothing is shared, so cells cannot
+   interact;
 3. **deterministic merge** -- records are keyed and ordered by the
    caller's cell order regardless of completion order, and each record is
    a pure function of its spec (simulated clocks + golden digests), so
@@ -98,8 +99,7 @@ def _execute(family_name: str, cell, extra: dict):
     name inside the worker process.
     """
     start = time.monotonic()
-    family = get_family(family_name)
-    record = family.run(cell, extra)
+    record = get_family(family_name).run(cell, extra)
     return record, start, time.monotonic(), os.getpid()
 
 
@@ -122,7 +122,7 @@ def run_cells(
     """
     family = get_family(family_name)
     extras = extras or {}
-    order = [(family.cell_id(cell), cell) for cell in cells]
+    order = [(cell.id, cell) for cell in cells]
     records: dict[str, dict] = {}
     pending: list[tuple[str, object, dict, str | None]] = []
 

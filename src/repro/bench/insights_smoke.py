@@ -15,11 +15,11 @@ diagnose strictly worse (more HIGH findings) than tuned MPI-IO.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..core.report import format_table
 from ..topology.presets import PRESETS
-from .cellrunner import CellFamily, Gate, register_family
+from .cellrunner import Gate
 from .runners import run_traced_experiment
 from .workloads import build_workload
 
@@ -107,19 +107,6 @@ def check_smoke(records: dict[str, dict]) -> list[str]:
     return problems
 
 
-def _family_run(cell: InsightsCell, extra: dict) -> dict:
-    return run_insights_cell(cell)
-
-
-register_family(CellFamily(
-    name="insights",
-    run=_family_run,
-    cell_id=lambda c: c.id,
-    spec=lambda c, extra: asdict(c),
-    describe=lambda c: f"{c.id} ({c.machine}, {c.problem})",
-))
-
-
 def _table(records: dict[str, dict]) -> str:
     return format_table(
         ["strategy", "problem", "P", "high", "warn", "rules fired"],
@@ -144,6 +131,8 @@ GATE = Gate(
     help="run the insights smoke matrix through the executor "
          "(exit 1 if a strategy stops firing its rules)",
     matrix=INSIGHTS_MATRIX,
+    run=lambda cell, extra: run_insights_cell(cell),
+    describe=lambda cell: f"{cell.id} ({cell.machine}, {cell.problem})",
     table=_table,
     check=check_smoke,
 )

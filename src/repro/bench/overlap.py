@@ -18,11 +18,11 @@ matrix.  The gate has no baseline diff: :data:`GATE` gates through
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 
 from ..core.report import format_table
 from ..topology.presets import PRESETS
-from .cellrunner import CellFamily, Gate, register_family
+from .cellrunner import Gate
 from .runners import OverlapResult, run_overlap_experiment
 
 __all__ = [
@@ -165,24 +165,6 @@ def check_overlap(records: dict[str, dict]) -> list[str]:
     return problems
 
 
-# -- executor family ----------------------------------------------------------
-
-
-def _family_run(pair: OverlapPair, extra: dict) -> dict:
-    return run_overlap_pair(pair)
-
-
-register_family(CellFamily(
-    name="overlap",
-    run=_family_run,
-    cell_id=lambda p: p.id,
-    spec=lambda p, extra: asdict(p),
-    describe=lambda p: (
-        f"{p.machine}/{p.problem} P={p.nprocs}: {p.sync} vs {p.async_}"
-    ),
-))
-
-
 # -- the gate row -------------------------------------------------------------
 
 
@@ -231,6 +213,10 @@ GATE = Gate(
     help="compute/checkpoint overlap bench: sync vs write-behind "
          "(writes BENCH_overlap.json, exit 1 if overlap stops winning)",
     matrix=OVERLAP_MATRIX,
+    run=lambda pair, extra: run_overlap_pair(pair),
+    describe=lambda p: (
+        f"{p.machine}/{p.problem} P={p.nprocs}: {p.sync} vs {p.async_}"
+    ),
     options=(
         ("--procs", dict(type=int, default=8)),
         ("--cycles", dict(type=int, default=3)),

@@ -35,7 +35,7 @@ from ..mpiio.file import File
 from ..mpiio.hints import Hints
 from ..topology.presets import PRESETS
 from .baselines import MATRIX, TRENDS, Cell
-from .cellrunner import CellFamily, Gate, register_family
+from .cellrunner import Gate
 from .runners import run_job, run_overlap_experiment, run_traced_experiment
 from .workloads import build_initial_workload, build_workload
 
@@ -324,23 +324,6 @@ def parse_perturbations(specs: list[str] | None) -> dict[str, dict]:
     return out
 
 
-# -- executor family ----------------------------------------------------------
-
-
-def _family_run(cell: Cell, extra: dict) -> dict:
-    hints = Hints(**extra["hints"]) if extra.get("hints") else None
-    return run_cell(cell, hints=hints)
-
-
-register_family(CellFamily(
-    name="regress",
-    run=_family_run,
-    cell_id=lambda c: c.id,
-    spec=lambda c, extra: dict(asdict(c), hints=extra.get("hints")),
-    describe=lambda c: f"{c.id} ({c.machine}, {c.problem})",
-))
-
-
 # -- the gate row -------------------------------------------------------------
 
 
@@ -356,6 +339,10 @@ GATE = Gate(
     command="regress",
     help="paper-figure conformance & perf-regression gate (exit 0/1/2)",
     matrix=MATRIX,
+    run=lambda cell, extra: run_cell(
+        cell, hints=Hints(**extra["hints"]) if extra.get("hints") else None),
+    spec=lambda cell, extra: dict(asdict(cell), hints=extra.get("hints")),
+    describe=lambda cell: f"{cell.id} ({cell.machine}, {cell.problem})",
     trends=TRENDS,
     cell_grammar="FIG[:STRATEGY[:NPROCS]]",
     cell_keys=("figure", "strategy", "nprocs"),

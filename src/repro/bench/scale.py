@@ -30,14 +30,14 @@ serial, parallel and cache-replay execution.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from ..amr.partition import BlockPartition
 from ..enzo.meta import HierarchyMeta
 from ..enzo.state import RankState, make_owner_map
 from ..topology.presets import PRESETS
 from .baselines import Trend
-from .cellrunner import CellFamily, Gate, register_family
+from .cellrunner import Gate
 from .runners import run_job
 from .workloads import build_scale_workload
 
@@ -226,22 +226,6 @@ def run_scale_cell(cell: ScaleCell) -> dict:
     }
 
 
-# -- executor family ----------------------------------------------------------
-
-
-def _family_run(cell: ScaleCell, extra: dict) -> dict:
-    return run_scale_cell(cell)
-
-
-register_family(CellFamily(
-    name="scale",
-    run=_family_run,
-    cell_id=lambda c: c.id,
-    spec=lambda c, extra: asdict(c),
-    describe=lambda c: c.id,
-))
-
-
 def scale_chart(records: dict) -> str:
     """Aggregate write bandwidth vs processor count, per machine."""
     from .figures import render_figure
@@ -273,6 +257,7 @@ GATE = Gate(
     command="scale",
     help="weak-scaling sweep P=16..1024 vs BENCH_scale.json (exit 0/1/2)",
     matrix=SCALE_MATRIX,
+    run=lambda cell, extra: run_scale_cell(cell),
     trends=SCALE_TRENDS,
     cell_grammar="MACHINE[:STRATEGY[:P]]",
     cell_keys=("machine", "strategy", "nprocs"),

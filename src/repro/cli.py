@@ -578,8 +578,9 @@ def cmd_scenarios(args) -> int:
 def _cmd_gate(gate, args) -> int:
     """Serve one row of the gate table (``repro.bench.GATES``).
 
-    select -> ``--list-cells`` -> run -> telemetry -> chart/table ->
-    ``--out`` -> ``--update-baseline`` merge *or* baseline diff / check.
+    select -> ``--list-cells`` -> load the baseline -> run -> telemetry ->
+    chart/table -> ``--out`` -> ``--update-baseline`` merge *or* baseline
+    diff / check.
     """
     from .bench import cellrunner as cr
 
@@ -602,6 +603,24 @@ def _cmd_gate(gate, args) -> int:
             [[column(c) for _, column in gate.list_columns] for c in cells],
         ))
         return 0
+    # The committed baseline (to diff against, or for ``--update-baseline
+    # --cell`` to merge into) is read before any cell runs: an unreadable
+    # one is a usage error, not something to find out after the matrix.
+    baseline = None
+    if gate.baseline and (args.cell or not args.update_baseline):
+        merging = args.update_baseline
+        try:
+            baseline = cr.load_baseline(gate, args.baseline)
+        except FileNotFoundError:
+            if not merging:
+                print(f"error: no baseline at {args.baseline}; create one "
+                      f"with '{title} --update-baseline'", file=sys.stderr)
+                return 2
+        except (ValueError, OSError) as exc:
+            what = "merge into" if merging else "load baseline"
+            print(f"error: cannot {what} {args.baseline}: {exc}",
+                  file=sys.stderr)
+            return 2
     progress = None if args.quiet else lambda msg: print(f"  {msg}")
     if progress:
         print(f"{title}: {gate.banner(cells)}, jobs={jobs}")
@@ -638,14 +657,7 @@ def _cmd_gate(gate, args) -> int:
         payload = current
         if args.cell:
             # Subset update: merge into the existing baseline if present.
-            try:
-                payload = cr.load_baseline(gate, args.baseline)
-            except FileNotFoundError:
-                payload = dict(current, cells={}, trends=[])
-            except (ValueError, OSError) as exc:
-                print(f"error: cannot merge into {args.baseline}: {exc}",
-                      file=sys.stderr)
-                return 2
+            payload = baseline or dict(current, cells={}, trends=[])
             payload["cells"].update(records)
             kept = {t["id"]: t for t in payload.get("trends", [])}
             kept.update({t["id"]: t for t in current["trends"]})
@@ -662,16 +674,6 @@ def _cmd_gate(gate, args) -> int:
                   "committing this baseline", file=sys.stderr)
         return 1 if bad_trends else 0
 
-    try:
-        baseline = cr.load_baseline(gate, args.baseline)
-    except FileNotFoundError:
-        print(f"error: no baseline at {args.baseline}; create one with "
-              f"'{title} --update-baseline'", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: cannot load baseline {args.baseline}: {exc}",
-              file=sys.stderr)
-        return 2
     report = cr.compare(gate, current, baseline, rtol=rtol)
     print(cr.format_report(gate, report, title=f"{title} vs {args.baseline}"))
     return 0 if report.ok else 1

@@ -31,11 +31,7 @@ def file_per_grid(ctx: TraceContext) -> list:
     if npaths == 0:
         return []
     high_at = max(8, ctx.nprocs or 0)
-    evidence = {
-        "files": npaths,
-        "nprocs": ctx.nprocs,
-        "grids": len(ctx.registry.grid_keys()) if ctx.registry else None,
-    }
+    evidence = {"files": npaths, "nprocs": ctx.nprocs}
     if npaths >= high_at or npaths > th.many_files_warn:
         severity = Severity.HIGH if npaths >= high_at else Severity.WARN
         return [

@@ -85,7 +85,6 @@ class TraceContext:
     stripe_widen_to: int = 0
     hints: object | None = None  # mpiio.Hints
     strategy: str | None = None
-    registry: object | None = None  # core.MetadataRegistry
     thresholds: Thresholds = field(default_factory=Thresholds)
 
     # -- shared derived helpers (used by several detectors) -----------------
@@ -164,7 +163,6 @@ def diagnose(
     stripe_widen_to: int = 0,
     hints=None,
     strategy: str | None = None,
-    registry=None,
     thresholds: Thresholds | None = None,
     rules: list[str] | None = None,
 ) -> Diagnosis:
@@ -177,7 +175,6 @@ def diagnose(
         stripe_widen_to=stripe_widen_to,
         hints=hints,
         strategy=strategy,
-        registry=registry,
         thresholds=thresholds or Thresholds(),
     )
     registered = all_rules()

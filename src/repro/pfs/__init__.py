@@ -23,7 +23,7 @@ from .base import (
 )
 from .blockstore import BlockStore, FileExists, FileNotFound, StoredFile
 from .localfs import LocalDiskFS
-from .lustre import LustreFS, LustreStripeLayout
+from .lustre import LustreFS
 from .striped import IOServer, StripedServerFS, coalesce_runs
 from .striping import Chunk, StripeLayout
 
@@ -42,7 +42,6 @@ __all__ = [
     "FileExists",
     "LocalDiskFS",
     "LustreFS",
-    "LustreStripeLayout",
     "StripedServerFS",
     "IOServer",
     "coalesce_runs",

@@ -6,12 +6,13 @@ disk, and its list-I/O batch form).  This module holds only the three
 things that are Lustre's own and matter for checkpoint I/O:
 
 * **per-file layout** -- every file carries its own ``(stripe_count,
-  stripe_size, start OST)`` layout chosen at create time (``lfs
-  setstripe`` style).  A file with ``stripe_count < nosts`` uses only a
-  subset of the OSTs, starting at a rotor-assigned index, so wide files
-  and narrow files coexist on one volume.  Widening the stripe count of
-  the checkpoint file is the classic Lustre tuning knob, exposed to
-  MPI-IO through the ``striping_factor``/``striping_unit`` hints.
+  stripe_size, start OST)`` :class:`~repro.pfs.striping.StripeLayout`
+  chosen at create time (``lfs setstripe`` style).  A file with
+  ``stripe_count < nosts`` uses only a subset of the OSTs, starting at a
+  rotor-assigned index, so wide files and narrow files coexist on one
+  volume.  Widening the stripe count of the checkpoint file is the classic
+  Lustre tuning knob, exposed to MPI-IO through the
+  ``striping_factor``/``striping_unit`` hints.
 * **per-OST request queues** -- the shared path's server-queue stage with
   a service time above zero: many clients hammering one OST with small
   requests serialise there even when disks are idle.
@@ -24,75 +25,14 @@ things that are Lustre's own and matter for checkpoint I/O:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import replace
 
 from ..sim.resources import Timeline
 from ..topology.network import Network
 from .blockstore import BlockStore
 from .striped import StripedServerFS
-from .striping import Chunk, StripeLayout
 
-__all__ = ["LustreFS", "LustreStripeLayout"]
-
-
-@dataclass(frozen=True)
-class LustreStripeLayout:
-    """A per-file Lustre layout: ``stripe_count`` OSTs out of ``ost_count``.
-
-    Byte arithmetic is exactly round-robin striping over ``stripe_count``
-    virtual servers (delegated to :class:`StripeLayout`); the virtual
-    index ``i`` maps to the physical OST ``(start_ost + i) % ost_count``.
-    """
-
-    stripe_size: int
-    stripe_count: int
-    ost_count: int
-    start_ost: int = 0
-
-    def __post_init__(self) -> None:
-        if self.ost_count < 1:
-            raise ValueError("ost_count must be >= 1")
-        if not 1 <= self.stripe_count <= self.ost_count:
-            raise ValueError("stripe_count must be in [1, ost_count]")
-        if not 0 <= self.start_ost < self.ost_count:
-            raise ValueError("start_ost must be in [0, ost_count)")
-
-    @cached_property
-    def _inner(self) -> StripeLayout:
-        return StripeLayout(stripe_size=self.stripe_size, nservers=self.stripe_count)
-
-    def _ost(self, virtual: int) -> int:
-        return (self.start_ost + virtual) % self.ost_count
-
-    def server_of(self, offset: int) -> int:
-        return self._ost(self._inner.server_of(offset))
-
-    def local_offset(self, offset: int) -> int:
-        return self._inner.local_offset(offset)
-
-    def decompose(self, offset: int, nbytes: int) -> list[Chunk]:
-        return [
-            Chunk(
-                server=self._ost(c.server),
-                file_offset=c.file_offset,
-                local_offset=c.local_offset,
-                size=c.size,
-            )
-            for c in self._inner.decompose(offset, nbytes)
-        ]
-
-    def server_runs(self, offset: int, nbytes: int) -> list[tuple[int, int, int]]:
-        return [
-            (self._ost(server), local_offset, size)
-            for server, local_offset, size in self._inner.server_runs(offset, nbytes)
-        ]
-
-    def stripe_span(self, offset: int, nbytes: int) -> tuple[int, int]:
-        return self._inner.stripe_span(offset, nbytes)
-
-    def servers_touched(self, offset: int, nbytes: int) -> set[int]:
-        return {self._ost(s) for s in self._inner.servers_touched(offset, nbytes)}
+__all__ = ["LustreFS"]
 
 
 class LustreFS(StripedServerFS):
@@ -139,11 +79,7 @@ class LustreFS(StripedServerFS):
         # Volume-default layout; ``lfs setstripe`` overrides live in
         # ``_file_layouts``.  ``layout.stripe_size`` is what the insight
         # detectors align against.
-        self.layout = LustreStripeLayout(
-            stripe_size=stripe_size,
-            stripe_count=self.default_stripe_count,
-            ost_count=nosts,
-        )
+        self.layout = replace(self.layout, stripe_count=self.default_stripe_count)
         # One request queue per OST: the server-side serialisation point.
         for ost in self.servers:
             ost.queue.name = f"{name}.ostq[{ost.index}]"
@@ -194,7 +130,7 @@ class LustreFS(StripedServerFS):
         if op == "create":
             self._mds_files.add(path)
             if path not in self._file_layouts:  # no ``lfs setstripe``: rotor start
-                self._file_layouts[path] = replace(self.layout, start_ost=self._next_ost)
+                self._file_layouts[path] = replace(self.layout, start=self._next_ost)
                 self._next_ost = (self._next_ost + self.layout.stripe_count) % self.nosts
         elif op == "delete":
             self._mds_files.discard(path)

@@ -28,7 +28,7 @@ captures the effects the paper measures:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..sim.resources import Timeline
 from ..topology.network import Network
@@ -222,9 +222,7 @@ class StripedServerFS(FileSystem):
         """
         if stripe_size is None:
             return
-        self._file_layouts[path] = StripeLayout(
-            stripe_size=stripe_size, nservers=self.layout.nservers
-        )
+        self._file_layouts[path] = replace(self.layout, stripe_size=stripe_size)
 
     def layout_for(self, path: str) -> StripeLayout:
         return self._file_layouts.get(path, self.layout)
@@ -283,6 +281,11 @@ class StripedServerFS(FileSystem):
         first, last = layout.stripe_span(offset, nbytes)
         return ((path, s) for s in range(first, last + 1))
 
+    def _takes_tokens(self, op: str) -> bool:
+        """Whether ``op`` requests need tokens at all; the callers build the
+        token keys only then (three of the four striped presets never do)."""
+        return self.write_token_time > 0.0 and (op == "write" or self.tokens_on_read)
+
     def _token_penalty(self, path: str, keys, node: int, ready: float) -> float:
         """GPFS write-token cost: revocations serialise at the token manager.
 
@@ -291,8 +294,6 @@ class StripedServerFS(FileSystem):
         different node costs one serialised revocation round-trip (which is
         why interleaved fine-grained shared-file writes collapse).
         """
-        if self.write_token_time == 0.0:
-            return ready
         t = ready
         owners = self._stripe_owner
         for key in keys:
@@ -310,8 +311,6 @@ class StripedServerFS(FileSystem):
         After the flush the range is shared (owner ``None``): subsequent
         readers are free until somebody writes again.
         """
-        if self.write_token_time == 0.0 or not self.tokens_on_read:
-            return ready
         t = ready
         owners = self._stripe_owner
         for key in keys:
@@ -338,9 +337,9 @@ class StripedServerFS(FileSystem):
         smp_node = self.node_of_client(node)
         t = self._channel(smp_node, ready_time, nbytes)
         layout = self.layout_for(path)
-        t = self._token_penalty(
-            path, self._contig_token_keys(path, offset, nbytes, layout), smp_node, t
-        )
+        if self._takes_tokens("write"):
+            keys = self._contig_token_keys(path, offset, nbytes, layout)
+            t = self._token_penalty(path, keys, smp_node, t)
         # Closed-form per-server runs: O(servers touched), not O(stripes).
         runs = layout.server_runs(offset, nbytes)
         egress, _, inv_bw = self._client_links(smp_node)
@@ -365,9 +364,9 @@ class StripedServerFS(FileSystem):
         smp_node = self.node_of_client(node)
         t = self._channel(smp_node, ready_time, nbytes)
         layout = self.layout_for(path)
-        t = self._read_token_penalty(
-            path, self._contig_token_keys(path, offset, nbytes, layout), smp_node, t
-        )
+        if self._takes_tokens("read"):
+            keys = self._contig_token_keys(path, offset, nbytes, layout)
+            t = self._read_token_penalty(path, keys, smp_node, t)
         runs = layout.server_runs(offset, nbytes)
         _, ingress, inv_bw = self._client_links(smp_node)
         completion = t
@@ -398,8 +397,9 @@ class StripedServerFS(FileSystem):
         chunks = [
             c for off, n in segments for c in layout.decompose(off, n)
         ]
-        penalty = self._token_penalty if op == "write" else self._read_token_penalty
-        t = penalty(path, self._token_keys(path, chunks, layout), smp_node, t)
+        if self._takes_tokens(op):
+            penalty = self._token_penalty if op == "write" else self._read_token_penalty
+            t = penalty(path, self._token_keys(path, chunks, layout), smp_node, t)
         runs = coalesce_runs(sorted(chunks, key=lambda c: c.file_offset))
         egress, ingress, inv_bw = self._client_links(smp_node)
         # Group the list's runs per server: the server sees the whole batch

@@ -1,11 +1,13 @@
 """Striping layout arithmetic.
 
 Parallel file systems in this study (GPFS, PVFS) stripe each file round-robin
-over their I/O servers in fixed-size units chosen at configuration time.  The
-paper's central file-system observation is the *mismatch* between these fixed
-physical patterns and the application's logical access patterns: a logically
-contiguous request can shatter into chunks on many servers, and logically
-disjoint requests from different processors can collide on one server.
+over their I/O servers in fixed-size units chosen at configuration time;
+Lustre chooses the unit, the number of servers and the first server per file.
+The paper's central file-system observation is the *mismatch* between these
+fixed physical patterns and the application's logical access patterns: a
+logically contiguous request can shatter into chunks on many servers, and
+logically disjoint requests from different processors can collide on one
+server.
 
 :class:`StripeLayout` is the pure arithmetic: file offset <-> (server, local
 offset), and decomposition of byte ranges into per-server chunks.
@@ -38,27 +40,47 @@ class Chunk:
 
 @dataclass(frozen=True)
 class StripeLayout:
-    """Round-robin striping of a file across ``nservers`` servers."""
+    """Round-robin striping of a file across ``nservers`` servers.
+
+    A file may use only ``stripe_count`` of them (default: all), starting
+    at server ``start`` -- the Lustre per-file layout.  Byte arithmetic is
+    round-robin over ``stripe_count`` virtual servers; virtual index ``i``
+    is the physical server ``(start + i) % nservers``.
+    """
 
     stripe_size: int
     nservers: int
+    stripe_count: int | None = None
+    start: int = 0
 
     def __post_init__(self) -> None:
         if self.stripe_size < 1:
             raise ValueError("stripe_size must be >= 1")
         if self.nservers < 1:
             raise ValueError("nservers must be >= 1")
+        if self.stripe_count is None:
+            object.__setattr__(self, "stripe_count", self.nservers)
+        if not 1 <= self.stripe_count <= self.nservers:
+            raise ValueError("stripe_count must be in [1, nservers]")
+        if not 0 <= self.start < self.nservers:
+            raise ValueError("start must be in [0, nservers)")
+
+    def _server(self, stripe: int) -> int:
+        return (self.start + stripe % self.stripe_count) % self.nservers
 
     def server_of(self, offset: int) -> int:
         """The server holding the byte at ``offset``."""
         if offset < 0:
             raise ValueError("negative offset")
-        return (offset // self.stripe_size) % self.nservers
+        return self._server(offset // self.stripe_size)
 
     def local_offset(self, offset: int) -> int:
         """Position of ``offset`` inside its server's dense local store."""
         stripe = offset // self.stripe_size
-        return (stripe // self.nservers) * self.stripe_size + offset % self.stripe_size
+        return (
+            (stripe // self.stripe_count) * self.stripe_size
+            + offset % self.stripe_size
+        )
 
     def decompose(self, offset: int, nbytes: int) -> list[Chunk]:
         """Split ``[offset, offset + nbytes)`` into per-server chunks.
@@ -78,7 +100,7 @@ class StripeLayout:
             size = min(end, stripe_end) - pos
             chunks.append(
                 Chunk(
-                    server=stripe % self.nservers,
+                    server=self._server(stripe),
                     file_offset=pos,
                     local_offset=self.local_offset(pos),
                     size=size,
@@ -105,7 +127,8 @@ class StripeLayout:
         if offset < 0:
             raise ValueError("negative offset")
         ss = self.stripe_size
-        n = self.nservers
+        n = self.stripe_count
+        start, nservers = self.start, self.nservers
         end = offset + nbytes
         first = offset // ss
         last = (end - 1) // ss
@@ -117,7 +140,7 @@ class StripeLayout:
             trim_head = head if k == first else 0
             trim_tail = tail if k + (m - 1) * n == last else 0
             runs.append((
-                k % n,
+                (start + k % n) % nservers,
                 (k // n) * ss + trim_head,
                 m * ss - trim_head - trim_tail,
             ))
@@ -131,8 +154,6 @@ class StripeLayout:
         """The set of servers a request lands on."""
         if nbytes <= 0:
             return set()
-        first = offset // self.stripe_size
-        last = (offset + nbytes - 1) // self.stripe_size
-        if last - first + 1 >= self.nservers:
-            return set(range(self.nservers))
-        return {(s % self.nservers) for s in range(first, last + 1)}
+        first, last = self.stripe_span(offset, nbytes)
+        last = min(last, first + self.stripe_count - 1)
+        return {self._server(s) for s in range(first, last + 1)}

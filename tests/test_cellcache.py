@@ -211,8 +211,8 @@ def test_family_wire_spec_is_pinned(name):
     cell_id, spec = WIRE_SAMPLES[name]
     family = get_family(name)
     cell = GATES[name].matrix[-1]
-    assert family.name == name
-    assert family.cell_id(cell) == cell_id
+    assert family.family == name
+    assert cell.id == cell_id
     assert family.spec(cell, {}) == spec
 
 

@@ -194,6 +194,28 @@ class TestGateUsageErrors:
         assert rc == 2
         assert "schema" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, extra, message", [
+        (None, [], "no baseline at"),
+        ("{not json", [], "cannot load baseline"),
+        ('{"schema": 99, "cells": {}}', [], "cannot load baseline"),
+        ("{not json", ["--update-baseline"], "cannot merge into"),
+    ], ids=["missing", "corrupt", "wrong-schema", "merge-into-corrupt"])
+    def test_unreadable_baseline_exits_2_before_any_cell_runs(
+            self, content, extra, message, tmp_path, capsys, monkeypatch):
+        def run_cells(*args, **kwargs):
+            raise AssertionError("a cell ran before the baseline was read")
+
+        monkeypatch.setattr("repro.bench.executor.run_cells", run_cells)
+        path = tmp_path / "baseline.json"
+        if content is not None:
+            path.write_text(content)
+        rc = main(["regress", "--cell", "fig5", "--baseline", str(path),
+                   "--quiet", "--timings", ""] + extra)
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and str(path) in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag", ["--procs", "--cycles"])
     def test_overlap_rejects_nonpositive_sizes(self, flag, tmp_path, capsys):
         rc = main(["overlap", flag, "0", "--machine", "origin2000",

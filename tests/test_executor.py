@@ -13,7 +13,7 @@ import shutil
 
 import pytest
 
-from repro.bench import GATES, run_gate
+from repro.bench import GATES, CellCache, run_gate
 from repro.bench.executor import default_jobs, resolve_jobs, run_cells
 from repro.bench.timings import Telemetry
 from repro.cli import main
@@ -63,6 +63,19 @@ def test_run_cells_records_worker_telemetry():
         assert e["queue_wait_us"] >= 0
     # dense worker ids: 2 jobs -> ids drawn from {0, 1}
     assert {e["worker"] for e in entries.values()} <= {0, 1}
+
+
+@pytest.mark.slow
+def test_second_run_over_a_shared_cache_is_all_hits_and_identical(tmp_path):
+    """What tier-1's full-matrix test and ``repro regress`` do in turn:
+    two runs, two ``CellCache`` objects, one directory."""
+    cells = _slice_cells()
+    cold_cache, warm_cache = CellCache(tmp_path), CellCache(tmp_path)
+    cold = run_gate(GATES["regress"], cells, jobs=2, cache=cold_cache)
+    assert (cold_cache.hits, cold_cache.misses) == (0, len(cells))
+    warm = run_gate(GATES["regress"], cells, cache=warm_cache)
+    assert (warm_cache.hits, warm_cache.misses) == (len(cells), 0)
+    assert _canon(warm) == _canon(cold)
 
 
 def test_unknown_family_raises():

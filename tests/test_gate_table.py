@@ -1,12 +1,13 @@
 """Invariants of the gate table (``repro.bench.GATES``).
 
 Every gate command is one :class:`~repro.bench.cellrunner.Gate` row served
-by one driver, so the per-row checks live here once: ids, selection, the
-executor family, the committed baseline, and the CLI surface the row's
+by one driver, so the per-row checks live here once: ids, selection, what
+the executor calls, the committed baseline, and the CLI surface the row's
 sub-parser exposes (hard-coded: a row edit must not add or drop a flag).
 """
 
 import argparse
+import json
 import os
 
 import pytest
@@ -47,11 +48,15 @@ def test_the_table_has_exactly_the_four_gates():
 @pytest.mark.parametrize("name", sorted(OPTION_STRINGS))
 class TestEveryRow:
     def test_family_resolves_and_ids_are_unique(self, name):
+        """The row is everything the executor needs, in workers too."""
         gate = GATES[name]
-        family = get_family(gate.family)
-        assert family.name == gate.family == name
-        ids = [family.cell_id(c) for c in gate.matrix]
+        assert get_family(name) is gate and gate.family == name
+        assert all(callable(f) for f in (gate.run, gate.spec, gate.describe))
+        ids = [c.id for c in gate.matrix]
         assert len(ids) == len(set(ids))
+        for cell in gate.matrix:
+            assert gate.describe(cell)  # the progress line
+            json.dumps(gate.spec(cell, {}))  # the cache identity
 
     def test_select_none_is_the_matrix(self, name):
         gate = GATES[name]
@@ -60,8 +65,7 @@ class TestEveryRow:
 
     def test_trends_read_matrix_cells(self, name):
         gate = GATES[name]
-        family = get_family(gate.family)
-        ids = {family.cell_id(c) for c in gate.matrix}
+        ids = {c.id for c in gate.matrix}
         for t in gate.trends:
             assert set(t.cells) <= ids, t.id
 
@@ -70,10 +74,8 @@ class TestEveryRow:
         if gate.baseline is None:
             assert gate.check is not None, "a gate must diff or check"
             return
-        family = get_family(gate.family)
         payload = load_baseline(gate, os.path.join(REPO_ROOT, gate.baseline))
-        assert set(payload["cells"]) == {family.cell_id(c)
-                                         for c in gate.matrix}
+        assert set(payload["cells"]) == {c.id for c in gate.matrix}
         assert {t["id"] for t in payload["trends"]} == {t.id
                                                         for t in gate.trends}
         for record in payload["cells"].values():

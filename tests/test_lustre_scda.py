@@ -1,10 +1,8 @@
 """Lustre model + scda serial-equivalent format: partition-invariance suite.
 
-Three pillars gate the new subsystem:
+Two pillars gate the subsystem (the per-file OST layout arithmetic is
+``StripeLayout``'s and is fuzzed in ``test_pfs_striping.py``):
 
-* ``LustreStripeLayout`` must agree with an explicit per-byte reference
-  model under fuzzed stripe geometry (mirrors ``test_pfs_striping.py``
-  for the per-file OST layouts, including non-zero starting OSTs).
 * ``scda`` is *serial equivalent*: the committed checkpoint file and its
   manifest are byte-identical for every process count, for both the sync
   and the async composition -- the property the format exists to provide.
@@ -34,7 +32,7 @@ from repro.iostack.scda import (
     crc32_combine,
 )
 from repro.mpi import run_spmd
-from repro.pfs.lustre import LustreFS, LustreStripeLayout
+from repro.pfs.lustre import LustreFS
 from repro.resilience import ManifestVerificationError
 from repro.sim import RankFailedError
 from repro.topology import origin2000
@@ -421,69 +419,6 @@ class TestScdaTornHeaderDetection:
         )
 
 
-# -- Lustre stripe math vs a per-byte reference model ------------------------
-
-
-class TestLustreStripeLayoutProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(
-        stripe=st.integers(1, 64),
-        count=st.integers(1, 8),
-        nosts=st.integers(1, 8),
-        start=st.integers(0, 7),
-        offset=st.integers(0, 2048),
-        nbytes=st.integers(0, 768),
-    )
-    def test_matches_per_byte_reference(
-        self, stripe, count, nosts, start, offset, nbytes
-    ):
-        count = min(count, nosts)
-        start = start % nosts
-        lay = LustreStripeLayout(
-            stripe_size=stripe, stripe_count=count,
-            ost_count=nosts, start_ost=start,
-        )
-
-        def ref(b):
-            """Byte b -> (ost, local offset): round-robin over the file's
-            stripe_count virtual slots, remapped onto real OSTs from
-            start_ost, packed densely in each OST's local store."""
-            virtual = (b // stripe) % count
-            ost = (start + virtual) % nosts
-            local = (b // (stripe * count)) * stripe + b % stripe
-            return ost, local
-
-        for b in range(offset, offset + nbytes):
-            assert lay.server_of(b) == ref(b)[0]
-            assert lay.local_offset(b) == ref(b)[1]
-
-        expected = sorted(ref(b) for b in range(offset, offset + nbytes))
-        got = sorted(
-            (ost, local + i)
-            for ost, local, size in lay.server_runs(offset, nbytes)
-            for i in range(size)
-        )
-        assert got == expected
-
-        chunks = lay.decompose(offset, nbytes)
-        covered = []
-        for c in chunks:
-            assert c.server == lay.server_of(c.file_offset)
-            assert c.local_offset == lay.local_offset(c.file_offset)
-            covered.extend(range(c.file_offset, c.file_offset + c.size))
-        assert covered == list(range(offset, offset + nbytes))
-
-    def test_geometry_is_validated(self):
-        with pytest.raises(ValueError):
-            LustreStripeLayout(stripe_size=64, stripe_count=0, ost_count=4)
-        with pytest.raises(ValueError):
-            LustreStripeLayout(stripe_size=64, stripe_count=5, ost_count=4)
-        with pytest.raises(ValueError):
-            LustreStripeLayout(
-                stripe_size=64, stripe_count=2, ost_count=4, start_ost=4
-            )
-
-
 # -- LustreFS: lfs setstripe, MDS scaling, hint plumbing ---------------------
 
 
@@ -507,7 +442,7 @@ class TestLustreFS:
         fs.set_file_striping("ckpt", stripe_count=64)
         lay = fs.layout_for("ckpt")
         assert lay.stripe_count == 4
-        assert lay.start_ost == 0  # explicit layouts pin OST 0
+        assert lay.start == 0  # explicit layouts pin OST 0
 
     def test_setstripe_without_knobs_keeps_volume_default(self):
         fs = make_lustre_fs()
@@ -525,8 +460,8 @@ class TestLustreFS:
         fs = make_lustre_fs()  # 4 OSTs, default 2-wide
         fs._service_meta("create", "f0", 0, 0.0)
         fs._service_meta("create", "f1", 0, 0.0)
-        assert fs.layout_for("f0").start_ost == 0
-        assert fs.layout_for("f1").start_ost == 2
+        assert fs.layout_for("f0").start == 0
+        assert fs.layout_for("f1").start == 2
 
     def test_mds_cost_grows_with_tracked_files(self):
         """The single-MDS explosion: each namespace op pays for every file
@@ -581,6 +516,18 @@ def test_striping_hints_reach_hdf5_as_they_reach_mpiio(hierarchy):
         assert (lay.stripe_count, lay.stripe_size) == (2, 65536), path
     assert m.fs.layout_for("raw") == m.fs.layout_for("h5")
     assert m.fs.layout_for("ckpt.hierarchy").stripe_count == 4  # volume default
+
+
+def test_a_zero_striping_unit_hint_keeps_the_volume_default():
+    """``Hints(striping_unit=0)`` is "not set", never a 0-byte stripe."""
+    from repro.mpiio import File, Hints
+    from repro.topology import PRESETS
+
+    m = PRESETS["lustre"](nprocs=2)
+    h = Hints(striping_unit=0, striping_factor=2)
+    run_spmd(m, lambda comm: File.open(comm, "raw", "w", hints=h).close())
+    lay = m.fs.layout_for("raw")
+    assert (lay.stripe_size, lay.stripe_count) == (m.fs.layout.stripe_size, 2)
 
 
 def test_stripe_headroom_is_lustre_specific():

@@ -203,6 +203,20 @@ class TestMetaFaults:
         assert fs.store.listdir() == []
 
 
+# -- per-file layouts are validated where they are requested ------------------
+
+
+@pytest.mark.parametrize("preset", ["lustre", "origin2000"])
+@pytest.mark.parametrize("stripe_size", [0, -5])
+def test_set_file_striping_rejects_a_bad_stripe_size_at_the_call(
+        preset, stripe_size):
+    """Not at the file's first I/O, inside a rank thread."""
+    fs = PRESETS[preset](nprocs=2).fs
+    with pytest.raises(ValueError, match="stripe_size must be >= 1"):
+        fs.set_file_striping("ckpt", stripe_size=stripe_size)
+    assert fs.layout_for("ckpt") is fs.layout
+
+
 class TestCreateOnOpen:
     def _fs(self):
         return LustreFS(
@@ -216,7 +230,7 @@ class TestCreateOnOpen:
         fs.open("f1", create=True)
         fs.open("f2", create=True)
         assert fs._mds_files == {"f0", "f1", "f2"}
-        assert [fs.layout_for(p).start_ost for p in ("f0", "f1", "f2")] == [0, 2, 0]
+        assert [fs.layout_for(p).start for p in ("f0", "f1", "f2")] == [0, 2, 0]
 
     def test_it_costs_what_a_create_costs_and_grows_the_namespace(self):
         by_open, by_create = self._fs(), self._fs()

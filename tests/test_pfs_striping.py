@@ -187,3 +187,78 @@ def test_property_server_runs_equal_coalesced_decompose(
     ]
     assert closed == walked
     assert sum(size for _, _, size in closed) == nbytes
+
+
+# -- a file on stripe_count of the servers, from server ``start`` -------------
+
+
+class TestStripeCountAndStart:
+    """The Lustre per-file layout against an explicit per-byte reference."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        stripe=st.integers(1, 64),
+        count=st.integers(1, 8),
+        nservers=st.integers(1, 8),
+        start=st.integers(0, 7),
+        offset=st.integers(0, 2048),
+        nbytes=st.integers(0, 768),
+    )
+    def test_matches_per_byte_reference(
+        self, stripe, count, nservers, start, offset, nbytes
+    ):
+        count = min(count, nservers)
+        start = start % nservers
+        lay = StripeLayout(
+            stripe_size=stripe, nservers=nservers,
+            stripe_count=count, start=start,
+        )
+
+        def ref(b):
+            """Byte b -> (server, local offset): round-robin over the file's
+            stripe_count virtual slots, remapped onto real servers from
+            start, packed densely in each server's local store."""
+            virtual = (b // stripe) % count
+            server = (start + virtual) % nservers
+            local = (b // (stripe * count)) * stripe + b % stripe
+            return server, local
+
+        span = range(offset, offset + nbytes)
+        for b in span:
+            assert lay.server_of(b) == ref(b)[0]
+            assert lay.local_offset(b) == ref(b)[1]
+        assert lay.servers_touched(offset, nbytes) == {ref(b)[0] for b in span}
+        if nbytes:
+            assert lay.stripe_span(offset, nbytes) == (
+                offset // stripe, (offset + nbytes - 1) // stripe)
+
+        runs = lay.server_runs(offset, nbytes)
+        assert sorted(
+            (server, local + i) for server, local, size in runs
+            for i in range(size)
+        ) == sorted(ref(b) for b in span)
+        # ... in the order the stripe walk first touches each server.
+        assert runs == [
+            (r.server, r.local_offset, r.size)
+            for r in coalesce_runs(lay.decompose(offset, nbytes))
+        ]
+
+        covered = []
+        for c in lay.decompose(offset, nbytes):
+            assert (c.server, c.local_offset) == ref(c.file_offset)
+            assert c.file_offset // stripe == (c.file_end - 1) // stripe
+            covered.extend(range(c.file_offset, c.file_end))
+        assert covered == list(span)
+
+    def test_all_servers_from_zero_is_the_plain_layout(self):
+        plain = StripeLayout(stripe_size=16, nservers=4)
+        assert (plain.stripe_count, plain.start) == (4, 0)
+        assert StripeLayout(16, 4, stripe_count=4, start=0) == plain
+
+    def test_geometry_is_validated(self):
+        for bad in (
+            dict(stripe_count=0), dict(stripe_count=5),
+            dict(stripe_count=2, start=4), dict(start=-1),
+        ):
+            with pytest.raises(ValueError):
+                StripeLayout(stripe_size=64, nservers=4, **bad)

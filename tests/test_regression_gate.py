@@ -20,7 +20,15 @@ import pytest
 
 from functools import partial
 
-from repro.bench import GATES, MATRIX, TRENDS, parse_perturbations, run_gate
+from repro.bench import (
+    GATES,
+    MATRIX,
+    TRENDS,
+    CellCache,
+    default_jobs,
+    parse_perturbations,
+    run_gate,
+)
 from repro.bench import cellrunner
 from repro.bench.baselines import cell_by_id
 from repro.bench.regression import BANDED_METRICS, EXACT_METRICS
@@ -351,7 +359,11 @@ class TestGateOnRealCells:
 @pytest.mark.slow
 class TestFullMatrixConformance:
     def test_full_matrix_matches_baseline_and_paper_trends(self):
-        current = run_gate(GATE)
+        # Through the executor and the cell cache ``repro regress`` uses:
+        # spawned workers, and one computation of the matrix per source
+        # tree shared with the verify flow's regress stage.
+        current = run_gate(GATE, jobs=default_jobs(len(MATRIX)),
+                           cache=CellCache.from_env())
         baseline = load_baseline(BASELINE)
         report = compare(current, baseline)
         assert report.ok, format_report(report)
