@@ -27,3 +27,11 @@ if grep -rnE "fs\.(create|open)\(" src/repro --include=*.py \
     echo "a file is opened outside ADIOFile.open: call it instead" >&2
     exit 1
 fi
+
+echo "== workload builders build, they do not cache =="
+# A cached master stays resident for the life of the process beside every
+# copy a caller keeps; the builders return a fresh hierarchy instead.
+if grep -nE "lru_cache|functools\.cache|\.copy\(\)" src/repro/bench/workloads.py; then
+    echo "bench/workloads.py caches or copies: builders return fresh hierarchies" >&2
+    exit 1
+fi

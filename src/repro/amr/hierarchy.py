@@ -111,9 +111,10 @@ class GridHierarchy:
     def copy(self) -> "GridHierarchy":
         """Deep copy of the whole tree (grids, fields, particles).
 
-        The ``lru_cache``'d workload builders hand out copies so a caller
-        that mutates its hierarchy (``EnzoSimulation`` evolves it in
-        place on rank 0) can never poison the cache for the next run.
+        For a caller that keeps one hierarchy and hands out twins that may
+        be mutated (``EnzoSimulation`` evolves its hierarchy in place on
+        rank 0); perfbench's ``Inputs`` copies its reseeded masters so.
+        The workload builders do not copy: they build afresh.
         """
         out = GridHierarchy(self.root.copy())
         for grid in self.grids():

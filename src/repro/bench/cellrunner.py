@@ -46,6 +46,7 @@ __all__ = [
     "Gate",
     "GateReport",
     "compare",
+    "describe_machine_problem",
     "evaluate_trend",
     "format_report",
     "gates",
@@ -64,6 +65,11 @@ def _component_matcher(part: str):
     if any(ch in part for ch in "*?["):
         return lambda value: fnmatch.fnmatchcase(value, part)
     return lambda value: value == part
+
+
+def describe_machine_problem(cell) -> str:
+    """``Gate.describe`` for cells with ``machine`` and ``problem`` fields."""
+    return f"{cell.id} ({cell.machine}, {cell.problem})"
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from ..core.report import format_table
 from ..topology.presets import PRESETS
-from .cellrunner import Gate
+from .cellrunner import Gate, describe_machine_problem
 from .runners import run_traced_experiment
 from .workloads import build_workload
 
@@ -132,7 +132,7 @@ GATE = Gate(
          "(exit 1 if a strategy stops firing its rules)",
     matrix=INSIGHTS_MATRIX,
     run=lambda cell, extra: run_insights_cell(cell),
-    describe=lambda cell: f"{cell.id} ({cell.machine}, {cell.problem})",
+    describe=describe_machine_problem,
     table=_table,
     check=check_smoke,
 )

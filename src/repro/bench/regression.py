@@ -35,7 +35,7 @@ from ..mpiio.file import File
 from ..mpiio.hints import Hints
 from ..topology.presets import PRESETS
 from .baselines import MATRIX, TRENDS, Cell
-from .cellrunner import Gate
+from .cellrunner import Gate, describe_machine_problem
 from .runners import run_job, run_overlap_experiment, run_traced_experiment
 from .workloads import build_initial_workload, build_workload
 
@@ -342,7 +342,7 @@ GATE = Gate(
     run=lambda cell, extra: run_cell(
         cell, hints=Hints(**extra["hints"]) if extra.get("hints") else None),
     spec=lambda cell, extra: dict(asdict(cell), hints=extra.get("hints")),
-    describe=lambda cell: f"{cell.id} ({cell.machine}, {cell.problem})",
+    describe=describe_machine_problem,
     trends=TRENDS,
     cell_grammar="FIG[:STRATEGY[:NPROCS]]",
     cell_keys=("figure", "strategy", "nprocs"),

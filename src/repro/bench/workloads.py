@@ -8,16 +8,17 @@ come through the same funnel.  Builders accept either a scenario name or
 a :class:`~repro.scenarios.Scenario` object (e.g. one loaded from a
 ``--param-file``).
 
-Hierarchies are deterministic per scenario and cached -- but the cache
-holds *masters* and every call returns a deep copy, so callers that
-mutate their hierarchy in place (``EnzoSimulation`` evolves it on rank 0)
-can never poison the next run's workload.
+Every call builds a fresh hierarchy and keeps no reference to it: the
+builders are deterministic, so two calls return the same bytes but never
+the same object, and a caller that mutates its hierarchy in place
+(``EnzoSimulation`` evolves it on rank 0) cannot reach the next run's
+workload.  Nothing is cached, so a hierarchy lives exactly as long as its
+caller holds it -- building is a fraction of a second even at ``AMR64``.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -48,11 +49,6 @@ def resolve_scenario(problem: str | Scenario) -> Scenario:
     return scenario_registry.get(str(problem))
 
 
-@lru_cache(maxsize=16)
-def _cached_hierarchy(scenario: Scenario, initial: bool) -> GridHierarchy:
-    return build_hierarchy(scenario, initial=initial)
-
-
 def _overrides(**kwargs) -> dict:
     return {k: v for k, v in kwargs.items() if v is not None}
 
@@ -65,7 +61,7 @@ def build_workload(
     particles_per_cell: float | None = None,
     refine_threshold: float | None = None,
 ) -> GridHierarchy:
-    """The checkpoint-dump hierarchy for one scenario (cached master, copy out).
+    """The checkpoint-dump hierarchy for one scenario, freshly built.
 
     An evolved-looking hierarchy: a few dozen moderately-sized subgrids
     clustered around the overdensities, which is what a per-cycle data
@@ -82,7 +78,7 @@ def build_workload(
     )
     if overrides:
         scenario = replace(scenario, **overrides)
-    return _cached_hierarchy(scenario, False).copy()
+    return build_hierarchy(scenario)
 
 
 def build_initial_workload(
@@ -102,16 +98,27 @@ def build_initial_workload(
     overrides = _overrides(seed=seed, particles_per_cell=particles_per_cell)
     if overrides:
         scenario = replace(scenario, **overrides)
-    return _cached_hierarchy(scenario, True).copy()
+    return build_hierarchy(scenario, initial=True)
 
 
-@lru_cache(maxsize=16)
-def _cached_scale_hierarchy(
+def build_scale_workload(
     nprocs: int,
-    cells_per_rank_axis: int,
-    subgrid_cells: int,
-    particles_per_rank: int,
+    *,
+    cells_per_rank_axis: int = 8,
+    subgrid_cells: int = 8,
+    particles_per_rank: int = 8,
 ) -> GridHierarchy:
+    """A weak-scaling checkpoint hierarchy: per-rank work is constant in P.
+
+    The root grid spans ``processor_grid(P) * cells_per_rank_axis`` cells,
+    so every rank's (Block, Block, Block) piece is exactly
+    ``cells_per_rank_axis^3`` cells at any P, and each rank owns one
+    level-1 subgrid of ``subgrid_cells^3`` cells refined inside its own
+    block.  All data is deterministic (index-derived fills, regularly
+    spaced particles) and cheap to build -- no random refinement pass --
+    which is what makes P=1024 hierarchies constructible in well under a
+    second.  Like the scenario builders, builds afresh on every call.
+    """
     pgrid = processor_grid(nprocs)
     dims = tuple(p * cells_per_rank_axis for p in pgrid)
     root = Grid.make_root(dims)
@@ -170,30 +177,6 @@ def _cached_scale_hierarchy(
         )
         hierarchy.add_grid(sub)
     return hierarchy
-
-
-def build_scale_workload(
-    nprocs: int,
-    *,
-    cells_per_rank_axis: int = 8,
-    subgrid_cells: int = 8,
-    particles_per_rank: int = 8,
-) -> GridHierarchy:
-    """A weak-scaling checkpoint hierarchy: per-rank work is constant in P.
-
-    The root grid spans ``processor_grid(P) * cells_per_rank_axis`` cells,
-    so every rank's (Block, Block, Block) piece is exactly
-    ``cells_per_rank_axis^3`` cells at any P, and each rank owns one
-    level-1 subgrid of ``subgrid_cells^3`` cells refined inside its own
-    block.  All data is deterministic (index-derived fills, regularly
-    spaced particles) and cheap to build -- no random refinement pass --
-    which is what makes P=1024 hierarchies constructible in well under a
-    second.  Like the scenario builders, returns a copy of the cached
-    master.
-    """
-    return _cached_scale_hierarchy(
-        nprocs, cells_per_rank_axis, subgrid_cells, particles_per_rank
-    ).copy()
 
 
 def workload_summary(hierarchy: GridHierarchy) -> dict:

@@ -34,15 +34,15 @@ def stripe_size_of(machine) -> int:
 def stripe_headroom_of(machine) -> int:
     """Total server count when files default to a narrower stripe, else 0.
 
-    Lustre-style file systems expose ``nosts`` (total OSTs) and
-    ``default_stripe_count`` (the volume default a file gets without an
-    explicit layout); when the default is narrower than the volume, the
+    Lustre-style file systems expose ``nosts`` (total OSTs); their
+    volume-default ``layout.stripe_count`` is what a file gets without an
+    explicit layout.  When it is narrower than the volume, the
     ``striping_factor`` hint can claim the rest.  Fixed-width file systems
-    (GPFS, PVFS, XFS in this repo) have no such headroom.
+    (GPFS, PVFS, XFS in this repo) have no ``nosts`` and no such headroom.
     """
     fs = machine.fs
     nosts = int(getattr(fs, "nosts", 0) or 0)
-    current = int(getattr(fs, "default_stripe_count", 0) or 0)
+    current = fs.layout.stripe_count if nosts else 0
     return nosts if 0 < current < nosts else 0
 
 

@@ -75,11 +75,10 @@ class LustreFS(StripedServerFS):
             node_of_client=node_of_client,
         )
         self.nosts = nosts
-        self.default_stripe_count = min(stripe_count, nosts)
         # Volume-default layout; ``lfs setstripe`` overrides live in
         # ``_file_layouts``.  ``layout.stripe_size`` is what the insight
         # detectors align against.
-        self.layout = replace(self.layout, stripe_count=self.default_stripe_count)
+        self.layout = replace(self.layout, stripe_count=min(stripe_count, nosts))
         # One request queue per OST: the server-side serialisation point.
         for ost in self.servers:
             ost.queue.name = f"{name}.ostq[{ost.index}]"
@@ -109,7 +108,7 @@ class LustreFS(StripedServerFS):
         """
         if stripe_size is None and stripe_count is None:
             return
-        count = self.default_stripe_count if stripe_count is None else stripe_count
+        count = self.layout.stripe_count if stripe_count is None else stripe_count
         self._file_layouts[path] = replace(
             self.layout,
             stripe_size=self.layout.stripe_size if stripe_size is None else stripe_size,

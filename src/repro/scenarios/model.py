@@ -8,14 +8,15 @@ full state) and periodic plot files (lightweight, a field subset, no
 particles) -- plus redshift-triggered dumps.
 
 Scenarios are frozen and fully hashable (every collection field is a
-tuple), so they can key the ``lru_cache``'d workload builders and travel
-anywhere a ``problem: str`` used to go.  Validation failures raise
+tuple), so they compare and hash by value and travel anywhere a
+``problem: str`` used to go.  Validation failures raise
 :class:`ScenarioError` (a :class:`ValueError`), which the CLI maps to
 exit 2 -- malformed parameter files are usage errors, never crashes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 from ..amr.fields import BARYON_FIELDS
@@ -131,6 +132,15 @@ class Scenario:
             raise ScenarioError(
                 f"{self.name}: max_level/pre_refine/deep_levels must be >= 0"
             )
+        # NaN passes every range check below; a non-finite threshold
+        # refines nothing and a non-finite density crashes in the builder.
+        for field in ("particles_per_cell", "refine_threshold",
+                      "init_refine_threshold"):
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ScenarioError(
+                    f"{self.name}: {field} must be finite, got {value!r}"
+                )
         if self.particles_per_cell < 0:
             raise ScenarioError(
                 f"{self.name}: particles_per_cell must be >= 0"

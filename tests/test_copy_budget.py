@@ -1,13 +1,15 @@
 """Copy budget of the bulk data path: one copy per byte per hop.
 
-"No zero-fill twin" and "no regrow copy" are assertions on traced memory
-(``conftest.Traced``): *held* is what a step leaves allocated, *peak* the
-most it ever had.
+"No zero-fill twin", "no regrow copy" and "no resident master" are
+assertions on traced memory (``conftest.Traced``): *held* is what a step
+leaves allocated, *peak* the most it ever had.
 """
 
 import numpy as np
+import pytest
 
 from repro.amr import Grid, GridHierarchy, ParticleSet
+from repro.bench import build_initial_workload, build_scale_workload, build_workload
 from repro.enzo.meta import HierarchyMeta
 from repro.hdf4 import SDFile
 from repro.iostack.formats import read_grid_sd, write_grid_sd
@@ -83,3 +85,24 @@ def test_a_shell_is_free_and_a_read_into_it_holds_the_payload_once():
     assert grid.data_nbytes <= read.held <= grid.data_nbytes + SLACK
     # One array in flight: the bytes read and the array made from them.
     assert read.peak <= grid.data_nbytes + 2 * array + SLACK
+
+
+_BUILDERS = {
+    "dump": lambda seed: build_workload("AMR16", seed=seed),
+    "initial": lambda seed: build_initial_workload("AMR16", seed=seed),
+    "scale": build_scale_workload,
+}
+
+
+# Arguments no other test passes, so nothing earlier in the process can
+# have built (or cached) this hierarchy before the trace starts.
+@pytest.mark.parametrize("kind, warm, cold", [
+    ("dump", 9172, 9173), ("initial", 9172, 9173), ("scale", 5, 6),
+])
+def test_a_dropped_workload_leaves_nothing_resident(kind, warm, cold):
+    build = _BUILDERS[kind]
+    build(warm)  # first-call imports and caches land outside the trace
+    with Traced() as t:
+        payload = build(cold).total_data_nbytes()
+    assert t.peak >= payload  # the build ran inside the trace
+    assert t.held <= SLACK

@@ -454,7 +454,7 @@ class TestLustreFS:
         fs.set_file_striping("a", stripe_size=8192)
         lay = fs.layout_for("a")
         assert lay.stripe_size == 8192
-        assert lay.stripe_count == fs.default_stripe_count
+        assert lay.stripe_count == fs.layout.stripe_count == 2
 
     def test_default_layouts_rotate_over_osts(self):
         fs = make_lustre_fs()  # 4 OSTs, default 2-wide

@@ -65,8 +65,8 @@ class TestWorkloads:
     def test_build_workload_cached_and_deterministic(self):
         a = build_workload("AMR16")
         b = build_workload("AMR16")
-        # Defensive copies of one cached master: never the same object
-        # (callers mutate hierarchies in place), always the same bytes.
+        # Each call builds afresh: never the same object (callers mutate
+        # hierarchies in place), always the same bytes.
         assert a is not b
         assert a.equal(b)
         c = build_workload("AMR16", seed=1)

@@ -3,9 +3,11 @@
 Covers the two parameter-file dialects (parsing quirks, normalization
 rules, malformed-input rejection), the hypothesis round-trip property
 (emit -> parse -> normalize is a fixed point on normalized scenarios),
-the registry, the workload builders' defensive-copy contract, the CLI
+the registry, the workload builders' fresh-hierarchy contract, the CLI
 error paths, and partition invariance of the gated scenarios.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +184,28 @@ class TestMalformedInputs:
         with pytest.raises(ScenarioError, match="nested grid 1"):
             normalize_enzo(parse_enzo(text), name="t")
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field",
+        ["particles_per_cell", "refine_threshold", "init_refine_threshold"],
+    )
+    def test_non_finite_number_rejected(self, field, value):
+        # validate() alone: a build that accepted a -inf threshold would
+        # refine every cell to max_level before anything noticed.
+        scenario = replace(scenario_registry.get("AMR16"), **{field: value})
+        with pytest.raises(ScenarioError, match=f"AMR16: {field} must be finite"):
+            scenario.validate()
+
+    def test_non_finite_threshold_is_an_error_not_a_root_only_hierarchy(self):
+        nan = float("nan")
+        with pytest.raises(ScenarioError, match="refine_threshold"):
+            build_workload("AMR16", refine_threshold=nan)
+        with pytest.raises(ScenarioError, match="init_refine_threshold"):
+            build_initial_workload(
+                replace(scenario_registry.get("AMR16"), init_refine_threshold=nan))
+        with pytest.raises(ScenarioError, match="particles_per_cell"):
+            build_workload("AMR16", particles_per_cell=nan)
+
     def test_param_file_not_found_and_directory(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):
             load_param_file(str(tmp_path / "nope.enzo"))
@@ -337,8 +361,8 @@ class TestDefensiveCopies:
         assert a is not b and a.equal(b)
 
     def test_two_cached_runs_produce_identical_digests(self):
-        """Two consecutive runs of the same cached workload are bit-equal
-        even when the first run's caller mutates its hierarchy."""
+        """Two consecutive runs of the same workload are bit-equal even
+        when the first run's caller mutates its hierarchy."""
         digests = []
         for _ in range(2):
             machine = make_machine(2)
@@ -352,8 +376,8 @@ class TestDefensiveCopies:
             run_spmd(machine, program)
             trace.detach()
             digests.append(trace.digest())
-            # Poison this run's copy; an aliased cache would leak it into
-            # the next build_workload call.
+            # Poison this run's hierarchy; a builder that aliased it would
+            # leak it into the next build_workload call.
             hierarchy.root.fields["density"][:] = 1e9
         assert digests[0] == digests[1]
 
