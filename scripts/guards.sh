@@ -35,3 +35,13 @@ if grep -nE "lru_cache|functools\.cache|\.copy\(\)" src/repro/bench/workloads.py
     echo "bench/workloads.py caches or copies: builders return fresh hierarchies" >&2
     exit 1
 fi
+
+echo "== collectives are schedules, not message loops =="
+# Every algorithm in mpi/collectives.py yields post/recv steps to the one
+# driver (_run), whose last arriver replays all members thread-free.  A
+# collective written directly on messages bypasses the replay and costs
+# O(P log P) rank hand-offs again, silently.
+if grep -nE "comm\.(_post|send|recv|recv_with_status|sendrecv)\(" src/repro/mpi/collectives.py; then
+    echo "mpi/collectives.py posts or receives directly: yield steps to _run instead" >&2
+    exit 1
+fi

@@ -2,9 +2,31 @@
 
 Algorithms follow the classic MPICH choices of the paper's era: binomial
 trees for bcast/reduce/gather/scatter, a dissemination barrier, ring
-allgather, and pairwise-exchange alltoall.  All of them are implemented on
-``Comm.send``/``Comm.recv`` so their cost falls out of the interconnect
-model rather than being asserted.
+allgather, and pairwise-exchange alltoall.  Every message is booked through
+the interconnect model (``Comm._book`` -> ``Network.transfer``), so their
+cost falls out of the model rather than being asserted.
+
+Each algorithm is written once, as a per-rank *schedule*: a generator that
+yields ``("post", dest, obj)`` and ``payload = yield ("recv", src)`` steps
+and returns the rank's result.  :func:`_run` is the one driver:
+
+* until the last member enters, each rank steps its own schedule in its own
+  thread, exactly as a hand-written send/recv loop would: a post is a
+  schedule point followed by the booking, a receive takes from the mailbox
+  or parks;
+* the last member to enter then steps *every* member's schedule
+  thread-free, in the engine's own order: run each rank through the
+  receives it can already satisfy, then book the post with the smallest
+  ``(clock, world rank)`` -- the order the threads would have found.  It
+  stops before a post that some rank outside the replay could precede (a
+  member that has returned, keyed at its exit clock; a READY non-member,
+  keyed at its ``(clock, rank)``), wakes every member still inside, and
+  the threads carry on from where the replay left their schedules.
+
+So the replay moves no clock, byte or link timeline; it only saves thread
+hand-offs (docs/architecture.md s.1 has the argument).  An exception raised
+while the replay steps another member's schedule is handed to that member's
+thread, which raises it, so the job fails as that rank.
 
 Every function is collective: all ranks of the communicator must call it in
 the same order (this is also how the internal tag agreement works).
@@ -12,12 +34,14 @@ the same order (this is also how the internal tag agreement works).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Sequence
+from heapq import heappop, heappush
+from typing import Any, Callable, Generator, Optional, Sequence
 
 import numpy as np
 
+from ..sim.engine import ProcState
 from . import batch as _batch
-from .comm import Comm
+from .comm import Comm, _RecvWait, _wire_copy
 
 __all__ = [
     "barrier",
@@ -67,87 +91,214 @@ def _rrank(vrank: int, root: int, size: int) -> int:
     return (vrank + root) % size
 
 
-def barrier(comm: Comm) -> None:
-    """Dissemination barrier: ceil(log2 P) rounds of pairwise messages."""
-    if _batch.batch_enabled(comm):
-        return _batch.barrier(comm)
+# -- the driver -----------------------------------------------------------------
+
+_Schedule = Generator[tuple, Any, Any]
+
+#: Sorts after every ``(clock, rank)`` key.
+_NEVER = (float("inf"), 0)
+
+
+class _Collective:
+    """One in-flight collective: every member's schedule and where it stands.
+
+    ``steps[r]`` is member ``r``'s pending step -- ``("post", dest, nbytes,
+    payload)`` with the payload already snapshotted, or ``("recv", src)`` --
+    and ``None`` once its schedule has returned (or failed).  Every post
+    step is a fresh tuple, so a thread back from the schedule point before
+    its post can tell by identity whether the replay booked it meanwhile.
+    ``comms[r]`` is cleared when member ``r``'s thread leaves :func:`_run`.
+    """
+
+    __slots__ = ("name", "tag", "comms", "gens", "steps", "results", "errors",
+                 "entered")
+
+    def __init__(self, name: str, tag: int, size: int):
+        self.name = name
+        self.tag = tag
+        self.comms: list[Optional[Comm]] = [None] * size
+        self.gens: list[Optional[_Schedule]] = [None] * size
+        self.steps: list[Optional[tuple]] = [None] * size
+        self.results: list = [None] * size
+        self.errors: list[Optional[BaseException]] = [None] * size
+        self.entered = 0
+
+    def advance(self, r: int, value: Any = None) -> None:
+        """Step member ``r``'s schedule past its pending step."""
+        try:
+            step = self.gens[r].send(value)
+        except StopIteration as stop:
+            self.steps[r] = self.gens[r] = None
+            self.results[r] = stop.value
+            return
+        if step[0] == "post":
+            step = ("post", step[1], *_wire_copy(step[2]))
+        self.steps[r] = step
+
+    def replay(self, me: int) -> None:
+        """Step every member's schedule from the last member's thread (``me``),
+        in global ``(clock, world rank)`` order, until done or until a rank
+        outside the replay could post first; then wake every member still
+        inside."""
+        comms, steps, tag = self.comms, self.steps, self.tag
+        inside = [r for r, comm in enumerate(comms) if comm is not None]
+        local = comms[me]._world_to_local
+        # Every READY rank outside the replay -- a non-member, or a member
+        # that has returned -- posts nothing before its (clock, rank).
+        bound = min(
+            ((p.clock, p.rank) for p in comms[me].world.engine.procs
+             if p.state is ProcState.READY
+             and (p.rank not in local or comms[local[p.rank]] is None)),
+            default=_NEVER,
+        )
+        posting: list[tuple] = []  # heap of (clock, world rank, r)
+
+        def settle(r: int) -> None:
+            """Run ``r`` through the receives it can already satisfy."""
+            nonlocal bound
+            comm = comms[r]
+            step = steps[r]
+            while step is not None and step[0] == "recv":
+                msg = comm._take(step[1], tag, yield_first=False)
+                if msg is None:
+                    return
+                self.advance(r, msg.payload)
+                step = steps[r]
+            key = (comm.proc.clock, comm.proc.rank)
+            if step is None:  # returns at this clock once woken
+                bound = min(bound, key)
+            else:
+                heappush(posting, (*key, r))
+
+        who = me
+        try:
+            for who in inside:
+                settle(who)
+            while posting:
+                clock, rank, who = heappop(posting)
+                if (clock, rank) > bound:
+                    break
+                _, dest, nbytes, payload = steps[who]
+                comms[who]._book(nbytes, payload, dest, tag)
+                self.advance(who)
+                settle(who)
+                step = steps[dest]
+                if step is not None and step[0] == "recv":
+                    who = dest
+                    settle(dest)
+        except Exception as exc:  # noqa: BLE001 - re-raised by its own thread
+            self.errors[who] = exc
+            self.steps[who] = None
+        for r in inside:
+            if r == me:
+                continue
+            comm = comms[r]
+            step, proc = steps[r], comm.proc
+            waits = step is not None and step[0] == "recv"
+            if waits and proc.state is ProcState.BLOCKED:
+                # Parked in a receive it still waits for, maybe another one:
+                # the post that satisfies it wakes it.
+                proc.waiting_on = _RecvWait(comm, step[1], tag, self.name)
+            else:
+                proc.wake()
+
+
+def _run(comm: Comm, name: str, schedule: _Schedule) -> Any:
+    """Run this rank's ``schedule`` of collective ``name``; returns its result."""
     tag = comm._next_internal_tag()
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return
+    size = comm.size
+    table = comm.world.rendezvous
+    key = (comm._ctx, comm._coll_seq, comm.group[0])
+    op = table.get(key)
+    if op is None:
+        op = table[key] = _Collective(name, tag, size)
+    r = comm.rank
+    op.comms[r] = comm
+    op.gens[r] = schedule
+    op.advance(r)
+    op.entered += 1
+    if op.entered == size:
+        del table[key]  # every member holds it now
+        op.replay(r)
+    proc = comm.proc
+    steps = op.steps
+    while True:
+        step = steps[r]
+        if step is None:
+            break
+        if step[0] == "post":
+            proc.schedule_point()
+            if steps[r] is step:  # else the replay booked it meanwhile
+                _, dest, nbytes, payload = step
+                comm._book(nbytes, payload, dest, tag)
+                op.advance(r)
+        else:
+            msg = comm._take(step[1], tag, yield_first=False)
+            if msg is not None:
+                op.advance(r, msg.payload)
+            else:
+                comm._park(step[1], tag, name)
+    op.comms[r] = None
+    error = op.errors[r]
+    if error is not None:
+        raise error
+    result, op.results[r] = op.results[r], None
+    return result
+
+
+# -- the schedules ---------------------------------------------------------------
+
+
+def _barrier(rank: int, size: int) -> _Schedule:
+    """Dissemination: ceil(log2 P) rounds of pairwise messages."""
     step = 1
     while step < size:
-        dest = (rank + step) % size
-        src = (rank - step) % size
-        comm._post(None, dest, tag)
-        comm.recv(src, tag)
+        yield "post", (rank + step) % size, None
+        yield "recv", (rank - step) % size
         step <<= 1
 
 
-def bcast(comm: Comm, obj: Any, root: int = 0) -> Any:
-    """Binomial-tree broadcast; returns the object on every rank."""
-    if _batch.batch_enabled(comm):
-        return _batch.bcast(comm, obj, root)
-    tag = comm._next_internal_tag()
-    size, rank = comm.size, comm.rank
-    if size == 1:
-        return obj
+def _bcast(rank: int, size: int, obj: Any, root: int) -> _Schedule:
     v = _vrank(rank, root, size)
     # Phase 1: everyone but the root receives from the rank that differs in
     # v's lowest set bit.
     mask = 1
     while mask < size:
         if v & mask:
-            obj = comm.recv(_rrank(v - mask, root, size), tag)
+            obj = yield "recv", _rrank(v - mask, root, size)
             break
         mask <<= 1
     # Phase 2: forward down the tree with decreasing mask.
     mask >>= 1
     while mask > 0:
         if v + mask < size:
-            comm._post(obj, _rrank(v + mask, root, size), tag)
+            yield "post", _rrank(v + mask, root, size), obj
         mask >>= 1
     return obj
 
 
-def gather(comm: Comm, obj: Any, root: int = 0) -> Optional[list]:
-    """Binomial-tree gather; root returns the list indexed by rank."""
-    if _batch.batch_enabled(comm):
-        return _batch.gather(comm, obj, root)
-    tag = comm._next_internal_tag()
-    size, rank = comm.size, comm.rank
+def _gather(rank: int, size: int, obj: Any, root: int) -> _Schedule:
     v = _vrank(rank, root, size)
     # Accumulate (rank, obj) pairs up the tree.
     acc = [(rank, obj)]
     mask = 1
     while mask < size:
         if v & mask:
-            comm._post(acc, _rrank(v & ~mask, root, size), tag)
-            acc = None
-            break
+            yield "post", _rrank(v & ~mask, root, size), acc
+            return None
         src_v = v | mask
         if src_v < size:
-            acc.extend(comm.recv(_rrank(src_v, root, size), tag))
+            acc.extend((yield "recv", _rrank(src_v, root, size)))
         mask <<= 1
-    if rank == root:
-        out: list = [None] * size
-        for r, o in acc:
-            out[r] = o
-        return out
-    return None
+    out: list = [None] * size
+    for r, o in acc:
+        out[r] = o
+    return out
 
 
-def gatherv(comm: Comm, obj: Any, root: int = 0) -> Optional[list]:
-    """Alias of :func:`gather` (payloads may differ in size)."""
-    return gather(comm, obj, root)
-
-
-def scatter(comm: Comm, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
-    """Binomial-tree scatter of ``objs`` (length ``size``, root only)."""
-    if _batch.batch_enabled(comm):
-        return _batch.scatter(comm, objs, root)
-    tag = comm._next_internal_tag()
-    size, rank = comm.size, comm.rank
+def _scatter(
+    rank: int, size: int, objs: Optional[Sequence[Any]], root: int
+) -> _Schedule:
     if rank == root:
         if objs is None or len(objs) != size:
             raise ValueError("root must supply one object per rank")
@@ -158,7 +309,7 @@ def scatter(comm: Comm, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
     mask = 1
     while mask < size:
         if v & mask:
-            bundle = comm.recv(_rrank(v - mask, root, size), tag)
+            bundle = yield "recv", _rrank(v - mask, root, size)
             break
         mask <<= 1
     # Forward: child at v+mask owns virtual ranks [v+mask, v+2*mask).
@@ -171,9 +322,86 @@ def scatter(comm: Comm, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
                 r = _rrank(x, root, size)
                 if r in bundle:
                     sub[r] = bundle.pop(r)
-            comm._post(sub, _rrank(lo, root, size), tag)
+            yield "post", _rrank(lo, root, size), sub
         mask >>= 1
     return bundle[rank]
+
+
+def _allgather(rank: int, size: int, obj: Any) -> _Schedule:
+    """Ring: P - 1 steps, each passing the last block received to the right."""
+    out: list = [None] * size
+    out[rank] = obj
+    right = (rank + 1) % size
+    left = (rank - 1) % size
+    carry = (rank, obj)
+    for _ in range(size - 1):
+        yield "post", right, carry
+        carry = yield "recv", left
+        out[carry[0]] = carry[1]
+    return out
+
+
+def _alltoall(rank: int, size: int, objs: Sequence[Any]) -> _Schedule:
+    """Pairwise exchange: step s sends to rank + s, receives from rank - s."""
+    out: list = [None] * size
+    out[rank] = objs[rank]
+    for step in range(1, size):
+        dest = (rank + step) % size
+        src = (rank - step) % size
+        yield "post", dest, objs[dest]
+        out[src] = yield "recv", src
+    return out
+
+
+def _reduce(rank: int, size: int, obj: Any, op: Callable, root: int) -> _Schedule:
+    v = _vrank(rank, root, size)
+    acc = obj
+    mask = 1
+    while mask < size:
+        if v & mask:
+            yield "post", _rrank(v & ~mask, root, size), acc
+            return None
+        src_v = v | mask
+        if src_v < size:
+            acc = op(acc, (yield "recv", _rrank(src_v, root, size)))
+        mask <<= 1
+    return acc
+
+
+# -- the collectives --------------------------------------------------------------
+
+
+def barrier(comm: Comm) -> None:
+    """Dissemination barrier: ceil(log2 P) rounds of pairwise messages."""
+    if _batch.batch_enabled(comm):
+        return _batch.barrier(comm)
+    _run(comm, "barrier", _barrier(comm.rank, comm.size))
+
+
+def bcast(comm: Comm, obj: Any, root: int = 0) -> Any:
+    """Binomial-tree broadcast; returns the object on every rank."""
+    if _batch.batch_enabled(comm):
+        return _batch.bcast(comm, obj, root)
+    return _run(comm, "bcast", _bcast(comm.rank, comm.size, obj, root))
+
+
+def gather(comm: Comm, obj: Any, root: int = 0) -> Optional[list]:
+    """Binomial-tree gather; root returns the list indexed by rank."""
+    if _batch.batch_enabled(comm):
+        return _batch.gather(comm, obj, root)
+    return _run(comm, "gather", _gather(comm.rank, comm.size, obj, root))
+
+
+def gatherv(comm: Comm, obj: Any, root: int = 0) -> Optional[list]:
+    """Alias of :func:`gather` (payloads may differ in size)."""
+    return gather(comm, obj, root)
+
+
+def scatter(comm: Comm, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
+    """Binomial-tree scatter of ``objs`` (length ``size``, root only)."""
+    if _batch.batch_enabled(comm):
+        return _batch.scatter(comm, objs, root)
+    return _run(comm, "scatter", _scatter(comm.rank, comm.size, objs, root))
 
 
 def scatterv(comm: Comm, objs: Optional[Sequence[Any]], root: int = 0) -> Any:
@@ -185,36 +413,16 @@ def allgather(comm: Comm, obj: Any) -> list:
     """Ring allgather; every rank returns the list indexed by rank."""
     if _batch.batch_enabled(comm):
         return _batch.allgather(comm, obj)
-    tag = comm._next_internal_tag()
-    size, rank = comm.size, comm.rank
-    out: list = [None] * size
-    out[rank] = obj
-    right = (rank + 1) % size
-    left = (rank - 1) % size
-    carry = (rank, obj)
-    for _ in range(size - 1):
-        comm._post(carry, right, tag)
-        carry = comm.recv(left, tag)
-        out[carry[0]] = carry[1]
-    return out
+    return _run(comm, "allgather", _allgather(comm.rank, comm.size, obj))
 
 
 def alltoall(comm: Comm, objs: Sequence[Any]) -> list:
     """Pairwise-exchange alltoall: ``objs[d]`` goes to rank ``d``."""
     if _batch.batch_enabled(comm):
         return _batch.alltoall(comm, objs)
-    size, rank = comm.size, comm.rank
-    if len(objs) != size:
+    if len(objs) != comm.size:
         raise ValueError("alltoall needs one object per rank")
-    tag = comm._next_internal_tag()
-    out: list = [None] * size
-    out[rank] = objs[rank]
-    for step in range(1, size):
-        dest = (rank + step) % size
-        src = (rank - step) % size
-        comm._post(objs[dest], dest, tag)
-        out[src] = comm.recv(src, tag)
-    return out
+    return _run(comm, "alltoall", _alltoall(comm.rank, comm.size, objs))
 
 
 def alltoallv(comm: Comm, objs: Sequence[Any]) -> list:
@@ -228,20 +436,7 @@ def reduce(
     """Binomial-tree reduction to ``root`` (returns None elsewhere)."""
     if _batch.batch_enabled(comm):
         return _batch.reduce(comm, obj, op, root)
-    tag = comm._next_internal_tag()
-    size, rank = comm.size, comm.rank
-    v = _vrank(rank, root, size)
-    acc = obj
-    mask = 1
-    while mask < size:
-        if v & mask:
-            comm._post(acc, _rrank(v & ~mask, root, size), tag)
-            return None
-        src_v = v | mask
-        if src_v < size:
-            acc = op(acc, comm.recv(_rrank(src_v, root, size), tag))
-        mask <<= 1
-    return acc
+    return _run(comm, "reduce", _reduce(comm.rank, comm.size, obj, op, root))
 
 
 def allreduce(comm: Comm, obj: Any, op: Callable[[Any, Any], Any] = SUM) -> Any:

@@ -128,11 +128,14 @@ class _RecvWait(NamedTuple):
     comm: "Comm"
     source: int
     tag: int
+    #: The collective the receive belongs to ("" for a point-to-point one).
+    within: str = ""
 
     def __str__(self) -> str:
         source = "ANY_SOURCE" if self.source == ANY_SOURCE else self.source
         tag = "ANY_TAG" if self.tag == ANY_TAG else self.tag
-        return f"recv(source={source}, tag={tag})"
+        prefix = f"{self.within}: " if self.within else ""
+        return f"{prefix}recv(source={source}, tag={tag})"
 
 
 @dataclass
@@ -146,7 +149,9 @@ class MpiWorld:
     #: When True, collectives use the batched rendezvous engine
     #: (:mod:`repro.mpi.batch`) instead of per-message algorithms.
     batch_collectives: bool = False
-    #: Open rendezvous, keyed by (ctx, kind, call seq); see repro.mpi.batch.
+    #: Open collectives: batched rendezvous keyed by (ctx, kind, tag, call
+    #: seq), see repro.mpi.batch; per-message schedules keyed by (ctx, call
+    #: seq, first member), see repro.mpi.collectives.
     rendezvous: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -227,13 +232,20 @@ class Comm:
         self._post(obj, dest, tag)
 
     def _post(self, obj: Any, dest: int, tag: int) -> None:
+        nbytes, payload = _wire_copy(obj)
+        self.proc.schedule_point()
+        self._book(nbytes, payload, dest, tag)
+
+    def _book(self, nbytes: int, payload: Any, dest: int, tag: int) -> None:
+        """The booking half of a post of a snapshot: network transfer,
+        mailbox, wake.  The caller has put it in the global ``(clock, rank)``
+        order -- ``_post`` by a schedule point, a collective's replay by
+        construction (:mod:`repro.mpi.collectives`)."""
         proc = self.proc
         world = self.world
         machine = world.machine
         node_of = machine.node_of
         dest_world = self.group[dest]
-        nbytes, payload = _wire_copy(obj)
-        proc.schedule_point()
         net = machine.network
         arrival = net.transfer(
             proc.clock, node_of(proc.rank), node_of(dest_world), nbytes
@@ -277,10 +289,10 @@ class Comm:
             proc.advance(self._sw_overhead())
         return match
 
-    def _park(self, source: int, tag: int) -> None:
+    def _park(self, source: int, tag: int, within: str = "") -> None:
         """Block until a post that matches the receive wakes this rank."""
         proc = self.proc
-        proc.waiting_on = _RecvWait(self, source, tag)
+        proc.waiting_on = _RecvWait(self, source, tag, within)
         proc.block()
         proc.waiting_on = None
 

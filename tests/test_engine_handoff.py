@@ -10,7 +10,9 @@ None of that may move a virtual clock, so this file pins:
 2. the schedule points that must *stay*: ``ANY_SOURCE`` receives and polls;
 3. a hypothesis property against a single-threaded reference simulator;
 4. the *crossing budget* -- exact ``Engine.context_switches`` per program,
-   so a re-introduced yield fails tier-1;
+   so a re-introduced yield fails tier-1 -- and, since the collectives became
+   schedules that their last-arriving rank replays thread-free, a collective
+   that stops being replayed fails it too;
 5. *thread hygiene* and engine reuse after success, failure and deadlock;
 6. what a ``DeadlockError`` says.
 """
@@ -358,13 +360,14 @@ def test_property_threads_equal_single_threaded_replay(nprocs, events):
 
 # -- crossing budget ----------------------------------------------------------------
 
-# Exact and deterministic.  The parent commit, which yielded before every
-# receive and woke on every post, made 35 / 86 / 25 / 23 / 6 / 7.
+# Exact and deterministic.  The engine that yielded before every receive and
+# woke on every post made 35 / 86 / 25 / 23 / 6 / 7; with one thread per
+# collective message (before the replay) it was 21 / 54 / 16 / 17 / 5 / 7.
 SWITCHES = {
-    "ring_allgather": 21,
-    "dissemination_barrier": 54,
-    "pairwise_alltoall": 16,
-    "bcast_reduce": 17,
+    "ring_allgather": 8,
+    "dissemination_barrier": 10,
+    "pairwise_alltoall": 3,
+    "bcast_reduce": 10,
     "irecv_overlap": 5,
     "any_source_fan_in": 7,
 }
@@ -453,6 +456,16 @@ def test_deadlocked_receive_names_its_source_and_tag():
     assert rank == 0
     assert "1 rank(s) blocked" in msg
     assert "rank 0 at t=0.000000 in recv(source=1, tag=5)" in msg
+
+
+def test_a_rank_parked_in_a_collective_names_the_collective():
+    def skips_the_barrier(comm):
+        if comm.rank != 3:
+            barrier(comm)
+
+    rank, msg = _deadlock_of(lambda: run_spmd(contended_machine(4), skips_the_barrier))
+    assert "3 rank(s) blocked" in msg
+    assert "rank 0 at t=0.000120 in barrier: recv(source=3, tag=" in msg
 
 
 def test_deadlocked_ring_names_every_rank_and_the_source_it_awaits():
