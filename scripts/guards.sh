@@ -45,3 +45,13 @@ if grep -nE "comm\.(_post|send|recv|recv_with_status|sendrecv)\(" src/repro/mpi/
     echo "mpi/collectives.py posts or receives directly: yield steps to _run instead" >&2
     exit 1
 fi
+
+echo "== shape products are math.prod, not np.prod =="
+# np.prod on a shape tuple builds an array per call (≈ 8 % of a profiled
+# scda-p2 pass in ArrayExtent.nbytes alone) and returns a numpy scalar;
+# math.prod returns the same value as a Python int.
+if grep -nF "np.prod(" src/repro/enzo/layout.py src/repro/hdf5/dataspace.py \
+        src/repro/mpi/datatypes.py; then
+    echo "np.prod on a shape: use math.prod" >&2
+    exit 1
+fi

@@ -656,16 +656,20 @@ def _cmd_gate(gate, args) -> int:
     if args.update_baseline:
         payload = current
         if args.cell:
-            # Subset update: merge into the existing baseline if present.
+            # Subset update: merge into the existing baseline if present and
+            # re-evaluate, in the gate's order, every trend the merged cells
+            # cover -- one reading a fresh and a kept cell moves too, so the
+            # file is what a full update writes.
             payload = baseline or dict(current, cells={}, trends=[])
             payload["cells"].update(records)
-            kept = {t["id"]: t for t in payload.get("trends", [])}
-            kept.update({t["id"]: t for t in current["trends"]})
-            payload["trends"] = sorted(kept.values(), key=lambda t: t["id"])
+            payload["trends"] = [
+                cr.evaluate_trend(t, payload["cells"]) for t in gate.trends
+                if all(c in payload["cells"] for c in t.cells)
+            ]
         cr.save_baseline(payload, args.baseline)
         print(f"baseline updated: {args.baseline} "
               f"({len(payload['cells'])} cells, {len(payload['trends'])} trends)")
-        bad_trends = [t for t in current["trends"] if not t["ok"]]
+        bad_trends = [t for t in payload["trends"] if not t["ok"]]
         for t in bad_trends:
             print(f"warning: {gate.trend_noun} trend VIOLATED in new "
                   f"baseline: {t['id']}: {t['description']}", file=sys.stderr)

@@ -17,6 +17,7 @@ ENZO does), written by rank 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,7 @@ class ArrayExtent:
 
     @property
     def nbytes(self) -> int:
-        return int(np.prod(self.shape)) * self.dtype.itemsize
+        return math.prod(self.shape) * self.dtype.itemsize
 
     @property
     def end(self) -> int:

@@ -13,10 +13,11 @@ packing" overhead is charged per.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
+from ..mpi.datatypes import _flat_runs
 
 __all__ = ["Dataspace", "Hyperslab"]
 
@@ -40,7 +41,7 @@ class Dataspace:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     def select_all(self) -> "Hyperslab":
         return Hyperslab(start=(0,) * self.rank, count=self.shape)
@@ -93,7 +94,7 @@ class Hyperslab:
 
     @property
     def npoints(self) -> int:
-        return int(np.prod(self.selection_shape))
+        return math.prod(self.selection_shape)
 
     def extent_needed(self) -> tuple[int, ...]:
         """Minimal dataspace shape containing the selection."""
@@ -101,17 +102,6 @@ class Hyperslab:
         for st, c, sr, b in zip(self.start, self.count, self.stride, self.block):
             out.append(st + (c - 1) * sr + b if c > 0 else st)
         return tuple(out)
-
-    def _indices(self, dim: int) -> np.ndarray:
-        """Selected coordinates along ``dim``, in order."""
-        st, c, sr, b = (
-            self.start[dim],
-            self.count[dim],
-            self.stride[dim],
-            self.block[dim],
-        )
-        base = st + np.arange(c, dtype=np.int64) * sr
-        return (base[:, None] + np.arange(b, dtype=np.int64)[None, :]).ravel()
 
     def validate_within(self, space: Dataspace) -> None:
         if self.rank != space.rank:
@@ -124,47 +114,15 @@ class Hyperslab:
                     f"selection exceeds dataspace in dim {dim}: {need} > {have}"
                 )
 
-    def file_runs(self, space: Dataspace) -> tuple[np.ndarray, int]:
-        """Flatten into element runs of the row-major dataset.
+    def file_runs(self, space: Dataspace) -> tuple[list[int], int]:
+        """Flatten into element runs along the last axis, unmerged across
+        rows: the unit recursive hyperslab packing is charged per.
 
-        Returns ``(run_starts, run_length)``: every run has the same length
-        (contiguity along the last axis), in element units, sorted ascending.
+        Returns ``(run_starts, run_length)``: every run has the same length,
+        in element units, sorted ascending.  ``H5Dataset.file_segments``
+        flattens the same selection merged, in bytes.
         """
         self.validate_within(space)
-        if self.npoints == 0:
-            return np.empty(0, dtype=np.int64), 0
-        shape = space.shape
-        strides = np.empty(len(shape), dtype=np.int64)
-        strides[-1] = 1
-        for i in range(len(shape) - 2, -1, -1):
-            strides[i] = strides[i + 1] * shape[i + 1]
-        # Along the last axis, each block of ``block[-1]`` elements is a run;
-        # if stride[-1] == block[-1] the whole axis selection is dense and
-        # count[-1] blocks merge into one run.
-        last_dense = self.stride[-1] == self.block[-1] or self.count[-1] == 1
-        if last_dense:
-            run_len = self.count[-1] * self.block[-1] if self.stride[-1] == self.block[-1] else self.block[-1]
-            last_starts = np.array([self.start[-1]], dtype=np.int64)
-            if self.count[-1] > 1 and self.stride[-1] != self.block[-1]:
-                last_starts = (
-                    self.start[-1]
-                    + np.arange(self.count[-1], dtype=np.int64) * self.stride[-1]
-                )
-        else:
-            run_len = self.block[-1]
-            last_starts = (
-                self.start[-1]
-                + np.arange(self.count[-1], dtype=np.int64) * self.stride[-1]
-            )
-        outer = [self._indices(d) for d in range(self.rank - 1)]
-        if outer:
-            grids = np.meshgrid(*outer, indexing="ij")
-            base = np.zeros(grids[0].shape, dtype=np.int64)
-            for g, sk in zip(grids, strides[:-1]):
-                base += g * sk
-            base = base.ravel()
-        else:
-            base = np.zeros(1, dtype=np.int64)
-        starts = (base[:, None] + last_starts[None, :]).ravel()
-        starts.sort()
-        return starts, int(run_len)
+        runs, _ = _flat_runs(space.shape, self.start, self.count, self.stride,
+                             self.block, fold=False)
+        return [s for s, _ in runs], (runs[0][1] if runs else 0)

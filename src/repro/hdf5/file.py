@@ -27,7 +27,7 @@ import numpy as np
 
 from ..mpi import collectives as coll
 from ..mpi.comm import Comm
-from ..mpi.datatypes import merge_segments
+from ..mpi.datatypes import _flat_runs
 from ..mpiio.adio import ADIOFile
 from ..mpiio.file import File
 from ..mpiio.hints import Hints
@@ -80,6 +80,7 @@ class H5Dataset:
         self._header_offset = header_offset
         self.space = Dataspace(header.shape)
         self._closed = False
+        self._flat = None  # (selection, its byte runs, its file_runs count)
 
     @property
     def name(self) -> str:
@@ -105,18 +106,21 @@ class H5Dataset:
         time the actual I/O already paid.
         """
         sel = selection if selection is not None else self.space.select_all()
-        starts, run_len = sel.file_runs(self.space)
-        item = self.dtype.itemsize
-        base = self.header.data_offset
-        segs = [(base + int(s) * item, run_len * item) for s in starts]
-        return merge_segments(segs)
+        if self._flat is None or self._flat[0] != sel:
+            # Flattened once per selection: a write and its manifest share it.
+            sel.validate_within(self.space)
+            item = self.dtype.itemsize
+            self._flat = (sel, *_flat_runs(
+                self.space.shape, sel.start, sel.count, sel.stride, sel.block,
+                self.header.data_offset, item, item,
+            ))
+        return self._flat[1]
 
     def _segments(self, selection: Optional[Hyperslab]) -> list[tuple[int, int]]:
-        sel = selection if selection is not None else self.space.select_all()
-        starts, _run_len = sel.file_runs(self.space)
-        # Charge the recursive hyperslab packing cost.
-        self._f.comm.compute(len(starts) * self._f.costs.pack_per_run)
-        return self.file_segments(sel)
+        segs = self.file_segments(selection)
+        # Charge the recursive hyperslab packing cost, per unmerged file run.
+        self._f.comm.compute(self._flat[2] * self._f.costs.pack_per_run)
+        return segs
 
     def _check_buffer(self, data: np.ndarray, selection: Optional[Hyperslab]):
         sel = selection if selection is not None else self.space.select_all()

@@ -17,6 +17,7 @@ segment lists.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -38,6 +39,46 @@ __all__ = [
     "merge_segments",
     "from_numpy",
 ]
+
+
+def _flat_runs(shape, start, count, stride, block, offset=0, scale=1, size=1,
+               fold=True) -> tuple[list[tuple[int, int]], int]:
+    """Sorted ``(offset + e * scale, n * size)`` runs of a row-major selection.
+
+    Dimension ``d`` selects the indices ``start + i * stride + j`` for
+    ``i < count``, ``j < block`` (a subarray is ``count = stride = 1``).
+    Closed form, O(runs): with ``fold``, the trailing dimensions selected
+    whole join the run length and single-index dimensions only shift the
+    first offset; every other outer index adds runs.  Such runs cannot abut
+    unless the innermost cut dimension is strided and spans its whole
+    extent, the one case merged.  Also returns the number of runs along the
+    last axis alone (the runs of ``fold=False``), HDF5's packing unit.
+    """
+    inner = [math.prod(shape[d + 1:]) for d in range(len(shape))]
+    dims = [(st, 1, 1, c * b) if c == 1 or sr == b else (st, c, sr, b)
+            for st, c, sr, b in zip(start, count, stride, block)]
+    if 0 in (c * b for _, c, _, b in dims):
+        return [], 0
+    rows = math.prod(c * b for _, c, _, b in dims[:-1]) * dims[-1][1]
+    k = len(dims) - 1
+    while fold and k and dims[k] == (0, 1, 1, shape[k]):
+        k -= 1
+    first = offset + scale * sum(d[0] * s for d, s in zip(dims, inner))
+    # What each dimension that adds runs adds to the first run's offset.
+    steps = [[scale * s * (i * sr + j) for i in range(c) for j in range(b)]
+             for (_, c, sr, b), s in zip(dims[:k], inner) if c * b > 1]
+    st, c, sr, b = dims[k]
+    if c > 1:
+        steps.append([scale * inner[k] * sr * i for i in range(c)])
+    # A Python product: numpy's sum is no faster once its starts are made
+    # into the Python-int tuples every caller takes.
+    starts = [first]
+    for step in steps:
+        starts = [a + x for a in starts for x in step]
+    runs = [(a, b * inner[k] * size) for a in starts]
+    if fold and c > 1 and st == 0 and (c - 1) * sr + b == shape[k]:
+        runs = merge_segments(runs)  # a row's last block abuts the next's first
+    return runs, rows
 
 
 def merge_segments(segs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -258,36 +299,17 @@ class Subarray(Datatype):
         self.subsizes = subsizes
         self.starts = starts
         self.base = base
-        self.size = int(np.prod(subsizes)) * base.size
-        self.extent = int(np.prod(shape)) * base.extent
+        self.size = math.prod(subsizes) * base.size
+        self.extent = math.prod(shape) * base.extent
 
     def segments(self, base: int = 0) -> list[tuple[int, int]]:
         if self.size == 0:
             return []
+        ones = (1,) * len(self.shape)
         ext = self.base.extent
-        # Rows along the last axis are contiguous runs of subsizes[-1] elems.
-        run_len = self.subsizes[-1] * self.base.size
-        # Strides (in elements) of each axis in the global array.
-        strides = np.empty(len(self.shape), dtype=np.int64)
-        strides[-1] = 1
-        for i in range(len(self.shape) - 2, -1, -1):
-            strides[i] = strides[i + 1] * self.shape[i + 1]
-        outer = self.subsizes[:-1]
-        first = sum(st * sk for st, sk in zip(self.starts, strides))
-        if not outer or all(s == 1 for s in outer):
-            starts_elems = [first]
-        else:
-            # Vectorised cartesian product of outer indices -> displacements.
-            grids = np.meshgrid(
-                *[np.arange(s, dtype=np.int64) for s in outer], indexing="ij"
-            )
-            disp = np.zeros(grids[0].shape, dtype=np.int64)
-            for g, sk in zip(grids, strides[:-1]):
-                disp += g * sk
-            starts_elems = (disp.ravel() + first).tolist()
-            starts_elems.sort()
-        runs = ((base + e * ext, run_len) for e in starts_elems)
-        return merge_segments(runs)
+        # Whole trailing rows abut only when the elements pack (size == extent).
+        return _flat_runs(self.shape, self.starts, ones, ones, self.subsizes,
+                          base, ext, self.base.size, fold=self.base.size == ext)[0]
 
     def numpy_index(self) -> tuple[slice, ...]:
         """The numpy basic-slicing index selecting this subarray."""

@@ -155,7 +155,8 @@ class File:
     def view_segments(self, offset_etypes: int, nbytes: int) -> list[tuple[int, int]]:
         """The (file_offset, nbytes) segments ``nbytes`` of data occupy
         under the current view -- what a manifest needs to checksum a
-        rank's share of a collective write."""
+        rank's share of a collective write (the write's own list: a view
+        maps a range once)."""
         return self._segments_for(offset_etypes, nbytes)
 
     @staticmethod

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 import bisect
 
-import numpy as np
-
 from ..mpi import collectives as coll
 from ..mpi.comm import Comm
 from .adio import ADIOFile, as_byte_view
@@ -80,61 +78,27 @@ def file_domains(
     return out
 
 
-class _SegmentIndex:
-    """Sorted segments plus prefix sums for fast window intersection."""
-
-    def __init__(self, segments: list[tuple[int, int]]):
-        self.offs = [s[0] for s in segments]
-        self.lens = [s[1] for s in segments]
-        self.pos = [0] * (len(segments) + 1)  # cumulative data position
-        for i, n in enumerate(self.lens):
-            self.pos[i + 1] = self.pos[i] + n
-        self.ends = [o + n for o, n in segments]
-
-    @property
-    def total(self) -> int:
-        return self.pos[-1]
-
-    def window(self, wlo: int, whi: int) -> list[tuple[int, int, int]]:
-        """Pieces of my segments inside ``[wlo, whi)``.
-
-        Returns ``(file_offset, length, data_position)`` triples in order.
-        """
-        out = []
-        # First segment that could overlap: the one before the first with
-        # offset >= wlo.
-        i = bisect.bisect_left(self.offs, wlo)
-        if i > 0 and self.ends[i - 1] > wlo:
-            i -= 1
-        while i < len(self.offs) and self.offs[i] < whi:
-            a = max(self.offs[i], wlo)
-            b = min(self.ends[i], whi)
-            if a < b:
-                out.append((a, b - a, self.pos[i] + (a - self.offs[i])))
-            i += 1
-        return out
-
-
 def _exchange_plan(comm: Comm, segments: list[tuple[int, int]], hints: Hints):
     """Common setup for both directions of the two-phase exchange.
 
-    Returns ``(aggs, my_domain, rounds, plan)`` where ``plan`` maps a
-    round number to ``[(agg_rank, pieces)]`` covering *my* segments --
-    precomputed in one O(segments) pass instead of intersecting every
-    (aggregator, round) window against the segment index (O(P * rounds)
-    probes per rank, the scaling wall at P >= 512).  ``my_domain`` is this
-    rank's file domain, or ``None`` when it is not an aggregator; the full
-    domain table is never materialised (it is O(P) per rank per collective
-    and derivable from the uniform stride).
+    Returns ``(total, aggs, my_domain, rounds, plan)``: ``total`` is the
+    byte count of my segments; ``plan`` maps a round number to
+    ``[(agg_rank, pieces)]`` covering *my* segments -- precomputed in one
+    O(segments) pass instead of intersecting every (aggregator, round)
+    window against the segments (O(P * rounds) probes per rank, the
+    scaling wall at P >= 512).  ``my_domain`` is this rank's file domain,
+    or ``None`` when it is not an aggregator; the full domain table is
+    never materialised (it is O(P) per rank per collective and derivable
+    from the uniform stride).
     """
-    idx = _SegmentIndex(segments)
+    total = sum(n for _, n in segments)
     my_lo = segments[0][0] if segments else None
     my_hi = segments[-1][0] + segments[-1][1] if segments else None
     extents = coll.allgather(comm, (my_lo, my_hi))
     los = [e[0] for e in extents if e[0] is not None]
     his = [e[1] for e in extents if e[1] is not None]
     if not los:
-        return idx, None, None, 0, {}
+        return total, None, None, 0, {}
     lo, hi = min(los), max(his)
     aggs = aggregator_ranks(comm, hints)
     # The domain tiling is uniform: file_domains strides [lo, hi) by the
@@ -150,45 +114,42 @@ def _exchange_plan(comm: Comm, segments: list[tuple[int, int]], hints: Hints):
         my_domain = (dstart, min(dstart + stride, hi))
     else:
         my_domain = None
-    plan = _piece_plan(idx, lo, stride, aggs, hints.cb_buffer_size)
-    return idx, aggs, my_domain, rounds, plan
+    plan = _piece_plan(segments, lo, stride, aggs, hints.cb_buffer_size)
+    return total, aggs, my_domain, rounds, plan
 
 
 def _piece_plan(
-    idx: _SegmentIndex, lo: int, stride: int, aggs: list[int], cb: int
+    segments: list[tuple[int, int]], lo: int, stride: int, aggs: list[int], cb: int
 ) -> dict[int, list[tuple[int, list[tuple[int, int, int]]]]]:
     """Assign my segment pieces to their (round, aggregator) windows.
 
     ``file_domains`` tiles ``[lo, hi)`` with a uniform ``stride`` (the last
     domains may be truncated/empty), and each domain is processed in
-    ``cb``-byte rounds -- so a byte at file offset ``o`` belongs to domain
-    ``(o - lo) // stride`` and round ``(o - domain_start) // cb``, no
-    searching required.  Walking the segments once and cutting them at
-    domain and round boundaries yields, for every round, the same
-    ``(offset, length, data_position)`` pieces per aggregator that probing
-    ``idx.window`` over every window would -- in the same order, since
-    segments are sorted.
+    ``cb``-byte rounds -- so the window holding file offset ``o`` is domain
+    ``d = (o - lo) // stride``, round ``r = (o - lo) % stride // cb``, and
+    it ends at ``lo + d * stride + min((r + 1) * cb, stride)``, no searching
+    required.  One walk over the sorted segments does that arithmetic once
+    per window entered and cuts a segment only where a window ends, giving
+    every window the ``(offset, length, data_position)`` pieces, in order,
+    that probing it against the segments would: O(segments + windows).
     """
-    plan: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
-    if idx.total == 0:
-        return {}
-    offs, lens, pos = idx.offs, idx.lens, idx.pos
-    for i in range(len(offs)):
-        a = offs[i]
-        end = a + lens[i]
-        p = pos[i]
+    plan: dict[int, list[tuple[int, list[tuple[int, int, int]]]]] = {}
+    window_end = lo  # no window entered yet (every segment starts at >= lo)
+    pos = 0  # data position of the next byte
+    for a, n in segments:
+        end = a + n
         while a < end:
-            di = (a - lo) // stride
-            dstart = lo + di * stride
-            r = (a - dstart) // cb
-            cut = min(dstart + (r + 1) * cb, dstart + stride, end)
-            plan.setdefault(r, {}).setdefault(di, []).append((a, cut - a, p))
-            p += cut - a
+            if a >= window_end:
+                d, within = divmod(a - lo, stride)
+                r = within // cb
+                window_end = lo + d * stride + min((r + 1) * cb, stride)
+                pieces: list[tuple[int, int, int]] = []
+                plan.setdefault(r, []).append((aggs[d], pieces))
+            cut = min(window_end, end)
+            pieces.append((a, cut - a, pos))
+            pos += cut - a
             a = cut
-    return {
-        r: [(aggs[di], pieces) for di, pieces in sorted(by_dom.items())]
-        for r, by_dom in plan.items()
-    }
+    return plan
 
 
 def collective_write(
@@ -205,9 +166,9 @@ def collective_write(
     Collective over ``comm``: every rank must call, possibly with no data.
     """
     buf = as_byte_view(data)
-    idx, aggs, my_domain, rounds, plan = _exchange_plan(comm, segments, hints)
-    if len(buf) != idx.total:
-        raise ValueError(f"data has {len(buf)} bytes, segments need {idx.total}")
+    total, aggs, my_domain, rounds, plan = _exchange_plan(comm, segments, hints)
+    if len(buf) != total:
+        raise ValueError(f"data has {len(buf)} bytes, segments need {total}")
     if aggs is None:
         coll.barrier(comm)
         return
@@ -269,8 +230,8 @@ def collective_read(
 
     Collective over ``comm``; ranks with no segments still participate.
     """
-    idx, aggs, my_domain, rounds, plan = _exchange_plan(comm, segments, hints)
-    out = bytearray(idx.total)
+    total, aggs, my_domain, rounds, plan = _exchange_plan(comm, segments, hints)
+    out = bytearray(total)
     if aggs is None:
         coll.barrier(comm)
         return bytes(out)

@@ -1,12 +1,17 @@
 """HDF5 library tests: dataspaces, hyperslabs, parallel dataset I/O."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hdf5 import Dataspace, H5File, Hyperslab
+from repro.hdf5.file import H5Dataset
+from repro.hdf5.format import ObjectHeader
 from repro.mpi import run_spmd
+from repro.mpi.datatypes import merge_segments
 
 from .conftest import make_machine
 
@@ -113,6 +118,115 @@ def test_property_hyperslab_runs_match_numpy(shape, data):
     expect = set(np.flatnonzero(mask.ravel()).tolist())
     assert got == expect
     assert len(starts) * run_len == sel.npoints
+
+
+def _ref_indices(self, dim):
+    """``Hyperslab._indices`` before the closed form, verbatim."""
+    st, c, sr, b = (
+        self.start[dim],
+        self.count[dim],
+        self.stride[dim],
+        self.block[dim],
+    )
+    base = st + np.arange(c, dtype=np.int64) * sr
+    return (base[:, None] + np.arange(b, dtype=np.int64)[None, :]).ravel()
+
+
+def _ref_file_runs(self, space):
+    """``Hyperslab.file_runs`` before the closed form, verbatim."""
+    self.validate_within(space)
+    if self.npoints == 0:
+        return np.empty(0, dtype=np.int64), 0
+    shape = space.shape
+    strides = np.empty(len(shape), dtype=np.int64)
+    strides[-1] = 1
+    for i in range(len(shape) - 2, -1, -1):
+        strides[i] = strides[i + 1] * shape[i + 1]
+    # Along the last axis, each block of ``block[-1]`` elements is a run;
+    # if stride[-1] == block[-1] the whole axis selection is dense and
+    # count[-1] blocks merge into one run.
+    last_dense = self.stride[-1] == self.block[-1] or self.count[-1] == 1
+    if last_dense:
+        run_len = self.count[-1] * self.block[-1] if self.stride[-1] == self.block[-1] else self.block[-1]
+        last_starts = np.array([self.start[-1]], dtype=np.int64)
+        if self.count[-1] > 1 and self.stride[-1] != self.block[-1]:
+            last_starts = (
+                self.start[-1]
+                + np.arange(self.count[-1], dtype=np.int64) * self.stride[-1]
+            )
+    else:
+        run_len = self.block[-1]
+        last_starts = (
+            self.start[-1]
+            + np.arange(self.count[-1], dtype=np.int64) * self.stride[-1]
+        )
+    outer = [_ref_indices(self, d) for d in range(self.rank - 1)]
+    if outer:
+        grids = np.meshgrid(*outer, indexing="ij")
+        base = np.zeros(grids[0].shape, dtype=np.int64)
+        for g, sk in zip(grids, strides[:-1]):
+            base += g * sk
+        base = base.ravel()
+    else:
+        base = np.zeros(1, dtype=np.int64)
+    starts = (base[:, None] + last_starts[None, :]).ravel()
+    starts.sort()
+    return starts, int(run_len)
+
+
+def _ref_file_segments(sel, space, data_offset, itemsize):
+    """``H5Dataset.file_segments`` before the closed form, verbatim but for
+    the dataset's attributes, passed in."""
+    starts, run_len = _ref_file_runs(sel, space)
+    item = itemsize
+    base = data_offset
+    segs = [(base + int(s) * item, run_len * item) for s in starts]
+    return merge_segments(segs)
+
+
+@st.composite
+def strided_hyperslabs(draw):
+    """A dataspace of rank 1-3 and a hyperslab in it with random start,
+    count, stride and block -- blocks may reach both ends of a row."""
+    shape = tuple(draw(st.integers(1, 9)) for _ in range(draw(st.integers(1, 3))))
+    start, count, stride, block = [], [], [], []
+    for n in shape:
+        b = draw(st.integers(1, n))
+        sr = draw(st.integers(b, max(b, n)))
+        c = draw(st.integers(0, (n - b) // sr + 1))
+        start.append(draw(st.integers(0, n - ((c - 1) * sr + b) if c else 0)))
+        count.append(c)
+        stride.append(sr)
+        block.append(b)
+    return Dataspace(shape), Hyperslab(start, count, stride, block)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    case=strided_hyperslabs(),
+    dtype=st.sampled_from([np.uint8, np.int32, np.float64]),
+    data_offset=st.integers(0, 1 << 20),
+)
+def test_property_hyperslab_closed_form_matches_reference(case, dtype, data_offset):
+    """A dataset's byte runs equal the per-row merge, as Python ints; the
+    packing charge still counts the unmerged rows, and ``file_runs`` still
+    lists them."""
+    space, sel = case
+    charges = []
+    f = SimpleNamespace(comm=SimpleNamespace(compute=charges.append),
+                        costs=SimpleNamespace(pack_per_run=1.0))
+    header = ObjectHeader("d", dtype, space.shape, data_offset, 0)
+    d = H5Dataset(f, header, 0)
+    item = np.dtype(dtype).itemsize
+    got = d._segments(sel)
+    assert got == _ref_file_segments(sel, space, data_offset, item)
+    assert all(type(x) is int for seg in got for x in seg)
+    assert d.file_segments(sel) is got  # the manifest reuses the write's runs
+    ref_starts, ref_len = _ref_file_runs(sel, space)
+    assert charges == [len(ref_starts) * 1.0]
+    starts, run_len = sel.file_runs(space)
+    assert starts == ref_starts.tolist()
+    assert run_len == ref_len or not starts
 
 
 class TestH5File:

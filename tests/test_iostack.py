@@ -199,3 +199,44 @@ class TestManifestEntryNames:
         )
         assert manifest_names("mpi-io-scda", 2) == expect
         assert manifest_names("mpi-io-scda", 3) == expect
+
+
+class TestAddressArithmeticOnce:
+    """A write and the manifest entry recording it share one flattening."""
+
+    def test_a_raw_block_write_maps_its_view_once(self, monkeypatch):
+        from repro.iostack import formats
+        from repro.mpiio import fileview
+
+        maps, strided_writes = [], []
+        real_map = fileview.map_stream
+        monkeypatch.setattr(
+            fileview, "map_stream", lambda *a: maps.append(1) or real_map(*a)
+        )
+        real_begin = formats._RawSession.begin_block_write
+
+        def begin(self, *args):
+            op = real_begin(self, *args)
+            if not self.fh.view.is_contiguous:
+                strided_writes.append(1)
+            return op
+
+        monkeypatch.setattr(formats._RawSession, "begin_block_write", begin)
+        dump(make_machine(4), edge_case_hierarchy(), registry.create("mpi-io"))
+        assert strided_writes and len(maps) == len(strided_writes)
+
+    def test_an_hdf5_dataset_write_flattens_its_selection_once(self, monkeypatch):
+        from repro.hdf5 import file as h5file
+
+        flattens, writes = [], []
+        real_flat = h5file._flat_runs
+        monkeypatch.setattr(
+            h5file, "_flat_runs", lambda *a: flattens.append(1) or real_flat(*a)
+        )
+        real_write = h5file.H5Dataset.write
+        monkeypatch.setattr(
+            h5file.H5Dataset, "write",
+            lambda self, *a, **k: writes.append(1) or real_write(self, *a, **k),
+        )
+        dump(make_machine(4), edge_case_hierarchy(), registry.create("hdf5"))
+        assert writes and len(flattens) == len(writes)

@@ -6,9 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi import run_spmd
-from repro.mpi.datatypes import BYTE, FLOAT64, INT32, Contiguous, Subarray, Vector
-from repro.mpiio import File, FileView
+from repro.mpi import payload_nbytes, run_spmd
+from repro.mpi.datatypes import (
+    BYTE,
+    FLOAT64,
+    INT32,
+    Contiguous,
+    Indexed,
+    Subarray,
+    Vector,
+)
+from repro.mpiio import File, FileView, map_stream
+from repro.mpiio.two_phase import _piece_plan
 
 from .conftest import make_machine
 
@@ -126,6 +135,94 @@ def test_property_contiguous_view_is_identity_plus_disp(nbytes, offset, disp):
         assert got == []
     else:
         assert got == [(disp + offset, nbytes)]
+
+
+def _ref_map_stream(
+    ft_segments, ft_size, ft_extent, disp, stream_offset, nbytes
+):
+    """``map_stream`` before vectorisation, verbatim: a Python tile walk."""
+    if stream_offset < 0 or nbytes < 0:
+        raise ValueError("negative stream range")
+    if nbytes == 0:
+        return []
+    if ft_size == 0:
+        raise ValueError("cannot map through a zero-size filetype")
+    out = []
+    lo, hi = stream_offset, stream_offset + nbytes
+    tile = lo // ft_size
+    while tile * ft_size < hi:
+        tile_base_stream = tile * ft_size
+        tile_base_file = disp + tile * ft_extent
+        pos = tile_base_stream  # stream position walking this tile's segments
+        for seg_disp, seg_len in ft_segments:
+            seg_lo, seg_hi = pos, pos + seg_len
+            a, b = max(seg_lo, lo), min(seg_hi, hi)
+            if a < b:
+                file_off = tile_base_file + seg_disp + (a - seg_lo)
+                if out and out[-1][0] + out[-1][1] == file_off:
+                    out[-1] = (out[-1][0], out[-1][1] + (b - a))
+                else:
+                    out.append((file_off, b - a))
+            pos = seg_hi
+            if pos >= hi:
+                break
+        tile += 1
+    return out
+
+
+@st.composite
+def filetypes(draw):
+    kind = draw(st.sampled_from(["vector", "subarray", "indexed"]))
+    if kind == "vector":
+        b = draw(st.integers(1, 4))
+        return Vector(draw(st.integers(1, 5)), b, b + draw(st.integers(0, 4)), INT32)
+    if kind == "indexed":  # displacements may repeat: a self-overlapping type
+        blocks = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 12)),
+                               min_size=1, max_size=4))
+        return Indexed([b for b, _ in blocks], [d for _, d in blocks], INT32)
+    shape = tuple(draw(st.integers(1, 6)) for _ in range(draw(st.integers(1, 3))))
+    sub = [draw(st.integers(1, n)) for n in shape]
+    start = [draw(st.integers(0, n - k)) for n, k in zip(shape, sub)]
+    return Subarray(shape, sub, start, INT32)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ft=filetypes(),
+    disp=st.integers(0, 1 << 16),
+    offset=st.integers(0, 60),
+    nbytes=st.integers(0, 160),
+)
+def test_property_view_mapping_matches_tile_walk(ft, disp, offset, nbytes):
+    """The vectorised mapping equals the tile walk over any stream range
+    (whole tiles, partial tiles, many tiles), as Python ints."""
+    args = (ft.size, ft.extent, disp, offset * 4, nbytes * 4)
+    ref = _ref_map_stream(ft.segments(), *args)
+    v = FileView(disp=disp, etype=INT32, filetype=ft)
+    got = v.map_stream(offset * 4, nbytes * 4)
+    assert got == ref
+    assert map_stream(ft.segments(), *args) == ref
+    assert all(type(x) is int for seg in got for x in seg)
+    assert v.map_stream(offset * 4, nbytes * 4) is got  # mapped once
+
+
+@pytest.mark.parametrize(
+    "shape, sub, start",
+    [((100,), (10,), (90,)), ((4, 6), (1, 3), (2, 1)), ((4, 4, 4), (1, 1, 4), (1, 2, 0))],
+)
+def test_single_row_view_puts_python_ints_on_the_wire(shape, sub, start):
+    """A single-row subarray view maps to Python-int offsets, so the
+    two-phase read request built from it pickles at the size of its int
+    version (a numpy offset costs 100 more bytes per piece)."""
+    ft = Subarray(shape, sub, start, FLOAT64)
+    segs = FileView(disp=24, etype=FLOAT64, filetype=ft).map_stream(0, ft.size)
+    assert all(type(x) is int for seg in segs for x in seg)
+    lo, hi = segs[0][0], segs[-1][0] + segs[-1][1]
+    plan = _piece_plan(segs, lo, hi - lo, [0], 1 << 20)
+    request = [(off, ln) for off, ln, _ in plan[0][0][1]]
+    as_int = [(int(off), int(ln)) for off, ln in request]
+    assert payload_nbytes(request) == payload_nbytes(as_int)
+    assert payload_nbytes((lo, hi)) == payload_nbytes((int(lo), int(hi)))
 
 
 class TestViewNonContiguousPointerIO:

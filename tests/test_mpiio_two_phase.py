@@ -1,5 +1,7 @@
 """Two-phase collective I/O tests."""
 
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 from repro.mpi import run_spmd
 from repro.mpi.datatypes import FLOAT64, Subarray
 from repro.mpiio import File, Hints
-from repro.mpiio.two_phase import file_domains
+from repro.mpiio.two_phase import _piece_plan, file_domains
 from repro.pfs import FileSystem
 
 from .conftest import make_machine
@@ -269,6 +271,74 @@ def test_property_collective_write_equals_concatenation(sizes, cb):
     assert got == (expect.tobytes() if sum(sizes) else b"")
 
 
+class _ref_SegmentIndex:
+    """``two_phase._SegmentIndex`` before the plan absorbed it, verbatim."""
+
+    def __init__(self, segments: list[tuple[int, int]]):
+        self.offs = [s[0] for s in segments]
+        self.lens = [s[1] for s in segments]
+        self.pos = [0] * (len(segments) + 1)  # cumulative data position
+        for i, n in enumerate(self.lens):
+            self.pos[i + 1] = self.pos[i] + n
+        self.ends = [o + n for o, n in segments]
+
+    @property
+    def total(self) -> int:
+        return self.pos[-1]
+
+    def window(self, wlo: int, whi: int) -> list[tuple[int, int, int]]:
+        """Pieces of my segments inside ``[wlo, whi)``.
+
+        Returns ``(file_offset, length, data_position)`` triples in order.
+        """
+        out = []
+        # First segment that could overlap: the one before the first with
+        # offset >= wlo.
+        i = bisect.bisect_left(self.offs, wlo)
+        if i > 0 and self.ends[i - 1] > wlo:
+            i -= 1
+        while i < len(self.offs) and self.offs[i] < whi:
+            a = max(self.offs[i], wlo)
+            b = min(self.ends[i], whi)
+            if a < b:
+                out.append((a, b - a, self.pos[i] + (a - self.offs[i])))
+            i += 1
+        return out
+
+
+def _ref_piece_plan(
+    idx: _ref_SegmentIndex, lo: int, stride: int, aggs: list[int], cb: int
+) -> dict[int, list[tuple[int, list[tuple[int, int, int]]]]]:
+    """``two_phase._piece_plan`` before the window walk, verbatim."""
+    plan: dict[int, dict[int, list[tuple[int, int, int]]]] = {}
+    if idx.total == 0:
+        return {}
+    offs, lens, pos = idx.offs, idx.lens, idx.pos
+    for i in range(len(offs)):
+        a = offs[i]
+        end = a + lens[i]
+        p = pos[i]
+        while a < end:
+            di = (a - lo) // stride
+            dstart = lo + di * stride
+            r = (a - dstart) // cb
+            cut = min(dstart + (r + 1) * cb, dstart + stride, end)
+            plan.setdefault(r, {}).setdefault(di, []).append((a, cut - a, p))
+            p += cut - a
+            a = cut
+    return {
+        r: [(aggs[di], pieces) for di, pieces in sorted(by_dom.items())]
+        for r, by_dom in plan.items()
+    }
+
+
+def _domain_stride(glo, ghi, naggs, align):
+    stride = -(-(ghi - glo) // naggs)
+    if align > 1:
+        stride = -(-stride // align) * align
+    return stride
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     naggs=st.integers(1, 9),
@@ -289,7 +359,6 @@ def test_property_piece_plan_matches_window_probing(naggs, cb, align, glo, gaps)
     segment lists, domain counts, alignments, and buffer sizes -- including
     a global extent wider than this rank's own segments.
     """
-    from repro.mpiio.two_phase import _piece_plan, _SegmentIndex, file_domains
 
     # Random sorted disjoint segments for "my rank", starting at or after
     # the global lower bound (some other rank may own [glo, first)).
@@ -300,15 +369,13 @@ def test_property_piece_plan_matches_window_probing(naggs, cb, align, glo, gaps)
         segments.append((pos, length))
         pos += length
     ghi = pos + 17  # another rank extends the global extent past mine
-    idx = _SegmentIndex(segments)
+    idx = _ref_SegmentIndex(segments)
     aggs = list(range(naggs))
     domains = file_domains(glo, ghi, aggs, align)
-    stride = -(-(ghi - glo) // naggs)
-    if align > 1:
-        stride = -(-stride // align) * align
+    stride = _domain_stride(glo, ghi, naggs, align)
     max_domain = max(e - s for s, e in domains.values())
     rounds = max(1, -(-max_domain // cb))
-    plan = _piece_plan(idx, glo, stride, aggs, cb)
+    plan = _piece_plan(segments, glo, stride, aggs, cb)
 
     reference: dict[int, list[tuple[int, list]]] = {}
     for r in range(rounds):
@@ -327,3 +394,31 @@ def test_property_piece_plan_matches_window_probing(naggs, cb, align, glo, gaps)
         for _, size, _ in pieces
     )
     assert total == sum(length for _, length in segments)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    aggs=st.lists(st.integers(0, 63), min_size=1, max_size=9, unique=True),
+    cb=st.integers(1, 96),
+    align=st.sampled_from([0, 1, 8, 64]),
+    glo=st.integers(0, 1 << 20),
+    runs=st.lists(
+        st.tuples(st.integers(0, 40), st.integers(0, 50)), min_size=0, max_size=12
+    ),
+    tail=st.integers(0, 100),
+)
+def test_property_piece_plan_matches_reference(aggs, cb, align, glo, runs, tail):
+    """The window walk equals the reference plan over the segment index,
+    zero-length segments included, and its payload fields are Python ints."""
+    segments, pos = [], glo
+    for gap, length in runs:
+        pos += gap
+        segments.append((pos, length))
+        pos += length
+    aggs = sorted(aggs)
+    stride = _domain_stride(glo, pos + tail + 1, len(aggs), align)
+    plan = _piece_plan(segments, glo, stride, aggs, cb)
+    assert plan == _ref_piece_plan(_ref_SegmentIndex(segments), glo, stride, aggs, cb)
+    for per_round in plan.values():
+        for _, pieces in per_round:
+            assert all(type(x) is int for piece in pieces for x in piece)

@@ -319,6 +319,26 @@ class TestRegressCLI:
                    "--quiet"])
         assert rc == 0
 
+    def test_update_baseline_subset_reevaluates_trends_on_kept_cells(
+        self, tmp_path, capsys
+    ):
+        """A trend reading one regenerated and one kept cell is re-evaluated
+        on the merged cells, and trends keep the gate's order."""
+        path = tmp_path / "b.json"
+        assert main(["regress", "--cell", "fig5", "--update-baseline",
+                     "--baseline", str(path), "--quiet"]) == 0
+        payload = json.loads(path.read_text())
+        payload["cells"]["fig5:independent:8"]["fs_write_requests"] = 999
+        path.write_text(json.dumps(payload))
+        assert main(["regress", "--cell", "fig5:two-phase:8",
+                     "--update-baseline", "--baseline", str(path),
+                     "--quiet"]) == 0
+        merged = load_baseline(str(path))
+        trends = {t["id"]: t for t in merged["trends"]}
+        assert trends["fig5-collective-fewer-requests"]["rhs"] == 999.0
+        order = [t.id for t in GATE.trends if t.id in trends]
+        assert [t["id"] for t in merged["trends"]] == order
+
 
 # -- real-cell gate behaviour -------------------------------------------------
 
