@@ -32,19 +32,15 @@ _NS_KEY = "aio.progress"
 class AioConfig:
     """Sizing of the per-rank background flush service.
 
-    ``queue_depth`` bounds outstanding requests (``None`` = unbounded,
-    the VOL-async default: the queue is gated by memory, not count) and
-    ``staging_bytes`` bounds staged data; posting past either limit
-    retires the oldest requests first (backpressure), charging the
-    waiting time to the posting rank like a full staging queue would.
+    ``staging_bytes`` bounds staged data (the queue is gated by memory,
+    not by request count, as in VOL-async); posting past it retires the
+    oldest requests first (backpressure), charging the waiting time to
+    the posting rank like a full staging queue would.
     """
 
-    queue_depth: int | None = None
     staging_bytes: int = 64 * 1024 * 1024
 
     def __post_init__(self):
-        if self.queue_depth is not None and self.queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         if self.staging_bytes < 1:
             raise ValueError("staging_bytes must be >= 1")
 
@@ -103,11 +99,8 @@ class ProgressEngine:
 
     def reserve(self, nbytes: int, proc) -> None:
         """Backpressure: retire oldest requests until ``nbytes`` fits."""
-        cfg = self.config
-        while self.pending and (
-            (cfg.queue_depth is not None and len(self.pending) >= cfg.queue_depth)
-            or self.staged_bytes + nbytes > cfg.staging_bytes
-        ):
+        limit = self.config.staging_bytes
+        while self.pending and self.staged_bytes + nbytes > limit:
             self.retire_oldest(proc)
 
     def retire_oldest(self, proc) -> None:

@@ -33,9 +33,9 @@ class IOEvent:
     end: float
     node: int
     #: metadata sub-operation ("open" | "create" | "delete") for op="meta",
-    #: recovery kind ("retry" | "recovered" | "degraded" | "giveup" |
-    #: "slow-op") for op="recovery"; empty for data requests; optional so
-    #: pre-existing traces still load.
+    #: recovery kind ("retry" | "recovered" | "degraded" | "giveup") for
+    #: op="recovery"; empty for data requests; optional so pre-existing
+    #: traces still load.
     kind: str = ""
     #: retry attempt number for op="recovery" events (0 otherwise).
     attempt: int = 0
@@ -78,7 +78,7 @@ class IOTrace:
         return [e for e in self.events if e.op == op]
 
     def recoveries(self, kind: str | None = None) -> list:
-        """Recovery events (retry/recovered/degraded/giveup/slow-op)."""
+        """Recovery events (retry/recovered/degraded/giveup)."""
         events = self.ops("recovery")
         if kind is None:
             return events

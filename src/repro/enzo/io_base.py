@@ -179,16 +179,15 @@ class IOStrategy(ABC):
     ) -> bool:
         """Run a collective write, degrading to independent I/O on failure.
 
-        Only active when ``self.retry`` enables ``degrade_collective``;
-        otherwise the collective runs bare (no extra synchronisation) and
+        Only active when the strategy has a retry policy; otherwise the
+        collective runs bare (no extra synchronisation) and
         failures propagate.  When any participant's collective attempt
         fails (after its ADIO-level retries), all ranks agree via allreduce
         and re-issue their share independently -- the same bytes land at
         the same offsets, so the result is identical, just slower.
         Returns True when the degraded path ran.
         """
-        degrade = self.retry is not None and self.retry.degrade_collective
-        if not degrade:
+        if self.retry is None:
             write_collective()
             return False
         failed = 0

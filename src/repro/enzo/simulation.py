@@ -34,6 +34,9 @@ from .state import RankState
 
 __all__ = ["EnzoConfig", "EnzoSimulation"]
 
+#: Solver time step per cycle (simulation units).
+_DT = 0.1
+
 
 @dataclass
 class EnzoConfig:
@@ -55,8 +58,6 @@ class EnzoConfig:
     pre_refine: int = 1
     max_level: int = 2
     refine_threshold: float = 1.8
-    dt: float = 0.1
-    owner_policy: str = "lpt"
     #: double-buffered write-behind: post dump *k* asynchronously and let
     #: cycle *k+1* compute while it drains (needs an async-capable
     #: strategy, e.g. the ``mpi-io-async`` composition; synchronous
@@ -176,9 +177,7 @@ class EnzoSimulation:
         cfg = self.config
         if self.hierarchy is None:
             raise ValueError("assign a hierarchy before run() (replicated state)")
-        state = RankState.from_hierarchy(
-            self.hierarchy, comm.rank, comm.size, policy=cfg.owner_policy
-        )
+        state = RankState.from_hierarchy(self.hierarchy, comm.rank, comm.size)
         dumps = []
         plot_dumps = []
         redshift_dumps = []
@@ -195,7 +194,7 @@ class EnzoSimulation:
             # Mesh adaptation + rebalancing: structure may change, so the
             # per-rank views are rebuilt from the (replicated) hierarchy.
             state = RankState.from_hierarchy(
-                self.hierarchy, comm.rank, comm.size, policy=cfg.owner_policy
+                self.hierarchy, comm.rank, comm.size
             )
             if cfg.dump_every > 0 and cycle % cfg.dump_every == 0:
                 path = f"{base}.cycle{cycle:04d}"
@@ -276,7 +275,7 @@ class EnzoSimulation:
         cfg = self.config
         coll.barrier(comm)
         if comm.rank == 0:
-            evolve_hierarchy(self.hierarchy, cfg.dt)
+            evolve_hierarchy(self.hierarchy, _DT)
             refine_hierarchy(
                 self.hierarchy,
                 overdensity_threshold=cfg.refine_threshold,

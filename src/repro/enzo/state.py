@@ -99,14 +99,15 @@ class RankState:
         nprocs: int,
         *,
         owner: dict[int, int] | None = None,
-        policy: str = "lpt",
     ) -> "RankState":
-        """Derive rank ``rank``'s state from a full hierarchy."""
+        """Derive rank ``rank``'s state from a full hierarchy; subgrids go
+        to their owners in ``owner``, by default the load-balanced (LPT)
+        assignment the paper uses during evolution."""
         meta = HierarchyMeta.from_hierarchy(hierarchy)
         partition = BlockPartition(hierarchy.root.dims, nprocs)
         top_piece = partition.extract(hierarchy.root, rank)
         if owner is None:
-            owner = make_owner_map(hierarchy, nprocs, policy)
+            owner = make_owner_map(hierarchy, nprocs)
         subgrids = {
             gid: hierarchy[gid] for gid, r in owner.items() if r == rank
         }

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Optional
 
+from ..pfs.localfs import LocalDiskFS
 from .formats import HDF4SDFormat, HDF5Format, RawSharedFormat
 from .layouts import FilePerGridLayoutPlanner, SharedFileLayoutPlanner
 from .scda import ScdaFormat
@@ -67,8 +68,8 @@ FORMATS = {
 class StrategyComposition:
     """A named, declarative composition of the three layers.
 
-    ``options`` parameterise the layers (``read_mode`` for the funnel
-    transport; ``meta_aggregation`` and ``alignment`` for the HDF5 format).
+    ``options`` parameterise the layers (``meta_aggregation`` and
+    ``alignment`` for the HDF5 format).
     ``upgrades_to`` feeds the AutoTuner's strategy-upgrade recommendation;
     ``variant_of`` marks this composition as a tuning variant of another
     strategy so the tuner explores it after trying the original.
@@ -85,7 +86,8 @@ class StrategyComposition:
     #: named file-system requirement, or None when any layout works.
     #: ``"coherent-shared-file"``: every rank's writes must land in one
     #: coherent file image (scda's serial-equivalence promise), which
-    #: scatter-mode node-local file systems cannot provide.
+    #: node-local file systems (each node keeps its own pieces) cannot
+    #: provide.
     fs_constraint: Optional[str] = None
 
     @property
@@ -176,7 +178,7 @@ def check_filesystem(name: str, fs) -> None:
     if comp.fs_constraint is None or fs is None:
         return
     if comp.fs_constraint == "coherent-shared-file":
-        if getattr(fs, "scatter_mode", False):
+        if isinstance(fs, LocalDiskFS):
             raise ValueError(
                 f"strategy {name!r} requires a coherent shared file "
                 f"(constraint: coherent-shared-file), but file system "
@@ -191,14 +193,13 @@ def check_filesystem(name: str, fs) -> None:
     )
 
 
-def create(name: str, *, hints=None, retry=None, read_mode: str | None = None):
+def create(name: str, *, hints=None, retry=None):
     """Instantiate a registered composition as a runnable strategy.
 
     ``hints`` apply when the format takes MPI-IO hints (they are ignored
     by ``hdf4``, matching the original driver's signature); a composition
     whose options carry a ``"hints"`` mapping (e.g. the stripe-tuned
-    ``mpi-io-lustre``) overlays those pinned knobs on top; ``read_mode``
-    overrides the funnel transport's restart-read path.
+    ``mpi-io-lustre``) overlays those pinned knobs on top.
     """
     from ..aio.core import AioConfig
     from ..enzo.io_base import ComposedStrategy
@@ -212,12 +213,7 @@ def create(name: str, *, hints=None, retry=None, read_mode: str | None = None):
     if hint_overrides and comp.takes_hints:
         hints = (hints or Hints()).replace(**hint_overrides)
     layout = LAYOUTS[comp.layout]()
-    if comp.transport == "funnel":
-        transport = FunnelTransport(
-            read_mode=read_mode or opts.get("read_mode", "master")
-        )
-    else:
-        transport = TRANSPORTS[comp.transport]()
+    transport = TRANSPORTS[comp.transport]()
     if comp.format == "hdf4-sd":
         fmt = HDF4SDFormat()
     elif comp.format == "raw":

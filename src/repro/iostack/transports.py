@@ -101,18 +101,12 @@ def _read_particles(ctx, session, key, lo=0, hi=None, want=True):
 class FunnelTransport:
     """Everything through processor 0; per-grid files to their owners.
 
-    ``read_mode`` selects the original code's two restart-read paths:
-    ``"master"`` (P0 reads every subgrid and sends it to its owner) or
-    ``"round_robin"`` (every processor reads its own files).
+    The restart read is the original code's new-simulation path: P0 reads
+    every subgrid file and sends each to its round-robin owner.
     """
 
     name = "funnel"
     requires = "file-per-grid"
-
-    def __init__(self, read_mode: str = "master"):
-        if read_mode not in ("master", "round_robin"):
-            raise ValueError(f"unknown read_mode {read_mode!r}")
-        self.read_mode = read_mode
 
     def write(self, ctx, session, layout, state) -> None:
         comm = ctx.comm
@@ -157,40 +151,26 @@ class FunnelTransport:
                 pieces = None
             top_piece = coll.scatter(comm, pieces, root=0)
 
-        # Phase 3: subgrids.
+        # Phase 3: subgrids -- P0 reads every subgrid file sequentially and
+        # sends each to its assigned processor.
         with ctx.timed("subgrids"):
             owner = make_owner_map(meta, comm.size, policy="round_robin")
             subgrids: dict[int, Grid] = {}
-            if self.read_mode == "master":
-                # New-simulation path: P0 reads every subgrid file
-                # sequentially and sends each to its assigned processor.
-                for gid in meta.subgrid_ids():
-                    shell = None
-                    if comm.rank == 0:
-                        shell = meta[gid].shell()
-                        session.read_grid(
-                            layout.subgrid_path(ctx.base, gid), shell
-                        )
-                        ctx.stats.bytes_moved += shell.data_nbytes
-                    dest = owner[gid]
-                    if dest == 0:
-                        if comm.rank == 0:
-                            subgrids[gid] = shell
-                    elif comm.rank == 0:
-                        comm.send(shell, dest, tag=17)
-                    elif comm.rank == dest:
-                        subgrids[gid] = comm.recv(0, tag=17)
-                coll.barrier(comm)
-            else:
-                # Restart path: every processor reads its files round-robin.
-                for gid in meta.subgrid_ids():
-                    if owner[gid] != comm.rank:
-                        continue
+            for gid in meta.subgrid_ids():
+                shell = None
+                if comm.rank == 0:
                     shell = meta[gid].shell()
                     session.read_grid(layout.subgrid_path(ctx.base, gid), shell)
                     ctx.stats.bytes_moved += shell.data_nbytes
-                    subgrids[gid] = shell
-                coll.barrier(comm)
+                dest = owner[gid]
+                if dest == 0:
+                    if comm.rank == 0:
+                        subgrids[gid] = shell
+                elif comm.rank == 0:
+                    comm.send(shell, dest, tag=17)
+                elif comm.rank == dest:
+                    subgrids[gid] = comm.recv(0, tag=17)
+            coll.barrier(comm)
 
         return RankState(
             rank=comm.rank,

@@ -113,37 +113,35 @@ class ADIOFile:
 
     # -- retry engine -----------------------------------------------------
 
-    def _issue(self, issue, nbytes: int, *, sched: bool = True):
-        """Run ``issue(ready_time) -> (result, done)`` with bounded retries.
+    def _attempt(self, issue, nbytes: int, t: float):
+        """Run ``issue(ready_time) -> (result, done)`` from simulated time
+        ``t`` with bounded retries; returns ``(result, done, error)``.
 
         Retries only the file-system failure mode (``InjectedIOError``);
-        programming errors propagate immediately.  Each retry advances the
-        rank's clock by the policy's backoff, so recovery costs simulated
-        time like everything else.  ``sched=False`` skips the schedule
-        point (the caller already crossed one for a batch of requests).
+        programming errors propagate immediately.  Each retry moves ``t``
+        on by the policy's backoff, so recovery costs simulated time like
+        everything else.  A give-up returns the exhausting error with
+        ``done`` at the time of the give-up; the caller raises it (blocking
+        path) or records it on the request (post path).
         """
-        proc = self.comm.proc
-        if sched:
-            proc.schedule_point()
         policy = self.retry
         attempt = 0
         while True:
-            issued_at = proc.clock
             try:
-                result, done = issue(issued_at)
-            except InjectedIOError:
+                result, done = issue(t)
+            except InjectedIOError as exc:
                 if policy is None or attempt >= policy.max_retries:
                     if policy is not None and policy.max_retries > 0:
                         self.fs.notify_recovery(
                             self.path, "giveup", node=self._node,
-                            time=proc.clock, attempt=attempt, nbytes=nbytes,
+                            time=t, attempt=attempt, nbytes=nbytes,
                         )
-                    raise
+                    return None, t, exc
                 attempt += 1
-                proc.advance(policy.backoff(attempt))
+                t += policy.backoff(attempt)
                 self.fs.notify_recovery(
                     self.path, "retry", node=self._node,
-                    time=proc.clock, attempt=attempt, nbytes=nbytes,
+                    time=t, attempt=attempt, nbytes=nbytes,
                 )
                 continue
             if attempt > 0:
@@ -151,17 +149,21 @@ class ADIOFile:
                     self.path, "recovered", node=self._node,
                     time=done, attempt=attempt, nbytes=nbytes,
                 )
-            if (
-                policy is not None
-                and policy.op_timeout > 0
-                and done - issued_at > policy.op_timeout
-            ):
-                self.fs.notify_recovery(
-                    self.path, "slow-op", node=self._node,
-                    time=done, attempt=attempt, nbytes=nbytes,
-                )
-            proc.advance_to(done)
-            return result
+            return result, done, None
+
+    def _issue(self, issue, nbytes: int, *, sched: bool = True):
+        """Blocking :meth:`_attempt` on the rank's clock: the rank waits out
+        every backoff and the completion, and a give-up raises.
+        ``sched=False`` skips the schedule point (the caller already
+        crossed one for a batch of requests)."""
+        proc = self.comm.proc
+        if sched:
+            proc.schedule_point()
+        result, done, error = self._attempt(issue, nbytes, proc.clock)
+        proc.advance_to(done)
+        if error is not None:
+            raise error
+        return result
 
     # -- nonblocking post path (repro.aio) --------------------------------
 
@@ -181,36 +183,14 @@ class ADIOFile:
         eng = progress_engine(proc, self.aio)
         eng.reserve(nbytes, proc)
         proc.advance(self.comm.machine.memcpy_time(nbytes))
-        issue_at = max(proc.clock, eng.clock)
-        policy = self.retry
-        attempt = 0
-        error: BaseException | None = None
-        while True:
-            try:
-                with self.fs.background_flush():
-                    _result, done = issue(issue_at)
-            except InjectedIOError as exc:
-                if policy is None or attempt >= policy.max_retries:
-                    if policy is not None and policy.max_retries > 0:
-                        self.fs.notify_recovery(
-                            self.path, "giveup", node=self._node,
-                            time=issue_at, attempt=attempt, nbytes=nbytes,
-                        )
-                    error, done = exc, issue_at
-                    break
-                attempt += 1
-                issue_at += policy.backoff(attempt)
-                self.fs.notify_recovery(
-                    self.path, "retry", node=self._node,
-                    time=issue_at, attempt=attempt, nbytes=nbytes,
-                )
-                continue
-            if attempt > 0:
-                self.fs.notify_recovery(
-                    self.path, "recovered", node=self._node,
-                    time=done, attempt=attempt, nbytes=nbytes,
-                )
-            break
+
+        def flush(ready_time):
+            with self.fs.background_flush():
+                return issue(ready_time)
+
+        _result, done, error = self._attempt(
+            flush, nbytes, max(proc.clock, eng.clock)
+        )
         req = eng.post(AioRequest(
             path=self.path, nbytes=nbytes, done_time=done, error=error
         ))

@@ -6,10 +6,11 @@ compute-node/I-O-node network entirely.  "The only overhead of MPI-IO is the
 user-level inter-communication among compute nodes", and the distributed
 output files need post-hoc integration.
 
-:class:`LocalDiskFS` models that: one disk per node, no network on the data
-path, a shared flat namespace (so the simulation can verify the data), and a
-bookkeeping map of which node's disk holds each file so the harness can
-report the integration burden the paper notes.
+:class:`LocalDiskFS` models that: one disk per node, every access served by
+the accessing node's own disk, no network on the data path, a shared flat
+namespace (so the simulation can verify the data), and a bookkeeping map of
+which nodes' disks hold pieces of each file so the harness can report the
+integration burden the paper notes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ __all__ = ["LocalDiskFS"]
 
 
 class LocalDiskFS(FileSystem):
-    """One private disk per compute node; files live where first written."""
+    """One private disk per compute node; every node keeps its own pieces."""
 
     def __init__(
         self,
@@ -34,32 +35,23 @@ class LocalDiskFS(FileSystem):
         request_cpu_time: float = 0.0,
         metadata_time: float = 0.0,
         cache_bytes_per_node: int = 0,
-        scatter_mode: bool = False,
         store: BlockStore | None = None,
-        node_of_client=None,
     ):
-        """``scatter_mode=True`` reproduces the paper's PVFS-interface-over-
-        local-disks setup: every access is served by the *accessor's own*
-        disk (each node keeps its pieces locally; no shared placement, and
-        the distributed pieces would need post-hoc integration).
-        """
         super().__init__(name=name, store=store)
         if nnodes < 1:
             raise ValueError("need at least one node")
-        self.scatter_mode = scatter_mode
         self.nnodes = nnodes
         self.disk_bandwidth = disk_bandwidth
         self.seek_time = seek_time
         self.request_cpu_time = request_cpu_time
         self.metadata_time = metadata_time
-        self.node_of_client = node_of_client or (lambda c: c)
         self.disks = [Timeline(name=f"{name}.disk[{i}]") for i in range(nnodes)]
         self.caches = [
             LRUCache(capacity_bytes=cache_bytes_per_node) for _ in range(nnodes)
         ]
         self._heads: list[tuple[str, int] | None] = [None] * nnodes
-        # path -> node of the disk physically holding the file
-        self.placement: dict[str, int] = {}
+        # path -> nodes whose disks hold a piece of it (created or written)
+        self._holders: dict[str, set[int]] = {}
 
     def _disk_time(self, node: int, path: str, offset: int, nbytes: int) -> float:
         seek = 0.0
@@ -68,15 +60,15 @@ class LocalDiskFS(FileSystem):
         self._heads[node] = (path, offset + nbytes)
         return seek + nbytes / self.disk_bandwidth
 
-    def _place(self, path: str, node: int) -> int:
-        if self.scatter_mode:
-            self.placement.setdefault(path, node)  # recorded for reporting
-            return node
-        return self.placement.setdefault(path, node)
+    def _hold(self, path: str, node: int) -> int:
+        """The accessing node's disk serves it; record it as a holder."""
+        home = node % self.nnodes
+        self._holders.setdefault(path, set()).add(home)
+        return home
 
     def _service_meta(self, op: str, path: str, node: int, ready_time: float) -> float:
-        if op in ("create", "open"):
-            self._place(path, self.node_of_client(node) % self.nnodes)
+        if op == "create":
+            self._hold(path, node)
         return ready_time + self.metadata_time
 
     def _service_write(
@@ -84,7 +76,7 @@ class LocalDiskFS(FileSystem):
     ) -> float:
         if nbytes == 0:
             return ready_time
-        home = self._place(path, self.node_of_client(node) % self.nnodes)
+        home = self._hold(path, node)
         t = ready_time + self.request_cpu_time
         dur = self._disk_time(home, path, offset, nbytes)
         _, done = self.disks[home].serve(t, dur)
@@ -96,7 +88,7 @@ class LocalDiskFS(FileSystem):
     ) -> float:
         if nbytes == 0:
             return ready_time
-        home = self._place(path, self.node_of_client(node) % self.nnodes)
+        home = node % self.nnodes
         t = ready_time + self.request_cpu_time
         missing = self.caches[home].lookup(path, offset, nbytes)
         if missing > 0:
@@ -112,10 +104,12 @@ class LocalDiskFS(FileSystem):
         self._heads = [None] * self.nnodes
 
     def files_needing_integration(self) -> dict[int, list[str]]:
-        """Which files sit on which node's private disk (paper's caveat)."""
+        """Which files have pieces on which node's private disk (paper's
+        caveat): a shared file written by several nodes is listed under each."""
         by_node: dict[int, list[str]] = {}
-        for path, node in sorted(self.placement.items()):
-            by_node.setdefault(node, []).append(path)
+        for path in sorted(self._holders):
+            for node in sorted(self._holders[path]):
+                by_node.setdefault(node, []).append(path)
         return by_node
 
     def describe(self) -> str:

@@ -57,7 +57,6 @@ class LustreFS(StripedServerFS):
         client_network: Network | None = None,
         client_channel_bandwidth: float = float("inf"),
         store: BlockStore | None = None,
-        node_of_client=None,
     ):
         super().__init__(
             name,
@@ -72,7 +71,6 @@ class LustreFS(StripedServerFS):
             client_network=client_network,
             client_channel_bandwidth=client_channel_bandwidth,
             store=store,
-            node_of_client=node_of_client,
         )
         self.nosts = nosts
         # Volume-default layout; ``lfs setstripe`` overrides live in

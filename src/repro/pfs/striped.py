@@ -14,10 +14,10 @@ captures the effects the paper measures:
   (the access-pattern/striping *mismatch*) are far slower than streams;
 * **server read cache** -- recently touched blocks skip the disk, producing
   the PVFS read-caching benefit the paper observes;
-* **shared-file write tokens** (GPFS) -- stripes have a writing owner; a
-  write run whose stripes were last written by a different node pays a
-  token-revocation penalty, so single-writer streams are cheap and
-  fine-grained shared writes thrash;
+* **shared-file tokens** (GPFS) -- each file has one token, held by the
+  node that last wrote it; a write (or a read) from a different node pays
+  a token-revocation penalty, so single-writer streams are cheap and
+  interleaved shared-file access thrashes;
 * **SMP I/O queue** (IBM SP) -- every request from a node passes through a
   per-node queue with a fixed service cost, so many ranks of one SMP node
   doing I/O simultaneously serialise;
@@ -138,12 +138,9 @@ class StripedServerFS(FileSystem):
         client_network: Network | None = None,
         client_channel_bandwidth: float = float("inf"),
         write_token_time: float = 0.0,
-        token_granularity: str = "stripe",
-        tokens_on_read: bool = False,
         stripe_aligned_io: bool = False,
         smp_io_queue_time: float = 0.0,
         store: BlockStore | None = None,
-        node_of_client=None,
     ):
         super().__init__(name=name, store=store)
         self.layout = StripeLayout(stripe_size=stripe_size, nservers=nservers)
@@ -159,21 +156,14 @@ class StripedServerFS(FileSystem):
         # servers the file stripes over.
         self.client_channel_bandwidth = client_channel_bandwidth
         self._client_channels: dict[int, Timeline] = {}
-        self.write_token_time = write_token_time
-        if token_granularity not in ("stripe", "file"):
-            raise ValueError(f"unknown token granularity {token_granularity!r}")
-        # "stripe": a token per stripe unit (fine byte-range tokens).
-        # "file": one coarse token per file -- GPFS's initial whole-range
-        # grant; under interleaved multi-node access virtually every request
+        # Above 0, one coarse token per file -- GPFS's initial whole-range
+        # grant: under interleaved multi-node access virtually every request
         # from a different node than the last holder pays a revocation,
         # which is the access/striping mismatch collapse the paper measured.
-        self.token_granularity = token_granularity
-        # Whether reads also need the (exclusive-held) token revoked -- i.e.
-        # reading data another node recently wrote forces a flush.
-        self.tokens_on_read = tokens_on_read
+        self.write_token_time = write_token_time
+        # Per SMP node; requests arrive carrying their node (ADIO passes
+        # ``Machine.node_of`` of the issuing rank).
         self.smp_io_queue_time = smp_io_queue_time
-        # Maps a client id (a rank) to its SMP node; identity when None.
-        self.node_of_client = node_of_client or (lambda c: c)
         self.servers = [
             IOServer(
                 index=i,
@@ -190,11 +180,11 @@ class StripedServerFS(FileSystem):
             )
             for i in range(nservers)
         ]
-        # GPFS-like byte-range write tokens: stripe index -> owning node.
-        # Revocations serialise at the token manager (round-trip + flush of
-        # the previous owner's cached copy), which is what makes
-        # fine-grained shared-file writes collapse.
-        self._stripe_owner: dict[tuple[str, int], int] = {}
+        # GPFS-like file tokens: path -> node holding it (``None`` once a
+        # read flushed it: shared).  Revocations serialise at the token
+        # manager (round-trip + flush of the previous owner's cached copy),
+        # which is what makes interleaved shared-file access collapse.
+        self._token_owner: dict[str, int | None] = {}
         self.token_manager = Timeline(name=f"{name}.token-mgr")
         # Per-SMP-node I/O request queues (created lazily).
         self._node_queues: dict[int, Timeline] = {}
@@ -255,71 +245,34 @@ class StripedServerFS(FileSystem):
                 self._flush_egress[node] = egress
         return egress, net.ingress[node], 1.0 / net.bandwidth
 
-    def _token_keys(
-        self, path: str, chunks: list[Chunk], layout: StripeLayout
-    ) -> list[tuple]:
-        if self.token_granularity == "file":
-            return [(path,)]
-        seen: set[int] = set()
-        keys: list[tuple] = []
-        for c in chunks:
-            stripe = c.file_offset // layout.stripe_size
-            if stripe not in seen:
-                seen.add(stripe)
-                keys.append((path, stripe))
-        return keys
-
-    def _contig_token_keys(self, path: str, offset: int, nbytes: int, layout):
-        """Token keys of one contiguous range, without materializing chunks.
-
-        A contiguous request touches each stripe exactly once and in
-        ascending order, so the keys are just the stripe span -- identical
-        to what :meth:`_token_keys` derives from the chunk walk.
-        """
-        if self.token_granularity == "file":
-            return ((path,),)
-        first, last = layout.stripe_span(offset, nbytes)
-        return ((path, s) for s in range(first, last + 1))
-
-    def _takes_tokens(self, op: str) -> bool:
-        """Whether ``op`` requests need tokens at all; the callers build the
-        token keys only then (three of the four striped presets never do)."""
-        return self.write_token_time > 0.0 and (op == "write" or self.tokens_on_read)
-
-    def _token_penalty(self, path: str, keys, node: int, ready: float) -> float:
+    def _token_penalty(self, path: str, node: int, ready: float) -> float:
         """GPFS write-token cost: revocations serialise at the token manager.
 
-        Returns the time at which all needed tokens are held.  Ranges never
-        written before are granted for free; a range last written by a
-        different node costs one serialised revocation round-trip (which is
-        why interleaved fine-grained shared-file writes collapse).
+        Returns the time at which the file's token is held.  A file never
+        written before is granted for free; one last written by a different
+        node costs one serialised revocation round-trip (which is why
+        interleaved shared-file writes collapse).
         """
-        t = ready
-        owners = self._stripe_owner
-        for key in keys:
-            owner = owners.get(key)
-            if owner != node:
-                if owner is not None:
-                    self.token_revocations += 1
-                    _, t = self.token_manager.serve(t, self.write_token_time)
-                owners[key] = node
-        return t
+        owner = self._token_owner.get(path)
+        if owner != node:
+            if owner is not None:
+                self.token_revocations += 1
+                _, ready = self.token_manager.serve(ready, self.write_token_time)
+            self._token_owner[path] = node
+        return ready
 
-    def _read_token_penalty(self, path: str, keys, node: int, ready: float) -> float:
-        """Reading data another node holds a write token for flushes it once.
+    def _read_token_penalty(self, path: str, node: int, ready: float) -> float:
+        """Reading a file another node holds the token for flushes it once.
 
-        After the flush the range is shared (owner ``None``): subsequent
+        After the flush the file is shared (owner ``None``): subsequent
         readers are free until somebody writes again.
         """
-        t = ready
-        owners = self._stripe_owner
-        for key in keys:
-            owner = owners.get(key)
-            if owner is not None and owner != node:
-                self.token_revocations += 1
-                _, t = self.token_manager.serve(t, self.write_token_time)
-                owners[key] = None
-        return t
+        owner = self._token_owner.get(path)
+        if owner is not None and owner != node:
+            self.token_revocations += 1
+            _, ready = self.token_manager.serve(ready, self.write_token_time)
+            self._token_owner[path] = None
+        return ready
 
     # -- timing model --------------------------------------------------------
 
@@ -334,15 +287,12 @@ class StripedServerFS(FileSystem):
     ) -> float:
         if nbytes == 0:
             return ready_time
-        smp_node = self.node_of_client(node)
-        t = self._channel(smp_node, ready_time, nbytes)
-        layout = self.layout_for(path)
-        if self._takes_tokens("write"):
-            keys = self._contig_token_keys(path, offset, nbytes, layout)
-            t = self._token_penalty(path, keys, smp_node, t)
+        t = self._channel(node, ready_time, nbytes)
+        if self.write_token_time > 0.0:
+            t = self._token_penalty(path, node, t)
         # Closed-form per-server runs: O(servers touched), not O(stripes).
-        runs = layout.server_runs(offset, nbytes)
-        egress, _, inv_bw = self._client_links(smp_node)
+        runs = self.layout_for(path).server_runs(offset, nbytes)
+        egress, _, inv_bw = self._client_links(node)
         completion = t
         servers = self.servers
         for server, local_offset, size in runs:
@@ -361,14 +311,11 @@ class StripedServerFS(FileSystem):
     ) -> float:
         if nbytes == 0:
             return ready_time
-        smp_node = self.node_of_client(node)
-        t = self._channel(smp_node, ready_time, nbytes)
-        layout = self.layout_for(path)
-        if self._takes_tokens("read"):
-            keys = self._contig_token_keys(path, offset, nbytes, layout)
-            t = self._read_token_penalty(path, keys, smp_node, t)
-        runs = layout.server_runs(offset, nbytes)
-        _, ingress, inv_bw = self._client_links(smp_node)
+        t = self._channel(node, ready_time, nbytes)
+        if self.write_token_time > 0.0:
+            t = self._read_token_penalty(path, node, t)
+        runs = self.layout_for(path).server_runs(offset, nbytes)
+        _, ingress, inv_bw = self._client_links(node)
         completion = t
         servers = self.servers
         for server, local_offset, size in runs:
@@ -391,17 +338,16 @@ class StripedServerFS(FileSystem):
         nbytes = sum(n for _, n in segments)
         if nbytes == 0:
             return ready_time
-        smp_node = self.node_of_client(node)
-        t = self._channel(smp_node, ready_time, nbytes)
+        t = self._channel(node, ready_time, nbytes)
+        if self.write_token_time > 0.0:
+            penalty = self._token_penalty if op == "write" else self._read_token_penalty
+            t = penalty(path, node, t)
         layout = self.layout_for(path)
         chunks = [
             c for off, n in segments for c in layout.decompose(off, n)
         ]
-        if self._takes_tokens(op):
-            penalty = self._token_penalty if op == "write" else self._read_token_penalty
-            t = penalty(path, self._token_keys(path, chunks, layout), smp_node, t)
         runs = coalesce_runs(sorted(chunks, key=lambda c: c.file_offset))
-        egress, ingress, inv_bw = self._client_links(smp_node)
+        egress, ingress, inv_bw = self._client_links(node)
         # Group the list's runs per server: the server sees the whole batch
         # and can elevator-schedule it, so it pays one request-CPU charge
         # and one seek for the batch, then streams the bytes in offset

@@ -3,8 +3,8 @@
 A :class:`RetryPolicy` tells the ADIO layer (and, above it, the checkpoint
 strategies) how to react when the file system raises an
 :class:`~repro.pfs.base.InjectedIOError`: retry up to ``max_retries`` times,
-backing off in *simulated* time between attempts, and optionally degrade a
-failed collective write to independent I/O rather than killing the dump.
+backing off in *simulated* time between attempts, and degrade a failed
+collective write to independent I/O rather than killing the dump.
 
 The default policy (``max_retries=0``) is fail-fast -- identical to the
 behaviour before the resilience subsystem existed -- so faults still
@@ -18,44 +18,33 @@ from dataclasses import dataclass
 
 __all__ = ["RetryPolicy"]
 
+# The backoff schedule, in simulated seconds: 1 ms, doubling, capped at 1 s.
+_BACKOFF_BASE = 1e-3
+_BACKOFF_FACTOR = 2.0
+_MAX_BACKOFF = 1.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How many times to retry a failed I/O operation, and how patiently.
+    """How many times to retry a failed I/O operation.
 
     Backoff is exponential in simulated seconds: attempt *k* (1-based)
-    sleeps ``min(backoff_base * backoff_factor**(k-1), max_backoff)``
-    before re-issuing the operation.  ``op_timeout`` is an observability
-    bound: an individual operation whose service time exceeds it is
-    reported as a ``slow-op`` recovery event in the trace (the simulated
-    operation still completes -- there is no cancellation in the model,
-    just as there is none in POSIX I/O).
+    sleeps ``min(1 ms * 2**(k-1), 1 s)`` before re-issuing the operation.
 
-    ``degrade_collective`` lets the MPI-IO/HDF5 strategies fall back from
+    With a policy attached, the MPI-IO/HDF5 strategies also fall back from
     a failed collective write to per-rank independent writes of the same
     bytes instead of aborting the dump.
     """
 
     max_retries: int = 0
-    backoff_base: float = 1e-3
-    backoff_factor: float = 2.0
-    max_backoff: float = 1.0
-    op_timeout: float = 0.0  # 0 = no timeout reporting
-    degrade_collective: bool = True
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.backoff_base < 0 or self.max_backoff < 0:
-            raise ValueError("backoff must be >= 0")
-        if self.backoff_factor < 1.0:
-            raise ValueError("backoff_factor must be >= 1")
-        if self.op_timeout < 0:
-            raise ValueError("op_timeout must be >= 0")
 
     def backoff(self, attempt: int) -> float:
         """Simulated sleep before retry ``attempt`` (1-based)."""
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        delay = self.backoff_base * self.backoff_factor ** (attempt - 1)
-        return min(delay, self.max_backoff)
+        delay = _BACKOFF_BASE * _BACKOFF_FACTOR ** (attempt - 1)
+        return min(delay, _MAX_BACKOFF)

@@ -4,14 +4,14 @@ Public surface:
 
 * :class:`Engine` -- runs an SPMD function on ``nprocs`` virtual ranks;
 * :class:`Proc` -- the per-rank handle (virtual clock, scheduling);
-* :class:`Timeline`, :class:`BandwidthLink`, :class:`ParallelServer` --
-  FCFS device/link timing primitives;
+* :class:`Timeline`, :class:`BandwidthLink` -- FCFS device/link timing
+  primitives;
 * the exception hierarchy in :mod:`repro.sim.errors`.
 """
 
 from .engine import Engine, Proc, ProcState, current_proc
 from .errors import DeadlockError, NotRunningError, RankFailedError, SimError
-from .resources import BandwidthLink, ParallelServer, Timeline
+from .resources import BandwidthLink, Timeline
 
 __all__ = [
     "Engine",
@@ -20,7 +20,6 @@ __all__ = [
     "current_proc",
     "Timeline",
     "BandwidthLink",
-    "ParallelServer",
     "SimError",
     "DeadlockError",
     "RankFailedError",

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["Timeline", "BandwidthLink", "ParallelServer"]
+__all__ = ["Timeline", "BandwidthLink"]
 
 
 @dataclass
@@ -61,10 +61,6 @@ class Timeline:
         self.requests += 1
         return start, end
 
-    def peek(self, ready_time: float) -> float:
-        """When would a request ready at ``ready_time`` start service?"""
-        return max(ready_time, self.busy_until)
-
 
 @dataclass
 class BandwidthLink:
@@ -95,35 +91,3 @@ class BandwidthLink:
         if self.bandwidth == float("inf"):
             return self.latency
         return self.latency + nbytes / self.bandwidth
-
-
-class ParallelServer:
-    """``k`` identical FCFS servers fed from one queue (e.g. a disk array).
-
-    Requests are dispatched to whichever server frees up first.  With
-    ``k == 1`` this degenerates to :class:`Timeline`.
-    """
-
-    def __init__(self, name: str = "servers", k: int = 1):
-        if k < 1:
-            raise ValueError("need at least one server")
-        self.name = name
-        self.servers = [Timeline(name=f"{name}[{i}]") for i in range(k)]
-
-    def reset(self) -> None:
-        """Forget all timing state (start a fresh measurement window)."""
-        for s in self.servers:
-            s.reset()
-
-    def serve(self, ready_time: float, duration: float) -> tuple[float, float]:
-        """Serve on the earliest-available server; returns ``(start, end)``."""
-        best = min(self.servers, key=lambda s: s.peek(ready_time))
-        return best.serve(ready_time, duration)
-
-    @property
-    def busy_time(self) -> float:
-        return sum(s.busy_time for s in self.servers)
-
-    @property
-    def requests(self) -> int:
-        return sum(s.requests for s in self.servers)

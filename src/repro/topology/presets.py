@@ -104,9 +104,7 @@ def ibm_sp2(nprocs: int = 64, procs_per_node: int = 8) -> Machine:
         cache_bytes_per_server=32 * MB,
         client_network=net,
         client_channel_bandwidth=60 * MB,
-        write_token_time=10e-3,  # token revocation round-trip + flush
-        token_granularity="file",  # coarse initial whole-range grants
-        tokens_on_read=True,  # reading another node's dirty data flushes it
+        write_token_time=10e-3,  # per-file token revocation round-trip + flush
         stripe_aligned_io=True,  # small reads cost a whole GPFS block
         smp_io_queue_time=1.5e-3,  # per-request VSD client service, per node
     )
@@ -179,7 +177,6 @@ def chiba_city_local(nprocs: int = 8) -> Machine:
         request_cpu_time=0.3e-3,
         metadata_time=0.5e-3,
         cache_bytes_per_node=16 * MB,
-        scatter_mode=True,
     )
     return machine.attach_fs(fs)
 

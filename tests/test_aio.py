@@ -42,9 +42,7 @@ class FakeProc:
 
 
 def test_aio_config_validates():
-    assert AioConfig().queue_depth is None  # unbounded by count by default
-    with pytest.raises(ValueError):
-        AioConfig(queue_depth=0)
+    assert AioConfig().staging_bytes == 64 * 1024 * 1024
     with pytest.raises(ValueError):
         AioConfig(staging_bytes=0)
 
@@ -75,14 +73,6 @@ def test_wait_retires_every_older_request_first():
     newer.wait(proc)
     assert older.retired and newer.retired
     assert proc.clock == 3.0
-
-
-def test_queue_depth_backpressure_blocks_the_poster():
-    eng = ProgressEngine(AioConfig(queue_depth=1))
-    proc = FakeProc()
-    eng.post(AioRequest(path="f", nbytes=1, done_time=4.0))
-    eng.reserve(1, proc)  # queue full: must retire the oldest first
-    assert proc.clock == 4.0 and len(eng.pending) == 0
 
 
 def test_staging_bytes_backpressure_blocks_the_poster():

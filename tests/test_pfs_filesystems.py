@@ -143,16 +143,15 @@ class TestStripedServerFS:
     def test_smp_io_queue_serialises_node_requests(self):
         fs = make_striped(nservers=4, smp_io_queue_time=1.0)
         fs.create("f")
-        # Two ranks on the same node (node_of_client maps both to node 0).
-        fs.node_of_client = lambda c: 0
+        # Two ranks on the same SMP node: both requests carry node 0.
         t1 = fs.write("f", 0, b"x" * 100, node=0, ready_time=0.0)
-        t2 = fs.write("f", 100, b"x" * 100, node=1, ready_time=0.0)
+        t2 = fs.write("f", 100, b"x" * 100, node=0, ready_time=0.0)
         assert t1 == pytest.approx(1.1)
         assert t2 == pytest.approx(2.1)  # queued behind rank 0's request
 
     def test_client_network_coupling(self):
         net = Network(2, latency=0.0, bandwidth=100.0)
-        fs = make_striped(client_network=net, node_of_client=lambda c: c)
+        fs = make_striped(client_network=net)
         fs.create("f")
         fs.write("f", 0, b"x" * 100, node=0)
         # The payload crossed node 0's egress link.
@@ -193,15 +192,16 @@ class TestLocalDiskFS:
         data, _ = fs.read("f", 0, 3, node=2)
         assert data == b"abc"
 
-    def test_files_stick_to_first_node(self):
+    def test_every_node_serves_its_own_accesses(self):
         fs = self.make()
         fs.create("f", node=1)
         fs.write("f", 0, b"x" * 100, node=1)
-        # Another node accessing the same file uses node 1's disk.
+        # Another node writing the same file keeps its piece on its own disk.
         fs.write("f", 100, b"x" * 100, node=3)
-        assert fs.placement["f"] == 1
-        assert fs.disks[1].busy_time == pytest.approx(0.2)
-        assert fs.disks[3].busy_time == 0.0
+        assert fs.disks[1].busy_time == pytest.approx(0.1)
+        assert fs.disks[3].busy_time == pytest.approx(0.1)
+        fs.read("f", 100, 100, node=2, ready_time=1.0)
+        assert fs.disks[2].busy_time == pytest.approx(0.1)  # cold: own disk
 
     def test_independent_disks_do_not_contend(self):
         fs = self.make()
@@ -231,6 +231,14 @@ class TestLocalDiskFS:
         fs.create("b", node=1)
         fs.create("c", node=1)
         assert fs.files_needing_integration() == {0: ["a"], 1: ["b", "c"]}
+
+    def test_integration_report_lists_a_shared_file_under_every_writer(self):
+        fs = self.make()
+        fs.create("f", node=0)
+        fs.write("f", 0, b"x" * 10, node=0)
+        fs.write("f", 10, b"x" * 10, node=1)
+        fs.open("f", node=2)  # an open puts no bytes on node 2's disk
+        assert fs.files_needing_integration() == {0: ["f"], 1: ["f"]}
 
     def test_validation(self):
         with pytest.raises(ValueError):

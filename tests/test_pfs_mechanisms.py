@@ -1,7 +1,5 @@
 """Direct unit tests for the contention mechanisms behind Figures 7-9:
-coarse tokens, read-token flushes, read amplification, client channels."""
-
-import pytest
+per-file tokens, read-token flushes, read amplification, client channels."""
 
 from repro.pfs import StripedServerFS
 
@@ -20,7 +18,7 @@ def make_fs(**kw):
 
 class TestFileGranularityTokens:
     def test_alternating_writers_thrash(self):
-        fs = make_fs(write_token_time=1.0, token_granularity="file")
+        fs = make_fs(write_token_time=1.0)
         fs.create("f")
         t = 0.0
         for i in range(6):
@@ -29,7 +27,7 @@ class TestFileGranularityTokens:
         assert fs.token_revocations == 5
 
     def test_single_writer_is_free(self):
-        fs = make_fs(write_token_time=1.0, token_granularity="file")
+        fs = make_fs(write_token_time=1.0)
         fs.create("f")
         t = 0.0
         for i in range(6):
@@ -37,7 +35,7 @@ class TestFileGranularityTokens:
         assert fs.token_revocations == 0
 
     def test_separate_files_do_not_conflict(self):
-        fs = make_fs(write_token_time=1.0, token_granularity="file")
+        fs = make_fs(write_token_time=1.0)
         fs.create("a")
         fs.create("b")
         fs.write("a", 0, b"x", node=0)
@@ -47,7 +45,7 @@ class TestFileGranularityTokens:
         assert fs.token_revocations == 0
 
     def test_revocations_serialise_at_token_manager(self):
-        fs = make_fs(write_token_time=1.0, token_granularity="file")
+        fs = make_fs(write_token_time=1.0)
         fs.create("f")
         fs.write("f", 0, b"x", node=0, ready_time=0.0)
         # Two conflicting writes issued at the same instant queue at the
@@ -56,16 +54,10 @@ class TestFileGranularityTokens:
         t2 = fs.write("f", 20, b"x", node=2, ready_time=0.0)
         assert t2 - t1 >= 0.99
 
-    def test_bad_granularity_rejected(self):
-        with pytest.raises(ValueError):
-            make_fs(token_granularity="byte")
-
 
 class TestReadTokenFlush:
     def test_first_reader_pays_flush_then_shared(self):
-        fs = make_fs(
-            write_token_time=1.0, token_granularity="file", tokens_on_read=True
-        )
+        fs = make_fs(write_token_time=1.0)
         fs.create("f")
         fs.write("f", 0, b"x" * 50, node=0)
         fs.reset_timing()
@@ -75,14 +67,6 @@ class TestReadTokenFlush:
         _, t2 = fs.read("f", 0, 50, node=2, ready_time=t1)
         assert t2 - t1 < 1.0  # now shared: no more revocations
         assert fs.token_revocations == 1
-
-    def test_reads_without_flag_are_free(self):
-        fs = make_fs(write_token_time=1.0, token_granularity="file")
-        fs.create("f")
-        fs.write("f", 0, b"x" * 50, node=0)
-        _, t = fs.read("f", 0, 50, node=1, ready_time=0.0)
-        assert t < 1.0
-        assert fs.token_revocations == 0
 
 
 class TestReadAmplification:
@@ -142,10 +126,11 @@ class TestClientChannel:
 
 class TestSmpQueue:
     def test_same_node_requests_serialise(self):
-        fs = make_fs(smp_io_queue_time=1.0, node_of_client=lambda c: 0)
+        fs = make_fs(smp_io_queue_time=1.0)
         fs.create("f")
+        # Two ranks of one SMP node: both requests carry that node.
         t1 = fs.write("f", 0, b"x", node=0, ready_time=0.0)
-        t2 = fs.write("f", 100, b"x", node=1, ready_time=0.0)
+        t2 = fs.write("f", 100, b"x", node=0, ready_time=0.0)
         assert t2 >= t1 + 0.99
 
     def test_different_nodes_do_not(self):

@@ -13,6 +13,7 @@ from repro.bench import (
     workload_summary,
 )
 from repro.iostack import registry
+from repro.pfs import LocalDiskFS
 from repro.topology import (
     PRESETS,
     chiba_city,
@@ -48,7 +49,7 @@ class TestPresets:
 
     def test_chiba_local_uses_scatter_mode(self):
         m = chiba_city_local(8)
-        assert m.fs.scatter_mode
+        assert isinstance(m.fs, LocalDiskFS)
 
     def test_reset_timing_clears_devices(self):
         m = origin2000(nprocs=2)

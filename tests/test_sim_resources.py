@@ -1,8 +1,8 @@
-"""Unit tests for FCFS timelines, links and parallel servers."""
+"""Unit tests for FCFS timelines and links."""
 
 import pytest
 
-from repro.sim import BandwidthLink, ParallelServer, Timeline
+from repro.sim import BandwidthLink, Timeline
 
 
 class TestTimeline:
@@ -33,13 +33,6 @@ class TestTimeline:
     def test_negative_duration_rejected(self):
         with pytest.raises(ValueError):
             Timeline().serve(0.0, -1.0)
-
-    def test_peek_does_not_mutate(self):
-        t = Timeline()
-        t.serve(0.0, 4.0)
-        assert t.peek(1.0) == 4.0
-        assert t.peek(9.0) == 9.0
-        assert t.busy_until == 4.0
 
 
 class TestBandwidthLink:
@@ -75,30 +68,3 @@ class TestBandwidthLink:
         link.transfer(0.0, 30)
         link.transfer(0.0, 70)
         assert link.bytes_moved == 100
-
-
-class TestParallelServer:
-    def test_requests_spread_across_servers(self):
-        ps = ParallelServer(k=2)
-        s1 = ps.serve(0.0, 10.0)
-        s2 = ps.serve(0.0, 10.0)
-        s3 = ps.serve(0.0, 10.0)
-        assert s1 == (0.0, 10.0)
-        assert s2 == (0.0, 10.0)  # second server
-        assert s3 == (10.0, 20.0)  # queues behind one of them
-
-    def test_single_server_degenerates_to_timeline(self):
-        ps = ParallelServer(k=1)
-        ps.serve(0.0, 5.0)
-        assert ps.serve(0.0, 5.0) == (5.0, 10.0)
-
-    def test_aggregate_accounting(self):
-        ps = ParallelServer(k=3)
-        for _ in range(6):
-            ps.serve(0.0, 1.0)
-        assert ps.busy_time == pytest.approx(6.0)
-        assert ps.requests == 6
-
-    def test_k_validation(self):
-        with pytest.raises(ValueError):
-            ParallelServer(k=0)
