@@ -13,7 +13,6 @@ from .particles import N_ATTRIBUTES, PARTICLE_ARRAYS, ParticleSet
 from .partition import (
     BlockPartition,
     block_bounds,
-    partition_particles,
     processor_grid,
 )
 from .refinement import (
@@ -43,7 +42,6 @@ __all__ = [
     "load_imbalance",
     "BlockPartition",
     "block_bounds",
-    "partition_particles",
     "processor_grid",
     "REFINE_FACTOR",
     "cluster_flags",

@@ -20,7 +20,6 @@ __all__ = [
     "processor_grid",
     "block_bounds",
     "BlockPartition",
-    "partition_particles",
 ]
 
 
@@ -196,13 +195,3 @@ def _particle_mask(grid: Grid, part: BlockPartition, rank: int) -> np.ndarray:
     owners = part.owner_of_cells(cells)
     return owners == rank
 
-
-def partition_particles(
-    grid: Grid, part: BlockPartition
-) -> list[ParticleSet]:
-    """Split a grid's particles by owning rank (irregular partition)."""
-    if len(grid.particles) == 0:
-        return [ParticleSet() for _ in range(part.nprocs)]
-    cells = grid.cell_of(grid.particles.positions)
-    owners = part.owner_of_cells(cells)
-    return [grid.particles.select(owners == r) for r in range(part.nprocs)]

@@ -63,12 +63,6 @@ class AccessDescriptor:
                 if s < 0 or n < 0 or s + n > g:
                     raise ValueError("subarray outside the global array")
 
-    @property
-    def nelements(self) -> int:
-        if self.indices is not None:
-            return len(self.indices)
-        return int(np.prod(self.subsizes))
-
 
 def classify_accesses(
     descriptors: Sequence[AccessDescriptor],

@@ -33,7 +33,7 @@ from ..mpiio.file import File
 from .io_base import IOStats
 from .state import RankState
 
-__all__ = ["HEADER_NBYTES", "plotfile_nbytes", "write_plotfile"]
+__all__ = ["HEADER_NBYTES", "write_plotfile"]
 
 HEADER_NBYTES = 512
 
@@ -61,14 +61,6 @@ def _rank_payload_nbytes(state: RankState, rank: int, nfields: int) -> int:
         if state.owner.get(gid) == rank:
             ncells += state.meta[gid].ncells
     return ncells * 8 * nfields
-
-
-def plotfile_nbytes(state: RankState, fields) -> int:
-    """Total file size (header + all rank segments)."""
-    nfields = len(_canonical_fields(fields))
-    return HEADER_NBYTES + sum(
-        _rank_payload_nbytes(state, r, nfields) for r in range(state.nprocs)
-    )
 
 
 def write_plotfile(

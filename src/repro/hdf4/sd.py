@@ -19,13 +19,10 @@ and issues sequential, blocking file-system requests through the ADIO layer
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..mpi.comm import Comm
 from ..mpiio.adio import ADIOFile
-from ..pfs.base import FileSystem
 from .format import (
     HEADER_SIZE,
     DDEntry,
@@ -108,13 +105,12 @@ class SDFile:
         path: str,
         mode: str = "r",
         *,
-        fs: Optional[FileSystem] = None,
         retry=None,
     ) -> "SDFile":
         """SDstart: open ``path`` on the calling rank only."""
         if mode not in ("r", "w"):
             raise ValueError(f"bad mode {mode!r}")
-        adio = ADIOFile.open(comm, path, create=mode == "w", fs=fs, retry=retry)
+        adio = ADIOFile.open(comm, path, create=mode == "w", retry=retry)
         return cls(adio, comm, mode)
 
     def end(self) -> None:

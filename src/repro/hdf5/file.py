@@ -12,9 +12,9 @@ The API follows the H5F/H5D surface the ENZO HDF5 port needs, with the
    CPU cost on top of the memcpy, making fine-grained selections expensive;
 4. **attributes are written by rank 0 only** -- other ranks wait.
 
-The mpio driver opens the file through MPI-IO (``File.open``), as parallel
-HDF5 sits on ROMIO; data access then goes through the layers under the
-``File`` API directly: the :class:`~repro.mpiio.adio.ADIOFile` handle,
+Every file opens through the mpio driver -- MPI-IO's ``File.open``, as
+parallel HDF5 sits on ROMIO; data access then goes through the layers under
+the ``File`` API directly: the :class:`~repro.mpiio.adio.ADIOFile` handle,
 two-phase I/O for collective transfers and data sieving for independent ones.
 """
 
@@ -33,7 +33,6 @@ from ..mpiio.file import File
 from ..mpiio.hints import Hints
 from ..mpiio.sieving import sieve_read, sieve_write
 from ..mpiio.two_phase import collective_read, collective_write
-from ..pfs.base import FileSystem
 from .dataspace import Dataspace, Hyperslab
 from .format import (
     HEADER_CAPACITY,
@@ -149,7 +148,7 @@ class H5Dataset:
         self._check_buffer(data, selection)
         data = np.ascontiguousarray(data)
         segs = self._segments(selection)
-        if collective and self._f.parallel:
+        if collective:
             collective_write(self._f.comm, self._f.adio, segs, data, self._f.hints)
         else:
             sieve_write(self._f.adio, segs, data, self._f.hints)
@@ -164,7 +163,7 @@ class H5Dataset:
         self._check_open()
         sel = selection if selection is not None else self.space.select_all()
         segs = self._segments(selection)
-        if collective and self._f.parallel:
+        if collective:
             raw = collective_read(self._f.comm, self._f.adio, segs, self._f.hints)
         else:
             raw = sieve_read(self._f.adio, segs, self._f.hints)
@@ -179,15 +178,13 @@ class H5Dataset:
         self._check_open()
         f = self._f
         f.comm.compute(f.costs.attribute_write)
-        if f.parallel:
-            coll.barrier(f.comm)  # paper: attr creation limits parallelism
+        coll.barrier(f.comm)  # paper: attr creation limits parallelism
         self.header.attrs[name] = value
         if f.meta_aggregation and f.mode == "w":
             f._defer_header(self.header.name)
-        elif f.comm.rank == 0 or not f.parallel:
+        elif f.comm.rank == 0:
             f.adio.write_contig(self._header_offset, self.header.pack())
-        if f.parallel:
-            coll.barrier(f.comm)
+        coll.barrier(f.comm)
 
     @property
     def attrs(self) -> dict:
@@ -201,8 +198,7 @@ class H5Dataset:
             return
         f = self._f
         f.comm.compute(f.costs.dataset_close)
-        if f.parallel:
-            coll.barrier(f.comm)
+        coll.barrier(f.comm)
         self._closed = True
 
     def _check_open(self) -> None:
@@ -211,7 +207,7 @@ class H5Dataset:
 
 
 class H5File:
-    """An HDF5-like file, opened either serially (sec2) or in parallel (mpio)."""
+    """An HDF5-like file, opened collectively through the mpio driver."""
 
     def __init__(
         self,
@@ -219,7 +215,6 @@ class H5File:
         adio: ADIOFile,
         mode: str,
         *,
-        parallel: bool,
         hints: Hints,
         costs: H5Costs,
         meta_aggregation: bool = False,
@@ -227,7 +222,6 @@ class H5File:
         self.comm = comm
         self.adio = adio
         self.mode = mode
-        self.parallel = parallel
         self.hints = hints
         self.costs = costs
         # The paper's Section 5 remedy for small interleaved metadata
@@ -260,8 +254,6 @@ class H5File:
         path: str,
         mode: str,
         *,
-        driver: str = "mpio",
-        fs: Optional[FileSystem] = None,
         hints: Optional[Hints] = None,
         costs: Optional[H5Costs] = None,
         retry=None,
@@ -270,38 +262,32 @@ class H5File:
     ) -> "H5File":
         if mode not in ("r", "w"):
             raise ValueError(f"bad mode {mode!r}")
-        if driver not in ("mpio", "sec2"):
-            raise ValueError(f"unknown driver {driver!r}")
-        parallel = driver == "mpio"
         costs = costs or H5Costs()
         hints = (hints or Hints()).validate()
         comm.compute(costs.open_close)
-        kw = dict(fs=fs, retry=retry, aio=aio if mode == "w" else None)
-        if parallel:
-            # The mpio driver opens through MPI-IO -- collectively, the
-            # striping hints applied on create -- and keeps the ADIO handle.
-            adio = File.open(comm, path, mode, hints=hints, **kw).adio
-        else:
-            adio = ADIOFile.open(comm, path, create=mode == "w", **kw)
+        # The mpio driver opens through MPI-IO -- collectively, the
+        # striping hints applied on create -- and keeps the ADIO handle.
+        adio = File.open(
+            comm, path, mode, hints=hints, retry=retry,
+            aio=aio if mode == "w" else None,
+        ).adio
         return cls(
             comm,
             adio,
             mode,
-            parallel=parallel,
             hints=hints,
             costs=costs,
             meta_aggregation=meta_aggregation,
         )
 
     def close(self) -> None:
-        """Flush the root table and superblock; collective in mpio mode."""
+        """Flush the root table and superblock (rank 0); collective."""
         if not self._open:
             return
         self.comm.compute(self.costs.open_close)
         if self.mode == "w":
-            if self.parallel:
-                coll.barrier(self.comm)
-            if self.comm.rank == 0 or not self.parallel:
+            coll.barrier(self.comm)
+            if self.comm.rank == 0:
                 self._flush_deferred_headers()
                 table = pack_root_table(
                     [(n, self._headers[n][1]) for n in self._order]
@@ -310,15 +296,14 @@ class H5File:
                 self.adio.write_contig(
                     0, pack_superblock(self._alloc, len(self._order))
                 )
-        if self.parallel:
-            coll.barrier(self.comm)
+        coll.barrier(self.comm)
         self.adio.close()
         self._open = False
 
     # -- datasets ------------------------------------------------------------------
 
     def create_dataset(self, name: str, shape, dtype) -> H5Dataset:
-        """Create a dataset.  Collective in mpio mode (paper overhead #1).
+        """Create a dataset.  Collective (paper overhead #1).
 
         The object header is allocated inline, immediately followed by the
         data region (paper overhead #2: interleaving and misalignment).
@@ -330,8 +315,7 @@ class H5File:
         shape = tuple(int(s) for s in shape)
         nbytes = int(np.prod(shape)) * dtype.itemsize
         self.comm.compute(self.costs.dataset_create)
-        if self.parallel:
-            coll.barrier(self.comm)  # internal sync at creation
+        coll.barrier(self.comm)  # internal sync at creation
         header_offset = self._alloc
         if self.meta_aggregation:
             # Aggregated metadata lives in its own contiguous block written
@@ -346,13 +330,12 @@ class H5File:
         header = ObjectHeader(name, dtype, shape, data_offset, nbytes)
         if self.meta_aggregation:
             self._defer_header(name)
-        elif self.comm.rank == 0 or not self.parallel:
+        elif self.comm.rank == 0:
             self.adio.write_contig(header_offset, header.pack())
         self._headers[name] = (header, header_offset)
         self._order.append(name)
         self._alloc = data_offset + nbytes
-        if self.parallel:
-            coll.barrier(self.comm)
+        coll.barrier(self.comm)
         return H5Dataset(self, header, header_offset)
 
     def open_dataset(self, name: str) -> H5Dataset:

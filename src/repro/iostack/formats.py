@@ -343,7 +343,7 @@ class HDF5Format:
 
     def open_write(self, ctx, meta, layout):
         f = H5File.create(
-            ctx.comm, ctx.base, driver="mpio", hints=self.hints,
+            ctx.comm, ctx.base, hints=self.hints,
             costs=self.costs, retry=ctx.strategy.retry, aio=ctx.strategy.aio,
             meta_aggregation=self.meta_aggregation,
         )
@@ -351,7 +351,7 @@ class HDF5Format:
 
     def open_read(self, ctx, meta, layout):
         f = H5File.open(
-            ctx.comm, ctx.base, driver="mpio", hints=self.hints,
+            ctx.comm, ctx.base, hints=self.hints,
             costs=self.costs, retry=ctx.strategy.retry,
         )
         return _H5Session(ctx, layout, f)

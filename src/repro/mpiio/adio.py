@@ -30,8 +30,8 @@ def as_byte_view(data) -> memoryview:
     return memoryview(data).cast("B")
 
 
-def _attached_fs(comm: Comm, fs: FileSystem | None) -> FileSystem:
-    fs = fs if fs is not None else comm.machine.fs
+def _attached_fs(comm: Comm) -> FileSystem:
+    fs = comm.machine.fs
     if fs is None:
         raise ValueError("no file system attached to the machine")
     return fs
@@ -62,10 +62,6 @@ class ADIOFile:
         self.retry = retry
         self.aio = aio
         self._closed = False
-        # Last request posted through this handle (and a sequence counter
-        # so callers can tell whether an operation posted anything).
-        self._last_posted: AioRequest | None = None
-        self._post_seq = 0
 
     # -- open: the namespace request, on the calling rank's clock ----------
 
@@ -76,29 +72,23 @@ class ADIOFile:
         path: str,
         *,
         create: bool = False,
-        create_if_missing: bool = False,
-        fs: FileSystem | None = None,
         retry: RetryPolicy | None = None,
         aio: AioConfig | None = None,
     ) -> "ADIOFile":
-        """Create (truncating) or open ``path`` on the calling rank alone.
+        """Create (truncating) or open ``path`` on the calling rank alone,
+        on the machine's file system.
 
-        ``fs`` defaults to the machine's attached file system.  The request
-        is a schedule point like any other file-system request and the
-        rank's clock ends at its completion.  ``create_if_missing`` opens
-        an existing file as it is and creates an absent one.
+        The request is a schedule point like any other file-system request
+        and the rank's clock ends at its completion.
         """
-        fs = _attached_fs(comm, fs)
+        fs = _attached_fs(comm)
         adio = cls(fs, path, comm, retry=retry, aio=aio)
         proc = comm.proc
         proc.schedule_point()
         if create:
             done = fs.create(path, node=adio._node, ready_time=proc.clock)
         else:
-            done = fs.open(
-                path, node=adio._node, ready_time=proc.clock,
-                create=create_if_missing,
-            )
+            done = fs.open(path, node=adio._node, ready_time=proc.clock)
         proc.advance_to(done)
         return adio
 
@@ -191,12 +181,9 @@ class ADIOFile:
         _result, done, error = self._attempt(
             flush, nbytes, max(proc.clock, eng.clock)
         )
-        req = eng.post(AioRequest(
+        return eng.post(AioRequest(
             path=self.path, nbytes=nbytes, done_time=done, error=error
         ))
-        self._last_posted = req
-        self._post_seq += 1
-        return req
 
     def _drain_pending(self) -> None:
         """Complete this rank's outstanding posts (reads must observe

@@ -20,11 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..aio.core import AioRequest
 from ..mpi import collectives as coll
 from ..mpi.comm import Comm
 from ..mpi.datatypes import BYTE, Datatype
-from ..pfs.base import FileSystem
 from .adio import ADIOFile, _attached_fs, as_byte_view
 from .fileview import FileView
 from .hints import Hints
@@ -56,24 +54,23 @@ class File:
         path: str,
         mode: str = "r",
         *,
-        fs: Optional[FileSystem] = None,
         hints: Optional[Hints] = None,
         retry=None,
         aio=None,
     ) -> "File":
-        """Collectively open ``path``.  Modes: 'r', 'w' (create), 'rw', 'a'.
+        """Collectively open ``path`` on the machine's file system.  Modes:
+        'r' (read an existing file) and 'w' (create, truncating).
 
-        ``fs`` defaults to the machine's attached file system.  ``retry``
-        is an optional :class:`~repro.resilience.RetryPolicy` applied to
-        every data operation on the returned handle.  ``aio`` is an
-        optional :class:`~repro.aio.AioConfig`: with it, writes are posted
-        to the rank's background flush service (nonblocking semantics) and
-        ``iwrite_at``/``iwrite_at_all`` return genuinely pending requests.
+        ``retry`` is an optional :class:`~repro.resilience.RetryPolicy`
+        applied to every data operation on the returned handle.  ``aio``
+        is an optional :class:`~repro.aio.AioConfig`: with it, writes are
+        posted to the rank's background flush service (nonblocking
+        semantics) and ``iwrite_at`` returns a genuinely pending request.
         """
-        if mode not in ("r", "w", "rw", "a"):
+        if mode not in ("r", "w"):
             raise ValueError(f"bad mode {mode!r}")
         hints = (hints or Hints()).validate()
-        fs = _attached_fs(comm, fs)
+        fs = _attached_fs(comm)
         # Rank 0 performs the create/open metadata operation; everyone else
         # opens after it (barrier orders the create before other opens).
         if comm.rank == 0:
@@ -85,13 +82,11 @@ class File:
                     stripe_count=hints.striping_factor or None,
                 )
             adio = ADIOFile.open(
-                comm, path, create=mode == "w",
-                create_if_missing=mode in ("rw", "a"),
-                fs=fs, retry=retry, aio=aio,
+                comm, path, create=mode == "w", retry=retry, aio=aio,
             )
         coll.barrier(comm)
         if comm.rank != 0:
-            adio = ADIOFile.open(comm, path, fs=fs, retry=retry, aio=aio)
+            adio = ADIOFile.open(comm, path, retry=retry, aio=aio)
         return cls(comm, adio, hints)
 
     def close(self) -> None:
@@ -205,30 +200,20 @@ class File:
 
     # -- individual-file-pointer I/O ----------------------------------------------
 
-    def seek(self, offset_etypes: int) -> None:
-        if offset_etypes < 0:
-            raise ValueError("negative seek")
-        self._pointer = offset_etypes
+    def _pointer_step(self, nbytes: int) -> int:
+        """Etype units an ``nbytes`` transfer moves the individual pointer.
 
-    def tell(self) -> int:
-        return self._pointer
-
-    def _advance_pointer(self, nbytes: int) -> None:
+        A partial etype is rejected here, before any byte is issued.
+        """
         if nbytes % self.view.etype.size:
             raise ValueError("partial etype transfer")
-        self._pointer += nbytes // self.view.etype.size
-
-    def read(self, buf_or_nbytes) -> np.ndarray | bytes:
-        """Independent read at the individual file pointer."""
-        out = self.read_at(self._pointer, buf_or_nbytes)
-        n = buf_or_nbytes if isinstance(buf_or_nbytes, int) else self._nbytes(out)
-        self._advance_pointer(n)
-        return out
+        return nbytes // self.view.etype.size
 
     def write(self, buf) -> int:
         """Independent write at the individual file pointer."""
+        step = self._pointer_step(self._nbytes(buf))
         n = self.write_at(self._pointer, buf)
-        self._advance_pointer(n)
+        self._pointer += step
         return n
 
     # -- nonblocking I/O (repro.aio request objects) ---------------------------
@@ -246,27 +231,6 @@ class File:
         if len(segs) == 1:
             return self.adio.iwrite_contig(segs[0][0], buf)
         return self.adio.iwrite_list(segs, buf)
-
-    def iwrite_at_all(self, offset: int, buf):
-        """Nonblocking collective write (``MPI_File_iwrite_at_all``).
-
-        Split-phase two-phase I/O: the exchange phase runs synchronously
-        (it is communication, every rank must participate now), while the
-        aggregators' file writes are posted to the background flush
-        service.  The returned request completes when this rank's share of
-        the drain is done; waiting on it surfaces deferred I/O errors.
-        """
-        self._wb_flush()
-        nbytes = self._nbytes(buf)
-        segs = self._segments_for(offset, nbytes)
-        before = self.adio._post_seq
-        collective_write(self.comm, self.adio, segs, buf, self.hints)
-        if self.adio.aio is not None and self.adio._post_seq > before:
-            return self.adio._last_posted
-        return AioRequest(
-            path=self.adio.path, nbytes=nbytes,
-            done_time=self.comm.proc.clock, retired=True,
-        )
 
     # -- collective I/O ---------------------------------------------------------------
 
@@ -289,64 +253,9 @@ class File:
         collective_write(self.comm, self.adio, segs, buf, self.hints)
         return nbytes
 
-    def read_all(self, buf_or_nbytes) -> np.ndarray | bytes:
-        """Collective read at the individual file pointer."""
-        out = self.read_at_all(self._pointer, buf_or_nbytes)
-        n = buf_or_nbytes if isinstance(buf_or_nbytes, int) else self._nbytes(out)
-        self._advance_pointer(n)
-        return out
-
     def write_all(self, buf) -> int:
         """Collective write at the individual file pointer."""
+        step = self._pointer_step(self._nbytes(buf))
         n = self.write_at_all(self._pointer, buf)
-        self._advance_pointer(n)
+        self._pointer += step
         return n
-
-    # -- shared-file-pointer I/O ----------------------------------------------------
-
-    def _shared_key(self) -> tuple:
-        return ("mpiio.shared_fp", self.adio.path, self._ctx_id())
-
-    def _ctx_id(self) -> int:
-        return self.comm._ctx
-
-    def _bump_shared(self, n_etypes: int) -> int:
-        """Atomically fetch-and-add the shared file pointer (etype units).
-
-        The engine serialises ranks at schedule points, so the ordering of
-        concurrent shared-pointer operations is the deterministic virtual
-        -time order -- the semantics of ``MPI_File_write_shared``.
-        """
-        self.comm.proc.schedule_point()
-        ns = self.comm.world.__dict__.setdefault("_shared_fp", {})
-        key = self._shared_key()
-        current = ns.get(key, 0)
-        ns[key] = current + n_etypes
-        return current
-
-    def read_shared(self, buf_or_nbytes) -> np.ndarray | bytes:
-        """Independent read at the *shared* file pointer (FCFS ordered)."""
-        nbytes = (
-            buf_or_nbytes
-            if isinstance(buf_or_nbytes, int)
-            else self._nbytes(buf_or_nbytes)
-        )
-        if nbytes % self.view.etype.size:
-            raise ValueError("partial etype transfer")
-        offset = self._bump_shared(nbytes // self.view.etype.size)
-        return self.read_at(offset, buf_or_nbytes)
-
-    def write_shared(self, buf) -> int:
-        """Independent write at the *shared* file pointer (FCFS ordered)."""
-        nbytes = self._nbytes(buf)
-        if nbytes % self.view.etype.size:
-            raise ValueError("partial etype transfer")
-        offset = self._bump_shared(nbytes // self.view.etype.size)
-        self.write_at(offset, buf)
-        return nbytes
-
-    # -- metadata ------------------------------------------------------------------------
-
-    def get_size(self) -> int:
-        """Current file size in bytes."""
-        return self.adio.size()

@@ -4,14 +4,13 @@ Public surface:
 
 * :class:`Engine` -- runs an SPMD function on ``nprocs`` virtual ranks;
 * :class:`Proc` -- the per-rank handle (virtual clock, scheduling);
-* :class:`Timeline`, :class:`BandwidthLink` -- FCFS device/link timing
-  primitives;
+* :class:`Timeline` -- the FCFS device timing primitive;
 * the exception hierarchy in :mod:`repro.sim.errors`.
 """
 
 from .engine import Engine, Proc, ProcState, current_proc
 from .errors import DeadlockError, NotRunningError, RankFailedError, SimError
-from .resources import BandwidthLink, Timeline
+from .resources import Timeline
 
 __all__ = [
     "Engine",
@@ -19,7 +18,6 @@ __all__ = [
     "ProcState",
     "current_proc",
     "Timeline",
-    "BandwidthLink",
     "SimError",
     "DeadlockError",
     "RankFailedError",

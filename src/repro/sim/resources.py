@@ -15,9 +15,9 @@ global virtual-time order, which makes FCFS well defined and deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["Timeline", "BandwidthLink"]
+__all__ = ["Timeline"]
 
 
 @dataclass
@@ -61,33 +61,3 @@ class Timeline:
         self.requests += 1
         return start, end
 
-
-@dataclass
-class BandwidthLink:
-    """A shared link with per-message latency and finite bandwidth.
-
-    Transfer time for ``nbytes`` is ``latency + nbytes / bandwidth``; messages
-    queue FCFS on the link for the bandwidth portion (the latency portion is
-    pipelined and does not occupy the link).
-    """
-
-    name: str = "link"
-    latency: float = 0.0  # seconds
-    bandwidth: float = float("inf")  # bytes / second
-    timeline: Timeline = field(default_factory=Timeline)
-    bytes_moved: int = 0
-
-    def transfer(self, ready_time: float, nbytes: int) -> float:
-        """Return the arrival (completion) time of an ``nbytes`` message."""
-        if nbytes < 0:
-            raise ValueError(f"negative message size: {nbytes}")
-        occupancy = nbytes / self.bandwidth if self.bandwidth != float("inf") else 0.0
-        _, end = self.timeline.serve(ready_time, occupancy)
-        self.bytes_moved += nbytes
-        return end + self.latency
-
-    def transfer_time(self, nbytes: int) -> float:
-        """Uncontended transfer time for ``nbytes`` (no queueing)."""
-        if self.bandwidth == float("inf"):
-            return self.latency
-        return self.latency + nbytes / self.bandwidth

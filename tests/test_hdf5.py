@@ -232,13 +232,13 @@ def test_property_hyperslab_closed_form_matches_reference(case, dtype, data_offs
 class TestH5File:
     def test_serial_roundtrip(self):
         def program(comm):
-            f = H5File.create(comm, "f", driver="sec2")
+            f = H5File.create(comm, "f")
             a = np.arange(60, dtype=np.float64).reshape(3, 4, 5)
             d = f.create_dataset("density", a.shape, a.dtype)
             d.write(a, collective=False)
             d.close()
             f.close()
-            f = H5File.open(comm, "f", driver="sec2")
+            f = H5File.open(comm, "f")
             got = f.open_dataset("density").read(collective=False)
             f.close()
             np.testing.assert_array_equal(a, got)
@@ -312,7 +312,7 @@ class TestH5File:
         from repro.hdf5.format import HEADER_CAPACITY, SUPERBLOCK_SIZE
 
         def program(comm):
-            f = H5File.create(comm, "f", driver="sec2")
+            f = H5File.create(comm, "f")
             d = f.create_dataset("x", (1024,), np.float64)
             off = d.header.data_offset
             d.write(np.zeros(1024), collective=False)
@@ -343,7 +343,7 @@ class TestH5File:
 
     def test_buffer_validation(self):
         def program(comm):
-            f = H5File.create(comm, "f", driver="sec2")
+            f = H5File.create(comm, "f")
             d = f.create_dataset("x", (4, 4), np.float64)
             with pytest.raises(ValueError):
                 d.write(np.zeros((3, 3)), collective=False)
@@ -356,7 +356,7 @@ class TestH5File:
 
     def test_duplicate_dataset_rejected(self):
         def program(comm):
-            f = H5File.create(comm, "f", driver="sec2")
+            f = H5File.create(comm, "f")
             f.create_dataset("x", (1,), np.float64)
             with pytest.raises(ValueError):
                 f.create_dataset("x", (1,), np.float64)
@@ -367,9 +367,9 @@ class TestH5File:
 
     def test_missing_dataset_raises(self):
         def program(comm):
-            f = H5File.create(comm, "f", driver="sec2")
+            f = H5File.create(comm, "f")
             f.close()
-            f = H5File.open(comm, "f", driver="sec2")
+            f = H5File.open(comm, "f")
             with pytest.raises(KeyError):
                 f.open_dataset("nope")
             f.close()
@@ -381,7 +381,7 @@ class TestH5File:
         """Paper overhead #3: fine-grained selections cost CPU per run."""
 
         def program(comm):
-            f = H5File.create(comm, "f", driver="sec2")
+            f = H5File.create(comm, "f")
             d = f.create_dataset("x", (64, 64), np.float64)
             t0 = comm.clock
             # Column selection: 64 runs.
@@ -407,11 +407,11 @@ class TestH5File:
 
 
 def test_unsupported_driver_and_mode():
+    """Every file opens through the mpio driver; only 'r' / 'w' exist."""
+
     def program(comm):
         with pytest.raises(ValueError):
             H5File.open(comm, "f", mode="a")
-        with pytest.raises(ValueError):
-            H5File.create(comm, "f", driver="core")
         return True
 
     assert run_spmd(make_machine(1), program).results[0]
@@ -423,7 +423,7 @@ class TestHyperslabStrideBlock:
         from repro.hdf5 import H5File, Hyperslab
 
         def program(comm):
-            f = H5File.create(comm, "f", driver="sec2")
+            f = H5File.create(comm, "f")
             d = f.create_dataset("x", (20,), np.float64)
             d.write(np.zeros(20), collective=False)
             sel = Hyperslab(start=(1,), count=(3,), stride=(6,), block=(2,))

@@ -3,7 +3,9 @@
 Each name below is a value a caller can set.  A knob that only tests set
 doubles the configurations every gate must cover, so adding one here is a
 conscious edit: it needs a preset, strategy, CLI flag or bench cell that
-sets it to a second value.
+sets it to a second value.  The I/O libraries' opens are pinned the same
+way, and so is the MPI-IO ``File`` method list: a library entry point
+exists because a strategy, CLI command or bench cell calls it.
 """
 
 import dataclasses
@@ -14,8 +16,11 @@ import pytest
 from repro.aio import AioConfig
 from repro.enzo.simulation import EnzoConfig
 from repro.enzo.state import RankState
+from repro.hdf4 import SDFile
+from repro.hdf5 import H5File
 from repro.iostack import registry
 from repro.iostack.transports import FunnelTransport
+from repro.mpiio import ADIOFile, File
 from repro.pfs import LocalDiskFS, StripedServerFS
 from repro.pfs.lustre import LustreFS
 from repro.resilience import RetryPolicy
@@ -44,6 +49,14 @@ SIGNATURES = {
     "RankState.from_hierarchy": (
         RankState.from_hierarchy, ("hierarchy", "rank", "nprocs", "owner"),
     ),
+    "File.open": (File.open, ("comm", "path", "mode", "hints", "retry", "aio")),
+    "ADIOFile.open": (ADIOFile.open, ("comm", "path", "create", "retry", "aio")),
+    "SDFile.start": (SDFile.start, ("comm", "path", "mode", "retry")),
+    # H5File.create / H5File.open forward their keywords here.
+    "H5File._open_impl": (H5File._open_impl, (
+        "comm", "path", "mode", "hints", "costs", "retry", "aio",
+        "meta_aggregation",
+    )),
 }
 
 FIELDS = {
@@ -72,4 +85,12 @@ def test_entry_point_knobs_are_pinned(name):
 
 def test_settable_surface_total():
     table = {**SIGNATURES, **FIELDS}
-    assert sum(len(_settable(entry)) for entry, _ in table.values()) == 63
+    assert sum(len(_settable(entry)) for entry, _ in table.values()) == 86
+
+
+def test_mpiio_file_methods_are_pinned():
+    assert sorted(n for n in vars(File) if not n.startswith("_")) == [
+        "close", "iwrite_at", "open", "read_at", "read_at_all", "set_view",
+        "sync", "view_segments", "write", "write_all", "write_at",
+        "write_at_all",
+    ]

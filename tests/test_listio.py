@@ -106,7 +106,7 @@ class TestListIOHint:
         fh.close()
         fh = File.open(comm, "g", "r", hints=hints)
         fh.set_view(0, FLOAT64, ftype)
-        got = fh.read(np.empty((shape[0], n)))
+        got = fh.read_at(0, np.empty((shape[0], n)))
         fh.close()
         np.testing.assert_array_equal(got, data)
         return True

@@ -55,12 +55,14 @@ def test_open_of_a_missing_path_fails_the_rank():
 
 
 def test_create_if_missing_creates_once_then_opens():
+    """A missing path is created once (``create=True``); a plain open of
+    it then books an open, never a second create."""
     m = make_machine(1)
     events = meta_events(m.fs)
 
     def program(comm):
-        ADIOFile.open(comm, "f", create_if_missing=True).write_contig(0, b"kept")
-        return ADIOFile.open(comm, "f", create_if_missing=True).size()
+        ADIOFile.open(comm, "f", create=True).write_contig(0, b"kept")
+        return ADIOFile.open(comm, "f").size()
 
     assert run_spmd(m, program).results[0] == 4
     assert [(kind, path) for kind, path, _, _ in events] == [
@@ -127,7 +129,7 @@ class TestCollectiveOpen:
 
         def program(comm):
             File.open(comm, "old", "w").close()
-            File.open(comm, "old", "rw", hints=Hints(striping_unit=12345)).close()
+            File.open(comm, "old", "r", hints=Hints(striping_unit=12345)).close()
 
         run_spmd(m, program)
         assert m.fs.layout_for("old").stripe_size == 4096

@@ -1,5 +1,5 @@
-"""File-view mapping tests, and pointer I/O (individual, shared) through a
-``File``'s view."""
+"""File-view mapping tests, and individual-pointer I/O through a ``File``'s
+view."""
 
 import numpy as np
 import pytest
@@ -249,62 +249,10 @@ class TestViewNonContiguousPointerIO:
 
 
 class TestSharedFilePointer:
-    def test_writes_are_disjoint_and_cover(self):
-        m = make_machine(4)
-
-        def program(comm):
-            fh = File.open(comm, "log", "w")
-            payload = bytes([65 + comm.rank]) * (comm.rank + 1)
-            fh.write_shared(payload)
-            fh.close()
-            return len(payload)
-
-        res = run_spmd(m, program)
-        total = sum(res.results)
-        raw = m.fs.store.open("log").read(0, total)
-        # Every rank's bytes appear exactly once, contiguously.
-        for rank in range(4):
-            marker = bytes([65 + rank]) * (rank + 1)
-            assert raw.count(bytes([65 + rank])) == rank + 1
-            assert marker in raw
-
-    def test_shared_pointer_orders_deterministically(self):
-        def run_once():
-            m = make_machine(3, latency=1e-4)
-
-            def program(comm):
-                comm.compute(0.001 * (3 - comm.rank))  # reverse arrival order
-                fh = File.open(comm, "log", "w")
-                fh.write_shared(bytes([48 + comm.rank]) * 4)
-                fh.close()
-                return None
-
-            run_spmd(m, program)
-            return m.fs.store.open("log").read(0, 12)
-
-        assert run_once() == run_once()
-
-    def test_read_shared_consumes_in_order(self):
-        m = make_machine(2)
-
-        def program(comm):
-            if comm.rank == 0:
-                fh = File.open(comm, "f", "w")
-                fh.write_at(0, bytes(range(16)))
-                fh.close()
-            else:
-                File.open(comm, "f", "rw").close()
-            fh = File.open(comm, "f", "r")
-            a = fh.read_shared(8)
-            fh.close()
-            return a
-
-        res = run_spmd(m, program)
-        got = sorted(res.results)
-        assert got == [bytes(range(8)), bytes(range(8, 16))]
+    """Pointer writes move whole etypes: a partial one is refused before
+    any byte is issued."""
 
     def test_partial_etype_rejected(self):
-        from repro.mpi.datatypes import FLOAT64
         from repro.sim import RankFailedError
 
         m = make_machine(1)
@@ -312,7 +260,22 @@ class TestSharedFilePointer:
         def program(comm):
             fh = File.open(comm, "f", "w")
             fh.set_view(0, FLOAT64)
-            fh.write_shared(b"123")  # 3 bytes is not a whole float64
+            fh.write(b"123")  # 3 bytes is not a whole float64
 
-        with pytest.raises(RankFailedError):
+        with pytest.raises(RankFailedError) as ei:
             run_spmd(m, program)
+        assert "partial etype transfer" in str(ei.value.__cause__)
+
+    @pytest.mark.parametrize("op", ["write", "write_all"])
+    def test_a_rejected_partial_etype_leaves_the_file_empty(self, op):
+        m = make_machine(1)
+
+        def program(comm):
+            fh = File.open(comm, "f", "w")
+            fh.set_view(0, FLOAT64)
+            with pytest.raises(ValueError, match="partial etype transfer"):
+                getattr(fh, op)(b"123")
+            fh.close()
+            return comm.machine.fs.file_size("f")
+
+        assert run_spmd(m, program).results[0] == 0

@@ -138,7 +138,7 @@ def test_block_block_block_roundtrip(nprocs):
         # Read it back collectively through the same views.
         fh = File.open(comm, "bbb", "r")
         fh.set_view(0, FLOAT64, ftype)
-        got = fh.read_all(np.empty(sizes, dtype=np.float64))
+        got = fh.read_at_all(0, np.empty(sizes, dtype=np.float64))
         fh.close()
         np.testing.assert_array_equal(got, full[sel])
         return True

@@ -1,8 +1,8 @@
-"""Unit tests for FCFS timelines and links."""
+"""Unit tests for FCFS timelines."""
 
 import pytest
 
-from repro.sim import BandwidthLink, Timeline
+from repro.sim import Timeline
 
 
 class TestTimeline:
@@ -34,37 +34,3 @@ class TestTimeline:
         with pytest.raises(ValueError):
             Timeline().serve(0.0, -1.0)
 
-
-class TestBandwidthLink:
-    def test_latency_only(self):
-        link = BandwidthLink(latency=0.001)
-        assert link.transfer(0.0, 10**9) == pytest.approx(0.001)
-
-    def test_bandwidth_occupancy(self):
-        link = BandwidthLink(latency=0.0, bandwidth=100.0)
-        assert link.transfer(0.0, 200) == pytest.approx(2.0)
-
-    def test_messages_queue_on_bandwidth(self):
-        link = BandwidthLink(latency=0.5, bandwidth=100.0)
-        a1 = link.transfer(0.0, 100)  # occupies [0, 1), arrives 1.5
-        a2 = link.transfer(0.0, 100)  # occupies [1, 2), arrives 2.5
-        assert a1 == pytest.approx(1.5)
-        assert a2 == pytest.approx(2.5)
-
-    def test_transfer_time_formula(self):
-        link = BandwidthLink(latency=0.25, bandwidth=8.0)
-        assert link.transfer_time(16) == pytest.approx(0.25 + 2.0)
-
-    def test_infinite_bandwidth(self):
-        link = BandwidthLink(latency=0.1)
-        assert link.transfer_time(10**12) == pytest.approx(0.1)
-
-    def test_negative_size_rejected(self):
-        with pytest.raises(ValueError):
-            BandwidthLink().transfer(0.0, -1)
-
-    def test_bytes_accounting(self):
-        link = BandwidthLink(latency=0.0, bandwidth=10.0)
-        link.transfer(0.0, 30)
-        link.transfer(0.0, 70)
-        assert link.bytes_moved == 100

@@ -133,8 +133,7 @@ class TestWriteBehind:
 class TestHdf5Alignment:
     def test_alignment_rounds_data_offsets(self):
         def program(comm):
-            f = H5File.create(comm, "f", driver="sec2",
-                              costs=H5Costs(alignment=4096))
+            f = H5File.create(comm, "f", costs=H5Costs(alignment=4096))
             offsets = []
             for name in ("a", "b", "c"):
                 d = f.create_dataset(name, (100,), np.float64)
@@ -150,12 +149,12 @@ class TestHdf5Alignment:
     def test_aligned_file_round_trips(self):
         def program(comm):
             costs = H5Costs(alignment=4096)
-            f = H5File.create(comm, "f", driver="sec2", costs=costs)
+            f = H5File.create(comm, "f", costs=costs)
             d = f.create_dataset("x", (50,), np.float64)
             d.write(np.arange(50.0), collective=False)
             d.close()
             f.close()
-            f = H5File.open(comm, "f", driver="sec2")
+            f = H5File.open(comm, "f")
             got = f.open_dataset("x").read(collective=False)
             f.close()
             np.testing.assert_array_equal(got, np.arange(50.0))
@@ -174,8 +173,7 @@ class TestHdf5Alignment:
             m = make_machine(1, fs=fs)
 
             def program(comm):
-                f = H5File.create(comm, "f", driver="sec2",
-                                  costs=H5Costs(alignment=alignment))
+                f = H5File.create(comm, "f", costs=H5Costs(alignment=alignment))
                 out = []
                 for name in ("a", "b"):
                     d = f.create_dataset(name, (512,), np.float64)  # 4096 B
