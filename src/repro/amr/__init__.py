@@ -8,7 +8,7 @@ from .initial_conditions import (
     make_initial_conditions,
     populate_grid_fields,
 )
-from .load_balance import assign_grids_lpt, assign_grids_round_robin, load_imbalance
+from .load_balance import assign_grids_lpt, assign_grids_round_robin
 from .particles import N_ATTRIBUTES, PARTICLE_ARRAYS, ParticleSet
 from .partition import (
     BlockPartition,
@@ -18,7 +18,6 @@ from .partition import (
 from .refinement import (
     REFINE_FACTOR,
     cluster_flags,
-    derefine_hierarchy,
     flag_cells,
     refine_grid,
     refine_hierarchy,
@@ -39,7 +38,6 @@ __all__ = [
     "populate_grid_fields",
     "assign_grids_lpt",
     "assign_grids_round_robin",
-    "load_imbalance",
     "BlockPartition",
     "block_bounds",
     "processor_grid",
@@ -48,7 +46,6 @@ __all__ = [
     "flag_cells",
     "refine_grid",
     "refine_hierarchy",
-    "derefine_hierarchy",
     "FLOPS_PER_CELL",
     "evolve_grid",
     "evolve_hierarchy",

@@ -92,22 +92,6 @@ class GridHierarchy:
         self._next_id = max(self._next_id, grid.id + 1)
         return grid
 
-    def remove_subtree(self, grid_id: int) -> list[int]:
-        """Remove a grid and all its descendants; returns removed ids."""
-        if grid_id == self.root_id:
-            raise ValueError("cannot remove the root grid")
-        removed: list[int] = []
-        stack = [grid_id]
-        while stack:
-            gid = stack.pop()
-            grid = self._grids.pop(gid)
-            removed.append(gid)
-            stack.extend(grid.child_ids)
-        removed_set = set(removed)
-        for g in self._grids.values():
-            g.child_ids = [c for c in g.child_ids if c not in removed_set]
-        return removed
-
     def copy(self) -> "GridHierarchy":
         """Deep copy of the whole tree (grids, fields, particles).
 

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from .grid import Grid
 
-__all__ = ["assign_grids_lpt", "assign_grids_round_robin", "load_imbalance"]
+__all__ = ["assign_grids_lpt", "assign_grids_round_robin"]
 
 
 def assign_grids_lpt(grids: Sequence[Grid], nprocs: int) -> dict[int, int]:
@@ -44,15 +44,3 @@ def assign_grids_round_robin(grids: Sequence[Grid], nprocs: int) -> dict[int, in
     ordered = sorted(grids, key=lambda g: g.id)
     return {g.id: i % nprocs for i, g in enumerate(ordered)}
 
-
-def load_imbalance(
-    grids: Sequence[Grid], assignment: dict[int, int], nprocs: int
-) -> float:
-    """max/mean per-rank byte load (1.0 = perfectly balanced)."""
-    loads = [0] * nprocs
-    for g in grids:
-        loads[assignment[g.id]] += g.data_nbytes
-    mean = sum(loads) / nprocs
-    if mean == 0:
-        return 1.0
-    return max(loads) / mean

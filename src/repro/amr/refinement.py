@@ -17,7 +17,7 @@ from .hierarchy import GridHierarchy
 from .initial_conditions import populate_grid_fields  # noqa: F401 (re-export convenience)
 
 __all__ = ["flag_cells", "cluster_flags", "refine_grid", "refine_hierarchy",
-           "derefine_hierarchy", "REFINE_FACTOR"]
+           "REFINE_FACTOR"]
 
 REFINE_FACTOR = 2
 
@@ -198,36 +198,3 @@ def refine_hierarchy(
         )
     return new
 
-
-def derefine_hierarchy(
-    hierarchy: GridHierarchy,
-    *,
-    overdensity_threshold: float,
-    keep_fraction: float = 0.05,
-) -> list[int]:
-    """Remove leaf subgrids whose region no longer needs refinement.
-
-    A leaf grid is dropped when fewer than ``keep_fraction`` of its cells
-    remain flagged; its particles move back to the parent.  Returns the
-    removed grid ids.  (Real SAMR codes rebuild each level every few steps;
-    this is the simplest faithful equivalent and keeps hierarchies from
-    growing monotonically across long runs.)
-    """
-    removed: list[int] = []
-    for grid in list(hierarchy.grids()):
-        if grid.id == hierarchy.root_id or grid.child_ids:
-            continue
-        if grid.id not in hierarchy:
-            continue
-        flagged = flag_cells(grid, overdensity_threshold).mean()
-        if flagged >= keep_fraction:
-            continue
-        parent = hierarchy[grid.parent_id]
-        if len(grid.particles):
-            from .particles import ParticleSet
-
-            parent.particles = ParticleSet.concat(
-                [parent.particles, grid.particles]
-            )
-        removed.extend(hierarchy.remove_subtree(grid.id))
-    return removed

@@ -301,6 +301,11 @@ def run_cell(cell: Cell, *, hints: Hints | None = None) -> dict:
     return _run_checkpoint_cell(cell, machine, strategy)
 
 
+_BOOLS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+          **dict.fromkeys(("0", "false", "no", "off"), False)}
+_KINDS = {bool: "1/true/yes/on or 0/false/no/off", float: "a number"}
+
+
 def parse_perturbations(specs: list[str] | None) -> dict[str, dict]:
     """Parse ``--perturb CELLID:KEY=VALUE`` specs into ``{cell_id: hints}``."""
     out: dict[str, dict] = {}
@@ -314,12 +319,18 @@ def parse_perturbations(specs: list[str] | None) -> dict[str, dict]:
         if not hasattr(Hints(), key):
             raise ValueError(f"bad --perturb spec {spec!r}: unknown hint {key!r}")
         current = getattr(Hints(), key)
-        if isinstance(current, bool):
-            parsed: object = value.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current, float):
-            parsed = float(value)
-        else:
-            parsed = int(value)
+        try:
+            if isinstance(current, bool):
+                parsed: object = _BOOLS[value.lower()]
+            elif isinstance(current, float):
+                parsed = float(value)
+            else:
+                parsed = int(value)
+        except (KeyError, ValueError):
+            raise ValueError(
+                f"bad --perturb spec {spec!r}: {key} wants "
+                f"{_KINDS.get(type(current), 'an integer')}, got {value!r}"
+            ) from None
         out.setdefault(cell_id, {})[key] = parsed
     return out
 

@@ -18,8 +18,6 @@ caller holds it -- building is a fraction of a second even at ``AMR64``.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from ..amr.grid import Grid
@@ -49,44 +47,18 @@ def resolve_scenario(problem: str | Scenario) -> Scenario:
     return scenario_registry.get(str(problem))
 
 
-def _overrides(**kwargs) -> dict:
-    return {k: v for k, v in kwargs.items() if v is not None}
-
-
-def build_workload(
-    problem: str | Scenario = "AMR64",
-    *,
-    seed: int | None = None,
-    pre_refine: int | None = None,
-    particles_per_cell: float | None = None,
-    refine_threshold: float | None = None,
-) -> GridHierarchy:
+def build_workload(problem: str | Scenario = "AMR64") -> GridHierarchy:
     """The checkpoint-dump hierarchy for one scenario, freshly built.
 
     An evolved-looking hierarchy: a few dozen moderately-sized subgrids
     clustered around the overdensities, which is what a per-cycle data
-    dump writes.  Keyword overrides replace the scenario's own values;
-    left at ``None`` they defer to the scenario (so a parameter-file
-    scenario keeps its parsed settings).
+    dump writes.  To vary a workload (another seed, say), pass
+    ``dataclasses.replace(scenario, seed=s)``.
     """
-    scenario = resolve_scenario(problem)
-    overrides = _overrides(
-        seed=seed,
-        pre_refine=pre_refine,
-        particles_per_cell=particles_per_cell,
-        refine_threshold=refine_threshold,
-    )
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return build_hierarchy(scenario)
+    return build_hierarchy(resolve_scenario(problem))
 
 
-def build_initial_workload(
-    problem: str | Scenario = "AMR64",
-    *,
-    seed: int | None = None,
-    particles_per_cell: float | None = None,
-) -> GridHierarchy:
+def build_initial_workload(problem: str | Scenario = "AMR64") -> GridHierarchy:
     """The new-simulation *initial grids*: root + a few pre-refined subgrids.
 
     The paper's read experiments read these ("the top-grid and some
@@ -94,33 +66,28 @@ def build_initial_workload(
     clustering parameters produce a handful of large patches rather than
     the many small grids of an evolved hierarchy.
     """
-    scenario = resolve_scenario(problem)
-    overrides = _overrides(seed=seed, particles_per_cell=particles_per_cell)
-    if overrides:
-        scenario = replace(scenario, **overrides)
-    return build_hierarchy(scenario, initial=True)
+    return build_hierarchy(resolve_scenario(problem), initial=True)
 
 
-def build_scale_workload(
-    nprocs: int,
-    *,
-    cells_per_rank_axis: int = 8,
-    subgrid_cells: int = 8,
-    particles_per_rank: int = 8,
-) -> GridHierarchy:
+#: Weak-scaling sizes: a rank's root block and its level-1 subgrid are
+#: cubes of this many cells a side; each subgrid holds as many particles.
+_SCALE_CELLS = 8
+
+
+def build_scale_workload(nprocs: int) -> GridHierarchy:
     """A weak-scaling checkpoint hierarchy: per-rank work is constant in P.
 
-    The root grid spans ``processor_grid(P) * cells_per_rank_axis`` cells,
-    so every rank's (Block, Block, Block) piece is exactly
-    ``cells_per_rank_axis^3`` cells at any P, and each rank owns one
-    level-1 subgrid of ``subgrid_cells^3`` cells refined inside its own
-    block.  All data is deterministic (index-derived fills, regularly
-    spaced particles) and cheap to build -- no random refinement pass --
-    which is what makes P=1024 hierarchies constructible in well under a
-    second.  Like the scenario builders, builds afresh on every call.
+    The root grid spans ``processor_grid(P) * 8`` cells, so every rank's
+    (Block, Block, Block) piece is exactly ``8^3`` cells at any P, and each
+    rank owns one level-1 subgrid of ``8^3`` cells and 8 particles refined
+    inside its own block.  All data is deterministic (index-derived fills,
+    regularly spaced particles) and cheap to build -- no random refinement
+    pass -- which is what makes P=1024 hierarchies constructible in well
+    under a second.  Like the scenario builders, builds afresh on every
+    call.
     """
     pgrid = processor_grid(nprocs)
-    dims = tuple(p * cells_per_rank_axis for p in pgrid)
+    dims = tuple(p * _SCALE_CELLS for p in pgrid)
     root = Grid.make_root(dims)
     ncells = root.ncells
     ramp = (np.arange(ncells, dtype=np.float64) % 997.0).reshape(dims)
@@ -145,7 +112,7 @@ def build_scale_workload(
     hierarchy = GridHierarchy(root)
     part = BlockPartition(dims, nprocs)
     cw = root.cell_width
-    refined_root_cells = subgrid_cells // 2  # level-1 refinement factor 2
+    refined_root_cells = _SCALE_CELLS // 2  # level-1 refinement factor 2
     base_id = nroot_p
     for rank in range(nprocs):
         starts, sizes = part.block_of(rank)
@@ -165,7 +132,7 @@ def build_scale_workload(
         ).reshape(sub.dims)
         for i, name in enumerate(sub.fields.names):
             sub.fields[name] = sramp * 0.5 + float(rank + i)
-        npart = particles_per_rank
+        npart = _SCALE_CELLS
         sfrac = (np.arange(npart, dtype=np.float64) + 0.5) / npart
         spos = left + (right - left) * np.column_stack([sfrac, sfrac, sfrac])
         sub.particles = ParticleSet(

@@ -140,6 +140,11 @@ def _job_setup(args):
             raise _UsageError(
                 f"--{flag} must be a positive integer (got {value})"
             )
+    downscale = getattr(args, "downscale", 0)
+    if downscale < 0:  # 0 is "off"
+        raise _UsageError(
+            f"--downscale must be a non-negative integer (got {downscale})"
+        )
     preset = PRESETS[getattr(args, "machine", "origin2000")]
     strategy = getattr(args, "strategy", None)
     try:

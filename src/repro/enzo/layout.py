@@ -93,11 +93,6 @@ class CheckpointLayout:
         """
         return self._extents[(grid_key, kind, array_name)]
 
-    def grid_span(self, grid_key) -> tuple[int, int]:
-        """The contiguous byte range covering all of one grid's arrays."""
-        exts = [e for (g, _, _), e in self._extents.items() if g == grid_key]
-        return min(e.offset for e in exts), max(e.end for e in exts)
-
     def keys(self):
         return self._extents.keys()
 

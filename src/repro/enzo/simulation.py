@@ -104,14 +104,6 @@ class EnzoConfig:
         # "choose from ..." message the CLI's --scenario path prints.
         return tuple(self.scenario().root_dims)
 
-    def n_dumps(self) -> int:
-        if self.dump_every <= 0:
-            return 0
-        return len([
-            c for c in range(1, self.ncycles + 1)
-            if c % self.dump_every == 0
-        ])
-
     def redshift_schedule(self) -> list[float]:
         """Redshift at the end of each cycle, log(1+z)-linear in cycle.
 

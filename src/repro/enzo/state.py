@@ -97,21 +97,18 @@ class RankState:
         hierarchy: GridHierarchy,
         rank: int,
         nprocs: int,
-        *,
-        owner: dict[int, int] | None = None,
     ) -> "RankState":
         """Derive rank ``rank``'s state from a full hierarchy; subgrids go
-        to their owners in ``owner``, by default the load-balanced (LPT)
-        assignment the paper uses during evolution."""
+        to their owners in the load-balanced (LPT) assignment the paper
+        uses during evolution."""
         meta = HierarchyMeta.from_hierarchy(hierarchy)
         partition = BlockPartition(hierarchy.root.dims, nprocs)
         top_piece = partition.extract(hierarchy.root, rank)
-        if owner is None:
-            owner = make_owner_map(hierarchy, nprocs)
+        owner = make_owner_map(hierarchy, nprocs)
         subgrids = {
             gid: hierarchy[gid] for gid, r in owner.items() if r == rank
         }
-        return cls(rank, nprocs, meta, partition, top_piece, subgrids, dict(owner))
+        return cls(rank, nprocs, meta, partition, top_piece, subgrids, owner)
 
     # -- reassembly --------------------------------------------------------------
 
@@ -152,11 +149,6 @@ class RankState:
     def my_cells(self) -> int:
         return self.top_piece.ncells + sum(
             g.ncells for g in self.subgrids.values()
-        )
-
-    def my_data_nbytes(self) -> int:
-        return self.top_piece.data_nbytes + sum(
-            g.data_nbytes for g in self.subgrids.values()
         )
 
     def equal(self, other: "RankState") -> bool:
@@ -220,6 +212,3 @@ class PartitionedState:
             grid.child_ids = []
             hierarchy.add_grid(grid)
         return hierarchy
-
-    def my_data_nbytes(self) -> int:
-        return sum(p.data_nbytes for p in self.pieces.values() if p is not None)

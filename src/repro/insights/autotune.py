@@ -20,7 +20,7 @@ from ..core.trace import IOTrace, trace_filesystem
 from ..iostack import registry
 from ..mpiio.hints import Hints
 from .model import Diagnosis, Severity
-from .rules import Thresholds, diagnose
+from .rules import diagnose
 
 __all__ = ["AutoTuner", "TuningReport", "TuningStep"]
 
@@ -174,7 +174,6 @@ class AutoTuner:
         strategy: str = "hdf4",
         hints: Hints | None = None,
         max_rounds: int = 3,
-        thresholds: Thresholds | None = None,
         retry=None,
     ):
         if strategy not in registry.names():
@@ -185,7 +184,6 @@ class AutoTuner:
         self.strategy = strategy
         self.hints = hints or Hints()
         self.max_rounds = max_rounds
-        self.thresholds = thresholds
         self.retry = retry  # resilience.RetryPolicy, threaded to strategies
 
     # -- one traced run ----------------------------------------------------
@@ -231,7 +229,6 @@ class AutoTuner:
             stripe_widen_to=stripe_headroom_of(machine),
             hints=hints,
             strategy=strategy,
-            thresholds=self.thresholds,
         )
         return trace, diagnosis, result
 

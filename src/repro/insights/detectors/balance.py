@@ -14,7 +14,7 @@ from ..model import (
     Recommendation,
     Severity,
 )
-from ..rules import TraceContext, rule
+from ..rules import THRESHOLDS, TraceContext, rule
 
 __all__ = []
 
@@ -22,7 +22,7 @@ __all__ = []
 @rule("single-writer")
 def single_writer(ctx: TraceContext) -> list:
     """One node moves the majority of the bytes (serialized I/O)."""
-    th = ctx.thresholds
+    th = THRESHOLDS
     out = []
     for op in ctx.data_ops():
         per_node = ctx.trace.per_node_bytes(op)
@@ -80,7 +80,7 @@ def single_writer(ctx: TraceContext) -> list:
 @rule("node-imbalance")
 def node_imbalance(ctx: TraceContext) -> list:
     """Per-node byte skew (uneven grid ownership), short of serialization."""
-    th = ctx.thresholds
+    th = THRESHOLDS
     out = []
     for op in ctx.data_ops():
         per_node = ctx.trace.per_node_bytes(op)

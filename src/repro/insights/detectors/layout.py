@@ -15,7 +15,7 @@ from ..model import (
     Recommendation,
     Severity,
 )
-from ..rules import TraceContext, rule
+from ..rules import THRESHOLDS, TraceContext, rule
 
 __all__ = []
 
@@ -23,7 +23,7 @@ __all__ = []
 @rule("file-per-grid")
 def file_per_grid(ctx: TraceContext) -> list:
     """Too many output files (the original code's file-per-grid layout)."""
-    th = ctx.thresholds
+    th = THRESHOLDS
     paths = set()
     for op in ("write", "read"):
         paths.update(e.path for e in ctx.trace.ops(op))
@@ -76,7 +76,7 @@ def misaligned_access(ctx: TraceContext) -> list:
     to the stripe the rule reports OK regardless of the raw offsets
     (write-behind flushes legitimately start mid-stripe).
     """
-    th = ctx.thresholds
+    th = THRESHOLDS
     stripe = ctx.stripe_size
     if stripe <= 0:
         return []
@@ -155,7 +155,7 @@ def independent_shared_file(ctx: TraceContext) -> list:
     several nodes each push small requests into the same file the servers
     see an interleaved stream no buffer can help.
     """
-    th = ctx.thresholds
+    th = THRESHOLDS
     flagged = []
     shared = 0
     for path, events in ctx.events_by_path("write").items():

@@ -14,7 +14,7 @@ from ..model import (
     Recommendation,
     Severity,
 )
-from ..rules import TraceContext, rule
+from ..rules import THRESHOLDS, TraceContext, rule
 
 __all__ = []
 
@@ -22,7 +22,7 @@ __all__ = []
 @rule("metadata-ratio")
 def metadata_ratio(ctx: TraceContext) -> list:
     """Metadata operations per data request."""
-    th = ctx.thresholds
+    th = THRESHOLDS
     meta = ctx.trace.ops("meta")
     if not meta:
         return []
@@ -72,7 +72,7 @@ def metadata_ratio(ctx: TraceContext) -> list:
 @rule("open-churn")
 def open_churn(ctx: TraceContext) -> list:
     """Repeated opens of the same files (dataset-open churn)."""
-    th = ctx.thresholds
+    th = THRESHOLDS
     opens = [
         e for e in ctx.trace.ops("meta") if e.kind in ("open", "create")
     ]

@@ -15,7 +15,7 @@ from ..model import (
     Recommendation,
     Severity,
 )
-from ..rules import TraceContext, rule
+from ..rules import THRESHOLDS, TraceContext, rule
 
 __all__ = []
 
@@ -42,7 +42,7 @@ def sync_checkpoint_stall(ctx: TraceContext) -> list:
     """Every rank blocked for the full dump a background flush could hide."""
     from ...iostack import registry
 
-    th = ctx.thresholds
+    th = THRESHOLDS
     if ctx.strategy is None:
         return []
     try:

@@ -15,7 +15,7 @@ from ..model import (
     Recommendation,
     Severity,
 )
-from ..rules import TraceContext, rule
+from ..rules import THRESHOLDS, TraceContext, rule
 
 __all__ = []
 
@@ -27,7 +27,7 @@ def _kib(n: float) -> str:
 @rule("small-requests")
 def small_requests(ctx: TraceContext) -> list:
     """Dominance of small requests (paper Table 2: median ~ a few KiB)."""
-    th = ctx.thresholds
+    th = THRESHOLDS
     out = []
     for op in ctx.data_ops():
         count_frac, byte_frac = ctx.small_fractions(op)
@@ -105,7 +105,7 @@ def tiny_interleaved(ctx: TraceContext) -> list:
     alternates between sub-KiB header updates and array payloads, which
     defeats sequential buffering at every layer.
     """
-    th = ctx.thresholds
+    th = THRESHOLDS
     out = []
     for op in ctx.data_ops():
         sizes = ctx.trace.request_sizes(op)
@@ -182,7 +182,7 @@ def tiny_interleaved(ctx: TraceContext) -> list:
 @rule("random-access")
 def random_access(ctx: TraceContext) -> list:
     """Small non-sequential access per node (strided/random patterns)."""
-    th = ctx.thresholds
+    th = THRESHOLDS
     out = []
     for op in ctx.data_ops():
         fractions = ctx.per_node_sequential(op)
@@ -243,7 +243,7 @@ def rmw_amplification(ctx: TraceContext) -> list:
     modify / write-extent; the reads show up in a write-phase trace as
     traffic on the very files being written.
     """
-    th = ctx.thresholds
+    th = THRESHOLDS
     writes = ctx.trace.ops("write")
     reads = ctx.trace.ops("read")
     if not writes or not reads:

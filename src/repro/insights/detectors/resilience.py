@@ -14,7 +14,7 @@ from ..model import (
     Recommendation,
     Severity,
 )
-from ..rules import TraceContext, rule
+from ..rules import THRESHOLDS, TraceContext, rule
 
 __all__ = []
 
@@ -26,7 +26,7 @@ def _data_op_count(ctx: TraceContext) -> int:
 @rule("retry-storm")
 def retry_storm(ctx: TraceContext) -> list:
     """I/O retries per data request; give-ups are always HIGH."""
-    th = ctx.thresholds
+    th = THRESHOLDS
     recoveries = ctx.trace.ops("recovery")
     if not recoveries:
         return []
@@ -107,7 +107,7 @@ def retry_storm(ctx: TraceContext) -> list:
 @rule("degraded-collective")
 def degraded_collective(ctx: TraceContext) -> list:
     """Collective writes that fell back to independent I/O."""
-    th = ctx.thresholds
+    th = THRESHOLDS
     recoveries = ctx.trace.ops("recovery")
     if not recoveries:
         return []

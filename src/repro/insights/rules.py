@@ -13,7 +13,7 @@ tuned collective MPI-IO) reproduces as HIGH-vs-clean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.trace import IOTrace
 from .model import Diagnosis, Insight
@@ -23,7 +23,8 @@ __all__ = ["TraceContext", "Thresholds", "rule", "all_rules", "diagnose"]
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Tunable detection thresholds (Drishti-style)."""
+    """Detection thresholds (Drishti-style); every detector reads
+    :data:`THRESHOLDS`."""
 
     #: a request below this many bytes is "small"
     small_request_bytes: int = 128 * 1024
@@ -66,6 +67,9 @@ class Thresholds:
     sync_stall_fraction: float = 0.15
 
 
+THRESHOLDS = Thresholds()
+
+
 @dataclass
 class TraceContext:
     """Everything a detector may consult.
@@ -85,7 +89,6 @@ class TraceContext:
     stripe_widen_to: int = 0
     hints: object | None = None  # mpiio.Hints
     strategy: str | None = None
-    thresholds: Thresholds = field(default_factory=Thresholds)
 
     # -- shared derived helpers (used by several detectors) -----------------
 
@@ -98,7 +101,7 @@ class TraceContext:
         sizes = self.trace.request_sizes(op)
         if not len(sizes):
             return 0.0, 0.0
-        small = sizes < self.thresholds.small_request_bytes
+        small = sizes < THRESHOLDS.small_request_bytes
         total = int(sizes.sum())
         return (
             float(small.sum()) / len(sizes),
@@ -163,7 +166,6 @@ def diagnose(
     stripe_widen_to: int = 0,
     hints=None,
     strategy: str | None = None,
-    thresholds: Thresholds | None = None,
     rules: list[str] | None = None,
 ) -> Diagnosis:
     """Run the detector rules over ``trace`` and return the diagnosis."""
@@ -175,7 +177,6 @@ def diagnose(
         stripe_widen_to=stripe_widen_to,
         hints=hints,
         strategy=strategy,
-        thresholds=thresholds or Thresholds(),
     )
     registered = all_rules()
     selected = registered if rules is None else {

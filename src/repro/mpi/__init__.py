@@ -31,22 +31,7 @@ from .collectives import (
     scatterv,
 )
 from .comm import ANY_SOURCE, ANY_TAG, Comm, Message, MpiWorld, payload_nbytes
-from .datatypes import (
-    BYTE,
-    CHAR,
-    FLOAT32,
-    FLOAT64,
-    INT32,
-    INT64,
-    Contiguous,
-    Datatype,
-    Indexed,
-    Named,
-    Subarray,
-    Vector,
-    from_numpy,
-    merge_segments,
-)
+from .datatypes import BYTE, FLOAT64, Datatype, Named, Subarray, merge_segments
 from .request import Request, irecv, isend, waitall
 from .runner import SpmdResult, run_spmd
 
@@ -82,16 +67,8 @@ __all__ = [
     "MIN",
     "Datatype",
     "Named",
-    "Contiguous",
-    "Vector",
-    "Indexed",
     "Subarray",
-    "from_numpy",
     "merge_segments",
     "BYTE",
-    "CHAR",
-    "INT32",
-    "INT64",
-    "FLOAT32",
     "FLOAT64",
 ]

@@ -1,4 +1,4 @@
-"""MPI derived datatypes.
+"""MPI datatypes: the named elementary types and the subarray constructor.
 
 A derived datatype describes a (possibly non-contiguous) layout of bytes
 relative to a base address.  MPI-IO uses them twice over: as the *etype*
@@ -7,12 +7,13 @@ memory layout of user buffers.  The paper's collective-I/O optimisation hinges
 on the ``subarray`` constructor: each processor describes its (Block, Block,
 Block) piece of a 3-D baryon field as a subarray of the global array, and the
 MPI-IO layer turns the union of those descriptions into large contiguous
-accesses.
+accesses.  That is the only derived datatype the stack builds.
 
 The key operation is :meth:`Datatype.segments`: flatten one instance of the
 type into ``(displacement, length)`` byte runs, merged where adjacent.  All
 higher layers (file views, two-phase I/O, data sieving) work on these flat
-segment lists.
+segment lists.  :func:`_flat_runs` is the one flattener, for subarrays
+and for HDF5 hyperslabs alike.
 """
 
 from __future__ import annotations
@@ -23,22 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Datatype",
-    "Named",
-    "Contiguous",
-    "Vector",
-    "Indexed",
-    "Subarray",
-    "BYTE",
-    "CHAR",
-    "INT32",
-    "INT64",
-    "FLOAT32",
-    "FLOAT64",
-    "merge_segments",
-    "from_numpy",
-]
+__all__ = ["Datatype", "Named", "Subarray", "BYTE", "FLOAT64", "merge_segments"]
 
 
 def _flat_runs(shape, start, count, stride, block, offset=0, scale=1, size=1,
@@ -84,7 +70,7 @@ def _flat_runs(shape, start, count, stride, block, offset=0, scale=1, size=1,
 def merge_segments(segs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Merge adjacent/overlapping ``(disp, len)`` runs; keeps offset order.
 
-    Input must already be sorted by displacement (every constructor here
+    Input must already be sorted by displacement (:func:`_flat_runs`
     produces sorted runs).
     """
     out: list[tuple[int, int]] = []
@@ -112,18 +98,6 @@ class Datatype:
     def segments(self, base: int = 0) -> list[tuple[int, int]]:
         """Flattened ``(displacement + base, length)`` runs of one instance."""
         raise NotImplementedError
-
-    # -- conveniences -----------------------------------------------------
-
-    def contiguous(self, count: int) -> "Contiguous":
-        """``count`` repetitions of this type, packed end to end."""
-        return Contiguous(count, self)
-
-    @property
-    def is_contiguous(self) -> bool:
-        """True when one instance is a single run starting at 0."""
-        segs = self.segments()
-        return len(segs) <= 1 and (not segs or segs[0][0] == 0)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} size={self.size} extent={self.extent}>"
@@ -155,113 +129,7 @@ class Named(Datatype):
 
 
 BYTE = Named("BYTE", np.dtype(np.uint8))
-CHAR = Named("CHAR", np.dtype(np.uint8))
-INT32 = Named("INT32", np.dtype(np.int32))
-INT64 = Named("INT64", np.dtype(np.int64))
-FLOAT32 = Named("FLOAT32", np.dtype(np.float32))
 FLOAT64 = Named("FLOAT64", np.dtype(np.float64))
-
-_BY_NP: dict[np.dtype, Named] = {
-    t.np_dtype: t for t in (BYTE, INT32, INT64, FLOAT32, FLOAT64)
-}
-
-
-def from_numpy(dtype) -> Named:
-    """The :class:`Named` type matching a numpy dtype."""
-    dt = np.dtype(dtype)
-    try:
-        return _BY_NP[dt]
-    except KeyError:
-        raise TypeError(f"no MPI named type for numpy dtype {dt}") from None
-
-
-class Contiguous(Datatype):
-    """``count`` copies of ``base`` packed at its extent."""
-
-    def __init__(self, count: int, base: Datatype):
-        if count < 0:
-            raise ValueError("count must be >= 0")
-        self.count = count
-        self.base = base
-        self.size = count * base.size
-        self.extent = count * base.extent
-
-    def segments(self, base: int = 0) -> list[tuple[int, int]]:
-        inner = self.base.segments(0)
-        runs = (
-            (base + i * self.base.extent + d, n)
-            for i in range(self.count)
-            for d, n in inner
-        )
-        return merge_segments(runs)
-
-
-class Vector(Datatype):
-    """``count`` blocks of ``blocklength`` base elements, ``stride`` apart.
-
-    ``stride`` is in units of base-type extents (like ``MPI_Type_vector``).
-    """
-
-    def __init__(self, count: int, blocklength: int, stride: int, base: Datatype):
-        if count < 0 or blocklength < 0:
-            raise ValueError("count and blocklength must be >= 0")
-        self.count = count
-        self.blocklength = blocklength
-        self.stride = stride
-        self.base = base
-        self.size = count * blocklength * base.size
-        if count == 0:
-            self.extent = 0
-        else:
-            self.extent = ((count - 1) * stride + blocklength) * base.extent
-
-    def segments(self, base: int = 0) -> list[tuple[int, int]]:
-        block = Contiguous(self.blocklength, self.base).segments(0)
-        runs = (
-            (base + i * self.stride * self.base.extent + d, n)
-            for i in range(self.count)
-            for d, n in block
-        )
-        return merge_segments(sorted(runs))
-
-
-class Indexed(Datatype):
-    """Blocks of varying lengths at varying displacements (``MPI_Type_indexed``).
-
-    Displacements are in units of base-type extents.
-    """
-
-    def __init__(
-        self,
-        blocklengths: Sequence[int],
-        displacements: Sequence[int],
-        base: Datatype,
-    ):
-        if len(blocklengths) != len(displacements):
-            raise ValueError("blocklengths and displacements differ in length")
-        if any(b < 0 for b in blocklengths):
-            raise ValueError("negative blocklength")
-        self.blocklengths = list(blocklengths)
-        self.displacements = list(displacements)
-        self.base = base
-        self.size = sum(blocklengths) * base.size
-        if blocklengths:
-            self.extent = max(
-                (d + b) * base.extent
-                for d, b in zip(displacements, blocklengths)
-            )
-        else:
-            self.extent = 0
-
-    def segments(self, base: int = 0) -> list[tuple[int, int]]:
-        runs: list[tuple[int, int]] = []
-        ext = self.base.extent
-        for disp, blen in zip(self.displacements, self.blocklengths):
-            runs.extend(
-                (base + disp * ext + d, n)
-                for d, n in Contiguous(blen, self.base).segments(0)
-            )
-        return merge_segments(sorted(runs))
 
 
 class Subarray(Datatype):
@@ -311,8 +179,3 @@ class Subarray(Datatype):
         return _flat_runs(self.shape, self.starts, ones, ones, self.subsizes,
                           base, ext, self.base.size, fold=self.base.size == ext)[0]
 
-    def numpy_index(self) -> tuple[slice, ...]:
-        """The numpy basic-slicing index selecting this subarray."""
-        return tuple(
-            slice(st, st + sub) for st, sub in zip(self.starts, self.subsizes)
-        )

@@ -180,7 +180,3 @@ class BlockStore:
     def listdir(self) -> list[str]:
         """All file paths, sorted (the namespace is flat)."""
         return sorted(self._files)
-
-    def total_bytes(self) -> int:
-        """Sum of logical file sizes."""
-        return sum(f.size for f in self._files.values())

@@ -73,14 +73,6 @@ class Machine:
         """Number of compute nodes actually occupied by ranks."""
         return (self.nprocs + self.procs_per_node - 1) // self.procs_per_node
 
-    def ranks_on_node(self, node: int) -> range:
-        """Ranks placed on ``node``."""
-        lo = node * self.procs_per_node
-        hi = min(lo + self.procs_per_node, self.nprocs)
-        if lo >= self.nprocs:
-            raise ValueError(f"node {node} hosts no ranks")
-        return range(lo, hi)
-
     # -- cost helpers --------------------------------------------------------
 
     def compute_time(self, flops: float) -> float:

@@ -99,12 +99,6 @@ class Network:
         _, in_end = self.ingress[dst].serve(out_start + self.latency, occupancy)
         return max(in_end, out_end + self.latency)
 
-    def transfer_time(self, nbytes: int, *, local: bool = False) -> float:
-        """Uncontended point-to-point time for ``nbytes``."""
-        if local:
-            return nbytes / self.local_bandwidth
-        return self.latency + nbytes / self.bandwidth
-
 
 class SwitchedNetwork(Network):
     """Full-bisection switch: IBM SP switch, Myrinet, switched Ethernet."""

@@ -255,17 +255,6 @@ class TestGridHierarchy:
                 Grid(0, 1, (2, 2, 2), np.zeros(3), np.ones(3), parent_id=5)
             )
 
-    def test_remove_subtree(self):
-        h = GridHierarchy(Grid.make_root((8, 8, 8)))
-        c1 = h.add_grid(self.make_child(h, h.root))
-        gc = h.add_grid(self.make_child(h, c1, 0.0, 0.25))
-        removed = h.remove_subtree(c1.id)
-        assert sorted(removed) == sorted([c1.id, gc.id])
-        assert len(h) == 1
-        assert h.root.child_ids == []
-        with pytest.raises(ValueError):
-            h.remove_subtree(h.root_id)
-
     def test_totals_and_describe(self):
         h = GridHierarchy(Grid.make_root((4, 4, 4)))
         assert h.total_cells() == 64

@@ -16,7 +16,6 @@ from repro.amr import (
     cluster_flags,
     evolve_hierarchy,
     gaussian_random_field,
-    load_imbalance,
     make_initial_conditions,
     processor_grid,
     refine_hierarchy,
@@ -228,7 +227,14 @@ class TestLoadBalance:
         grids = self.make_grids(sizes)
         lpt = assign_grids_lpt(grids, 4)
         rr = assign_grids_round_robin(grids, 4)
-        assert load_imbalance(grids, lpt, 4) <= load_imbalance(grids, rr, 4)
+
+        def imbalance(assignment):  # max/mean per-rank byte load
+            loads = [0] * 4
+            for g in grids:
+                loads[assignment[g.id]] += g.data_nbytes
+            return max(loads) / (sum(loads) / 4)
+
+        assert imbalance(lpt) <= imbalance(rr)
 
     def test_round_robin_cycle(self):
         grids = self.make_grids([4, 4, 4, 4, 4])
@@ -247,9 +253,6 @@ class TestLoadBalance:
             assign_grids_lpt([], 0)
         with pytest.raises(ValueError):
             assign_grids_round_robin([], 0)
-
-    def test_imbalance_of_empty(self):
-        assert load_imbalance([], {}, 4) == 1.0
 
 
 class TestSolver:

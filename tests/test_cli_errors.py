@@ -245,6 +245,8 @@ class TestJobCommandUsageErrors:
         # ScenarioError traceback
         (["figure", "fig6", "--problem", "NOPE"], "choose from ["),
         (["table", "--problem", "NOPE"], "choose from ["),
+        # silently ran at full scale
+        (["analyze", "--downscale", "-3"], "--downscale"),
     ])
     def test_exits_2_naming_the_option(self, argv, names, capsys):
         assert main(argv) == 2

@@ -5,6 +5,8 @@ assertions on traced memory (``conftest.Traced``): *held* is what a step
 leaves allocated, *peak* the most it ever had.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from repro.iostack.formats import read_grid_sd, write_grid_sd
 from repro.mpi import run_spmd
 from repro.mpiio import ADIOFile
 from repro.pfs.blockstore import _PAGE
+from repro.scenarios import registry as scenario_registry
 
 from .conftest import Traced, make_machine
 
@@ -88,8 +91,10 @@ def test_a_shell_is_free_and_a_read_into_it_holds_the_payload_once():
 
 
 _BUILDERS = {
-    "dump": lambda seed: build_workload("AMR16", seed=seed),
-    "initial": lambda seed: build_initial_workload("AMR16", seed=seed),
+    "dump": lambda seed: build_workload(
+        replace(scenario_registry.get("AMR16"), seed=seed)),
+    "initial": lambda seed: build_initial_workload(
+        replace(scenario_registry.get("AMR16"), seed=seed)),
     "scale": build_scale_workload,
 }
 

@@ -87,17 +87,6 @@ class TestCheckpointLayout:
             assert e.offset == prev_end
             prev_end = e.end
 
-    def test_grid_span(self, hierarchy):
-        meta = HierarchyMeta.from_hierarchy(hierarchy)
-        layout = CheckpointLayout(meta)
-        lo, hi = layout.grid_span(TOP)
-        assert lo == 0
-        assert hi == sum(
-            layout.extent(TOP, n).nbytes for n in BARYON_FIELDS
-        ) + sum(
-            layout.extent(TOP, n, "particle").nbytes for n in PARTICLE_ARRAYS
-        )
-
     def test_dtypes(self, hierarchy):
         meta = HierarchyMeta.from_hierarchy(hierarchy)
         layout = CheckpointLayout(meta)

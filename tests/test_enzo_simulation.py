@@ -32,10 +32,6 @@ class TestEnzoConfig:
         with pytest.raises(ValueError):
             EnzoConfig(problem="AMR9000").root_dims
 
-    def test_n_dumps(self):
-        assert EnzoConfig(ncycles=6, dump_every=2).n_dumps() == 3
-        assert EnzoConfig(ncycles=3, dump_every=1).n_dumps() == 3
-
 
 class TestSimulationRun:
     @pytest.mark.parametrize("nprocs", [1, 4])

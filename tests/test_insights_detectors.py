@@ -8,7 +8,7 @@ finding can only come from the rule under test.
 import pytest
 
 from repro.core.trace import IOTrace
-from repro.insights import Severity, Thresholds, all_rules, diagnose
+from repro.insights import Severity, all_rules, diagnose
 
 KB = 1024
 MB = 1024 * 1024
@@ -325,13 +325,6 @@ def test_diagnose_sorts_most_severe_first_and_counts():
     assert sevs == sorted(sevs)
     assert diag.summary["strategy"] == "hdf4"
     assert diag.summary["files"] == 8
-
-
-def test_diagnose_with_custom_thresholds():
-    trace = make_trace(writes([4 * KB] * 20))
-    lax = Thresholds(small_request_bytes=1024)  # 4 KiB no longer "small"
-    diag = diagnose(trace, rules=["small-requests"], thresholds=lax)
-    assert severities(diag) == [Severity.OK]
 
 
 def test_diagnose_unknown_rule_raises():

@@ -4,7 +4,6 @@ import pytest
 
 from repro.core import IOTrace
 from repro.insights import Severity, diagnose
-from repro.insights.rules import Thresholds
 from repro.iostack import registry
 
 
@@ -63,13 +62,6 @@ class TestRetryStorm:
         assert i.severity == Severity.HIGH
         assert "gave up" in i.title
         assert i.evidence["giveups"] == 1
-
-    def test_thresholds_are_tunable(self):
-        th = Thresholds(retry_ratio_warn=0.5)
-        d = diagnose(make_trace(writes=100, retries=10, recovered=10),
-                     thresholds=th)
-        (i,) = findings(d, "retry-storm")
-        assert i.severity == Severity.INFO
 
 
 class TestDegradedCollective:

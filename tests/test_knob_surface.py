@@ -4,8 +4,9 @@ Each name below is a value a caller can set.  A knob that only tests set
 doubles the configurations every gate must cover, so adding one here is a
 conscious edit: it needs a preset, strategy, CLI flag or bench cell that
 sets it to a second value.  The I/O libraries' opens are pinned the same
-way, and so is the MPI-IO ``File`` method list: a library entry point
-exists because a strategy, CLI command or bench cell calls it.
+way, and so are the MPI-IO ``File`` method list and the MPI datatypes: a
+library entry point exists because a strategy, CLI command or bench cell
+calls it.
 """
 
 import dataclasses
@@ -14,12 +15,15 @@ import inspect
 import pytest
 
 from repro.aio import AioConfig
+from repro.bench import build_initial_workload, build_scale_workload, build_workload
 from repro.enzo.simulation import EnzoConfig
 from repro.enzo.state import RankState
 from repro.hdf4 import SDFile
 from repro.hdf5 import H5File
+from repro.insights import AutoTuner, diagnose
 from repro.iostack import registry
 from repro.iostack.transports import FunnelTransport
+from repro.mpi import datatypes
 from repro.mpiio import ADIOFile, File
 from repro.pfs import LocalDiskFS, StripedServerFS
 from repro.pfs.lustre import LustreFS
@@ -47,7 +51,7 @@ SIGNATURES = {
     "FunnelTransport": (FunnelTransport, ()),
     "registry.create": (registry.create, ("name", "hints", "retry")),
     "RankState.from_hierarchy": (
-        RankState.from_hierarchy, ("hierarchy", "rank", "nprocs", "owner"),
+        RankState.from_hierarchy, ("hierarchy", "rank", "nprocs"),
     ),
     "File.open": (File.open, ("comm", "path", "mode", "hints", "retry", "aio")),
     "ADIOFile.open": (ADIOFile.open, ("comm", "path", "create", "retry", "aio")),
@@ -57,6 +61,17 @@ SIGNATURES = {
         "comm", "path", "mode", "hints", "costs", "retry", "aio",
         "meta_aggregation",
     )),
+    "diagnose": (diagnose, (
+        "trace", "nprocs", "nnodes", "stripe_size", "stripe_widen_to",
+        "hints", "strategy", "rules",
+    )),
+    "AutoTuner": (AutoTuner, (
+        "machine_factory", "problem", "nprocs", "strategy", "hints",
+        "max_rounds", "retry",
+    )),
+    "build_workload": (build_workload, ("problem",)),
+    "build_initial_workload": (build_initial_workload, ("problem",)),
+    "build_scale_workload": (build_scale_workload, ("nprocs",)),
 }
 
 FIELDS = {
@@ -85,7 +100,7 @@ def test_entry_point_knobs_are_pinned(name):
 
 def test_settable_surface_total():
     table = {**SIGNATURES, **FIELDS}
-    assert sum(len(_settable(entry)) for entry, _ in table.values()) == 86
+    assert sum(len(_settable(entry)) for entry, _ in table.values()) == 103
 
 
 def test_mpiio_file_methods_are_pinned():
@@ -93,4 +108,10 @@ def test_mpiio_file_methods_are_pinned():
         "close", "iwrite_at", "open", "read_at", "read_at_all", "set_view",
         "sync", "view_segments", "write", "write_all", "write_at",
         "write_at_all",
+    ]
+
+
+def test_mpi_datatypes_are_pinned():
+    assert datatypes.__all__ == [
+        "Datatype", "Named", "Subarray", "BYTE", "FLOAT64", "merge_segments",
     ]

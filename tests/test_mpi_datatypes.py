@@ -5,17 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mpi.datatypes import (
-    BYTE,
-    FLOAT64,
-    INT32,
-    Contiguous,
-    Indexed,
-    Subarray,
-    Vector,
-    from_numpy,
-    merge_segments,
-)
+from repro.mpi.datatypes import BYTE, FLOAT64, Named, Subarray, merge_segments
+
+INT32 = Named("INT32", np.int32)
 
 
 class TestNamed:
@@ -28,15 +20,6 @@ class TestNamed:
     def test_segments(self):
         assert FLOAT64.segments() == [(0, 8)]
         assert FLOAT64.segments(base=16) == [(16, 8)]
-
-    def test_from_numpy(self):
-        assert from_numpy(np.float64) is FLOAT64
-        assert from_numpy("int32") is INT32
-        with pytest.raises(TypeError):
-            from_numpy(np.complex128)
-
-    def test_is_contiguous(self):
-        assert FLOAT64.is_contiguous
 
 
 class TestMergeSegments:
@@ -53,69 +36,6 @@ class TestMergeSegments:
         assert merge_segments([(0, 0), (5, 3)]) == [(5, 3)]
 
 
-class TestContiguous:
-    def test_packs_elements(self):
-        t = Contiguous(5, FLOAT64)
-        assert t.size == 40
-        assert t.extent == 40
-        assert t.segments() == [(0, 40)]
-        assert t.is_contiguous
-
-    def test_nested(self):
-        t = Contiguous(3, Contiguous(2, INT32))
-        assert t.size == 24
-        assert t.segments() == [(0, 24)]
-
-    def test_zero_count(self):
-        t = Contiguous(0, FLOAT64)
-        assert t.size == 0
-        assert t.segments() == []
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Contiguous(-1, BYTE)
-
-
-class TestVector:
-    def test_strided_blocks(self):
-        # 3 blocks of 2 doubles, stride 4 doubles.
-        t = Vector(3, 2, 4, FLOAT64)
-        assert t.size == 48
-        assert t.extent == (2 * 4 + 2) * 8
-        assert t.segments() == [(0, 16), (32, 16), (64, 16)]
-        assert not t.is_contiguous
-
-    def test_stride_equals_blocklength_is_contiguous(self):
-        t = Vector(4, 3, 3, INT32)
-        assert t.segments() == [(0, 48)]
-        assert t.is_contiguous
-
-    def test_zero_count(self):
-        assert Vector(0, 2, 4, BYTE).segments() == []
-
-
-class TestIndexed:
-    def test_blocks_at_displacements(self):
-        t = Indexed([2, 1], [0, 4], FLOAT64)
-        assert t.size == 24
-        assert t.extent == 40
-        assert t.segments() == [(0, 16), (32, 8)]
-
-    def test_unsorted_displacements_sorted_in_segments(self):
-        t = Indexed([1, 1], [5, 0], INT32)
-        assert t.segments() == [(0, 4), (20, 4)]
-
-    def test_adjacent_blocks_merge(self):
-        t = Indexed([2, 2], [0, 2], INT32)
-        assert t.segments() == [(0, 16)]
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Indexed([1, 2], [0], BYTE)
-        with pytest.raises(ValueError):
-            Indexed([-1], [0], BYTE)
-
-
 class TestSubarray:
     def test_2d_interior_block(self):
         # 4x6 global, 2x3 sub at (1, 2); rows are 3 contiguous doubles.
@@ -129,7 +49,6 @@ class TestSubarray:
     def test_full_array_is_one_segment(self):
         t = Subarray((4, 6), (4, 6), (0, 0), FLOAT64)
         assert t.segments() == [(0, 4 * 6 * 8)]
-        assert t.is_contiguous
 
     def test_full_rows_merge(self):
         # Selecting complete rows 1..3 is one contiguous run.
@@ -145,10 +64,6 @@ class TestSubarray:
     def test_1d(self):
         t = Subarray((100,), (10,), (90,), FLOAT64)
         assert t.segments() == [(720, 80)]
-
-    def test_numpy_index(self):
-        t = Subarray((4, 6), (2, 3), (1, 2), FLOAT64)
-        assert t.numpy_index() == (slice(1, 3), slice(2, 5))
 
     def test_empty_subarray(self):
         t = Subarray((4, 4), (0, 4), (0, 0), BYTE)
@@ -186,7 +101,7 @@ def test_property_subarray_segments_match_numpy_mask(spec):
     shape, subsizes, starts = spec
     t = Subarray(shape, subsizes, starts, FLOAT64)
     mask = np.zeros(shape, dtype=bool)
-    mask[t.numpy_index()] = True
+    mask[tuple(slice(a, a + n) for a, n in zip(starts, subsizes))] = True
     flat = np.repeat(mask.ravel(), FLOAT64.size)  # per-byte mask
     expect = np.flatnonzero(flat)
     got = np.concatenate(
@@ -195,44 +110,6 @@ def test_property_subarray_segments_match_numpy_mask(spec):
     )
     np.testing.assert_array_equal(got, expect)
     assert t.size == int(mask.sum()) * 8
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    count=st.integers(0, 10),
-    blocklength=st.integers(0, 5),
-    extra_stride=st.integers(0, 5),
-)
-def test_property_vector_size_and_coverage(count, blocklength, extra_stride):
-    stride = blocklength + extra_stride
-    t = Vector(count, blocklength, stride, INT32)
-    segs = t.segments()
-    assert sum(n for _, n in segs) == t.size == count * blocklength * 4
-    # Segments are sorted and non-overlapping.
-    for (d1, n1), (d2, _) in zip(segs, segs[1:]):
-        assert d1 + n1 < d2 or d1 + n1 == d2  # merged if adjacent
-        assert d1 + n1 <= d2
-
-
-@settings(max_examples=100, deadline=None)
-@given(
-    blocks=st.lists(
-        st.tuples(st.integers(0, 4), st.integers(0, 30)), min_size=0, max_size=6
-    )
-)
-def test_property_indexed_covers_exact_bytes(blocks):
-    """Indexed segments cover exactly the union of requested element runs."""
-    lens = [b for b, _ in blocks]
-    disps = [d for _, d in blocks]
-    t = Indexed(lens, disps, INT32)
-    want = set()
-    for blen, disp in zip(lens, disps):
-        for e in range(disp, disp + blen):
-            want.update(range(e * 4, e * 4 + 4))
-    got = set()
-    for d, n in t.segments():
-        got.update(range(d, d + n))
-    assert got == want
 
 
 def _ref_subarray_segments(self, base=0):
@@ -275,8 +152,10 @@ def subarray_cases(draw):
         sub = draw(st.sampled_from([0, 1, n, draw(st.integers(0, n))]))
         subsizes.append(sub)
         starts.append(draw(st.integers(0, n - sub)))
-    # Vector(2, 1, 2, INT32) has holes (size 8 < extent 12): rows never abut.
-    base_type = draw(st.sampled_from([BYTE, INT32, FLOAT64, Vector(2, 1, 2, INT32)]))
+    # A two-of-three INT32 subarray has a hole (size 8 < extent 12): rows
+    # never abut.
+    holey = Subarray((3,), (2,), (0,), INT32)
+    base_type = draw(st.sampled_from([BYTE, INT32, FLOAT64, holey]))
     return Subarray(shape, subsizes, starts, base_type), draw(st.integers(0, 1 << 20))
 
 

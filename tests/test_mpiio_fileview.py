@@ -7,19 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import payload_nbytes, run_spmd
-from repro.mpi.datatypes import (
-    BYTE,
-    FLOAT64,
-    INT32,
-    Contiguous,
-    Indexed,
-    Subarray,
-    Vector,
-)
+from repro.mpi.datatypes import BYTE, FLOAT64, Named, Subarray, merge_segments
 from repro.mpiio import File, FileView, map_stream
 from repro.mpiio.two_phase import _piece_plan
 
 from .conftest import make_machine
+
+INT32 = Named("INT32", np.int32)
+#: Column 0 of a 2x2 array of doubles: every other double, segments
+#: [(0, 8), (16, 8)] in a 32-byte tile.
+EVERY_OTHER = Subarray((2, 2), (2, 1), (0, 0), FLOAT64)
 
 
 class TestFileViewBasics:
@@ -39,30 +36,32 @@ class TestFileViewBasics:
 
     def test_filetype_must_be_multiple_of_etype(self):
         with pytest.raises(ValueError):
-            FileView(etype=FLOAT64, filetype=Contiguous(3, BYTE))
+            FileView(etype=FLOAT64, filetype=Subarray((3,), (3,), (0,), BYTE))
 
     def test_negative_disp_rejected(self):
         with pytest.raises(ValueError):
             FileView(disp=-1)
 
     def test_zero_length_maps_to_nothing(self):
-        v = FileView(filetype=Vector(2, 1, 2, FLOAT64), etype=FLOAT64)
+        v = FileView(filetype=EVERY_OTHER, etype=FLOAT64)
         assert v.map_stream(0, 0) == []
 
 
 class TestStridedViews:
     def test_vector_view_tiles(self):
-        # Filetype: 2 blocks of 1 double, stride 2 doubles -> selects every
-        # other double; extent = 3 doubles (24 bytes), size = 16 bytes.
-        ft = Vector(2, 1, 2, FLOAT64)
-        v = FileView(etype=FLOAT64, filetype=ft)
-        assert v.map_stream(0, 8) == [(0, 8)]
-        assert v.map_stream(8, 8) == [(16, 8)]
+        # A tile of 2 blocks of 1 double, stride 2 doubles: 16 bytes in a
+        # 24-byte extent.  No subarray ends a tile where the next begins,
+        # so the raw segments go to map_stream directly.
+        def tile(offset, nbytes):
+            return map_stream([(0, 8), (16, 8)], 16, 24, 0, offset, nbytes)
+
+        assert tile(0, 8) == [(0, 8)]
+        assert tile(8, 8) == [(16, 8)]
         # Crossing into the second tile: tile 1 starts at file byte 24.
-        assert v.map_stream(16, 8) == [(24, 8)]
+        assert tile(16, 8) == [(24, 8)]
         # Tile 0's trailing segment [16, 24) abuts tile 1's leading segment
         # [24, 32): they merge.
-        assert v.map_stream(0, 32) == [(0, 8), (16, 16), (40, 8)]
+        assert tile(0, 32) == [(0, 8), (16, 16), (40, 8)]
 
     def test_subarray_view(self):
         # 4x4 global ints, my column block is columns 2..4.
@@ -77,11 +76,11 @@ class TestStridedViews:
         assert v.map_stream(0, 32) == [(1032, 32)]
 
     def test_partial_request_inside_tile(self):
-        ft = Vector(2, 2, 4, FLOAT64)  # [0,16) and [32,48) per 48-byte tile
+        ft = Subarray((2, 3), (2, 2), (0, 0), FLOAT64)  # [0,16), [24,40) of 48
         v = FileView(etype=FLOAT64, filetype=ft)
         # Ask for stream bytes [8, 24): second half of block 0 + first half
         # of block 1.
-        assert v.map_stream(8, 16) == [(8, 8), (32, 8)]
+        assert v.map_stream(8, 16) == [(8, 8), (24, 8)]
 
 
 @st.composite
@@ -89,7 +88,9 @@ def view_cases(draw):
     count = draw(st.integers(1, 4))
     blocklength = draw(st.integers(1, 3))
     extra = draw(st.integers(0, 3))
-    ft = Vector(count, blocklength, blocklength + extra, INT32)
+    # count rows of blocklength ints, blocklength + extra ints apart.
+    ft = Subarray((count, blocklength + extra), (count, blocklength),
+                  (0, draw(st.integers(0, extra))), INT32)
     disp = draw(st.integers(0, 64))
     offset = draw(st.integers(0, 40))
     nbytes = draw(st.integers(0, 200)) * 4
@@ -171,39 +172,52 @@ def _ref_map_stream(
 
 
 @st.composite
-def filetypes(draw):
-    kind = draw(st.sampled_from(["vector", "subarray", "indexed"]))
-    if kind == "vector":
+def tiles(draw):
+    """``(segments, size, extent, filetype)`` of one tile of ints.
+
+    Strided and indexed tiles are raw segment lists (``filetype`` None):
+    only they end a tile where the next begins, or overlap themselves.
+    """
+    kind = draw(st.sampled_from(["strided", "subarray", "indexed"]))
+    if kind == "strided":  # count blocks of b ints, stride ints apart
         b = draw(st.integers(1, 4))
-        return Vector(draw(st.integers(1, 5)), b, b + draw(st.integers(0, 4)), INT32)
-    if kind == "indexed":  # displacements may repeat: a self-overlapping type
+        count, stride = draw(st.integers(1, 5)), b + draw(st.integers(0, 4))
+        segs = merge_segments((i * stride * 4, b * 4) for i in range(count))
+        return segs, count * b * 4, ((count - 1) * stride + b) * 4, None
+    if kind == "indexed":  # displacements may repeat: a self-overlapping tile
         blocks = draw(st.lists(st.tuples(st.integers(1, 3), st.integers(0, 12)),
                                min_size=1, max_size=4))
-        return Indexed([b for b, _ in blocks], [d for _, d in blocks], INT32)
+        segs = merge_segments(sorted((d * 4, b * 4) for b, d in blocks))
+        return (segs, sum(b for b, _ in blocks) * 4,
+                max(d + b for b, d in blocks) * 4, None)
     shape = tuple(draw(st.integers(1, 6)) for _ in range(draw(st.integers(1, 3))))
     sub = [draw(st.integers(1, n)) for n in shape]
     start = [draw(st.integers(0, n - k)) for n, k in zip(shape, sub)]
-    return Subarray(shape, sub, start, INT32)
+    ft = Subarray(shape, sub, start, INT32)
+    return ft.segments(), ft.size, ft.extent, ft
 
 
 @settings(max_examples=400, deadline=None)
 @given(
-    ft=filetypes(),
+    tile=tiles(),
     disp=st.integers(0, 1 << 16),
     offset=st.integers(0, 60),
     nbytes=st.integers(0, 160),
 )
-def test_property_view_mapping_matches_tile_walk(ft, disp, offset, nbytes):
+def test_property_view_mapping_matches_tile_walk(tile, disp, offset, nbytes):
     """The vectorised mapping equals the tile walk over any stream range
     (whole tiles, partial tiles, many tiles), as Python ints."""
-    args = (ft.size, ft.extent, disp, offset * 4, nbytes * 4)
-    ref = _ref_map_stream(ft.segments(), *args)
-    v = FileView(disp=disp, etype=INT32, filetype=ft)
-    got = v.map_stream(offset * 4, nbytes * 4)
+    segs, size, extent, ft = tile
+    args = (size, extent, disp, offset * 4, nbytes * 4)
+    ref = _ref_map_stream(segs, *args)
+    got = map_stream(segs, *args)
     assert got == ref
-    assert map_stream(ft.segments(), *args) == ref
     assert all(type(x) is int for seg in got for x in seg)
-    assert v.map_stream(offset * 4, nbytes * 4) is got  # mapped once
+    if ft is not None:
+        v = FileView(disp=disp, etype=INT32, filetype=ft)
+        got = v.map_stream(offset * 4, nbytes * 4)
+        assert got == ref
+        assert v.map_stream(offset * 4, nbytes * 4) is got  # mapped once
 
 
 @pytest.mark.parametrize(
@@ -227,25 +241,21 @@ def test_single_row_view_puts_python_ints_on_the_wire(shape, sub, start):
 
 class TestViewNonContiguousPointerIO:
     def test_pointer_io_through_strided_view(self):
-        from repro.mpi.datatypes import FLOAT64, Vector
-        from repro.mpiio import File
-
         def program(comm):
             # View selects every other double.
-            ft = Vector(2, 1, 2, FLOAT64)
             fh = File.open(comm, "f", "w")
-            fh.set_view(0, FLOAT64, ft)
+            fh.set_view(0, FLOAT64, EVERY_OTHER)
             fh.write(np.arange(4.0))  # stream elements 0..3
             fh.close()
             raw = comm.machine.fs.store.open("f")
             return np.frombuffer(raw.read(0, raw.size), dtype=np.float64)
 
         got = run_spmd(make_machine(1), program).results[0]
-        # File layout: elements at positions 0, 2, 3, 5 (tile extent = 3).
+        # File layout: elements at positions 0, 2, 4, 6 (tile extent = 4).
         assert got[0] == 0.0
         assert got[2] == 1.0
-        assert got[3] == 2.0
-        assert got[5] == 3.0
+        assert got[4] == 2.0
+        assert got[6] == 3.0
 
 
 class TestSharedFilePointer:

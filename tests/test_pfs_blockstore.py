@@ -105,12 +105,6 @@ class TestBlockStore:
             bs.create(name)
         assert bs.listdir() == ["a", "b", "c"]
 
-    def test_total_bytes(self):
-        bs = BlockStore()
-        bs.create("a").write(0, b"12345")
-        bs.create("b").write(10, b"x")
-        assert bs.total_bytes() == 5 + 11
-
 
 @settings(max_examples=60, deadline=None)
 @given(

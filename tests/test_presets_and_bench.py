@@ -1,5 +1,7 @@
 """Tests for the platform presets, bench harness, figures and CLI."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro.bench import (
 )
 from repro.iostack import registry
 from repro.pfs import LocalDiskFS
+from repro.scenarios import registry as scenario_registry
 from repro.topology import (
     PRESETS,
     chiba_city,
@@ -70,7 +73,7 @@ class TestWorkloads:
         # hierarchies in place), always the same bytes.
         assert a is not b
         assert a.equal(b)
-        c = build_workload("AMR16", seed=1)
+        c = build_workload(replace(scenario_registry.get("AMR16"), seed=1))
         assert not c.equal(a)
 
     def test_initial_workload_has_fewer_grids(self):

@@ -132,7 +132,9 @@ class TestParsePerturbations:
         assert out == {"fig6:mpi-io:8": {"ds_read": False, "cb_align": 4096}}
 
     @pytest.mark.parametrize(
-        "spec", ["nonsense", "fig6:mpi-io:8:nosuchhint=1", "fig6:mpi-io:8:cb_align"]
+        "spec", ["nonsense", "fig6:mpi-io:8:nosuchhint=1", "fig6:mpi-io:8:cb_align",
+                 # read as False / a ValueError naming no spec
+                 "fig6:mpi-io:8:ds_write=ture", "fig6:mpi-io:8:cb_buffer_size=big"]
     )
     def test_bad_specs_raise(self, spec):
         with pytest.raises(ValueError):

@@ -199,12 +199,14 @@ class TestMalformedInputs:
     def test_non_finite_threshold_is_an_error_not_a_root_only_hierarchy(self):
         nan = float("nan")
         with pytest.raises(ScenarioError, match="refine_threshold"):
-            build_workload("AMR16", refine_threshold=nan)
+            build_workload(
+                replace(scenario_registry.get("AMR16"), refine_threshold=nan))
         with pytest.raises(ScenarioError, match="init_refine_threshold"):
             build_initial_workload(
                 replace(scenario_registry.get("AMR16"), init_refine_threshold=nan))
         with pytest.raises(ScenarioError, match="particles_per_cell"):
-            build_workload("AMR16", particles_per_cell=nan)
+            build_workload(
+                replace(scenario_registry.get("AMR16"), particles_per_cell=nan))
 
     def test_param_file_not_found_and_directory(self, tmp_path):
         with pytest.raises(ScenarioError, match="not found"):

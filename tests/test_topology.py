@@ -78,11 +78,6 @@ class TestMachine:
         assert [m.node_of(r) for r in range(8)] == [0, 0, 1, 1, 2, 2, 3, 3]
         assert m.nnodes == 4
 
-    def test_ranks_on_node(self):
-        m = self._machine(nprocs=7, ppn=2)
-        assert list(m.ranks_on_node(0)) == [0, 1]
-        assert list(m.ranks_on_node(3)) == [6]
-
     def test_rank_range_validation(self):
         m = self._machine()
         with pytest.raises(ValueError):
