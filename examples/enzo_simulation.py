@@ -9,6 +9,8 @@ reconstructed state is verified against the live hierarchy.
 Run:  python examples/enzo_simulation.py
 """
 
+from dataclasses import replace
+
 from repro.core import format_table
 from repro.enzo import (
     EnzoConfig,
@@ -18,16 +20,15 @@ from repro.enzo import (
 )
 from repro.iostack import registry
 from repro.mpi import run_spmd
+from repro.scenarios import registry as scenario_registry
 from repro.topology import origin2000
 
 
 def main() -> None:
     config = EnzoConfig(
-        problem="AMR32",
+        problem=replace(scenario_registry.get("AMR32"), max_level=2),
         ncycles=3,
         dump_every=1,
-        max_level=2,
-        refine_threshold=2.2,
     )
     machine = origin2000(nprocs=8)
     hierarchy = EnzoSimulation.build_initial_hierarchy(config)

@@ -55,3 +55,13 @@ if grep -nF "np.prod(" src/repro/enzo/layout.py src/repro/hdf5/dataspace.py \
     echo "np.prod on a shape: use math.prod" >&2
     exit 1
 fi
+
+echo "== one hierarchy builder =="
+# Every workload, the Enzo driver included, is built from its Scenario by
+# scenarios.build_hierarchy; a second make_initial_conditions call site
+# would let a scenario's refinement miss one of them again.
+if grep -rnE "make_initial_conditions\(" src/repro --include=*.py \
+        | grep -v "^src/repro/\(scenarios/build\|amr/initial_conditions\)\.py:"; then
+    echo "make_initial_conditions is called outside scenarios/build.py: build through build_hierarchy" >&2
+    exit 1
+fi

@@ -189,22 +189,21 @@ def _run_driver_cell(cell: Cell, machine, strategy, scenario) -> dict:
 
     Two kinds of cell need the driver.  An async strategy (``scenario`` is
     None) has nothing to hide its drain behind in a bare checkpoint, so it
-    runs 3 cycles with a dump each and write-behind on: ``write_s`` is the
-    exposed I/O time and ``write_bw`` the *effective* bandwidth the
-    application observes.  A cadence ``scenario`` runs its own output
-    schedule -- checkpoints through the cell's strategy, plot files through
-    the plot-file writer -- and its record carries per-stream dump counts
+    runs the named problem's cycles (3 for the ``AMR*`` sizes, a dump each)
+    with write-behind on: ``write_s`` is the exposed I/O time and
+    ``write_bw`` the *effective* bandwidth the application observes.  A
+    cadence ``scenario`` runs its own refinement and output schedule --
+    checkpoints through the cell's strategy, plot files through the
+    plot-file writer -- and its record carries per-stream dump counts
     and byte totals so the cadence trends can compare the two streams of
     the same run.
     """
     from ..enzo.simulation import EnzoConfig
 
-    if scenario is not None:
-        config = EnzoConfig.from_scenario(scenario)
-    else:
-        config = EnzoConfig(
-            problem=cell.problem, ncycles=3, dump_every=1, overlap=True
-        )
+    config = EnzoConfig(
+        problem=cell.problem if scenario is None else scenario,
+        overlap=scenario is None,
+    )
     with trace_filesystem(machine.fs, include_meta=True) as trace:
         result = run_overlap_experiment(
             machine, strategy, config, nprocs=cell.nprocs

@@ -24,27 +24,14 @@ from ..amr.grid import Grid
 from ..amr.hierarchy import GridHierarchy
 from ..amr.particles import ParticleSet
 from ..amr.partition import BlockPartition, processor_grid
-from ..scenarios import Scenario, build_hierarchy
-from ..scenarios import registry as scenario_registry
+from ..scenarios import Scenario, build_hierarchy, resolve_scenario
 
 __all__ = [
     "build_initial_workload",
     "build_scale_workload",
     "build_workload",
-    "resolve_scenario",
     "workload_summary",
 ]
-
-
-def resolve_scenario(problem: str | Scenario) -> Scenario:
-    """A :class:`Scenario` from a registry name or a scenario object.
-
-    Unknown names raise :class:`~repro.scenarios.ScenarioError` with the
-    registry's "choose from ..." message.
-    """
-    if isinstance(problem, Scenario):
-        return problem
-    return scenario_registry.get(str(problem))
 
 
 def build_workload(problem: str | Scenario = "AMR64") -> GridHierarchy:

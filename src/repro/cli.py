@@ -102,7 +102,7 @@ def _resolve_problem(args):
     :class:`~repro.scenarios.ScenarioError` for unknown names,
     unreadable/malformed parameter files, and bad downscale factors.
     """
-    from .scenarios import load_param_file
+    from .scenarios import load_param_file, resolve_scenario
     from .scenarios import registry as scenario_registry
 
     problem = args.problem
@@ -110,18 +110,25 @@ def _resolve_problem(args):
         problem = scenario_registry.get(args.scenario)
     if getattr(args, "param_file", None):
         problem = load_param_file(args.param_file)
+    if problem is None:
+        return None
+    scenario = resolve_scenario(problem)  # unknown: "choose from [...]"
     k = getattr(args, "downscale", 0) or 0
-    if isinstance(problem, str):
-        scenario = scenario_registry.get(problem)  # unknown: "choose from [...]"
-        if k > 1:
-            problem = scenario
-    if k > 1:
-        problem = problem.downscaled(k)
-    return problem
+    return scenario.downscaled(k) if k > 1 else problem
 
 
 class _UsageError(ValueError):
     """Bad command-line input: ``main`` prints it and exits 2."""
+
+
+def _require_nonnegative(args, *flags) -> None:
+    """Reject a negative ``--flag`` (0 is "off" / "unknown")."""
+    for flag in flags:
+        value = getattr(args, flag, 0)
+        if value < 0:
+            raise _UsageError(
+                f"--{flag} must be a non-negative integer (got {value})"
+            )
 
 
 def _job_setup(args):
@@ -140,11 +147,7 @@ def _job_setup(args):
             raise _UsageError(
                 f"--{flag} must be a positive integer (got {value})"
             )
-    downscale = getattr(args, "downscale", 0)
-    if downscale < 0:  # 0 is "off"
-        raise _UsageError(
-            f"--downscale must be a non-negative integer (got {downscale})"
-        )
+    _require_nonnegative(args, "downscale")
     preset = PRESETS[getattr(args, "machine", "origin2000")]
     strategy = getattr(args, "strategy", None)
     try:
@@ -361,6 +364,7 @@ def cmd_analyze(args) -> int:
 def cmd_insights(args) -> int:
     from .insights import Severity, diagnose, format_report, report_to_json
 
+    _require_nonnegative(args, "procs", "stripe")
     trace = _load_trace(args.trace)
     if trace is None:
         return 2
@@ -419,13 +423,10 @@ def cmd_simulate(args) -> int:
 
     problem, preset, name = _job_setup(args)
     machine = preset(nprocs=args.procs)
-    if isinstance(problem, Scenario):
-        # Scenario-driven run: the parameter file's cadence (plot
-        # stream, redshift dumps, checkpoint interval) applies.
-        overrides = {} if args.cycles is None else {"ncycles": args.cycles}
-        config = EnzoConfig.from_scenario(problem, **overrides)
-    else:
-        config = EnzoConfig(problem=problem, ncycles=args.cycles or 2)
+    ncycles = args.cycles
+    if ncycles is None and not isinstance(problem, Scenario):
+        ncycles = 2  # a plain --problem; a scenario runs its own count
+    config = EnzoConfig(problem=problem, ncycles=ncycles)
     hierarchy = EnzoSimulation.build_initial_hierarchy(config)
     if args.inject and not _arm_fault(machine.fs, args.inject):
         return 2

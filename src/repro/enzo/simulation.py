@@ -18,16 +18,14 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..amr.hierarchy import GridHierarchy
-from ..amr.initial_conditions import make_initial_conditions
 from ..amr.refinement import refine_hierarchy
 from ..amr.solver import evolve_hierarchy
 from ..mpi import collectives as coll
 from ..mpi.comm import Comm
-from ..scenarios import Scenario
-from ..scenarios import registry as scenario_registry
+from ..scenarios import Scenario, build_hierarchy, resolve_scenario
 from .io_base import IOStats, IOStrategy
 from .plotfile import write_plotfile
 from .state import RankState
@@ -37,88 +35,58 @@ __all__ = ["EnzoConfig", "EnzoSimulation"]
 #: Solver time step per cycle (simulation units).
 _DT = 0.1
 
+#: The refinement a problem *name* drives with, which every named driver
+#: run has used.  A registered scenario's own (threshold 2.2, four levels)
+#: ends a 3-cycle AMR16 run with 90 grids instead of 4: another benchmark.
+_NAMED_REFINEMENT = {"refine_threshold": 1.8, "max_level": 2}
+
 
 @dataclass
 class EnzoConfig:
-    """Simulation parameters.
+    """Run control over one :class:`~repro.scenarios.Scenario`.
 
-    ``problem`` is a scenario name (resolved through the scenario
-    registry) or a :class:`~repro.scenarios.Scenario` object, e.g. one
-    loaded from a parameter file.  The cadence fields model Enzo/Nyx's
-    two output streams: full restartable checkpoints every
-    ``dump_every`` cycles, lightweight plot files every ``plot_every``
-    cycles (either 0 = stream off), plus redshift-triggered checkpoints.
+    ``problem`` is a scenario object, taken as written (e.g. one loaded
+    from a parameter file), or a registry name, which drives with
+    :data:`_NAMED_REFINEMENT`.  The scenario names everything else: the
+    workload, its refinement, and the output streams Enzo/Nyx write --
+    restartable checkpoints every ``dump_every`` cycles, plot files every
+    ``plot_every`` cycles (either 0 = stream off), plus redshift-triggered
+    checkpoints.  ``ncycles`` / ``dump_every`` left at ``None`` take the
+    scenario's ``ncycles`` / ``checkpoint_every``.
     """
 
     problem: str | Scenario = "AMR64"
-    ncycles: int = 3
-    dump_every: int = 1
-    particles_per_cell: float = 0.25
-    seed: int = 0
-    pre_refine: int = 1
-    max_level: int = 2
-    refine_threshold: float = 1.8
+    ncycles: int | None = None
+    dump_every: int | None = None
     #: double-buffered write-behind: post dump *k* asynchronously and let
     #: cycle *k+1* compute while it drains (needs an async-capable
     #: strategy, e.g. the ``mpi-io-async`` composition; synchronous
     #: strategies dump inline regardless)
     overlap: bool = False
-    #: plot-file stream cadence (0 = off) and its field subset.
-    plot_every: int = 0
-    plot_fields: tuple[str, ...] = ("density",)
-    #: redshift-triggered checkpoint dumps (require a redshift range).
-    output_redshifts: tuple[float, ...] = ()
-    initial_redshift: float = 0.0
-    final_redshift: float = 0.0
-
-    @classmethod
-    def from_scenario(cls, scenario: Scenario, **overrides) -> "EnzoConfig":
-        """An :class:`EnzoConfig` running a scenario's workload + cadence."""
-        kwargs = dict(
-            problem=scenario,
-            ncycles=scenario.ncycles,
-            dump_every=scenario.checkpoint_every,
-            particles_per_cell=scenario.particles_per_cell,
-            seed=scenario.seed,
-            pre_refine=scenario.pre_refine,
-            max_level=scenario.max_level,
-            refine_threshold=scenario.refine_threshold,
-            plot_every=scenario.plot_every,
-            plot_fields=scenario.plot_fields,
-            output_redshifts=scenario.output_redshifts,
-            initial_redshift=scenario.initial_redshift,
-            final_redshift=scenario.final_redshift,
-        )
-        kwargs.update(overrides)
-        return cls(**kwargs)
 
     def scenario(self) -> Scenario:
-        """The scenario behind ``problem`` (registry lookup for names)."""
-        if isinstance(self.problem, Scenario):
-            return self.problem
-        return scenario_registry.get(str(self.problem))
+        """The scenario this run drives; unknown names raise
+        :class:`~repro.scenarios.ScenarioError` ("choose from ...")."""
+        scenario = resolve_scenario(self.problem)
+        if scenario is self.problem:
+            return scenario
+        return replace(scenario, **_NAMED_REFINEMENT)
 
-    @property
-    def root_dims(self) -> tuple[int, int, int]:
-        # Unknown names raise ScenarioError (a ValueError) with the same
-        # "choose from ..." message the CLI's --scenario path prints.
-        return tuple(self.scenario().root_dims)
 
-    def redshift_schedule(self) -> list[float]:
-        """Redshift at the end of each cycle, log(1+z)-linear in cycle.
+def _redshift_schedule(scenario: Scenario, ncycles: int) -> list[float]:
+    """Redshift at the end of each cycle, log(1+z)-linear in cycle.
 
-        Real cosmology codes step the expansion factor; the I/O model
-        only needs a monotone z(cycle) so redshift-triggered dumps fire
-        at deterministic cycles.
-        """
-        z0, z1 = self.initial_redshift, self.final_redshift
-        n = self.ncycles
-        out = []
-        for c in range(1, n + 1):
-            frac = c / n
-            lz = math.log1p(z0) * (1.0 - frac) + math.log1p(z1) * frac
-            out.append(math.expm1(lz))
-        return out
+    Real cosmology codes step the expansion factor; the I/O model only
+    needs a monotone z(cycle) so redshift-triggered dumps fire at
+    deterministic cycles.
+    """
+    z0, z1 = scenario.initial_redshift, scenario.final_redshift
+    out = []
+    for c in range(1, ncycles + 1):
+        frac = c / ncycles
+        lz = math.log1p(z0) * (1.0 - frac) + math.log1p(z1) * frac
+        out.append(math.expm1(lz))
+    return out
 
 
 @dataclass
@@ -139,25 +107,8 @@ class EnzoSimulation:
 
     @staticmethod
     def build_initial_hierarchy(config: EnzoConfig) -> GridHierarchy:
-        """Construct the initial grids (host-side; deterministic).
-
-        Numeric knobs (seed, thresholds, pre-refine depth) come from the
-        config -- historically so, and ``from_scenario`` copies them over
-        -- while the scenario contributes its structural extensions
-        (nested grids, must-refine regions, deep zoom levels), which are
-        empty for the built-in ``AMR*`` sizes.
-        """
-        scenario = config.scenario()
-        return make_initial_conditions(
-            config.root_dims,
-            particles_per_cell=config.particles_per_cell,
-            seed=config.seed,
-            pre_refine=config.pre_refine,
-            refine_threshold=config.refine_threshold,
-            nested_grids=scenario.nested_grids,
-            must_refine=scenario.must_refine,
-            deep_levels=scenario.deep_levels,
-        )
+        """Construct the initial grids (host-side; deterministic)."""
+        return build_hierarchy(config.scenario())
 
     # -- the main loop ------------------------------------------------------------
 
@@ -169,6 +120,10 @@ class EnzoSimulation:
         cfg = self.config
         if self.hierarchy is None:
             raise ValueError("assign a hierarchy before run() (replicated state)")
+        scenario = cfg.scenario()
+        ncycles = scenario.ncycles if cfg.ncycles is None else cfg.ncycles
+        dump_every = (scenario.checkpoint_every if cfg.dump_every is None
+                      else cfg.dump_every)
         state = RankState.from_hierarchy(self.hierarchy, comm.rank, comm.size)
         dumps = []
         plot_dumps = []
@@ -178,17 +133,18 @@ class EnzoSimulation:
         overlap = cfg.overlap and self.strategy.aio is not None
         pending = None  # at most one in-flight dump (double buffering)
         z_schedule = (
-            cfg.redshift_schedule() if cfg.output_redshifts else []
+            _redshift_schedule(scenario, ncycles)
+            if scenario.output_redshifts else []
         )
         z_emitted: set[int] = set()
-        for cycle in range(1, cfg.ncycles + 1):
-            self._evolve_step(comm, state)
+        for cycle in range(1, ncycles + 1):
+            self._evolve_step(comm, state, scenario)
             # Mesh adaptation + rebalancing: structure may change, so the
             # per-rank views are rebuilt from the (replicated) hierarchy.
             state = RankState.from_hierarchy(
                 self.hierarchy, comm.rank, comm.size
             )
-            if cfg.dump_every > 0 and cycle % cfg.dump_every == 0:
+            if dump_every > 0 and cycle % dump_every == 0:
                 path = f"{base}.cycle{cycle:04d}"
                 if pending is not None:
                     # Commit dump k-1 (drain + manifest) before posting k.
@@ -204,15 +160,15 @@ class EnzoSimulation:
                     my_stats.append(stats)
                     self.write_stats.append(stats)
                 dumps.append(path)
-            if cfg.plot_every > 0 and cycle % cfg.plot_every == 0:
+            if scenario.plot_every > 0 and cycle % scenario.plot_every == 0:
                 path = f"{base}.plt{cycle:04d}"
                 plot_stats.append(write_plotfile(
-                    comm, state, path, fields=cfg.plot_fields, cycle=cycle
+                    comm, state, path, fields=scenario.plot_fields, cycle=cycle
                 ))
                 plot_dumps.append(path)
             if z_schedule:
                 z_now = z_schedule[cycle - 1]
-                for k, z_target in enumerate(cfg.output_redshifts):
+                for k, z_target in enumerate(scenario.output_redshifts):
                     if k in z_emitted or z_now > z_target:
                         continue
                     path = f"{base}.rd{k:04d}"
@@ -227,7 +183,7 @@ class EnzoSimulation:
             self.write_stats.append(stats)
         return {
             "dumps": dumps,
-            "cycles": cfg.ncycles,
+            "cycles": ncycles,
             "grids": len(self.hierarchy),
             "max_level": self.hierarchy.max_level,
             "write_time": sum(s.elapsed for s in my_stats),
@@ -263,15 +219,16 @@ class EnzoSimulation:
 
     # -- internals ---------------------------------------------------------------
 
-    def _evolve_step(self, comm: Comm, state: RankState) -> None:
-        cfg = self.config
+    def _evolve_step(
+        self, comm: Comm, state: RankState, scenario: Scenario
+    ) -> None:
         coll.barrier(comm)
         if comm.rank == 0:
             evolve_hierarchy(self.hierarchy, _DT)
             refine_hierarchy(
                 self.hierarchy,
-                overdensity_threshold=cfg.refine_threshold,
-                max_level=cfg.max_level,
+                overdensity_threshold=scenario.refine_threshold,
+                max_level=scenario.max_level,
             )
         # Every rank pays for its own cells (parallel compute model).
         comm.compute(

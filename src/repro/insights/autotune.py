@@ -172,7 +172,6 @@ class AutoTuner:
         problem: str = "AMR32",
         nprocs: int = 8,
         strategy: str = "hdf4",
-        hints: Hints | None = None,
         max_rounds: int = 3,
         retry=None,
     ):
@@ -182,7 +181,6 @@ class AutoTuner:
         self.problem = problem
         self.nprocs = nprocs
         self.strategy = strategy
-        self.hints = hints or Hints()
         self.max_rounds = max_rounds
         self.retry = retry  # resilience.RetryPolicy, threaded to strategies
 
@@ -299,7 +297,7 @@ class AutoTuner:
             problem=str(self.problem), nprocs=self.nprocs,
             machine=machine_name,
         )
-        strategy, hints = self.strategy, self.hints
+        strategy, hints = self.strategy, Hints()
         applied: list[str] = []
         for round_no in range(self.max_rounds + 1):
             diagnosis = self._measure(report, round_no, strategy, hints, applied)

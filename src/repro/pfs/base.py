@@ -333,14 +333,8 @@ class FileSystem:
         self.counters.metadata_ops += 1
         return self._meta("create", path, node, ready_time)
 
-    def open(
-        self, path: str, *, node: int = 0, ready_time: float = 0.0, create: bool = False
-    ) -> float:
-        """Open ``path`` (must exist unless ``create``); returns completion time."""
-        if create and not self.store.exists(path):
-            # A create by another name: the model must see it as one (the
-            # Lustre MDS tracks the file and assigns its layout there).
-            return self.create(path, node=node, ready_time=ready_time)
+    def open(self, path: str, *, node: int = 0, ready_time: float = 0.0) -> float:
+        """Open an existing ``path``; returns the completion time."""
         self._check_fault("meta", path)
         self.store.open(path)
         self.counters.opens += 1

@@ -10,6 +10,8 @@ and Nyx-style parameter files normalize into one canonical
 hierarchy.
 """
 
+from __future__ import annotations
+
 from . import registry
 from .build import build_hierarchy
 from .enzo_dialect import emit_enzo, normalize_enzo, parse_enzo
@@ -39,5 +41,17 @@ __all__ = [
     "parse_nyx",
     "parse_param_text",
     "registry",
+    "resolve_scenario",
     "sniff_dialect",
 ]
+
+
+def resolve_scenario(problem: str | Scenario) -> Scenario:
+    """A :class:`Scenario` from a registry name or a scenario object.
+
+    Unknown names raise :class:`ScenarioError` with the registry's
+    "choose from ..." message.
+    """
+    if isinstance(problem, Scenario):
+        return problem
+    return registry.get(str(problem))

@@ -1,12 +1,9 @@
 """Build a :class:`GridHierarchy` from a :class:`Scenario`.
 
-The workload builders and the ``scenarios --check`` lint construct
-hierarchies through :func:`build_hierarchy`.  The Enzo driver does not:
-``EnzoSimulation.build_initial_hierarchy`` calls ``make_initial_conditions``
-itself with ``EnzoConfig``'s seed, pre-refine depth and threshold (1.8 by
-default) and the scenario's structural extensions, but without the
-refinement kwargs built below, so a scenario's ``max_level`` and
-``max_grid_size`` never reach a driver run's initial hierarchy.
+The workload builders, the Enzo driver and the ``scenarios --check`` lint
+construct hierarchies through :func:`build_hierarchy`, so a scenario's
+refinement (threshold, ``max_level``, ``max_grid_size``) shapes every one
+of them.
 
 For the built-in ``AMR*`` scenarios the calls below reduce exactly to the
 historical ``make_initial_conditions`` invocations (same thresholds, same

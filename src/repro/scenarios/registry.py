@@ -60,9 +60,9 @@ def scenarios() -> tuple[Scenario, ...]:
 def get(name: str) -> Scenario:
     """Look up a scenario by name.
 
-    Raises :class:`ScenarioError` (a ``ValueError``) with the same
-    "choose from ..." message shape as ``EnzoConfig.root_dims`` so both
-    the library and the CLI reject unknown workloads identically.
+    Raises :class:`ScenarioError` (a ``ValueError``) with a
+    "choose from ..." message, so the library and the CLI reject unknown
+    workloads identically.
     """
     try:
         return _REGISTRY[name]

@@ -247,6 +247,9 @@ class TestJobCommandUsageErrors:
         (["table", "--problem", "NOPE"], "choose from ["),
         # silently ran at full scale
         (["analyze", "--downscale", "-3"], "--downscale"),
+        # diagnosed the trace as if the value were meaningful
+        (["insights", "t.json", "--procs", "-3"], "--procs"),
+        (["insights", "t.json", "--stripe", "-4096"], "--stripe"),
     ])
     def test_exits_2_naming_the_option(self, argv, names, capsys):
         assert main(argv) == 2

@@ -1,7 +1,11 @@
 """Tests for the ENZO simulation driver (evolve -> dump -> restart)."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
+from repro.bench import build_workload
 from repro.enzo import (
     EnzoConfig,
     EnzoSimulation,
@@ -10,15 +14,17 @@ from repro.enzo import (
 )
 from repro.iostack import registry
 from repro.mpi import run_spmd
+from repro.scenarios import registry as scenario_registry
 
 from .conftest import make_machine
 
 
-def make_sim(strategy=None, **cfg_kw):
-    defaults = dict(problem="AMR16", ncycles=2, max_level=1,
-                    refine_threshold=2.0)
-    defaults.update(cfg_kw)
-    config = EnzoConfig(**defaults)
+def make_sim(strategy=None, ncycles=2, dump_every=None, **scenario_kw):
+    scenario = replace(scenario_registry.get("AMR16"),
+                       **{"max_level": 1, "refine_threshold": 2.0,
+                          **scenario_kw})
+    config = EnzoConfig(problem=scenario, ncycles=ncycles,
+                        dump_every=dump_every)
     return EnzoSimulation(
         config=config,
         strategy=strategy or registry.create("mpi-io"),
@@ -28,9 +34,34 @@ def make_sim(strategy=None, **cfg_kw):
 
 class TestEnzoConfig:
     def test_root_dims(self):
-        assert EnzoConfig(problem="AMR64").root_dims == (64, 64, 64)
+        assert EnzoConfig(problem="AMR64").scenario().root_dims == (64, 64, 64)
         with pytest.raises(ValueError):
-            EnzoConfig(problem="AMR9000").root_dims
+            EnzoConfig(problem="AMR9000").scenario()
+
+    #: Every registered scenario up to 64^3 root cells: AMR128 alone takes
+    #: ~10 s and ~0.7 GB per build.
+    BUILDABLE = [n for n in scenario_registry.names()
+                 if np.prod(scenario_registry.get(n).root_dims) <= 64**3]
+
+    @pytest.mark.parametrize("name", BUILDABLE)
+    def test_driver_builds_what_the_workload_builder_builds(self, name):
+        """One builder: a scenario object's initial hierarchy is the
+        workload builder's, its own refinement included."""
+        scenario = scenario_registry.get(name)
+        driver = EnzoSimulation.build_initial_hierarchy(
+            EnzoConfig(problem=scenario))
+        workload = build_workload(scenario)
+        assert [(g.id, g.level, g.dims, g.parent_id) for g in driver.grids()] \
+            == [(g.id, g.level, g.dims, g.parent_id) for g in workload.grids()]
+        assert hierarchies_equivalent(driver, workload)
+
+    def test_a_name_drives_the_named_problem_refinement(self):
+        scenario = EnzoConfig(problem="AMR16").scenario()
+        assert (scenario.refine_threshold, scenario.max_level) == (1.8, 2)
+        assert scenario.root_dims == (16, 16, 16)
+        # ... while a scenario object is taken as written, at any size.
+        assert all(EnzoConfig(problem=s).scenario() is s
+                   for s in scenario_registry.scenarios())
 
 
 class TestSimulationRun:

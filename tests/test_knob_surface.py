@@ -66,8 +66,8 @@ SIGNATURES = {
         "hints", "strategy", "rules",
     )),
     "AutoTuner": (AutoTuner, (
-        "machine_factory", "problem", "nprocs", "strategy", "hints",
-        "max_rounds", "retry",
+        "machine_factory", "problem", "nprocs", "strategy", "max_rounds",
+        "retry",
     )),
     "build_workload": (build_workload, ("problem",)),
     "build_initial_workload": (build_initial_workload, ("problem",)),
@@ -75,12 +75,7 @@ SIGNATURES = {
 }
 
 FIELDS = {
-    "EnzoConfig": (EnzoConfig, (
-        "problem", "ncycles", "dump_every", "particles_per_cell", "seed",
-        "pre_refine", "max_level", "refine_threshold", "overlap",
-        "plot_every", "plot_fields", "output_redshifts", "initial_redshift",
-        "final_redshift",
-    )),
+    "EnzoConfig": (EnzoConfig, ("problem", "ncycles", "dump_every", "overlap")),
     "RetryPolicy": (RetryPolicy, ("max_retries",)),
     "AioConfig": (AioConfig, ("staging_bytes",)),
 }
@@ -100,7 +95,7 @@ def test_entry_point_knobs_are_pinned(name):
 
 def test_settable_surface_total():
     table = {**SIGNATURES, **FIELDS}
-    assert sum(len(_settable(entry)) for entry, _ in table.values()) == 103
+    assert sum(len(_settable(entry)) for entry, _ in table.values()) == 92
 
 
 def test_mpiio_file_methods_are_pinned():

@@ -55,7 +55,8 @@ class TestNullFileSystem:
         fs = FileSystem()
         with pytest.raises(OSError):
             fs.open("nope")
-        fs.open("nope", create=True)
+        fs.create("nope")
+        fs.open("nope")
         assert fs.exists("nope")
 
     def test_file_size(self):

@@ -181,7 +181,7 @@ class TestMetaFaults:
         with pytest.raises(InjectedIOError):
             fs.open("ckpt")
         with pytest.raises(InjectedIOError):
-            fs.open("ckpt-restart", create=True)
+            fs.create("ckpt-restart")
         assert spec.fired == 2
         assert fs.store.listdir() == ["ckpt"]
         assert (fs.counters.opens, fs.counters.metadata_ops) == before
@@ -215,40 +215,3 @@ def test_set_file_striping_rejects_a_bad_stripe_size_at_the_call(
     with pytest.raises(ValueError, match="stripe_size must be >= 1"):
         fs.set_file_striping("ckpt", stripe_size=stripe_size)
     assert fs.layout_for("ckpt") is fs.layout
-
-
-class TestCreateOnOpen:
-    def _fs(self):
-        return LustreFS(
-            "l", nosts=4, stripe_size=4096, stripe_count=2, disk_bandwidth=1e8,
-            seek_time=0.0, mds_open_time=1e-3, mds_per_file_time=1e-3,
-        )
-
-    def test_the_mds_tracks_the_file_and_the_rotor_places_it(self):
-        fs = self._fs()
-        fs.create("f0")
-        fs.open("f1", create=True)
-        fs.open("f2", create=True)
-        assert fs._mds_files == {"f0", "f1", "f2"}
-        assert [fs.layout_for(p).start for p in ("f0", "f1", "f2")] == [0, 2, 0]
-
-    def test_it_costs_what_a_create_costs_and_grows_the_namespace(self):
-        by_open, by_create = self._fs(), self._fs()
-        for i in range(3):
-            a = by_open.open(f"f{i}", create=True, ready_time=1.0 * i)
-            b = by_create.create(f"f{i}", ready_time=1.0 * i)
-            assert a == b
-        assert by_open.counters == by_create.counters
-        # 1 ms base + 1 ms per tracked file: the fourth op sees three files.
-        assert by_open.open("f0", ready_time=10.0) == pytest.approx(10.004)
-
-    def test_open_create_of_an_existing_file_keeps_its_bytes_and_layout(self):
-        fs = self._fs()
-        fs.create("f0")
-        fs.create("f1")
-        fs.write("f1", 0, b"kept")
-        layout = fs.layout_for("f1")
-        fs.open("f1", create=True)
-        assert fs.read("f1", 0, 4)[0] == b"kept"
-        assert fs.layout_for("f1") is layout
-        assert len(fs._mds_files) == 2

@@ -117,7 +117,6 @@ _ops = st.one_of(
     st.tuples(st.just("write_list"), _where, st.lists(_seg, min_size=1, max_size=4)),
     st.tuples(st.just("read_list"), _where, st.lists(_seg, min_size=1, max_size=4)),
     st.tuples(st.just("create"), _where, st.none()),
-    st.tuples(st.just("open_create"), _where, st.none()),
     st.tuples(st.just("delete"), _where, st.none()),
     st.tuples(st.just("recovery"), _where,
               st.tuples(st.sampled_from(["retry", "recovered", "giveup"]),
@@ -155,8 +154,6 @@ def _drive(fs, ops) -> None:
                 _, clock = fs.read_list(path, arg, node=node, ready_time=clock)
             elif name == "create":
                 clock = fs.create(path, node=node, ready_time=clock)
-            elif name == "open_create":
-                clock = fs.open(path, node=node, ready_time=clock, create=True)
             elif name == "delete":
                 clock = fs.delete(path, node=node, ready_time=clock)
             else:
@@ -201,7 +198,7 @@ def test_the_sequence_reaches_every_event_kind():
     fs.inject_fault("write", "b", mode="torn")
     where = {"path": "a", "node": 1, "gap": 0.001}
     ops = [
-        ("open_create", where, None),
+        ("create", where, None),
         ("write", where, (0, 4096)),
         ("write_list", where, [(8192, 100), (20000, 50)]),
         ("read_list", where, [(0, 10), (8192, 10)]),

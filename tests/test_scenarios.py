@@ -405,7 +405,7 @@ class TestCLIErrors:
         from repro.enzo import EnzoConfig
 
         with pytest.raises(ValueError, match="choose from"):
-            EnzoConfig(problem="AMRBOGUS").root_dims
+            EnzoConfig(problem="AMRBOGUS").scenario()
 
     def test_missing_param_file_exits_2(self, tmp_path, capsys):
         from repro.cli import main
