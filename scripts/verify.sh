@@ -30,6 +30,12 @@ python -m repro figure fig10 --procs 4 --json BENCH_figure.current.json
 echo "== scenario registry lint (parse, normalize, build) =="
 python -m repro scenarios --check
 
+echo "== examples (each must exit 0) =="
+for f in examples/*.py; do
+    echo "-- $f"
+    python "$f" >/dev/null
+done
+
 echo "== param-file ingestion end-to-end (verbatim FOGGIE file, 8x downscale) =="
 python -m repro analyze --param-file examples/scenarios/foggie_25Mpc_DM_256-L2.enzo \
     --downscale 8 --procs 4 --save-trace BENCH_foggie.trace.json >/dev/null

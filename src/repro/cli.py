@@ -147,7 +147,7 @@ def _job_setup(args):
             raise _UsageError(
                 f"--{flag} must be a positive integer (got {value})"
             )
-    _require_nonnegative(args, "downscale")
+    _require_nonnegative(args, "downscale", "rounds", "retries")
     preset = PRESETS[getattr(args, "machine", "origin2000")]
     strategy = getattr(args, "strategy", None)
     try:

@@ -19,7 +19,7 @@ Typical use::
 
 from .autotune import AutoTuner, TuningReport, TuningStep
 from .model import Diagnosis, Insight, Recommendation, Severity
-from .reporter import format_report, report_to_dict, report_to_json
+from .reporter import format_report, report_to_json
 from .rules import Thresholds, TraceContext, all_rules, diagnose
 
 __all__ = [
@@ -35,6 +35,5 @@ __all__ = [
     "all_rules",
     "diagnose",
     "format_report",
-    "report_to_dict",
     "report_to_json",
 ]

@@ -1,12 +1,12 @@
 """Closed-loop auto-tuning: diagnose a run, apply the remedies, re-run.
 
-:class:`AutoTuner` executes the checkpoint dump with the current strategy
-and hints on a traced file system, feeds the trace through the detector
-rules, maps the machine-actionable recommendations onto concrete knobs --
-a strategy upgrade (``hdf4``/``hdf5`` -> the paper's collective ``mpi-io``)
-or :class:`~repro.mpiio.hints.Hints` fields -- and repeats until the
-diagnosis is free of HIGH findings, nothing new is applicable, or the
-round budget runs out.  The :class:`TuningReport` records every step with
+:class:`AutoTuner` runs the Enzo driver (four cycles, two dumps) with the
+current strategy and hints on a traced file system, feeds the trace
+through the detector rules, maps the machine-actionable recommendations
+onto concrete knobs -- a strategy upgrade (``hdf4``/``hdf5`` -> the
+paper's collective ``mpi-io``) or :class:`~repro.mpiio.hints.Hints`
+fields -- and repeats until the diagnosis is free of HIGH findings,
+nothing new is applicable, or the round budget runs out.  The :class:`TuningReport` records every step with
 its bandwidth, so the before/after delta is explicit.
 """
 
@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..bench.runners import run_overlap_experiment, run_traced_experiment
-from ..bench.workloads import build_workload
+from ..bench.runners import run_overlap_experiment
 from ..core.trace import IOTrace, trace_filesystem
 from ..iostack import registry
 from ..mpiio.hints import Hints
@@ -189,35 +188,28 @@ class AutoTuner:
     def run_once(
         self, strategy: str, hints: Hints
     ) -> tuple[IOTrace, Diagnosis, object]:
-        """Execute the dump traced, and diagnose the trace.
+        """Run the Enzo driver traced, and diagnose the trace.
 
-        Async compositions are measured the only way their win is visible:
-        under compute/checkpoint overlap (the Enzo driver with write-behind
-        on), reporting effective bandwidth -- the same convention the
+        Every round measures the same workload: four cycles of the named
+        problem with a dump every second cycle, so two rounds differ only
+        in strategy and hints.  Two dumps are enough for write-behind to
+        show and few enough files that a shared-file strategy's trace does
+        not read as a file-per-grid layout.  Write-behind is on exactly
+        when the composition is async; its ``write_time`` then counts only
+        the time the application was blocked, the convention the
         regression matrix uses for its async cells.
         """
+        from ..enzo.simulation import EnzoConfig
+
         machine = self.machine_factory(self.nprocs)
         stack = registry.create(strategy, hints=hints, retry=self.retry)
-        if registry.get(strategy).options.get("async"):
-            from ..enzo.simulation import EnzoConfig
-
-            # Two overlapped dumps over four cycles: enough for the
-            # write-behind to show, few enough files that the multi-dump
-            # trace does not read as a file-per-grid layout.
-            config = EnzoConfig(
-                problem=self.problem, ncycles=4, dump_every=2, overlap=True
-            )
-            with trace_filesystem(machine.fs, include_meta=True) as trace:
-                result = run_overlap_experiment(
-                    machine, stack, config, nprocs=self.nprocs
-                )
-        else:
-            result, trace = run_traced_experiment(
-                machine,
-                stack,
-                build_workload(self.problem),
-                nprocs=self.nprocs,
-                do_read=False,
+        config = EnzoConfig(
+            problem=self.problem, ncycles=4, dump_every=2,
+            overlap=bool(registry.get(strategy).options.get("async")),
+        )
+        with trace_filesystem(machine.fs, include_meta=True) as trace:
+            result = run_overlap_experiment(
+                machine, stack, config, nprocs=self.nprocs
             )
         diagnosis = diagnose(
             trace,
@@ -238,7 +230,7 @@ class AutoTuner:
         """The (strategy, hints) the diagnosis asks for, plus a changelog."""
         applied: list[str] = []
         new_strategy = strategy
-        for rec in diagnosis.recommendations(max_severity=Severity.WARN):
+        for rec in diagnosis.recommendations():
             if rec.action == "switch_strategy":
                 target = rec.params.get("to", "")
                 if (
@@ -249,7 +241,7 @@ class AutoTuner:
                     applied.append(f"strategy -> {target}")
         new_hints = hints
         if registry.get(new_strategy).takes_hints:
-            for rec in diagnosis.recommendations(max_severity=Severity.WARN):
+            for rec in diagnosis.recommendations():
                 if rec.action != "set_hint":
                     continue
                 name, value = rec.params["name"], rec.params["value"]

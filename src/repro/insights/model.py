@@ -91,17 +91,15 @@ class Diagnosis:
     def count(self, severity: Severity) -> int:
         return sum(1 for i in self.insights if i.severity is severity)
 
-    def findings(self, severity: Severity | None = None) -> list:
-        """Insights at ``severity``, or all non-OK findings when None."""
-        if severity is None:
-            return [i for i in self.insights if i.severity is not Severity.OK]
+    def findings(self, severity: Severity) -> list:
+        """Insights at ``severity``."""
         return [i for i in self.insights if i.severity is severity]
 
-    def recommendations(self, *, max_severity: Severity = Severity.WARN) -> list:
-        """Actionable recommendations from findings at or above severity."""
+    def recommendations(self) -> list:
+        """Actionable recommendations from HIGH and WARN findings."""
         out = []
         for i in self.insights:
-            if i.severity <= max_severity:
+            if i.severity <= Severity.WARN:
                 out.extend(i.recommendations)
         return out
 

@@ -13,7 +13,7 @@ import sys
 
 from .model import Diagnosis, Severity
 
-__all__ = ["format_report", "report_to_dict", "report_to_json"]
+__all__ = ["format_report", "report_to_json"]
 
 _COLORS = {
     Severity.HIGH: "\x1b[1;31m",  # bold red
@@ -83,9 +83,5 @@ def format_report(
     return "\n".join(lines)
 
 
-def report_to_dict(diagnosis: Diagnosis) -> dict:
-    return diagnosis.to_dict()
-
-
-def report_to_json(diagnosis: Diagnosis, *, indent: int = 2) -> str:
-    return json.dumps(report_to_dict(diagnosis), indent=indent)
+def report_to_json(diagnosis: Diagnosis) -> str:
+    return json.dumps(diagnosis.to_dict(), indent=2)

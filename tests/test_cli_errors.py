@@ -250,6 +250,10 @@ class TestJobCommandUsageErrors:
         # diagnosed the trace as if the value were meaningful
         (["insights", "t.json", "--procs", "-3"], "--procs"),
         (["insights", "t.json", "--stripe", "-4096"], "--stripe"),
+        # IndexError traceback: no round ran, so no baseline
+        (["tune", "--rounds", "-1"], "--rounds"),
+        # ValueError traceback after the hierarchy was built
+        (["simulate", "--retries", "-2"], "--retries"),
     ])
     def test_exits_2_naming_the_option(self, argv, names, capsys):
         assert main(argv) == 2

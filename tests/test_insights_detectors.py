@@ -49,14 +49,13 @@ def severities(diag):
 
 
 def test_rule_registry_is_complete():
-    rules = all_rules()
-    assert {
+    assert set(all_rules()) == {
         "small-requests", "tiny-interleaved", "random-access",
         "rmw-amplification", "file-per-grid", "misaligned-access",
         "independent-shared-file", "single-writer", "node-imbalance",
-        "metadata-ratio", "open-churn",
-    } <= set(rules)
-    assert len(rules) >= 8
+        "metadata-ratio", "open-churn", "sync-checkpoint-stall",
+        "retry-storm", "degraded-collective",
+    }
 
 
 # -- request-size rules ------------------------------------------------------

@@ -8,7 +8,6 @@ from repro.insights import (
     Recommendation,
     Severity,
     format_report,
-    report_to_dict,
     report_to_json,
 )
 
@@ -97,7 +96,7 @@ def test_format_report_empty_diagnosis():
 def test_report_to_json_round_trip():
     diag = sample_diagnosis()
     data = json.loads(report_to_json(diag))
-    assert data == report_to_dict(diag)
+    assert data == diag.to_dict()
     assert data["counts"] == {"HIGH": 1, "WARN": 0, "INFO": 0, "OK": 1}
     assert data["summary"]["strategy"] == "mpi-io"
     high = data["insights"][0]

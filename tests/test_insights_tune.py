@@ -15,15 +15,19 @@ from repro.topology import origin2000
 MB = 1024 * 1024
 
 
-def test_autotune_improves_small_request_workload():
-    tuner = AutoTuner(
+@pytest.fixture(scope="module")
+def amr16_report():
+    return AutoTuner(
         lambda n: origin2000(nprocs=n),
         problem="AMR16",
         nprocs=4,
         strategy="hdf4",
         max_rounds=2,
-    )
-    report = tuner.tune()
+    ).tune()
+
+
+def test_autotune_improves_small_request_workload(amr16_report):
+    report = amr16_report
     assert report.baseline.strategy == "hdf4"
     # the stall rule pushes past mpi-io to the end of the upgrade chain
     assert report.best.strategy == "mpi-io-async"
@@ -38,6 +42,16 @@ def test_autotune_improves_small_request_workload():
     data = report.to_dict()
     assert data["bandwidth_delta_mb_s"] > 0
     assert data["steps"][0]["strategy"] == "hdf4"
+
+
+def test_every_round_measures_the_same_workload(amr16_report):
+    """Sync and async rounds run the same driver workload, so the speedup
+    compares strategies, not workloads: every round writes within 1 % of
+    the bytes round 0 wrote."""
+    base = amr16_report.baseline.bytes_written
+    assert len(amr16_report.steps) >= 2
+    for step in amr16_report.steps:
+        assert abs(step.bytes_written - base) <= 0.01 * base, step
 
 
 def diagnose_run(strategy, hints, nprocs=8):
