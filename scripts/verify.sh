@@ -41,7 +41,7 @@ python -m repro analyze --param-file examples/scenarios/foggie_25Mpc_DM_256-L2.e
     --downscale 8 --procs 4 --save-trace BENCH_foggie.trace.json >/dev/null
 python -m repro insights BENCH_foggie.trace.json
 
-# The four gates run many-rank cells; a lost engine baton fails by hanging,
+# The three gates run many-rank cells; a lost engine baton fails by hanging,
 # so each gets a wall limit (cold serial regress is ~2 min) instead of the
 # CI job's six hours.
 echo "== paper-figure regression gate (Figures 5-10 vs BENCH_figures.json) =="
@@ -56,9 +56,6 @@ timeout 1800 python -m repro scale --quiet --out BENCH_scale.current.json
 
 echo "== compute/checkpoint overlap bench (BENCH_overlap.json) =="
 timeout 1800 python -m repro overlap --out BENCH_overlap.json
-
-echo "== insights smoke matrix (executor) =="
-timeout 1800 python -m repro bench insights --quiet
 
 echo "== executor telemetry (10 slowest cells this run) =="
 python -m repro bench timings --top 10

@@ -1,6 +1,6 @@
 """Benchmark harness: workload builders, experiment runners, the gate
-table (``GATES``: regress / scale / overlap / insights rows served by the
-one driver in ``repro.bench.cellrunner``), and the parallel cell executor
+table (``GATES``: regress / scale / overlap rows served by the one
+driver in ``repro.bench.cellrunner``), and the parallel cell executor
 with its content-addressed cache (``repro.bench.executor`` /
 ``repro.bench.cellcache``)."""
 

@@ -454,6 +454,36 @@ TRENDS: tuple[Trend, ...] = tuple(
             right="fig6:mpi-io:8",
         ),
     ]
+    # -- the diagnosis of each cell's own trace (``high`` counts the HIGH
+    # findings of the insights rules): the paper's reasons for each loss
+    # must stay visible to the rule engine.
+    + [
+        _t(
+            f"insights-hdf4-diagnoses-worse-P{p}",
+            "the serial file-per-grid HDF4 dump draws more HIGH findings "
+            f"than collective MPI-IO at P={p} (Fig 6)",
+            "high", f"fig6:hdf4:{p}", "gt", f"fig6:mpi-io:{p}",
+        )
+        for p in (2, 4, 8, 16)
+    ]
+    + [
+        _t(
+            f"insights-hdf5-diagnoses-worse-P{p}",
+            "parallel HDF5 interleaves tiny metadata writes with the "
+            f"payload, one more HIGH finding than MPI-IO at P={p} (Fig 10)",
+            "high", f"fig10:hdf5:{p}", "gt", f"fig10:mpi-io:{p}",
+        )
+        for p in (4, 8, 16)
+    ]
+    + [
+        _t(
+            f"insights-aligned-hdf5-clears-interleave-P{p}",
+            "metadata aggregation and alignment (Section 5) remove a HIGH "
+            f"finding from the plain HDF5 dump at P={p}",
+            "high", f"fig10:hdf5-aligned:{p}", "lt", f"fig10:hdf5:{p}",
+        )
+        for p in (4, 8, 16)
+    ]
 )
 
 

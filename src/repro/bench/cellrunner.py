@@ -2,11 +2,10 @@
 
 A *cell* is one pure experiment: a picklable spec (which machine, which
 strategy, how many processors, ...) that deterministically maps to one
-canonical JSON record.  The regress, scale, overlap and insights gates
-all reduce to the same shape -- select cells, run each into a record,
-evaluate trend assertions over the records, diff against a committed
-baseline or run a structural check -- so a gate is *data* and the
-machinery exists once:
+canonical JSON record.  The regress, scale and overlap gates all reduce
+to the same shape -- select cells, run each into a record, evaluate trend
+assertions over the records, diff against a committed baseline or run a
+structural check -- so a gate is *data* and the machinery exists once:
 
 * :class:`Gate` -- one row per bench family and gate command: how a cell
   runs and what identifies it (``run``/``spec``/``describe``), matrix,
@@ -80,11 +79,9 @@ class Gate:
     artifact (:func:`compare`); one without gates through ``check``.
     """
 
-    #: the family name -- the key in ``repro.bench.GATES`` and what a
-    #: worker resolves the row by.
+    #: the family name -- the key in ``repro.bench.GATES``, the CLI command
+    #: after ``repro``, and what a worker resolves the row by.
     family: str
-    #: CLI words after ``repro`` ("regress", "bench insights").
-    command: str
     help: str
     #: Cells are frozen dataclasses with a stable string ``id`` (the record
     #: key in payloads and reports).
@@ -197,7 +194,6 @@ _FAMILY_MODULES = {
     "regress": "repro.bench.regression",
     "scale": "repro.bench.scale",
     "overlap": "repro.bench.overlap",
-    "insights": "repro.bench.insights_smoke",
 }
 
 
@@ -423,7 +419,7 @@ def compare(gate: Gate, current: dict, baseline: dict, *,
 def format_report(gate: Gate, report: GateReport, *,
                   title: str | None = None) -> str:
     """Readable gate outcome: a per-cell diff table naming each violation."""
-    title = title or f"repro {gate.command}"
+    title = title or f"repro {gate.family}"
     lines = [title, "=" * len(title)]
     lines.append(
         f"{report.cells_checked} cells, {report.trends_checked} "

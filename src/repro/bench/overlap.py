@@ -209,7 +209,6 @@ def _table(records: dict[str, dict]) -> str:
 
 GATE = Gate(
     family="overlap",
-    command="overlap",
     help="compute/checkpoint overlap bench: sync vs write-behind "
          "(writes BENCH_overlap.json, exit 1 if overlap stops winning)",
     matrix=OVERLAP_MATRIX,

@@ -3,8 +3,9 @@
 The cells behind ``python -m repro regress``: each cell of the Figure 5-10
 matrix declared in :mod:`repro.bench.baselines` runs through the simulated
 clock and reduces to a canonical result record (bandwidths, phase
-breakdown, file-system counters, and a SHA-256 golden digest of the
-canonicalised IOTrace event stream).  The :data:`GATE` row has the shared
+breakdown, file-system counters, a SHA-256 golden digest of the
+canonicalised IOTrace event stream, and the insights diagnosis of that
+trace).  The :data:`GATE` row has the shared
 gate driver (:mod:`repro.bench.cellrunner`) compare a run against the
 committed ``BENCH_figures.json`` baseline on three axes:
 
@@ -66,6 +67,9 @@ EXACT_METRICS = (
     "fs_recoveries",
     "trace_events",
     "file_digest",
+    # the diagnosis: which rules fire at which severity, and the HIGH count
+    "findings",
+    "high",
 ) + CADENCE_METRICS
 
 #: Banded per-cell metrics (relative tolerance).
@@ -120,6 +124,8 @@ def _run_pattern_cell(cell: Cell, machine, hints: Hints | None) -> dict:
         )
     return _record(
         cell,
+        machine=machine,
+        hints=hints,
         write_s=max(job.results),
         bytes_written=job.counters.bytes_written,
         fs_write_requests=job.counters.writes,
@@ -154,6 +160,8 @@ def _run_checkpoint_cell(cell: Cell, machine, strategy) -> dict:
                                     ("ckpt", "ckpt.manifest"))
     return _record(
         cell,
+        machine=machine,
+        hints=_hints_of(strategy),
         file_digest=file_digest,
         write_s=result.write_time,
         read_s=result.read_time,
@@ -220,6 +228,8 @@ def _run_driver_cell(cell: Cell, machine, strategy, scenario) -> dict:
         }
     return _record(
         cell,
+        machine=machine,
+        hints=_hints_of(strategy),
         write_s=max(s["write_time"] + s["plot_time"] for s in summaries),
         write_phases=result.write_phases,
         bytes_written=result.bytes_written,
@@ -230,11 +240,23 @@ def _run_driver_cell(cell: Cell, machine, strategy, scenario) -> dict:
     )
 
 
+def _hints_of(strategy) -> Hints | None:
+    """The MPI-IO hints a composed strategy runs with (None for HDF4)."""
+    return getattr(strategy.format, "hints", None)
+
+
 def _record(
-    cell: Cell, *, trace, write_s, bytes_written, fs_write_requests,
-    fs_recoveries, read_s=0.0, bytes_read=0, fs_read_requests=0,
-    write_phases=(), read_phases=(), file_digest="", extra=None,
+    cell: Cell, *, trace, machine, hints, write_s, bytes_written,
+    fs_write_requests, fs_recoveries, read_s=0.0, bytes_read=0,
+    fs_read_requests=0, write_phases=(), read_phases=(), file_digest="",
+    extra=None,
 ) -> dict:
+    # insights.autotune imports bench.runners: a module-level import cycles
+    from ..insights import Severity
+    from ..insights.autotune import _diagnose_run
+
+    diagnosis = _diagnose_run(trace, machine, nprocs=cell.nprocs,
+                              hints=hints, strategy=cell.strategy)
     mb = 2**20
     write_s, read_s = float(write_s), float(read_s)
     bytes_written, bytes_read = int(bytes_written), int(bytes_read)
@@ -272,6 +294,11 @@ def _record(
         "write_requests_per_mb": round(
             int(fs_write_requests) / (bytes_written / mb), 6
         ) if bytes_written else 0.0,
+        "findings": sorted({
+            f"{i.rule}:{i.severity.name}" for i in diagnosis.insights
+            if i.severity is not Severity.OK
+        }),
+        "high": diagnosis.count(Severity.HIGH),
     }
     record.update(extra or {})
     return record
@@ -346,7 +373,6 @@ def _plan(gate: Gate, args) -> tuple[list, dict]:
 
 GATE = Gate(
     family="regress",
-    command="regress",
     help="paper-figure conformance & perf-regression gate (exit 0/1/2)",
     matrix=MATRIX,
     run=lambda cell, extra: run_cell(

@@ -254,7 +254,6 @@ def scale_chart(records: dict) -> str:
 
 GATE = Gate(
     family="scale",
-    command="scale",
     help="weak-scaling sweep P=16..1024 vs BENCH_scale.json (exit 0/1/2)",
     matrix=SCALE_MATRIX,
     run=lambda cell, extra: run_scale_cell(cell),

@@ -26,12 +26,11 @@ Commands:
   trends); same exit convention as ``regress``;
 * ``bench timings``              -- print the per-cell executor telemetry
   (wall µs, cache hit/miss, worker id, queue wait) recorded in
-  ``BENCH_timings.json``; ``bench insights`` runs the insights smoke
-  matrix through the executor.
+  ``BENCH_timings.json``.
 
-The matrix gates (``regress``/``scale``/``overlap``/``bench insights``)
-are the rows of the gate table ``repro.bench.GATES``: their sub-parsers
-are built from the rows and one handler (``_cmd_gate``) serves them all.
+The matrix gates (``regress``/``scale``/``overlap``) are the rows of the
+gate table ``repro.bench.GATES``: their sub-parsers are built from the
+rows and one handler (``_cmd_gate``) serves them all.
 They share the executor options ``--jobs N`` (default
 ``min(os.cpu_count(), n_cells)``, overridable with ``REPRO_JOBS``;
 ``--jobs 1`` runs the cells in-process; 0 or negative is a usage
@@ -590,7 +589,7 @@ def _cmd_gate(gate, args) -> int:
     """
     from .bench import cellrunner as cr
 
-    title = f"repro {gate.command}"
+    title = f"repro {gate.family}"
     rtol = getattr(args, "rtol", None)
     try:
         if rtol is not None and not 0 <= rtol < float("inf"):
@@ -714,7 +713,7 @@ def cmd_bench_timings(args) -> int:
 
 def _add_gate_parser(sub, gate) -> None:
     """One gate sub-parser, its options derived from the table row."""
-    g = sub.add_parser(gate.command.split()[-1], help=gate.help)
+    g = sub.add_parser(gate.family, help=gate.help)
     g.set_defaults(gate=gate)
     if gate.baseline:
         g.add_argument("--update-baseline", action="store_true",
@@ -843,10 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="validate + build every registered scenario "
                          "(capped resolution); exit 1 on any failure")
 
-    b = sub.add_parser(
-        "bench",
-        help="executor utilities: per-cell timings, insights smoke matrix",
-    )
+    b = sub.add_parser("bench", help="executor utilities: per-cell timings")
     bsub = b.add_subparsers(dest="bench_command", required=True)
     bt = bsub.add_parser(
         "timings",
@@ -858,8 +854,7 @@ def build_parser() -> argparse.ArgumentParser:
     bt.add_argument("--top", type=int, default=None, metavar="N",
                     help="show only the N slowest cells across all families")
     for gate in GATES.values():
-        _add_gate_parser(bsub if gate.command.startswith("bench ") else sub,
-                         gate)
+        _add_gate_parser(sub, gate)
 
     s = sub.add_parser("simulate", help="run the full ENZO flow")
     s.add_argument("--problem", default="AMR32")

@@ -100,9 +100,7 @@ def write_plotfile(
                 f"plot-file header {len(blob)}B exceeds the fixed "
                 f"{HEADER_NBYTES}B slot"
             )
-        t_meta = comm.clock
         fh.write_at(0, np.frombuffer(blob.ljust(HEADER_NBYTES), np.uint8))
-        stats.add_phase("meta", comm.clock - t_meta)
         stats.bytes_moved += HEADER_NBYTES
 
     parts = [
@@ -115,9 +113,7 @@ def write_plotfile(
             np.ascontiguousarray(grid.fields[n]).reshape(-1) for n in names
         )
     buf = np.concatenate(parts) if parts else np.zeros(0)
-    t_data = comm.clock
     fh.write_at(offset, buf)
-    stats.add_phase("data", comm.clock - t_data)
     stats.bytes_moved += buf.nbytes
     fh.close()
     stats.elapsed = comm.clock - t0

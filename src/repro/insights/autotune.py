@@ -45,6 +45,24 @@ def stripe_headroom_of(machine) -> int:
     return nosts if 0 < current < nosts else 0
 
 
+def _diagnose_run(trace, machine, *, nprocs, hints, strategy) -> Diagnosis:
+    """Diagnose a traced run on ``machine`` with its platform context.
+
+    The one place that context is assembled: every tuner round and every
+    regress record diagnose through here, so a rule sees the same node
+    count, stripe geometry, hints and strategy name in both.
+    """
+    return diagnose(
+        trace,
+        nprocs=nprocs,
+        nnodes=machine.nnodes,
+        stripe_size=stripe_size_of(machine),
+        stripe_widen_to=stripe_headroom_of(machine),
+        hints=hints,
+        strategy=strategy,
+    )
+
+
 @dataclass
 class TuningStep:
     """One diagnose-and-run iteration."""
@@ -211,14 +229,8 @@ class AutoTuner:
             result = run_overlap_experiment(
                 machine, stack, config, nprocs=self.nprocs
             )
-        diagnosis = diagnose(
-            trace,
-            nprocs=self.nprocs,
-            nnodes=machine.nnodes,
-            stripe_size=stripe_size_of(machine),
-            stripe_widen_to=stripe_headroom_of(machine),
-            hints=hints,
-            strategy=strategy,
+        diagnosis = _diagnose_run(
+            trace, machine, nprocs=self.nprocs, hints=hints, strategy=strategy
         )
         return trace, diagnosis, result
 

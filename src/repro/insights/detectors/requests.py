@@ -240,16 +240,21 @@ def rmw_amplification(ctx: TraceContext) -> list:
     """Read-modify-write amplification from data sieving.
 
     Data sieving turns a strided independent write into read-extent /
-    modify / write-extent; the reads show up in a write-phase trace as
-    traffic on the very files being written.
+    modify / write-extent, so a read counts only when a later write to the
+    same file follows it.  A restart that reads back a finished dump is a
+    read after the last write, not read-modify-write.
     """
     th = THRESHOLDS
     writes = ctx.trace.ops("write")
-    reads = ctx.trace.ops("read")
-    if not writes or not reads:
+    if not writes or not ctx.trace.ops("read"):
         return []
-    written_paths = {e.path for e in writes}
-    rmw_bytes = sum(e.nbytes for e in reads if e.path in written_paths)
+    rmw_bytes = 0
+    written_later: set[str] = set()
+    for e in reversed(ctx.trace.events):
+        if e.op == "write":
+            written_later.add(e.path)
+        elif e.op == "read" and e.path in written_later:
+            rmw_bytes += e.nbytes
     written_bytes = sum(e.nbytes for e in writes)
     ratio = rmw_bytes / written_bytes if written_bytes else 0.0
     evidence = {
@@ -266,9 +271,9 @@ def rmw_amplification(ctx: TraceContext) -> list:
                 ),
                 title="write traffic is amplified by read-modify-write",
                 detail=(
-                    f"{rmw_bytes} B were read back from files being written "
-                    f"({ratio:.0%} of the written volume) -- data sieving is "
-                    f"filling holes by reading whole extents"
+                    f"{rmw_bytes} B were read ahead of a write to the same "
+                    f"file ({ratio:.0%} of the written volume) -- data "
+                    f"sieving is filling holes by reading whole extents"
                 ),
                 op="write",
                 evidence=evidence,
@@ -293,7 +298,7 @@ def rmw_amplification(ctx: TraceContext) -> list:
                 rule="rmw-amplification",
                 severity=Severity.OK,
                 title="no read-modify-write amplification",
-                detail="no reads against files being written",
+                detail="no read precedes a write to the same file",
                 op="write",
                 evidence=evidence,
             )

@@ -38,14 +38,11 @@ class FSCounters:
     writes: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
-    opens: int = 0
-    metadata_ops: int = 0
     recoveries: int = 0
 
     def reset(self) -> None:
         self.reads = self.writes = 0
         self.bytes_read = self.bytes_written = 0
-        self.opens = self.metadata_ops = 0
         self.recoveries = 0
 
 
@@ -329,22 +326,17 @@ class FileSystem:
         """Create or truncate ``path``; returns the completion time."""
         self._check_fault("meta", path)
         self.store.create(path)
-        self.counters.opens += 1
-        self.counters.metadata_ops += 1
         return self._meta("create", path, node, ready_time)
 
     def open(self, path: str, *, node: int = 0, ready_time: float = 0.0) -> float:
         """Open an existing ``path``; returns the completion time."""
         self._check_fault("meta", path)
         self.store.open(path)
-        self.counters.opens += 1
-        self.counters.metadata_ops += 1
         return self._meta("open", path, node, ready_time)
 
     def delete(self, path: str, *, node: int = 0, ready_time: float = 0.0) -> float:
         self._check_fault("meta", path)
         self.store.delete(path)
-        self.counters.metadata_ops += 1
         return self._meta("delete", path, node, ready_time)
 
     def _meta(self, op: str, path: str, node: int, ready_time: float) -> float:

@@ -200,9 +200,6 @@ WIRE_SAMPLES = {
         "machine": "chiba_city_local", "sync": "mpi-io",
         "async_": "mpi-io-async", "problem": "AMR64", "nprocs": 8,
         "ncycles": 3}),
-    "insights": ("insights:hdf5-aligned:4", {
-        "strategy": "hdf5-aligned", "machine": "origin2000",
-        "problem": "AMR16", "nprocs": 4}),
 }
 
 

@@ -7,6 +7,7 @@ from repro.bench import (
     device_utilization,
     format_utilization_report,
     run_checkpoint_experiment,
+    run_traced_experiment,
 )
 from repro.enzo import RankState
 from repro.iostack import registry
@@ -143,7 +144,7 @@ class TestUtilizationReport:
         from repro.topology.presets import lustre
 
         m = lustre(4)
-        r = run_checkpoint_experiment(
+        r, trace = run_traced_experiment(
             m, registry.create("hdf4"), build_workload("AMR16"), nprocs=4,
             do_read=False,
         )
@@ -152,5 +153,5 @@ class TestUtilizationReport:
         assert sum(1 for name in rows if name.startswith("lustre.ostq[")) == 16
         assert "lustre.chan[0]" in rows
         _, requests, busy, util = rows["lustre.mds"]
-        assert requests == m.fs.counters.metadata_ops > 0
+        assert requests == len(trace.ops("meta")) > 0
         assert float(busy) > 0.0 and util.endswith("%")

@@ -27,7 +27,6 @@ OPTION_STRINGS = {
     "scale": BASELINED,
     "overlap": {"--procs", "--cycles", "--machine", "--out", "--quiet"}
     | EXECUTOR,
-    "insights": {"--quiet"} | EXECUTOR,
 }
 
 
@@ -39,10 +38,18 @@ def _subparser(parser, words):
     return parser
 
 
-def test_the_table_has_exactly_the_four_gates():
-    assert list(GATES) == ["regress", "scale", "overlap", "insights"]
-    assert [g.command for g in GATES.values()] == [
-        "regress", "scale", "overlap", "bench insights"]
+def test_the_table_has_exactly_the_three_gates():
+    assert list(GATES) == ["regress", "scale", "overlap"]
+
+
+def test_bench_serves_timings_only():
+    """The insights smoke family is gone: each regress record carries its
+    own diagnosis, so ``bench insights`` is a usage error."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "insights"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("name", sorted(OPTION_STRINGS))
@@ -84,6 +91,6 @@ class TestEveryRow:
                 assert metric in record or metric in CADENCE_METRICS, metric
 
     def test_subparser_exposes_exactly_the_parents_options(self, name):
-        sub = _subparser(build_parser(), GATES[name].command.split())
+        sub = _subparser(build_parser(), [name])
         flags = {s for a in sub._actions for s in a.option_strings}
         assert flags - {"-h", "--help"} == OPTION_STRINGS[name]

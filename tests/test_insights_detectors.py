@@ -5,6 +5,9 @@ exercised in isolation through ``diagnose(..., rules=[rule_id])`` so a
 finding can only come from the rule under test.
 """
 
+import json
+import os
+
 import pytest
 
 from repro.core.trace import IOTrace
@@ -12,6 +15,7 @@ from repro.insights import Severity, all_rules, diagnose
 
 KB = 1024
 MB = 1024 * 1024
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def make_trace(events):
@@ -117,8 +121,9 @@ def test_random_access_ok_for_sequential_stream():
 
 
 def test_rmw_amplification_high_when_readback_dominates():
-    events = writes([100 * KB], path="a")
-    events += [{"op": "read", "path": "a", "nbytes": 60 * KB, "offset": 0}]
+    # a sieving write: read the extent, then write it back
+    events = [{"op": "read", "path": "a", "nbytes": 60 * KB, "offset": 0}]
+    events += writes([100 * KB], path="a")
     diag = run_rule("rmw-amplification", make_trace(events))
     assert severities(diag) == [Severity.HIGH]
     names = {r.params.get("name") for r in diag.insights[0].recommendations}
@@ -126,10 +131,18 @@ def test_rmw_amplification_high_when_readback_dominates():
 
 
 def test_rmw_amplification_warn_at_moderate_ratio():
-    events = writes([100 * KB], path="a")
-    events += [{"op": "read", "path": "a", "nbytes": 20 * KB, "offset": 0}]
+    events = [{"op": "read", "path": "a", "nbytes": 20 * KB, "offset": 0}]
+    events += writes([100 * KB], path="a")
     diag = run_rule("rmw-amplification", make_trace(events))
     assert severities(diag) == [Severity.WARN]
+
+
+def test_rmw_amplification_silent_on_a_restart_read():
+    """Reading a finished dump back is a restart, not read-modify-write."""
+    events = writes([100 * KB], path="a")
+    events += [{"op": "read", "path": "a", "nbytes": 60 * KB, "offset": 0}]
+    diag = run_rule("rmw-amplification", make_trace(events))
+    assert severities(diag) == [Severity.OK]
 
 
 def test_rmw_amplification_ok_when_reads_hit_other_files():
@@ -357,3 +370,34 @@ def test_paths_first_seen_order():
     trace = make_trace(events)
     assert trace.paths() == ["b", "a"]
     assert trace.paths("read") == []
+
+
+# -- the rule x cell table of the regress baseline ----------------------------
+
+#: Rules no gated cell fires, each for a named reason (docs/architecture.md
+#: section 9): the resilience rules need an injected fault, and no regress
+#: cell issues a sieving write, so nothing reads an extent before writing it.
+NEVER_FIRES = {"retry-storm", "degraded-collective", "rmw-amplification"}
+#: Rules every gated cell fires: ENZO's dumps are made of small requests
+#: (paper Table 2) on every strategy the matrix runs.
+NEVER_SILENT = {"small-requests"}
+
+
+def test_every_rule_fires_and_stays_silent_on_gated_cells():
+    """Every registered rule fires on some regress cell and is silent on
+    another, read from the ``findings`` pinned in ``BENCH_figures.json``;
+    the exceptions are exactly the named sets above."""
+    with open(os.path.join(REPO_ROOT, "BENCH_figures.json")) as f:
+        cells = json.load(f)["cells"]
+    fired = {
+        cell_id: {finding.rsplit(":", 1)[0] for finding in rec["findings"]}
+        for cell_id, rec in cells.items()
+    }
+    rules = set(all_rules())
+    assert set().union(*fired.values()) <= rules
+    never_fires = {r for r in rules
+                   if not any(r in hit for hit in fired.values())}
+    never_silent = {r for r in rules
+                    if all(r in hit for hit in fired.values())}
+    assert never_fires == NEVER_FIRES
+    assert never_silent == NEVER_SILENT

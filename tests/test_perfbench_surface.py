@@ -12,6 +12,7 @@ import ast
 import importlib
 import importlib.util
 import os
+import sys
 
 import pytest
 
@@ -74,3 +75,59 @@ def test_every_tracer_target_resolves():
             continue
         for attr in names:
             assert hasattr(owner, attr), f"{modname}.{clsname or ''}.{attr}"
+
+
+# -- the trend contract -------------------------------------------------------
+
+
+def _perfbench_module(name):
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", os.path.join(PERFBENCH, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses resolve their module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _figure_record_keys():
+    """The keys of the ``record = {...}`` literal of ``run_figure_cell``."""
+    with open(os.path.join(PERFBENCH, "workloads.py")) as f:
+        tree = ast.parse(f.read())
+    (fn,) = [node for node in ast.walk(tree)
+             if isinstance(node, ast.FunctionDef)
+             and node.name == "run_figure_cell"]
+    (literal,) = [node.value for node in ast.walk(fn)
+                  if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Dict)
+                  and [t.id for t in node.targets] == ["record"]]
+    return {key.value for key in literal.keys}
+
+
+def test_perfbench_trends_read_only_keys_its_records_carry():
+    """``perfbench/run.py --check`` evaluates every trend whose cells all
+    lie in one workload, on perfbench's own records.  Those carry a subset
+    of the regress and scale records (no ``findings`` / ``high``), so such
+    a trend must read only keys perfbench records for that cell kind."""
+    from repro.bench.baselines import TRENDS, Cell
+    from repro.bench.scale import SCALE_TRENDS, ScaleCell
+
+    workloads = _perfbench_module("workloads")
+    scale_keys = set(workloads.run_one(
+        ScaleCell("origin2000", "hdf4", 16), workloads.Inputs(0)))
+    keys = {Cell: _figure_record_keys(), ScaleCell: scale_keys}
+    assert {"write_s", "trace_digest", "file_digest"} <= keys[Cell]
+    assert "high" not in keys[Cell] and "findings" not in keys[Cell]
+    checked = 0
+    for workload in workloads.WORKLOADS.values():
+        kinds = {spec.id: type(spec) for spec in workload.cells}
+        for trend in TRENDS + SCALE_TRENDS:
+            if not all(c in kinds for c in trend.cells):
+                continue
+            checked += 1
+            metrics = {trend.metric, trend.right_metric or trend.metric}
+            for cell_id in trend.cells:
+                missing = metrics - keys[kinds[cell_id]]
+                assert not missing, (
+                    f"{trend.id} reads {sorted(missing)} on {cell_id}, "
+                    f"which perfbench's {workload.name} records lack")
+    assert checked, "no trend lies in a perfbench workload"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.trace import trace_filesystem
 from repro.pfs import (
     FileNotFound,
     InjectedIOError,
@@ -176,15 +177,15 @@ def fs(request):
 class TestMetaFaults:
     def test_open_checks_the_fault_before_the_store(self, fs):
         fs.create("ckpt")
-        before = (fs.counters.opens, fs.counters.metadata_ops)
         spec = fs.inject_fault("meta", "ckpt", mode="persistent")
-        with pytest.raises(InjectedIOError):
-            fs.open("ckpt")
-        with pytest.raises(InjectedIOError):
-            fs.create("ckpt-restart")
+        with trace_filesystem(fs, include_meta=True) as trace:
+            with pytest.raises(InjectedIOError):
+                fs.open("ckpt")
+            with pytest.raises(InjectedIOError):
+                fs.create("ckpt-restart")
         assert spec.fired == 2
         assert fs.store.listdir() == ["ckpt"]
-        assert (fs.counters.opens, fs.counters.metadata_ops) == before
+        assert trace.ops("meta") == []
 
     def test_delete_checks_the_fault_before_the_store(self, fs):
         fs.create("ckpt")

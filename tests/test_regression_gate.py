@@ -155,6 +155,7 @@ def fake_payload():
         "fs_write_requests": 10, "fs_read_requests": 5,
         "fs_recoveries": 0, "trace_events": 15,
         "trace_digest": "sha256:aaaa", "file_digest": "",
+        "findings": ["small-requests:HIGH"], "high": 1,
     }
     other = dict(cell, strategy="hdf4", write_bw=50.0, trace_digest="sha256:bbbb")
     return {
@@ -218,6 +219,15 @@ class TestCompare:
             v["kind"] == "count" and v["metric"] == "fs_write_requests"
             for v in report.violations
         )
+
+    def test_a_changed_diagnosis_is_a_violation(self):
+        """The rule x cell table is pinned exactly: one rule that stops
+        firing on one cell fails the gate."""
+        base = fake_payload()
+        cur = copy.deepcopy(base)
+        cur["cells"]["fig6:mpi-io:8"]["findings"] = []
+        report = compare(cur, base)
+        assert [v["metric"] for v in report.violations] == ["findings"]
 
     def test_cell_missing_from_baseline_is_a_violation(self):
         base = fake_payload()
