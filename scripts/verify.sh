@@ -41,7 +41,7 @@ python -m repro analyze --param-file examples/scenarios/foggie_25Mpc_DM_256-L2.e
     --downscale 8 --procs 4 --save-trace BENCH_foggie.trace.json >/dev/null
 python -m repro insights BENCH_foggie.trace.json
 
-# The three gates run many-rank cells; a lost engine baton fails by hanging,
+# The two gates run many-rank cells; a lost engine baton fails by hanging,
 # so each gets a wall limit (cold serial regress is ~2 min) instead of the
 # CI job's six hours.
 echo "== paper-figure regression gate (Figures 5-10 vs BENCH_figures.json) =="
@@ -53,9 +53,6 @@ python -m repro bench timings --top 1 | grep '^regress:'
 
 echo "== weak-scaling gate (P=16..1024 vs BENCH_scale.json) =="
 timeout 1800 python -m repro scale --quiet --out BENCH_scale.current.json
-
-echo "== compute/checkpoint overlap bench (BENCH_overlap.json) =="
-timeout 1800 python -m repro overlap --out BENCH_overlap.json
 
 echo "== executor telemetry (10 slowest cells this run) =="
 python -m repro bench timings --top 10

@@ -2,10 +2,10 @@
 
 A *cell* is one pure experiment: a picklable spec (which machine, which
 strategy, how many processors, ...) that deterministically maps to one
-canonical JSON record.  The regress, scale and overlap gates all reduce
-to the same shape -- select cells, run each into a record, evaluate trend
-assertions over the records, diff against a committed baseline or run a
-structural check -- so a gate is *data* and the machinery exists once:
+canonical JSON record.  The regress and scale gates reduce to the same
+shape -- select cells, run each into a record, evaluate trend assertions
+over the records, diff against a committed baseline -- so a gate is
+*data* and the machinery exists once:
 
 * :class:`Gate` -- one row per bench family and gate command: how a cell
   runs and what identifies it (``run``/``spec``/``describe``), matrix,
@@ -75,8 +75,8 @@ def describe_machine_problem(cell) -> str:
 class Gate:
     """One bench gate as data: what to run, what to pin, how to report.
 
-    A gate with a ``baseline`` diffs its run against that committed
-    artifact (:func:`compare`); one without gates through ``check``.
+    Every gate diffs its run against its committed ``baseline`` artifact
+    (:func:`compare`).
     """
 
     #: the family name -- the key in ``repro.bench.GATES``, the CLI command
@@ -91,30 +91,30 @@ class Gate:
     #: ``extra`` carries per-cell overrides (the regress family's
     #: ``--perturb`` hints) and is part of the cache key via ``spec``.
     run: Callable
+    #: Committed baseline artifact to diff against (relative to the CWD).
+    baseline: str
+    #: ``--cell`` grammar (the metavar) and the three cell attributes its
+    #: ``:``-separated components match.
+    cell_grammar: str
+    cell_keys: tuple
     #: (cell, extra) -> JSON-serializable canonical spec (cache identity).
     spec: Callable = lambda cell, extra: asdict(cell)
     #: cell -> one-line human description for progress output.
     describe: Callable = lambda cell: cell.id
     trends: tuple = ()
-
-    #: ``--cell`` grammar (the metavar) and the three cell attributes its
-    #: ``:``-separated components match; ``None`` = no ``--cell`` option.
-    cell_grammar: str | None = None
-    cell_keys: tuple = ()
+    #: an example ``--cell`` spec for the option's help text.
     cell_example: str = ""
     #: ``--list-cells`` columns as (header, cell -> str) pairs.
     list_columns: tuple = ()
     #: Gate-specific argparse rows ((flag, kwargs), ...) and the planner
     #: that reads the parsed options: ``plan(gate, args) -> (cells,
     #: extras)``; raises :class:`ValueError` on a usage error.  Default:
-    #: ``--cell`` alone (the whole matrix for a gate without it).
+    #: ``--cell`` alone.
     options: tuple = ()
-    plan: Callable = lambda gate, args: (
-        gate.select(getattr(args, "cell", None)), {})
+    plan: Callable = lambda gate, args: (gate.select(args.cell), {})
 
-    #: Committed baseline artifact to diff against, with its schema, the
-    #: default tolerance band and the metrics pinned per cell.
-    baseline: str | None = None
+    #: The baseline's schema, the default tolerance band and the metrics
+    #: pinned per cell.
     schema: int = 1
     rtol: float = 0.05
     exact_metrics: tuple = ()
@@ -125,17 +125,8 @@ class Gate:
     trend_noun: str = "paper"
     trend_source: str = "paper"
 
-    #: Default ``--out`` path of a baseline-less gate whose run *is* the
-    #: committed artifact (``{"schema", "runs"}`` in matrix order).
-    out_default: str | None = None
-    #: cells -> the size phrase of the progress banner.
-    banner: Callable = lambda cells: f"{len(cells)} cell(s)"
-    #: records -> text; the chart is progress output (hidden by
-    #: ``--quiet``), the table is the gate's result (always printed).
+    #: records -> text: progress output, hidden by ``--quiet``.
     chart: Callable | None = None
-    table: Callable | None = None
-    #: records -> problem lines for stderr (any line fails the gate).
-    check: Callable | None = None
 
     def select(self, specs: list[str] | None) -> list:
         """Resolve ``--cell`` specs to matrix cells (all when empty).
@@ -193,7 +184,6 @@ class Gate:
 _FAMILY_MODULES = {
     "regress": "repro.bench.regression",
     "scale": "repro.bench.scale",
-    "overlap": "repro.bench.overlap",
 }
 
 

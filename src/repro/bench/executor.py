@@ -1,8 +1,8 @@
 """Parallel bench executor: fan cells across a process pool, merge
 deterministically, replay cache hits.
 
-:func:`run_cells` is the one engine every bench matrix (regress, scale,
-overlap, insights) runs through:
+:func:`run_cells` is the one engine every bench matrix (regress, scale)
+runs through:
 
 1. **cache probe** -- with a :class:`~repro.bench.cellcache.CellCache`
    attached, each cell's content address (canonical spec + source-tree

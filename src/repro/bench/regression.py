@@ -25,7 +25,7 @@ corrupt baseline, unknown cell, malformed perturbation).
 
 from __future__ import annotations
 
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -192,19 +192,21 @@ def _cadence_scenario(cell: Cell):
     return s if s.plot_every or s.output_redshifts else None
 
 
-def _run_driver_cell(cell: Cell, machine, strategy, scenario) -> dict:
+def _run_driver_cell(cell: Cell, machine, strategy, scenario, hints) -> dict:
     """A full Enzo driver run: compute cycles with dumps in between.
 
     Two kinds of cell need the driver.  An async strategy (``scenario`` is
     None) has nothing to hide its drain behind in a bare checkpoint, so it
     runs the named problem's cycles (3 for the ``AMR*`` sizes, a dump each)
     with write-behind on: ``write_s`` is the exposed I/O time and
-    ``write_bw`` the *effective* bandwidth the application observes.  A
-    cadence ``scenario`` runs its own refinement and output schedule --
-    checkpoints through the cell's strategy, plot files through the
-    plot-file writer -- and its record carries per-stream dump counts
-    and byte totals so the cadence trends can compare the two streams of
-    the same run.
+    ``write_bw`` the *effective* bandwidth the application observes.  Its
+    record also carries the run's makespan next to that of its synchronous
+    twin (:func:`_sync_twin`), so the overlap trends compare the same
+    workload both ways.  A cadence ``scenario`` runs its own refinement
+    and output schedule -- checkpoints through the cell's strategy, plot
+    files through the plot-file writer -- and its record carries
+    per-stream dump counts and byte totals so the cadence trends can
+    compare the two streams of the same run.
     """
     from ..enzo.simulation import EnzoConfig
 
@@ -216,9 +218,10 @@ def _run_driver_cell(cell: Cell, machine, strategy, scenario) -> dict:
         result = run_overlap_experiment(
             machine, strategy, config, nprocs=cell.nprocs
         )
-    summaries = result.summaries
-    extra = None
-    if scenario is not None:
+    if scenario is None:
+        extra = _sync_twin(cell, config, result, hints)
+    else:
+        summaries = result.summaries
         extra = {
             "ckpt_dumps": len(summaries[0]["dumps"]),
             "plot_dumps": len(summaries[0]["plot_dumps"]),
@@ -230,7 +233,7 @@ def _run_driver_cell(cell: Cell, machine, strategy, scenario) -> dict:
         cell,
         machine=machine,
         hints=_hints_of(strategy),
-        write_s=max(s["write_time"] + s["plot_time"] for s in summaries),
+        write_s=result.write_time,
         write_phases=result.write_phases,
         bytes_written=result.bytes_written,
         fs_write_requests=result.fs_write_requests,
@@ -238,6 +241,35 @@ def _run_driver_cell(cell: Cell, machine, strategy, scenario) -> dict:
         trace=trace,
         extra=extra,
     )
+
+
+def _sync_twin(cell: Cell, config, async_result, hints) -> dict:
+    """Run an async cell's workload again through its synchronous twin.
+
+    The twin is the composition the async one is a ``variant_of``
+    (``mpi-io`` for ``mpi-io-async``) with the same hints, dumping inline
+    on a fresh machine outside the cell's trace, so the async run's trace,
+    counters and diagnosis stay exactly what they were.  ``bw_speedup`` is
+    the ratio of the two runs' effective write bandwidths (bytes per
+    exposed I/O second).
+    """
+    twin = registry.create(registry.get(cell.strategy).variant_of, hints=hints)
+    sync = run_overlap_experiment(
+        PRESETS[cell.machine](nprocs=cell.nprocs), twin,
+        replace(config, overlap=False), nprocs=cell.nprocs,
+    )
+
+    def effective_bw(r) -> float:
+        return r.bytes_written / r.write_time / 2**20 if r.write_time > 0 else 0.0
+
+    sync_bw = effective_bw(sync)
+    return {
+        "makespan_s": round(async_result.makespan, 9),
+        "sync_makespan_s": round(sync.makespan, 9),
+        "bw_speedup": round(
+            effective_bw(async_result) / sync_bw if sync_bw > 0 else 0.0, 6
+        ),
+    }
 
 
 def _hints_of(strategy) -> Hints | None:
@@ -323,7 +355,7 @@ def run_cell(cell: Cell, *, hints: Hints | None = None) -> dict:
     strategy = registry.create(cell.strategy, hints=hints)
     scenario = _cadence_scenario(cell)
     if comp.options.get("async") or scenario is not None:
-        return _run_driver_cell(cell, machine, strategy, scenario)
+        return _run_driver_cell(cell, machine, strategy, scenario, hints)
     return _run_checkpoint_cell(cell, machine, strategy)
 
 

@@ -195,17 +195,12 @@ class OverlapResult:
     """One Enzo driver run: makespan plus the I/O cost the ranks *saw*.
 
     ``write_time`` sums each rank's per-dump exposed elapsed time (post +
-    commit for an overlapped dump; the full dump for a synchronous one)
-    and takes the maximum across ranks.  ``makespan`` is the virtual-time
-    span of the whole run -- compute included -- which is what overlap
-    actually shrinks.
+    commit for an overlapped dump; the full dump for a synchronous one),
+    plot files included, and takes the maximum across ranks.
+    ``makespan`` is the virtual-time span of the whole run -- compute
+    included -- which is what overlap actually shrinks.
     """
 
-    machine: str
-    strategy: str
-    nprocs: int
-    overlap: bool
-    dumps: int
     makespan: float
     write_time: float
     write_phases: dict
@@ -215,13 +210,6 @@ class OverlapResult:
     #: each rank's ``EnzoSimulation.run`` summary (dump lists, per-stream
     #: times and bytes), for callers that reduce the run differently
     summaries: list = field(default_factory=list, repr=False)
-
-    @property
-    def effective_write_bw(self) -> float:
-        """Bytes per *exposed* I/O second (MB/s)."""
-        if self.write_time <= 0:
-            return 0.0
-        return self.bytes_written / self.write_time / 2**20
 
 
 def run_overlap_experiment(
@@ -251,13 +239,8 @@ def run_overlap_experiment(
     job = run_job(machine, lambda comm: sim.run(comm, base=base), nprocs=nprocs)
     summaries = job.results
     return OverlapResult(
-        machine=machine.name,
-        strategy=strategy.name,
-        nprocs=nprocs,
-        overlap=bool(getattr(config, "overlap", False)),
-        dumps=len(summaries[0]["dumps"]),
         makespan=job.elapsed,
-        write_time=max(s["write_time"] for s in summaries),
+        write_time=max(s["write_time"] + s["plot_time"] for s in summaries),
         write_phases=_merge_phases(
             [_sum_phases(s["write_stats"]) for s in summaries]
         ),

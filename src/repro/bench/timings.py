@@ -82,8 +82,8 @@ def load_timings(path: str = TIMINGS_PATH) -> dict:
 def save_timings(telemetry: Telemetry, path: str = TIMINGS_PATH) -> dict:
     """Merge one family's telemetry into the artifact at ``path``.
 
-    Other families' sections are preserved (a verify flow runs regress,
-    scale and overlap back to back into the same file); an unreadable
+    Other families' sections are preserved (a verify flow runs regress
+    and scale back to back into the same file); an unreadable
     existing file is replaced rather than crashing the bench that is
     trying to report.
     """

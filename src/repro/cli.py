@@ -28,9 +28,11 @@ Commands:
   (wall µs, cache hit/miss, worker id, queue wait) recorded in
   ``BENCH_timings.json``.
 
-The matrix gates (``regress``/``scale``/``overlap``) are the rows of the
-gate table ``repro.bench.GATES``: their sub-parsers are built from the
-rows and one handler (``_cmd_gate``) serves them all.
+The matrix gates (``regress``/``scale``) are the rows of the gate table
+``repro.bench.GATES``: their sub-parsers are built from the rows and one
+handler (``_cmd_gate``) serves them all.  Each diffs a committed
+baseline; the compute/checkpoint-overlap claims are ``regress`` trends
+(every async cell runs its own synchronous twin).
 They share the executor options ``--jobs N`` (default
 ``min(os.cpu_count(), n_cells)``, overridable with ``REPRO_JOBS``;
 ``--jobs 1`` runs the cells in-process; 0 or negative is a usage
@@ -584,13 +586,12 @@ def _cmd_gate(gate, args) -> int:
     """Serve one row of the gate table (``repro.bench.GATES``).
 
     select -> ``--list-cells`` -> load the baseline -> run -> telemetry ->
-    chart/table -> ``--out`` -> ``--update-baseline`` merge *or* baseline
-    diff / check.
+    chart -> ``--out`` -> ``--update-baseline`` merge *or* baseline diff.
     """
     from .bench import cellrunner as cr
 
     title = f"repro {gate.family}"
-    rtol = getattr(args, "rtol", None)
+    rtol = args.rtol
     try:
         if rtol is not None and not 0 <= rtol < float("inf"):
             raise ValueError(f"--rtol must be a non-negative fraction "
@@ -601,7 +602,7 @@ def _cmd_gate(gate, args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if getattr(args, "list_cells", False):
+    if args.list_cells:
         print(f"{title}: {len(cells)} cell(s)")
         print(format_table(
             [header for header, _ in gate.list_columns],
@@ -612,7 +613,7 @@ def _cmd_gate(gate, args) -> int:
     # --cell`` to merge into) is read before any cell runs: an unreadable
     # one is a usage error, not something to find out after the matrix.
     baseline = None
-    if gate.baseline and (args.cell or not args.update_baseline):
+    if args.cell or not args.update_baseline:
         merging = args.update_baseline
         try:
             baseline = cr.load_baseline(gate, args.baseline)
@@ -628,7 +629,7 @@ def _cmd_gate(gate, args) -> int:
             return 2
     progress = None if args.quiet else lambda msg: print(f"  {msg}")
     if progress:
-        print(f"{title}: {gate.banner(cells)}, jobs={jobs}")
+        print(f"{title}: {len(cells)} cell(s), jobs={jobs}")
     try:
         current = cr.run_gate(gate, cells, extras=extras, progress=progress,
                               jobs=jobs, cache=cache, telemetry=telemetry)
@@ -640,23 +641,10 @@ def _cmd_gate(gate, args) -> int:
     if gate.chart and progress:
         print(gate.chart(records))
         print()
-    if gate.table:
-        print(gate.table(records))
-    out = getattr(args, "out", None)
-    if out and gate.baseline:
-        cr.save_baseline(current, out)
+    if args.out:
+        cr.save_baseline(current, args.out)
         if progress:
-            print(f"wrote current results to {out}")
-    elif out:
-        cr.save_baseline({"schema": gate.schema,
-                          "runs": list(records.values())}, out)
-        print(f"wrote {out}")
-
-    if gate.baseline is None:
-        problems = gate.check(records)
-        for problem in problems:
-            print(problem, file=sys.stderr)
-        return 1 if problems else 0
+            print(f"wrote current results to {args.out}")
 
     if args.update_baseline:
         payload = current
@@ -696,7 +684,7 @@ def cmd_bench_timings(args) -> int:
         payload = load_timings(args.timings)
     except FileNotFoundError:
         print(f"error: no timings artifact at {args.timings}; run a "
-              "matrix gate (repro regress/scale/overlap) first",
+              "matrix gate (repro regress/scale) first",
               file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
@@ -715,33 +703,26 @@ def _add_gate_parser(sub, gate) -> None:
     """One gate sub-parser, its options derived from the table row."""
     g = sub.add_parser(gate.family, help=gate.help)
     g.set_defaults(gate=gate)
-    if gate.baseline:
-        g.add_argument("--update-baseline", action="store_true",
-                       help="rewrite the baseline from this run instead of "
-                            "comparing (review the diff before committing)")
-        g.add_argument("--baseline", default=gate.baseline, metavar="PATH",
-                       help="baseline artifact to compare against / update")
-        g.add_argument("--rtol", type=float, default=None, metavar="FRAC",
-                       help="relative tolerance band for "
-                            f"{'/'.join(gate.banded_metrics)} (default: the "
-                            "baseline's recorded rtol)")
-    if gate.cell_grammar:
-        g.add_argument("--cell", action="append", default=None,
-                       metavar=gate.cell_grammar,
-                       help="restrict to matching cells (repeatable, globs "
-                            f"allowed), e.g. {gate.cell_example}")
-        g.add_argument("--list-cells", action="store_true",
-                       help="list the cells the --cell specs select (or the "
-                            "whole matrix) without running anything")
+    g.add_argument("--update-baseline", action="store_true",
+                   help="rewrite the baseline from this run instead of "
+                        "comparing (review the diff before committing)")
+    g.add_argument("--baseline", default=gate.baseline, metavar="PATH",
+                   help="baseline artifact to compare against / update")
+    g.add_argument("--rtol", type=float, default=None, metavar="FRAC",
+                   help="relative tolerance band for "
+                        f"{'/'.join(gate.banded_metrics)} (default: the "
+                        "baseline's recorded rtol)")
+    g.add_argument("--cell", action="append", default=None,
+                   metavar=gate.cell_grammar,
+                   help="restrict to matching cells (repeatable, globs "
+                        f"allowed), e.g. {gate.cell_example}")
+    g.add_argument("--list-cells", action="store_true",
+                   help="list the cells the --cell specs select (or the "
+                        "whole matrix) without running anything")
     for flag, kwargs in gate.options:
         g.add_argument(flag, **kwargs)
-    if gate.baseline:
-        g.add_argument("--out", default=None, metavar="PATH",
-                       help="also write this run's results as JSON "
-                            "(CI artifact)")
-    elif gate.out_default:
-        g.add_argument("--out", default=gate.out_default, metavar="PATH",
-                       help=f"bench artifact path (default {gate.out_default})")
+    g.add_argument("--out", default=None, metavar="PATH",
+                   help="also write this run's results as JSON (CI artifact)")
     g.add_argument("--quiet", action="store_true",
                    help="suppress per-cell progress lines"
                         + (" and the chart" if gate.chart else ""))

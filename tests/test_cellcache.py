@@ -196,10 +196,6 @@ WIRE_SAMPLES = {
         "do_read": True, "read_op": "restart", "hints": None}),
     "scale": ("chiba_city:hdf4:P1024", {
         "machine": "chiba_city", "strategy": "hdf4", "nprocs": 1024}),
-    "overlap": ("overlap:chiba_city_local:mpi-io-async:P8", {
-        "machine": "chiba_city_local", "sync": "mpi-io",
-        "async_": "mpi-io-async", "problem": "AMR64", "nprocs": 8,
-        "ncycles": 3}),
 }
 
 

@@ -216,16 +216,6 @@ class TestGateUsageErrors:
         assert message in captured.err and str(path) in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("flag", ["--procs", "--cycles"])
-    def test_overlap_rejects_nonpositive_sizes(self, flag, tmp_path, capsys):
-        rc = main(["overlap", flag, "0", "--machine", "origin2000",
-                   "--out", str(tmp_path / "o.json"), "--timings", ""])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert flag in captured.err
-        assert captured.out == ""
-        assert not (tmp_path / "o.json").exists()
-
 
 class TestJobCommandUsageErrors:
     """``analyze``/``simulate``/``table``/``tune``/``figure`` validate their

@@ -122,7 +122,7 @@ def test_resolve_jobs_empty_env_means_unset():
 # -- CLI wiring ---------------------------------------------------------------
 
 
-@pytest.mark.parametrize("command", ["regress", "scale", "overlap"])
+@pytest.mark.parametrize("command", ["regress", "scale"])
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_cli_rejects_nonpositive_jobs(command, jobs, capsys):
     assert main([command, "--jobs", jobs]) == 2

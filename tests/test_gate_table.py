@@ -25,8 +25,6 @@ BASELINED = {"--update-baseline", "--baseline", "--rtol", "--out",
 OPTION_STRINGS = {
     "regress": BASELINED | {"--perturb"},
     "scale": BASELINED,
-    "overlap": {"--procs", "--cycles", "--machine", "--out", "--quiet"}
-    | EXECUTOR,
 }
 
 
@@ -38,8 +36,8 @@ def _subparser(parser, words):
     return parser
 
 
-def test_the_table_has_exactly_the_three_gates():
-    assert list(GATES) == ["regress", "scale", "overlap"]
+def test_the_table_has_exactly_the_two_gates():
+    assert list(GATES) == ["regress", "scale"]
 
 
 def test_bench_serves_timings_only():
@@ -49,6 +47,16 @@ def test_bench_serves_timings_only():
 
     with pytest.raises(SystemExit) as exc:
         main(["bench", "insights"])
+    assert exc.value.code == 2
+
+
+def test_overlap_is_no_longer_a_command():
+    """The overlap family is gone: every async regress cell runs its own
+    synchronous twin, so ``repro overlap`` is a usage error."""
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["overlap"])
     assert exc.value.code == 2
 
 
@@ -78,9 +86,6 @@ class TestEveryRow:
 
     def test_committed_baseline_covers_the_row(self, name):
         gate = GATES[name]
-        if gate.baseline is None:
-            assert gate.check is not None, "a gate must diff or check"
-            return
         payload = load_baseline(gate, os.path.join(REPO_ROOT, gate.baseline))
         assert set(payload["cells"]) == {c.id for c in gate.matrix}
         assert {t["id"] for t in payload["trends"]} == {t.id

@@ -121,6 +121,21 @@ class TestRegistry:
         assert registry.upgrade_chain("mpi-io-async") == ()
         assert registry.upgrade_chain("nosuch") == ()
 
+    def test_every_async_composition_has_a_sync_twin(self):
+        """An async regress cell reruns its workload through the composition
+        it is a ``variant_of``; that twin differs by ``async`` alone."""
+        asyncs = [c for c in registry.compositions() if "async" in c.options]
+        assert asyncs
+        for comp in asyncs:
+            assert comp.variant_of in registry.names(), comp.name
+            twin = registry.get(comp.variant_of)
+            assert "async" not in twin.options, comp.name
+            assert (twin.layout, twin.transport, twin.format) == (
+                comp.layout, comp.transport, comp.format), comp.name
+            assert dict(twin.options) == {
+                k: v for k, v in comp.options.items() if k != "async"
+            }, comp.name
+
     def test_cli_rejects_unknown_strategy(self):
         from repro.cli import main
 

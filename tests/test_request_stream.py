@@ -6,7 +6,8 @@
   give it and the subscription the same canonical events and digest;
 * lifecycle of a subscription and of ``run_job``;
 * ``repro figure`` and the regress driver cell kind reproduce committed
-  ``BENCH_figures.json`` records.
+  ``BENCH_figures.json`` records, and a driver run's write time is one
+  reduction (checkpoint plus plot-file time, max over ranks).
 """
 
 import json
@@ -323,3 +324,27 @@ def test_driver_cell_kind_reproduces_committed_record(cell_id):
     record = run_cell(cell_by_id(cell_id))
     assert record == COMMITTED[cell_id]
     assert ("plot_dumps" in record) == (cell_id.startswith("nyx"))
+
+
+def test_driver_write_time_counts_plot_files():
+    """``run_overlap_experiment`` reduces a driver run's write time once:
+    each rank's checkpoint plus plot-file time, the maximum over ranks --
+    the reduction the regress cadence cell and the tuner both read."""
+    from repro.bench.runners import run_overlap_experiment
+    from repro.enzo.simulation import EnzoConfig
+    from repro.iostack import registry
+    from repro.scenarios import normalize_nyx, parse_nyx
+
+    scenario = normalize_nyx(
+        parse_nyx("amr.n_cell = 16 16 16\namr.max_step = 2\n"
+                  "amr.plot_int = 1\namr.check_int = 2\n"),
+        name="plot-cadence",
+    )
+    result = run_overlap_experiment(
+        PRESETS["origin2000"](nprocs=2), registry.create("mpi-io"),
+        EnzoConfig(problem=scenario), nprocs=2,
+    )
+    summaries = result.summaries
+    assert all(s["plot_time"] > 0 for s in summaries)
+    assert result.write_time == max(
+        s["write_time"] + s["plot_time"] for s in summaries)
