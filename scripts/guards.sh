@@ -65,3 +65,13 @@ if grep -rnE "make_initial_conditions\(" src/repro --include=*.py \
     echo "make_initial_conditions is called outside scenarios/build.py: build through build_hierarchy" >&2
     exit 1
 fi
+
+echo "== manifest verify scans an entry in one call =="
+# StoredFile.checksum takes an entry's whole run list; a Python loop calling
+# it (or reading) once per segment costs a generator per 64-byte run on
+# flashx's restart verify.
+if grep -nE "for [^:]* in entry\.segments|\.checksum\((off|offset)\b" \
+        src/repro/resilience/manifest.py; then
+    echo "resilience/manifest.py scans segment by segment: pass entry.segments to checksum" >&2
+    exit 1
+fi

@@ -3,7 +3,7 @@
 Algorithms follow the classic MPICH choices of the paper's era: binomial
 trees for bcast/reduce/gather/scatter, a dissemination barrier, ring
 allgather, and pairwise-exchange alltoall.  Every message is booked through
-the interconnect model (``Comm._book`` -> ``Network.transfer``), so their
+the interconnect model (``Comm._ship`` -> ``Network.transfer``), so their
 cost falls out of the model rather than being asserted.
 
 Each algorithm is written once, as a per-rank *schedule*: a generator that
@@ -17,11 +17,13 @@ and returns the rank's result.  :func:`_run` is the one driver:
 * the last member to enter then steps *every* member's schedule
   thread-free, in the engine's own order: run each rank through the
   receives it can already satisfy, then book the post with the smallest
-  ``(clock, world rank)`` -- the order the threads would have found.  It
-  stops before a post that some rank outside the replay could precede (a
-  member that has returned, keyed at its exit clock; a READY non-member,
-  keyed at its ``(clock, rank)``), wakes every member still inside, and
-  the threads carry on from where the replay left their schedules.
+  ``(clock, world rank)`` -- the order the threads would have found (a
+  post to a member whose pending step receives from the poster is handed
+  straight to it, no mailbox in between).  It stops before a post that
+  some rank outside the replay could precede (a member that has returned,
+  keyed at its exit clock; a READY non-member, keyed at its ``(clock,
+  rank)``), wakes every member still inside, and the threads carry on
+  from where the replay left their schedules.
 
 So the replay moves no clock, byte or link timeline; it only saves thread
 hand-offs (docs/architecture.md s.1 has the argument).  An exception raised
@@ -41,7 +43,7 @@ import numpy as np
 
 from ..sim.engine import ProcState
 from . import batch as _batch
-from .comm import Comm, _RecvWait, _wire_copy
+from .comm import _NONE_NBYTES, Comm, _RecvWait, _wire_copy
 
 __all__ = [
     "barrier",
@@ -132,7 +134,11 @@ class _Collective:
             self.results[r] = stop.value
             return
         if step[0] == "post":
-            step = ("post", step[1], *_wire_copy(step[2]))
+            obj = step[2]
+            if obj is None:  # a barrier token
+                step = ("post", step[1], _NONE_NBYTES, None)
+            else:
+                step = ("post", step[1], *_wire_copy(obj))
         self.steps[r] = step
 
     def replay(self, me: int) -> None:
@@ -164,11 +170,11 @@ class _Collective:
                     return
                 self.advance(r, msg.payload)
                 step = steps[r]
-            key = (comm.proc.clock, comm.proc.rank)
+            proc = comm.proc
             if step is None:  # returns at this clock once woken
-                bound = min(bound, key)
+                bound = min(bound, (proc.clock, proc.rank))
             else:
-                heappush(posting, (*key, r))
+                heappush(posting, (proc.clock, proc.rank, r))
 
         who = me
         try:
@@ -179,6 +185,19 @@ class _Collective:
                 if (clock, rank) > bound:
                     break
                 _, dest, nbytes, payload = steps[who]
+                step = steps[dest]
+                if step is not None and step[0] == "recv" and step[1] == who:
+                    # ``dest`` waits for exactly this message, and settle
+                    # left none from ``who`` queued: hand it straight over.
+                    receiver = comms[dest]
+                    arrival = comms[who]._ship(nbytes, receiver._node)
+                    self.advance(who)
+                    settle(who)
+                    who = dest
+                    receiver._deliver(arrival)
+                    self.advance(dest, payload)
+                    settle(dest)
+                    continue
                 comms[who]._book(nbytes, payload, dest, tag)
                 self.advance(who)
                 settle(who)

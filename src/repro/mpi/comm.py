@@ -30,7 +30,7 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-from ..sim.engine import Engine, Proc
+from ..sim.engine import Engine, Proc, ProcState
 from ..topology.machine import Machine
 
 __all__ = ["Comm", "Message", "ANY_SOURCE", "ANY_TAG", "payload_nbytes", "MpiWorld"]
@@ -111,7 +111,7 @@ def _wire_copy(obj: Any) -> tuple[int, Any]:
     return sink.nbytes, pickle.loads(blob, buffers=copies)
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """An in-flight or queued message."""
 
@@ -153,10 +153,13 @@ class MpiWorld:
     #: seq), see repro.mpi.batch; per-message schedules keyed by (ctx, call
     #: seq, first member), see repro.mpi.collectives.
     rendezvous: dict = field(default_factory=dict)
+    #: The node of every engine rank (``Machine.node_of``), built once here.
+    nodes: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self.mailboxes:
             self.mailboxes = [[] for _ in range(self.engine.nprocs)]
+        self.nodes = [self.machine.node_of(r) for r in range(self.engine.nprocs)]
 
     def next_seq(self) -> int:
         self._seq += 1
@@ -184,6 +187,11 @@ class Comm:
         self._world_to_local = {w: l for l, w in enumerate(self.group)}
         if proc.rank not in self._world_to_local:
             raise ValueError(f"engine rank {proc.rank} is not in this communicator")
+        #: This process's rank within the communicator, and its size.
+        self.rank = self._world_to_local[proc.rank]
+        self.size = len(self.group)
+        self._node = world.nodes[proc.rank]
+        self._box = world.mailboxes[proc.rank]
         # Context id separates traffic of different communicators.
         self._ctx = _ctx
         # Deterministic internal tag sequence; identical across ranks because
@@ -191,16 +199,6 @@ class Comm:
         self._coll_seq = 0
 
     # -- identity ----------------------------------------------------------
-
-    @property
-    def rank(self) -> int:
-        """This process's rank within the communicator."""
-        return self._world_to_local[self.proc.rank]
-
-    @property
-    def size(self) -> int:
-        """Number of processes in the communicator."""
-        return len(self.group)
 
     @property
     def machine(self) -> Machine:
@@ -241,24 +239,34 @@ class Comm:
         mailbox, wake.  The caller has put it in the global ``(clock, rank)``
         order -- ``_post`` by a schedule point, a collective's replay by
         construction (:mod:`repro.mpi.collectives`)."""
-        proc = self.proc
         world = self.world
-        machine = world.machine
-        node_of = machine.node_of
         dest_world = self.group[dest]
-        net = machine.network
-        arrival = net.transfer(
-            proc.clock, node_of(proc.rank), node_of(dest_world), nbytes
-        )
+        arrival = self._ship(nbytes, world.nodes[dest_world])
         msg = Message(self.rank, tag + self._ctx, payload, arrival, world.next_seq())
         world.mailboxes[dest_world].append(msg)
-        proc.advance(self._sw_overhead())
         target = world.engine.procs[dest_world]
+        if target.state is not ProcState.BLOCKED:
+            return  # not parked: a READY rank's heap entry is already live
         # A rank parked in a receive this message cannot satisfy would only
         # re-scan and re-block; anything else blocked is woken as ever.
         want = target.waiting_on
         if want is None or want.comm._match((msg,), want.source, want.tag):
             target.wake()
+
+    def _ship(self, nbytes: int, dest_node: int) -> float:
+        """Book ``nbytes`` to ``dest_node`` on the interconnect and charge this
+        rank's send overhead; returns the message's arrival time."""
+        proc = self.proc
+        net = self.world.machine.network
+        arrival = net.transfer(proc.clock, self._node, dest_node, nbytes)
+        proc.clock += net.latency  # >= 0, checked by the Network
+        return arrival
+
+    def _deliver(self, arrival: float) -> None:
+        """Receive a message that arrives at ``arrival``: the clock becomes
+        ``max(clock, arrival) + overhead``."""
+        proc = self.proc
+        proc.clock = max(proc.clock, arrival) + self.world.machine.network.latency
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
         """Blocking receive; returns the payload."""
@@ -281,12 +289,13 @@ class Comm:
         proc = self.proc
         if yield_first:
             proc.schedule_point()
-        box = self.world.mailboxes[proc.rank]
+        box = self._box
+        if not box:
+            return None
         match = self._match(box, source, tag)
         if match is not None:
             box.remove(match)
-            proc.advance_to(match.arrival)
-            proc.advance(self._sw_overhead())
+            self._deliver(match.arrival)
         return match
 
     def _park(self, source: int, tag: int, within: str = "") -> None:

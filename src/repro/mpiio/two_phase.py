@@ -17,6 +17,7 @@ simulated interconnect, so both the timing *and* the data are faithful.
 from __future__ import annotations
 
 import bisect
+from operator import itemgetter
 
 from ..mpi import collectives as coll
 from ..mpi.comm import Comm
@@ -194,7 +195,7 @@ def _write_window(comm: Comm, adio: ADIOFile, inbound: list) -> None:
             pieces.extend(msg)
     if not pieces:
         return
-    pieces.sort(key=lambda p: p[0])
+    pieces.sort(key=itemgetter(0))
     run_off = pieces[0][0]
     run = bytearray(pieces[0][1])
     nbytes_assembled = len(run)

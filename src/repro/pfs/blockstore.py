@@ -114,15 +114,25 @@ class StoredFile:
         """
         return b"".join(self._spans(offset, nbytes))
 
-    def checksum(self, offset: int, nbytes: int, crc: int = 0) -> int:
-        """CRC32 of ``read(offset, nbytes)`` without materializing a copy.
+    def checksum(self, runs, crc: int = 0) -> int:
+        """CRC32 of the concatenated ``read(offset, nbytes)`` of every
+        ``(offset, nbytes)`` in ``runs``, without materializing a copy.
 
-        Manifest verification scans every recorded array; feeding
-        ``zlib.crc32`` views of the live pages avoids one full
-        checkpoint-sized allocation per verify.
+        Manifest verification scans every recorded array, one call per
+        entry; feeding ``zlib.crc32`` views of the live pages avoids one
+        full checkpoint-sized allocation per verify.
         """
-        for span in self._spans(offset, nbytes):
-            crc = zlib.crc32(span, crc)
+        pages = self._pages
+        crc32 = zlib.crc32
+        for offset, nbytes in runs:
+            index, lo = divmod(offset, _PAGE)
+            page = pages.get(index)
+            if page is not None and lo <= lo + nbytes <= len(page):
+                # One stored page holds the run: the common, small case.
+                crc = crc32(memoryview(page)[lo : lo + nbytes], crc)
+                continue
+            for span in self._spans(offset, nbytes):
+                crc = crc32(span, crc)
         return crc
 
     def truncate(self, size: int) -> None:

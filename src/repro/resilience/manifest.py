@@ -165,16 +165,8 @@ class CheckpointManifest:
             if not store.exists(entry.path):
                 problems.append(f"{entry.name}: file {entry.path!r} is missing")
                 continue
-            f = store.open(entry.path)
-            crc = 0
-            if hasattr(f, "checksum"):
-                # Zero-copy scan over the store's live buffer: no
-                # checkpoint-sized bytes objects materialized per entry.
-                for off, n in entry.segments:
-                    crc = f.checksum(off, n, crc)
-            else:  # pragma: no cover - non-BlockStore stores
-                for off, n in entry.segments:
-                    crc = zlib.crc32(f.read(off, n), crc)
+            # One zero-copy scan over the store's live pages per entry.
+            crc = store.open(entry.path).checksum(entry.segments)
             if crc != entry.checksum:
                 problems.append(
                     f"{entry.name}: checksum mismatch in {entry.path!r} "

@@ -122,10 +122,10 @@ class Proc:
         """
         if at_time is not None:
             self.advance_to(at_time)
-        if self.state is ProcState.BLOCKED:
+        state = self.state
+        if state is ProcState.BLOCKED or state is ProcState.READY:
             self.state = ProcState.READY
-        if self.state is ProcState.READY:
-            self.engine._push_ready(self)
+            heapq.heappush(self.engine._ready, (self.clock, self.rank))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Proc rank={self.rank} t={self.clock:.6f} {self.state.value}>"
@@ -269,7 +269,10 @@ class Engine:
             if self._failure is not None:
                 raise _Abort()
             nxt = self._runnable(exclude=proc)
-            if nxt is None or (proc.clock, proc.rank) <= (nxt.clock, nxt.rank):
+            # (proc.clock, proc.rank) <= (nxt.clock, nxt.rank); ranks differ.
+            if nxt is None or proc.clock < nxt.clock or (
+                proc.clock == nxt.clock and proc.rank < nxt.rank
+            ):
                 return
             self._switch(proc, nxt, new_state=ProcState.READY)
 

@@ -21,6 +21,8 @@ Concrete classes only differ in their parameters and in intra-node handling:
 
 from __future__ import annotations
 
+from math import inf
+
 from ..sim.resources import Timeline
 
 __all__ = ["Network", "SwitchedNetwork", "CCNumaNetwork"]
@@ -36,7 +38,7 @@ class Network:
         bandwidth: float,
         *,
         local_bandwidth: float | None = None,
-        fabric_bandwidth: float = float("inf"),
+        fabric_bandwidth: float = inf,
         name: str = "network",
     ):
         """``bandwidth`` is per-NIC in bytes/s; ``latency`` in seconds.
@@ -48,26 +50,32 @@ class Network:
         Full-bisection interconnects leave it infinite; an oversubscribed
         commodity Ethernet switch makes it a few NICs' worth, which is the
         contention the paper blames on Chiba City's fast Ethernet.
+
+        Every parameter is checked here, NaN included: ``transfer`` and the
+        ranks' clocks take them unchecked, so this keeps clocks monotonic.
         """
         if nnodes < 1:
-            raise ValueError("network needs at least one node")
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
+            raise ValueError(f"{name}: network needs at least one node")
+        if local_bandwidth is None:
+            local_bandwidth = 4.0 * bandwidth
+        for what, value in (("bandwidth", bandwidth),
+                            ("local_bandwidth", local_bandwidth),
+                            ("fabric_bandwidth", fabric_bandwidth)):
+            if not value > 0:
+                raise ValueError(f"{name}: {what} must be positive, got {value}")
+        if not latency >= 0:
+            raise ValueError(f"{name}: latency must be >= 0, got {latency}")
         self.name = name
         self.nnodes = nnodes
         self.latency = latency
         self.bandwidth = bandwidth
-        self.local_bandwidth = local_bandwidth or 4.0 * bandwidth
+        self.local_bandwidth = local_bandwidth
         self.fabric_bandwidth = fabric_bandwidth
         self.fabric = Timeline(name=f"{name}.fabric")
         self.egress = [Timeline(name=f"{name}.egress[{i}]") for i in range(nnodes)]
         self.ingress = [Timeline(name=f"{name}.ingress[{i}]") for i in range(nnodes)]
         self.bytes_moved = 0
         self.messages = 0
-
-    def _check(self, node: int) -> None:
-        if not 0 <= node < self.nnodes:
-            raise ValueError(f"node {node} out of range [0, {self.nnodes})")
 
     def reset_timing(self) -> None:
         """Zero all link timelines (between independent timed phases)."""
@@ -78,9 +86,14 @@ class Network:
             t.reset()
 
     def transfer(self, ready_time: float, src: int, dst: int, nbytes: int) -> float:
-        """Send ``nbytes`` from ``src`` to ``dst``; return the arrival time."""
-        self._check(src)
-        self._check(dst)
+        """Send ``nbytes`` from ``src`` to ``dst``; return the arrival time.
+
+        Books the egress and ingress links as ``Timeline.serve`` would,
+        inline: this runs once per simulated message."""
+        nnodes = self.nnodes
+        if not (0 <= src < nnodes and 0 <= dst < nnodes):
+            bad = src if not 0 <= src < nnodes else dst
+            raise ValueError(f"node {bad} out of range [0, {nnodes})")
         if nbytes < 0:
             raise ValueError("negative message size")
         self.bytes_moved += nbytes
@@ -89,14 +102,22 @@ class Network:
             # Intra-node: a memory copy, no NIC involvement.
             return ready_time + nbytes / self.local_bandwidth
         occupancy = nbytes / self.bandwidth
-        out_start, out_end = self.egress[src].serve(ready_time, occupancy)
-        if self.fabric_bandwidth != float("inf"):
-            _, out_end2 = self.fabric.serve(out_start, nbytes / self.fabric_bandwidth)
-            out_end = max(out_end, out_end2)
+        link = self.egress[src]
+        out_start = max(ready_time, link.busy_until)
+        out_end = link.busy_until = out_start + occupancy
+        link.busy_time += occupancy
+        link.requests += 1
+        if self.fabric_bandwidth != inf:
+            _, fabric_end = self.fabric.serve(out_start, nbytes / self.fabric_bandwidth)
+            out_end = max(out_end, fabric_end)
         # Cut-through: bytes start arriving one wire latency after they start
         # leaving, so the ingress link is occupied from then on; the message
         # has fully arrived when both pipelines have drained.
-        _, in_end = self.ingress[dst].serve(out_start + self.latency, occupancy)
+        link = self.ingress[dst]
+        in_start = max(out_start + self.latency, link.busy_until)
+        in_end = link.busy_until = in_start + occupancy
+        link.busy_time += occupancy
+        link.requests += 1
         return max(in_end, out_end + self.latency)
 
 

@@ -104,6 +104,29 @@ def any_source_fan_in(comm):
     return None
 
 
+def collectives_beside_p2p(comm):
+    """Even ranks replay a dissemination barrier and an alltoall on their own
+    communicator while the odd ranks, one behind each of the same NICs,
+    post point-to-point messages: the replay's direct hand-over and its
+    stop rule interleave with outside posts."""
+    sub = comm.split(comm.rank % 2, key=comm.rank)
+    comm.compute(((comm.rank * 5) % 3) * 2e-4)
+    if comm.rank % 2 == 0:
+        barrier(sub)
+        out = alltoall(
+            sub, [bytes([comm.rank * 8 + d]) * (250 * (d + 1)) for d in range(sub.size)]
+        )
+        barrier(sub)
+        return [(b[0], len(b)) for b in out]
+    got = []
+    for k in range(3):
+        right, left = (comm.rank + 2) % comm.size, (comm.rank - 2) % comm.size
+        comm.send(np.full(150 * (k + 1), comm.rank, dtype=np.int16), right, tag=6)
+        got.append(int(comm.recv(left, tag=6).sum()))
+        comm.compute(1.5e-4)
+    return got
+
+
 PROGRAMS = {
     "ring_allgather": (ring_allgather, 5),
     "dissemination_barrier": (dissemination_barrier, 6),
@@ -111,6 +134,7 @@ PROGRAMS = {
     "bcast_reduce": (bcast_reduce, 6),
     "irecv_overlap": (irecv_overlap, 4),
     "any_source_fan_in": (any_source_fan_in, 4),
+    "collectives_beside_p2p": (collectives_beside_p2p, 6),
 }
 
 
@@ -127,7 +151,8 @@ def observe(name):
     return {"clocks": res.rank_times, "results": res.results, "links": links}, res
 
 
-# Captured on the parent commit by printing ``observe(name)[0]``.
+# Captured on the parent commit by printing ``observe(name)[0]``
+# (``collectives_beside_p2p`` on 62f1e7f, before the replay's direct hand-over).
 GOLDEN = {
     "any_source_fan_in": {
         "clocks": [0.001020108695652174, 0.00102, 0.0007199999999999999,
@@ -153,6 +178,22 @@ GOLDEN = {
             "ingress[1]": (0.001161304347826087, 1.3043478260869566e-06, 1),
             "ingress[2]": (0.0009647826086956522, 8.478260869565218e-05, 2),
             "fabric": (0.0012820543478260873, 9.975000000000003e-05, 7),
+        },
+    },
+    "collectives_beside_p2p": {
+        "clocks": [0.003243826086956521, 0.0029799999999999996, 0.003243826086956521,
+                   0.002848260869565217, 0.0032441739130434776, 0.002991739130434782],
+        "results": [[(0, 250), (16, 250), (32, 250)], [750, 1500, 2250],
+                    [(1, 500), (17, 500), (33, 500)], [150, 300, 450],
+                    [(2, 750), (18, 750), (34, 750)], [450, 900, 1350]],
+        "links": {
+            "egress[0]": (0.003004173913043478, 0.0002770434782608696, 14),
+            "egress[1]": (0.0029820869565217387, 0.000255304347826087, 14),
+            "egress[2]": (0.003003826086956521, 0.00023356521739130437, 14),
+            "ingress[0]": (0.0031020869565217385, 0.00021182608695652176, 14),
+            "ingress[1]": (0.003123826086956521, 0.000255304347826087, 14),
+            "ingress[2]": (0.0031241739130434777, 0.0002987826086956522, 14),
+            "fabric": (0.0030040260869565213, 0.0004404, 42),
         },
     },
     "dissemination_barrier": {
@@ -370,6 +411,7 @@ SWITCHES = {
     "bcast_reduce": 10,
     "irecv_overlap": 5,
     "any_source_fan_in": 7,
+    "collectives_beside_p2p": 36,
 }
 
 

@@ -238,7 +238,10 @@ SEAM_SIZES = st.one_of(
     ops=st.lists(
         st.one_of(
             st.tuples(st.just("w"), SEAM_OFFSETS, SEAM_SIZES, st.integers(1, 255)),
-            st.tuples(st.just("r"), SEAM_OFFSETS, SEAM_SIZES),
+            st.tuples(
+                st.just("r"),
+                st.lists(st.tuples(SEAM_OFFSETS, SEAM_SIZES), min_size=1, max_size=4),
+            ),
             st.tuples(st.just("t"), SEAM_OFFSETS),
         ),
         min_size=1,
@@ -248,7 +251,8 @@ SEAM_SIZES = st.one_of(
 def test_property_page_seams_match_a_flat_buffer(ops):
     """Writes, reads and truncates at PAGE-1 / PAGE / PAGE+1 and over
     multi-page spans agree with one flat zero-extended buffer, and
-    ``checksum`` is the CRC of ``read`` across every seam."""
+    ``checksum`` of a run list is the CRC of its concatenated ``read``s --
+    runs crossing seams, over holes, past EOF and of length zero."""
     f = StoredFile("p")
     ref = bytearray()
     for op in ops:
@@ -268,14 +272,15 @@ def test_property_page_seams_match_a_flat_buffer(ops):
             # past the cut) must read zeros where the old bytes were.
             ref = ref[:size] + bytes(max(0, size - len(ref)))
         else:
-            _, offset, n = op
-            expected = bytes(ref[offset:offset + n]).ljust(n, b"\0")
-            assert f.read(offset, n) == expected
-            assert f.checksum(offset, n) == zlib.crc32(expected)
-            assert f.checksum(offset, n, 0xBEEF) == zlib.crc32(expected, 0xBEEF)
+            runs = op[1]
+            reads = [bytes(ref[o:o + n]).ljust(n, b"\0") for o, n in runs]
+            assert [f.read(o, n) for o, n in runs] == reads
+            expected = b"".join(reads)
+            assert f.checksum(runs) == zlib.crc32(expected)
+            assert f.checksum(runs, 0xBEEF) == zlib.crc32(expected, 0xBEEF)
         assert f.size == len(ref)
     assert f.read(0, len(ref) + STORE_PAGE + 3) == bytes(ref) + bytes(STORE_PAGE + 3)
-    assert f.checksum(0, len(ref)) == zlib.crc32(ref)
+    assert f.checksum([(0, len(ref))]) == zlib.crc32(ref)
 
 
 def test_truncate_then_regrow_reads_zeros_on_both_sides_of_a_seam():
@@ -303,7 +308,7 @@ def test_a_write_a_tebibyte_out_costs_one_page():
     assert f.size == (1 << 40) + 1
     assert t.peak <= STORE_PAGE + 4096
     assert f.read((1 << 40) - 2, 4) == b"\0\0x\0"
-    assert f.checksum((1 << 40) - 2, 3) == zlib.crc32(b"\0\0x")
+    assert f.checksum([((1 << 40) - 2, 3)]) == zlib.crc32(b"\0\0x")
 
 
 @pytest.mark.parametrize("size", [1, 100, 5000, STORE_PAGE - 1])

@@ -5,6 +5,7 @@ import zlib
 import pytest
 
 from repro.pfs import FileSystem
+from repro.pfs.blockstore import _PAGE as STORE_PAGE
 from repro.resilience import (
     CheckpointManifest,
     ManifestEntry,
@@ -117,6 +118,21 @@ class TestVerification:
         assert len(problems) == 1 and "checksum mismatch" in problems[0]
         with pytest.raises(ManifestVerificationError, match="a: checksum"):
             m.verify_or_raise(store, "ckpt")
+
+    def test_flip_in_the_middle_run_of_a_page_straddling_entry_names_it(self):
+        data = bytes(i % 251 for i in range(3 * STORE_PAGE))
+        store = self._store_with({"ckpt": data})
+        runs = [(100, 64), (STORE_PAGE - 40, 100), (2 * STORE_PAGE + 7, 64)]
+        m = CheckpointManifest()
+        m.add(entry_for_segments(
+            "grid3/density", "ckpt", runs, b"".join(data[o:o + n] for o, n in runs)
+        ))
+        m.add(entry_for_bytes("grid3/energy", "ckpt", 300, data[300:400]))
+        assert m.verify(store) == []
+        store.open("ckpt").write(STORE_PAGE + 10, b"\xff")  # past the seam, run 2
+        problems = m.verify(store)
+        assert len(problems) == 1
+        assert problems[0].startswith("grid3/density: checksum mismatch")
 
     def test_truncated_file_is_caught_via_zero_fill(self):
         # BlockStore zero-fills reads past EOF: a torn write that stopped

@@ -53,10 +53,22 @@ class TestNetwork:
             net.transfer(0.0, -1, 0, 1)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            Network(0, latency=0.0, bandwidth=1.0)
-        with pytest.raises(ValueError):
-            Network(1, latency=0.0, bandwidth=0.0)
+        # Transfers and rank clocks use these unchecked, so each bad value
+        # (NaN included) is refused here, naming the network.
+        for kwargs, what in [
+            (dict(nnodes=0), "at least one node"),
+            (dict(bandwidth=0.0), "bandwidth"),
+            (dict(latency=-1e-6), "latency"),
+            (dict(latency=float("nan")), "latency"),
+            (dict(local_bandwidth=0.0), "local_bandwidth"),
+            (dict(local_bandwidth=-5.0), "local_bandwidth"),
+            (dict(fabric_bandwidth=0.0), "fabric_bandwidth"),
+            (dict(fabric_bandwidth=-1.0), "fabric_bandwidth"),
+            (dict(fabric_bandwidth=float("nan")), "fabric_bandwidth"),
+        ]:
+            args = dict(nnodes=2, latency=0.0, bandwidth=1.0, name="eth") | kwargs
+            with pytest.raises(ValueError, match=f"^eth: .*{what}"):
+                Network(**args)
 
     def test_presets_construct(self):
         assert SwitchedNetwork(8, latency=20e-6, bandwidth=115e6).nnodes == 8
