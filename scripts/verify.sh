@@ -47,9 +47,9 @@ python -m repro insights BENCH_foggie.trace.json
 echo "== paper-figure regression gate (Figures 5-10 vs BENCH_figures.json) =="
 timeout 1800 python -m repro regress --quiet --out BENCH_figures.current.json
 # Tier-1's full-matrix test filled the cell cache a moment ago, so this stage
-# should replay it ("52 cache hit(s), 0 miss(es)"); misses here mean the
+# must replay it ("52 cache hit(s), 0 miss(es)"); misses here mean the
 # matrix is being computed twice per verify again.
-python -m repro bench timings --top 1 | grep '^regress:'
+python -m repro bench timings --top 1 | grep -E '^regress: .*, 0 miss\(es\),'
 
 echo "== weak-scaling gate (P=16..1024 vs BENCH_scale.json) =="
 timeout 1800 python -m repro scale --quiet --out BENCH_scale.current.json

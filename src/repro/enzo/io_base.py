@@ -168,7 +168,7 @@ class IOStrategy(ABC):
         self._fs(comm).notify_recovery(
             base,
             kind,
-            node=comm.machine.node_of(comm.group[comm.rank]),
+            node=comm.machine.node_of(comm.rank),
             time=comm.clock,
             nbytes=nbytes,
         )

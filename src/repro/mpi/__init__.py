@@ -14,8 +14,6 @@ collective functions.  Use :func:`run_spmd` to execute an SPMD function::
 
 from . import collectives, datatypes
 from .collectives import (
-    MAX,
-    MIN,
     SUM,
     allgather,
     allreduce,
@@ -30,7 +28,7 @@ from .collectives import (
     scatter,
     scatterv,
 )
-from .comm import ANY_SOURCE, ANY_TAG, Comm, Message, MpiWorld, payload_nbytes
+from .comm import Comm, Message, MpiWorld, payload_nbytes
 from .datatypes import BYTE, FLOAT64, Datatype, Named, Subarray, merge_segments
 from .request import Request, irecv, isend, waitall
 from .runner import SpmdResult, run_spmd
@@ -39,8 +37,6 @@ __all__ = [
     "Comm",
     "Message",
     "MpiWorld",
-    "ANY_SOURCE",
-    "ANY_TAG",
     "payload_nbytes",
     "run_spmd",
     "SpmdResult",
@@ -63,8 +59,6 @@ __all__ = [
     "allreduce",
     "exscan",
     "SUM",
-    "MAX",
-    "MIN",
     "Datatype",
     "Named",
     "Subarray",

@@ -48,7 +48,7 @@ _NONE_NBYTES = payload_nbytes(None)
 
 
 def batch_enabled(comm: Comm) -> bool:
-    """Whether this communicator's collectives run through the rendezvous."""
+    """Whether this job's collectives run through the rendezvous."""
     return comm.world.batch_collectives
 
 
@@ -114,13 +114,13 @@ def _rendezvous(comm: Comm, kind: str, contribution: Any, combine) -> Any:
     ``combine(comm, contribs, base) -> (results, done_times)`` runs exactly
     once, on the last-arriving rank, with ``base = max(arrival clocks)``;
     ``done_times[r] >= base`` is required (all collectives synchronize).
-    The key includes the communicator context and the shared internal-tag
-    sequence, so concurrent communicators and back-to-back collectives of
-    the same kind never collide.
+    The key includes the shared collective call sequence, so back-to-back
+    collectives of the same kind never collide.
     """
     proc = comm.proc
     world = comm.world
-    key = (comm._ctx, kind, comm._next_internal_tag(), comm._coll_seq)
+    comm._next_internal_tag()  # advances the call sequence all ranks share
+    key = (kind, comm._coll_seq)
     table = world.rendezvous
     rv = table.get(key)
     if rv is None:
@@ -140,10 +140,9 @@ def _rendezvous(comm: Comm, kind: str, contribution: Any, combine) -> Any:
         rv.results, done = combine(comm, rv.contrib, base)
         rv.contrib = [None] * comm.size  # release payload references
         engine_procs = world.engine.procs
-        for r, world_rank in enumerate(comm.group):
-            if r == rank:
-                continue
-            engine_procs[world_rank].wake(at_time=done[r])
+        for r in range(comm.size):
+            if r != rank:
+                engine_procs[r].wake(at_time=done[r])
         proc.advance_to(done[rank])
     result = rv.results[rank]
     rv.results[rank] = None

@@ -17,21 +17,21 @@ and returns the rank's result.  :func:`_run` is the one driver:
 * the last member to enter then steps *every* member's schedule
   thread-free, in the engine's own order: run each rank through the
   receives it can already satisfy, then book the post with the smallest
-  ``(clock, world rank)`` -- the order the threads would have found (a
-  post to a member whose pending step receives from the poster is handed
-  straight to it, no mailbox in between).  It stops before a post that
-  some rank outside the replay could precede (a member that has returned,
-  keyed at its exit clock; a READY non-member, keyed at its ``(clock,
-  rank)``), wakes every member still inside, and the threads carry on
-  from where the replay left their schedules.
+  ``(clock, rank)`` -- the order the threads would have found (a post to a
+  member whose pending step receives from the poster is handed straight to
+  it, no mailbox in between).  It stops before a post that a returned
+  member could precede (one that finished inside the replay keyed at its
+  exit clock, a READY one outside it at its ``(clock, rank)``), wakes every
+  member still inside, and the threads carry on from where the replay left
+  their schedules.
 
 So the replay moves no clock, byte or link timeline; it only saves thread
 hand-offs (docs/architecture.md s.1 has the argument).  An exception raised
 while the replay steps another member's schedule is handed to that member's
 thread, which raises it, so the job fails as that rank.
 
-Every function is collective: all ranks of the communicator must call it in
-the same order (this is also how the internal tag agreement works).
+Every function is collective: all ranks of the job must call it in the
+same order (this is also how the internal tag agreement works).
 """
 
 from __future__ import annotations
@@ -59,8 +59,6 @@ __all__ = [
     "allreduce",
     "exscan",
     "SUM",
-    "MAX",
-    "MIN",
 ]
 
 
@@ -69,20 +67,6 @@ def SUM(a, b):
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         return np.add(a, b)
     return a + b
-
-
-def MAX(a, b):
-    """Elementwise / scalar max reduction operator."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.maximum(a, b)
-    return max(a, b)
-
-
-def MIN(a, b):
-    """Elementwise / scalar min reduction operator."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        return np.minimum(a, b)
-    return min(a, b)
 
 
 def _vrank(rank: int, root: int, size: int) -> int:
@@ -143,21 +127,18 @@ class _Collective:
 
     def replay(self, me: int) -> None:
         """Step every member's schedule from the last member's thread (``me``),
-        in global ``(clock, world rank)`` order, until done or until a rank
-        outside the replay could post first; then wake every member still
-        inside."""
+        in global ``(clock, rank)`` order, until done or until a rank outside
+        the replay could post first; then wake every member still inside."""
         comms, steps, tag = self.comms, self.steps, self.tag
         inside = [r for r, comm in enumerate(comms) if comm is not None]
-        local = comms[me]._world_to_local
-        # Every READY rank outside the replay -- a non-member, or a member
-        # that has returned -- posts nothing before its (clock, rank).
+        # The only ranks outside the replay are members that have returned;
+        # a READY one posts nothing before its (clock, rank).
         bound = min(
             ((p.clock, p.rank) for p in comms[me].world.engine.procs
-             if p.state is ProcState.READY
-             and (p.rank not in local or comms[local[p.rank]] is None)),
+             if p.state is ProcState.READY and comms[p.rank] is None),
             default=_NEVER,
         )
-        posting: list[tuple] = []  # heap of (clock, world rank, r)
+        posting: list[tuple] = []  # heap of (clock, rank)
 
         def settle(r: int) -> None:
             """Run ``r`` through the receives it can already satisfy."""
@@ -165,25 +146,26 @@ class _Collective:
             comm = comms[r]
             step = steps[r]
             while step is not None and step[0] == "recv":
-                msg = comm._take(step[1], tag, yield_first=False)
+                msg = comm._take(step[1], tag)
                 if msg is None:
                     return
                 self.advance(r, msg.payload)
                 step = steps[r]
-            proc = comm.proc
+            clock = comm.proc.clock
             if step is None:  # returns at this clock once woken
-                bound = min(bound, (proc.clock, proc.rank))
+                bound = min(bound, (clock, r))
             else:
-                heappush(posting, (proc.clock, proc.rank, r))
+                heappush(posting, (clock, r))
 
         who = me
         try:
             for who in inside:
                 settle(who)
             while posting:
-                clock, rank, who = heappop(posting)
-                if (clock, rank) > bound:
+                key = heappop(posting)
+                if key > bound:
                     break
+                who = key[1]
                 _, dest, nbytes, payload = steps[who]
                 step = steps[dest]
                 if step is not None and step[0] == "recv" and step[1] == who:
@@ -217,7 +199,7 @@ class _Collective:
             if waits and proc.state is ProcState.BLOCKED:
                 # Parked in a receive it still waits for, maybe another one:
                 # the post that satisfies it wakes it.
-                proc.waiting_on = _RecvWait(comm, step[1], tag, self.name)
+                proc.waiting_on = _RecvWait(step[1], tag, self.name)
             else:
                 proc.wake()
 
@@ -227,7 +209,7 @@ def _run(comm: Comm, name: str, schedule: _Schedule) -> Any:
     tag = comm._next_internal_tag()
     size = comm.size
     table = comm.world.rendezvous
-    key = (comm._ctx, comm._coll_seq, comm.group[0])
+    key = comm._coll_seq
     op = table.get(key)
     if op is None:
         op = table[key] = _Collective(name, tag, size)
@@ -252,7 +234,7 @@ def _run(comm: Comm, name: str, schedule: _Schedule) -> Any:
                 comm._book(nbytes, payload, dest, tag)
                 op.advance(r)
         else:
-            msg = comm._take(step[1], tag, yield_first=False)
+            msg = comm._take(step[1], tag)
             if msg is not None:
                 op.advance(r, msg.payload)
             else:

@@ -14,12 +14,17 @@ time.  This matches what ROMIO-era MPI implementations did for the message
 sizes two-phase I/O produces, and it keeps the simulation deadlock-behaviour
 simple (a recv with no matching send ever posted deadlocks, as in MPI).
 
-A *blocking* receive from a *named* source takes no schedule point: it
-reads only this rank's mailbox and takes the first message that one sender
-posted (that sender's program order, whatever the interleaving), the clock
-becomes ``max(clock, arrival) + overhead``, and nobody can observe whether
-the message was consumed -- it commutes with all the other ranks do.  Posts,
-``ANY_SOURCE`` receives and polls keep theirs (docs/architecture.md s.1).
+A job has one communicator: ``rank`` is the engine rank and ``size`` the
+number of ranks.  The I/O stack needs no more -- two-phase collective I/O,
+independent block I/O, the sample sort and the rank-0 funnel all run on the
+whole job.
+
+Every receive names its source and tag and takes no schedule point: it reads
+only this rank's mailbox and takes the first message that one sender posted
+with that tag (that sender's program order, whatever the interleaving), the
+clock becomes ``max(clock, arrival) + overhead``, and nobody can observe
+whether the message was consumed -- it commutes with all the other ranks do.
+Only posts take one (docs/architecture.md s.1).
 """
 
 from __future__ import annotations
@@ -33,14 +38,12 @@ import numpy as np
 from ..sim.engine import Engine, Proc, ProcState
 from ..topology.machine import Machine
 
-__all__ = ["Comm", "Message", "ANY_SOURCE", "ANY_TAG", "payload_nbytes", "MpiWorld"]
+__all__ = ["Comm", "Message", "payload_nbytes", "MpiWorld"]
 
-ANY_SOURCE = -1
-ANY_TAG = -1
-
-# Communicator-internal tags (collectives, MPI-IO) live above this base so
-# they never collide with user tags.
+# Collective-internal tags cycle through [_USER_TAG_LIMIT, _INTERNAL_TAG_BASE);
+# a send takes only tags below them, so the two never collide.
 _INTERNAL_TAG_BASE = 1 << 20
+_USER_TAG_LIMIT = _INTERNAL_TAG_BASE - (1 << 16)
 
 
 def payload_nbytes(obj: Any) -> int:
@@ -119,23 +122,19 @@ class Message:
     tag: int
     payload: Any
     arrival: float
-    seq: int
 
 
 class _RecvWait(NamedTuple):
     """The receive a blocked rank is parked in (``Proc.waiting_on``)."""
 
-    comm: "Comm"
     source: int
     tag: int
     #: The collective the receive belongs to ("" for a point-to-point one).
     within: str = ""
 
     def __str__(self) -> str:
-        source = "ANY_SOURCE" if self.source == ANY_SOURCE else self.source
-        tag = "ANY_TAG" if self.tag == ANY_TAG else self.tag
         prefix = f"{self.within}: " if self.within else ""
-        return f"{prefix}recv(source={source}, tag={tag})"
+        return f"{prefix}recv(source={self.source}, tag={self.tag})"
 
 
 @dataclass
@@ -144,56 +143,38 @@ class MpiWorld:
 
     engine: Engine
     machine: Machine
-    mailboxes: list[list[Message]] = field(default_factory=list)
-    _seq: int = 0
+    #: Each rank's queued messages, in post order.
+    mailboxes: list[list[Message]] = field(init=False, repr=False)
     #: When True, collectives use the batched rendezvous engine
     #: (:mod:`repro.mpi.batch`) instead of per-message algorithms.
     batch_collectives: bool = False
-    #: Open collectives: batched rendezvous keyed by (ctx, kind, tag, call
-    #: seq), see repro.mpi.batch; per-message schedules keyed by (ctx, call
-    #: seq, first member), see repro.mpi.collectives.
-    rendezvous: dict = field(default_factory=dict)
+    #: Open collectives: batched rendezvous keyed by (kind, call seq), see
+    #: repro.mpi.batch; per-message schedules keyed by the call seq, see
+    #: repro.mpi.collectives.
+    rendezvous: dict = field(default_factory=dict, init=False, repr=False)
     #: The node of every engine rank (``Machine.node_of``), built once here.
     nodes: list[int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.mailboxes:
-            self.mailboxes = [[] for _ in range(self.engine.nprocs)]
+        self.mailboxes = [[] for _ in range(self.engine.nprocs)]
         self.nodes = [self.machine.node_of(r) for r in range(self.engine.nprocs)]
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
 
 
 class Comm:
-    """An MPI communicator bound to one rank (mpi4py-style handle).
+    """The job's communicator, bound to one rank (mpi4py-style handle).
 
-    Every rank holds its own ``Comm`` instance; instances of the same
-    communicator share a :class:`MpiWorld` and a group of engine ranks.
+    Every rank holds its own ``Comm`` instance; all of them share one
+    :class:`MpiWorld`.
     """
 
-    def __init__(
-        self,
-        world: MpiWorld,
-        proc: Proc,
-        group: Optional[list[int]] = None,
-        _ctx: int = 0,
-    ):
+    def __init__(self, world: MpiWorld, proc: Proc):
         self.world = world
         self.proc = proc
-        # group maps communicator rank -> engine (world) rank.
-        self.group = group if group is not None else list(range(world.engine.nprocs))
-        self._world_to_local = {w: l for l, w in enumerate(self.group)}
-        if proc.rank not in self._world_to_local:
-            raise ValueError(f"engine rank {proc.rank} is not in this communicator")
-        #: This process's rank within the communicator, and its size.
-        self.rank = self._world_to_local[proc.rank]
-        self.size = len(self.group)
+        #: This process's engine rank, and the number of ranks in the job.
+        self.rank = proc.rank
+        self.size = world.engine.nprocs
         self._node = world.nodes[proc.rank]
         self._box = world.mailboxes[proc.rank]
-        # Context id separates traffic of different communicators.
-        self._ctx = _ctx
         # Deterministic internal tag sequence; identical across ranks because
         # collectives must be called in the same order on every rank.
         self._coll_seq = 0
@@ -222,11 +203,13 @@ class Comm:
     # -- point-to-point --------------------------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
-        """Blocking (eager) send of ``obj`` to communicator rank ``dest``."""
+        """Blocking (eager) send of ``obj`` to rank ``dest``."""
         if not 0 <= dest < self.size:
             raise ValueError(f"dest {dest} out of range for size {self.size}")
-        if tag < 0:
-            raise ValueError("tag must be >= 0 on send")
+        if not 0 <= tag < _USER_TAG_LIMIT:
+            raise ValueError(
+                f"tag {tag} outside the user tag range [0, {_USER_TAG_LIMIT})"
+            )
         self._post(obj, dest, tag)
 
     def _post(self, obj: Any, dest: int, tag: int) -> None:
@@ -240,17 +223,15 @@ class Comm:
         order -- ``_post`` by a schedule point, a collective's replay by
         construction (:mod:`repro.mpi.collectives`)."""
         world = self.world
-        dest_world = self.group[dest]
-        arrival = self._ship(nbytes, world.nodes[dest_world])
-        msg = Message(self.rank, tag + self._ctx, payload, arrival, world.next_seq())
-        world.mailboxes[dest_world].append(msg)
-        target = world.engine.procs[dest_world]
+        arrival = self._ship(nbytes, world.nodes[dest])
+        world.mailboxes[dest].append(Message(self.rank, tag, payload, arrival))
+        target = world.engine.procs[dest]
         if target.state is not ProcState.BLOCKED:
             return  # not parked: a READY rank's heap entry is already live
         # A rank parked in a receive this message cannot satisfy would only
         # re-scan and re-block; anything else blocked is woken as ever.
         want = target.waiting_on
-        if want is None or want.comm._match((msg,), want.source, want.tag):
+        if want is None or (want.source == self.rank and want.tag == tag):
             target.wake()
 
     def _ship(self, nbytes: int, dest_node: int) -> float:
@@ -268,103 +249,36 @@ class Comm:
         proc = self.proc
         proc.clock = max(proc.clock, arrival) + self.world.machine.network.latency
 
-    def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG) -> Any:
-        """Blocking receive; returns the payload."""
-        obj, _status = self.recv_with_status(source, tag)
-        return obj
-
-    def recv_with_status(
-        self, source: int = ANY_SOURCE, tag: int = ANY_TAG
-    ) -> tuple[Any, tuple[int, int]]:
-        """Receive and also return ``(source_rank, tag)`` of the message."""
+    def recv(self, source: int, tag: int = 0) -> Any:
+        """Blocking receive of the next message from ``source`` with ``tag``;
+        returns the payload."""
+        if not 0 <= source < self.size:
+            raise ValueError(f"source {source} out of range for size {self.size}")
         while True:
-            match = self._take(source, tag, yield_first=source == ANY_SOURCE)
-            if match is not None:
-                return match.payload, (match.src, match.tag - self._ctx)
+            msg = self._take(source, tag)
+            if msg is not None:
+                return msg.payload
             self._park(source, tag)
 
-    def _take(self, source: int, tag: int, *, yield_first: bool) -> Optional[Message]:
-        """Consume the first matching queued message, if any; ``yield_first``
-        puts the scan in the global ``(clock, rank)`` order."""
-        proc = self.proc
-        if yield_first:
-            proc.schedule_point()
+    def _take(self, source: int, tag: int) -> Optional[Message]:
+        """Consume the oldest queued message from ``source`` with ``tag``, if
+        any (the mailbox is in post order)."""
         box = self._box
-        if not box:
-            return None
-        match = self._match(box, source, tag)
-        if match is not None:
-            box.remove(match)
-            self._deliver(match.arrival)
-        return match
+        for i, msg in enumerate(box):
+            if msg.src == source and msg.tag == tag:
+                del box[i]
+                self._deliver(msg.arrival)
+                return msg
+        return None
 
     def _park(self, source: int, tag: int, within: str = "") -> None:
         """Block until a post that matches the receive wakes this rank."""
         proc = self.proc
-        proc.waiting_on = _RecvWait(self, source, tag, within)
+        proc.waiting_on = _RecvWait(source, tag, within)
         proc.block()
         proc.waiting_on = None
 
-    def _match(
-        self, box: list[Message], source: int, tag: int
-    ) -> Optional[Message]:
-        want_tag = None if tag == ANY_TAG else tag + self._ctx
-        lo, hi = self._ctx, self._ctx + _INTERNAL_TAG_BASE
-        best: Optional[Message] = None
-        for m in box:
-            if not (lo <= m.tag < hi):
-                continue  # different communicator context
-            if source != ANY_SOURCE and m.src != source:
-                continue
-            if want_tag is not None and m.tag != want_tag:
-                continue
-            if best is None or m.seq < best.seq:
-                best = m
-        return best
-
-    def sendrecv(
-        self,
-        obj: Any,
-        dest: int,
-        sendtag: int = 0,
-        source: int = ANY_SOURCE,
-        recvtag: int = ANY_TAG,
-    ) -> Any:
-        """Combined send+receive (deadlock-free pairwise exchange)."""
-        self._post(obj, dest, sendtag)
-        return self.recv(source, recvtag)
-
-    # -- communicator management -----------------------------------------------
-
-    def split(self, color: int, key: int = 0) -> Optional["Comm"]:
-        """Create sub-communicators by color, ordered by (key, rank).
-
-        Collective over the parent communicator.  Ranks passing
-        ``color=None`` get ``None`` back (like ``MPI_UNDEFINED``).
-        """
-        from .collectives import allgather
-
-        entries = allgather(self, (color, key, self.rank))
-        if color is None:
-            return None
-        members = sorted(
-            (k, r) for (c, k, r) in entries if c == color
-        )
-        group = [self.group[r] for _, r in members]
-        # Derive a fresh context deterministically from parent ctx and color.
-        ctx = self._ctx + _INTERNAL_TAG_BASE * (2 + color)
-        return Comm(self.world, self.proc, group=group, _ctx=ctx)
-
-    def dup(self) -> "Comm":
-        """Duplicate the communicator with a fresh context."""
-        from .collectives import allgather
-
-        allgather(self, 0)  # synchronising, like MPI_Comm_dup
-        dup = Comm(self.world, self.proc, group=list(self.group), _ctx=self._ctx)
-        dup._ctx = self._ctx + _INTERNAL_TAG_BASE
-        return dup
-
-    # -- internal tags for collectives / MPI-IO -----------------------------------
+    # -- internal tags for collectives ---------------------------------------------
 
     def _next_internal_tag(self) -> int:
         """A tag all ranks agree on for the current collective call."""

@@ -94,8 +94,7 @@ class ADIOFile:
 
     @property
     def _node(self) -> int:
-        world_rank = self.comm.group[self.comm.rank]
-        return self.comm.machine.node_of(world_rank)
+        return self.comm.machine.node_of(self.comm.rank)
 
     def _check_open(self) -> None:
         if self._closed:

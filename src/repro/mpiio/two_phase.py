@@ -44,8 +44,7 @@ def aggregator_ranks(comm: Comm, hints: Hints) -> list[int]:
         machine = comm.machine
         per_node: dict[int, list[int]] = {}
         for r in range(comm.size):
-            node = machine.node_of(comm.group[r])
-            per_node.setdefault(node, []).append(r)
+            per_node.setdefault(machine.node_of(r), []).append(r)
         k = hints.cb_nodes if hints.cb_nodes is not None else 1
         aggs = []
         for node in sorted(per_node):

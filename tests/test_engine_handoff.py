@@ -1,20 +1,20 @@
 """The rank hand-off is invisible to simulated time -- and stays cheap.
 
 PR 18 took the schedule point out of blocking named-source receives, made a
-post wake only a receiver it matches, and turned the baton into a raw lock.
+post wake only a receiver it matches, and turned the baton into a raw lock;
+since every receive names its source and tag, none takes a schedule point.
 None of that may move a virtual clock, so this file pins:
 
 1. *golden clocks* -- fixed programs on a contended machine; every literal
    in ``GOLDEN`` was captured on the parent commit (4f41f43, the ``Event``
    engine that yielded before every receive) and is compared with ``==``;
-2. the schedule points that must *stay*: ``ANY_SOURCE`` receives and polls;
-3. a hypothesis property against a single-threaded reference simulator;
-4. the *crossing budget* -- exact ``Engine.context_switches`` per program,
+2. a hypothesis property against a single-threaded reference simulator;
+3. the *crossing budget* -- exact ``Engine.context_switches`` per program,
    so a re-introduced yield fails tier-1 -- and, since the collectives became
    schedules that their last-arriving rank replays thread-free, a collective
    that stops being replayed fails it too;
-5. *thread hygiene* and engine reuse after success, failure and deadlock;
-6. what a ``DeadlockError`` says.
+4. *thread hygiene* and engine reuse after success, failure and deadlock;
+5. what a ``DeadlockError`` says.
 """
 
 import numpy as np
@@ -23,7 +23,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.mpi import (
-    ANY_SOURCE,
     SUM,
     Comm,
     MpiWorld,
@@ -95,36 +94,37 @@ def irecv_overlap(comm):
     return int(req.wait().sum())
 
 
-def any_source_fan_in(comm):
-    if comm.rank == 0:
-        comm.compute(2e-4)
-        return [comm.recv_with_status(ANY_SOURCE, tag=9) for _ in range(comm.size - 1)]
-    comm.compute((comm.size - comm.rank) * 3e-4)
-    comm.send(comm.rank * 11, 0, tag=9)
-    return None
-
-
 def collectives_beside_p2p(comm):
-    """Even ranks replay a dissemination barrier and an alltoall on their own
-    communicator while the odd ranks, one behind each of the same NICs,
-    post point-to-point messages: the replay's direct hand-over and its
-    stop rule interleave with outside posts."""
-    sub = comm.split(comm.rank % 2, key=comm.rank)
-    comm.compute(((comm.rank * 5) % 3) * 2e-4)
-    if comm.rank % 2 == 0:
-        barrier(sub)
-        out = alltoall(
-            sub, [bytes([comm.rank * 8 + d]) * (250 * (d + 1)) for d in range(sub.size)]
-        )
-        barrier(sub)
-        return [(b[0], len(b)) for b in out]
+    """Odd ranks, one behind each NIC, exchange point-to-point messages
+    before entering a reduce and after leaving it, beside the collectives'
+    replays: the reduce's leaves return before rank 0 enters last, so its
+    replay stops at their exit clocks and hands the rest back to the
+    threads, and the direct hand-over interleaves with outside posts."""
+    odd = comm.rank % 2
+    right, left = (comm.rank + 2) % comm.size, (comm.rank - 2) % comm.size
     got = []
-    for k in range(3):
-        right, left = (comm.rank + 2) % comm.size, (comm.rank - 2) % comm.size
+
+    def exchange(k):
         comm.send(np.full(150 * (k + 1), comm.rank, dtype=np.int16), right, tag=6)
         got.append(int(comm.recv(left, tag=6).sum()))
         comm.compute(1.5e-4)
-    return got
+
+    comm.compute(((comm.rank * 5) % 3) * 2e-4)
+    barrier(comm)
+    if odd:
+        exchange(0)
+    if comm.rank == 0:
+        comm.compute(1e-3)
+    total = reduce(comm, np.full(1000, comm.rank, dtype=np.int32), SUM, root=0)
+    if odd:
+        exchange(1)
+    out = alltoall(
+        comm, [bytes([comm.rank * 8 + d]) * (250 * (d + 1)) for d in range(comm.size)]
+    )
+    barrier(comm)
+    if odd:
+        exchange(2)
+    return [(b[0], len(b)) for b in out], got, None if total is None else int(total.sum())
 
 
 PROGRAMS = {
@@ -133,7 +133,6 @@ PROGRAMS = {
     "pairwise_alltoall": (pairwise_alltoall, 4),
     "bcast_reduce": (bcast_reduce, 6),
     "irecv_overlap": (irecv_overlap, 4),
-    "any_source_fan_in": (any_source_fan_in, 4),
     "collectives_beside_p2p": (collectives_beside_p2p, 6),
 }
 
@@ -152,20 +151,9 @@ def observe(name):
 
 
 # Captured on the parent commit by printing ``observe(name)[0]``
-# (``collectives_beside_p2p`` on 62f1e7f, before the replay's direct hand-over).
+# (``collectives_beside_p2p`` on 28e1005, the engine that still had
+# sub-communicators, wildcard receives and polls).
 GOLDEN = {
-    "any_source_fan_in": {
-        "clocks": [0.001020108695652174, 0.00102, 0.0007199999999999999,
-                   0.00041999999999999996],
-        "results": [[(33, (3, 9)), (22, (2, 9)), (11, (1, 9))], None, None, None],
-        "links": {
-            "egress[0]": (0.0, 0.0, 0),
-            "egress[1]": (0.0006004347826086956, 8.695652173913044e-07, 2),
-            "ingress[0]": (0.0007204347826086956, 8.695652173913044e-07, 2),
-            "ingress[1]": (0.0, 0.0, 0),
-            "fabric": (0.00060025, 5e-07, 2),
-        },
-    },
     "bcast_reduce": {
         "clocks": [0.0009634782608695652, 0.0016426086956521744, 0.00088,
                    0.0014013043478260873, 0.0011600000000000002, 0.0013600000000000003],
@@ -181,19 +169,28 @@ GOLDEN = {
         },
     },
     "collectives_beside_p2p": {
-        "clocks": [0.003243826086956521, 0.0029799999999999996, 0.003243826086956521,
-                   0.002848260869565217, 0.0032441739130434776, 0.002991739130434782],
-        "results": [[(0, 250), (16, 250), (32, 250)], [750, 1500, 2250],
-                    [(1, 500), (17, 500), (33, 500)], [150, 300, 450],
-                    [(2, 750), (18, 750), (34, 750)], [450, 900, 1350]],
+        "clocks": [0.005002347826086958, 0.0054820000000000025, 0.005002347826086958,
+                   0.00547026086956522, 0.005002747826086958, 0.005527000000000002],
+        "results": [
+            ([(0, 250), (8, 250), (16, 250), (24, 250), (32, 250), (40, 250)], [], 15000),
+            ([(1, 500), (9, 500), (17, 500), (25, 500), (33, 500), (41, 500)],
+             [750, 1500, 2250], None),
+            ([(2, 750), (10, 750), (18, 750), (26, 750), (34, 750), (42, 750)], [], None),
+            ([(3, 1000), (11, 1000), (19, 1000), (27, 1000), (35, 1000), (43, 1000)],
+             [150, 300, 450], None),
+            ([(4, 1250), (12, 1250), (20, 1250), (28, 1250), (36, 1250), (44, 1250)],
+             [], None),
+            ([(5, 1500), (13, 1500), (21, 1500), (29, 1500), (37, 1500), (45, 1500)],
+             [450, 900, 1350], None),
+        ],
         "links": {
-            "egress[0]": (0.003004173913043478, 0.0002770434782608696, 14),
-            "egress[1]": (0.0029820869565217387, 0.000255304347826087, 14),
-            "egress[2]": (0.003003826086956521, 0.00023356521739130437, 14),
-            "ingress[0]": (0.0031020869565217385, 0.00021182608695652176, 14),
-            "ingress[1]": (0.003123826086956521, 0.000255304347826087, 14),
-            "ingress[2]": (0.0031241739130434777, 0.0002987826086956522, 14),
-            "fabric": (0.0030040260869565213, 0.0004404, 42),
+            "egress[0]": (0.00508026086956522, 0.0009426086956521737, 21),
+            "egress[1]": (0.005080956521739132, 0.0011165217391304356, 22),
+            "egress[2]": (0.00508026086956522, 0.0009426086956521736, 22),
+            "ingress[0]": (0.00520026086956522, 0.0011165217391304356, 23),
+            "ingress[1]": (0.00520026086956522, 0.0007686956521739128, 21),
+            "ingress[2]": (0.0052009565217391324, 0.0011165217391304351, 21),
+            "fabric": (0.005137000000000002, 0.0017259999999999977, 65),
         },
     },
     "dissemination_barrier": {
@@ -262,33 +259,6 @@ GOLDEN = {
 def test_golden_clocks(name):
     seen, _ = observe(name)
     assert seen == GOLDEN[name]
-
-
-# -- the schedule points that stay -----------------------------------------------
-
-
-def test_any_source_takes_senders_in_send_clock_order():
-    seen, _ = observe("any_source_fan_in")
-    # Ranks 3, 2, 1 send at 0.3, 0.6, 0.9 ms: lowest rank last.
-    assert [status[0] for _, status in seen["results"][0]] == [3, 2, 1]
-
-
-def test_poll_misses_before_and_hits_after_the_senders_clock():
-    def program(comm):
-        if comm.rank == 1:
-            comm.compute(1.0)
-            comm.send("late", 0, tag=4)
-            return None
-        req = irecv(comm, 1, tag=4)
-        at_post = req.test()
-        comm.compute(0.5)
-        before = req.test()  # t=0.5: rank 1 has not sent yet
-        comm.compute(1.5)
-        after = req.test()  # t=2.0: sent at 1.0, long arrived
-        return at_post, before, after
-
-    res = run_spmd(contended_machine(2, ppn=1), program)
-    assert res.results[0] == ((False, None), (False, None), (True, "late"))
 
 
 # -- property: threads vs a single-threaded replay -------------------------------
@@ -402,16 +372,18 @@ def test_property_threads_equal_single_threaded_replay(nprocs, events):
 # -- crossing budget ----------------------------------------------------------------
 
 # Exact and deterministic.  The engine that yielded before every receive and
-# woke on every post made 35 / 86 / 25 / 23 / 6 / 7; with one thread per
-# collective message (before the replay) it was 21 / 54 / 16 / 17 / 5 / 7.
+# woke on every post made 35 / 86 / 25 / 23 / 6 on the first five programs;
+# with one thread per collective message (before the replay) it was
+# 21 / 54 / 16 / 17 / 5.  ``irecv_overlap`` kept 5 when the poll at post (a
+# schedule point) went: each poll found its rank first in line, so none of
+# them switched.
 SWITCHES = {
     "ring_allgather": 8,
     "dissemination_barrier": 10,
     "pairwise_alltoall": 3,
     "bcast_reduce": 10,
     "irecv_overlap": 5,
-    "any_source_fan_in": 7,
-    "collectives_beside_p2p": 36,
+    "collectives_beside_p2p": 35,
 }
 
 

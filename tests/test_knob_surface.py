@@ -4,9 +4,9 @@ Each name below is a value a caller can set.  A knob that only tests set
 doubles the configurations every gate must cover, so adding one here is a
 conscious edit: it needs a preset, strategy, CLI flag or bench cell that
 sets it to a second value.  The I/O libraries' opens are pinned the same
-way, and so are the MPI-IO ``File`` method list and the MPI datatypes: a
-library entry point exists because a strategy, CLI command or bench cell
-calls it.
+way, and so are the MPI-IO ``File`` method list, the MPI datatypes, the
+names ``repro.mpi`` exports and the ``Comm`` methods: a library entry point
+exists because a strategy, CLI command or bench cell calls it.
 """
 
 import dataclasses
@@ -14,6 +14,7 @@ import inspect
 
 import pytest
 
+from repro import mpi
 from repro.aio import AioConfig
 from repro.bench import build_initial_workload, build_scale_workload, build_workload
 from repro.enzo.simulation import EnzoConfig
@@ -23,7 +24,7 @@ from repro.hdf5 import H5File
 from repro.insights import AutoTuner, diagnose
 from repro.iostack import registry
 from repro.iostack.transports import FunnelTransport
-from repro.mpi import datatypes
+from repro.mpi import Comm, datatypes
 from repro.mpiio import ADIOFile, File
 from repro.pfs import LocalDiskFS, StripedServerFS
 from repro.pfs.lustre import LustreFS
@@ -109,4 +110,23 @@ def test_mpiio_file_methods_are_pinned():
 def test_mpi_datatypes_are_pinned():
     assert datatypes.__all__ == [
         "Datatype", "Named", "Subarray", "BYTE", "FLOAT64", "merge_segments",
+    ]
+
+
+def test_mpi_exports_are_pinned():
+    """One communicator per job, receives that name their source and tag:
+    no sub-communicators, wildcards, polls or ``MAX`` / ``MIN``."""
+    assert mpi.__all__ == [
+        "Comm", "Message", "MpiWorld", "payload_nbytes", "run_spmd",
+        "SpmdResult", "Request", "isend", "irecv", "waitall", "collectives",
+        "datatypes", "barrier", "bcast", "gather", "gatherv", "scatter",
+        "scatterv", "allgather", "alltoall", "alltoallv", "reduce",
+        "allreduce", "exscan", "SUM", "Datatype", "Named", "Subarray",
+        "merge_segments", "BYTE", "FLOAT64",
+    ]
+
+
+def test_comm_methods_are_pinned():
+    assert sorted(n for n in vars(Comm) if not n.startswith("_")) == [
+        "clock", "compute", "machine", "recv", "send",
     ]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.mpi import ANY_SOURCE, irecv, isend, run_spmd, waitall
+from repro.mpi import irecv, isend, run_spmd, waitall
 
 from .conftest import make_machine
 
@@ -12,10 +12,9 @@ def test_isend_completes_immediately(machine4):
     def program(comm):
         if comm.rank == 0:
             req = isend(comm, "hello", 1)
-            assert req.completed
-            done, value = req.test()
-            assert done and value is None
+            clock = comm.clock
             assert req.wait() is None
+            assert comm.clock == clock  # nothing left to wait for
         elif comm.rank == 1:
             return comm.recv(0)
         return None
@@ -38,30 +37,6 @@ def test_irecv_wait(machine4):
     assert res.results[1] == [0, 1, 2, 3, 4]
 
 
-def test_irecv_test_polls_without_blocking():
-    m = make_machine(2, latency=0.01)
-
-    def program(comm):
-        if comm.rank == 1:
-            req = irecv(comm, 0)
-            polled = 0
-            done, _ = req.test()
-            while not done:
-                polled += 1
-                comm.compute(0.005)  # do useful work while waiting
-                done, _ = req.test()
-            _, value = req.test()
-            return value, polled
-        comm.compute(0.05)  # send late
-        comm.send("late", 1)
-        return None
-
-    res = run_spmd(m, program)
-    value, polled = res.results[1]
-    assert value == "late"
-    assert polled >= 1  # overlap actually happened
-
-
 def test_irecv_completes_if_message_already_queued(machine4):
     def program(comm):
         if comm.rank == 0:
@@ -70,14 +45,16 @@ def test_irecv_completes_if_message_already_queued(machine4):
 
         coll.barrier(comm)
         if comm.rank == 1:
-            req = irecv(comm, 0)
             # The message arrived before the irecv was posted.
-            done, value = req.test()
-            return done, value
+            req = irecv(comm, 0)
+            clock = comm.clock
+            return req.wait(), req.wait(), comm.clock - clock
         return None
 
     res = run_spmd(machine4, program)
-    assert res.results[1] == (True, "early")
+    value, again, waited = res.results[1]
+    assert value == again == "early"  # a second wait receives nothing more
+    assert waited == pytest.approx(machine4.network.latency)  # overhead only
 
 
 def test_waitall_gathers_in_order(machine4):
@@ -98,9 +75,9 @@ def test_overlap_pattern_post_work_wait():
 
     def program(comm):
         if comm.rank == 0:
-            reqs = [irecv(comm, ANY_SOURCE) for _ in range(2)]
+            reqs = [irecv(comm, src) for src in (1, 2)]
             comm.compute(0.5)
-            values = sorted(waitall(reqs))
+            values = waitall(reqs)
             return values, comm.clock
         comm.send(comm.rank, 0)
         return None

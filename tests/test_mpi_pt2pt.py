@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr import Grid, ParticleSet
-from repro.mpi import ANY_SOURCE, ANY_TAG, payload_nbytes, run_spmd
+from repro.mpi import barrier, payload_nbytes, run_spmd
 from repro.mpi.comm import _wire_copy
 from repro.sim import DeadlockError, RankFailedError
 
@@ -70,40 +70,6 @@ def test_tag_selectivity(machine4):
     assert res.results[1] == ("a", "b")
 
 
-def test_any_source_any_tag(machine4):
-    def program(comm):
-        if comm.rank == 0:
-            got = [comm.recv(ANY_SOURCE, ANY_TAG) for _ in range(3)]
-            return sorted(got)
-        comm.send(comm.rank, 0, tag=comm.rank)
-        return None
-
-    res = run_spmd(machine4, program)
-    assert res.results[0] == [1, 2, 3]
-
-
-def test_recv_with_status(machine4):
-    def program(comm):
-        if comm.rank == 2:
-            comm.send("hello", 0, tag=9)
-        if comm.rank == 0:
-            obj, (src, tag) = comm.recv_with_status(ANY_SOURCE, ANY_TAG)
-            return (obj, src, tag)
-        return None
-
-    res = run_spmd(machine4, program)
-    assert res.results[0] == ("hello", 2, 9)
-
-
-def test_sendrecv_exchange(machine4):
-    def program(comm):
-        partner = comm.size - 1 - comm.rank
-        return comm.sendrecv(comm.rank, partner, 1, partner, 1)
-
-    res = run_spmd(machine4, program)
-    assert res.results == [3, 2, 1, 0]
-
-
 def test_transfer_advances_receiver_clock():
     m = make_machine(2, latency=0.5, bandwidth=100.0)
 
@@ -142,6 +108,34 @@ def test_send_validation(machine4):
 
     with pytest.raises(RankFailedError):
         run_spmd(machine4, bad_tag)
+
+    def bad_source(comm):
+        comm.recv(-1)
+
+    with pytest.raises(RankFailedError) as ei:
+        run_spmd(machine4, bad_source)
+    assert "source -1 out of range" in str(ei.value.__cause__)
+
+
+def test_a_user_tag_cannot_alias_a_collective_tag():
+    """Collectives tag their messages from the top of the tag space down; a
+    send with such a tag would be taken by the next barrier (and the user's
+    receive would get the barrier's token), so it is refused."""
+    internal = 2**20 - 2  # the first collective's tag
+
+    def program(comm):
+        if comm.rank == 0:
+            comm.send("user payload", 1, tag=internal)
+        barrier(comm)
+        if comm.rank == 1:
+            return comm.recv(0, tag=internal)
+        return None
+
+    with pytest.raises(RankFailedError) as ei:
+        run_spmd(make_machine(2), program)
+    assert ei.value.rank == 0
+    message = str(ei.value.__cause__)
+    assert f"tag {internal}" in message and "[0, 983040)" in message
 
 
 def test_payload_nbytes():

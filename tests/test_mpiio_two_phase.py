@@ -53,13 +53,10 @@ def test_collective_write_then_independent_read(nprocs):
         part = np.arange(lo, lo + n, dtype=np.float64)
         fh.write_at_all(lo * 8, part)
         fh.close()
-        if comm.rank == 0:
-            fh = File.open(comm.split(0 if comm.rank == 0 else None), "data", "r")
-            out = fh.read_at(0, np.empty(total, dtype=np.float64))
-            return out
-        else:
-            comm.split(None)
-        return None
+        fh = File.open(comm, "data", "r")
+        out = fh.read_at(0, np.empty(total, dtype=np.float64)) if comm.rank == 0 else None
+        fh.close()
+        return out
 
     res = run_spmd(make_machine(nprocs), program)
     np.testing.assert_array_equal(res.results[0], np.arange(total, dtype=np.float64))

@@ -63,9 +63,17 @@ def test_select_scale_cells_keeps_the_prefixed_grammar():
         ScaleCell("origin2000", "mpi-io", 64)]
 
 
+#: Methods ``TARGETS`` names that the MPI layer no longer has (one
+#: communicator, named receives).  The tracer's ``_patch_method`` skips a
+#: method its class does not define, so a missing *method* costs nothing;
+#: a missing module-level function or class would fail ``install()``.
+GONE_METHODS = {"Comm.recv_with_status", "Comm.sendrecv", "Comm.split", "Comm.dup"}
+
+
 def test_every_tracer_target_resolves():
     targets = _tracer_targets()
     assert len(targets) > 40
+    gone = set()
     for _layer, modname, clsname, names in targets:
         owner = importlib.import_module(modname)
         if clsname is not None:
@@ -74,7 +82,10 @@ def test_every_tracer_target_resolves():
         if names == "*":
             continue
         for attr in names:
-            assert hasattr(owner, attr), f"{modname}.{clsname or ''}.{attr}"
+            if not hasattr(owner, attr):
+                assert clsname is not None, f"{modname}.{attr}"
+                gone.add(f"{clsname}.{attr}")
+    assert gone == GONE_METHODS
 
 
 # -- the trend contract -------------------------------------------------------

@@ -144,34 +144,6 @@ class TestHandleLifecycles:
 
 
 class TestCommEdgeCases:
-    def test_dup_isolates_traffic(self):
-        def program(comm):
-            dup = comm.dup()
-            if comm.rank == 0:
-                comm.send("on-world", 1, tag=5)
-                dup.send("on-dup", 1, tag=5)
-            if comm.rank == 1:
-                got_dup = dup.recv(0, tag=5)
-                got_world = comm.recv(0, tag=5)
-                return got_world, got_dup
-            return None
-
-        m = make_machine(2)
-        res = run_spmd(m, program)
-        assert res.results[1] == ("on-world", "on-dup")
-
-    def test_split_comm_rank_is_not_world_rank(self):
-        def program(comm):
-            sub = comm.split(0 if comm.rank >= 2 else None)
-            if sub is None:
-                return None
-            return (comm.rank, sub.rank)
-
-        m = make_machine(4)
-        res = run_spmd(m, program)
-        assert res.results[2] == (2, 0)
-        assert res.results[3] == (3, 1)
-
     def test_scatter_wrong_length_fails(self):
         from repro.mpi import collectives as coll
 
@@ -182,20 +154,6 @@ class TestCommEdgeCases:
         m = make_machine(3)
         with pytest.raises(RankFailedError):
             run_spmd(m, program)
-
-    def test_comm_for_rank_outside_group_rejected(self):
-        from repro.mpi.comm import Comm, MpiWorld
-        from repro.sim import Engine
-
-        eng = Engine(2)
-        world = MpiWorld(engine=eng, machine=make_machine(2))
-
-        def main(proc):
-            with pytest.raises(ValueError):
-                Comm(world, proc, group=[1 - proc.rank])
-            return True
-
-        assert all(eng.run(main))
 
 
 class TestPartitionedStateErrors:
