@@ -75,3 +75,15 @@ if grep -nE "for [^:]* in entry\.segments|\.checksum\((off|offset)\b" \
     echo "resilience/manifest.py scans segment by segment: pass entry.segments to checksum" >&2
     exit 1
 fi
+
+echo "== a failed rank is reported by cli.main alone =="
+# main turns a RankFailedError from any command into one error line naming
+# the command, the rank and the failed operation; a per-command handler
+# would leave the next command without one, ending in a traceback again.
+if [ "$(grep -c "except RankFailedError" src/repro/cli.py)" != 1 ] \
+        || ! awk '/^def /{in_main = /^def main\(/}
+                  in_main && /except RankFailedError/{found = 1}
+                  END{exit !found}' src/repro/cli.py; then
+    echo "src/repro/cli.py catches RankFailedError outside main: let main report it" >&2
+    exit 1
+fi

@@ -6,10 +6,11 @@ I/O-progress thread (:class:`ProgressEngine`) with its own timeline inside
 the deterministic event engine: a write is *posted* -- the rank pays only
 the staging memcpy into a bounded staging-buffer queue -- and the progress
 timeline drains it in the background while the rank's own clock advances
-through compute or further posts.  :class:`AioRequest` carries
-``MPI_File_iwrite``-style ``test``/``wait`` semantics, surfacing deferred
-I/O errors in retirement order so crash-consistency stays recover-or-fail
--loudly (the manifest commit waits on a full drain).
+through compute or further posts.  The engine retires its
+:class:`AioRequest` queue in post order -- under backpressure, before a
+read, and at the end of a dump -- surfacing deferred I/O errors
+oldest-first so crash-consistency stays recover-or-fail-loudly (the
+manifest commit waits on a full drain).
 
 Data lands in the simulated file system *eagerly at post time* (only the
 completion time is deferred to the progress timeline), so draining never

@@ -7,9 +7,9 @@ posted write is issued to the file system at
 ``max(rank clock, drain clock)`` -- the progress thread serialises its own
 queue but runs concurrently with the rank -- and the request's completion
 time advances only the drain timeline.  The rank's clock catches up to a
-request's completion exactly when it *waits* (explicit ``wait()``, queue
-backpressure, or a pre-read/pre-close drain), which is where overlap with
-compute comes from.
+request's completion exactly when the engine retires it (queue
+backpressure, a pre-read drain, or the end-of-dump drain), which is where
+overlap with compute comes from.
 """
 
 from __future__ import annotations
@@ -47,37 +47,18 @@ class AioConfig:
 
 @dataclass
 class AioRequest:
-    """A posted nonblocking operation (``MPI_File_iwrite``-style).
+    """A posted write on a rank's progress-engine queue.
 
     ``done_time`` is on the drain timeline; ``error`` holds a failure the
     background thread hit after exhausting its retries, raised when the
-    request (or a younger one on the same queue) is waited on.
+    engine retires the request.  Completions are in post order on the
+    single progress thread, so errors surface oldest-first.
     """
 
     path: str
     nbytes: int
     done_time: float
-    engine: "ProgressEngine | None" = None
     error: BaseException | None = None
-    retired: bool = False
-
-    def test(self, proc) -> bool:
-        """Nonblocking completion check at the rank's current clock."""
-        if self.retired or self.engine is None:
-            return True
-        return proc.clock >= self.done_time
-
-    def wait(self, proc) -> None:
-        """Block until complete; raises the deferred error, if any.
-
-        Retires every older request on the same queue first (completions
-        are in post order on the single progress thread), so errors
-        surface oldest-first.
-        """
-        if self.engine is not None:
-            self.engine.retire_through(self, proc)
-        elif self.error is not None:
-            raise self.error
 
 
 class ProgressEngine:
@@ -89,13 +70,11 @@ class ProgressEngine:
         self.pending: deque[AioRequest] = deque()
         self.staged_bytes = 0
 
-    def post(self, req: AioRequest) -> AioRequest:
+    def post(self, req: AioRequest) -> None:
         """Enqueue a request whose issue the caller already timed."""
-        req.engine = self
         self.clock = max(self.clock, req.done_time)
         self.pending.append(req)
         self.staged_bytes += req.nbytes
-        return req
 
     def reserve(self, nbytes: int, proc) -> None:
         """Backpressure: retire oldest requests until ``nbytes`` fits."""
@@ -107,14 +86,9 @@ class ProgressEngine:
         """Wait for the oldest request; raises its deferred error."""
         req = self.pending.popleft()
         self.staged_bytes -= req.nbytes
-        req.retired = True
         proc.advance_to(req.done_time)
         if req.error is not None:
             raise req.error
-
-    def retire_through(self, req: AioRequest, proc) -> None:
-        while not req.retired and self.pending:
-            self.retire_oldest(proc)
 
     def drain(self, proc) -> None:
         """Retire everything outstanding (the explicit flush barrier)."""

@@ -29,7 +29,7 @@ from .scale import (
     select_scale_cells,
 )
 from .timings import Telemetry, format_timings, load_timings, save_timings
-from .utilization import device_utilization, format_utilization_report
+from .utilization import device_utilization
 from .workloads import (
     build_initial_workload,
     build_scale_workload,
@@ -50,7 +50,6 @@ __all__ = [
     "render_bars",
     "render_figure",
     "device_utilization",
-    "format_utilization_report",
     # the gate table and its one driver
     "GATES",
     "Gate",

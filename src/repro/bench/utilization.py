@@ -9,10 +9,9 @@ fifteen disks idle.
 
 from __future__ import annotations
 
-from ..core.report import format_table
 from ..topology.machine import Machine
 
-__all__ = ["device_utilization", "format_utilization_report"]
+__all__ = ["device_utilization"]
 
 
 def _row(name: str, timeline, span: float) -> list:
@@ -35,17 +34,3 @@ def device_utilization(machine: Machine, span: float) -> list[list]:
     if machine.fs is not None:
         rows.extend(_row(dev.name, dev, span) for dev in machine.fs.devices())
     return rows
-
-
-def format_utilization_report(
-    machine: Machine, span: float, *, top: int | None = None
-) -> str:
-    """Text report, busiest devices first."""
-    rows = device_utilization(machine, span)
-    rows.sort(key=lambda r: -float(r[2]))
-    if top is not None:
-        rows = rows[:top]
-    title = f"device utilisation over {span:.3f} s ({machine.name})"
-    return title + "\n" + format_table(
-        ["device", "requests", "busy [s]", "util"], rows
-    )

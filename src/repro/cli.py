@@ -69,7 +69,9 @@ from .bench.runners import run_job
 from .core import format_table
 from .enzo import table1
 from .iostack import registry
+from .pfs import InjectedIOError
 from .scenarios import ScenarioError
+from .sim import RankFailedError
 from .topology import PRESETS
 
 __all__ = ["main"]
@@ -420,7 +422,6 @@ def cmd_simulate(args) -> int:
         hierarchies_equivalent,
     )
     from .scenarios import Scenario
-    from .sim.errors import RankFailedError
 
     problem, preset, name = _job_setup(args)
     machine = preset(nprocs=args.procs)
@@ -436,15 +437,8 @@ def cmd_simulate(args) -> int:
         strategy=_make_strategy(name, retry=_retry_policy(args)),
         hierarchy=hierarchy,
     )
-    try:
-        results = run_job(machine, lambda c: sim.run(c, base="run"),
-                          nprocs=args.procs)
-    except RankFailedError as err:
-        cause = err.__cause__ or err
-        print(f"error: simulation failed: {cause}", file=sys.stderr)
-        print("hint: transient faults can be absorbed with --retries N",
-              file=sys.stderr)
-        return 1
+    results = run_job(machine, lambda c: sim.run(c, base="run"),
+                      nprocs=args.procs)
     summary = results.results[0]
     print(f"{summary['cycles']} cycles, {summary['grids']} grids, "
           f"dump time {summary['write_time']:.3f}s (rank 0, simulated)")
@@ -458,13 +452,8 @@ def cmd_simulate(args) -> int:
               "skipping restart verification")
         return 0
     last = summary["dumps"][-1]
-    try:
-        restart = run_job(machine, lambda c: sim.restart(c, last),
-                          nprocs=args.procs)
-    except RankFailedError as err:
-        cause = err.__cause__ or err
-        print(f"error: restart of {last} failed: {cause}", file=sys.stderr)
-        return 1
+    restart = run_job(machine, lambda c: sim.restart(c, last),
+                      nprocs=args.procs)
     ok = hierarchies_equivalent(RankState.collect(restart.results),
                                 sim.hierarchy)
     print(f"restart of {last}: {'verified bit-exact' if ok else 'MISMATCH'}")
@@ -876,6 +865,16 @@ def main(argv=None) -> int:
     except (_UsageError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RankFailedError as err:
+        # A simulated rank raised: name the command, the rank and the failed
+        # operation (the rank's own exception) on one line, not a traceback.
+        cause = err.__cause__ or err
+        print(f"error: repro {args.command}: simulation failed on rank "
+              f"{err.rank}: {cause}", file=sys.stderr)
+        if isinstance(cause, InjectedIOError):
+            print("hint: transient faults can be absorbed with --retries N",
+                  file=sys.stderr)
+        return 1
     except BrokenPipeError:
         # the consumer (e.g. `| head`) closed the pipe: stop quietly with
         # the conventional 128+SIGPIPE status instead of a traceback

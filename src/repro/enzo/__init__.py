@@ -9,7 +9,7 @@ from .io_base import IOStats, IOStrategy, hierarchy_path
 from .layout import TOP, ArrayExtent, CheckpointLayout
 from .meta import GridMeta, HierarchyMeta, array_dtype
 from .simulation import EnzoConfig, EnzoSimulation
-from .sizing import WorkloadModel, grid_bytes, table1
+from .sizing import WorkloadModel, table1
 from .sort import parallel_sort_by_id
 from .state import PartitionedState, RankState, hierarchies_equivalent, make_owner_map
 from .validation import ValidationReport, compare_checkpoints, read_checkpoint_arrays
@@ -29,7 +29,6 @@ __all__ = [
     "EnzoConfig",
     "EnzoSimulation",
     "WorkloadModel",
-    "grid_bytes",
     "table1",
     "parallel_sort_by_id",
     "RankState",

@@ -2,7 +2,7 @@
 
 Flow: read/construct the initial grids, then repeat { evolve the hierarchy
 one cycle, adapt the mesh, rebalance, periodically dump a checkpoint }.
-Restart resumes from a checkpoint.
+Restart reads a checkpoint back into every rank's pieces.
 
 Execution model: the solver state is *replicated* -- every rank observes the
 same global hierarchy (rank 0 mutates it at synchronised points, all ranks
@@ -200,22 +200,6 @@ class EnzoSimulation:
         state, stats = self.strategy.read_checkpoint(comm, path)
         self.read_stats.append(stats)
         return state
-
-    def resume(self, comm: Comm, path: str, base: str = "resumed") -> dict:
-        """Restart from ``path`` and continue evolving (the full restart
-        scenario: read the checkpoint, rebuild the replicated hierarchy,
-        then run the remaining cycles with dumps).
-
-        The rebuild gathers every rank's pieces to rank 0 (real
-        communication over the machine model) and installs the collected
-        hierarchy as the shared replicated state.
-        """
-        state = self.restart(comm, path)
-        gathered = coll.gather(comm, state, root=0)
-        if comm.rank == 0:
-            self.hierarchy = RankState.collect(gathered)
-        coll.barrier(comm)  # hierarchy now installed for every rank
-        return self.run(comm, base=base)
 
     # -- internals ---------------------------------------------------------------
 

@@ -23,17 +23,7 @@ from ..amr.fields import BARYON_FIELDS
 from ..amr.particles import PARTICLE_ARRAYS
 from .meta import array_dtype
 
-__all__ = ["WorkloadModel", "grid_bytes", "table1"]
-
-
-def grid_bytes(dims: tuple[int, int, int], nparticles: int) -> int:
-    """Checkpoint bytes of one grid: baryon fields + particle arrays."""
-    cells = int(np.prod(dims))
-    fields = cells * 8 * len(BARYON_FIELDS)
-    particles = sum(
-        nparticles * array_dtype(a).itemsize for a in PARTICLE_ARRAYS
-    )
-    return fields + particles
+__all__ = ["WorkloadModel", "table1"]
 
 
 @dataclass

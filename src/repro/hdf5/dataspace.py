@@ -6,18 +6,15 @@ in each dimension, starting at ``start`` (H5Sselect_hyperslab semantics;
 ``stride=None``/``block=None`` default to 1, giving the plain subarray case
 the ENZO port uses).
 
-:meth:`Hyperslab.file_runs` flattens a selection into contiguous element
-runs of the row-major dataset -- the unit the paper's "recursive hyperslab
-packing" overhead is charged per.
+``H5Dataset.file_segments`` flattens a selection into contiguous byte runs
+of the row-major dataset; the unmerged run count is the unit the paper's
+"recursive hyperslab packing" overhead is charged per.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
-
-from ..mpi.datatypes import _flat_runs
 
 __all__ = ["Dataspace", "Hyperslab"]
 
@@ -38,10 +35,6 @@ class Dataspace:
     @property
     def rank(self) -> int:
         return len(self.shape)
-
-    @property
-    def npoints(self) -> int:
-        return math.prod(self.shape)
 
     def select_all(self) -> "Hyperslab":
         return Hyperslab(start=(0,) * self.rank, count=self.shape)
@@ -92,10 +85,6 @@ class Hyperslab:
         """Shape of the selected data when packed into memory."""
         return tuple(c * b for c, b in zip(self.count, self.block))
 
-    @property
-    def npoints(self) -> int:
-        return math.prod(self.selection_shape)
-
     def extent_needed(self) -> tuple[int, ...]:
         """Minimal dataspace shape containing the selection."""
         out = []
@@ -114,15 +103,3 @@ class Hyperslab:
                     f"selection exceeds dataspace in dim {dim}: {need} > {have}"
                 )
 
-    def file_runs(self, space: Dataspace) -> tuple[list[int], int]:
-        """Flatten into element runs along the last axis, unmerged across
-        rows: the unit recursive hyperslab packing is charged per.
-
-        Returns ``(run_starts, run_length)``: every run has the same length,
-        in element units, sorted ascending.  ``H5Dataset.file_segments``
-        flattens the same selection merged, in bytes.
-        """
-        self.validate_within(space)
-        runs, _ = _flat_runs(space.shape, self.start, self.count, self.stride,
-                             self.block, fold=False)
-        return [s for s, _ in runs], (runs[0][1] if runs else 0)

@@ -79,7 +79,7 @@ class H5Dataset:
         self._header_offset = header_offset
         self.space = Dataspace(header.shape)
         self._closed = False
-        self._flat = None  # (selection, its byte runs, its file_runs count)
+        self._flat = None  # (selection, its byte runs, its unmerged run count)
 
     @property
     def name(self) -> str:

@@ -166,7 +166,6 @@ def diagnose(
     stripe_widen_to: int = 0,
     hints=None,
     strategy: str | None = None,
-    rules: list[str] | None = None,
 ) -> Diagnosis:
     """Run the detector rules over ``trace`` and return the diagnosis."""
     ctx = TraceContext(
@@ -178,12 +177,8 @@ def diagnose(
         hints=hints,
         strategy=strategy,
     )
-    registered = all_rules()
-    selected = registered if rules is None else {
-        r: registered[r] for r in rules
-    }
     diagnosis = Diagnosis()
-    for fn in selected.values():
+    for fn in all_rules().values():
         for insight in fn(ctx):
             diagnosis.add(insight)
     diagnosis.sort()

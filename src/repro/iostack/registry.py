@@ -43,7 +43,6 @@ __all__ = [
     "register",
     "unregister",
     "upgrade_chain",
-    "upgrades",
 ]
 
 #: layer name -> implementation class
@@ -146,11 +145,6 @@ def get(name: str) -> StrategyComposition:
 
 def compositions() -> tuple[StrategyComposition, ...]:
     return tuple(_REGISTRY[n] for n in sorted(_REGISTRY))
-
-
-def upgrades() -> dict[str, str]:
-    """strategy name -> the registered strategy it upgrades to."""
-    return {c.name: c.upgrades_to for c in compositions() if c.upgrades_to}
 
 
 def upgrade_chain(name: str) -> tuple[str, ...]:

@@ -156,7 +156,7 @@ class ADIOFile:
 
     # -- nonblocking post path (repro.aio) --------------------------------
 
-    def _post_write(self, issue, nbytes: int) -> AioRequest:
+    def _post_write(self, issue, nbytes: int) -> None:
         """Post ``issue`` to the rank's background flush service.
 
         The data is issued to the file system *now* (bytes land eagerly,
@@ -164,8 +164,9 @@ class ADIOFile:
         on the progress engine's drain timeline; the rank pays only the
         staging memcpy plus any backpressure wait.  Retries of transient
         failures run entirely on the drain timeline; an exhausted retry
-        budget records the error on the returned request, to be raised
-        when the request is waited on (drain / close / manifest barrier).
+        budget records the error on the posted request, to be raised when
+        the engine retires it (backpressure, a pre-read drain or the
+        manifest barrier).
         """
         proc = self.comm.proc
         proc.schedule_point()
@@ -180,7 +181,7 @@ class ADIOFile:
         _result, done, error = self._attempt(
             flush, nbytes, max(proc.clock, eng.clock)
         )
-        return eng.post(AioRequest(
+        eng.post(AioRequest(
             path=self.path, nbytes=nbytes, done_time=done, error=error
         ))
 
@@ -208,8 +209,17 @@ class ADIOFile:
 
     def write_contig(self, offset: int, data) -> int:
         """Contiguous write; blocking unless the handle has an ``aio``
-        config, in which case it is posted (see :meth:`iwrite_contig`)."""
-        return self.iwrite_contig(offset, data).nbytes
+        config, in which case it is posted to the flush service."""
+        self._check_open()
+        buf = as_byte_view(data)
+
+        def issue(ready_time):
+            done = self.fs.write(
+                self.path, offset, buf, node=self._node, ready_time=ready_time
+            )
+            return len(buf), done
+
+        return self._write(issue, len(buf))
 
     def write_vector(self, ops) -> int:
         """Issue N contiguous writes with ONE schedule-point crossing.
@@ -256,40 +266,8 @@ class ADIOFile:
         return self._issue(issue, total)
 
     def write_list(self, segments: list[tuple[int, int]], data) -> int:
-        """One list-I/O write request covering all ``segments``."""
-        return self.iwrite_list(segments, data).nbytes
-
-    # -- explicit nonblocking primitives ----------------------------------
-
-    def _write(self, issue, nbytes: int) -> AioRequest:
-        """Post ``issue`` to the flush service; without an ``aio`` config,
-        run it now and return an already-completed request."""
-        if self.aio is not None:
-            return self._post_write(issue, nbytes)
-        self._issue(issue, nbytes)
-        return AioRequest(
-            path=self.path, nbytes=nbytes,
-            done_time=self.comm.proc.clock, retired=True,
-        )
-
-    def iwrite_contig(self, offset: int, data) -> AioRequest:
-        """Nonblocking contiguous write; returns a testable/waitable
-        request.  Without an ``aio`` config this degrades to the blocking
-        write and returns an already-completed request (legal MPI
-        semantics for ``MPI_File_iwrite``)."""
-        self._check_open()
-        buf = as_byte_view(data)
-
-        def issue(ready_time):
-            done = self.fs.write(
-                self.path, offset, buf, node=self._node, ready_time=ready_time
-            )
-            return len(buf), done
-
-        return self._write(issue, len(buf))
-
-    def iwrite_list(self, segments: list[tuple[int, int]], data) -> AioRequest:
-        """Nonblocking list-I/O write; see :meth:`iwrite_contig`."""
+        """One list-I/O write request covering all ``segments``; posted
+        like :meth:`write_contig` when the handle has an ``aio`` config."""
         self._check_open()
         buf = as_byte_view(data)
 
@@ -300,6 +278,15 @@ class ADIOFile:
             return len(buf), done
 
         return self._write(issue, len(buf))
+
+    def _write(self, issue, nbytes: int) -> int:
+        """Post ``issue`` to the flush service; without an ``aio`` config,
+        run it now."""
+        if self.aio is not None:
+            self._post_write(issue, nbytes)
+        else:
+            self._issue(issue, nbytes)
+        return nbytes
 
     # -- metadata ------------------------------------------------------------
 

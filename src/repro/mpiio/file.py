@@ -64,8 +64,8 @@ class File:
         ``retry`` is an optional :class:`~repro.resilience.RetryPolicy`
         applied to every data operation on the returned handle.  ``aio``
         is an optional :class:`~repro.aio.AioConfig`: with it, writes are
-        posted to the rank's background flush service (nonblocking
-        semantics) and ``iwrite_at`` returns a genuinely pending request.
+        posted to the rank's background flush service (write-behind); a
+        read drains this rank's posts first.
         """
         if mode not in ("r", "w"):
             raise ValueError(f"bad mode {mode!r}")
@@ -93,8 +93,8 @@ class File:
         """Collective close; flushes any write-behind buffer first.
 
         Posted asynchronous writes stay pending past close -- the flush
-        barrier before a manifest commit (or an explicit request wait)
-        retires them; the bytes themselves landed at post time.
+        barrier before a manifest commit retires them; the bytes themselves
+        landed at post time.
         """
         self._wb_flush()
         coll.barrier(self.comm)
@@ -215,22 +215,6 @@ class File:
         n = self.write_at(self._pointer, buf)
         self._pointer += step
         return n
-
-    # -- nonblocking I/O (repro.aio request objects) ---------------------------
-
-    def iwrite_at(self, offset: int, buf):
-        """Nonblocking independent write (``MPI_File_iwrite_at``).
-
-        Returns an :class:`~repro.aio.AioRequest` with ``test(proc)`` /
-        ``wait(proc)`` semantics.  Without an ``aio`` config on the handle
-        the write completes immediately and the request is pre-completed.
-        """
-        self._wb_flush()
-        nbytes = self._nbytes(buf)
-        segs = self._segments_for(offset, nbytes)
-        if len(segs) == 1:
-            return self.adio.iwrite_contig(segs[0][0], buf)
-        return self.adio.iwrite_list(segs, buf)
 
     # -- collective I/O ---------------------------------------------------------------
 

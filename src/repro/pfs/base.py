@@ -498,10 +498,6 @@ class FileSystem:
         for device in self.devices():
             device.reset()
 
-    def describe(self) -> str:
-        """One-line description for benchmark reports."""
-        return self.name
-
 
 @dataclass
 class LRUCache:

@@ -111,6 +111,3 @@ class LocalDiskFS(FileSystem):
             for node in sorted(self._holders[path]):
                 by_node.setdefault(node, []).append(path)
         return by_node
-
-    def describe(self) -> str:
-        return f"{self.name}: {self.nnodes} private node-local disks"

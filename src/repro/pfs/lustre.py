@@ -136,10 +136,3 @@ class LustreFS(StripedServerFS):
 
     def devices(self):
         return super().devices() + [self.mds]
-
-    def describe(self) -> str:
-        lay = self.layout
-        return (
-            f"{self.name}: {self.nosts} OSTs, default "
-            f"{lay.stripe_count}x{lay.stripe_size // 1024} KiB stripes, single MDS"
-        )

@@ -419,9 +419,3 @@ class StripedServerFS(FileSystem):
             srv._head = None
         for ch in self._flush_egress.values():
             ch.reset()
-
-    def describe(self) -> str:
-        lay = self.layout
-        return (
-            f"{self.name}: {lay.nservers} servers, {lay.stripe_size // 1024} KiB stripes"
-        )

@@ -8,7 +8,7 @@ Public surface:
 * the exception hierarchy in :mod:`repro.sim.errors`.
 """
 
-from .engine import Engine, Proc, ProcState, current_proc
+from .engine import Engine, Proc, ProcState
 from .errors import DeadlockError, NotRunningError, RankFailedError, SimError
 from .resources import Timeline
 
@@ -16,7 +16,6 @@ __all__ = [
     "Engine",
     "Proc",
     "ProcState",
-    "current_proc",
     "Timeline",
     "SimError",
     "DeadlockError",

@@ -39,7 +39,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from .errors import DeadlockError, NotRunningError, RankFailedError
 
-__all__ = ["Engine", "Proc", "ProcState", "current_proc"]
+__all__ = ["Engine", "Proc", "ProcState"]
 
 
 class ProcState(Enum):
@@ -50,20 +50,6 @@ class ProcState(Enum):
     BLOCKED = "blocked"  # waiting for a wake() from another rank
     DONE = "done"  # SPMD function returned
     FAILED = "failed"  # SPMD function raised
-
-
-_tls = threading.local()
-
-
-def current_proc() -> "Proc":
-    """Return the :class:`Proc` of the calling simulation thread.
-
-    Raises :class:`NotRunningError` when called from outside a simulation.
-    """
-    proc = getattr(_tls, "proc", None)
-    if proc is None:
-        raise NotRunningError("no simulation rank is active on this thread")
-    return proc
 
 
 @dataclass
@@ -221,7 +207,6 @@ class Engine:
     # -- thread body -------------------------------------------------------
 
     def _thread_main(self, proc: Proc, fn, args, kwargs) -> None:
-        _tls.proc = proc
         proc._go.acquire()  # park until handed the baton
         if self._failure is not None:  # aborted before we ever ran
             return

@@ -1,8 +1,8 @@
 """Tests for ``repro.aio``: the background flush service and overlap.
 
 Covers the progress-engine queue semantics (post/retire order,
-backpressure, deferred errors), the ``MPI_File_iwrite``-style request
-objects, async-vs-sync byte equivalence and restartability, the Enzo
+backpressure, deferred errors), async-vs-sync byte equivalence and
+restartability, the Enzo
 driver's compute/checkpoint overlap win, and the determinism properties
 the regression gate relies on (run-stable and PYTHONHASHSEED-independent
 golden digests with background-flush events interleaving compute).
@@ -12,7 +12,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from repro.aio import AioConfig, AioRequest, ProgressEngine
@@ -22,7 +21,6 @@ from repro.enzo.simulation import EnzoConfig, EnzoSimulation
 from repro.insights import Severity, diagnose
 from repro.iostack import registry
 from repro.mpi import run_spmd
-from repro.mpiio import File
 from repro.topology.presets import origin2000
 
 NPROCS = 4
@@ -50,29 +48,30 @@ def test_aio_config_validates():
 def test_progress_engine_retires_in_post_order():
     eng = ProgressEngine(AioConfig())
     proc = FakeProc()
-    a = eng.post(AioRequest(path="f", nbytes=10, done_time=2.0))
-    b = eng.post(AioRequest(path="f", nbytes=20, done_time=5.0))
+    eng.post(AioRequest(path="a", nbytes=10, done_time=2.0))
+    eng.post(AioRequest(path="b", nbytes=20, done_time=5.0))
     assert eng.clock == 5.0  # drain timeline extends to the last post
     assert eng.staged_bytes == 30
-    assert not a.test(proc) and not b.test(proc)
+    assert proc.clock == 0.0  # posting does not wait
 
     eng.retire_oldest(proc)
-    assert a.retired and not b.retired
+    assert [r.path for r in eng.pending] == ["b"]
     assert proc.clock == 2.0
     assert eng.staged_bytes == 20
 
     eng.drain(proc)
-    assert b.retired and proc.clock == 5.0 and eng.staged_bytes == 0
+    assert not eng.pending and proc.clock == 5.0 and eng.staged_bytes == 0
 
 
 def test_wait_retires_every_older_request_first():
-    eng = ProgressEngine(AioConfig())
+    eng = ProgressEngine(AioConfig(staging_bytes=2))
     proc = FakeProc()
-    older = eng.post(AioRequest(path="f", nbytes=1, done_time=1.0))
-    newer = eng.post(AioRequest(path="f", nbytes=1, done_time=3.0))
-    newer.wait(proc)
-    assert older.retired and newer.retired
-    assert proc.clock == 3.0
+    eng.post(AioRequest(path="older", nbytes=1, done_time=1.0))
+    eng.post(AioRequest(path="newer", nbytes=1, done_time=3.0))
+    eng.reserve(1, proc)  # a backpressure wait frees the oldest byte only
+    assert [r.path for r in eng.pending] == ["newer"] and proc.clock == 1.0
+    eng.reserve(2, proc)
+    assert not eng.pending and proc.clock == 3.0
 
 
 def test_staging_bytes_backpressure_blocks_the_poster():
@@ -90,56 +89,12 @@ def test_deferred_error_surfaces_at_retirement_oldest_first():
     proc = FakeProc()
     boom = OSError("drain failed")
     eng.post(AioRequest(path="f", nbytes=1, done_time=1.0, error=boom))
-    ok = eng.post(AioRequest(path="f", nbytes=1, done_time=2.0))
+    eng.post(AioRequest(path="f", nbytes=1, done_time=2.0))
     with pytest.raises(OSError, match="drain failed"):
-        ok.wait(proc)  # waiting on the younger request hits the older error
-    ok.wait(proc)  # the failed request was consumed; the rest drains
-    assert ok.retired
-
-
-def test_precompleted_request_without_engine():
-    req = AioRequest(path="f", nbytes=0, done_time=1.0, retired=True)
-    assert req.test(FakeProc())
-    req.wait(FakeProc())  # no-op
-
-
-# -- iwrite request objects through the File layer --------------------------
-
-
-def test_iwrite_at_returns_pending_request_then_waits():
-    machine = origin2000(nprocs=2)
-    payload = np.arange(4096, dtype=np.float64)
-
-    def program(comm):
-        fh = File.open(comm, "iw", "w", aio=AioConfig())
-        req = fh.iwrite_at(0, payload)
-        assert isinstance(req, AioRequest)
-        pending_at_post = not req.test(comm.proc)
-        req.wait(comm.proc)
-        done_after_wait = req.test(comm.proc)
-        fh.close()
-        return pending_at_post, done_after_wait
-
-    res = run_spmd(machine, program, nprocs=2)
-    for pending, done in res.results:
-        assert pending  # the drain runs ahead of the rank's clock
-        assert done
-    stored = machine.fs.store.open("iw").read(0, payload.nbytes)
-    assert stored == payload.tobytes()
-
-
-def test_iwrite_without_aio_config_is_precompleted():
-    machine = origin2000(nprocs=2)
-
-    def program(comm):
-        fh = File.open(comm, "iw-sync", "w")
-        req = fh.iwrite_at(0, b"x" * 512)
-        ok = req.retired and req.test(comm.proc)
-        fh.close()
-        return ok
-
-    res = run_spmd(machine, program, nprocs=2)
-    assert all(res.results)
+        eng.drain(proc)  # the older request's error stops the drain
+    assert proc.clock == 1.0 and [r.done_time for r in eng.pending] == [2.0]
+    eng.drain(proc)  # the failed request was consumed; the rest drains
+    assert not eng.pending and proc.clock == 2.0
 
 
 # -- async strategy: byte equivalence and restart ---------------------------
@@ -265,21 +220,22 @@ def dense_write_trace(n=20, nbytes=1 << 20):
     return trace
 
 
+def stall_findings(trace, strategy):
+    """The ``sync-checkpoint-stall`` findings of the full diagnosis."""
+    diag = diagnose(trace, nprocs=4, strategy=strategy)
+    return [i for i in diag if i.rule == "sync-checkpoint-stall"]
+
+
 def test_stall_rule_warns_on_sync_strategy_and_points_at_async():
-    diag = diagnose(dense_write_trace(), nprocs=4,
-                    rules=["sync-checkpoint-stall"], strategy="mpi-io")
-    warns = diag.findings(Severity.WARN)
-    assert len(warns) == 1
-    recs = warns[0].recommendations
+    (found,) = stall_findings(dense_write_trace(), "mpi-io")
+    assert found.severity is Severity.WARN
+    recs = found.recommendations
     assert recs and recs[0].params["to"] == "mpi-io-async"
 
 
 def test_stall_rule_is_quiet_for_async_strategy():
-    diag = diagnose(dense_write_trace(), nprocs=4,
-                    rules=["sync-checkpoint-stall"],
-                    strategy="mpi-io-async")
-    assert diag.count(Severity.WARN) == 0
-    assert diag.count(Severity.HIGH) == 0
+    found = stall_findings(dense_write_trace(), "mpi-io-async")
+    assert [i.severity for i in found] == [Severity.OK]
 
 
 def test_stall_rule_is_quiet_when_writes_are_sparse():
@@ -287,6 +243,5 @@ def test_stall_rule_is_quiet_when_writes_are_sparse():
     for i in range(4):
         trace.record(op="write", path="dump", offset=i * 100,
                      nbytes=100, start=i * 50.0, end=i * 50.0 + 0.5, node=0)
-    diag = diagnose(trace, nprocs=4, rules=["sync-checkpoint-stall"],
-                    strategy="mpi-io")
-    assert diag.count(Severity.WARN) == 0
+    found = stall_findings(trace, "mpi-io")
+    assert [i.severity for i in found] == [Severity.OK]

@@ -127,6 +127,20 @@ class TestTableCommand:
         assert len(rows) == 3
         assert any(int(l.split()[-1]) > 0 for l in rows)
 
+    def test_read_fault_on_lustre_is_one_line_not_a_traceback(self, capsys):
+        """A rank that fails the initial-grid read ends the run with exit 1
+        and one error line naming the command, the rank and the failed
+        read, plus the ``--retries`` hint."""
+        rc = main(["table", "--problem", "AMR16", "--procs", "2",
+                   "--machine", "lustre", "--inject", "read:persistent"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "error: repro table: simulation failed on rank 0: injected read "
+            "fault on 'ckpt.init.hierarchy'",
+            "hint: transient faults can be absorbed with --retries N",
+        ]
+
 
 class TestFilesystemConstraintErrors:
     """scda requires one coherent shared file; a scatter-mode node-local

@@ -19,7 +19,6 @@ from repro.enzo import (
     HierarchyMeta,
     RankState,
     WorkloadModel,
-    grid_bytes,
     hierarchies_equivalent,
     make_owner_map,
     parallel_sort_by_id,
@@ -189,12 +188,6 @@ class TestRankState:
 
 
 class TestSizing:
-    def test_grid_bytes(self):
-        got = grid_bytes((4, 4, 4), 10)
-        fields = 64 * 8 * len(BARYON_FIELDS)
-        particles = 10 * 8 * len(PARTICLE_ARRAYS)
-        assert got == fields + particles
-
     def test_table1_shape(self):
         rows = table1()
         assert [r["problem"] for r in rows] == ["AMR64", "AMR128", "AMR256"]

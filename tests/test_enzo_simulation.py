@@ -132,43 +132,3 @@ class TestSimulationRun:
         m = make_machine(2)
         run_spmd(m, lambda c: sim.run(c, base="g"), nprocs=2)
         assert len(sim.hierarchy) >= before
-
-
-class TestResume:
-    def test_resume_continues_from_checkpoint(self):
-        sim = make_sim(ncycles=2)
-        m = make_machine(3)
-        res = run_spmd(m, lambda c: sim.run(c, base="a"), nprocs=3)
-        last = res.results[0]["dumps"][-1]
-        grids_before = len(sim.hierarchy)
-
-        # A fresh simulation object resumes from the dump on a new machine
-        # sharing the same file system.
-        sim2 = make_sim(ncycles=1)
-        sim2.hierarchy = None
-        m2 = make_machine(3, fs=m.fs)
-        res2 = run_spmd(
-            m2, lambda c: sim2.resume(c, last, base="b"), nprocs=3
-        )
-        summary = res2.results[0]
-        assert summary["dumps"] == ["b.cycle0001"]
-        assert m2.fs.exists("b.cycle0001")
-        # The resumed run started from the dumped state (same or more grids
-        # after one more refinement step).
-        assert summary["grids"] >= 1
-        assert len(sim2.read_stats) == 3
-
-    def test_resumed_state_matches_original(self):
-        """Resume with zero extra cycles reproduces the dumped hierarchy."""
-        from repro.enzo import hierarchies_equivalent
-
-        sim = make_sim(ncycles=1)
-        m = make_machine(2)
-        res = run_spmd(m, lambda c: sim.run(c, base="x"), nprocs=2)
-        last = res.results[0]["dumps"][-1]
-
-        sim2 = make_sim(ncycles=0)
-        sim2.hierarchy = None
-        m2 = make_machine(2, fs=m.fs)
-        run_spmd(m2, lambda c: sim2.resume(c, last, base="y"), nprocs=2)
-        assert hierarchies_equivalent(sim2.hierarchy, sim.hierarchy)

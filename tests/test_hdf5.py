@@ -20,7 +20,6 @@ class TestDataspace:
     def test_basic(self):
         s = Dataspace((4, 5))
         assert s.rank == 2
-        assert s.npoints == 20
         assert s.select_all().selection_shape == (4, 5)
 
     def test_validation(self):
@@ -30,56 +29,60 @@ class TestDataspace:
             Dataspace((-1,))
 
 
+def dataset_runs(space, sel):
+    """``sel``'s merged byte runs in a one-byte-per-element dataset at file
+    offset 0, and the unmerged run count its packing charge counts."""
+    charges = []
+    f = SimpleNamespace(comm=SimpleNamespace(compute=charges.append),
+                        costs=SimpleNamespace(pack_per_run=1.0))
+    d = H5Dataset(f, ObjectHeader("d", np.uint8, space.shape, 0, 0), 0)
+    return d._segments(sel), int(charges[0])
+
+
 class TestHyperslab:
     def test_simple_block_runs(self):
-        space = Dataspace((4, 6))
         sel = Hyperslab(start=(1, 2), count=(2, 3))
         # stride == block == 1 makes the last axis dense: one run per row.
-        starts, run_len = sel.file_runs(space)
-        assert run_len == 3
-        assert len(starts) == 2
+        segs, nruns = dataset_runs(Dataspace((4, 6)), sel)
+        assert nruns == 2
+        assert [n for _, n in segs] == [3, 3]
         assert sel.selection_shape == (2, 3)
 
     def test_dense_last_axis_merges_into_rows(self):
-        space = Dataspace((4, 6))
         sel = Hyperslab(start=(1, 2), count=(2, 3))
-        starts, run_len = sel.file_runs(space)
-        assert run_len == 3
-        np.testing.assert_array_equal(starts, [1 * 6 + 2, 2 * 6 + 2])
+        segs, _ = dataset_runs(Dataspace((4, 6)), sel)
+        assert segs == [(1 * 6 + 2, 3), (2 * 6 + 2, 3)]
 
     def test_strided_selection(self):
-        space = Dataspace((1, 10))
         sel = Hyperslab(start=(0, 0), count=(1, 3), stride=(1, 4), block=(1, 2))
-        starts, run_len = sel.file_runs(space)
-        assert run_len == 2
-        np.testing.assert_array_equal(starts, [0, 4, 8])
+        segs, nruns = dataset_runs(Dataspace((1, 10)), sel)
+        assert segs == [(0, 2), (4, 2), (8, 2)] and nruns == 3
         assert sel.selection_shape == (1, 6)
 
     def test_3d_block(self):
-        space = Dataspace((4, 4, 4))
+        # Full rows of the last axis: four unmerged runs, adjacent in pairs.
         sel = Hyperslab(start=(1, 1, 0), count=(2, 2, 4))
-        starts, run_len = sel.file_runs(space)
-        assert run_len == 4
-        assert len(starts) == 4
+        segs, nruns = dataset_runs(Dataspace((4, 4, 4)), sel)
+        assert nruns == 4
+        assert segs == [(16 + 4, 8), (32 + 4, 8)]
 
     def test_out_of_bounds_rejected(self):
-        space = Dataspace((4, 4))
-        with pytest.raises(ValueError):
-            Hyperslab(start=(0, 2), count=(1, 3)).file_runs(space)
+        with pytest.raises(ValueError, match="exceeds dataspace in dim 1"):
+            Hyperslab(start=(0, 2), count=(1, 3)).validate_within(
+                Dataspace((4, 4)))
 
     def test_rank_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            Hyperslab(start=(0,), count=(1,)).file_runs(Dataspace((4, 4)))
+        with pytest.raises(ValueError, match="rank 1 != dataspace rank 2"):
+            Hyperslab(start=(0,), count=(1,)).validate_within(Dataspace((4, 4)))
 
     def test_overlapping_block_rejected(self):
         with pytest.raises(ValueError):
             Hyperslab(start=(0,), count=(2,), stride=(2,), block=(3,))
 
     def test_empty_selection(self):
-        starts, run_len = Hyperslab(start=(0,), count=(0,)).file_runs(
-            Dataspace((4,))
-        )
-        assert len(starts) == 0
+        segs, nruns = dataset_runs(Dataspace((4,)),
+                                   Hyperslab(start=(0,), count=(0,)))
+        assert segs == [] and nruns == 0
 
 
 @settings(max_examples=80, deadline=None)
@@ -88,7 +91,8 @@ class TestHyperslab:
     data=st.data(),
 )
 def test_property_hyperslab_runs_match_numpy(shape, data):
-    """file_runs covers exactly the elements numpy fancy indexing selects."""
+    """A dataset's byte runs cover exactly the elements numpy fancy
+    indexing selects, in order and once each."""
     space = Dataspace(shape)
     start, count, stride, block = [], [], [], []
     for n in shape:
@@ -103,10 +107,8 @@ def test_property_hyperslab_runs_match_numpy(shape, data):
         stride.append(sr)
         block.append(b)
     sel = Hyperslab(tuple(start), tuple(count), tuple(stride), tuple(block))
-    starts, run_len = sel.file_runs(space)
-    got = set()
-    for s in starts:
-        got.update(range(int(s), int(s) + run_len))
+    segs, _ = dataset_runs(space, sel)
+    got = [i for off, n in segs for i in range(off, off + n)]
     mask = np.zeros(shape, dtype=bool)
     idx0 = [
         [s + i * sr + j for i in range(c) for j in range(b)]
@@ -115,9 +117,7 @@ def test_property_hyperslab_runs_match_numpy(shape, data):
     for i in idx0[0]:
         for j in idx0[1]:
             mask[i, j] = True
-    expect = set(np.flatnonzero(mask.ravel()).tolist())
-    assert got == expect
-    assert len(starts) * run_len == sel.npoints
+    assert got == np.flatnonzero(mask.ravel()).tolist()
 
 
 def _ref_indices(self, dim):
@@ -133,9 +133,10 @@ def _ref_indices(self, dim):
 
 
 def _ref_file_runs(self, space):
-    """``Hyperslab.file_runs`` before the closed form, verbatim."""
+    """The unmerged element runs of a selection, as ``Hyperslab.file_runs``
+    computed them before the closed form (``npoints == 0`` spelled out)."""
     self.validate_within(space)
-    if self.npoints == 0:
+    if 0 in self.selection_shape:
         return np.empty(0, dtype=np.int64), 0
     shape = space.shape
     strides = np.empty(len(shape), dtype=np.int64)
@@ -208,9 +209,8 @@ def strided_hyperslabs(draw):
     data_offset=st.integers(0, 1 << 20),
 )
 def test_property_hyperslab_closed_form_matches_reference(case, dtype, data_offset):
-    """A dataset's byte runs equal the per-row merge, as Python ints; the
-    packing charge still counts the unmerged rows, and ``file_runs`` still
-    lists them."""
+    """A dataset's byte runs equal the per-row merge, as Python ints, and
+    the packing charge still counts the unmerged rows."""
     space, sel = case
     charges = []
     f = SimpleNamespace(comm=SimpleNamespace(compute=charges.append),
@@ -222,11 +222,8 @@ def test_property_hyperslab_closed_form_matches_reference(case, dtype, data_offs
     assert got == _ref_file_segments(sel, space, data_offset, item)
     assert all(type(x) is int for seg in got for x in seg)
     assert d.file_segments(sel) is got  # the manifest reuses the write's runs
-    ref_starts, ref_len = _ref_file_runs(sel, space)
+    ref_starts, _ = _ref_file_runs(sel, space)
     assert charges == [len(ref_starts) * 1.0]
-    starts, run_len = sel.file_runs(space)
-    assert starts == ref_starts.tolist()
-    assert run_len == ref_len or not starts
 
 
 class TestH5File:

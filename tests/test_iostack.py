@@ -109,7 +109,8 @@ class TestRegistry:
             registry.create("netcdf")
 
     def test_upgrades_derived_from_registrations(self):
-        ups = registry.upgrades()
+        ups = {c.name: c.upgrades_to for c in registry.compositions()
+               if c.upgrades_to}
         assert ups["hdf4"] == "mpi-io"
         assert ups["hdf5"] == "mpi-io"
         assert ups["mpi-io"] == "mpi-io-async"

@@ -479,10 +479,6 @@ class TestLustreFS:
         fs._service_meta("delete", "f0", 0, 0.0)
         assert fs.layout_for("f0") is fs.layout
 
-    def test_describe_names_the_geometry(self):
-        d = make_lustre_fs().describe()
-        assert "4 OSTs" in d and "single MDS" in d
-
 
 def test_striping_hints_reach_the_filesystem(hierarchy):
     """mpi-io-lustre's striping_factor/striping_unit hints land as an

@@ -63,11 +63,16 @@ def test_select_scale_cells_keeps_the_prefixed_grammar():
         ScaleCell("origin2000", "mpi-io", 64)]
 
 
-#: Methods ``TARGETS`` names that the MPI layer no longer has (one
-#: communicator, named receives).  The tracer's ``_patch_method`` skips a
-#: method its class does not define, so a missing *method* costs nothing;
-#: a missing module-level function or class would fail ``install()``.
-GONE_METHODS = {"Comm.recv_with_status", "Comm.sendrecv", "Comm.split", "Comm.dup"}
+#: Methods ``TARGETS`` names that the library no longer has: the MPI layer
+#: keeps one communicator and named receives, write-behind completes
+#: through the progress engine alone, and only tests resumed a simulation.
+#: The tracer's ``_patch_method`` skips a method its class does not define,
+#: so a missing *method* costs nothing; a missing module-level function or
+#: class would fail ``install()``.
+GONE_METHODS = {
+    "Comm.recv_with_status", "Comm.sendrecv", "Comm.split", "Comm.dup",
+    "AioRequest.test", "AioRequest.wait", "EnzoSimulation.resume",
+}
 
 
 def test_every_tracer_target_resolves():

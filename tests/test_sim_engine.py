@@ -7,10 +7,8 @@ import pytest
 from repro.sim import (
     DeadlockError,
     Engine,
-    NotRunningError,
     ProcState,
     RankFailedError,
-    current_proc,
 )
 
 from .conftest import sim_rank_threads
@@ -235,18 +233,6 @@ def test_engine_is_deterministic():
     t2, c2 = build()
     assert t1 == t2
     assert c1 == c2
-
-
-def test_current_proc_inside_and_outside():
-    eng = Engine(2)
-
-    def main(proc):
-        assert current_proc() is proc
-        return True
-
-    assert eng.run(main) == [True, True]
-    with pytest.raises(NotRunningError):
-        current_proc()
 
 
 def test_max_clock_reports_makespan():
