@@ -87,3 +87,13 @@ if [ "$(grep -c "except RankFailedError" src/repro/cli.py)" != 1 ] \
     echo "src/repro/cli.py catches RankFailedError outside main: let main report it" >&2
     exit 1
 fi
+
+echo "== one compute-charge constant =="
+# The solver's cost per cell update is amr/solver.py:FLOPS_PER_CELL; a
+# compute_time() charge that multiplies by a number literal elsewhere states
+# that cost a second time, where the two can drift apart.
+if grep -rnE 'compute_time\((.*\*[[:space:]]*[0-9]|(.*[^A-Za-z0-9_.])?[0-9][0-9_.eE]*[[:space:]]*\*)' \
+        src/repro --include=*.py | grep -v "^src/repro/amr/solver\.py:"; then
+    echo "a compute_time() charge multiplies by a literal: use amr.solver.FLOPS_PER_CELL" >&2
+    exit 1
+fi

@@ -18,10 +18,9 @@ depends on buffers the application may have mutated since, and restart
 bytes are identical to the synchronous path's.
 """
 
-from .core import AioConfig, AioRequest, ProgressEngine, drain_all, progress_engine
+from .core import AioRequest, ProgressEngine, drain_all, progress_engine
 
 __all__ = [
-    "AioConfig",
     "AioRequest",
     "ProgressEngine",
     "drain_all",

@@ -1,4 +1,4 @@
-"""The background-flush service: config, request objects, progress engine.
+"""The background-flush service: request objects and the progress engine.
 
 One :class:`ProgressEngine` per rank lives in the rank's ``Proc.ns``
 scratch space (the same place the MPI mailboxes live), so every SPMD run
@@ -15,10 +15,9 @@ overlap with compute comes from.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
-    "AioConfig",
     "AioRequest",
     "ProgressEngine",
     "drain_all",
@@ -27,22 +26,11 @@ __all__ = [
 
 _NS_KEY = "aio.progress"
 
-
-@dataclass(frozen=True)
-class AioConfig:
-    """Sizing of the per-rank background flush service.
-
-    ``staging_bytes`` bounds staged data (the queue is gated by memory,
-    not by request count, as in VOL-async); posting past it retires the
-    oldest requests first (backpressure), charging the waiting time to
-    the posting rank like a full staging queue would.
-    """
-
-    staging_bytes: int = 64 * 1024 * 1024
-
-    def __post_init__(self):
-        if self.staging_bytes < 1:
-            raise ValueError("staging_bytes must be >= 1")
+#: Bound on a rank's staged bytes (the queue is gated by memory, not by
+#: request count, as in VOL-async); posting past it retires the oldest
+#: requests first (backpressure), charging the waiting time to the posting
+#: rank like a full staging queue would.
+STAGING_BYTES = 64 * 1024 * 1024
 
 
 @dataclass
@@ -64,8 +52,7 @@ class AioRequest:
 class ProgressEngine:
     """One rank's simulated I/O-progress thread and staging queue."""
 
-    def __init__(self, config: AioConfig):
-        self.config = config
+    def __init__(self):
         self.clock = 0.0  # drain timeline (>= every retired done_time)
         self.pending: deque[AioRequest] = deque()
         self.staged_bytes = 0
@@ -78,8 +65,7 @@ class ProgressEngine:
 
     def reserve(self, nbytes: int, proc) -> None:
         """Backpressure: retire oldest requests until ``nbytes`` fits."""
-        limit = self.config.staging_bytes
-        while self.pending and self.staged_bytes + nbytes > limit:
+        while self.pending and self.staged_bytes + nbytes > STAGING_BYTES:
             self.retire_oldest(proc)
 
     def retire_oldest(self, proc) -> None:
@@ -96,11 +82,11 @@ class ProgressEngine:
             self.retire_oldest(proc)
 
 
-def progress_engine(proc, config: AioConfig) -> ProgressEngine:
+def progress_engine(proc) -> ProgressEngine:
     """Get or create the rank's progress engine (fresh per SPMD run)."""
     eng = proc.ns.get(_NS_KEY)
     if eng is None:
-        eng = ProgressEngine(config)
+        eng = ProgressEngine()
         proc.ns[_NS_KEY] = eng
     return eng
 

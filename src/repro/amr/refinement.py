@@ -27,20 +27,24 @@ def flag_cells(grid: Grid, overdensity_threshold: float) -> np.ndarray:
     return grid.fields["density"] > overdensity_threshold
 
 
+#: A box no wider than this along every axis is never split again.
+MIN_CELLS = 8
+#: Clustering stops once this many boxes are accepted or pending.
+MAX_BOXES = 4096
+
+
 def cluster_flags(
     flags: np.ndarray,
     *,
     min_efficiency: float = 0.15,
-    min_cells: int = 8,
-    max_boxes: int = 4096,
     max_box_cells: int | None = 16384,
 ) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Cluster flagged cells into boxes (simplified Berger--Rigoutsos).
 
     Returns ``(lo, hi)`` cell-index boxes (hi exclusive).  A box is accepted
     when its flagged fraction reaches ``min_efficiency`` or it cannot be
-    split further; otherwise it is bisected across its longest axis at the
-    flag-signature minimum.  ``max_box_cells`` caps box volume (ENZO's
+    split further (:data:`MIN_CELLS`); otherwise it is bisected across its
+    longest axis at the flag-signature minimum.  ``max_box_cells`` caps box volume (ENZO's
     MaximumSubgridSize): oversized boxes are split even when efficient,
     which keeps grids balanceable across processors.
     """
@@ -48,7 +52,7 @@ def cluster_flags(
     if not flags.any():
         return boxes
     work = [_bounding_box(flags)]
-    while work and len(boxes) + len(work) <= max_boxes:
+    while work and len(boxes) + len(work) <= MAX_BOXES:
         lo, hi = work.pop()
         sub = flags[tuple(slice(a, b) for a, b in zip(lo, hi))]
         total = sub.sum()
@@ -57,7 +61,7 @@ def cluster_flags(
         volume = sub.size
         widths = [b - a for a, b in zip(lo, hi)]
         small_enough = max_box_cells is None or volume <= max_box_cells
-        efficient = total / volume >= min_efficiency or max(widths) <= min_cells
+        efficient = total / volume >= min_efficiency or max(widths) <= MIN_CELLS
         if efficient and small_enough:
             boxes.append((lo, hi))
             continue
@@ -67,9 +71,9 @@ def cluster_flags(
             # signature, where the signature-minimum cut would shave
             # slivers and never converge).
             n = sub.shape[axis]
-            cut = n // 2 if n >= 2 * min_cells else None
+            cut = n // 2 if n >= 2 * MIN_CELLS else None
         else:
-            cut = _best_cut(sub, axis, min_cells)
+            cut = _best_cut(sub, axis)
         if cut is None:
             boxes.append((lo, hi))
             continue
@@ -104,16 +108,16 @@ def _shrink_to_flags(flags: np.ndarray, box):
     )
 
 
-def _best_cut(sub: np.ndarray, axis: int, min_cells: int):
+def _best_cut(sub: np.ndarray, axis: int):
     """Cut index along ``axis`` at the signature minimum (None if too thin)."""
     n = sub.shape[axis]
-    if n < 2 * min_cells:
+    if n < 2 * MIN_CELLS:
         return None
     signature = sub.sum(axis=tuple(d for d in range(sub.ndim) if d != axis))
-    interior = signature[min_cells : n - min_cells + 1]
+    interior = signature[MIN_CELLS : n - MIN_CELLS + 1]
     if len(interior) == 0:
         return None
-    return min_cells + int(np.argmin(interior))
+    return MIN_CELLS + int(np.argmin(interior))
 
 
 def refine_grid(
@@ -122,7 +126,6 @@ def refine_grid(
     *,
     overdensity_threshold: float,
     min_efficiency: float = 0.15,
-    max_boxes: int = 4096,
     max_box_cells: int | None = 16384,
 ) -> list[Grid]:
     """Create child grids under ``grid`` where it is over-dense."""
@@ -131,7 +134,6 @@ def refine_grid(
     for lo, hi in cluster_flags(
         flags,
         min_efficiency=min_efficiency,
-        max_boxes=max_boxes,
         max_box_cells=max_box_cells,
     ):
         cw = grid.cell_width
@@ -178,7 +180,6 @@ def refine_hierarchy(
     overdensity_threshold: float,
     max_level: int = 4,
     min_efficiency: float = 0.15,
-    max_boxes: int = 4096,
     max_box_cells: int | None = 16384,
 ) -> list[Grid]:
     """Refine every current leaf grid below ``max_level``; returns new grids."""
@@ -192,7 +193,6 @@ def refine_hierarchy(
                 grid,
                 overdensity_threshold=overdensity_threshold,
                 min_efficiency=min_efficiency,
-                max_boxes=max_boxes,
                 max_box_cells=max_box_cells,
             )
         )

@@ -10,7 +10,8 @@ time.  The solver therefore does a cheap but real update:
 * particles: kick toward the densest cell in their grid (monopole
   gravity), drift, periodic wrap at the domain boundary;
 * particles are re-homed to the finest grid containing them afterwards;
-* compute time is charged per cell-update through the machine model.
+* compute time is charged per cell-update through the machine model, at
+  :data:`FLOPS_PER_CELL` (the Enzo driver charges each rank for its cells).
 
 Deterministic: no randomness after initial conditions.
 """
@@ -24,6 +25,9 @@ from .hierarchy import GridHierarchy
 from .particles import ParticleSet
 
 __all__ = ["evolve_grid", "evolve_hierarchy", "FLOPS_PER_CELL"]
+
+#: Time step of one evolution cycle (code units).
+DT = 0.1
 
 #: Rough per-cell-per-step cost of a PPM-like hydro sweep (paper-era codes
 #: quoted ~1-10 kflop/cell/step); used to charge compute time.
@@ -88,22 +92,8 @@ def _rehome_particles(hierarchy: GridHierarchy) -> None:
         root.particles = ParticleSet.concat([root.particles, remaining])
 
 
-def evolve_hierarchy(
-    hierarchy: GridHierarchy,
-    dt: float = 0.1,
-    *,
-    comm=None,
-    my_cells: int | None = None,
-) -> None:
-    """Advance every grid one step and re-home particles.
-
-    When ``comm`` is given, charges compute time for ``my_cells`` cell
-    updates (the cells this rank owns) through the machine model --
-    the simulation structure itself is kept globally consistent.
-    """
+def evolve_hierarchy(hierarchy: GridHierarchy) -> None:
+    """Advance every grid one step of :data:`DT` and re-home particles."""
     for grid in hierarchy.grids():
-        evolve_grid(grid, dt)
+        evolve_grid(grid, DT)
     _rehome_particles(hierarchy)
-    if comm is not None:
-        cells = my_cells if my_cells is not None else hierarchy.total_cells()
-        comm.compute(comm.machine.compute_time(cells * FLOPS_PER_CELL))

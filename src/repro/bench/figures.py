@@ -9,13 +9,11 @@ from __future__ import annotations
 
 __all__ = ["render_bars", "render_figure"]
 
+#: characters in the longest bar
+BAR_WIDTH = 48
 
-def render_bars(
-    rows: list[tuple[str, float]],
-    *,
-    width: int = 48,
-    unit: str = "s",
-) -> str:
+
+def render_bars(rows: list[tuple[str, float]], *, unit: str = "s") -> str:
     """Horizontal bar chart: ``rows`` are (label, value)."""
     if not rows:
         return "(no data)"
@@ -23,19 +21,13 @@ def render_bars(
     label_w = max(len(label) for label, _ in rows)
     lines = []
     for label, value in rows:
-        n = int(round(width * value / peak))
+        n = int(round(BAR_WIDTH * value / peak))
         bar = "#" * max(n, 1 if value > 0 else 0)
         lines.append(f"{label.rjust(label_w)} | {bar} {value:.3f} {unit}")
     return "\n".join(lines)
 
 
-def render_figure(
-    title: str,
-    series: dict[str, dict],
-    *,
-    metric: str = "write_s",
-    unit: str = "s",
-) -> str:
+def render_figure(title: str, series: dict[str, dict], *, unit: str = "s") -> str:
     """A paper-style grouped chart.
 
     ``series`` maps a strategy name to ``{x_label: value}``; groups are the

@@ -115,7 +115,7 @@ def _strided_write_program(comm, collective: bool, hints: Hints):
 def _run_pattern_cell(cell: Cell, machine, hints: Hints | None) -> dict:
     """The fig5 access-pattern cell: one strided write, no strategy."""
     hints = hints if hints is not None else Hints(ds_write=False)
-    with trace_filesystem(machine.fs, include_meta=True) as trace:
+    with trace_filesystem(machine.fs) as trace:
         job = run_job(
             machine,
             _strided_write_program,
@@ -214,7 +214,7 @@ def _run_driver_cell(cell: Cell, machine, strategy, scenario, hints) -> dict:
         problem=cell.problem if scenario is None else scenario,
         overlap=scenario is None,
     )
-    with trace_filesystem(machine.fs, include_meta=True) as trace:
+    with trace_filesystem(machine.fs) as trace:
         result = run_overlap_experiment(
             machine, strategy, config, nprocs=cell.nprocs
         )

@@ -99,7 +99,6 @@ def run_checkpoint_experiment(
     hierarchy: GridHierarchy,
     *,
     nprocs: int | None = None,
-    base: str = "ckpt",
     do_read: bool = True,
     read_op: str = "initial",
     read_hierarchy: GridHierarchy | None = None,
@@ -118,6 +117,7 @@ def run_checkpoint_experiment(
     if read_op not in ("initial", "restart"):
         raise ValueError(f"unknown read_op {read_op!r}")
     nprocs = nprocs or machine.nprocs
+    base = "ckpt"
 
     def write_program(comm, hierarchy, base):
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
@@ -171,8 +171,6 @@ def run_traced_experiment(
     machine: Machine,
     strategy: IOStrategy,
     hierarchy: GridHierarchy,
-    *,
-    include_meta: bool = True,
     **kwargs,
 ) -> tuple[ExperimentResult, IOTrace]:
     """:func:`run_checkpoint_experiment` with the file system traced.
@@ -183,7 +181,7 @@ def run_traced_experiment(
     """
     if machine.fs is None:
         raise ValueError("machine has no file system")
-    with trace_filesystem(machine.fs, include_meta=include_meta) as trace:
+    with trace_filesystem(machine.fs) as trace:
         result = run_checkpoint_experiment(
             machine, strategy, hierarchy, **kwargs
         )
@@ -218,7 +216,6 @@ def run_overlap_experiment(
     config,
     *,
     nprocs: int | None = None,
-    base: str = "dump",
 ) -> OverlapResult:
     """Run the Enzo driver (compute cycles + periodic dumps) on ``machine``.
 
@@ -236,7 +233,7 @@ def run_overlap_experiment(
         strategy=strategy,
         hierarchy=EnzoSimulation.build_initial_hierarchy(config),
     )
-    job = run_job(machine, lambda comm: sim.run(comm, base=base), nprocs=nprocs)
+    job = run_job(machine, lambda comm: sim.run(comm, "dump"), nprocs=nprocs)
     summaries = job.results
     return OverlapResult(
         makespan=job.elapsed,

@@ -222,8 +222,7 @@ def _arm_fault(fs, spec: str) -> bool:
     malformed spec (callers exit 2 -- it is a usage error).
     """
     parts = spec.split(":")
-    op = parts[0]
-    mode = parts[1] if len(parts) > 1 and parts[1] else "oneshot"
+    op, mode = parts[0], _inject_mode(spec)
     path = parts[2] if len(parts) > 2 else ""
     try:
         after = int(parts[3]) if len(parts) > 3 and parts[3] else 0
@@ -232,6 +231,12 @@ def _arm_fault(fs, spec: str) -> bool:
         print(f"error: bad --inject spec {spec!r}: {exc}", file=sys.stderr)
         return False
     return True
+
+
+def _inject_mode(spec: str) -> str:
+    """The fault mode of an ``--inject`` spec (``oneshot`` when omitted)."""
+    parts = spec.split(":")
+    return parts[1] if len(parts) > 1 and parts[1] else "oneshot"
 
 
 #: The figures ``repro figure`` charts; their cells are ``MATRIX``'s.
@@ -351,7 +356,7 @@ def cmd_analyze(args) -> int:
         state = RankState.from_hierarchy(hierarchy, comm.rank, comm.size)
         strategy.write_checkpoint(comm, state, "dump")
 
-    with trace_filesystem(machine.fs, include_meta=True) as trace:
+    with trace_filesystem(machine.fs) as trace:
         run_job(machine, program, nprocs=args.procs)
     print(
         format_trace_report(
@@ -467,6 +472,7 @@ def cmd_table(args) -> int:
     init = build_initial_workload(problem)
     rows = []
     for name in registry.names():
+        args.strategy = name  # named by main's line if a rank fails
         machine = preset(nprocs=args.procs)
         try:
             registry.check_filesystem(name, machine.fs)
@@ -556,7 +562,7 @@ def cmd_scenarios(args) -> int:
     for s in scenario_registry.scenarios():
         try:
             s.validate()
-            h = build_hierarchy(s.capped(32), initial=True)
+            h = build_hierarchy(s.capped(), initial=True)
             print(f"  ok: {s.name} ({len(h)} grids, max level "
                   f"{h.max_level})")
         except (ScenarioError, ValueError) as exc:
@@ -868,10 +874,19 @@ def main(argv=None) -> int:
     except RankFailedError as err:
         # A simulated rank raised: name the command, the rank and the failed
         # operation (the rank's own exception) on one line, not a traceback.
+        # ``table`` runs every strategy in turn, so it also names the one
+        # that failed.
         cause = err.__cause__ or err
+        during = (f" while running strategy {args.strategy}"
+                  if args.command == "table" else "")
         print(f"error: repro {args.command}: simulation failed on rank "
-              f"{err.rank}: {cause}", file=sys.stderr)
-        if isinstance(cause, InjectedIOError):
+              f"{err.rank}{during}: {cause}", file=sys.stderr)
+        # Retries help only against a fault that stops firing, and only
+        # when none were asked for.
+        inject = getattr(args, "inject", None)
+        if (isinstance(cause, InjectedIOError) and inject
+                and _inject_mode(inject) != "persistent"
+                and not getattr(args, "retries", 0)):
             print("hint: transient faults can be absorbed with --retries N",
                   file=sys.stderr)
         return 1

@@ -113,15 +113,11 @@ class IOTrace:
             last_end[e.path] = e.offset + e.nbytes
         return sequential / len(events)
 
-    def size_histogram(self, op: str, edges=None) -> dict[str, int]:
+    def size_histogram(self, op: str) -> dict[str, int]:
         """Requests bucketed by size decade."""
-        if edges is None:
-            edges = [0, 1 << 10, 1 << 14, 1 << 17, 1 << 20, 1 << 62]
-            labels = ["<1K", "1K-16K", "16K-128K", "128K-1M", ">=1M"]
-        else:
-            labels = [f"[{a},{b})" for a, b in zip(edges, edges[1:])]
-        sizes = self.request_sizes(op)
-        counts, _ = np.histogram(sizes, bins=edges)
+        edges = [0, 1 << 10, 1 << 14, 1 << 17, 1 << 20, 1 << 62]
+        labels = ["<1K", "1K-16K", "16K-128K", "128K-1M", ">=1M"]
+        counts, _ = np.histogram(self.request_sizes(op), bins=edges)
         return dict(zip(labels, counts.tolist()))
 
     def elapsed(self, op: str | None = None) -> float:
@@ -243,14 +239,14 @@ class IOTrace:
             return cls.from_json(f.read())
 
 
-def trace_filesystem(fs, *, include_meta: bool = False) -> IOTrace:
+def trace_filesystem(fs) -> IOTrace:
     """Subscribe a new trace to ``fs``'s request stream; returns it live.
 
     Every read/write lands in the trace with its virtual start/finish
     times, list-I/O as one event per segment sharing the request's times,
-    recovery notices as ``op="recovery"``.  With ``include_meta=True``,
-    namespace operations (open/create/delete) are recorded as ``op="meta"``
-    events too -- the raw material for metadata-churn diagnosis.
+    recovery notices as ``op="recovery"`` and namespace operations
+    (open/create/delete) as ``op="meta"`` -- the raw material for
+    metadata-churn diagnosis.
 
     ``trace.detach()`` ends the subscription, so a file system can be
     traced for one phase only; ``with trace_filesystem(fs) as trace:``
@@ -259,10 +255,9 @@ def trace_filesystem(fs, *, include_meta: bool = False) -> IOTrace:
     trace = IOTrace()
 
     def observe(op, path, offset, nbytes, start, end, node, kind, attempt):
-        if include_meta or op != "meta":
-            trace.events.append(
-                IOEvent(op, path, offset, nbytes, start, end, node, kind, attempt)
-            )
+        trace.events.append(
+            IOEvent(op, path, offset, nbytes, start, end, node, kind, attempt)
+        )
 
     fs.subscribe(observe)
     trace._unsubscribe = lambda: fs.unsubscribe(observe)

@@ -73,8 +73,9 @@ class IOStrategy(ABC):
     name: str = "abstract"
     #: optional RetryPolicy; ``None`` = fail-fast (pre-resilience behaviour)
     retry: RetryPolicy | None = None
-    #: optional repro.aio.AioConfig; ``None`` = fully synchronous I/O
-    aio = None
+    #: True: every data write is posted to the rank's background flush
+    #: service (repro.aio); False = fully synchronous I/O
+    aio: bool = False
     #: scale-mode: post a grid's array writes as one batched request
     #: (one schedule-point crossing); never set on pinned-digest paths
     batch_requests: bool = False
@@ -287,15 +288,13 @@ class ComposedStrategy(IOStrategy):
 
     def __init__(
         self, name: str, layout_planner, transport, fmt,
-        retry: RetryPolicy | None = None, aio=None,
+        retry: RetryPolicy | None = None, aio: bool = False,
     ):
         self.name = name
         self.layout_planner = layout_planner
         self.transport = transport
         self.format = fmt
         self.retry = retry
-        #: optional repro.aio.AioConfig; non-None makes every data write
-        #: nonblocking (posted to the per-rank background flush service)
         self.aio = aio
 
     def _write_data(self, comm: Comm, state: RankState, base: str) -> StackContext:
@@ -314,7 +313,7 @@ class ComposedStrategy(IOStrategy):
     def write_checkpoint(self, comm: Comm, state: RankState, base: str) -> IOStats:
         t0 = comm.clock
         ctx = self._write_data(comm, state, base)
-        if self.aio is not None:
+        if self.aio:
             # Async transport: the data phases were only posted; drain and
             # commit at once (no compute to overlap with here -- the Enzo
             # driver's double buffering uses write_checkpoint_async).
@@ -328,7 +327,7 @@ class ComposedStrategy(IOStrategy):
     ) -> PendingDump:
         """Post the dump's data phases and return without committing.
 
-        With the strategy's ``aio`` config the data writes are posted to
+        With the strategy's ``aio`` set the data writes are posted to
         the background flush service, so the rank returns as soon as
         staging and communication are done.  The CRC32 manifest is *not*
         written yet: :meth:`PendingDump.complete` drains every pending

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 
 from ..amr.hierarchy import GridHierarchy
 from ..amr.refinement import refine_hierarchy
-from ..amr.solver import evolve_hierarchy
+from ..amr.solver import FLOPS_PER_CELL, evolve_hierarchy
 from ..mpi import collectives as coll
 from ..mpi.comm import Comm
 from ..scenarios import Scenario, build_hierarchy, resolve_scenario
@@ -31,9 +31,6 @@ from .plotfile import write_plotfile
 from .state import RankState
 
 __all__ = ["EnzoConfig", "EnzoSimulation"]
-
-#: Solver time step per cycle (simulation units).
-_DT = 0.1
 
 #: The refinement a problem *name* drives with, which every named driver
 #: run has used.  A registered scenario's own (threshold 2.2, four levels)
@@ -130,7 +127,7 @@ class EnzoSimulation:
         redshift_dumps = []
         my_stats = []  # this rank's dump stats (self.write_stats is shared)
         plot_stats = []
-        overlap = cfg.overlap and self.strategy.aio is not None
+        overlap = cfg.overlap and self.strategy.aio
         pending = None  # at most one in-flight dump (double buffering)
         z_schedule = (
             _redshift_schedule(scenario, ncycles)
@@ -208,7 +205,7 @@ class EnzoSimulation:
     ) -> None:
         coll.barrier(comm)
         if comm.rank == 0:
-            evolve_hierarchy(self.hierarchy, _DT)
+            evolve_hierarchy(self.hierarchy)
             refine_hierarchy(
                 self.hierarchy,
                 overdensity_threshold=scenario.refine_threshold,
@@ -216,6 +213,6 @@ class EnzoSimulation:
             )
         # Every rank pays for its own cells (parallel compute model).
         comm.compute(
-            comm.machine.compute_time(state.my_cells() * 2000.0)
+            comm.machine.compute_time(state.my_cells() * FLOPS_PER_CELL)
         )
         coll.barrier(comm)

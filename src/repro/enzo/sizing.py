@@ -8,8 +8,8 @@ structure: per grid, ``len(BARYON_FIELDS)`` float64 arrays of the grid's
 dims plus ``len(PARTICLE_ARRAYS)`` 1-D arrays over its particles.
 
 The exact figures depend on run length and refinement depth (the paper does
-not publish its cycle count); :func:`table1` therefore exposes those knobs
-and the benchmark reports our configuration next to the paper's qualitative
+not publish its cycle count); :class:`WorkloadModel` states ours as
+constants and :func:`table1` reports it next to the paper's qualitative
 shape: volumes grow ~8x per problem-size step and writes exceed reads.
 """
 
@@ -21,26 +21,31 @@ import numpy as np
 
 from ..amr.fields import BARYON_FIELDS
 from ..amr.particles import PARTICLE_ARRAYS
+from ..scenarios import registry as scenario_registry
 from .meta import array_dtype
 
 __all__ = ["WorkloadModel", "table1"]
+
+#: The paper's Table 1 problem sizes (scenario names).
+TABLE1_PROBLEMS = ("AMR64", "AMR128", "AMR256")
 
 
 @dataclass
 class WorkloadModel:
     """Structural model of an ENZO run's data volumes.
 
-    ``refined_fraction``: fraction of the domain covered by level-(l+1)
+    ``REFINED_FRACTION``: fraction of the domain covered by level-(l+1)
     grids relative to level l (each refinement doubles resolution, so a
     refined region's cells are ``8 * fraction`` of its parent level's).
+    The run is ``NCYCLES`` cycles with a checkpoint after each.
     """
 
     root_dims: tuple[int, int, int]
-    particles_per_cell: float = 0.25
-    levels: int = 2
-    refined_fraction: float = 0.15
-    ncycles: int = 3
-    dump_every: int = 1
+
+    PARTICLES_PER_CELL = 0.25
+    LEVELS = 2
+    REFINED_FRACTION = 0.15
+    NCYCLES = 3
 
     @property
     def root_cells(self) -> int:
@@ -48,20 +53,20 @@ class WorkloadModel:
 
     @property
     def nparticles(self) -> int:
-        return int(self.root_cells * self.particles_per_cell)
+        return int(self.root_cells * self.PARTICLES_PER_CELL)
 
     def level_cells(self, level: int) -> int:
         """Cells at a refinement level (level 0 = root)."""
         cells = self.root_cells
         for _ in range(level):
-            cells = int(cells * self.refined_fraction * 8)
+            cells = int(cells * self.REFINED_FRACTION * 8)
         return cells
 
     def hierarchy_bytes(self) -> int:
         """One full checkpoint: all levels' fields + all particles once."""
         field_bytes = sum(
             self.level_cells(l) * 8 * len(BARYON_FIELDS)
-            for l in range(self.levels + 1)
+            for l in range(self.LEVELS + 1)
         )
         particle_bytes = sum(
             self.nparticles * array_dtype(a).itemsize for a in PARTICLE_ARRAYS
@@ -80,25 +85,14 @@ class WorkloadModel:
 
     def write_bytes(self) -> int:
         """All checkpoint dumps over the run."""
-        dumps = len(
-            [c for c in range(1, self.ncycles + 1) if c % self.dump_every == 0]
-        )
-        return dumps * self.hierarchy_bytes()
+        return self.NCYCLES * self.hierarchy_bytes()
 
 
-def table1(
-    problems: dict[str, tuple[int, int, int]] | None = None, **model_kw
-) -> list[dict]:
+def table1() -> list[dict]:
     """Rows of Table 1: problem size, MB read, MB written."""
-    if problems is None:
-        problems = {
-            "AMR64": (64, 64, 64),
-            "AMR128": (128, 128, 128),
-            "AMR256": (256, 256, 256),
-        }
     rows = []
-    for name, dims in problems.items():
-        model = WorkloadModel(root_dims=dims, **model_kw)
+    for name in TABLE1_PROBLEMS:
+        model = WorkloadModel(root_dims=scenario_registry.get(name).root_dims)
         rows.append(
             {
                 "problem": name,

@@ -4,7 +4,7 @@ The paper (3.2.1): "To perform a parallel write for particle data, all
 processors perform a parallel sort according to the particle ID and then all
 processors independently perform block-wise MPI write."
 
-Sample sort: each rank sorts locally, contributes ``oversample`` samples,
+Sample sort: each rank sorts locally, contributes ``OVERSAMPLE`` samples,
 rank 0 picks P-1 splitters from the gathered sample, splitters are broadcast,
 particles are exchanged all-to-all by splitter bucket, and each rank merges
 its bucket.  Afterwards rank r holds a contiguous ID range, and an exclusive
@@ -21,9 +21,12 @@ from ..mpi.comm import Comm
 
 __all__ = ["parallel_sort_by_id"]
 
+#: splitter samples each rank contributes
+OVERSAMPLE = 8
+
 
 def parallel_sort_by_id(
-    comm: Comm, particles: ParticleSet, *, oversample: int = 8
+    comm: Comm, particles: ParticleSet
 ) -> tuple[ParticleSet, int, list[int]]:
     """Globally sort particles by ID across the communicator.
 
@@ -38,7 +41,7 @@ def parallel_sort_by_id(
 
     # Draw evenly spaced samples from the locally sorted ids.
     n = len(local)
-    k = min(oversample, n)
+    k = min(OVERSAMPLE, n)
     if k > 0:
         picks = np.linspace(0, n - 1, k).astype(np.int64)
         samples = local.ids[picks]

@@ -28,6 +28,7 @@ __all__ = ["MAGIC", "HEADER_SIZE", "DDEntry", "pack_header", "unpack_header",
            "pack_dd", "unpack_dds", "DTYPE_CODES", "CODE_DTYPES"]
 
 MAGIC = b"SDF4"
+VERSION = 1
 _HEADER = struct.Struct("<4sIQI")
 HEADER_SIZE = _HEADER.size
 
@@ -58,8 +59,8 @@ class DDEntry:
             raise TypeError(f"unsupported dtype {self.dtype}")
 
 
-def pack_header(dd_offset: int, ndatasets: int, version: int = 1) -> bytes:
-    return _HEADER.pack(MAGIC, version, dd_offset, ndatasets)
+def pack_header(dd_offset: int, ndatasets: int) -> bytes:
+    return _HEADER.pack(MAGIC, VERSION, dd_offset, ndatasets)
 
 
 def unpack_header(raw: bytes) -> tuple[int, int, int]:

@@ -244,8 +244,9 @@ class H5File:
         return cls._open_impl(comm, path, "w", **kw)
 
     @classmethod
-    def open(cls, comm: Comm, path: str, mode: str = "r", **kw) -> "H5File":
-        return cls._open_impl(comm, path, mode, **kw)
+    def open(cls, comm: Comm, path: str, **kw) -> "H5File":
+        """Open an existing file read-only (``create`` is the write mode)."""
+        return cls._open_impl(comm, path, "r", **kw)
 
     @classmethod
     def _open_impl(
@@ -257,11 +258,9 @@ class H5File:
         hints: Optional[Hints] = None,
         costs: Optional[H5Costs] = None,
         retry=None,
-        aio=None,
+        aio: bool = False,
         meta_aggregation: bool = False,
     ) -> "H5File":
-        if mode not in ("r", "w"):
-            raise ValueError(f"bad mode {mode!r}")
         costs = costs or H5Costs()
         hints = (hints or Hints()).validate()
         comm.compute(costs.open_close)
@@ -269,7 +268,7 @@ class H5File:
         # striping hints applied on create -- and keeps the ADIO handle.
         adio = File.open(
             comm, path, mode, hints=hints, retry=retry,
-            aio=aio if mode == "w" else None,
+            aio=aio and mode == "w",
         ).adio
         return cls(
             comm,

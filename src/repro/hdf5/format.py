@@ -43,13 +43,14 @@ __all__ = [
 ]
 
 MAGIC = b"\x89SDF5\r\n\x00"
+VERSION = 1
 _SUPER = struct.Struct("<8sIQI")
 SUPERBLOCK_SIZE = _SUPER.size
 HEADER_CAPACITY = 512
 
 
-def pack_superblock(root_offset: int, root_count: int, version: int = 1) -> bytes:
-    return _SUPER.pack(MAGIC, version, root_offset, root_count)
+def pack_superblock(root_offset: int, root_count: int) -> bytes:
+    return _SUPER.pack(MAGIC, VERSION, root_offset, root_count)
 
 
 def unpack_superblock(raw: bytes) -> tuple[int, int, int]:

@@ -225,7 +225,7 @@ class AutoTuner:
             problem=self.problem, ncycles=4, dump_every=2,
             overlap=bool(registry.get(strategy).options.get("async")),
         )
-        with trace_filesystem(machine.fs, include_meta=True) as trace:
+        with trace_filesystem(machine.fs) as trace:
             result = run_overlap_experiment(
                 machine, stack, config, nprocs=self.nprocs
             )

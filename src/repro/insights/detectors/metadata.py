@@ -1,8 +1,8 @@
 """Namespace-churn detectors (metadata ops vs. data ops).
 
-These need a trace recorded with ``trace_filesystem(fs, include_meta=True)``;
-without metadata events both rules stay silent rather than report a
-misleading OK.
+``trace_filesystem`` records metadata events; on a trace without them
+(recorded by hand, or loaded from an older export) both rules stay silent
+rather than report a misleading OK.
 """
 
 from __future__ import annotations

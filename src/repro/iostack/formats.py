@@ -259,7 +259,7 @@ class _RawSession(_SharedFileSession):
         super().__init__(ctx, layout)
         self.fh = File.open(
             ctx.comm, ctx.base, mode, hints=fmt.hints, retry=ctx.strategy.retry,
-            aio=ctx.strategy.aio if mode == "w" else None,
+            aio=ctx.strategy.aio and mode == "w",
         )
 
     def close(self) -> None:

@@ -195,14 +195,12 @@ def create(name: str, *, hints=None, retry=None):
     whose options carry a ``"hints"`` mapping (e.g. the stripe-tuned
     ``mpi-io-lustre``) overlays those pinned knobs on top.
     """
-    from ..aio.core import AioConfig
     from ..enzo.io_base import ComposedStrategy
     from ..hdf5.file import H5Costs
     from ..mpiio.hints import Hints
 
     comp = get(name)
     opts = comp.options
-    aio = AioConfig() if opts.get("async") else None
     hint_overrides = opts.get("hints")
     if hint_overrides and comp.takes_hints:
         hints = (hints or Hints()).replace(**hint_overrides)
@@ -213,9 +211,7 @@ def create(name: str, *, hints=None, retry=None):
     elif comp.format == "raw":
         fmt = RawSharedFormat(hints or Hints())
     elif comp.format == "scda":
-        fmt = ScdaFormat(
-            hints or Hints(), block_size=int(opts.get("block_size", 4096))
-        )
+        fmt = ScdaFormat(hints or Hints())
     else:
         alignment = int(opts.get("alignment", 0))
         fmt = HDF5Format(
@@ -224,14 +220,13 @@ def create(name: str, *, hints=None, retry=None):
                 alignment=alignment,
                 # H5Pset_alignment semantics: only objects at least one
                 # boundary in size are moved to a boundary.
-                alignment_threshold=int(
-                    opts.get("alignment_threshold", alignment)
-                ),
+                alignment_threshold=alignment,
             ),
             meta_aggregation=bool(opts.get("meta_aggregation", False)),
         )
     return ComposedStrategy(
-        comp.name, layout, transport, fmt, retry=retry, aio=aio
+        comp.name, layout, transport, fmt, retry=retry,
+        aio=bool(opts.get("async")),
     )
 
 
@@ -295,7 +290,6 @@ register(StrategyComposition(
     name="mpi-io-scda",
     layout="shared-file", transport="collective", format="scda",
     description="scda serial-equivalent shared file: byte-identical for every P",
-    options={"block_size": 4096},
     upgrades_to="mpi-io-scda-async",
     variant_of="mpi-io",
     fs_constraint="coherent-shared-file",
@@ -304,7 +298,7 @@ register(StrategyComposition(
     name="mpi-io-scda-async",
     layout="shared-file", transport="collective", format="scda",
     description="scda over nonblocking writes, drained before manifest commit",
-    options={"block_size": 4096, "async": True},
+    options={"async": True},
     variant_of="mpi-io-scda",
     fs_constraint="coherent-shared-file",
 ))

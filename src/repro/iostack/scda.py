@@ -52,6 +52,8 @@ __all__ = [
 ]
 
 FILE_HEADER_NBYTES = 128
+#: section alignment of the files ``ScdaFormat`` writes
+BLOCK_SIZE = 4096
 SECTION_HEADER_NBYTES = 96
 
 
@@ -241,14 +243,13 @@ class ScdaFormat:
     session_kind = "shared-file"
     takes_hints = True
 
-    def __init__(self, hints: Hints | None = None, block_size: int = 4096):
+    def __init__(self, hints: Hints | None = None):
         self.hints = hints or Hints()
-        self.block_size = block_size
 
     def _wrap(self, layout) -> ScdaLayout:
         cached = getattr(layout, "_scda_cache", None)
-        if cached is None or cached.block_size != self.block_size:
-            cached = ScdaLayout(layout, self.block_size)
+        if cached is None:
+            cached = ScdaLayout(layout, BLOCK_SIZE)
             try:
                 layout._scda_cache = cached
             except (AttributeError, TypeError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..aio.core import AioConfig, AioRequest, progress_engine
+from ..aio.core import AioRequest, progress_engine
 from ..mpi.comm import Comm
 from ..pfs.base import FileSystem, InjectedIOError
 from ..resilience.retry import RetryPolicy
@@ -54,7 +54,7 @@ class ADIOFile:
         path: str,
         comm: Comm,
         retry: RetryPolicy | None = None,
-        aio: AioConfig | None = None,
+        aio: bool = False,
     ):
         self.fs = fs
         self.path = path
@@ -73,7 +73,7 @@ class ADIOFile:
         *,
         create: bool = False,
         retry: RetryPolicy | None = None,
-        aio: AioConfig | None = None,
+        aio: bool = False,
     ) -> "ADIOFile":
         """Create (truncating) or open ``path`` on the calling rank alone,
         on the machine's file system.
@@ -170,7 +170,7 @@ class ADIOFile:
         """
         proc = self.comm.proc
         proc.schedule_point()
-        eng = progress_engine(proc, self.aio)
+        eng = progress_engine(proc)
         eng.reserve(nbytes, proc)
         proc.advance(self.comm.machine.memcpy_time(nbytes))
 
@@ -189,7 +189,7 @@ class ADIOFile:
         """Complete this rank's outstanding posts (reads must observe
         every prior write's completion time, not just its bytes)."""
         proc = self.comm.proc
-        eng = progress_engine(proc, self.aio)
+        eng = progress_engine(proc)
         eng.drain(proc)
 
     # -- contiguous primitives -------------------------------------------
@@ -197,7 +197,7 @@ class ADIOFile:
     def read_contig(self, offset: int, nbytes: int) -> bytes:
         """Blocking contiguous read; advances the rank's clock."""
         self._check_open()
-        if self.aio is not None:
+        if self.aio:
             self._drain_pending()
 
         def issue(ready_time):
@@ -208,8 +208,8 @@ class ADIOFile:
         return self._issue(issue, nbytes)
 
     def write_contig(self, offset: int, data) -> int:
-        """Contiguous write; blocking unless the handle has an ``aio``
-        config, in which case it is posted to the flush service."""
+        """Contiguous write; blocking unless the handle was opened with
+        ``aio``, in which case it is posted to the flush service."""
         self._check_open()
         buf = as_byte_view(data)
 
@@ -235,7 +235,7 @@ class ADIOFile:
         self._check_open()
         bufs = [(off, as_byte_view(data)) for off, data in ops]
         total = sum(len(b) for _, b in bufs)
-        if self.aio is not None:
+        if self.aio:
             # The async path already costs only a staging memcpy per post.
             for off, b in bufs:
                 self.write_contig(off, b)
@@ -254,7 +254,7 @@ class ADIOFile:
     def read_list(self, segments: list[tuple[int, int]]) -> bytes:
         """One list-I/O read request covering all ``segments``."""
         self._check_open()
-        if self.aio is not None:
+        if self.aio:
             self._drain_pending()
         total = sum(n for _, n in segments)
 
@@ -267,7 +267,7 @@ class ADIOFile:
 
     def write_list(self, segments: list[tuple[int, int]], data) -> int:
         """One list-I/O write request covering all ``segments``; posted
-        like :meth:`write_contig` when the handle has an ``aio`` config."""
+        like :meth:`write_contig` when the handle was opened with ``aio``."""
         self._check_open()
         buf = as_byte_view(data)
 
@@ -280,9 +280,8 @@ class ADIOFile:
         return self._write(issue, len(buf))
 
     def _write(self, issue, nbytes: int) -> int:
-        """Post ``issue`` to the flush service; without an ``aio`` config,
-        run it now."""
-        if self.aio is not None:
+        """Post ``issue`` to the flush service; without ``aio``, run it now."""
+        if self.aio:
             self._post_write(issue, nbytes)
         else:
             self._issue(issue, nbytes)
@@ -292,7 +291,7 @@ class ADIOFile:
 
     def size(self) -> int:
         self._check_open()
-        if self.aio is not None:
+        if self.aio:
             self._drain_pending()
         return self.fs.file_size(self.path)
 

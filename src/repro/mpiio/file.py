@@ -56,16 +56,15 @@ class File:
         *,
         hints: Optional[Hints] = None,
         retry=None,
-        aio=None,
+        aio: bool = False,
     ) -> "File":
         """Collectively open ``path`` on the machine's file system.  Modes:
         'r' (read an existing file) and 'w' (create, truncating).
 
         ``retry`` is an optional :class:`~repro.resilience.RetryPolicy`
-        applied to every data operation on the returned handle.  ``aio``
-        is an optional :class:`~repro.aio.AioConfig`: with it, writes are
-        posted to the rank's background flush service (write-behind); a
-        read drains this rank's posts first.
+        applied to every data operation on the returned handle.  With
+        ``aio``, writes are posted to the rank's background flush service
+        (write-behind); a read drains this rank's posts first.
         """
         if mode not in ("r", "w"):
             raise ValueError(f"bad mode {mode!r}")

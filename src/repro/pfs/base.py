@@ -158,9 +158,9 @@ class FileSystem:
     :func:`~repro.core.trace.trace_filesystem` records.
     """
 
-    def __init__(self, name: str = "nullfs", store: BlockStore | None = None):
+    def __init__(self, name: str = "nullfs"):
         self.name = name
-        self.store = store if store is not None else BlockStore()
+        self.store = BlockStore()
         self.counters = FSCounters()
         self._faults: list[FaultSpec] = []
         self._observers: list = []

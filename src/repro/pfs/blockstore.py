@@ -114,7 +114,7 @@ class StoredFile:
         """
         return b"".join(self._spans(offset, nbytes))
 
-    def checksum(self, runs, crc: int = 0) -> int:
+    def checksum(self, runs) -> int:
         """CRC32 of the concatenated ``read(offset, nbytes)`` of every
         ``(offset, nbytes)`` in ``runs``, without materializing a copy.
 
@@ -124,6 +124,7 @@ class StoredFile:
         """
         pages = self._pages
         crc32 = zlib.crc32
+        crc = 0
         for offset, nbytes in runs:
             index, lo = divmod(offset, _PAGE)
             page = pages.get(index)

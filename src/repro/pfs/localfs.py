@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from ..sim.resources import Timeline
 from .base import FileSystem, LRUCache
-from .blockstore import BlockStore
 
 __all__ = ["LocalDiskFS"]
 
@@ -35,9 +34,8 @@ class LocalDiskFS(FileSystem):
         request_cpu_time: float = 0.0,
         metadata_time: float = 0.0,
         cache_bytes_per_node: int = 0,
-        store: BlockStore | None = None,
     ):
-        super().__init__(name=name, store=store)
+        super().__init__(name=name)
         if nnodes < 1:
             raise ValueError("need at least one node")
         self.nnodes = nnodes

@@ -29,7 +29,6 @@ from dataclasses import replace
 
 from ..sim.resources import Timeline
 from ..topology.network import Network
-from .blockstore import BlockStore
 from .striped import StripedServerFS
 
 __all__ = ["LustreFS"]
@@ -56,7 +55,6 @@ class LustreFS(StripedServerFS):
         cache_bytes_per_ost: int = 0,
         client_network: Network | None = None,
         client_channel_bandwidth: float = float("inf"),
-        store: BlockStore | None = None,
     ):
         super().__init__(
             name,
@@ -70,7 +68,6 @@ class LustreFS(StripedServerFS):
             cache_bytes_per_server=cache_bytes_per_ost,
             client_network=client_network,
             client_channel_bandwidth=client_channel_bandwidth,
-            store=store,
         )
         self.nosts = nosts
         # Volume-default layout; ``lfs setstripe`` overrides live in

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, replace
 from ..sim.resources import Timeline
 from ..topology.network import Network
 from .base import FileSystem, LRUCache
-from .blockstore import BlockStore
 from .striping import Chunk, StripeLayout
 
 __all__ = ["IOServer", "StripedServerFS"]
@@ -140,9 +139,8 @@ class StripedServerFS(FileSystem):
         write_token_time: float = 0.0,
         stripe_aligned_io: bool = False,
         smp_io_queue_time: float = 0.0,
-        store: BlockStore | None = None,
     ):
-        super().__init__(name=name, store=store)
+        super().__init__(name=name)
         self.layout = StripeLayout(stripe_size=stripe_size, nservers=nservers)
         # The paper's closing file-system suggestion: "flexible,
         # application-specific disk file striping and distribution

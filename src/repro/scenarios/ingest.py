@@ -40,8 +40,8 @@ def parse_param_text(text: str, *, name: str,
                           description=description)
 
 
-def load_param_file(path: str | Path, *, name: str | None = None) -> Scenario:
-    """Load, parse, and normalize one parameter file."""
+def load_param_file(path: str | Path) -> Scenario:
+    """Load, parse, and normalize one parameter file (named after its stem)."""
     p = Path(path)
     if p.is_dir():
         raise ScenarioError(f"parameter file {p} is a directory")
@@ -51,6 +51,6 @@ def load_param_file(path: str | Path, *, name: str | None = None) -> Scenario:
         text = p.read_text()
     except OSError as exc:
         raise ScenarioError(f"cannot read parameter file {p}: {exc}") from exc
-    scenario = parse_param_text(text, name=name or p.stem,
+    scenario = parse_param_text(text, name=p.stem,
                                 description=f"loaded from {p.name}")
     return scenario

@@ -245,9 +245,9 @@ class Scenario:
             max_grid_size=mgs,
         ).validate()
 
-    def capped(self, max_axis: int = 32) -> "Scenario":
-        """Downscale until no root axis exceeds ``max_axis`` (lint builds)."""
+    def capped(self) -> "Scenario":
+        """Downscale until no root axis exceeds 32 cells (lint builds)."""
         factor = 1
-        while max(self.root_dims) // factor > max_axis:
+        while max(self.root_dims) // factor > 32:
             factor *= 2
         return self.downscaled(factor)

@@ -1,14 +1,12 @@
 """Machine models: interconnects, SMP nodes, platform presets."""
 
 from .machine import Machine
-from .network import CCNumaNetwork, Network, SwitchedNetwork
+from .network import Network
 from .presets import PRESETS, chiba_city, chiba_city_local, ibm_sp2, origin2000
 
 __all__ = [
     "Machine",
     "Network",
-    "SwitchedNetwork",
-    "CCNumaNetwork",
     "origin2000",
     "ibm_sp2",
     "chiba_city",

@@ -1,22 +1,19 @@
 """Interconnect models.
 
 A network moves a message of ``nbytes`` from node ``src`` to node ``dst`` and
-reports the virtual time at which the last byte arrives.  All concrete models
-share one structure: each node owns an *egress* and an *ingress* FCFS link of
+reports the virtual time at which the last byte arrives.  Every platform
+shares one structure: each node owns an *egress* and an *ingress* FCFS link of
 finite bandwidth, and a message must occupy first the sender's egress link and
 then the receiver's ingress link, plus a per-message wire latency.  Hot spots
 (many-to-one gathers, single-writer I/O funnels) therefore serialise on the
 receiver's ingress link, which is the first-order contention effect in the
 paper's experiments.
 
-Concrete classes only differ in their parameters and in intra-node handling:
-
-* :class:`SwitchedNetwork` -- a generic full-bisection switch (SP switch,
-  Myrinet, fast Ethernet through a switch); every node pair communicates at
-  NIC speed.
-* :class:`CCNumaNetwork` -- the Origin2000 bristled-fat-hypercube: messages
-  are memory-to-memory copies at very high bandwidth and sub-microsecond
-  latency; "local" transfers (same node) run at memory-copy speed.
+Platforms differ only in the constants they pass (``presets.py``): a
+full-bisection switch (SP switch, fast or gigabit Ethernet) leaves the
+fabric uncapped unless the switch is oversubscribed, and the Origin2000's
+ccNUMA interconnect is a memory-to-memory copy at very high bandwidth and
+sub-microsecond latency, with same-node transfers at memory-copy speed.
 """
 
 from __future__ import annotations
@@ -25,11 +22,11 @@ from math import inf
 
 from ..sim.resources import Timeline
 
-__all__ = ["Network", "SwitchedNetwork", "CCNumaNetwork"]
+__all__ = ["Network"]
 
 
 class Network:
-    """Base interconnect: per-node ingress/egress links plus wire latency."""
+    """Interconnect: per-node ingress/egress links plus wire latency."""
 
     def __init__(
         self,
@@ -119,32 +116,3 @@ class Network:
         link.busy_time += occupancy
         link.requests += 1
         return max(in_end, out_end + self.latency)
-
-
-class SwitchedNetwork(Network):
-    """Full-bisection switch: IBM SP switch, Myrinet, switched Ethernet."""
-
-    def __init__(self, nnodes: int, latency: float, bandwidth: float, **kw):
-        kw.setdefault("name", "switch")
-        super().__init__(nnodes, latency, bandwidth, **kw)
-
-
-class CCNumaNetwork(Network):
-    """SGI Origin2000 ccNUMA interconnect.
-
-    The bristled fat hypercube has very high bisection bandwidth and remote
-    memory latencies under a microsecond, so message passing between ranks is
-    close to the cost of a memory copy.  This is why the paper's two-phase
-    communication overhead is "relatively low" on this platform.
-    """
-
-    def __init__(
-        self,
-        nnodes: int,
-        latency: float = 1.0e-6,
-        bandwidth: float = 600e6,
-        **kw,
-    ):
-        kw.setdefault("local_bandwidth", 2.0 * bandwidth)
-        kw.setdefault("name", "ccnuma")
-        super().__init__(nnodes, latency, bandwidth, **kw)

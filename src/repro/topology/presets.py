@@ -25,7 +25,7 @@ them next to each figure.  Nothing here is fitted to individual data points
 from __future__ import annotations
 
 from .machine import Machine
-from .network import CCNumaNetwork, Network, SwitchedNetwork
+from .network import Network
 
 # NOTE: repro.pfs is imported inside each factory, not at module level:
 # pfs.striped itself imports repro.topology for the network models, so a
@@ -49,7 +49,15 @@ def origin2000(nprocs: int = 32) -> Machine:
     """SGI Origin2000 with XFS (Figures 6 and 10)."""
     from ..pfs.striped import StripedServerFS
 
-    net = CCNumaNetwork(nnodes=nprocs, latency=1e-6, bandwidth=600 * MB)
+    # ccNUMA: messages are memory-to-memory copies over the bristled fat
+    # hypercube, so the two-phase exchange costs "relatively little" here.
+    net = Network(
+        nnodes=nprocs,
+        latency=1e-6,
+        bandwidth=600 * MB,
+        local_bandwidth=2.0 * 600 * MB,
+        name="ccnuma",
+    )
     machine = Machine(
         name="SGI-Origin2000/XFS",
         nprocs=nprocs,
@@ -75,12 +83,13 @@ def origin2000(nprocs: int = 32) -> Machine:
     return machine.attach_fs(fs)
 
 
-def ibm_sp2(nprocs: int = 64, procs_per_node: int = 8) -> Machine:
+def ibm_sp2(nprocs: int = 64) -> Machine:
     """IBM SP with GPFS (Figure 7)."""
     from ..pfs.striped import StripedServerFS
 
+    procs_per_node = 8  # Power3 SMP high nodes
     nnodes = (nprocs + procs_per_node - 1) // procs_per_node
-    net = SwitchedNetwork(
+    net = Network(
         nnodes=nnodes, latency=20e-6, bandwidth=130 * MB, name="sp-switch"
     )
     machine = Machine(
@@ -119,7 +128,7 @@ def chiba_city(nprocs: int = 8) -> Machine:
     """
     from ..pfs.striped import StripedServerFS
 
-    net = SwitchedNetwork(
+    net = Network(
         nnodes=nprocs,
         latency=120e-6,
         bandwidth=11.5 * MB,  # 100 Mb/s minus TCP/IP overhead
@@ -154,7 +163,7 @@ def chiba_city_local(nprocs: int = 8) -> Machine:
     """Chiba City with node-local disks via the PVFS interface (Figure 9)."""
     from ..pfs.localfs import LocalDiskFS
 
-    net = SwitchedNetwork(
+    net = Network(
         nnodes=nprocs,
         latency=120e-6,
         bandwidth=11.5 * MB,
@@ -192,7 +201,7 @@ def lustre(nprocs: int = 8) -> Machine:
     """
     from ..pfs.lustre import LustreFS
 
-    net = SwitchedNetwork(
+    net = Network(
         nnodes=nprocs,
         latency=60e-6,
         bandwidth=110 * MB,  # gigabit Ethernet minus TCP/IP overhead

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from repro.aio import AioConfig, AioRequest, ProgressEngine
+from repro.aio import AioRequest, ProgressEngine, core
 from repro.core.trace import IOTrace, trace_filesystem
 from repro.enzo import RankState, hierarchies_equivalent
 from repro.enzo.simulation import EnzoConfig, EnzoSimulation
@@ -36,17 +36,11 @@ class FakeProc:
         self.clock = max(self.clock, t)
 
 
-# -- config & queue semantics ----------------------------------------------
-
-
-def test_aio_config_validates():
-    assert AioConfig().staging_bytes == 64 * 1024 * 1024
-    with pytest.raises(ValueError):
-        AioConfig(staging_bytes=0)
+# -- queue semantics ---------------------------------------------------------
 
 
 def test_progress_engine_retires_in_post_order():
-    eng = ProgressEngine(AioConfig())
+    eng = ProgressEngine()
     proc = FakeProc()
     eng.post(AioRequest(path="a", nbytes=10, done_time=2.0))
     eng.post(AioRequest(path="b", nbytes=20, done_time=5.0))
@@ -63,8 +57,9 @@ def test_progress_engine_retires_in_post_order():
     assert not eng.pending and proc.clock == 5.0 and eng.staged_bytes == 0
 
 
-def test_wait_retires_every_older_request_first():
-    eng = ProgressEngine(AioConfig(staging_bytes=2))
+def test_wait_retires_every_older_request_first(monkeypatch):
+    monkeypatch.setattr(core, "STAGING_BYTES", 2)
+    eng = ProgressEngine()
     proc = FakeProc()
     eng.post(AioRequest(path="older", nbytes=1, done_time=1.0))
     eng.post(AioRequest(path="newer", nbytes=1, done_time=3.0))
@@ -74,8 +69,9 @@ def test_wait_retires_every_older_request_first():
     assert not eng.pending and proc.clock == 3.0
 
 
-def test_staging_bytes_backpressure_blocks_the_poster():
-    eng = ProgressEngine(AioConfig(staging_bytes=100))
+def test_staging_bytes_backpressure_blocks_the_poster(monkeypatch):
+    monkeypatch.setattr(core, "STAGING_BYTES", 100)
+    eng = ProgressEngine()
     proc = FakeProc()
     eng.post(AioRequest(path="f", nbytes=80, done_time=7.0))
     eng.reserve(10, proc)  # fits: no wait
@@ -85,7 +81,7 @@ def test_staging_bytes_backpressure_blocks_the_poster():
 
 
 def test_deferred_error_surfaces_at_retirement_oldest_first():
-    eng = ProgressEngine(AioConfig())
+    eng = ProgressEngine()
     proc = FakeProc()
     boom = OSError("drain failed")
     eng.post(AioRequest(path="f", nbytes=1, done_time=1.0, error=boom))
@@ -168,7 +164,7 @@ def traced_async_run():
         config=cfg, strategy=registry.create("mpi-io-async"),
         hierarchy=EnzoSimulation.build_initial_hierarchy(cfg),
     )
-    trace = trace_filesystem(machine.fs, include_meta=True)
+    trace = trace_filesystem(machine.fs)
     try:
         run_spmd(machine, lambda comm: sim.run(comm, base="dump"),
                  nprocs=NPROCS)

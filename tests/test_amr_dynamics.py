@@ -24,10 +24,10 @@ from repro.amr import (
 
 class TestInitialConditions:
     def test_grf_statistics(self):
-        f = gaussian_random_field((16, 16, 16), sigma=0.5, seed=3)
+        f = gaussian_random_field((16, 16, 16), seed=3)
         assert f.shape == (16, 16, 16)
         assert abs(f.mean()) < 0.05
-        assert f.std() == pytest.approx(0.5, rel=1e-6)
+        assert f.std() == pytest.approx(1.0, rel=1e-6)
 
     def test_grf_deterministic(self):
         a = gaussian_random_field((8, 8, 8), seed=7)
@@ -260,21 +260,21 @@ class TestSolver:
         h = make_initial_conditions((16, 16, 16), seed=9, pre_refine=1)
         before_density = h.root.fields["density"].copy()
         nparticles = h.total_particles()
-        evolve_hierarchy(h, dt=0.1)
+        evolve_hierarchy(h)
         assert not np.array_equal(before_density, h.root.fields["density"])
         assert h.total_particles() == nparticles
         assert (h.root.fields["density"] > 0).all()
 
     def test_particles_stay_in_domain(self):
         h = make_initial_conditions((16, 16, 16), seed=10, pre_refine=0)
-        for _ in range(5):
-            evolve_hierarchy(h, dt=0.2)
+        for _ in range(10):
+            evolve_hierarchy(h)
         pos = h.root.particles.positions
         assert (pos >= 0).all() and (pos < 1).all()
 
     def test_particles_rehomed_to_finest_grid(self):
         h = make_initial_conditions((16, 16, 16), seed=11, pre_refine=1)
-        evolve_hierarchy(h, dt=0.1)
+        evolve_hierarchy(h)
         for g in h.grids():
             if len(g.particles) == 0:
                 continue
@@ -287,21 +287,6 @@ class TestSolver:
         h1 = make_initial_conditions((16, 16, 16), seed=12, pre_refine=1)
         h2 = make_initial_conditions((16, 16, 16), seed=12, pre_refine=1)
         for _ in range(3):
-            evolve_hierarchy(h1, dt=0.1)
-            evolve_hierarchy(h2, dt=0.1)
+            evolve_hierarchy(h1)
+            evolve_hierarchy(h2)
         assert h1.equal(h2)
-
-    def test_compute_time_charged(self):
-        from repro.mpi import run_spmd
-
-        from .conftest import make_machine
-
-        h = make_initial_conditions((8, 8, 8), seed=13, pre_refine=0)
-
-        def program(comm):
-            t0 = comm.clock
-            evolve_hierarchy(h, dt=0.1, comm=comm, my_cells=512)
-            return comm.clock - t0
-
-        res = run_spmd(make_machine(1), program)
-        assert res.results[0] > 0

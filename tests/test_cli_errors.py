@@ -129,17 +129,36 @@ class TestTableCommand:
 
     def test_read_fault_on_lustre_is_one_line_not_a_traceback(self, capsys):
         """A rank that fails the initial-grid read ends the run with exit 1
-        and one error line naming the command, the rank and the failed
-        read, plus the ``--retries`` hint."""
+        and one error line naming the command, the rank, the strategy and
+        the failed read.  A persistent fault gets no ``--retries`` hint."""
         rc = main(["table", "--problem", "AMR16", "--procs", "2",
                    "--machine", "lustre", "--inject", "read:persistent"])
         assert rc == 1
         err = capsys.readouterr().err
         assert err.splitlines() == [
-            "error: repro table: simulation failed on rank 0: injected read "
-            "fault on 'ckpt.init.hierarchy'",
-            "hint: transient faults can be absorbed with --retries N",
+            "error: repro table: simulation failed on rank 0 while running "
+            "strategy hdf4: injected read fault on 'ckpt.init.hierarchy'",
         ]
+
+    def test_failed_rank_names_the_strategy(self, capsys):
+        """``table`` runs every strategy in turn; the error line says which
+        one was running (the first, ``hdf4``, on the default machine)."""
+        rc = main(["table", "--problem", "AMR16", "--procs", "2",
+                   "--inject", "read:persistent"])
+        assert rc == 1
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first.startswith(
+            "error: repro table: simulation failed on rank 0 while running "
+            "strategy hdf4: ")
+
+    def test_no_retries_hint_when_retries_cannot_help(self, capsys):
+        """A persistent fault outlives any retry budget, and this run already
+        passed ``--retries``: suggesting ``--retries N`` would be wrong."""
+        rc = main(["table", "--problem", "AMR16", "--procs", "2",
+                   "--inject", "read:persistent", "--retries", "2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "simulation failed" in err and "hint:" not in err
 
 
 class TestFilesystemConstraintErrors:

@@ -196,7 +196,8 @@ class TestTrace:
         fs.create("f")
         fs.write("f", 0, b"x" * 64)
         fs.read("f", 0, 64)
-        assert len(trace) == 2
+        assert len(trace) == 3
+        assert trace.ops("meta")[0].kind == "create"
         assert trace.ops("write")[0].nbytes == 64
         assert trace.ops("read")[0].nbytes == 64
 

@@ -35,7 +35,7 @@ from repro.mpi import (
     run_spmd,
 )
 from repro.sim import DeadlockError, Engine, RankFailedError
-from repro.topology import Machine, SwitchedNetwork
+from repro.topology import Machine, Network
 
 from .conftest import sim_rank_threads
 
@@ -44,7 +44,7 @@ LATENCY = 120e-6
 
 def contended_machine(nprocs, ppn=2):
     """Chiba-City-style switched Ethernet with ``ppn`` ranks behind each NIC."""
-    net = SwitchedNetwork(
+    net = Network(
         nnodes=(nprocs + ppn - 1) // ppn,
         latency=LATENCY,
         bandwidth=11.5e6,

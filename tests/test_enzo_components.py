@@ -200,7 +200,7 @@ class TestSizing:
             assert r["write_mb"] > r["read_mb"]
 
     def test_workload_model_consistency(self):
-        m = WorkloadModel(root_dims=(64, 64, 64), ncycles=4, dump_every=2)
-        assert m.write_bytes() == 2 * m.hierarchy_bytes()
+        m = WorkloadModel(root_dims=(64, 64, 64))
+        assert m.write_bytes() == 3 * m.hierarchy_bytes()  # a dump per cycle
         assert m.level_cells(0) == 64**3
         assert m.nparticles == int(64**3 * 0.25)

@@ -404,10 +404,11 @@ class TestH5File:
 
 
 def test_unsupported_driver_and_mode():
-    """Every file opens through the mpio driver; only 'r' / 'w' exist."""
+    """Every file opens through the mpio driver; ``open`` reads and
+    ``create`` writes, and there is no mode argument to ask for more."""
 
     def program(comm):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             H5File.open(comm, "f", mode="a")
         return True
 

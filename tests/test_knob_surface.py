@@ -5,8 +5,9 @@ doubles the configurations every gate must cover, so adding one here is a
 conscious edit: it needs a preset, strategy, CLI flag or bench cell that
 sets it to a second value.  The I/O libraries' opens are pinned the same
 way, and so are the MPI-IO ``File`` method list, the MPI datatypes, the
-names ``repro.mpi`` exports and the ``Comm`` methods: a library entry point
-exists because a strategy, CLI command or bench cell calls it.
+names ``repro.mpi`` and ``repro.topology`` export and the ``Comm`` methods:
+a library entry point exists because a strategy, CLI command or bench cell
+calls it.
 """
 
 import dataclasses
@@ -14,8 +15,7 @@ import inspect
 
 import pytest
 
-from repro import mpi
-from repro.aio import AioConfig
+from repro import mpi, topology
 from repro.bench import build_initial_workload, build_scale_workload, build_workload
 from repro.enzo.simulation import EnzoConfig
 from repro.enzo.state import RankState
@@ -36,18 +36,17 @@ SIGNATURES = {
         "request_cpu_time", "server_net_bandwidth", "net_latency",
         "metadata_time", "cache_bytes_per_server", "client_network",
         "client_channel_bandwidth", "write_token_time", "stripe_aligned_io",
-        "smp_io_queue_time", "store",
+        "smp_io_queue_time",
     )),
     "LustreFS": (LustreFS, (
         "name", "nosts", "stripe_size", "stripe_count", "disk_bandwidth",
         "seek_time", "request_cpu_time", "server_net_bandwidth",
         "net_latency", "ost_queue_time", "mds_open_time", "mds_per_file_time",
         "cache_bytes_per_ost", "client_network", "client_channel_bandwidth",
-        "store",
     )),
     "LocalDiskFS": (LocalDiskFS, (
         "name", "nnodes", "disk_bandwidth", "seek_time", "request_cpu_time",
-        "metadata_time", "cache_bytes_per_node", "store",
+        "metadata_time", "cache_bytes_per_node",
     )),
     "FunnelTransport": (FunnelTransport, ()),
     "registry.create": (registry.create, ("name", "hints", "retry")),
@@ -78,7 +77,6 @@ SIGNATURES = {
 FIELDS = {
     "EnzoConfig": (EnzoConfig, ("problem", "ncycles", "dump_every", "overlap")),
     "RetryPolicy": (RetryPolicy, ("max_retries",)),
-    "AioConfig": (AioConfig, ("staging_bytes",)),
 }
 
 
@@ -96,7 +94,7 @@ def test_entry_point_knobs_are_pinned(name):
 
 def test_settable_surface_total():
     table = {**SIGNATURES, **FIELDS}
-    assert sum(len(_settable(entry)) for entry, _ in table.values()) == 91
+    assert sum(len(_settable(entry)) for entry, _ in table.values()) == 87
 
 
 def test_mpiio_file_methods_are_pinned():
@@ -122,6 +120,15 @@ def test_mpi_exports_are_pinned():
         "scatterv", "allgather", "alltoall", "alltoallv", "reduce",
         "allreduce", "exscan", "SUM", "Datatype", "Named", "Subarray",
         "merge_segments", "BYTE", "FLOAT64",
+    ]
+
+
+def test_topology_exports_are_pinned():
+    """One interconnect class: a platform is a preset passing constants
+    to ``Network``, not a subclass filling its defaults."""
+    assert topology.__all__ == [
+        "Machine", "Network", "origin2000", "ibm_sp2", "chiba_city",
+        "chiba_city_local", "PRESETS",
     ]
 
 

@@ -5,7 +5,6 @@ import pytest
 from repro.mpi import run_spmd
 from repro.mpiio import File, Hints
 from repro.pfs import (
-    BlockStore,
     FileSystem,
     LocalDiskFS,
     LRUCache,
@@ -169,15 +168,6 @@ class TestStripedServerFS:
         assert fs.write("f", 0, b"", ready_time=3.0) == 3.0
         _, t = fs.read("f", 0, 0, ready_time=4.0)
         assert t == 4.0
-
-    def test_shared_store_between_filesystems(self):
-        store = BlockStore()
-        fs1 = make_striped(store=store)
-        fs2 = make_striped(store=store)
-        fs1.create("f")
-        fs1.write("f", 0, b"shared")
-        data, _ = fs2.read("f", 0, 6)
-        assert data == b"shared"
 
 
 class TestLocalDiskFS:

@@ -178,7 +178,7 @@ class TestMetaFaults:
     def test_open_checks_the_fault_before_the_store(self, fs):
         fs.create("ckpt")
         spec = fs.inject_fault("meta", "ckpt", mode="persistent")
-        with trace_filesystem(fs, include_meta=True) as trace:
+        with trace_filesystem(fs) as trace:
             with pytest.raises(InjectedIOError):
                 fs.open("ckpt")
             with pytest.raises(InjectedIOError):

@@ -148,10 +148,10 @@ class TestRunner:
 
 class TestFigures:
     def test_render_bars_scales_to_peak(self):
-        out = render_bars([("a", 1.0), ("b", 2.0)], width=10)
+        out = render_bars([("a", 1.0), ("b", 2.0)])
         lines = out.splitlines()
-        assert lines[1].count("#") == 10
-        assert lines[0].count("#") == 5
+        assert lines[1].count("#") == 48
+        assert lines[0].count("#") == 24
 
     def test_render_bars_empty(self):
         assert render_bars([]) == "(no data)"

@@ -33,12 +33,14 @@ with open(os.path.join(REPO_ROOT, "BENCH_figures.json")) as _f:
 # -- the oracle: trace_filesystem as it was before the publish point ----------
 
 
-def oracle_trace_filesystem(fs, *, include_meta: bool = False) -> IOTrace:
+def oracle_trace_filesystem(fs) -> IOTrace:
     """Rebind the timing hooks on the *instance* and record inside them.
 
     Verbatim from the parent commit, except that recovery notices are
-    taken from ``notify_recovery`` itself: the ``_service_recovery`` hook
-    it used to forward to existed only to be wrapped, and is gone.
+    taken from ``notify_recovery`` itself (the ``_service_recovery`` hook
+    it used to forward to existed only to be wrapped, and is gone) and
+    that the metadata hook is always wrapped, as ``trace_filesystem``
+    always records metadata events.
     """
     trace = IOTrace()
     orig_read, orig_write = fs._service_read, fs._service_write
@@ -98,8 +100,7 @@ def oracle_trace_filesystem(fs, *, include_meta: bool = False) -> IOTrace:
     fs._service_write = traced_write
     fs._service_list = traced_list
     fs.notify_recovery = traced_notify
-    if include_meta:
-        fs._service_meta = traced_meta
+    fs._service_meta = traced_meta
     return trace
 
 
@@ -175,17 +176,15 @@ def _make_fs(kind: str):
 KINDS = ("chiba_city", "lustre", "chiba_city_local", "base")
 
 
-@pytest.mark.parametrize("include_meta", [False, True])
 @pytest.mark.parametrize("kind", KINDS)
 @settings(max_examples=40, deadline=None)
 @given(ops=st.lists(_ops, min_size=1, max_size=25), faults=_faults)
-def test_subscription_records_the_hook_wrappers_stream(
-        kind, include_meta, ops, faults):
+def test_subscription_records_the_hook_wrappers_stream(kind, ops, faults):
     fs = _make_fs(kind)
     for (op, mode), substring, after in faults:
         fs.inject_fault(op, substring, mode=mode, after=after)
-    oracle = oracle_trace_filesystem(fs, include_meta=include_meta)
-    with trace_filesystem(fs, include_meta=include_meta) as trace:
+    oracle = oracle_trace_filesystem(fs)
+    with trace_filesystem(fs) as trace:
         _drive(fs, ops)
     assert trace.canonical_events() == oracle.canonical_events()
     assert trace.digest() == oracle.digest()
@@ -208,7 +207,7 @@ def test_the_sequence_reaches_every_event_kind():
         ("recovery", where, ("retry", 2)),
         ("delete", where, None),
     ]
-    with trace_filesystem(fs, include_meta=True) as trace:
+    with trace_filesystem(fs) as trace:
         _drive(fs, ops)
     assert [(e.op, e.kind, e.nbytes) for e in trace.events] == [
         ("meta", "create", 0), ("write", "", 4096),
@@ -233,8 +232,8 @@ def _some_requests(fs):
 
 def test_two_simultaneous_traces_see_the_same_stream():
     fs = _make_fs("lustre")
-    with trace_filesystem(fs, include_meta=True) as one:
-        with trace_filesystem(fs, include_meta=True) as two:
+    with trace_filesystem(fs) as one:
+        with trace_filesystem(fs) as two:
             _some_requests(fs)
     assert len(one) == 5
     assert one.canonical_events() == two.canonical_events()
@@ -248,7 +247,7 @@ def test_detach_twice_is_harmless_and_stops_recording():
     trace.detach()
     n = len(trace)
     _some_requests(fs)
-    assert len(trace) == n == 4  # no meta without include_meta
+    assert len(trace) == n == 5
     assert fs._observers == []
     IOTrace().detach()  # a hand-recorded trace has nothing to detach
 
@@ -257,7 +256,7 @@ def test_exception_inside_with_leaves_zero_observers():
     fs = FileSystem()
     fs.inject_fault("write", mode="persistent")
     with pytest.raises(InjectedIOError):
-        with trace_filesystem(fs, include_meta=True):
+        with trace_filesystem(fs):
             fs.write("f", 0, b"data")
     assert fs._observers == []
 
@@ -266,7 +265,7 @@ def test_no_instance_attribute_shadows_a_hook():
     """Tracing must not rebind anything on the instance."""
     fs = _make_fs("chiba_city")
     before = dict(vars(fs))
-    with trace_filesystem(fs, include_meta=True):
+    with trace_filesystem(fs):
         assert [k for k in vars(fs) if k not in before] == []
         assert not any(k.startswith("_service_") for k in vars(fs))
 

@@ -369,7 +369,7 @@ class TestDefensiveCopies:
         for _ in range(2):
             machine = make_machine(2)
             hierarchy = build_workload("AMR16")
-            trace = trace_filesystem(machine.fs, include_meta=True)
+            trace = trace_filesystem(machine.fs)
 
             def program(comm, h=hierarchy):
                 state = RankState.from_hierarchy(h, comm.rank, comm.size)

@@ -1,8 +1,46 @@
 """Unit tests for interconnect and machine models."""
 
+from math import inf
+
 import pytest
 
-from repro.topology import CCNumaNetwork, Machine, Network, SwitchedNetwork
+from repro.topology import PRESETS, Machine, Network
+
+
+def _named(prefix, n):
+    return [f"{prefix}[{i}]" for i in range(n)]
+
+
+#: Each preset's network constants and link / device timeline names at
+#: P = 4 and P = 16, captured before the network subclasses were folded
+#: into ``Network``: (net name, nodes, latency, bandwidth, local_bandwidth,
+#: fabric_bandwidth, fs.devices() names).
+PRESET_NETWORKS = {
+    ("origin2000", 4): ("ccnuma", 4, 1e-06, 629145600, 1258291200.0, inf,
+                        _named("xfs.disk", 16)),
+    ("origin2000", 16): ("ccnuma", 16, 1e-06, 629145600, 1258291200.0, inf,
+                         _named("xfs.disk", 16)),
+    ("ibm_sp2", 4): ("sp-switch", 1, 2e-05, 136314880, 545259520.0, inf,
+                     _named("gpfs.disk", 12) + ["gpfs.token-mgr"]),
+    ("ibm_sp2", 16): ("sp-switch", 2, 2e-05, 136314880, 545259520.0, inf,
+                      _named("gpfs.disk", 12) + ["gpfs.token-mgr"]),
+    ("chiba_city", 4): ("fast-ethernet", 4, 0.00012, 12058624.0, 48234496.0,
+                        20971520, _named("pvfs.disk", 8)),
+    ("chiba_city", 16): ("fast-ethernet", 16, 0.00012, 12058624.0, 48234496.0,
+                         20971520, _named("pvfs.disk", 8)),
+    ("chiba_city_local", 4): ("fast-ethernet", 4, 0.00012, 12058624.0,
+                              48234496.0, 31457280,
+                              _named("pvfs-local.disk", 4)),
+    ("chiba_city_local", 16): ("fast-ethernet", 16, 0.00012, 12058624.0,
+                               48234496.0, 31457280,
+                               _named("pvfs-local.disk", 16)),
+    ("lustre", 4): ("gig-ethernet", 4, 6e-05, 115343360, 461373440.0,
+                    838860800, _named("lustre.disk", 16)
+                    + _named("lustre.ostq", 16) + ["lustre.mds"]),
+    ("lustre", 16): ("gig-ethernet", 16, 6e-05, 115343360, 461373440.0,
+                     838860800, _named("lustre.disk", 16)
+                     + _named("lustre.ostq", 16) + ["lustre.mds"]),
+}
 
 
 class TestNetwork:
@@ -71,8 +109,20 @@ class TestNetwork:
                 Network(**args)
 
     def test_presets_construct(self):
-        assert SwitchedNetwork(8, latency=20e-6, bandwidth=115e6).nnodes == 8
-        assert CCNumaNetwork(48).latency == pytest.approx(1e-6)
+        assert {name for name, _ in PRESET_NETWORKS} == set(PRESETS)
+        for (preset, nprocs), expected in PRESET_NETWORKS.items():
+            name, nodes, latency, bw, local_bw, fabric_bw, devices = expected
+            machine = PRESETS[preset](nprocs=nprocs)
+            net = machine.network
+            assert (net.latency, net.bandwidth, net.local_bandwidth,
+                    net.fabric_bandwidth) == (latency, bw, local_bw,
+                                              fabric_bw), preset
+            assert [t.name for t in machine.fs.devices()] == devices, preset
+            links = [net.fabric] + net.egress + net.ingress
+            assert [t.name for t in links] == (
+                [f"{name}.fabric"] + _named(f"{name}.egress", nodes)
+                + _named(f"{name}.ingress", nodes)
+            ), preset
 
 
 class TestMachine:

@@ -44,7 +44,7 @@ def subarray_write_program(comm):
 
 def traced_run():
     machine = make_machine(NPROCS)
-    trace = trace_filesystem(machine.fs, include_meta=True)
+    trace = trace_filesystem(machine.fs)
     try:
         run_spmd(machine, subarray_write_program, nprocs=NPROCS)
     finally:
@@ -114,7 +114,7 @@ from tests.test_trace_digest import NPROCS, subarray_write_program
 from tests.conftest import make_machine
 
 machine = make_machine(NPROCS)
-trace = trace_filesystem(machine.fs, include_meta=True)
+trace = trace_filesystem(machine.fs)
 run_spmd(machine, subarray_write_program, nprocs=NPROCS)
 trace.detach()
 print(trace.digest())
