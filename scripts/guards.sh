@@ -97,3 +97,38 @@ if grep -rnE 'compute_time\((.*\*[[:space:]]*[0-9]|(.*[^A-Za-z0-9_.])?[0-9][0-9_
     echo "a compute_time() charge multiplies by a literal: use amr.solver.FLOPS_PER_CELL" >&2
     exit 1
 fi
+
+echo "== one copy per read byte =="
+# A read that ends in an array fills it from the block store's pages
+# (ADIOFile.read_contig / read_list, sieve_read and collective_read take
+# out=); np.frombuffer(raw).copy() copies every byte a second time.  A
+# statement may span lines, so the check walks the syntax tree.
+if ! python3 - <<'PY'
+import ast
+import pathlib
+import sys
+
+def calls_frombuffer(node):
+    return any(
+        isinstance(n, ast.Call)
+        and (getattr(n.func, "attr", None) or getattr(n.func, "id", None)) == "frombuffer"
+        for n in ast.walk(node)
+    )
+
+bad = [
+    f"{path}:{node.lineno}"
+    for path in sorted(pathlib.Path("src/repro").rglob("*.py"))
+    for node in ast.walk(ast.parse(path.read_text(), str(path)))
+    if isinstance(node, ast.Call)
+    and isinstance(node.func, ast.Attribute)
+    and node.func.attr == "copy"
+    and calls_frombuffer(node.func.value)
+]
+for where in bad:
+    print(where)
+sys.exit(1 if bad else 0)
+PY
+then
+    echo "frombuffer(...).copy() under src/repro: read into the array (out=) instead" >&2
+    exit 1
+fi

@@ -121,6 +121,15 @@ class ParticleSet:
             attrs = attrs.reshape(0, N_ATTRIBUTES)
         return cls(arrays["particle_id"], pos, vel, arrays["mass"], attrs)
 
+    @classmethod
+    def empty(cls, n: int) -> "ParticleSet":
+        """``n`` particles with unset arrays, for a reader to fill array by
+        array through :meth:`array`."""
+        return cls(
+            np.empty(n, dtype=np.int64), np.empty((n, 3)), np.empty((n, 3)),
+            np.empty(n), np.empty((n, N_ATTRIBUTES)),
+        )
+
     # -- manipulation -----------------------------------------------------------
 
     def select(self, mask_or_index) -> "ParticleSet":

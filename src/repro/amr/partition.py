@@ -137,15 +137,11 @@ class BlockPartition:
             (coords[:, 0], coords[:, 1], coords[:, 2]), pgrid
         )
 
-    def extract(self, grid: Grid, rank: int) -> Grid:
-        """Rank ``rank``'s piece of ``grid`` as a standalone grid patch.
-
-        Fields are sliced (Block, Block, Block); particles are selected by
-        position (the irregular pattern).
-        """
-        starts, sizes = self.block_of(rank)
+    def piece_shell(self, grid: Grid, rank: int) -> Grid:
+        """Rank ``rank``'s piece of ``grid``, geometry only (no data yet)."""
+        _starts, sizes = self.block_of(rank)
         left, right = self.edges_of(rank, grid)
-        piece = Grid(
+        return Grid(
             id=grid.id,
             level=grid.level,
             dims=sizes,
@@ -153,12 +149,68 @@ class BlockPartition:
             right_edge=right,
             parent_id=grid.parent_id,
         )
+
+    def extract(self, grid: Grid, rank: int) -> Grid:
+        """Rank ``rank``'s piece of ``grid`` as a standalone grid patch.
+
+        Fields are sliced (Block, Block, Block); particles are selected by
+        position (the irregular pattern).  A field slice that is one slab
+        of ``grid``'s array is a view of it.
+        """
+        piece = self.piece_shell(grid, rank)
         sel = self.slices_of(rank)
         for name, arr in grid.fields.items():
             piece.fields[name] = np.ascontiguousarray(arr[sel])
         mask = _particle_mask(grid, self, rank)
         piece.particles = grid.particles.select(mask)
         return piece
+
+    def split(self, grid: Grid, arrays) -> list[Grid]:
+        """Every rank's piece of ``grid``, cut from its arrays as they arrive.
+
+        ``arrays`` yields ``(kind, name, array)`` for each baryon field
+        (``"field"``) and then each of :data:`PARTICLE_ARRAYS`
+        (``"particle"``): a grid's data, one array at a time.  Each array
+        is cut into the ranks' pieces as soon as it arrives and every cut is
+        a copy the piece owns (a slab's slice would be a view pinning the
+        whole array), so the caller can drop an array once it is cut.
+        Particle arrays wait only for the three positions that say which
+        rank owns each particle.  The pieces equal :meth:`extract`'s pieces
+        of the grid the arrays make up.
+        """
+        ranks = range(self.nprocs)
+        pieces = [self.piece_shell(grid, r) for r in ranks]
+        slices = [self.slices_of(r) for r in ranks]
+        waiting: dict[str, np.ndarray] = {}
+        owned = None  # each rank's particles, as indices into the arrays
+        for kind, name, arr in arrays:
+            if kind == "field":
+                for piece, sel in zip(pieces, slices):
+                    piece.fields[name] = arr[sel].copy()
+            else:
+                waiting[name] = arr
+                if owned is None:
+                    owned = self._owned_particles(grid, waiting, pieces)
+                if owned is not None:
+                    for wanted in waiting:
+                        for piece, index in zip(pieces, owned):
+                            piece.particles.array(wanted)[:] = waiting[wanted][index]
+                    waiting.clear()
+            del arr  # dropped before the next array is read
+        return pieces
+
+    def _owned_particles(self, grid: Grid, waiting: dict, pieces: list[Grid]):
+        """Each rank's particles as indices into ``grid``'s particle arrays,
+        or None while ``waiting`` lacks a position array; gives each piece
+        room for its particles."""
+        xyz = [waiting.get(f"position_{c}") for c in "xyz"]
+        if any(a is None for a in xyz):
+            return None
+        owners = self.owner_of_cells(grid.cell_of(np.column_stack(xyz)))
+        owned = [np.flatnonzero(owners == r) for r in range(self.nprocs)]
+        for piece, index in zip(pieces, owned):
+            piece.particles = ParticleSet.empty(len(index))
+        return owned
 
     def reassemble(self, grid_template: Grid, pieces: list[Grid]) -> Grid:
         """Combine per-rank pieces back into a single grid.

@@ -70,15 +70,11 @@ class SDS:
         self._sd._adio.write_contig(self.entry.data_offset, data)
 
     def read(self) -> np.ndarray:
-        """Read the entire array."""
+        """Read the entire array (straight from the file into a new one)."""
         self._sd._overhead()
-        raw = self._sd._adio.read_contig(
-            self.entry.data_offset, self.entry.data_nbytes
-        )
-        return (
-            np.frombuffer(raw, dtype=self.entry.dtype)
-            .reshape(self.entry.shape)
-            .copy()
+        return self._sd._adio.read_contig(
+            self.entry.data_offset, self.entry.data_nbytes,
+            out=np.empty(self.entry.shape, dtype=self.entry.dtype),
         )
 
 

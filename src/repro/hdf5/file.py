@@ -163,13 +163,12 @@ class H5Dataset:
         self._check_open()
         sel = selection if selection is not None else self.space.select_all()
         segs = self._segments(selection)
+        out = np.empty(sel.selection_shape, dtype=self.dtype)
         if collective:
-            raw = collective_read(self._f.comm, self._f.adio, segs, self._f.hints)
-        else:
-            raw = sieve_read(self._f.adio, segs, self._f.hints)
-        return (
-            np.frombuffer(raw, dtype=self.dtype).reshape(sel.selection_shape).copy()
-        )
+            return collective_read(
+                self._f.comm, self._f.adio, segs, self._f.hints, out
+            )
+        return sieve_read(self._f.adio, segs, self._f.hints, out)
 
     # -- attributes -----------------------------------------------------------------
 

@@ -43,6 +43,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..amr.fields import BARYON_FIELDS
 from ..amr.particles import PARTICLE_ARRAYS, ParticleSet
 from ..enzo.layout import TOP
 from ..hdf4.sd import SDFile
@@ -148,14 +149,29 @@ def write_grid_sd_batched(sd: SDFile, grid, entries: list | None = None) -> int:
     return nbytes
 
 
-def read_grid_sd(sd: SDFile, shell) -> None:
-    """Fill a grid shell from an open SD file (canonical order)."""
-    for name in shell.fields:
-        shell.fields[name] = sd.select(name).read()
-    arrays = {
-        name: sd.select(f"particle/{name}").read() for name in PARTICLE_ARRAYS
-    }
-    shell.particles = ParticleSet.from_arrays(arrays)
+def iter_grid_sd(sd: SDFile):
+    """``(kind, name, array)`` for each array of an open SD grid file, read
+    one at a time in canonical order: the fields, then the particles."""
+    for name in BARYON_FIELDS:
+        yield "field", name, sd.select(name).read()
+    for name in PARTICLE_ARRAYS:
+        yield "particle", name, sd.select(f"particle/{name}").read()
+
+
+def read_grid_sd(arrays, shell) -> None:
+    """Fill a grid shell from its arrays as :func:`iter_grid_sd` yields them.
+
+    A particle array is copied into its place in the shell's particles as
+    soon as it is read, so one array is held besides the shell's own.
+    """
+    for kind, name, arr in arrays:
+        if kind == "field":
+            shell.fields[name] = arr
+        else:
+            if name == PARTICLE_ARRAYS[0]:  # the first particle array sizes them
+                shell.particles = ParticleSet.empty(len(arr))
+            shell.particles.array(name)[:] = arr
+        del arr  # dropped before the next array is read
 
 
 class HDF4SDFormat:
@@ -191,8 +207,13 @@ class _SDSession:
         return nbytes
 
     def read_grid(self, path: str, shell) -> None:
+        read_grid_sd(self.read_arrays(path), shell)
+
+    def read_arrays(self, path: str):
+        """The arrays of the grid file at ``path`` as :func:`iter_grid_sd`
+        yields them; only the array just read is held."""
         sd = SDFile.start(self.ctx.comm, path, "r", retry=self.ctx.strategy.retry)
-        read_grid_sd(sd, shell)
+        yield from iter_grid_sd(sd)
         sd.end()
 
 
@@ -310,9 +331,8 @@ class _RawSession(_SharedFileSession):
             return None
         ext = self.layout.extent(key, name, kind)
         shape = ext.shape if hi is None else (hi - lo,)
-        item = ext.dtype.itemsize
-        raw = self.fh.read_at(ext.offset + lo * item, int(np.prod(shape)) * item)
-        return np.frombuffer(raw, dtype=ext.dtype).reshape(shape).copy()
+        offset = ext.offset + lo * ext.dtype.itemsize
+        return self.fh.read_at(offset, np.empty(shape, dtype=ext.dtype))
 
 
 # -- HDF5 over the mpio driver -----------------------------------------------

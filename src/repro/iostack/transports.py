@@ -36,24 +36,12 @@ __all__ = [
     "CollectiveTransport",
     "FunnelTransport",
     "IndependentTransport",
-    "make_piece_shell",
     "redistribute_grid_particles",
     "redistribute_particles",
 ]
 
 
-# -- shared shell / redistribution helpers -----------------------------------
-
-
-def make_piece_shell(meta, gid, part: BlockPartition, rank: int) -> Grid:
-    """An empty piece of grid ``gid`` with rank ``rank``'s block geometry."""
-    g = meta[gid]
-    _starts, sizes = part.block_of(rank)
-    left, right = part.edges_of(rank, g.shell())
-    return Grid(
-        id=g.id, level=g.level, dims=sizes,
-        left_edge=left, right_edge=right, parent_id=g.parent_id,
-    )
+# -- particle redistribution -------------------------------------------------
 
 
 def redistribute_particles(
@@ -96,6 +84,17 @@ def _read_particles(ctx, session, key, lo=0, hi=None, want=True):
 
 
 # -- rank-0 funnel (the original sequential path) ----------------------------
+
+
+def _read_pieces(ctx, session, path: str, grid, part: BlockPartition) -> list:
+    """Processor 0 reads the file at ``path`` of the grid whose metadata is
+    ``grid`` and partitions it: each array is cut into the ranks' pieces as
+    it is read, so one array is in flight, not the grid.  Charged as the
+    whole grid read and copied."""
+    pieces = part.split(grid.shell(), session.read_arrays(path))
+    ctx.stats.bytes_moved += grid.data_nbytes
+    ctx.comm.compute(ctx.comm.machine.memcpy_time(grid.data_nbytes))
+    return pieces
 
 
 class FunnelTransport:
@@ -142,11 +141,10 @@ class FunnelTransport:
         # and scatters the pieces.
         with ctx.timed("top_read_scatter"):
             if comm.rank == 0:
-                shell = meta.root.shell()
-                session.read_grid(layout.top_grid_path(ctx.base), shell)
-                ctx.stats.bytes_moved += shell.data_nbytes
-                pieces = [partition.extract(shell, r) for r in range(comm.size)]
-                comm.compute(comm.machine.memcpy_time(shell.data_nbytes))
+                pieces = _read_pieces(
+                    ctx, session, layout.top_grid_path(ctx.base), meta.root,
+                    partition,
+                )
             else:
                 pieces = None
             top_piece = coll.scatter(comm, pieces, root=0)
@@ -193,15 +191,11 @@ class FunnelTransport:
             state.partitions[gid] = part
             pieces = None
             if comm.rank == 0:
-                shell = g.shell()
                 if gid == meta.root_id:
                     path = layout.top_grid_path(ctx.base)
                 else:
                     path = layout.subgrid_path(ctx.base, gid)
-                session.read_grid(path, shell)
-                ctx.stats.bytes_moved += shell.data_nbytes
-                comm.compute(comm.machine.memcpy_time(shell.data_nbytes))
-                pieces = [part.extract(shell, r) for r in range(part.nprocs)]
+                pieces = _read_pieces(ctx, session, path, g, part)
                 pieces += [None] * (comm.size - part.nprocs)
             state.pieces[gid] = coll.scatter(comm, pieces, root=0)
         return state
@@ -276,7 +270,7 @@ class CollectiveTransport:
         # Phase 1: top-grid fields, collective subarray/hyperslab reads.
         with ctx.timed("top_fields"):
             block = partition.block_of(comm.rank)
-            top_piece = make_piece_shell(meta, meta.root_id, partition, comm.rank)
+            top_piece = partition.piece_shell(meta.root.shell(), comm.rank)
             for name in BARYON_FIELDS:
                 got = session.read_block(TOP, name, block)
                 top_piece.fields[name] = got
@@ -333,7 +327,7 @@ class CollectiveTransport:
             part = BlockPartition.for_grid(g.dims, comm.size)
             state.partitions[gid] = part
             active = comm.rank < part.nprocs
-            piece = make_piece_shell(meta, gid, part, comm.rank) if active else None
+            piece = part.piece_shell(g.shell(), comm.rank) if active else None
             # Baryon fields: collective reads (all ranks call).
             block = part.block_of(comm.rank) if active else None
             for name in BARYON_FIELDS:

@@ -26,8 +26,29 @@ __all__ = ["ADIOFile", "as_byte_view"]
 def as_byte_view(data) -> memoryview:
     """Expose any buffer-ish object as a flat byte view (no copy)."""
     if isinstance(data, np.ndarray):
+        if not data.size:  # cast() refuses a 0 in a multi-dim shape
+            return memoryview(b"")
         return memoryview(np.ascontiguousarray(data)).cast("B")
     return memoryview(data).cast("B")
+
+
+def writable_byte_view(out, nbytes: int) -> memoryview:
+    """``out``, the destination of an ``nbytes`` read, as one flat writable
+    byte view of exactly that size.
+
+    An array is taken as it lies: a non-contiguous one would need a
+    contiguous copy, and the read would land in the copy instead.
+    """
+    if isinstance(out, np.ndarray):
+        if not out.flags.c_contiguous:
+            raise ValueError("a read lands in a C-contiguous array only")
+        out = out.reshape(-1).view(np.uint8)  # a view; also for 0 in a dim
+    view = memoryview(out).cast("B")
+    if view.readonly or len(view) != nbytes:
+        raise ValueError(
+            f"a read of {nbytes} bytes needs a writable buffer of that size"
+        )
+    return view
 
 
 def _attached_fs(comm: Comm) -> FileSystem:
@@ -194,18 +215,28 @@ class ADIOFile:
 
     # -- contiguous primitives -------------------------------------------
 
-    def read_contig(self, offset: int, nbytes: int) -> bytes:
-        """Blocking contiguous read; advances the rank's clock."""
+    def read_contig(self, offset: int, nbytes: int, out=None):
+        """Blocking contiguous read; advances the rank's clock.
+
+        Returns the bytes read; with ``out`` (an array or writable buffer
+        of ``nbytes`` bytes) the bytes go straight from the block store
+        into it, one copy each, and ``out`` is returned.  A read whose
+        bytes are sent on stays ``bytes``: a message copies any other
+        buffer once more.
+        """
         self._check_open()
         if self.aio:
             self._drain_pending()
+        target = None if out is None else writable_byte_view(out, nbytes)
 
         def issue(ready_time):
             return self.fs.read(
-                self.path, offset, nbytes, node=self._node, ready_time=ready_time
+                self.path, offset, nbytes, node=self._node, ready_time=ready_time,
+                out=target,
             )
 
-        return self._issue(issue, nbytes)
+        data = self._issue(issue, nbytes)
+        return data if out is None else out
 
     def write_contig(self, offset: int, data) -> int:
         """Contiguous write; blocking unless the handle was opened with
@@ -251,19 +282,23 @@ class ADIOFile:
             self._issue(issue, len(b), sched=False)
         return total
 
-    def read_list(self, segments: list[tuple[int, int]]) -> bytes:
-        """One list-I/O read request covering all ``segments``."""
+    def read_list(self, segments: list[tuple[int, int]], out=None):
+        """One list-I/O read request covering all ``segments``; their
+        bytes packed, or ``out`` filled with them (as :meth:`read_contig`)."""
         self._check_open()
         if self.aio:
             self._drain_pending()
         total = sum(n for _, n in segments)
+        target = None if out is None else writable_byte_view(out, total)
 
         def issue(ready_time):
             return self.fs.read_list(
-                self.path, segments, node=self._node, ready_time=ready_time
+                self.path, segments, node=self._node, ready_time=ready_time,
+                out=target,
             )
 
-        return self._issue(issue, total)
+        data = self._issue(issue, total)
+        return data if out is None else out
 
     def write_list(self, segments: list[tuple[int, int]], data) -> int:
         """One list-I/O write request covering all ``segments``; posted

@@ -159,31 +159,29 @@ class File:
             return buf.nbytes
         return len(memoryview(buf).cast("B"))
 
-    def _unpack(self, raw: bytes, like) -> np.ndarray | bytes:
-        if isinstance(like, np.ndarray):
-            return np.frombuffer(raw, dtype=like.dtype).reshape(like.shape).copy()
-        return raw
-
     # -- independent I/O -----------------------------------------------------------
+
+    def _target(self, buf_or_nbytes):
+        """``(nbytes, out)`` of a read: a byte count reads into new
+        ``bytes`` (``out`` is None), an array or buffer is filled."""
+        if isinstance(buf_or_nbytes, int):
+            return buf_or_nbytes, None
+        return self._nbytes(buf_or_nbytes), buf_or_nbytes
 
     def read_at(self, offset: int, buf_or_nbytes) -> np.ndarray | bytes:
         """Independent read at an explicit (etype-unit) view offset.
 
-        Pass either a numpy array *template* (its dtype/shape describe the
-        result) or a byte count.  Data sieving applies when the view is
+        Pass either a numpy array to read into (filled and returned, as
+        ``MPI_File_read_at`` fills its buffer) or a byte count (the bytes
+        are returned).  Data sieving applies when the view is
         non-contiguous and the ``ds_read`` hint is on.
         """
         self._wb_flush()  # reads must observe buffered writes
-        if isinstance(buf_or_nbytes, int):
-            nbytes, like = buf_or_nbytes, None
-        else:
-            nbytes, like = self._nbytes(buf_or_nbytes), buf_or_nbytes
+        nbytes, out = self._target(buf_or_nbytes)
         segs = self._segments_for(offset, nbytes)
         if self.hints.use_listio and len(segs) > 1:
-            raw = self.adio.read_list(segs)
-        else:
-            raw = sieve_read(self.adio, segs, self.hints)
-        return self._unpack(raw, like) if like is not None else raw
+            return self.adio.read_list(segs, out=out)
+        return sieve_read(self.adio, segs, self.hints, out)
 
     def write_at(self, offset: int, buf) -> int:
         """Independent write at an explicit (etype-unit) view offset."""
@@ -220,13 +218,9 @@ class File:
     def read_at_all(self, offset: int, buf_or_nbytes) -> np.ndarray | bytes:
         """Collective (two-phase) read; all ranks of the comm must call."""
         self._wb_flush()
-        if isinstance(buf_or_nbytes, int):
-            nbytes, like = buf_or_nbytes, None
-        else:
-            nbytes, like = self._nbytes(buf_or_nbytes), buf_or_nbytes
+        nbytes, out = self._target(buf_or_nbytes)
         segs = self._segments_for(offset, nbytes)
-        raw = collective_read(self.comm, self.adio, segs, self.hints)
-        return self._unpack(raw, like) if like is not None else raw
+        return collective_read(self.comm, self.adio, segs, self.hints, out)
 
     def write_at_all(self, offset: int, buf) -> int:
         """Collective (two-phase) write; all ranks of the comm must call."""

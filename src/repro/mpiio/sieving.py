@@ -12,9 +12,7 @@ PVFS "because of the caching and ROMIO data-sieving techniques".
 
 from __future__ import annotations
 
-import numpy as np
-
-from .adio import ADIOFile, as_byte_view
+from .adio import ADIOFile, as_byte_view, writable_byte_view
 from .hints import Hints
 
 __all__ = ["sieve_read", "sieve_write", "plan_extents"]
@@ -60,27 +58,38 @@ def sieve_read(
     adio: ADIOFile,
     segments: list[tuple[int, int]],
     hints: Hints,
-) -> bytes:
-    """Read the bytes of ``segments`` (in offset order); returns them packed."""
+    out=None,
+):
+    """Read the bytes of ``segments`` (in offset order), packed.
+
+    Returns them as ``bytes``, or fills ``out`` (an array or writable
+    buffer of their total size) and returns it.  A request that covers one
+    segment exactly reads straight into its place in ``out``.
+    """
     total = sum(n for _, n in segments)
-    out = bytearray(total)
+    if out is None:
+        return bytes(sieve_read(adio, segments, hints, bytearray(total)))
+    view = writable_byte_view(out, total)
+    if hints.ds_read:
+        extents = plan_extents(
+            segments, hints.ind_rd_buffer_size, hints.ds_min_density
+        )
+    else:
+        extents = [(off, n, i, 1) for i, (off, n) in enumerate(segments)]
     pos = 0
-    if not hints.ds_read:
-        for off, length in segments:
-            out[pos : pos + length] = adio.read_contig(off, length)
-            pos += length
-        return bytes(out)
-    for ext_off, ext_len, first, nsegs in plan_extents(
-        segments, hints.ind_rd_buffer_size, hints.ds_min_density
-    ):
+    for ext_off, ext_len, first, nsegs in extents:
+        if nsegs == 1:
+            adio.read_contig(ext_off, ext_len, out=view[pos : pos + ext_len])
+            pos += ext_len
+            continue
         buf = adio.read_contig(ext_off, ext_len)
         for off, length in segments[first : first + nsegs]:
             rel = off - ext_off
-            out[pos : pos + length] = buf[rel : rel + length]
+            view[pos : pos + length] = buf[rel : rel + length]
             pos += length
     if pos != total:
         raise AssertionError("sieve_read failed to cover all segments")
-    return bytes(out)
+    return out
 
 
 def sieve_write(

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from ..mpi import collectives as coll
 from ..mpi.comm import Comm
-from .adio import ADIOFile, as_byte_view
+from .adio import ADIOFile, as_byte_view, writable_byte_view
 from .hints import Hints
 
 __all__ = ["collective_write", "collective_read", "aggregator_ranks", "file_domains"]
@@ -225,16 +225,22 @@ def collective_read(
     adio: ADIOFile,
     segments: list[tuple[int, int]],
     hints: Hints,
-) -> bytes:
-    """Two-phase collective read; returns this rank's bytes, packed.
+    out=None,
+):
+    """Two-phase collective read; returns this rank's bytes, packed, or
+    fills ``out`` (an array or writable buffer of their total size) with
+    them and returns it.
 
     Collective over ``comm``; ranks with no segments still participate.
     """
-    total, aggs, my_domain, rounds, plan = _exchange_plan(comm, segments, hints)
-    out = bytearray(total)
+    # A destination is checked before the first message: a rank that
+    # refused it inside the exchange would leave the others blocked there.
+    total = sum(n for _, n in segments)
+    packed = bytearray(total) if out is None else writable_byte_view(out, total)
+    _total, aggs, my_domain, rounds, plan = _exchange_plan(comm, segments, hints)
     if aggs is None:
         coll.barrier(comm)
-        return bytes(out)
+        return bytes(packed) if out is None else out
     for r in range(rounds):
         # Phase 1: every rank tells each aggregator which pieces it needs.
         requests = [None] * comm.size
@@ -253,9 +259,9 @@ def collective_read(
         # Unpack what came back into my output buffer.
         for a, pieces in plan.get(r, ()):
             for (off, ln, pos), chunk in zip(pieces, answers[a]):
-                out[pos : pos + ln] = chunk
+                packed[pos : pos + ln] = chunk
     coll.barrier(comm)
-    return bytes(out)
+    return bytes(packed) if out is None else out
 
 
 def _read_window(

@@ -138,6 +138,13 @@ class FaultSpec:
         return self.mode in ("oneshot", "torn") and self.fired > 0
 
 
+def _check_out(out, nbytes: int) -> None:
+    """Refuse a read destination that is not ``nbytes`` bytes long: the
+    request is counted and timed at ``nbytes``, whatever lands in ``out``."""
+    if out is not None and len(out) != nbytes:
+        raise ValueError(f"a read of {nbytes} bytes into a buffer of {len(out)}")
+
+
 class FileSystem:
     """Base class: data path through the block store, timing via hooks.
 
@@ -354,12 +361,28 @@ class FileSystem:
     # -- data -------------------------------------------------------------
 
     def read(
-        self, path: str, offset: int, nbytes: int, *, node: int = 0, ready_time: float = 0.0
-    ) -> tuple[bytes, float]:
-        """Read bytes; returns ``(data, completion_time)``."""
+        self,
+        path: str,
+        offset: int,
+        nbytes: int,
+        *,
+        node: int = 0,
+        ready_time: float = 0.0,
+        out: memoryview | None = None,
+    ) -> tuple[bytes | memoryview, float]:
+        """Read bytes; returns ``(data, completion_time)``.
+
+        With ``out``, a writable byte view of ``nbytes`` bytes, the data
+        is copied once from the store into it and ``data`` is ``out``.
+        """
+        _check_out(out, nbytes)
         self._check_fault("read", path, nbytes)
         f = self.store.open(path)
-        data = f.read(offset, nbytes)
+        if out is None:
+            data = f.read(offset, nbytes)
+        else:
+            f.readinto(offset, out)
+            data = out
         self.counters.reads += 1
         self.counters.bytes_read += nbytes
         done = self._service_read(path, offset, nbytes, node, ready_time)
@@ -399,20 +422,31 @@ class FileSystem:
         *,
         node: int = 0,
         ready_time: float = 0.0,
-    ) -> tuple[bytes, float]:
+        out: memoryview | None = None,
+    ) -> tuple[bytes | memoryview, float]:
         """Read many (offset, nbytes) segments as ONE file-system request.
 
         This is PVFS list-I/O (Ching/Choudhary et al.): the request
         carries the whole access list, so the per-request software costs
         are paid once rather than per segment.  Returns the concatenated
-        bytes and the completion time.  The base implementation simply
-        loops; performance-model subclasses override the timing.
+        bytes (or ``out`` filled with them, as :meth:`read`) and the
+        completion time.  The base implementation simply loops;
+        performance-model subclasses override the timing.
         """
-        self._check_fault("read", path, sum(n for _, n in segments))
+        total = sum(n for _, n in segments)
+        _check_out(out, total)
+        self._check_fault("read", path, total)
         f = self.store.open(path)
-        data = b"".join(f.read(off, n) for off, n in segments)
+        if out is None:
+            data = b"".join(f.read(off, n) for off, n in segments)
+        else:
+            pos = 0
+            for off, n in segments:
+                f.readinto(off, out[pos : pos + n])
+                pos += n
+            data = out
         self.counters.reads += 1
-        self.counters.bytes_read += sum(n for _, n in segments)
+        self.counters.bytes_read += total
         return data, self._list(path, segments, node, ready_time, "read")
 
     def write_list(

@@ -114,6 +114,16 @@ class StoredFile:
         """
         return b"".join(self._spans(offset, nbytes))
 
+    def readinto(self, offset: int, out: memoryview) -> None:
+        """``read(offset, len(out))`` written into the writable byte view
+        ``out``: each stored byte is copied once, with no ``bytes`` between
+        the pages and their destination."""
+        pos = 0
+        for span in self._spans(offset, len(out)):
+            end = pos + len(span)
+            out[pos:end] = span
+            pos = end
+
     def checksum(self, runs) -> int:
         """CRC32 of the concatenated ``read(offset, nbytes)`` of every
         ``(offset, nbytes)`` in ``runs``, without materializing a copy.

@@ -2,7 +2,7 @@
 
 from .machine import Machine
 from .network import Network
-from .presets import PRESETS, chiba_city, chiba_city_local, ibm_sp2, origin2000
+from .presets import PRESETS, chiba_city, chiba_city_local, ibm_sp2, lustre, origin2000
 
 __all__ = [
     "Machine",
@@ -11,5 +11,6 @@ __all__ = [
     "ibm_sp2",
     "chiba_city",
     "chiba_city_local",
+    "lustre",
     "PRESETS",
 ]

@@ -1,11 +1,14 @@
 """Tests for ICs, refinement, partitioning, load balancing and the solver."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr import (
+    PARTICLE_ARRAYS,
     BlockPartition,
     Grid,
     GridHierarchy,
@@ -178,6 +181,34 @@ class TestBlockPartition:
         assert combined.fields.equal(g.fields)
         # Reassembly sorts particles by id = original order here.
         assert combined.particles.equal(g.particles.sort_by_id())
+
+    @pytest.mark.parametrize("dims, nparticles, nprocs", [
+        ((8, 8, 8), 200, 2), ((8, 8, 8), 200, 6), ((6, 5, 7), 37, 8),
+        ((8, 8, 8), 0, 4), ((1, 1, 4), 3, 8),
+    ])
+    def test_split_array_by_array_is_extract_pickle_for_pickle(
+        self, dims, nparticles, nprocs
+    ):
+        """The funnel's per-array cut scatters the messages the whole-grid
+        extract did, byte for byte; and each piece owns its arrays."""
+        g = self.make_grid(dims, nparticles)
+        part = BlockPartition.for_grid(g.dims, nprocs)
+        arrays = [("field", name, arr.copy()) for name, arr in g.fields.items()]
+        arrays += [
+            ("particle", name, g.particles.array(name).copy())
+            for name in PARTICLE_ARRAYS
+        ]
+        shell = Grid(id=g.id, level=g.level, dims=g.dims,
+                     left_edge=g.left_edge, right_edge=g.right_edge)
+        pieces = part.split(shell, iter(arrays))
+        assert len(pieces) == part.nprocs
+        for rank, piece in enumerate(pieces):
+            assert pickle.dumps(piece, pickle.HIGHEST_PROTOCOL) == pickle.dumps(
+                part.extract(g, rank), pickle.HIGHEST_PROTOCOL
+            )
+            for _, arr in piece.fields.items():
+                assert arr.base is None
+                assert not any(np.shares_memory(arr, a) for _, _, a in arrays)
 
     def test_piece_particles_match_piece_domain(self):
         g = self.make_grid()

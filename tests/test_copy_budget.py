@@ -10,12 +10,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from repro.amr import Grid, GridHierarchy, ParticleSet
+from repro.amr import BlockPartition, Grid, GridHierarchy, ParticleSet
 from repro.bench import build_initial_workload, build_scale_workload, build_workload
+from repro.enzo import RankState
 from repro.enzo.meta import HierarchyMeta
 from repro.hdf4 import SDFile
-from repro.iostack.formats import read_grid_sd, write_grid_sd
-from repro.mpi import run_spmd
+from repro.iostack.formats import iter_grid_sd, read_grid_sd, write_grid_sd
+from repro.iostack import registry
+from repro.mpi import payload_nbytes, run_spmd
 from repro.mpiio import ADIOFile
 from repro.pfs.blockstore import _PAGE
 from repro.scenarios import registry as scenario_registry
@@ -68,7 +70,7 @@ def test_a_shell_is_free_and_a_read_into_it_holds_the_payload_once():
     master = _hierarchy()
     grid = master.root
     meta = HierarchyMeta.from_hierarchy(master)
-    array = grid.fields["density"].nbytes
+    particle = grid.particles.mass.nbytes
 
     def program(comm):
         sd = SDFile.start(comm, "g", "w")
@@ -78,7 +80,7 @@ def test_a_shell_is_free_and_a_read_into_it_holds_the_payload_once():
             shell = meta.root.shell()
         with Traced() as read:
             sd = SDFile.start(comm, "g", "r")
-            read_grid_sd(sd, shell)
+            read_grid_sd(iter_grid_sd(sd), shell)
             sd.end()
         return shell, made, read
 
@@ -86,8 +88,56 @@ def test_a_shell_is_free_and_a_read_into_it_holds_the_payload_once():
     assert shell.equal(grid)
     assert made.peak <= SLACK  # no zeros waiting to be replaced
     assert grid.data_nbytes <= read.held <= grid.data_nbytes + SLACK
-    # One array in flight: the bytes read and the array made from them.
-    assert read.peak <= grid.data_nbytes + 2 * array + SLACK
+    # One copy per byte: a field is read straight into the array the shell
+    # keeps (no bytes object beside it: that was + 1 array).  A particle
+    # array is read into a 1-D array and copied into its column of the
+    # shell's (n, 3) / (n, 2) arrays before the next one is read: + 1
+    # particle array in flight (restacking all ten at the end held + 8).
+    assert read.peak <= grid.data_nbytes + particle + SLACK
+
+
+def _owned_buffer(arr: np.ndarray) -> int:
+    """Bytes of the buffer ``arr``'s memory belongs to: what it keeps alive."""
+    while isinstance(arr.base, np.ndarray):
+        arr = arr.base
+    return arr.nbytes if arr.base is None else memoryview(arr.base).nbytes
+
+
+def test_the_funnel_read_holds_one_array_in_flight_not_one_grid():
+    # One big grid whose particles weigh as much as its fields, so a
+    # grid-sized transient of either kind shows.
+    master = _hierarchy(nparticles=32768)
+    grid = master.root
+    array = grid.fields["density"].nbytes
+    machine = make_machine(2)
+
+    def write(comm):
+        state = RankState.from_hierarchy(master, comm.rank, comm.size)
+        registry.create("hdf4").write_checkpoint(comm, state, "ckpt")
+
+    def read(comm):
+        state, _stats = registry.create("hdf4").read_initial(comm, "ckpt")
+        return state.pieces[grid.id]
+
+    run_spmd(machine, write)
+    with Traced() as t:
+        pieces = run_spmd(make_machine(2, fs=machine.fs), read).results
+    part = BlockPartition.for_grid(grid.dims, 2)
+    for rank, piece in enumerate(pieces):
+        assert piece.equal(part.extract(grid, rank))
+    result = sum(p.data_nbytes for p in pieces)
+    # Processor 0 cuts each array into the two pieces as it reads it and
+    # drops it; at the scatter it holds both pieces and the message copy of
+    # rank 1's.  Reading the grid whole first held it beside its pieces.
+    assert t.peak <= result + array + payload_nbytes(pieces[1]) + SLACK
+    # Rank 0's piece owns its arrays: a slab of a field used to be a view
+    # that kept the whole field, rank 1's half included, alive.
+    assert t.held <= result + SLACK
+    fields, parts = pieces[0].fields, pieces[0].particles
+    arrays = [arr for _, arr in fields.items()] + [
+        parts.ids, parts.positions, parts.velocities, parts.mass, parts.attributes,
+    ]
+    assert all(_owned_buffer(arr) == arr.nbytes for arr in arrays)
 
 
 _BUILDERS = {

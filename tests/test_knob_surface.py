@@ -29,6 +29,7 @@ from repro.mpiio import ADIOFile, File
 from repro.pfs import LocalDiskFS, StripedServerFS
 from repro.pfs.lustre import LustreFS
 from repro.resilience import RetryPolicy
+from repro.topology import presets
 
 SIGNATURES = {
     "StripedServerFS": (StripedServerFS, (
@@ -128,8 +129,17 @@ def test_topology_exports_are_pinned():
     to ``Network``, not a subclass filling its defaults."""
     assert topology.__all__ == [
         "Machine", "Network", "origin2000", "ibm_sp2", "chiba_city",
-        "chiba_city_local", "PRESETS",
+        "chiba_city_local", "lustre", "PRESETS",
     ]
+
+
+def test_every_preset_imports_from_the_topology_package():
+    """``from repro.topology import <preset>`` works for each preset the
+    presets module exports, ``lustre`` included."""
+    for name in presets.__all__:
+        assert name in topology.__all__
+        assert getattr(topology, name) is getattr(presets, name)
+    assert set(topology.PRESETS) <= set(topology.__all__)
 
 
 def test_comm_methods_are_pinned():
