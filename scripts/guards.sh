@@ -132,3 +132,13 @@ then
     echo "frombuffer(...).copy() under src/repro: read into the array (out=) instead" >&2
     exit 1
 fi
+
+echo "== particle columns are filled, not restacked =="
+# A particle read copies each 1-D array into its column of
+# ParticleSet.empty(n) as it arrives (transports._read_particles,
+# formats.read_grid_sd); a dict of every array restacked at the end held
+# the arrays and the stacks at once (9.0 arrays per 5.0 kept).
+if grep -rnE "from_arrays|column_stack" src/repro/iostack; then
+    echo "src/repro/iostack restacks particle arrays: fill ParticleSet.empty(n) column by column" >&2
+    exit 1
+fi

@@ -107,21 +107,6 @@ class ParticleSet:
         raise KeyError(name)
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "ParticleSet":
-        """Rebuild from the canonical named 1-D arrays."""
-        n = len(arrays["particle_id"])
-        pos = np.column_stack([arrays[f"position_{c}"] for c in "xyz"])
-        vel = np.column_stack([arrays[f"velocity_{c}"] for c in "xyz"])
-        attrs = np.column_stack(
-            [arrays[f"attribute_{i}"] for i in range(N_ATTRIBUTES)]
-        )
-        if n == 0:
-            pos = pos.reshape(0, 3)
-            vel = vel.reshape(0, 3)
-            attrs = attrs.reshape(0, N_ATTRIBUTES)
-        return cls(arrays["particle_id"], pos, vel, arrays["mass"], attrs)
-
-    @classmethod
     def empty(cls, n: int) -> "ParticleSet":
         """``n`` particles with unset arrays, for a reader to fill array by
         array through :meth:`array`."""

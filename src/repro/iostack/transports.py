@@ -29,7 +29,7 @@ from ..amr.partition import BlockPartition
 from ..enzo.layout import TOP
 from ..enzo.sort import parallel_sort_by_id
 from ..enzo.state import PartitionedState, RankState, make_owner_map
-from ..mpi import collectives as coll
+from ..mpi import Moved, collectives as coll
 from .layouts import particle_block_range
 
 __all__ = [
@@ -61,8 +61,9 @@ def redistribute_grid_particles(
         owners = part.owner_of_cells(cells)
     else:
         owners = np.empty(0, dtype=np.int64)
+    # Each selection is a copy built only to be sent: handed over.
     outgoing = [
-        block.select(owners == r) if r < part.nprocs else None
+        Moved(block.select(owners == r)) if r < part.nprocs else None
         for r in range(comm.size)
     ]
     incoming = coll.alltoall(comm, outgoing)
@@ -72,15 +73,24 @@ def redistribute_grid_particles(
 
 
 def _read_particles(ctx, session, key, lo=0, hi=None, want=True):
-    """Elements ``[lo, hi)`` of every particle array of grid ``key``."""
-    arrays = {
-        name: session.read_array(key, "particle", name, lo, hi, want)
-        for name in PARTICLE_ARRAYS
-    }
-    if not want:
-        return None
-    ctx.stats.bytes_moved += sum(a.nbytes for a in arrays.values())
-    return ParticleSet.from_arrays(arrays)
+    """Elements ``[lo, hi)`` of every particle array of grid ``key``.
+
+    Each array is copied into its column of the set as soon as it is read
+    (as :func:`~repro.iostack.formats.read_grid_sd` does), so one 1-D array
+    is held besides the set.  Every rank calls every read: a format's
+    metadata may be collective.
+    """
+    parts = None
+    for name in PARTICLE_ARRAYS:
+        arr = session.read_array(key, "particle", name, lo, hi, want)
+        if not want:
+            continue
+        if parts is None:  # the first particle array sizes them
+            parts = ParticleSet.empty(len(arr))
+        parts.array(name)[:] = arr
+        ctx.stats.bytes_moved += arr.nbytes
+        del arr  # dropped before the next array is read
+    return parts
 
 
 # -- rank-0 funnel (the original sequential path) ----------------------------
@@ -90,11 +100,16 @@ def _read_pieces(ctx, session, path: str, grid, part: BlockPartition) -> list:
     """Processor 0 reads the file at ``path`` of the grid whose metadata is
     ``grid`` and partitions it: each array is cut into the ranks' pieces as
     it is read, so one array is in flight, not the grid.  Charged as the
-    whole grid read and copied."""
+    whole grid read and copied.
+
+    The pieces are owned copies built only to be scattered, so they come
+    back handed over (:class:`~repro.mpi.Moved`): the scatter delivers each
+    one itself, not a snapshot of it.
+    """
     pieces = part.split(grid.shell(), session.read_arrays(path))
     ctx.stats.bytes_moved += grid.data_nbytes
     ctx.comm.compute(ctx.comm.machine.memcpy_time(grid.data_nbytes))
-    return pieces
+    return [Moved(piece) for piece in pieces]
 
 
 class FunnelTransport:
@@ -165,7 +180,7 @@ class FunnelTransport:
                     if comm.rank == 0:
                         subgrids[gid] = shell
                 elif comm.rank == 0:
-                    comm.send(shell, dest, tag=17)
+                    comm.send(Moved(shell), dest, tag=17)
                 elif comm.rank == dest:
                     subgrids[gid] = comm.recv(0, tag=17)
             coll.barrier(comm)

@@ -28,7 +28,7 @@ from .collectives import (
     scatter,
     scatterv,
 )
-from .comm import Comm, Message, MpiWorld, payload_nbytes
+from .comm import Comm, Message, Moved, MpiWorld, payload_nbytes
 from .datatypes import BYTE, FLOAT64, Datatype, Named, Subarray, merge_segments
 from .request import Request, irecv, isend, waitall
 from .runner import SpmdResult, run_spmd
@@ -36,6 +36,7 @@ from .runner import SpmdResult, run_spmd
 __all__ = [
     "Comm",
     "Message",
+    "Moved",
     "MpiWorld",
     "payload_nbytes",
     "run_spmd",

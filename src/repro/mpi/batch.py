@@ -13,7 +13,8 @@ everyone.  Context switches per collective drop from O(P log P .. P^2) to O(P).
 Fidelity contract:
 
 * **data** is byte-identical to the per-message path: payloads are
-  snapshotted (no sender aliasing) and delivered to exactly the ranks the
+  snapshotted (no sender aliasing) unless handed over
+  (:class:`~repro.mpi.comm.Moved`), and delivered to exactly the ranks the
   real algorithm would deliver them to;
 * **timing** is modeled, not emulated: completion times use the same latency
   / software-overhead / bandwidth parameters and the same round structure,
@@ -39,12 +40,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .comm import Comm, _wire_copy, payload_nbytes
+from .comm import _NONE_NBYTES, Comm, _immutable, _wire_copy, payload_nbytes
 
 __all__ = ["batch_enabled"]
-
-#: Wire size of a pickled ``None`` (alltoall slots are mostly None).
-_NONE_NBYTES = payload_nbytes(None)
 
 
 def batch_enabled(comm: Comm) -> bool:
@@ -57,18 +55,12 @@ def _log2_rounds(size: int) -> int:
     return (size - 1).bit_length()
 
 
-def _immutable(x: Any) -> bool:
-    if x is None or isinstance(x, (bool, int, float, str, bytes)):
-        return True
-    if isinstance(x, tuple):
-        return all(_immutable(i) for i in x)
-    return False
-
-
 def _isolate(obj: Any) -> tuple[int | None, Any]:
     """``(wire size, copy)``: a copy no sender-side mutation can reach, and
     its wire size if making it took a serialisation pass (else ``None``:
-    immutable payloads are shared, not copied)."""
+    immutable payloads are shared, not copied).  A handed-over payload
+    (:class:`~repro.mpi.comm.Moved`) is its own copy, sized on arrival by
+    ``_wire_copy``."""
     if _immutable(obj):
         return None, obj
     if isinstance(obj, list) and all(_immutable(x) for x in obj):
@@ -230,23 +222,31 @@ def allgather(comm: Comm, obj: Any) -> list:
 def alltoall(comm: Comm, objs: Sequence[Any]) -> list:
     if len(objs) != comm.size:
         raise ValueError("alltoall needs one object per rank")
-    # Rows are mostly None at scale; skip the snapshot call for those.  The
-    # cells are lists of byte strings (two-phase I/O): shared, not copied,
-    # and sized in ``combine`` -- one thread pickling P x P cells in a row
-    # reuses one warm buffer, P threads sizing their own rows at arrival do
-    # not (measured at P = 1024: 1.8 s against 4.3 s per dump).
-    contribution = [None if o is None else _isolate(o)[1] for o in objs]
+    # Rows are mostly None at scale; skip the snapshot call for those.  A
+    # cell of immutable leaves (the two-phase read requests) is shared, not
+    # copied, and sized in ``combine`` -- one thread pickling P x P cells in a
+    # row reuses one warm buffer, P threads sizing their own rows at arrival
+    # do not (measured at P = 1024: 1.8 s against 4.3 s per dump).  Any other
+    # cell, a handed-over one included, arrives with the size its snapshot
+    # or hand-over took.
+    cells, sizes = [None] * comm.size, [_NONE_NBYTES] * comm.size
+    for d, o in enumerate(objs):
+        if o is not None:
+            sizes[d], cells[d] = _isolate(o)
+    contribution = (cells, sizes)
 
     def combine(comm, contribs, base):
         lat, sw, bw = _params(comm)
         size = comm.size
         send = [0] * size
         recv = [0] * size
-        results = [list(row) for row in zip(*contribs)]  # C-speed transpose
-        for s, row in enumerate(contribs):
-            for d, cell in enumerate(row):
+        # C-speed transpose
+        results = [list(row) for row in zip(*(cells for cells, _ in contribs))]
+        for s, (row, sizes) in enumerate(contribs):
+            for d, (cell, n) in enumerate(zip(row, sizes)):
                 if s != d:
-                    n = _NONE_NBYTES if cell is None else payload_nbytes(cell)
+                    if n is None:
+                        n = payload_nbytes(cell)
                     send[s] += n
                     recv[d] += n
         rounds = (size - 1) * (2 * sw + lat)

@@ -8,7 +8,9 @@ cost falls out of the model rather than being asserted.
 
 Each algorithm is written once, as a per-rank *schedule*: a generator that
 yields ``("post", dest, obj)`` and ``payload = yield ("recv", src)`` steps
-and returns the rank's result.  :func:`_run` is the one driver:
+and returns the rank's result (scatter, whose bundles mix handed-over and
+snapshotted entries, yields its posts wired: ``("post", dest, nbytes,
+payload)``).  :func:`_run` is the one driver:
 
 * until the last member enters, each rank steps its own schedule in its own
   thread, exactly as a hand-written send/recv loop would: a post is a
@@ -43,7 +45,7 @@ import numpy as np
 
 from ..sim.engine import ProcState
 from . import batch as _batch
-from .comm import _NONE_NBYTES, Comm, _RecvWait, _wire_copy
+from .comm import _NONE_NBYTES, Comm, Moved, _RecvWait, _wire_copy
 
 __all__ = [
     "barrier",
@@ -89,7 +91,8 @@ class _Collective:
     """One in-flight collective: every member's schedule and where it stands.
 
     ``steps[r]`` is member ``r``'s pending step -- ``("post", dest, nbytes,
-    payload)`` with the payload already snapshotted, or ``("recv", src)`` --
+    payload)`` with the payload already wired (snapshotted or handed over),
+    or ``("recv", src)`` --
     and ``None`` once its schedule has returned (or failed).  Every post
     step is a fresh tuple, so a thread back from the schedule point before
     its post can tell by identity whether the replay booked it meanwhile.
@@ -117,7 +120,7 @@ class _Collective:
             self.steps[r] = self.gens[r] = None
             self.results[r] = stop.value
             return
-        if step[0] == "post":
+        if step[0] == "post" and len(step) == 3:  # else posted already wired
             obj = step[2]
             if obj is None:  # a barrier token
                 step = ("post", step[1], _NONE_NBYTES, None)
@@ -323,9 +326,31 @@ def _scatter(
                 r = _rrank(x, root, size)
                 if r in bundle:
                     sub[r] = bundle.pop(r)
-            yield "post", _rrank(lo, root, size), sub
+            yield "post", _rrank(lo, root, size), *_wire_bundle(sub, rank == root)
         mask >>= 1
-    return bundle[rank]
+    return _unwrap(bundle[rank])
+
+
+def _wire_bundle(sub: dict, at_root: bool) -> tuple[int, dict]:
+    """``(wire size, payload)`` of one scatter hop's bundle.
+
+    A bundle a rank received is its own private copy, so it is forwarded as
+    is.  The root's is sized as the dict of its objects themselves; an entry
+    handed over (:class:`Moved`) travels as it is, any other is snapshotted.
+    """
+    if not at_root:
+        return _wire_copy(Moved(sub))
+    if not any(type(e) is Moved for e in sub.values()):
+        return _wire_copy(sub)
+    nbytes, _ = _wire_copy(Moved({r: _unwrap(e) for r, e in sub.items()}))
+    owned = {
+        r: e.obj if type(e) is Moved else _wire_copy(e)[1] for r, e in sub.items()
+    }
+    return nbytes, owned
+
+
+def _unwrap(obj: Any) -> Any:
+    return obj.obj if type(obj) is Moved else obj
 
 
 def _allgather(rank: int, size: int, obj: Any) -> _Schedule:
@@ -345,7 +370,7 @@ def _allgather(rank: int, size: int, obj: Any) -> _Schedule:
 def _alltoall(rank: int, size: int, objs: Sequence[Any]) -> _Schedule:
     """Pairwise exchange: step s sends to rank + s, receives from rank - s."""
     out: list = [None] * size
-    out[rank] = objs[rank]
+    out[rank] = _unwrap(objs[rank])
     for step in range(1, size):
         dest = (rank + step) % size
         src = (rank - step) % size

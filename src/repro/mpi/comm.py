@@ -6,7 +6,9 @@ The programming model mirrors mpi4py: an SPMD function receives a
 each rank is a :class:`repro.sim.Proc`; message timing comes from the
 machine's interconnect model (NIC contention, latency) and message *data* is
 physically copied, so communication bugs corrupt data and get caught by
-tests rather than hiding behind a pure cost model.
+tests rather than hiding behind a pure cost model.  A payload the sender
+builds only to send it is handed over instead (:class:`Moved`): same wire
+size, no copy.
 
 Sends are eager: the sender charges a software overhead and its NIC egress
 occupancy, then proceeds; the receiver blocks until the message's arrival
@@ -38,7 +40,7 @@ import numpy as np
 from ..sim.engine import Engine, Proc, ProcState
 from ..topology.machine import Machine
 
-__all__ = ["Comm", "Message", "payload_nbytes", "MpiWorld"]
+__all__ = ["Comm", "Message", "Moved", "payload_nbytes", "MpiWorld"]
 
 # Collective-internal tags cycle through [_USER_TAG_LIMIT, _INTERNAL_TAG_BASE);
 # a send takes only tags below them, so the two never collide.
@@ -64,6 +66,22 @@ def payload_nbytes(obj: Any) -> int:
 _NONE_NBYTES = len(pickle.dumps(None, protocol=pickle.HIGHEST_PROTOCOL))
 
 
+class Moved:
+    """A payload handed over to a send: the sender neither reads nor writes
+    ``obj`` after the call.
+
+    It travels at the wire size of ``obj`` and the receiver gets ``obj``
+    itself, not a snapshot.  :meth:`Comm.send`, ``alltoall`` (its own slot
+    too) and ``scatter`` (the root's entries) take it, for a payload built
+    only to be sent.
+    """
+
+    __slots__ = ("obj",)
+
+    def __init__(self, obj: Any):
+        self.obj = obj
+
+
 class _ByteCounter:
     """A ``Pickler`` sink that keeps the length of the stream and nothing else."""
 
@@ -75,18 +93,44 @@ class _ByteCounter:
         self.nbytes += memoryview(data).nbytes
 
 
+def _pickle_nbytes(obj: Any) -> int:
+    """``len(pickle.dumps(obj, HIGHEST_PROTOCOL))`` without building the
+    blob: the same opcodes and frames, written into a counting sink."""
+    sink = _ByteCounter()
+    pickle.Pickler(sink, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
+    return sink.nbytes
+
+
+def _immutable(x: Any) -> bool:
+    """Whether no sender-side mutation can reach ``x``: ``None``, numbers,
+    ``str``, ``bytes`` and tuples of them."""
+    if x is None or isinstance(x, (bool, int, float, str, bytes)):
+        return True
+    if isinstance(x, tuple):
+        return all(_immutable(i) for i in x)
+    return False
+
+
 def _wire_copy(obj: Any) -> tuple[int, Any]:
     """``payload_nbytes(obj)`` and a snapshot of ``obj`` that aliases none of
     it (sender-side mutation must not reach the message), in one pass.
 
-    A generic object is pickled once, its contiguous arrays taken out of
+    A :class:`Moved` payload is its own snapshot: its object is sized and
+    delivered as it is.  An immutable one is shared, and a list of them
+    copied shallowly; either is sized by its pickle, with no ``loads``.
+
+    Any other object is pickled once, its contiguous arrays taken out of
     band.  With no such array the stream *is* the in-band pickle: its length
     is the wire size and ``loads`` of it the snapshot.  Otherwise the bulk
-    bytes are never serialised: the in-band length comes from a pickler
-    writing into a counting sink -- the same opcodes and frames as
-    ``dumps``, only the destination differs -- and the snapshot is rebuilt
-    over one copy of each buffer.
+    bytes are never serialised: the in-band length comes from
+    :func:`_pickle_nbytes` and the snapshot is rebuilt over one copy of each
+    buffer.
     """
+    if type(obj) is Moved:
+        obj = obj.obj
+        if isinstance(obj, (np.ndarray, bytes, bytearray, memoryview)):
+            return payload_nbytes(obj), obj
+        return _pickle_nbytes(obj), obj
     if isinstance(obj, np.ndarray):
         return obj.nbytes, obj.copy()
     if isinstance(obj, (bytearray, memoryview)):
@@ -95,23 +139,23 @@ def _wire_copy(obj: Any) -> tuple[int, Any]:
         return len(obj), obj
     if obj is None:
         return _NONE_NBYTES, None
+    if _immutable(obj):
+        return payload_nbytes(obj), obj
+    if type(obj) is list and all(map(_immutable, obj)):
+        return payload_nbytes(obj), obj[:]
     buffers: list[pickle.PickleBuffer] = []
     blob = pickle.dumps(
         obj, protocol=pickle.HIGHEST_PROTOCOL, buffer_callback=buffers.append
     )
     if not buffers:
-        if isinstance(obj, (int, float, str, bool)):
-            return len(blob), obj
         return len(blob), pickle.loads(blob)
-    sink = _ByteCounter()
-    pickle.Pickler(sink, protocol=pickle.HIGHEST_PROTOCOL).dump(obj)
     # raw(): the buffer's memory as it lies (an F-ordered array exports its
     # transpose); bytes keep a read-only array read-only, as in-band does.
     copies = [
         bytes(raw) if raw.readonly else bytearray(raw)
         for raw in map(pickle.PickleBuffer.raw, buffers)
     ]
-    return sink.nbytes, pickle.loads(blob, buffers=copies)
+    return _pickle_nbytes(obj), pickle.loads(blob, buffers=copies)
 
 
 @dataclass(slots=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 from operator import itemgetter
 
-from ..mpi import collectives as coll
+from ..mpi import Moved, collectives as coll
 from ..mpi.comm import Comm
 from .adio import ADIOFile, as_byte_view, writable_byte_view
 from .hints import Hints
@@ -174,11 +174,12 @@ def collective_write(
         return
     for r in range(rounds):
         # Communication phase: ship my pieces of each aggregator's window.
+        # Each list is built only to be sent: handed over, not snapshotted.
         outbound = [None] * comm.size
         for a, pieces in plan.get(r, ()):
-            outbound[a] = [
+            outbound[a] = Moved([
                 (off, bytes(buf[p : p + ln])) for off, ln, p in pieces
-            ]
+            ])
         inbound = coll.alltoall(comm, outbound)
         # I/O phase: aggregators coalesce and write their window.
         if my_domain is not None:
@@ -254,7 +255,7 @@ def collective_read(
             window_data = _read_window(comm, adio, wanted)
             for src, req in enumerate(wanted):
                 if req:
-                    replies[src] = [window_data[(off, ln)] for off, ln in req]
+                    replies[src] = Moved([window_data[(off, ln)] for off, ln in req])
         answers = coll.alltoall(comm, replies)
         # Unpack what came back into my output buffer.
         for a, pieces in plan.get(r, ()):

@@ -139,21 +139,6 @@ class TestParticleSet:
         with pytest.raises(KeyError):
             p.array("nope")
 
-    def test_from_arrays_roundtrip(self):
-        from repro.amr import PARTICLE_ARRAYS
-
-        p = self.make(7)
-        arrays = {name: p.array(name).copy() for name in PARTICLE_ARRAYS}
-        p2 = ParticleSet.from_arrays(arrays)
-        assert p.equal(p2)
-
-    def test_from_arrays_empty(self):
-        from repro.amr import PARTICLE_ARRAYS
-
-        p = ParticleSet()
-        arrays = {name: p.array(name).copy() for name in PARTICLE_ARRAYS}
-        assert len(ParticleSet.from_arrays(arrays)) == 0
-
     def test_select_and_concat(self):
         p = self.make(10)
         a = p.select(p.ids < 5)

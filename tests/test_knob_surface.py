@@ -113,9 +113,11 @@ def test_mpi_datatypes_are_pinned():
 
 def test_mpi_exports_are_pinned():
     """One communicator per job, receives that name their source and tag:
-    no sub-communicators, wildcards, polls or ``MAX`` / ``MIN``."""
+    no sub-communicators, wildcards, polls or ``MAX`` / ``MIN``.  ``Moved``
+    is the one way a sender hands a payload over instead of having it
+    snapshotted."""
     assert mpi.__all__ == [
-        "Comm", "Message", "MpiWorld", "payload_nbytes", "run_spmd",
+        "Comm", "Message", "Moved", "MpiWorld", "payload_nbytes", "run_spmd",
         "SpmdResult", "Request", "isend", "irecv", "waitall", "collectives",
         "datatypes", "barrier", "bcast", "gather", "gatherv", "scatter",
         "scatterv", "allgather", "alltoall", "alltoallv", "reduce",

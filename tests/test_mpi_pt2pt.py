@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amr import Grid, ParticleSet
-from repro.mpi import barrier, payload_nbytes, run_spmd
-from repro.mpi.comm import _wire_copy
+from repro.mpi import Moved, alltoall, barrier, payload_nbytes, run_spmd, scatter
+from repro.mpi.comm import _immutable, _wire_copy
 from repro.sim import DeadlockError, RankFailedError
 
 from .conftest import make_machine
@@ -263,6 +263,103 @@ def test_wire_copy_snapshot_survives_sender_mutation(machine4):
     res = run_spmd(machine4, program)
     assert np.array_equal(res.results[1].fields["density"], res.results[0])
     assert res.results[1].particles.ids.tolist() == list(range(7))
+
+
+def _exchange(kind, handed_over, batch, nprocs=4):
+    """Every rank's payloads of ``kind`` sent point-to-point (0 -> 1), by
+    alltoall and by scatter from rank 0, each wrapped in ``Moved`` or not;
+    returns, per rank, what it sent, what it got and its clock."""
+    wrap = Moved if handed_over else (lambda obj: obj)
+
+    def program(comm):
+        sent = [WIRE_PAYLOADS[kind]() for _ in range(comm.size)]
+        p2p = None
+        if comm.rank == 0:
+            comm.send(wrap(sent[1]), 1)
+        elif comm.rank == 1:
+            p2p = comm.recv(0)
+        a2a = alltoall(comm, [wrap(obj) for obj in sent])
+        mine = scatter(comm, [wrap(obj) for obj in sent] if comm.rank == 0 else None)
+        return sent, p2p, a2a, mine, comm.clock
+
+    return run_spmd(make_machine(nprocs), program, batch_collectives=batch).results
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["per-message", "batched"])
+@pytest.mark.parametrize("kind", sorted(WIRE_PAYLOADS))
+def test_a_handed_over_payload_travels_at_its_size_as_itself(kind, batch):
+    obj = WIRE_PAYLOADS[kind]()
+    nbytes, got = _wire_copy(Moved(obj))
+    assert got is obj and nbytes == payload_nbytes(obj)
+    moved = _exchange(kind, True, batch)
+    snapped = _exchange(kind, False, batch)
+    # Same wire sizes, so the same simulated seconds on every rank.  (A
+    # scatter hop forwards what it holds: an unmarked entry's snapshot,
+    # which pickles to another size when the object does not round-trip --
+    # a non-contiguous array arrives contiguous.)
+    top = pickle.HIGHEST_PROTOCOL
+    if len(pickle.dumps(pickle.loads(pickle.dumps(obj, top)), top)) == nbytes:
+        assert [r[-1] for r in moved] == [r[-1] for r in snapped]
+    assert moved[1][1] is moved[0][0][1]
+    for d, (_, _, a2a, mine, _) in enumerate(moved):
+        assert all(a2a[s] is moved[s][0][d] for s in range(len(moved)))
+        assert mine is moved[0][0][d]
+    if not _immutable(obj):  # an immutable payload is shared either way
+        assert snapped[1][1] is not snapped[0][0][1]
+        for d, (_, _, a2a, mine, _) in enumerate(snapped):
+            assert all(a2a[s] is not snapped[s][0][d] for s in range(len(snapped)) if s != d)
+            assert d == 0 or mine is not snapped[0][0][d]
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["per-message", "batched"])
+def test_unmarked_scatter_and_alltoall_entries_arrive_as_snapshots(batch):
+    def program(comm):
+        grids = [_grid(dims=(24, 24, 24)) for _ in range(comm.size)]
+        keep = [g.fields["density"].copy() for g in grids]
+        got = alltoall(comm, grids)
+        mine = scatter(comm, grids if comm.rank == 0 else None)
+        for g in grids:  # the sender's later writes reach no message
+            g.fields["density"][:] = -1.0
+            g.particles.ids[:] = -1
+        return keep, got, mine
+
+    res = run_spmd(make_machine(4), program, batch_collectives=batch).results
+    for d, (_, got, mine) in enumerate(res):
+        for s in range(len(res)):
+            if s != d:
+                assert np.array_equal(got[s].fields["density"], res[s][0][d])
+                assert got[s].particles.ids.tolist() == list(range(7))
+        if d:
+            assert np.array_equal(mine.fields["density"], res[0][0][d])
+            assert mine.particles.ids.tolist() == list(range(7))
+
+
+def test_scatter_forwarding_hops_deliver_without_a_copy():
+    """At P = 8 ranks 3, 5, 6 and 7 get their entries through other ranks'
+    bundles; handed-over entries arrive as the root's objects, unmarked ones
+    as snapshots.  Handed over whole, every hop's wire size is the unmarked
+    scatter's.  (Mixed, a forwarded bundle holds snapshots taken one entry
+    at a time beside the root's objects, which share fewer objects than one
+    snapshot of the root's bundle does, so its pickle is larger.)"""
+
+    def program(comm, marks):
+        sent = [_grid((3, 3, 3 + r)) for r in range(comm.size)]
+        objs = [Moved(g) if mark else g for g, mark in zip(sent, marks)]
+        mine = scatter(comm, objs if comm.rank == 0 else None)
+        return sent, mine, comm.clock
+
+    def run(marks):
+        return run_spmd(make_machine(8), program, args=(marks,)).results
+
+    plain = run([False] * 8)
+    for marks in ([True] * 8, [r % 2 == 1 for r in range(8)]):
+        res = run(marks)
+        if all(marks):
+            assert [r[-1] for r in res] == [r[-1] for r in plain]
+        sent = res[0][0]
+        for r, (_, mine, _) in enumerate(res):
+            assert (mine is sent[r]) == (marks[r] or r == 0)
+            assert mine.equal(sent[r])
 
 
 def test_compute_charges_time(machine4):
